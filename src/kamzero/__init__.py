@@ -9,7 +9,7 @@ from .homological import (NormalForm, ResonanceCondition, ResonantParameter,
                           assemble_block_operator, check_nonresonance,
                           hom_residual, solve_homological)
 from .driver import (BaseParams, BudgetExhausted, IterationReport, KamParams,
-                     PremiseFailed, delta0, dichotomy, kam_step,
+                     PremiseFailed, delta0, dichotomy, iterate, kam_step,
                      make_synthetic_problem, no_torus_witness, run, schedule)
 from .measure import AffineFrequencyMap, MeasureReport, ParameterGrid, estimate_excluded
 from .nls import (NlsModel, birkhoff_transform, build_nls, g_tensor,

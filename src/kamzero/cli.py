@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def _base_params(cfg, n, b):
 
 
 def _build_problem(cfg, xi_index):
-    if cfg.mode == "nls":
+    if cfg.mode in ("nls", "measure"):
         model = _model(cfg, xi_index)
         _, kf = nls.build_nls(model, _budgets(cfg))
         base = _base_params(cfg, model.n, 1)
@@ -119,9 +119,7 @@ def cmd_measure(cfg, outdir):
     reports = {}
     gamma = base.gamma1
     for rung in range(max(1, g["gamma_ladder"])):
-        params = driver.schedule(1, driver.BaseParams(
-            n=base.n, b=base.b, tau=base.tau, s1=base.s1, r1=base.r1,
-            gamma1=gamma, check_k_cap=base.check_k_cap))
+        params = driver.schedule(1, replace(base, gamma1=gamma))
         rep = measure.estimate_excluded(fmap, params, kf.dims, grid,
                                         k_lo=g["k_lo"], kmax=g["kmax"])
         name = "measure_gamma_%g" % gamma
@@ -147,31 +145,21 @@ def cmd_check(cfg, outdir, max_steps):
         "index_classes": nls.classify_index_vectors(kf.R0, dims).value_sets(),
         "birkhoff_resonant_leftover": bk.max_resonant_leftover,
     }
-    steps = max_steps or 0
-    if steps:
+    if max_steps:
         base = _base_params(cfg, model.n, 1)
-        N, R = kf.N0, kf.R0
-        eps = driver.vector_field_norm(R, _domain(cfg, base.s1, base.r1))
-        r_prev = None
+        steps = driver.iterate(kf.N0, kf.R0, base, dims, _domain(cfg, base.s1, base.r1),
+                               cfg["run"]["max_lie_order"])
         per_step = []
-        for m in range(1, steps + 1):
-            params = driver.schedule(m, base, eps_m=eps, r_prev=r_prev)
-            dp = _domain(cfg, params.s_m, params.r_m)
-            try:
-                N, R, rec = driver.kam_step(N, R, params, dims, dp,
-                                            max_lie_order=cfg["run"]["max_lie_order"],
-                                            eps_measured=eps)
-            except (driver.BudgetExhausted, ResonantParameter) as err:
-                per_step.append({"m": m, "stopped": str(err)})
-                break
-            eps = rec.eps_next
-            r_prev = params.r_m
-            per_step.append({
-                "m": m,
-                "zero_mode_linear": [self_describe(v) for v in
-                                     nls.parity_check(R, dims, "zero_mode_linear")],
-                "delta0": rec.delta0,
-            })
+        try:
+            for _, (m, _, _, R, rec) in zip(range(max_steps), steps):
+                per_step.append({
+                    "m": m,
+                    "zero_mode_linear": [self_describe(v) for v in
+                                         nls.parity_check(R, dims, "zero_mode_linear")],
+                    "delta0": rec.delta0,
+                })
+        except (driver.BudgetExhausted, ResonantParameter) as err:
+            per_step.append({"m": len(per_step) + 1, "stopped": str(err)})
         results["steps"] = per_step
     ok = not any(results[k] for k in ("even_k_blocks", "zero_mode_linear",
                                       "grading_violations"))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .series import Budgets
+
 
 class ConfigError(Exception):
     def __init__(self, problems):
@@ -163,6 +165,10 @@ def _validate(cfg):
         problems.append("[domain] p must exceed 1/2")
     if v["run"]["max_steps"] < 1:
         problems.append("[run] max_steps must be >= 1")
+    try:
+        Budgets(**v["budgets"])
+    except ValueError as err:
+        problems.append("[budgets] %s" % err)
     if mode in ("nls", "measure"):
         sites = v["model"]["sites"]
         xi = v["model"]["xi"]

@@ -1,5 +1,9 @@
 """Iteration driver: schedules, the KAM step, and the delta_0 dichotomy.
 
+``iterate`` is the one iteration loop (schedule, domain, ``kam_step``, eps
+and radius update); ``run`` consumes it and owns the verdict logic, as do
+the ``check`` command and the tests that step by hand.
+
 One step conjugates H_m = N_m + R_m by the time-1 flow of the generating
 function solving the homological equation, updates the frequencies from the
 k = 0 means, accumulates the zero-mode normal-form sums, and measures the
@@ -12,7 +16,9 @@ decomposition
             + sum_{j>=1} ad_F^j R / j!
 
 so no O(1) normal-form mass is pushed through a floating-point
-cancellation; every piece is of size O(eps) or smaller.
+cancellation; every piece is of size O(eps) or smaller.  The bracket
+{N, F} is the one the solver formed to certify its residual, and both Lie
+sums run through ``series.lie_series``.
 
 The dichotomy monitors delta_0 = sqrt(|J^{z0}|_2^2 + |J^{zbar0}|_2^2)
 against 20 eps_{m-1}^{7/6}: persistently below (with eps under the
@@ -22,21 +28,18 @@ escape-witness integration of the zero-mode subsystem over t in [0, 1].
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .homological import (NormalForm, ResonantParameter, check_nonresonance,
-                          solve_homological)
+from .homological import (BudgetExhausted, NormalForm, ResonantParameter,
+                          check_nonresonance, solve_homological)
 from .matrixkit import op_norm
 from .series import (DomainParams, MonomialKey, TFSeries, fourier_truncate,
-                     make_key, poisson_bracket, split_low_high,
+                     lie_series, make_key, poisson_bracket, split_low_high,
                      vector_field_norm)
-
-
-class BudgetExhausted(Exception):
-    """The schedule demands a Fourier range beyond the series budget."""
 
 
 class PremiseFailed(Exception):
@@ -192,39 +195,12 @@ class StepRecord:
         return out
 
 
-def _ad_chain(start, F, dp, rem_tol, max_order, first_weight_index):
-    """sum_{j>=j0} ad_F^j(start) / j! with ad^1(start) = {start, F} given.
-
-    ``start`` is already ad^{j0}(seed); weights continue 1/(j0+1)!, ...
-    Returns (sum_series, dropped_mass, last_norm, orders_used).
-    """
-    acc = None
-    term = start
-    dropped = term.meta.get("dropped_mass", 0.0)
-    fact = math.factorial(first_weight_index)
-    used = first_weight_index
-    j = first_weight_index
-    incr = term * (1.0 / fact)
-    acc = incr
-    last = vector_field_norm(incr, dp)
-    while j < max_order and last >= rem_tol and term.terms:
-        j += 1
-        term = poisson_bracket(term, F)
-        dropped += term.meta.get("dropped_mass", 0.0)
-        fact *= j
-        incr = term * (1.0 / fact)
-        acc = acc + incr
-        last = vector_field_norm(incr, dp)
-        used = j
-    return acc, dropped, last, used
-
-
 def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     """One conjugation H_m -> H_{m+1}; returns (N_next, R_next, StepRecord).
 
     Raises ResonantParameter when the sample fails a small-divisor
     condition and BudgetExhausted when the scheduled Fourier cut-off
-    exceeds the series budget.
+    exceeds the series budget or the condition lattice exceeds its cap.
     """
     base = params.base
     if params.K_m > R.budgets.k_max:
@@ -237,7 +213,7 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         low, min(params.K_m, R.budgets.k_max), dp, sigma=params.s_gap)
 
     failures = check_nonresonance(
-        N, _capped(params), dims, families=("KL", "R1", "R3", "R4"))
+        N, replace(params, K_m=min(params.K_m, base.check_k_cap)), dims)
     if failures:
         raise ResonantParameter(failures[0])
 
@@ -245,18 +221,17 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     N_next = N.accumulate(Nhat)
 
     # exact decomposition of the transformed perturbation
-    N_series = N.to_series(dims, R.budgets)
     rem_tol = 0.01 * max(eps_m ** (4.0 / 3.0), 1e-30)
-    T1 = poisson_bracket(N_series, F)
+    T1 = srep.bracket  # {N, F}, as certified by the solver's residual
     resid_series = T1 + low_trunc - Nhat.to_series(dims, R.budgets)
     dropped = T1.meta.get("dropped_mass", 0.0)
     R_next = resid_series + tail
     lie_used = 1
     if F.terms:
         T2 = poisson_bracket(T1, F)
-        chainN, d2, _, usedN = _ad_chain(T2, F, dp, rem_tol, max_lie_order, 2)
+        chainN, d2, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
         S1 = poisson_bracket(R, F)
-        chainR, d3, _, usedR = _ad_chain(S1, F, dp, rem_tol, max_lie_order, 1)
+        chainR, d3, _, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
         R_next = R_next + high + chainN + chainR
         dropped += d2 + d3
         lie_used = max(usedN, usedR)
@@ -292,14 +267,6 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         solve_counts=srep.solve_counts,
     )
     return N_next, R_next, rec
-
-
-def _capped(params):
-    """Copy of the step params with the condition-check range capped."""
-    capped = KamParams(params.m, params.s_m, params.s_next, params.r_m,
-                       params.gamma_m, params.eps_m, params.eta_m,
-                       min(params.K_m, params.base.check_k_cap), params.base)
-    return capped
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +364,13 @@ def _eval_poly(table, x, z, zb):
     return tot
 
 
-def _expm_taylor(B, t=1.0):
+def _exp_taylor(B, shift=0):
+    """sum_k B^k / (k + shift)!: e^B for shift = 0, and for shift = 1
+    phi1(B), so that int_0^1 e^{B(1-t)} dt = phi1(B)."""
     out = np.eye(B.shape[0], dtype=complex)
     term = np.eye(B.shape[0], dtype=complex)
     for k in range(1, 40):
-        term = term @ (B * t) / k
-        out = out + term
-        if np.abs(term).max() < 1e-18:
-            break
-    return out
-
-
-def _phi1(B):
-    """sum_k B^k / (k+1)! so that int_0^1 e^{B(1-t)} dt = phi1(B)."""
-    out = np.eye(B.shape[0], dtype=complex)
-    term = np.eye(B.shape[0], dtype=complex)
-    for k in range(1, 40):
-        term = term @ B / (k + 1)
+        term = term @ B / (k + shift)
         out = out + term
         if np.abs(term).max() < 1e-18:
             break
@@ -504,9 +461,9 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
     if mode == "coupled":
         X = X[dims.n:]
 
-    tilde = _expm_taylor(-A0) @ X
-    lin = _expm_taylor(A0) @ (np.zeros(2 * b) if z_init is None else np.asarray(z_init)) \
-        + _phi1(A0) @ alpha0
+    tilde = _exp_taylor(-A0) @ X
+    lin = _exp_taylor(A0) @ (np.zeros(2 * b) if z_init is None else np.asarray(z_init)) \
+        + _exp_taylor(A0, shift=1) @ alpha0
     threshold = 2.0 * bound
     rec = WitnessRecord(
         escaped=bool(norms[-1] > threshold),
@@ -541,58 +498,64 @@ class IterationReport:
         }
 
 
-def run(N0, R0, base, dims, dp0, max_steps=6, max_lie_order=8, witness_steps=400):
-    """Iterate kam_step until a verdict; returns an IterationReport."""
-    N = N0
-    R = R0
-    records = []
-    r_prev = None
+def iterate(N0, R0, base, dims, dp0, max_lie_order):
+    """Run the steps m = 1, 2, ... and yield (m, params, N, R, record) after each.
+
+    Every step schedules from the measured eps and the previous radius, sets
+    the domain D(s_m, r_m) and conjugates with ``kam_step``.
+    ResonantParameter and BudgetExhausted propagate to the consumer, which
+    also decides when to stop.
+    """
+    N, R = N0, R0
     eps = vector_field_norm(R, dp0)
-    verdict = None
-    info = {}
-    for m in range(1, max_steps + 1):
+    r_prev = None
+    for m in itertools.count(1):
         params = schedule(m, base, eps_m=eps, r_prev=r_prev)
         dp = DomainParams(params.s_m, params.r_m, dp0.a, dp0.p)
-        try:
-            N, R, rec = kam_step(N, R, params, dims, dp,
-                                 max_lie_order=max_lie_order, eps_measured=eps)
-        except ResonantParameter as err:
-            verdict = "ResonantSample"
-            cond = err.condition
-            info = {"m": m, "family": cond.family, "k": list(cond.k),
-                    "threshold": cond.threshold, "measured": cond.measured}
-            break
-        except BudgetExhausted as err:
+        N, R, rec = kam_step(N, R, params, dims, dp, max_lie_order, eps)
+        eps, r_prev = rec.eps_next, params.r_m
+        yield m, params, N, R, rec
+
+
+def run(N0, R0, base, dims, dp0, max_steps=6, max_lie_order=8):
+    """Iterate until a verdict; returns an IterationReport."""
+    records = []
+    steps = iterate(N0, R0, base, dims, dp0, max_lie_order)
+    try:
+        # zip takes from range first, so no step runs past max_steps
+        for _, (m, params, N, R, rec) in zip(range(max_steps), steps):
+            records.append(rec)
+            state = dichotomy(records, base)
+            if state == "TorusConverged":
+                verdict = "TorusConverged"
+                info = {"m": m, "delta0": rec.delta0, "eps": rec.eps_next}
+                break
+            if state == "NoTorusCandidate":
+                try:
+                    escaped, wrec = no_torus_witness(N, R, params, dims,
+                                                     eps_prev=rec.eps_measured)
+                except PremiseFailed as err:
+                    verdict = "BudgetExhausted"
+                    info = {"m": m, "reason": str(err)}
+                    break
+                if escaped:
+                    verdict = "NoTorusWitnessed"
+                    info = {"m": m, "delta0": rec.delta0,
+                            "final_norm": wrec.final_norm,
+                            "threshold": wrec.threshold,
+                            "linear_oracle_norm": wrec.linear_oracle_norm}
+                    break
+        else:
             verdict = "BudgetExhausted"
-            info = {"m": m, "reason": str(err)}
-            break
-        records.append(rec)
-        eps = rec.eps_next
-        r_prev = params.r_m
-        state = dichotomy(records, base)
-        if state == "TorusConverged":
-            verdict = "TorusConverged"
-            info = {"m": m, "delta0": rec.delta0, "eps": rec.eps_next}
-            break
-        if state == "NoTorusCandidate":
-            try:
-                escaped, wrec = no_torus_witness(
-                    N, R, params, dims, eps_prev=rec.eps_measured,
-                    steps=witness_steps)
-            except PremiseFailed as err:
-                verdict = "BudgetExhausted"
-                info = {"m": m, "reason": str(err)}
-                break
-            if escaped:
-                verdict = "NoTorusWitnessed"
-                info = {"m": m, "delta0": rec.delta0,
-                        "final_norm": wrec.final_norm,
-                        "threshold": wrec.threshold,
-                        "linear_oracle_norm": wrec.linear_oracle_norm}
-                break
-    if verdict is None:
+            info = {"m": max_steps, "reason": "no verdict within max_steps"}
+    except ResonantParameter as err:
+        verdict = "ResonantSample"
+        cond = err.condition
+        info = {"m": len(records) + 1, "family": cond.family, "k": list(cond.k),
+                "threshold": cond.threshold, "measured": cond.measured}
+    except BudgetExhausted as err:
         verdict = "BudgetExhausted"
-        info = {"m": max_steps, "reason": "no verdict within max_steps"}
+        info = {"m": len(records) + 1, "reason": str(err)}
     drift_sum = sum(r.freq_drift for r in records)
     eps_sum = sum(r.eps_measured for r in records)
     constants = {

@@ -15,16 +15,27 @@ solution), tail linears, and finally the x/y coefficients.  Right-side
 corrections between classes are evaluated with the series engine's own
 Poisson bracket rather than hand-coded, so the solution is consistent with
 the bracket by construction; ``hom_residual`` certifies it.
+
+The module also holds the one catalogue of small-divisor conditions
+(``condition_catalogue`` over the l1 lattice ``k_lattice``): families KL,
+R1, R3 and R4 with their thresholds.  ``check_nonresonance`` evaluates it
+at one parameter sample (the solver gate), ``measure.estimate_excluded``
+over a parameter grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matrixkit import SingularSystem, commutation_matrix, det_modulus, kron, solve_dense, unvec, vec
 from .series import TFSeries, make_key, poisson_bracket, vector_field_norm
+
+
+class BudgetExhausted(Exception):
+    """A Fourier range beyond the series budget or the condition-lattice cap."""
 
 
 class ResonantParameter(Exception):
@@ -231,111 +242,131 @@ def assemble_block_operator(family, N, kvec, j=None, Omega_j=None):
 
 
 # ---------------------------------------------------------------------------
-# non-resonance conditions
+# the small-divisor condition catalogue
 # ---------------------------------------------------------------------------
 
-def _k_lattice(n, kmax):
-    """All integer vectors with 0 <= |k|_1 <= kmax (including 0)."""
-    kmax = int(np.floor(kmax))
-    if n == 0:
-        return np.zeros((1, 0), dtype=int)
-    if (2 * kmax + 1) ** n > 6_000_000:
-        raise ValueError("k-lattice with |k| <= %d in dimension %d is too large" % (kmax, n))
-    axes = [np.arange(-kmax, kmax + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    return grid[np.abs(grid).sum(axis=1) <= kmax]
+FAMILIES = ("KL", "R1", "R3", "R4")
+_LATTICE_CAP = 6_000_000
 
 
-def _det_over_lattice(kw, B):
-    """|det(i kw I + B)| for every scalar kw, via the eigenvalues of B."""
-    mu = np.linalg.eigvals(B)
-    return np.abs(1j * kw[:, None] + mu[None, :]).prod(axis=1)
+def k_lattice(n, kmax):
+    """All integer vectors with |k|_1 <= kmax, in lexicographic order.
+
+    Built one coordinate at a time, so only the l1 ball is ever held.  A
+    ball of more than 6,000,000 points raises BudgetExhausted.
+    """
+    r = max(int(np.floor(kmax)), 0)
+    size = sum(2 ** i * math.comb(n, i) * math.comb(r, i) for i in range(min(n, r) + 1))
+    if size > _LATTICE_CAP:
+        raise BudgetExhausted("the k-lattice |k| <= %d in dimension %d has %d points,"
+                              " above the cap of %d" % (r, n, size, _LATTICE_CAP))
+    lat = np.zeros((1, 0), dtype=int)
+    for _ in range(n):
+        rem = r - np.abs(lat).sum(axis=1)
+        width = 2 * rem + 1
+        col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width + rem, width)
+        lat = np.column_stack([np.repeat(lat, width, axis=0), col])
+    return lat
 
 
-def check_nonresonance(N, params, dims, k_lo=0.0, families=("KL", "R1", "R3", "R4"),
-                       collect_limit=20000):
-    """Evaluate the four small-divisor condition families at this sample.
+@dataclass(frozen=True)
+class Condition:
+    """One small-divisor condition: |value(<k, omega>)| >= scale / |k|^tau.
+
+    For family KL the value is |kw + <l, Omega>| (``roots`` holds the one
+    shift); for R1/R3/R4 it is the determinant modulus |det(i kw I + B)| =
+    prod |i kw + mu| over the eigenvalues ``roots`` of the k = 0 block B.
+    The solver tests it for kmin <= |k|.
+    """
+
+    family: str
+    l: tuple | None
+    scale: float
+    tau: float
+    roots: np.ndarray
+    kmin: int = 1
+
+    def value(self, kw):
+        """Measured value at every entry of the array kw = <k, omega>."""
+        if self.family == "KL":
+            return np.abs(kw + self.roots[0])
+        det = np.abs(1j * kw + self.roots[0])
+        for mu in self.roots[1:]:
+            det *= np.abs(1j * kw + mu)
+        return det
+
+
+def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
+    """The small-divisor conditions at normal form N, in gate order.
+
+    Family KL pairs <k, omega> with every <l, Omega>, 0 <= |l| <= 2 on the
+    normal tail, against gamma_m <l>_d / |k|^tau; families R1/R3/R4 are the
+    determinants of the A, B(j) and C block operators against
+    gamma_im / |k|^{tau_i}, with R3 over the tail modes j <= 2 kmax and
+    including k = 0.
+    """
+    conds = []
+    tail = dims.tail_modes
+    Om = N.Omega
+    d = params.d
+    if "KL" in families:
+        lopts = [((), 0.0, 1.0)]
+        for j in tail:
+            wj = max(1.0, float(j) ** d)
+            lopts += [(((j, 1),), Om[j], wj), (((j, -1),), -Om[j], wj)]
+        for a, ja in enumerate(tail):
+            for jc in tail[a:]:
+                ld = max(1.0, float(ja ** d + jc ** d))
+                lv = ((ja, 2),) if ja == jc else ((ja, 1), (jc, 1))
+                lopts += [(lv, Om[ja] + Om[jc], ld),
+                          (tuple((m, -e) for m, e in lv), -(Om[ja] + Om[jc]), ld)]
+                if ja != jc:
+                    ldm = max(1.0, abs(float(ja ** d - jc ** d)))
+                    lopts += [(((ja, 1), (jc, -1)), Om[ja] - Om[jc], ldm),
+                              (((ja, -1), (jc, 1)), Om[jc] - Om[ja], ldm)]
+        conds += [Condition("KL", lv, params.gamma_m * ld, params.tau, np.array([c]))
+                  for lv, c, ld in lopts]
+    if N.b == 0:
+        return conds
+    zk = np.zeros(dims.n)
+    if "R1" in families:
+        conds.append(Condition("R1", None, params.gamma_1m, params.tau_1,
+                               np.linalg.eigvals(assemble_block_operator("A", N, zk))))
+    if "R3" in families:
+        for j in tail:
+            if j <= 2 * kmax:
+                B = assemble_block_operator("B", N, zk, j=j, Omega_j=Om[j])
+                conds.append(Condition("R3", ((j, 1),), params.gamma_3m, params.tau_3,
+                                       np.linalg.eigvals(B), kmin=0))
+    if "R4" in families:
+        conds.append(Condition("R4", None, params.gamma_4m, params.tau_4,
+                               np.linalg.eigvals(assemble_block_operator("C", N, zk))))
+    return conds
+
+
+def k_powers(conds, kabs):
+    """max(|k|, 1)^tau for every exponent tau the conditions use."""
+    return {tau: np.maximum(kabs, 1).astype(float) ** tau for tau in {c.tau for c in conds}}
+
+
+def check_nonresonance(N, params, dims, families=FAMILIES):
+    """Evaluate the condition catalogue at this sample for |k| <= K_m.
 
     Returns the list of violated ResonanceCondition records (empty means
-    the sample passes).  Family KL tests |<k,omega> + <l,Omega>| against
-    gamma <l>_d / |k|^tau for 0 <= |l| <= 2 supported on the normal tail;
-    families R1/R3/R4 test |det| of the A/B/C operators against
-    gamma_im / |k|^{tau_i}.  ``k_lo`` restricts family KL to the annulus
-    k_lo < |k| (the per-step bookkeeping of the measure estimates); the
-    solver uses the full range.
+    the sample passes), ordered by family, then l, then lattice index.
     """
-    failures = []
-    kmax = params.K_m
-    lat = _k_lattice(dims.n, kmax)
+    lat = k_lattice(dims.n, params.K_m)
     kabs = np.abs(lat).sum(axis=1)
     kw = lat @ N.omega
-    kpow = np.maximum(kabs, 1).astype(float) ** params.tau
-    tail = [j for j in dims.tail_modes]
-    Om = np.array([N.Omega[j] for j in tail]) if tail else np.zeros(0)
-    d = params.d
-
-    def record(family, mask, lvec, thr, meas):
-        idx = np.flatnonzero(mask)
-        for i in idx[:collect_limit]:
-            failures.append(ResonanceCondition(family, tuple(int(v) for v in lat[i]),
-                                               lvec, float(thr[i]), float(meas[i])))
-
-    if "KL" in families:
-        sel0 = (kabs > k_lo) & (kabs <= kmax) & (kabs > 0)
-        lopts = [((), 0.0, 1.0)]
-        for a, j in enumerate(tail):
-            lopts.append((((j, 1),), Om[a], max(1.0, float(j) ** d)))
-            lopts.append((((j, -1),), -Om[a], max(1.0, float(j) ** d)))
-        for a in range(len(tail)):
-            for c in range(a, len(tail)):
-                ja, jc = tail[a], tail[c]
-                ld = max(1.0, float(ja ** d + jc ** d))
-                lv = ((ja, 2),) if a == c else ((ja, 1), (jc, 1))
-                lopts.append((lv, Om[a] + Om[c], ld))
-                lopts.append((tuple((m, -e) for m, e in lv), -(Om[a] + Om[c]), ld))
-                if a != c:
-                    ldm = max(1.0, abs(float(ja ** d - jc ** d)))
-                    lopts.append((((ja, 1), (jc, -1)), Om[a] - Om[c], ldm))
-                    lopts.append((((ja, -1), (jc, 1)), Om[c] - Om[a], ldm))
-        for lvec, cval, ld in lopts:
-            thr = params.gamma_m * ld / kpow
-            meas = np.abs(kw + cval)
-            mask = sel0 & (meas < thr)
-            if np.any(mask):
-                record("KL", mask, lvec, thr, meas)
-
-    b = N.b
-    if "R1" in families and b > 0:
-        B1 = assemble_block_operator("A", N, np.zeros(dims.n))
-        sel = (kabs > 0) & (kabs <= kmax)
-        meas = _det_over_lattice(kw, B1)
-        thr = params.gamma_1m / np.maximum(kabs, 1).astype(float) ** params.tau_1
-        mask = sel & (meas < thr)
-        if np.any(mask):
-            record("R1", mask, None, thr, meas)
-
-    if "R3" in families and b > 0:
-        sel = kabs <= kmax
-        jcap = min(2 * kmax, dims.jmax)
-        for a, j in enumerate(tail):
-            if j > jcap:
-                continue
-            B3 = assemble_block_operator("B", N, np.zeros(dims.n), j=j, Omega_j=Om[a])
-            meas = _det_over_lattice(kw, B3)
-            thr = params.gamma_3m / np.maximum(kabs, 1).astype(float) ** params.tau_3
-            mask = sel & (meas < thr)
-            if np.any(mask):
-                record("R3", mask, ((j, 1),), thr, meas)
-
-    if "R4" in families and b > 0:
-        B4 = assemble_block_operator("C", N, np.zeros(dims.n))
-        sel = (kabs > 0) & (kabs <= kmax)
-        meas = _det_over_lattice(kw, B4)
-        thr = params.gamma_4m / np.maximum(kabs, 1).astype(float) ** params.tau_4
-        mask = sel & (meas < thr)
-        if np.any(mask):
-            record("R4", mask, None, thr, meas)
-
+    conds = condition_catalogue(N, params, dims, params.K_m, families)
+    kpow = k_powers(conds, kabs)
+    failures = []
+    for cond in conds:
+        thr = cond.scale / kpow[cond.tau]
+        meas = cond.value(kw)
+        for i in np.flatnonzero((kabs >= cond.kmin) & (meas < thr)):
+            failures.append(ResonanceCondition(cond.family, tuple(int(v) for v in lat[i]),
+                                               cond.l, float(thr[i]), float(meas[i])))
     return failures
 
 
@@ -429,6 +460,7 @@ class SolveReport:
     residual: float | None = None
     xF_norm: float | None = None
     estimate_constant: float | None = None
+    bracket: TFSeries | None = None     # {N, F}, formed for the residual when dp is given
 
     def count(self, part):
         self.solve_counts[part] = self.solve_counts.get(part, 0) + 1
@@ -451,8 +483,9 @@ def solve_homological(N, R_low, params, dims, dp=None):
     non-resonance threshold raises ResonantParameter.
 
     Returns (F, Nhat, SolveReport).  When ``dp`` is given the report
-    includes the bracket-certified residual ||{N,F} + R_low - Nhat|| and
-    the measured norm constant of the generating function.
+    includes the bracket {N, F}, the residual ||{N,F} + R_low - Nhat||
+    certified with it, and the measured norm constant of the generating
+    function.
     """
     n = dims.n
     zero_set = set(dims.zero_modes)
@@ -613,7 +646,8 @@ def solve_homological(N, R_low, params, dims, dp=None):
 
     F.prune()
     if dp is not None:
-        report.residual = hom_residual(N, F, R_low, Nhat, dp, dims)
+        report.bracket = poisson_bracket(N_series, F)
+        report.residual = hom_residual(report.bracket, R_low, Nhat, dp, dims)
         report.xF_norm = vector_field_norm(F, dp)
         rnorm = vector_field_norm(R_low, dp)
         if rnorm > 0 and report.xF_norm > 0:
@@ -642,9 +676,6 @@ def _subseries(F, dims, zero_set, tags):
     return out
 
 
-def hom_residual(N, F, R_low, Nhat, dp, dims):
-    """Vector-field norm of {N, F} + R_low - Nhat (bracket recomputed)."""
-    N_series = N.to_series(dims, R_low.budgets)
-    lhs = poisson_bracket(N_series, F) + R_low - Nhat.to_series(dims, R_low.budgets)
-    lhs.prune(rel=0.0)
-    return vector_field_norm(lhs, dp)
+def hom_residual(NF, R_low, Nhat, dp, dims):
+    """Vector-field norm of {N, F} + R_low - Nhat, given the bracket NF = {N, F}."""
+    return vector_field_norm(NF + R_low - Nhat.to_series(dims, R_low.budgets), dp)

@@ -1,11 +1,13 @@
 """Grid estimates of the excluded resonance-zone measure over the parameter box.
 
 Samples a rectangular grid in the parameter box, evaluates every
-small-divisor condition per sample through an affine frequency map, and
-compares the excluded fractions per family against linear strip-width
-estimates and the per-step bound shape gamma^mu/(1 + K_{m-1}) +
-gamma^{1/(4 b^2)}/m^2.  Estimation is grid-based (no covering arguments);
-the grid resolution error 1/samples-per-axis is part of the report.
+small-divisor condition of the solver's catalogue
+(``homological.condition_catalogue``) per sample through an affine
+frequency map, and compares the excluded fractions per family against
+linear strip-width estimates and the per-step bound shape
+gamma^mu/(1 + K_{m-1}) + gamma^{1/(4 b^2)}/m^2.  Estimation is grid-based
+(no covering arguments); the grid resolution error 1/samples-per-axis is
+part of the report.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homological import assemble_block_operator
+from .homological import FAMILIES, NormalForm, condition_catalogue, k_lattice, k_powers
 
 
 @dataclass
@@ -122,144 +124,58 @@ def lipschitz_quotients(fmap, grid):
     return lo, hi
 
 
-def _k_vectors(n, kmax, k_lo=0.0):
-    axes = [np.arange(-int(kmax), int(kmax) + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    kabs = np.abs(grid).sum(axis=1)
-    return grid[(kabs > k_lo) & (kabs <= kmax)]
-
-
-def _l_options(fmap, tail, lmax=2):
-    """(l, <l,Omega>, <l>_d) for 0 <= |l| <= lmax supported on the tail."""
-    Om = fmap.Omega
-    d = fmap.d
-    opts = [((), 0.0, 1.0)]
-    for j in tail:
-        opts.append((((j, 1),), Om[j], max(1.0, float(j) ** d)))
-        opts.append((((j, -1),), -Om[j], max(1.0, float(j) ** d)))
-    for ai, i in enumerate(tail):
-        for j in tail[ai:]:
-            ld = max(1.0, float(i ** d + j ** d))
-            lv = ((i, 2),) if i == j else ((i, 1), (j, 1))
-            opts.append((lv, Om[i] + Om[j], ld))
-            opts.append((tuple((m, -e) for m, e in lv), -(Om[i] + Om[j]), ld))
-            if i != j:
-                ldm = max(1.0, abs(float(i ** d - j ** d)))
-                opts.append((((i, 1), (j, -1)), Om[i] - Om[j], ldm))
-                opts.append((((i, -1), (j, 1)), Om[j] - Om[i], ldm))
-    return opts
-
-
-def _strip_fraction_bound(thr, grad, grid):
-    """Fraction of the box cut by |c + <grad, xi>| < thr (linear estimate)."""
-    g = float(np.linalg.norm(grad, 2))
-    if g == 0.0:
-        return 1.0
-    widths = grid.hi - grid.lo
-    # strip width 2 thr / |g| against the box extent along the gradient
-    extent = float(np.abs(grad) @ widths) / g
-    return min(1.0, 2.0 * thr / (g * extent) if extent > 0 else 1.0)
-
-
-def estimate_excluded(fmap, params, dims, grid, families=("KL", "R1", "R3", "R4"),
-                      k_lo=0.0, kmax=None, blocks=None, collect_rows=True):
+def estimate_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
     """Excluded-fraction estimate for every condition family at step m.
 
-    ``fmap`` is the affine frequency map; ``blocks`` optionally supplies a
-    NormalForm whose zero-mode quadratic blocks feed the determinant
-    families (zero blocks otherwise, matching the first step).  Family KL
-    is restricted to the annulus k_lo < |k| <= kmax (the per-step
-    bookkeeping); the determinant families use 0 < |k| <= kmax.
+    ``fmap`` is the affine frequency map.  The conditions come from the
+    solver's catalogue (``homological.condition_catalogue``) with the
+    zero-mode blocks set to zero, as at the first step, and are evaluated
+    over the grid one k-row at a time.  Family KL is restricted to the annulus
+    k_lo < |k| <= kmax (the per-step bookkeeping); the determinant families
+    use 0 < |k| <= kmax.  The k = 0 row does not depend on xi, so unlike the
+    solver's R3 gate the grid never includes it.
     """
     xi = grid.samples()
     nsamp = xi.shape[0]
     kmax = params.K_m if kmax is None else kmax
-    kvecs = _k_vectors(grid.ndim, kmax, k_lo=0.0)
+    kvecs = k_lattice(grid.ndim, kmax)
+    kvecs = kvecs[np.abs(kvecs).sum(axis=1) > 0]
     kabs = np.abs(kvecs).sum(axis=1)
     base = kvecs @ fmap.alpha
     proj = kvecs @ fmap.A                    # (nk, n): gradient of <k, omega(xi)>
     vals = base[:, None] + proj @ xi.T       # (nk, nsamp)
-    tail = sorted(fmap.Omega)
 
-    fractions = {}
-    bounds = {}
+    N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
+    N0.Omega = dict(fmap.Omega)
+    conds = condition_catalogue(N0, params, dims, kmax, families)
+    kpow = k_powers(conds, kabs)
+    # per condition: thresholds over the k-rows, the rows it covers, and
+    # thr^{1/order}, since {|det| < thr} scales like that per root
+    thrs = [c.scale / kpow[c.tau] for c in conds]
+    live = [kabs > (k_lo if c.family == "KL" else 0) for c in conds]
+    effs = [t ** (1.0 / len(c.roots)) for c, t in zip(conds, thrs)]
+    excluded = {f: np.zeros(nsamp, dtype=bool) for f in families}
+    bound = dict.fromkeys(families, 0.0)
     rows = []
-
-    if "KL" in families:
-        sel = (kabs > k_lo) & (kabs <= kmax)
-        excluded = np.zeros(nsamp, dtype=bool)
-        bound = 0.0
-        lopts = _l_options(fmap, tail)
-        for i in np.flatnonzero(sel):
-            thr_base = params.gamma_m / max(1.0, float(kabs[i])) ** params.tau
-            vi = vals[i]
-            for lvec, cval, ld in lopts:
-                thr = thr_base * ld
-                viol = np.abs(vi + cval) < thr
-                excluded |= viol
-                cb = _strip_fraction_bound(thr, proj[i], grid)
-                bound += cb
-                if collect_rows:
-                    frac = float(viol.mean())
-                    if frac > 0:
-                        rows.append(ConditionRow("KL", tuple(int(v) for v in kvecs[i]),
-                                                 lvec, thr, frac, cb))
-        fractions["KL"] = float(excluded.mean())
-        bounds["KL"] = min(1.0, bound)
-
-    def det_family(name, gamma_i, tau_i, fam_matrix):
-        sel = (kabs > 0) & (kabs <= kmax)
-        excluded = np.zeros(nsamp, dtype=bool)
-        bound = 0.0
-        mu = np.linalg.eigvals(fam_matrix)
-        order = len(mu)
-        for i in np.flatnonzero(sel):
-            thr = gamma_i / max(1.0, float(kabs[i])) ** tau_i
-            det = np.abs(1j * vals[i][None, :] + mu[:, None]).prod(axis=0)
-            viol = det < thr
-            excluded |= viol
-            # measure of {|det| < thr} scales like thr^{1/order} per root
-            eff = thr ** (1.0 / order)
-            cb = _strip_fraction_bound(eff, proj[i], grid) * order
-            bound += cb
-            if collect_rows and viol.any():
-                rows.append(ConditionRow(name, tuple(int(v) for v in kvecs[i]),
-                                         None, thr, float(viol.mean()), cb))
-        fractions[name] = float(excluded.mean())
-        bounds[name] = min(1.0, bound)
-
-    if blocks is not None:
-        N0 = blocks
-    else:
-        from .homological import NormalForm
-        N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
-        N0.omega = fmap.alpha
-        N0.Omega = dict(fmap.Omega)
-    zk = np.zeros(grid.ndim)
-    if "R1" in families:
-        det_family("R1", params.gamma_1m, params.tau_1,
-                   assemble_block_operator("A", N0, zk))
-    if "R4" in families:
-        det_family("R4", params.gamma_4m, params.tau_4,
-                   assemble_block_operator("C", N0, zk))
-    if "R3" in families:
-        sel = kabs <= kmax
-        excluded = np.zeros(nsamp, dtype=bool)
-        bound = 0.0
-        for j in tail:
-            if j > 2 * kmax:
+    widths = grid.hi - grid.lo
+    for i in range(len(kvecs)):
+        # strip width 2 thr / |g| against the box extent along the gradient g
+        g = float(np.linalg.norm(proj[i], 2))
+        extent = float(np.abs(proj[i]) @ widths) / g if g else 0.0
+        for c, thr, sel, eff in zip(conds, thrs, live, effs):
+            if not sel[i]:
                 continue
-            B = assemble_block_operator("B", N0, zk, j=j, Omega_j=fmap.Omega[j])
-            mu = np.linalg.eigvals(B)
-            order = len(mu)
-            for i in np.flatnonzero(sel):
-                thr = params.gamma_3m / max(1.0, float(kabs[i])) ** params.tau_3
-                det = np.abs(1j * vals[i][None, :] + mu[:, None]).prod(axis=0)
-                viol = det < thr
-                excluded |= viol
-                bound += _strip_fraction_bound(thr ** (1.0 / order), proj[i], grid) * order
-        fractions["R3"] = float(excluded.mean())
-        bounds["R3"] = min(1.0, bound)
+            viol = c.value(vals[i]) < thr[i]
+            excluded[c.family] |= viol
+            cb = len(c.roots) * (min(1.0, 2.0 * eff[i] / (g * extent)) if extent > 0 else 1.0)
+            bound[c.family] += cb
+            frac = float(viol.mean())
+            if frac > 0:
+                rows.append(ConditionRow(c.family, tuple(int(v) for v in kvecs[i]),
+                                         c.l, float(thr[i]), frac, cb))
+    rows.sort(key=lambda r: FAMILIES.index(r.family))
+    fractions = {f: float(e.mean()) for f, e in excluded.items()}
+    bounds = {f: min(1.0, b) for f, b in bound.items()}
 
     ratios = {f: (fractions[f] / bounds[f] if bounds[f] > 0 else 0.0)
               for f in fractions}

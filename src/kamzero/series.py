@@ -133,6 +133,10 @@ class Budgets:
     def __post_init__(self):
         if self.degree_max < 0 or self.k_max < 0 or self.prune_rel < 0:
             raise ValueError("budgets must be nonnegative")
+        # key columns are int16 and a product adds two in-budget columns
+        # before the budgets filter it, so each must stay below 2^14
+        if max(self.degree_max, self.k_max) > 16383:
+            raise ValueError("degree_max and k_max must not exceed 16383 (int16 keys)")
 
 
 @dataclass(frozen=True)
@@ -722,6 +726,35 @@ def fourier_truncate(R, K, dp=None, sigma=None):
     return trunc, tail, report
 
 
+def lie_series(term, F, j, order, dp=None, rem_tol=None):
+    """Sum_{i=j}^{order} ad_F^{i-j}(term) / i! for term = ad_F^j(H).
+
+    The one Lie-series loop: ``lie_transform`` starts it at j = 0 with
+    term = H, the KAM step at a bracket it has already formed.  Orders are
+    added one at a time; the sum stops after an empty increment or, with
+    ``dp`` and ``rem_tol`` given, after one whose vector-field norm is below
+    ``rem_tol``.  Returns (sum, dropped_mass, last_norm, order_used), where
+    last_norm is the norm of the last increment (inf when unmeasured, 0 once
+    the series terminates).
+    """
+    fact = math.factorial(j)
+    if j:
+        acc, dropped = term * (1.0 / fact), term.meta.get("dropped_mass", 0.0)
+    else:
+        acc, dropped = term.copy(), 0.0
+    last = vector_field_norm(acc, dp) if j and dp is not None else math.inf
+    while j < order and term.terms and (rem_tol is None or last >= rem_tol):
+        j += 1
+        term = poisson_bracket(term, F)
+        dropped += term.meta.get("dropped_mass", 0.0)
+        fact *= j
+        incr = term * (1.0 / fact)
+        acc = acc + incr
+        if dp is not None:
+            last = vector_field_norm(incr, dp)
+    return acc, dropped, (last if term.terms else 0.0), j
+
+
 def lie_transform(H, F, order, dp=None, rem_tol=None):
     """Finite Lie series H o X_F^t at t = 1.
 
@@ -733,29 +766,10 @@ def lie_transform(H, F, order, dp=None, rem_tol=None):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    acc = H.copy()
-    term = H
-    dropped = 0.0
-    last_norm = math.inf
-    used = 0
-    factorial = 1.0
-    for j in range(1, order + 1):
-        term = poisson_bracket(term, F)
-        dropped += term.meta.get("dropped_mass", 0.0)
-        factorial *= j
-        incr = term * (1.0 / factorial)
-        acc = acc + incr
-        used = j
-        if dp is not None:
-            last_norm = vector_field_norm(incr, dp)
-            if rem_tol is not None and last_norm < rem_tol:
-                break
-        elif not term.terms:
-            last_norm = 0.0
-            break
+    acc, dropped, last, used = lie_series(H, F, 0, order, dp, rem_tol)
     acc.prune()
     acc.meta["dropped_mass"] = dropped
-    acc.meta["remainder_norm"] = 0.0 if not term.terms else last_norm
+    acc.meta["remainder_norm"] = last
     acc.meta["order_used"] = used
     acc.real = H.real and F.real
     return acc

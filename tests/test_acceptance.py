@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from kamzero.driver import (BaseParams, kam_step, make_synthetic_problem,
+from kamzero.driver import (BaseParams, iterate, make_synthetic_problem,
                             no_torus_witness, realify, run, schedule)
 from kamzero.homological import (NormalForm, check_nonresonance,
                                  solve_homological)
@@ -198,20 +198,13 @@ def test_criterion_05_kam_contraction():
     dp0 = DomainParams(0.6, 0.25, 0.1, 1.0)
     base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.25, gamma1=0.05)
     N, R = make_synthetic_problem(dims, bud, 1e-6, seed=2, n_high=0, dp=dp0)
-    eps = vector_field_norm(R, dp0)
-    r_prev = None
     contraction_ok = True
-    epslist = [eps]
+    epslist = [vector_field_norm(R, dp0)]
     drift = 0.0
-    for m in (1, 2, 3):
-        params = schedule(m, base, eps_m=eps, r_prev=r_prev)
-        dp = DomainParams(params.s_m, params.r_m, dp0.a, dp0.p)
-        N, R, rec = kam_step(N, R, params, dims, dp, eps_measured=eps)
+    for _, (m, params, N, R, rec) in zip(range(3), iterate(N, R, base, dims, dp0, 8)):
         contraction_ok &= rec.eps_next <= rec.eps_measured ** 1.1
         drift += rec.freq_drift
-        eps = rec.eps_next
-        epslist.append(eps)
-        r_prev = params.r_m
+        epslist.append(rec.eps_next)
     drift_ok = drift <= 10.0 * sum(epslist[:-1])
     _report(5, contraction_ok and drift_ok,
             "KAM contraction: eps trace %s, drift %.2e"
@@ -243,9 +236,7 @@ def test_criterion_07_nls_parity(nls_build):
     dims = kf.dims
     base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.02, gamma1=0.005)
     dp0 = DomainParams(base.s1, base.r1, 0.1, 1.0)
-    N, R = kf.N0, kf.R0
-    eps = vector_field_norm(R, dp0)
-    r_prev = None
+    R = kf.R0
     worst = [0.0, 0.0, 0.0]
 
     def z0_mean_defect(series):
@@ -253,12 +244,7 @@ def test_criterion_07_nls_parity(nls_build):
         return max((v for _, v in viol), default=0.0)
 
     worst[0] = z0_mean_defect(R)
-    for m in (1, 2):
-        params = schedule(m, base, eps_m=eps, r_prev=r_prev)
-        dp = DomainParams(params.s_m, params.r_m, dp0.a, dp0.p)
-        N, R, rec = kam_step(N, R, params, dims, dp, eps_measured=eps)
-        eps = rec.eps_next
-        r_prev = params.r_m
+    for _, (m, _, _, R, _) in zip(range(2), iterate(kf.N0, R, base, dims, dp0, 8)):
         worst[m] = z0_mean_defect(R)
     # negative control: an even-|k| zero-mode term must be flagged
     spiked = R.copy()
@@ -313,7 +299,7 @@ def test_criterion_09_measure_scaling(nls_build):
         base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.02, gamma1=gamma)
         params = schedule(1, base, eps_m=1e-4)
         rep = estimate_excluded(fmap, params, kf.dims, grid, families=("KL",),
-                                kmax=10.0, collect_rows=False)
+                                kmax=10.0)
         fracs.append(rep.fractions["KL"])
         gamma *= 0.5
     ratios = [lo / hi for hi, lo in zip(fracs, fracs[1:])]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -116,7 +117,8 @@ def test_cli_run_deterministic(tmp_path):
 
 def test_cli_nls_build_and_check(tmp_path):
     cfg = tmp_path / "nls.cfg"
-    cfg.write_text(MINIMAL_NLS + "\n[budgets]\ndegree_max = 4\nk_max = 64\n")
+    cfg.write_text(MINIMAL_NLS + "\n[budgets]\ndegree_max = 4\nk_max = 128\n"
+                   "\n[schedule]\ngamma1 = 0.005\nr1 = 0.02\n")
     out = tmp_path / "o"
     assert main(["nls-build", "--config", str(cfg), "--out", str(out)]) == 0
     info = json.loads((out / "model.json").read_text())
@@ -126,6 +128,16 @@ def test_cli_nls_build_and_check(tmp_path):
     chk = json.loads((out / "check.json").read_text())
     assert chk["ok"] is True
     assert chk["zero_mode_linear"] == []
+    # check's stepping branch runs the same iteration as run: its first step
+    # reports what step 1 of run.json reports
+    assert main(["check", "--config", str(cfg), "--out", str(out), "--max-steps", "1"]) == 0
+    steps = json.loads((out / "check.json").read_text())["steps"]
+    main(["run", "--config", str(cfg), "--out", str(out), "--max-steps", "1"])
+    rep = json.loads((out / "run.json").read_text())
+    assert len(steps) == 1 and "stopped" not in steps[0]
+    assert steps[0]["m"] == rep["steps"][0]["m"] == 1
+    assert steps[0]["delta0"] == rep["steps"][0]["delta0"]
+    assert steps[0]["zero_mode_linear"] == []
 
 
 def test_cli_bad_config_exit_code(tmp_path):
@@ -169,3 +181,47 @@ gamma_ladder = 2
     assert csvs
     head = open(out / csvs[0]).read().splitlines()[0]
     assert head == "family,k,threshold,excluded_fraction,analytic_bound"
+
+
+def test_measure_mode_builds_the_nls_problem(tmp_path):
+    # a mode = measure config describes the NLS model in [model]; run used to
+    # build the default synthetic problem from it and report TorusConverged
+    from kamzero import cli, nls
+
+    cfg = parse_config(MINIMAL_NLS.replace("mode = nls", "mode = measure") + """
+[budgets]
+degree_max = 4
+k_max = 64
+
+[grid]
+lo = 0.001 0.001
+hi = 0.01 0.01
+""")
+    N0, R0, dims, base = cli._build_problem(cfg, None)
+    _, kf = nls.build_nls(cli._model(cfg), cli._budgets(cfg))
+    assert dims == kf.dims and dims.sites == (1, 2)
+    assert R0.terms == kf.R0.terms
+    assert np.array_equal(N0.omega, kf.N0.omega)
+
+
+@pytest.mark.parametrize("key", ["k_max", "degree_max"])
+def test_budget_beyond_key_range_is_config_error(tmp_path, key):
+    # int16 keys: an in-budget sum of two columns must not wrap
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(re.sub(r"^%s = \d+$" % key, "%s = 40000" % key, SYNTH, flags=re.M))
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg.read_text())
+    assert any("[budgets]" in p and "16383" in p for p in err.value.problems)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+
+
+def test_oversized_condition_lattice_is_budget_exhausted(tmp_path):
+    # n = 4 caps the condition check at |k| <= 64: an 11.5M-point lattice
+    cfg = tmp_path / "n4.cfg"
+    cfg.write_text(SYNTH.replace("n = 2", "n = 4").replace("tau = 3.5", "tau = 5.5"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CODES["BudgetExhausted"]
+    rep = json.loads((out / "run.json").read_text())
+    assert rep["verdict"] == "BudgetExhausted"
+    assert rep["verdict_info"]["m"] == 1
+    assert "11548161 points" in rep["verdict_info"]["reason"]

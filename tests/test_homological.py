@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from kamzero.driver import BaseParams, realify, schedule
-from kamzero.homological import (NormalForm, ResonantParameter,
+from kamzero.homological import (BudgetExhausted, NormalForm, ResonantParameter,
                                  assemble_block_operator, check_nonresonance,
-                                 extract_hat, hom_residual, solve_homological)
+                                 extract_hat, hom_residual, k_lattice,
+                                 solve_homological)
 from kamzero.homological import _quad_form_matrices, _write_quad_forms
 from kamzero.matrixkit import det_modulus, unvec, vec
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
@@ -370,10 +371,55 @@ def test_hom_residual_with_zero_generator():
     key = make_key(2, k=(1, 0), alpha=(1, 0))
     R.terms[key] = 0.2 + 0j
     hat = extract_hat(R, dims)
-    F0 = TFSeries.zero(dims, bud)
+    NF0 = poisson_bracket(N.to_series(dims, bud), TFSeries.zero(dims, bud))
     osc = TFSeries.zero(dims, bud)
     osc.terms[key] = 0.2 + 0j
-    assert hom_residual(N, F0, R, hat, dp, dims) == pytest.approx(
+    assert hom_residual(NF0, R, hat, dp, dims) == pytest.approx(
         vector_field_norm(osc, dp))
     zero = TFSeries.zero(dims, bud)
-    assert hom_residual(N, F0, zero, extract_hat(zero, dims), dp, dims) == 0.0
+    assert hom_residual(NF0, zero, extract_hat(zero, dims), dp, dims) == 0.0
+
+
+@pytest.mark.parametrize("n,kmax", [(0, 3), (1, 4), (2, 5.5), (3, 4), (4, 2), (2, 0)])
+def test_k_lattice_is_the_l1_ball_in_lexicographic_order(n, kmax):
+    r = int(kmax)
+    expect = np.zeros((1, 0), dtype=int)
+    if n:
+        axes = [np.arange(-r, r + 1)] * n
+        box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        expect = box[np.abs(box).sum(axis=1) <= kmax]
+    assert np.array_equal(k_lattice(n, kmax), expect)
+
+
+def test_k_lattice_over_the_cap_is_budget_exhausted():
+    # |k| <= 64 in dimension 4 holds 11,548,161 points
+    with pytest.raises(BudgetExhausted, match="11548161 points"):
+        k_lattice(4, 64)
+
+
+@pytest.mark.parametrize("lo,hi,hit", [(-5.0, 5.0, ("KL", "R1", "R4")),
+                                       (0.0, 1.0, ("KL", "R3"))])
+def test_solver_gate_agrees_with_the_grid_estimate(nls_build, lo, hi, hit):
+    # the same catalogue at every grid sample: per family, the samples the
+    # grid estimate excludes are the samples the solver gate rejects
+    from dataclasses import replace
+
+    from kamzero.measure import AffineFrequencyMap, ParameterGrid, estimate_excluded
+
+    _, _, kf = nls_build
+    fmap = AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
+    grid = ParameterGrid(np.array([lo, lo]), np.array([hi, hi]), 8)
+    base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.02, gamma1=0.05)
+    params = schedule(1, base, eps_m=1e-4)
+    kmax = 4.0
+    rep = estimate_excluded(fmap, params, kf.dims, grid, kmax=kmax)
+    counts = dict.fromkeys(rep.fractions, 0)
+    for xi in grid.samples():
+        N = NormalForm.zero(2, kf.dims.b)
+        N.omega = fmap.omega(xi)
+        N.Omega = dict(fmap.Omega)
+        failed = {f.family for f in check_nonresonance(N, replace(params, K_m=kmax), kf.dims)}
+        for fam in failed:
+            counts[fam] += 1
+    assert counts == {f: round(v * rep.n_samples) for f, v in rep.fractions.items()}
+    assert all(0 < counts[f] < rep.n_samples for f in hit)

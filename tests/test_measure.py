@@ -58,7 +58,7 @@ def test_gamma_halving_ladder_scaling(nls_freq_map):
         base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.02, gamma1=gamma)
         params = schedule(1, base, eps_m=1e-4)
         rep = estimate_excluded(fmap, params, dims, grid, families=("KL",),
-                                kmax=10.0, collect_rows=False)
+                                kmax=10.0)
         fracs.append(rep.fractions["KL"])
         gamma *= 0.5
     assert fracs[0] > 0.01  # the ladder starts with a visible excluded set
@@ -77,7 +77,7 @@ def test_lipschitz_quotients_affine(nls_freq_map):
     assert lo == pytest.approx(cols.min(), rel=1e-10)
     assert hi == pytest.approx(cols.max(), rel=1e-10)
     rep = estimate_excluded(fmap, _params_for(0.004), dims, grid,
-                            families=("KL",), kmax=4.0, collect_rows=False)
+                            families=("KL",), kmax=4.0)
     assert rep.lipschitz_min == pytest.approx(lo)
     assert rep.lipschitz_max == pytest.approx(hi)
 

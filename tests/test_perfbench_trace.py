@@ -1,0 +1,36 @@
+"""The benchmark's outside-in tracer must still install on the package.
+
+``perfbench/run.py --trace 1`` rebinds every function it times in each
+kamzero module and refuses to run if an untraced reference is left behind,
+so a refactor that hides one of those functions breaks the traced run.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import sys
+import kamzero
+from kamzero import cli
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install(kamzero)
+code = cli.main(["run", "--config", "configs/synthetic.cfg", "--out", sys.argv[1]])
+print(code, tracer.layer_stats()["driver.kam_step"]["calls"])
+"""
+
+
+def test_tracer_installs_and_counts_kam_steps(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"),
+                                         os.path.join(ROOT, "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, steps = proc.stdout.split()[-2:]
+    assert code == "0"
+    assert int(steps) > 0

@@ -312,3 +312,20 @@ def test_validate_rejects_site_modes():
     bad.terms[make_key(2, beta={1: 1})] = 1.0 + 0j  # mode 1 is tangential
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_budgets_reject_key_overflow():
+    # two in-budget int16 key columns are added before the budget filter:
+    # k_max = 40000 turned {e^{i20000x}, y e^{i20000x}} into k = -25536, and
+    # degree_max = 20000 turned z^17000 z^17000 into an exponent of -31536
+    with pytest.raises(ValueError, match="16383"):
+        Budgets(k_max=40000)
+    with pytest.raises(ValueError, match="16383"):
+        Budgets(degree_max=20000)
+    with pytest.raises(ValueError):
+        Budgets(degree_max=16384)
+    dims = SeriesDims(1, (), (1,), 2)
+    bud = Budgets(degree_max=6, k_max=16383)
+    F = TFSeries.monomial(dims, bud, 1.0, k=(8000,))
+    H = TFSeries.monomial(dims, bud, 1.0, k=(8383,), alpha=(1,))
+    assert list(poisson_bracket(F, H).terms) == [make_key(1, k=(16383,))]
