@@ -1,8 +1,8 @@
 """Iteration driver: schedules, the KAM step, and the delta_0 dichotomy.
 
 ``iterate`` is the one iteration loop (schedule, domain, ``kam_step``, eps
-and radius update); ``run`` consumes it and owns the verdict logic, as do
-the ``check`` command and the tests that step by hand.
+and radius update).  ``run``, the ``check`` command and the tests that step
+by hand consume it; ``run`` adds the verdict logic.
 
 One step conjugates H_m = N_m + R_m by the time-1 flow of the generating
 function solving the homological equation, updates the frequencies from the
