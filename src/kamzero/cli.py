@@ -11,8 +11,8 @@ import numpy as np
 
 from . import driver, measure, nls
 from .config import ConfigError, parse_config
-from .homological import ResonantParameter
-from .reporting import emit_measure_report, emit_report, report_json
+from .homological import BudgetExhausted, ResonantParameter
+from .reporting import EXIT_CODES, emit_measure_report, emit_report, report_json
 from .series import Budgets, DomainParams, SeriesDims
 
 
@@ -120,8 +120,12 @@ def cmd_measure(cfg, outdir):
     gamma = base.gamma1
     for rung in range(max(1, g["gamma_ladder"])):
         params = driver.schedule(1, replace(base, gamma1=gamma))
-        rep = measure.estimate_excluded(fmap, params, kf.dims, grid,
-                                        k_lo=g["k_lo"], kmax=g["kmax"])
+        try:
+            rep = measure.estimate_excluded(fmap, params, kf.dims, grid,
+                                            k_lo=g["k_lo"], kmax=g["kmax"])
+        except BudgetExhausted as err:
+            print("BudgetExhausted: %s" % err, file=sys.stderr)
+            return EXIT_CODES["BudgetExhausted"]
         name = "measure_gamma_%g" % gamma
         emit_measure_report(rep, outdir, basename=name)
         reports[gamma] = rep.fractions

@@ -37,8 +37,8 @@ import numpy as np
 from .homological import (BudgetExhausted, NormalForm, ResonantParameter,
                           check_nonresonance, solve_homological)
 from .matrixkit import op_norm
-from .series import (DomainParams, MonomialKey, TFSeries, fourier_truncate,
-                     lie_series, make_key, poisson_bracket, split_low_high,
+from .series import (DomainParams, TFSeries, fourier_truncate, lie_series,
+                     make_key, poisson_bracket, realify, split_low_high,
                      vector_field_norm)
 
 
@@ -227,7 +227,7 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     dropped = T1.meta.get("dropped_mass", 0.0)
     R_next = resid_series + tail
     lie_used = 1
-    if F.terms:
+    if len(F):
         T2 = poisson_bracket(T1, F)
         chainN, d2, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
         S1 = poisson_bracket(R, F)
@@ -311,57 +311,46 @@ def dichotomy(records, base, consecutive=3):
 def _zero_mode_tables(R, dims):
     """Gradient tables of R restricted to y = 0, tail = 0.
 
-    Entries are (k, beta exps, gamma exps) -> coefficient, for the z0 and
-    zbar0 gradients and (terms with a single action factor) the y gradient.
-    The angle dependence stays symbolic so the tables serve both the frozen
-    and the coupled witness flows.
+    Each table is (k, E, c): Fourier rows, exponents of (z0, zbar0) and
+    coefficients of the z0 and zbar0 gradients and (terms with a single
+    action factor) the y gradients.  The angle dependence stays symbolic so
+    the tables serve both the frozen and the coupled witness flows.
     """
-    n = dims.n
-    zm = dims.zero_modes
-    pos = {m: i for i, m in enumerate(zm)}
-    grad_z = [dict() for _ in zm]
-    grad_zb = [dict() for _ in zm]
-    grad_y = [dict() for _ in range(n)]
-
-    def bump(table, k, bmap, gmap, val):
-        key = (k, tuple(bmap.get(m, 0) for m in zm), tuple(gmap.get(m, 0) for m in zm))
-        table[key] = table.get(key, 0j) + val
-
-    for key, c in R.terms.items():
-        if any(m not in pos for m, _ in key.beta + key.gamma):
-            continue  # carries a tail factor, vanishes at z = 0
-        na = sum(key.alpha)
-        bmap = dict(key.beta)
-        gmap = dict(key.gamma)
-        if na == 1:
-            b = key.alpha.index(1)
-            bump(grad_y[b], key.k, bmap, gmap, c)
-            continue
-        if na > 0:
-            continue  # vanishes at y = 0
-        for m, e in key.beta:
-            rest = dict(bmap)
-            rest[m] = e - 1
-            bump(grad_z[pos[m]], key.k, rest, gmap, e * c)
-        for m, e in key.gamma:
-            rest = dict(gmap)
-            rest[m] = e - 1
-            bump(grad_zb[pos[m]], key.k, bmap, rest, e * c)
-    return grad_z, grad_zb, grad_y
+    n, b, nmodes = dims.n, dims.b, len(dims.modes)
+    rows, c = R.rows, R.coefs
+    # the zero modes lead the mode universe: their beta and gamma columns
+    zcols = np.r_[2 * n:2 * n + b, 2 * n + nmodes:2 * n + nmodes + b]
+    tail = np.setdiff1d(np.arange(2 * n, rows.shape[1]), zcols)
+    on_zero = ~rows[:, tail].any(axis=1)   # a tail factor vanishes at z = 0
+    na = rows[:, n:2 * n].sum(axis=1)
+    k = rows[:, :n].astype(float)
+    E = rows[:, zcols]
+    grad_y = []
+    for i in range(n):
+        sel = on_zero & (na == 1) & (rows[:, n + i] == 1)
+        grad_y.append((k[sel], E[sel], c[sel]))
+    grads = []
+    for i in range(2 * b):
+        sel = on_zero & (na == 0) & (E[:, i] > 0)
+        lowered = E[sel]
+        lowered[:, i] -= 1
+        grads.append((k[sel], lowered, E[sel, i] * c[sel]))
+    return grads[:b], grads[b:], grad_y
 
 
-def _eval_poly(table, x, z, zb):
-    tot = 0j
-    for (k, be, ge), c in table.items():
-        v = c * np.exp(1j * float(np.dot(k, x))) if any(k) else c
-        for e, zv in zip(be, z):
-            if e:
-                v *= zv ** e
-        for e, zv in zip(ge, zb):
-            if e:
-                v *= zv ** e
-        tot += v
-    return tot
+def _eval_poly(table, z, zb, x=None):
+    """Sum of c e^{i <k, x>} z^be zbar^ge over a table; with x None the
+    coefficients already carry the phase (``_frozen``)."""
+    k, E, c = table
+    if x is not None:
+        c = c * np.exp(1j * (k @ x))
+    return complex(c @ np.prod(np.concatenate([z, zb]) ** E, axis=1))
+
+
+def _frozen(table, x0):
+    """The table with its phases e^{i <k, x0>} folded into the coefficients."""
+    k, E, c = table
+    return k, E, c * np.exp(1j * (k @ x0))
 
 
 def _exp_taylor(B, shift=0):
@@ -422,22 +411,25 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
     x0 = np.zeros(dims.n) if x0 is None else np.asarray(x0, dtype=float)
 
     grad_z, grad_zb, grad_y = _zero_mode_tables(R, dims)
+    if mode == "frozen":
+        grad_z = [_frozen(t, x0) for t in grad_z]
+        grad_zb = [_frozen(t, x0) for t in grad_zb]
 
     def g0(xv, Xv):
         z = Xv[:b]
         zb = Xv[b:]
-        gz = np.array([_eval_poly(t, xv, z, zb) for t in grad_zb])
-        gzb = np.array([_eval_poly(t, xv, z, zb) for t in grad_z])
+        gz = np.array([_eval_poly(t, z, zb, xv) for t in grad_zb])
+        gzb = np.array([_eval_poly(t, z, zb, xv) for t in grad_z])
         return np.concatenate([1j * gz, -1j * gzb])
 
     if mode == "frozen":
         def rhs(state):
-            return alpha0 + A0 @ state + g0(x0, state)
+            return alpha0 + A0 @ state + g0(None, state)
     else:
         def rhs(state):
             xv = state[:dims.n].real
             Xv = state[dims.n:]
-            dx = N.omega + np.array([_eval_poly(t, xv, Xv[:b], Xv[b:]).real
+            dx = N.omega + np.array([_eval_poly(t, Xv[:b], Xv[b:], xv).real
                                      for t in grad_y])
             dX = alpha0 + A0 @ Xv + g0(xv, Xv)
             return np.concatenate([dx.astype(complex), dX])
@@ -570,22 +562,6 @@ def run(N0, R0, base, dims, dp0, max_steps=6, max_lie_order=8):
 # synthetic problems
 # ---------------------------------------------------------------------------
 
-def hermitian_mirror(F):
-    """Series with coefficient(-k, alpha, gamma, beta) = conj(c(k, alpha, beta, gamma))."""
-    out = TFSeries.zero(F.dims, F.budgets)
-    for key, c in F.terms.items():
-        mk = MonomialKey(tuple(-v for v in key.k), key.alpha, key.gamma, key.beta)
-        out.terms[mk] = c.conjugate()
-    return out
-
-
-def realify(F):
-    """Project onto the real-valued subspace (average with the mirror)."""
-    out = (F + hermitian_mirror(F)) * 0.5
-    out.real = True
-    return out
-
-
 def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
                            n_low=12, n_high=8, inject_z0=0.0, block_scale=0.0,
                            dp=None):
@@ -614,7 +590,7 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
         N.Nzb0zb0 = S.conj()
         N.Nz0zb0 = M
 
-    R = TFSeries.zero(dims, budgets)
+    terms = {}
     modes = dims.modes
 
     def rand_k():
@@ -647,7 +623,7 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
         else:
             m1, m2 = rng.choice(len(modes), size=2)
             key = make_key(n, k=k, beta={modes[m1]: 1}, gamma={modes[m2]: 1})
-        R.terms[key] = R.terms.get(key, 0j) + rand_coef()
+        terms[key] = terms.get(key, 0j) + rand_coef()
     for _ in range(n_high):
         k = rand_k()
         picks = rng.choice(len(modes), size=3)
@@ -655,9 +631,9 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
         for idx in picks[:2]:
             bmap[modes[idx]] = bmap.get(modes[idx], 0) + 1
         key = make_key(n, k=k, beta=bmap, gamma={modes[picks[2]]: 1})
-        R.terms[key] = R.terms.get(key, 0j) + rand_coef()
+        terms[key] = terms.get(key, 0j) + rand_coef()
 
-    R = realify(R)
+    R = realify(TFSeries(dims, budgets, terms))
     dp = dp or DomainParams(0.6, 0.25, 0.1, 1.0)
     norm = vector_field_norm(R, dp)
     if norm > 0:
@@ -665,6 +641,9 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
         R.real = True
     if inject_z0 > 0:
         zmode = dims.zero_modes[0]
-        R.terms[make_key(n, beta={zmode: 1})] = complex(inject_z0)
-        R.terms[make_key(n, gamma={zmode: 1})] = complex(inject_z0)
+        inject = TFSeries(dims, budgets, {make_key(n, beta={zmode: 1}): complex(inject_z0),
+                                          make_key(n, gamma={zmode: 1}): complex(inject_z0)},
+                          real=R.real)
+        # the injected terms replace whatever R holds at their keys
+        R = R.select(~(R.rows[:, None] == inject.rows).all(axis=2).any(axis=1)) + inject
     return N, R

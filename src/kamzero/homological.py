@@ -117,24 +117,24 @@ class NormalForm:
 
     def to_series(self, dims, budgets, real=True):
         """Expand the structured block into a TFSeries."""
-        s = TFSeries.zero(dims, budgets, real=real)
+        terms = {}
         n = dims.n
         zm = dims.zero_modes
         if self.Nx != 0:
-            s.terms[make_key(n)] = complex(self.Nx)
+            terms[make_key(n)] = complex(self.Nx)
         for bidx in range(n):
             w = self.omega[bidx]
             if w != 0:
                 alpha = tuple(1 if i == bidx else 0 for i in range(n))
-                s.terms[make_key(n, alpha=alpha)] = complex(w)
+                terms[make_key(n, alpha=alpha)] = complex(w)
         for j, om in self.Omega.items():
             if om != 0:
-                s.terms[make_key(n, beta={j: 1}, gamma={j: 1})] = complex(om)
+                terms[make_key(n, beta={j: 1}, gamma={j: 1})] = complex(om)
         for i, mode in enumerate(zm):
             if self.Nz0[i] != 0:
-                s.terms[make_key(n, beta={mode: 1})] = complex(self.Nz0[i])
+                terms[make_key(n, beta={mode: 1})] = complex(self.Nz0[i])
             if self.Nzb0[i] != 0:
-                s.terms[make_key(n, gamma={mode: 1})] = complex(self.Nzb0[i])
+                terms[make_key(n, gamma={mode: 1})] = complex(self.Nzb0[i])
         b = self.b
         for i in range(b):
             for l in range(b):
@@ -142,17 +142,17 @@ class NormalForm:
                 if S != 0 and l >= i:
                     coef = S if i == l else self.Nz0z0[i, l] + self.Nz0z0[l, i]
                     key = make_key(n, beta=((zm[i], 1), (zm[l], 1)) if i != l else {zm[i]: 2})
-                    s.terms[key] = s.terms.get(key, 0j) + complex(coef)
+                    terms[key] = terms.get(key, 0j) + complex(coef)
                 T = self.Nzb0zb0[i, l]
                 if T != 0 and l >= i:
                     coef = T if i == l else self.Nzb0zb0[i, l] + self.Nzb0zb0[l, i]
                     key = make_key(n, gamma=((zm[i], 1), (zm[l], 1)) if i != l else {zm[i]: 2})
-                    s.terms[key] = s.terms.get(key, 0j) + complex(coef)
+                    terms[key] = terms.get(key, 0j) + complex(coef)
                 M = self.Nz0zb0[i, l]
                 if M != 0:
                     key = make_key(n, beta={zm[l]: 1}, gamma={zm[i]: 1})
-                    s.terms[key] = s.terms.get(key, 0j) + complex(M)
-        return s
+                    terms[key] = terms.get(key, 0j) + complex(M)
+        return TFSeries(dims, budgets, terms, real=real)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +408,7 @@ def _quad_form_matrices(series, dims, k):
 
 
 def _write_quad_forms(F, dims, k, S, M, T):
+    """Write the three blocks at Fourier mode k into the term dict F."""
     zm = dims.zero_modes
     b = len(zm)
     n = dims.n
@@ -416,13 +417,13 @@ def _write_quad_forms(F, dims, k, S, M, T):
             cs = S[i, i] if i == l else S[i, l] + S[l, i]
             ct = T[i, i] if i == l else T[i, l] + T[l, i]
             if cs != 0:
-                F.terms[_pair_key(n, k, zm[i], False, zm[l], False)] = cs
+                F[_pair_key(n, k, zm[i], False, zm[l], False)] = cs
             if ct != 0:
-                F.terms[_pair_key(n, k, zm[i], True, zm[l], True)] = ct
+                F[_pair_key(n, k, zm[i], True, zm[l], True)] = ct
     for i in range(b):
         for l in range(b):
             if M[i, l] != 0:
-                F.terms[_pair_key(n, k, zm[l], False, zm[i], True)] = M[i, l]
+                F[_pair_key(n, k, zm[l], False, zm[i], True)] = M[i, l]
 
 
 def extract_hat(R_low, dims):
@@ -491,7 +492,7 @@ def solve_homological(N, R_low, params, dims, dp=None):
     zero_set = set(dims.zero_modes)
     b = len(dims.zero_modes)
     report = SolveReport()
-    F = TFSeries.zero(dims, R_low.budgets, real=R_low.real)
+    F = {}                        # the generating function's terms, solved part by part
     Nhat = extract_hat(R_low, dims)
     k0 = (0,) * n
 
@@ -527,8 +528,8 @@ def solve_homological(N, R_low, params, dims, dp=None):
 
     # class buckets of the input
     buckets = {}
-    for key in R_low.terms:
-        buckets.setdefault(_key_class(key, zero_set), {})[key] = R_low.terms[key]
+    for key, c in R_low.terms.items():
+        buckets.setdefault(_key_class(key, zero_set), {})[key] = c
 
     # Part 1: zero-mode quadratics, per k != 0, straightened 3b^2 system
     part1_ks = set()
@@ -555,7 +556,7 @@ def solve_homological(N, R_low, params, dims, dp=None):
             if key.k == k0 and tag == "zzb" and len(key.beta) == 1 and key.beta == key.gamma:
                 continue  # diagonal mean, preserved in Nhat
             ld = max(1.0, abs(sum(float(m) ** params.d * e for m, e in lvec)))
-            F.terms[key] = scalar_solve(key, c, lvec, ld)
+            F[key] = scalar_solve(key, c, lvec, ld)
             report.count("part2")
 
     # Part 3: mixed zero/tail quadratics, 4b block per (k, j)
@@ -578,12 +579,12 @@ def solve_homological(N, R_low, params, dims, dp=None):
             for i, mode in enumerate(dims.zero_modes):
                 c = sol[slot * b + i]
                 if c != 0:
-                    F.terms[_pair_key(n, k, mode, zbar0, j, tbar)] = c
+                    F[_pair_key(n, k, mode, zbar0, j, tbar)] = c
         report.count("part3")
 
     # corrections for parts 4/5 come from the bracket with what is solved
     N_series = N.to_series(dims, R_low.budgets)
-    corr = poisson_bracket(N_series, F)
+    corr = poisson_bracket(N_series, TFSeries(dims, R_low.budgets, F))
 
     def rhs_with_corr(key):
         return R_low.coefficient(key) + corr.coefficient(key)
@@ -605,9 +606,9 @@ def solve_homological(N, R_low, params, dims, dp=None):
         sol = block_solve("C", A, rhs, k, params.tau_4, params.gamma_4m)
         for i, mode in enumerate(dims.zero_modes):
             if sol[i] != 0:
-                F.terms[make_key(n, k=k, beta={mode: 1})] = sol[i]
+                F[make_key(n, k=k, beta={mode: 1})] = sol[i]
             if sol[b + i] != 0:
-                F.terms[make_key(n, k=k, gamma={mode: 1})] = sol[b + i]
+                F[make_key(n, k=k, gamma={mode: 1})] = sol[b + i]
         report.count("part4")
 
     # Part 5: tail linears, scalar divisors, corrected by part 3
@@ -624,16 +625,18 @@ def solve_homological(N, R_low, params, dims, dp=None):
         ld = max(1.0, float(j) ** params.d)
         val = scalar_solve(key, rhs_with_corr(key), lvec, ld)
         if val != 0:
-            F.terms[key] = val
+            F[key] = val
         report.count("part5")
 
     # Part 6: x and y coefficients; x corrected by part 4
     for key, c in buckets.get("y", {}).items():
         if key.k == k0:
             continue
-        F.terms[key] = scalar_solve(key, c, (), 1.0)
+        F[key] = scalar_solve(key, c, (), 1.0)
         report.count("part6")
-    corr6 = poisson_bracket(N_series, _subseries(F, dims, zero_set, ("z0", "zb0")))
+    zero_linear = {key: c for key, c in F.items()
+                   if _key_class_safe(key, zero_set) in ("z0", "zb0")}
+    corr6 = poisson_bracket(N_series, TFSeries(dims, R_low.budgets, zero_linear))
     part6_ks = set(key.k for key in buckets.get("x", ()))
     part6_ks.update(key.k for key in corr6.terms if _key_class_safe(key, zero_set) == "x")
     part6_ks.discard(k0)
@@ -641,9 +644,10 @@ def solve_homological(N, R_low, params, dims, dp=None):
         key = make_key(n, k=k)
         val = scalar_solve(key, R_low.coefficient(key) + corr6.coefficient(key), (), 1.0)
         if val != 0:
-            F.terms[key] = val
+            F[key] = val
         report.count("part6")
 
+    F = TFSeries(dims, R_low.budgets, F, real=R_low.real)
     F.prune()
     if dp is not None:
         report.bracket = poisson_bracket(N_series, F)
@@ -666,14 +670,6 @@ def _key_class_safe(key, zero_set):
         return _key_class(key, zero_set)
     except ValueError:
         return None
-
-
-def _subseries(F, dims, zero_set, tags):
-    out = TFSeries.zero(F.dims, F.budgets, real=F.real)
-    for key, c in F.terms.items():
-        if _key_class_safe(key, zero_set) in tags:
-            out.terms[key] = c
-    return out
 
 
 def hom_residual(NF, R_low, Nhat, dp, dims):

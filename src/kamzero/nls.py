@@ -95,11 +95,9 @@ def quartic_hamiltonian(model, budgets):
     multiplicities (2 - delta)^2 folded into the coefficients.
     """
     dims = model.flat_dims()
-    lam = TFSeries.zero(dims, budgets, real=True)
-    for j in range(model.jmax + 1):
-        if model.lam(j) != 0:
-            lam.terms[make_key(0, beta={j: 1}, gamma={j: 1})] = complex(model.lam(j))
-    G = TFSeries.zero(dims, budgets, real=True)
+    lam = {make_key(0, beta={j: 1}, gamma={j: 1}): complex(model.lam(j))
+           for j in range(model.jmax + 1) if model.lam(j) != 0}
+    G = {}
     pairs = _multisets2(model.jmax)
     for (i, j) in pairs:
         mi = 1 if i == j else 2
@@ -113,8 +111,8 @@ def quartic_hamiltonian(model, budgets):
             gmap = {k: 1}
             gmap[l] = gmap.get(l, 0) + 1
             key = make_key(0, beta=bmap, gamma=gmap)
-            G.terms[key] = G.terms.get(key, 0j) + 0.25 * mi * mk * g
-    return lam, G
+            G[key] = G.get(key, 0j) + 0.25 * mi * mk * g
+    return TFSeries(dims, budgets, lam, real=True), TFSeries(dims, budgets, G, real=True)
 
 
 @dataclass
@@ -148,7 +146,7 @@ def birkhoff_transform(model, budgets, order=None):
     """
     lam, G = quartic_hamiltonian(model, budgets)
     dims = model.flat_dims()
-    F = TFSeries.zero(dims, budgets, real=True)
+    F = {}
     for key, c in G.terms.items():
         bm = _multiset_of(key.beta)
         gm = _multiset_of(key.gamma)
@@ -159,22 +157,22 @@ def birkhoff_transform(model, budgets, order=None):
             raise AssertionError(
                 "zero divisor on non-action quartic %r: momentum plus equal "
                 "power sums force equal index multisets" % (key,))
-        F.terms[key] = c / (1j * div)
+        F[key] = c / (1j * div)
+    F = TFSeries(dims, budgets, F, real=True)
     if order is None:
         order = max(2, (budgets.degree_max - 2) // 2)
     H = lie_transform(lam + G, F, order)
 
     jm = model.jmax
     Gbar = np.zeros((jm + 1, jm + 1))
-    quartic = TFSeries.zero(dims, budgets, real=True)
-    K = TFSeries.zero(dims, budgets, real=True)
+    quartic, K = {}, {}
     leftover = 0.0
     for key, c in H.terms.items():
         deg = key_degree(key)
         if deg == 2:
             continue
         if deg == 4:
-            quartic.terms[key] = c
+            quartic[key] = c
             bm = _multiset_of(key.beta)
             gm = _multiset_of(key.gamma)
             if bm == gm:
@@ -184,9 +182,9 @@ def birkhoff_transform(model, budgets, order=None):
             else:
                 leftover = max(leftover, abs(c))
         elif deg >= 6:
-            K.terms[key] = c
-    return BirkhoffResult(H, F, Gbar, quartic, K, leftover,
-                          dict(H.meta))
+            K[key] = c
+    return BirkhoffResult(H, F, Gbar, TFSeries(dims, budgets, quartic, real=True),
+                          TFSeries(dims, budgets, K, real=True), leftover, dict(H.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def to_kam_form(model, birkhoff, budgets):
     depth = model.taylor_depth
     xi = model.xi
 
-    out = TFSeries.zero(dims, budgets, real=True)
+    out = {}
     const_total = 0j
     dropped_expansion = 0.0
     src = birkhoff.H
@@ -282,19 +280,20 @@ def to_kam_form(model, birkhoff, budgets):
             if newkey == make_key(n):
                 const_total += coef
                 continue
-            out.terms[newkey] = out.terms.get(newkey, 0j) + coef
+            out[newkey] = out.get(newkey, 0j) + coef
 
     # oscillator part of the tangential sites: lambda_b (xi_b + y_b)
     for b, j in enumerate(sites):
         alpha_key = make_key(n, alpha=tuple(1 if i == b else 0 for i in range(n)))
-        out.terms[alpha_key] = out.terms.get(alpha_key, 0j) + model.lam(j)
+        out[alpha_key] = out.get(alpha_key, 0j) + model.lam(j)
         const_total += model.lam(j) * xi[b]
 
     # frequencies: pop the y means; everything else stays in R0
     omega = np.zeros(n)
     for b in range(n):
         alpha_key = make_key(n, alpha=tuple(1 if i == b else 0 for i in range(n)))
-        omega[b] = out.terms.pop(alpha_key, 0j).real
+        omega[b] = out.pop(alpha_key, 0j).real
+    out = TFSeries(dims, budgets, out, real=True)
     out.prune()
 
     N0 = NormalForm.zero(n, 1)

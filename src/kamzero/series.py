@@ -15,13 +15,24 @@ weighted coefficient-majorant norm and the Hamiltonian vector-field norm,
 degree splitting, Fourier truncation with a tail certificate, and a text
 serialization.  All combining operations respect a total-degree budget and a
 Fourier budget; mass removed by truncation is accumulated into the result's
-``meta['dropped_mass']`` rather than silently discarded.
+``meta`` rather than silently discarded.
+
+A series is stored as two arrays only, its key rows and coefficients
+(see ``TFSeries``).  Like terms are merged through exact mixed-radix integer codes of the rows
+(Kronecker substitution, as in Biscani's Piranha): the code of a product
+row is the sum of its factors' codes, and a merge is a stable 1-D sort plus
+``np.add.reduceat``, so each key's summands are added in arrival order.
+The radix comes from the column ranges of the operands at hand; ranges
+wider than 63 bits spill into further code words sorted with
+``np.lexsort``, so a code never wraps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -107,12 +118,12 @@ class SeriesDims:
         if bad:
             raise ValueError("modes %s are both tangential and zero-frequency" % sorted(bad))
 
-    @property
+    @cached_property
     def tail_modes(self):
         excluded = set(self.sites) | set(self.zero_modes)
         return tuple(j for j in range(1, self.jmax + 1) if j not in excluded)
 
-    @property
+    @cached_property
     def modes(self):
         """Mode universe: zero modes first, then the normal tail."""
         return self.zero_modes + self.tail_modes
@@ -186,24 +197,67 @@ def mode_weight(j, dp):
 class TFSeries:
     """Sparse truncated Taylor-Fourier series.
 
-    Terms are held in a dict ``MonomialKey -> complex``.  Instances are
-    treated as immutable values by all operations in this module: arithmetic
-    returns fresh series and never mutates inputs, so series are safe to
-    share between threads.
-
-    ``meta`` carries operation bookkeeping; combining operations set
-    ``meta['dropped_mass']`` to the l^1 coefficient mass removed by the
-    degree/Fourier budgets.
+    ``rows`` (int16, one row ``[k | alpha | beta | gamma]`` per monomial, with
+    a beta and a gamma column per mode of ``dims.modes``) and ``coefs`` are
+    the only store: rows unique and in lexicographic order, no coefficient
+    zero.  ``TFSeries(dims, budgets, terms)`` packs a ``MonomialKey ->
+    complex`` mapping, and ``terms`` is the read-only view back, built on
+    first use.  Arithmetic returns fresh series and never mutates its inputs
+    (only ``prune`` drops terms in place), so series are safe to share
+    between threads.  ``meta`` carries operation bookkeeping: combining
+    operations set ``meta['dropped_mass']`` to the l^1 coefficient mass
+    removed by the degree/Fourier budgets.
     """
 
-    __slots__ = ("dims", "budgets", "terms", "real", "meta")
+    __slots__ = ("dims", "budgets", "rows", "coefs", "real", "meta", "_terms")
 
     def __init__(self, dims, budgets, terms=None, real=False):
-        self.dims = dims
-        self.budgets = budgets
-        self.terms = dict(terms) if terms else {}
-        self.real = real
-        self.meta = {}
+        n, nmodes = dims.n, len(dims.modes)
+        pos = {m: i for i, m in enumerate(dims.modes)}
+        terms = terms or {}
+        rows = []
+        for key in terms:
+            if len(key.k) != n or len(key.alpha) != n:
+                raise ValueError("key arity mismatch: %r" % (key,))
+            row = list(key.k) + list(key.alpha) + [0] * (2 * nmodes)
+            for start, exps in ((2 * n, key.beta), (2 * n + nmodes, key.gamma)):
+                for mode, exp in exps:
+                    if mode not in pos:
+                        raise ValueError("mode %d is not a normal mode of %r" % (mode, dims))
+                    row[start + pos[mode]] = exp
+            rows.append(row)
+        rows = np.array(rows, dtype=np.int16).reshape(len(terms), 2 * n + 2 * nmodes)
+        coefs = np.array(list(terms.values()), dtype=complex)
+        self._set(dims, budgets, *_canonical(rows, coefs), real)
+
+    def _set(self, dims, budgets, rows, coefs, real):
+        self.dims, self.budgets, self.rows, self.coefs = dims, budgets, rows, coefs
+        self.real, self.meta, self._terms = real, {}, None
+
+    @classmethod
+    def _of(cls, like, rows, coefs, real):
+        """Series on the dims/budgets of ``like`` from canonical arrays."""
+        new = cls.__new__(cls)
+        new._set(like.dims, like.budgets, rows, coefs, real)
+        return new
+
+    def select(self, mask):
+        """The terms of the rows where the boolean ``mask`` holds."""
+        return TFSeries._of(self, self.rows[mask], self.coefs[mask], self.real)
+
+    @property
+    def terms(self):
+        """Read-only ``MonomialKey -> complex`` view of the series."""
+        if self._terms is None:
+            n, nmodes, modes = self.dims.n, len(self.dims.modes), self.dims.modes
+
+            def expmap(exps):
+                return tuple((modes[j], e) for j, e in enumerate(exps) if e)
+
+            keys = (MonomialKey(tuple(r[:n]), tuple(r[n:2 * n]), expmap(r[2 * n:2 * n + nmodes]),
+                                expmap(r[2 * n + nmodes:])) for r in self.rows.tolist())
+            self._terms = MappingProxyType(dict(zip(keys, self.coefs.tolist())))
+        return self._terms
 
     # -- construction -------------------------------------------------
 
@@ -214,61 +268,39 @@ class TFSeries:
     @classmethod
     def monomial(cls, dims, budgets, coeff, k=(), alpha=(), beta=(), gamma=(), real=False):
         key = make_key(dims.n, k, alpha, beta, gamma)
-        new = cls(dims, budgets, real=real)
-        if coeff != 0:
-            new.terms[key] = complex(coeff)
-        return new
+        return cls(dims, budgets, {key: complex(coeff)}, real=real)
 
     def copy(self):
-        new = TFSeries(self.dims, self.budgets, self.terms, self.real)
+        new = TFSeries._of(self, self.rows, self.coefs, self.real)
         new.meta = dict(self.meta)
         return new
 
     # -- basic queries ------------------------------------------------
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.coefs)
 
     def coefficient(self, key):
         return self.terms.get(key, 0j)
 
     def max_abs(self):
-        if not self.terms:
-            return 0.0
-        return max(abs(c) for c in self.terms.values())
+        return float(np.abs(self.coefs).max()) if len(self) else 0.0
 
     def validate(self):
-        """Check the structural invariants; raises ValueError on violation."""
-        allowed = set(self.dims.modes)
-        for key in self.terms:
-            if len(key.k) != self.dims.n or len(key.alpha) != self.dims.n:
-                raise ValueError("key arity mismatch: %r" % (key,))
-            for mode, exp in key.beta + key.gamma:
-                if exp < 1:
-                    raise ValueError("stored exponent < 1 in %r" % (key,))
-                if mode in self.dims.sites:
-                    raise ValueError("tangential site %d used as normal mode" % mode)
-                if mode not in allowed:
-                    raise ValueError("mode %d outside the truncated universe" % mode)
-            if key_degree(key) > self.budgets.degree_max:
-                raise ValueError("degree budget violated by %r" % (key,))
-            if key_kabs(key) > self.budgets.k_max:
-                raise ValueError("Fourier budget violated by %r" % (key,))
+        """Check the degree and Fourier budgets (key arity and the mode universe
+        are checked when a series is built); raises ValueError on violation."""
+        n, bud = self.dims.n, self.budgets
+        if np.any(_degrees(self.rows, n) > bud.degree_max) or np.any(_kabs(self.rows, n) > bud.k_max):
+            raise ValueError("a key exceeds the budgets %r" % (bud,))
         return True
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = self.copy()
-        for key, c in other.terms.items():
-            acc = out.terms.get(key, 0j) + c
-            if acc == 0:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = acc
-        out.real = self.real and other.real
-        return out
+        rows, coefs = _canonical(np.concatenate([self.rows, other.rows]),
+                                 np.concatenate([self.coefs, other.coefs]))
+        return TFSeries._of(self, rows, coefs, self.real and other.real)
 
     def __sub__(self, other):
         return self + (other * -1.0)
@@ -276,14 +308,10 @@ class TFSeries:
     def __mul__(self, scalar):
         if isinstance(scalar, TFSeries):
             return self.multiply(scalar)
-        out = TFSeries(self.dims, self.budgets, real=self.real and not isinstance(scalar, complex))
-        if scalar != 0:
-            out.terms = {key: scalar * c for key, c in self.terms.items()}
-        if isinstance(scalar, complex) and scalar.imag != 0:
-            out.real = False
-        else:
-            out.real = self.real
-        return out
+        real = self.real and not (isinstance(scalar, complex) and scalar.imag != 0)
+        coefs = scalar * self.coefs
+        live = coefs != 0
+        return TFSeries._of(self, self.rows[live], coefs[live], real)
 
     __rmul__ = __mul__
 
@@ -291,72 +319,24 @@ class TFSeries:
         if self.dims != other.dims:
             raise ValueError("series dims mismatch: %r vs %r" % (self.dims, other.dims))
 
-    # -- packing for vectorized kernels --------------------------------
-
-    def _layout(self):
-        n = self.dims.n
-        nmodes = len(self.dims.modes)
-        return n, nmodes, 2 * n + 2 * nmodes
-
-    def _pack(self):
-        """Rows [k | alpha | beta | gamma] as int16 plus coefficient array."""
-        n, nmodes, width = self._layout()
-        pos = {m: i for i, m in enumerate(self.dims.modes)}
-        rows = np.zeros((len(self.terms), width), dtype=np.int16)
-        coefs = np.empty(len(self.terms), dtype=complex)
-        for i, (key, c) in enumerate(self.terms.items()):
-            rows[i, :n] = key.k
-            rows[i, n:2 * n] = key.alpha
-            for mode, exp in key.beta:
-                rows[i, 2 * n + pos[mode]] = exp
-            for mode, exp in key.gamma:
-                rows[i, 2 * n + nmodes + pos[mode]] = exp
-            coefs[i] = c
-        return rows, coefs
-
-    def _unpack_into(self, rows, coefs):
-        n, nmodes, _ = self._layout()
-        modes = self.dims.modes
-        terms = self.terms
-        krows = rows[:, :n]
-        arows = rows[:, n:2 * n]
-        brows = rows[:, 2 * n:2 * n + nmodes]
-        grows = rows[:, 2 * n + nmodes:]
-        for i in range(rows.shape[0]):
-            beta = tuple((modes[j], int(e)) for j, e in enumerate(brows[i]) if e)
-            gamma = tuple((modes[j], int(e)) for j, e in enumerate(grows[i]) if e)
-            key = MonomialKey(tuple(int(v) for v in krows[i]),
-                              tuple(int(v) for v in arows[i]), beta, gamma)
-            c = terms.get(key)
-            terms[key] = coefs[i] if c is None else c + coefs[i]
-
-    # -- multiplication -------------------------------------------------
-
     def multiply(self, other):
         """Series product, truncated to budgets; drops reported in meta."""
         self._check_compatible(other)
-        out = TFSeries(self.dims, self.budgets, real=self.real and other.real)
+        out = TFSeries._of(self, self.rows[:0], self.coefs[:0], self.real and other.real)
         out.meta["dropped_mass"] = 0.0
-        if not self.terms or not other.terms:
-            return out
-        ka, ca = self._pack()
-        kb, cb = other._pack()
-        cut = (self.budgets.prune_rel / 16.0) * self.max_abs() * other.max_abs()
-        acc = _Accumulator(self.dims, self.budgets, mag_cut=cut)
-        _emit_products(acc, ka, ca, kb, cb, 1.0)
-        out.meta["dropped_mass"] = acc.finalize(out)
+        if len(self) and len(other):
+            _products(out, self, other, [(None, None, 1.0)])
         return out
 
     def prune(self, rel=None):
         """Drop coefficients below ``rel * max|c|``; returns pruned mass."""
         rel = self.budgets.prune_rel if rel is None else rel
-        if not self.terms or rel <= 0:
+        if not len(self) or rel <= 0:
             return 0.0
-        cut = rel * self.max_abs()
-        removed = 0.0
-        for key in [k for k, c in self.terms.items() if abs(c) < cut]:
-            removed += abs(self.terms.pop(key))
-        return removed
+        mags = np.abs(self.coefs)
+        keep = mags >= rel * mags.max()
+        self.rows, self.coefs, self._terms = self.rows[keep], self.coefs[keep], None
+        return float(mags[~keep].sum())
 
     # -- serialization --------------------------------------------------
 
@@ -397,7 +377,7 @@ class TFSeries:
         dims = SeriesDims(int(fields["n"]), intlist(fields["sites"]),
                           intlist(fields["zero"]), int(fields["jmax"]))
         budgets = Budgets(int(fields["dmax"]), int(fields["kmax"]))
-        new = cls(dims, budgets, real=bool(int(fields["real"])))
+        terms = {}
         for ln in lines[1:]:
             toks = dict(tok.split("=", 1) for tok in ln.split())
             k = tuple(int(v) for v in toks["k"].strip("()").split(",") if v)
@@ -407,126 +387,204 @@ class TFSeries:
                 body = toks[name].strip("{}")
                 exps[name] = tuple(tuple(map(int, pair.split(":"))) for pair in body.split(",") if pair)
             re_s, im_s = toks["c"].split(",")
-            key = MonomialKey(k, a, exps["b"], exps["g"])
-            new.terms[key] = complex(float(re_s), float(im_s))
-        return new
+            terms[MonomialKey(k, a, exps["b"], exps["g"])] = complex(float(re_s), float(im_s))
+        return cls(dims, budgets, terms, real=bool(int(fields["real"])))
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels
+# key columns and exact codes
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 2_000_000
-_PREMERGE_ROWS = 6_000_000
+def _degrees(rows, n):
+    """Total degree 2|alpha| + |beta| + |gamma| of each row."""
+    return 2 * rows[:, n:2 * n].sum(axis=1) + rows[:, 2 * n:].sum(axis=1)
 
 
-def _sorted_merge(packed, coefs):
-    """Sum coefficients of identical packed rows; returns sorted uniques."""
-    order = np.lexsort(packed.T[::-1])
-    packed = packed[order]
-    coefs = coefs[order]
-    boundary = np.empty(packed.shape[0], dtype=bool)
-    boundary[0] = True
-    boundary[1:] = np.any(packed[1:] != packed[:-1], axis=1)
-    starts = np.flatnonzero(boundary)
-    return packed[starts], np.add.reduceat(coefs, starts)
+def _kabs(rows, n):
+    """Fourier radius |k| of each row."""
+    return np.abs(rows[:, :n]).sum(axis=1)
+
+
+def _bounds(rows):
+    """Per-column value range, widened to include 0 (a derivative lowers an
+    exponent column to 0)."""
+    return np.minimum(rows.min(axis=0), 0).astype(np.int64), rows.max(axis=0).astype(np.int64)
+
+
+class _Codec:
+    """Exact mixed-radix codes of key rows whose columns lie in [lo, hi].
+
+    Column 0 is the most significant digit, so comparing codes word by word
+    compares rows lexicographically, and the code of a sum of rows is the sum
+    of their codes when each is encoded against its share of ``lo``.
+    Consecutive columns share one int64 word while the product of their
+    radices stays below 2^63, so no code ever wraps; operands whose ranges
+    need more bits get further words.
+    """
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.radix = (hi - lo + 1).tolist()
+        self.words = []          # (first column, end column, strides)
+        start = 0
+        while start < len(self.radix) or not self.words:
+            end, size = start, 1
+            while end < len(self.radix) and size * self.radix[end] < 2 ** 63:
+                size *= self.radix[end]
+                end += 1
+            strides = [1] * (end - start)
+            for c in range(end - start - 2, -1, -1):
+                strides[c] = strides[c + 1] * self.radix[start + c + 1]
+            self.words.append((start, end, np.array(strides, dtype=np.int64)))
+            start = end
+
+    def encode(self, rows, lo):
+        return [(rows[:, a:b] - lo[a:b]) @ strides for a, b, strides in self.words]
+
+    def decode(self, words):
+        rows = np.empty((len(words[0]), len(self.radix)), dtype=np.int16)
+        for (a, b, _), code in zip(self.words, words):
+            for c in range(b - 1, a - 1, -1):
+                code, digit = np.divmod(code, self.radix[c])
+                rows[:, c] = digit + self.lo[c]
+        return rows
+
+
+def _sort_and_sum(words, coefs):
+    """Stable sort by code, then sum each key's coefficients in arrival order.
+
+    Returns (first, sums): ``first`` indexes one input row per distinct key,
+    in key order, and ``sums`` holds the summed coefficients.
+    """
+    if len(words) == 1:
+        order = np.argsort(words[0], kind="stable")
+    else:
+        order = np.lexsort(words[::-1])
+    words = [w[order] for w in words]
+    starts = np.flatnonzero(np.concatenate([[True], np.any([w[1:] != w[:-1] for w in words], axis=0)]))
+    return order[starts], np.add.reduceat(coefs[order], starts)
+
+
+def _canonical(rows, coefs):
+    """Sort rows lexicographically, sum repeated keys, drop zero coefficients."""
+    if not len(coefs):
+        return rows, coefs
+    lo, hi = _bounds(rows)
+    first, sums = _sort_and_sum(_Codec(lo, hi).encode(rows, lo), coefs)
+    live = np.flatnonzero(sums)
+    return rows[first[live]], sums[live]
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+# ---------------------------------------------------------------------------
+
+# rows per product block, and buffered rows that trigger a merge (cache-sized)
+_CHUNK_ROWS = 1_000_000
 
 
 class _Accumulator:
-    """Bounded-memory collector of (key row, coefficient) product blocks.
+    """Bounded-memory collector of product rows as (code words, coefficient).
 
-    Incoming blocks are budget-filtered on arrival (the removed l^1 mass is
-    accumulated in ``dropped``), packed into int64 row groups, optionally
-    pre-cut at a magnitude floor (mass into ``precut``), and pre-merged
-    whenever the buffered row count grows large.
+    Incoming blocks arrive with a budget mask (the l^1 mass outside it is
+    accumulated in ``dropped``), are optionally pre-cut at a magnitude floor
+    (mass into ``precut``), and are merged whenever the buffered row count
+    grows large.
     """
 
-    def __init__(self, dims, budgets, mag_cut=0.0):
-        self.n = dims.n
-        self.width = 2 * self.n + 2 * len(dims.modes)
-        self.pad = (-self.width) % 4
-        self.budgets = budgets
+    def __init__(self, nwords, mag_cut):
         self.mag_cut = mag_cut
-        self.blocks = []
+        self.words = [[] for _ in range(nwords)]
         self.coefs = []
         self.rows = 0
         self.dropped = 0.0
         self.precut = 0.0
 
-    def add(self, keys, coefs):
-        if keys.shape[0] == 0:
-            return
-        n = self.n
-        deg = 2 * keys[:, n:2 * n].sum(axis=1) + keys[:, 2 * n:].sum(axis=1)
-        kabs = np.abs(keys[:, :n]).sum(axis=1)
-        keep = (deg <= self.budgets.degree_max) & (kabs <= self.budgets.k_max)
+    def add(self, words, coefs, keep):
         if not keep.all():
             self.dropped += float(np.abs(coefs[~keep]).sum())
-            keys = keys[keep]
+            words = [w[keep] for w in words]
             coefs = coefs[keep]
-        if self.mag_cut > 0.0 and keys.shape[0]:
+        if self.mag_cut > 0.0:
             mags = np.abs(coefs)
             live = mags > self.mag_cut
             if not live.all():
                 self.precut += float(mags[~live].sum())
-                keys = keys[live]
+                words = [w[live] for w in words]
                 coefs = coefs[live]
-        if keys.shape[0] == 0:
-            return
-        if self.pad:
-            keys = np.hstack([keys, np.zeros((keys.shape[0], self.pad), dtype=np.int16)])
-        self.blocks.append(np.ascontiguousarray(keys).view(np.int64))
-        self.coefs.append(np.ascontiguousarray(coefs))
-        self.rows += keys.shape[0]
-        if self.rows > _PREMERGE_ROWS:
+        for buf, w in zip(self.words, words):
+            buf.append(w)
+        self.coefs.append(coefs)
+        self.rows += len(coefs)
+        if self.rows > _CHUNK_ROWS:
             self._compress()
 
     def _compress(self):
-        packed = np.vstack(self.blocks)
-        coefs = np.concatenate(self.coefs)
-        packed, coefs = _sorted_merge(packed, coefs)
-        self.blocks = [packed]
-        self.coefs = [coefs]
-        self.rows = packed.shape[0]
+        words = [np.concatenate(buf) for buf in self.words]
+        first, sums = _sort_and_sum(words, np.concatenate(self.coefs))
+        self.words = [[w[first]] for w in words]
+        self.coefs = [sums]
+        self.rows = len(sums)
 
-    def finalize(self, out):
-        """Merge everything into ``out.terms``; returns the dropped mass."""
-        out.meta["pruned_mass"] = self.precut
-        if not self.blocks:
-            return self.dropped
+    def finalize(self, out, codec):
+        """Merge everything into ``out``; the final relative cut
+        ``prune_rel * max|c|`` lands in ``meta['cut_mass']``."""
+        out.meta.update(dropped_mass=self.dropped, pruned_mass=self.precut, cut_mass=0.0)
+        if not self.rows:
+            return
         self._compress()
-        packed, sums = self.blocks[0], self.coefs[0]
+        sums = self.coefs[0]
         mags = np.abs(sums)
-        cut = out.budgets.prune_rel * (mags.max() if mags.size else 0.0)
-        live = mags > cut
-        rows = packed[live].view(np.int16)[:, :self.width]
-        out._unpack_into(rows, sums[live])
-        return self.dropped
+        live = mags > out.budgets.prune_rel * mags.max()
+        out.meta["cut_mass"] = float(mags[~live].sum())
+        out.rows = codec.decode([buf[0][live] for buf in self.words])
+        out.coefs = sums[live]
 
 
-def _emit_products(acc, keys_a, coefs_a, keys_b, coefs_b, factor):
-    """Stream all pairwise key sums / coefficient products into ``acc``."""
-    ta, width = keys_a.shape
-    tb = keys_b.shape[0]
-    if ta == 0 or tb == 0:
-        return
-    step = max(1, _CHUNK_ROWS // tb)
-    for lo in range(0, ta, step):
-        hi = min(lo + step, ta)
-        block = (keys_a[lo:hi, None, :] + keys_b[None, :, :]).reshape(-1, width)
-        cblock = (coefs_a[lo:hi, None] * coefs_b[None, :]).ravel()
-        acc.add(block, cblock * factor)
+def _factor(S, lo, codec, col):
+    """Rows of S differentiated in the variable of column ``col`` (S itself
+    for None), as (code words, degrees, k columns, coefficients); None when
+    the derivative vanishes."""
+    n = S.dims.n
+    rows, coefs = S.rows, S.coefs
+    if col is not None:
+        sel = rows[:, col] != 0 if col < n else rows[:, col] > 0
+        if not sel.any():
+            return None
+        rows = rows[sel]
+        if col < n:
+            coefs = coefs[sel] * (1j * rows[:, col])
+        else:
+            coefs = coefs[sel] * rows[:, col]
+            rows[:, col] -= 1
+    return codec.encode(rows, lo), _degrees(rows, n), rows[:, :n].astype(np.int32), coefs
 
 
-def _content_blob(rows, coefs):
-    """Canonical byte representation of a packed series (order-free)."""
-    width = rows.shape[1]
-    pad = (-width) % 4
-    if pad:
-        rows = np.hstack([rows, np.zeros((rows.shape[0], pad), dtype=np.int16)])
-    packed = np.ascontiguousarray(rows).view(np.int64)
-    order = np.lexsort(packed.T[::-1])
-    return packed[order].tobytes() + coefs[order].tobytes()
+def _products(out, A, B, pairs):
+    """Sum over ``(col_a, col_b, factor)`` of factor * dA/d(col_a) * dB/d(col_b)
+    into ``out``, truncated to the budgets."""
+    n, bud = A.dims.n, A.budgets
+    lo_a, hi_a = _bounds(A.rows)
+    lo_b, hi_b = _bounds(B.rows)
+    codec = _Codec(lo_a + lo_b, hi_a + hi_b)
+    cut = (bud.prune_rel / 16.0) * A.max_abs() * B.max_abs()
+    acc = _Accumulator(len(codec.words), cut)
+    for col_a, col_b, factor in pairs:
+        fa, fb = _factor(A, lo_a, codec, col_a), _factor(B, lo_b, codec, col_b)
+        if fa is None or fb is None:
+            continue
+        wa, dga, ka, ca = fa
+        wb, dgb, kb, cb = fb
+        step = max(1, _CHUNK_ROWS // len(cb))
+        for lo in range(0, len(ca), step):
+            hi = lo + step
+            keep = dga[lo:hi, None] + dgb <= bud.degree_max
+            if n:
+                kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
+                keep &= kabs <= bud.k_max
+            coefs = (ca[lo:hi, None] * cb).ravel() * factor
+            acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)], coefs, keep.ravel())
+    acc.finalize(out, codec)
 
 
 def poisson_bracket(F, G):
@@ -539,71 +597,33 @@ def poisson_bracket(F, G):
     so that d/dt (G o X_F^t) = {G, F} o X_F^t, i.e. ad_F G = {G, F} generates
     the time evolution along the Hamiltonian flow of F.  The result is
     truncated to the shared budgets; mass lost to truncation lands in
-    ``meta['dropped_mass']``.
+    ``meta['dropped_mass']`` (degree/Fourier budgets), ``meta['pruned_mass']``
+    (magnitude floor on the products) and ``meta['cut_mass']`` (final
+    relative cut).
 
     Antisymmetry is exact coefficientwise: the two arguments are put into a
-    canonical order (flipping the sign when they swap), and bracketing a
-    series with itself returns the zero series outright.
+    canonical order by comparing their arrays (flipping the sign when they
+    swap), and bracketing a series with itself returns the zero series
+    outright.
     """
     F._check_compatible(G)
-    out = TFSeries(F.dims, F.budgets, real=F.real and G.real)
+    out = TFSeries._of(F, F.rows[:0], F.coefs[:0], F.real and G.real)
     out.meta["dropped_mass"] = 0.0
-    if not F.terms or not G.terms:
+    if not len(F) or not len(G):
         return out
-
-    n = F.dims.n
-    nmodes = len(F.dims.modes)
-    ka, ca = F._pack()
-    kb, cb = G._pack()
-    sign = 1.0
-    blob_a = _content_blob(ka, ca)
-    blob_b = _content_blob(kb, cb)
-    if blob_a == blob_b:
+    content_f = (len(F), F.rows.tobytes(), F.coefs.tobytes())
+    content_g = (len(G), G.rows.tobytes(), G.coefs.tobytes())
+    if content_f == content_g:
         return out
-    if blob_b < blob_a:
-        (ka, ca), (kb, cb) = (kb, cb), (ka, ca)
-        sign = -1.0
-
-    cut = (F.budgets.prune_rel / 16.0) * float(np.abs(ca).max()) * float(np.abs(cb).max())
-    acc = _Accumulator(F.dims, F.budgets, mag_cut=cut)
-
-    def deriv(keys, coefs, col, fourier):
-        if fourier:
-            sel = keys[:, col] != 0
-            if not np.any(sel):
-                return None
-            dk = keys[sel]
-            dc = coefs[sel] * (1j * dk[:, col])
-            return dk, dc
-        sel = keys[:, col] > 0
-        if not np.any(sel):
-            return None
-        dk = keys[sel].copy()
-        dc = coefs[sel] * dk[:, col]
-        dk[:, col] -= 1
-        return dk, dc
-
-    def cross(da, db, factor):
-        if da is None or db is None:
-            return
-        _emit_products(acc, da[0], da[1], db[0], db[1], factor)
-
+    sign = 1.0 if content_f < content_g else -1.0
+    A, B = (F, G) if sign > 0 else (G, F)
+    n, nmodes = F.dims.n, len(F.dims.modes)
+    pairs = []
     for b in range(n):
-        fx = deriv(ka, ca, b, fourier=True)
-        fy = deriv(ka, ca, n + b, fourier=False)
-        gx = deriv(kb, cb, b, fourier=True)
-        gy = deriv(kb, cb, n + b, fourier=False)
-        cross(fx, gy, sign)
-        cross(fy, gx, -sign)
-    for m in range(nmodes):
-        fz = deriv(ka, ca, 2 * n + m, fourier=False)
-        fzb = deriv(ka, ca, 2 * n + nmodes + m, fourier=False)
-        gz = deriv(kb, cb, 2 * n + m, fourier=False)
-        gzb = deriv(kb, cb, 2 * n + nmodes + m, fourier=False)
-        cross(fz, gzb, sign * 1j)
-        cross(fzb, gz, -sign * 1j)
-
-    out.meta["dropped_mass"] = acc.finalize(out)
+        pairs += [(b, n + b, sign), (n + b, b, -sign)]
+    for z in range(2 * n, 2 * n + nmodes):
+        pairs += [(z, z + nmodes, sign * 1j), (z + nmodes, z, -sign * 1j)]
+    _products(out, A, B, pairs)
     return out
 
 
@@ -616,20 +636,16 @@ def weighted_norm(F, dp):
     bounded by its own extremum over the weighted ball, which never
     understates the true norm.
     """
-    if not F.terms:
-        return 0.0
-    n = F.dims.n
-    nmodes = len(F.dims.modes)
-    rows, coefs = F._pack()
-    return float(np.abs(coefs) @ _term_weights(F, rows, dp))
+    return float(np.abs(F.coefs) @ _term_weights(F, dp))
 
 
-def _term_weights(F, rows, dp):
+def _term_weights(F, dp):
     n = F.dims.n
     nmodes = len(F.dims.modes)
+    rows = F.rows
     logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j
                      for j in F.dims.modes])
-    kabs = np.abs(rows[:, :n]).sum(axis=1)
+    kabs = _kabs(rows, n)
     na = rows[:, n:2 * n].sum(axis=1)
     zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
     logs = (kabs * dp.s + 2 * na * math.log(dp.r)
@@ -644,52 +660,25 @@ def vector_field_norm(F, dp):
     + r^{-1} (sum_j w_j^2 ||F_z_j||^2)^{1/2}, each partial measured with
     weighted_norm; the vector-valued x/y parts take the max over components.
     """
-    if not F.terms:
-        return 0.0
     n = F.dims.n
     nmodes = len(F.dims.modes)
-    rows, coefs = F._pack()
-    mags = np.abs(coefs)
-    base = _term_weights(F, rows, dp)
-
-    ynorm = 0.0
-    xnorm = 0.0
-    for b in range(n):
-        kcol = rows[:, b]
-        xnorm = max(xnorm, float((mags * np.abs(kcol)) @ base))
-        acol = rows[:, n + b]
-        sel = acol > 0
-        if np.any(sel):
-            # removing one y_b factor divides the weight by r^2
-            ynorm = max(ynorm, float((mags[sel] * acol[sel]) @ base[sel]) / dp.r ** 2)
-
-    zsq = 0.0
-    zbsq = 0.0
-    for m, j in enumerate(F.dims.modes):
-        w = mode_weight(j, dp)
-        bcol = rows[:, 2 * n + m]
-        sel = bcol > 0
-        if np.any(sel):
-            # removing one z_j factor divides the weight by (r / w_j)
-            part = float((mags[sel] * bcol[sel]) @ base[sel]) * w / dp.r
-            zsq += (w * part) ** 2
-        gcol = rows[:, 2 * n + nmodes + m]
-        sel = gcol > 0
-        if np.any(sel):
-            part = float((mags[sel] * gcol[sel]) @ base[sel]) * w / dp.r
-            zbsq += (w * part) ** 2
-
+    rows = F.rows
+    base = np.abs(F.coefs) * _term_weights(F, dp)
+    xnorm = max(float(np.abs(rows[:, b]) @ base) for b in range(n)) if n else 0.0
+    # removing one y_b factor divides the weight by r^2, one z_j or zbar_j
+    # factor by r / w_j
+    ynorm = max(float(rows[:, n + b] @ base) for b in range(n)) / dp.r ** 2 if n else 0.0
+    w = np.array([mode_weight(j, dp) for j in F.dims.modes])
+    zsq = np.sum((w * w * (rows[:, 2 * n:2 * n + nmodes].T @ base) / dp.r) ** 2)
+    zbsq = np.sum((w * w * (rows[:, 2 * n + nmodes:].T @ base) / dp.r) ** 2)
     return (ynorm + xnorm / dp.r ** 2
             + math.sqrt(zbsq) / dp.r + math.sqrt(zsq) / dp.r)
 
 
 def split_low_high(R):
     """Exact partition into degree <= 2 and degree >= 3 parts."""
-    low = TFSeries(R.dims, R.budgets, real=R.real)
-    high = TFSeries(R.dims, R.budgets, real=R.real)
-    for key, c in R.terms.items():
-        (low if key_degree(key) <= 2 else high).terms[key] = c
-    return low, high
+    low = _degrees(R.rows, R.dims.n) <= 2
+    return R.select(low), R.select(~low)
 
 
 @dataclass
@@ -710,10 +699,8 @@ def fourier_truncate(R, K, dp=None, sigma=None):
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    trunc = TFSeries(R.dims, R.budgets, real=R.real)
-    tail = TFSeries(R.dims, R.budgets, real=R.real)
-    for key, c in R.terms.items():
-        (trunc if key_kabs(key) <= K else tail).terms[key] = c
+    inside = _kabs(R.rows, R.dims.n) <= K
+    trunc, tail = R.select(inside), R.select(~inside)
     report = None
     if dp is not None:
         if sigma is None or sigma <= 0:
@@ -743,7 +730,7 @@ def lie_series(term, F, j, order, dp=None, rem_tol=None):
     else:
         acc, dropped = term.copy(), 0.0
     last = vector_field_norm(acc, dp) if j and dp is not None else math.inf
-    while j < order and term.terms and (rem_tol is None or last >= rem_tol):
+    while j < order and len(term) and (rem_tol is None or last >= rem_tol):
         j += 1
         term = poisson_bracket(term, F)
         dropped += term.meta.get("dropped_mass", 0.0)
@@ -752,7 +739,7 @@ def lie_series(term, F, j, order, dp=None, rem_tol=None):
         acc = acc + incr
         if dp is not None:
             last = vector_field_norm(incr, dp)
-    return acc, dropped, (last if term.terms else 0.0), j
+    return acc, dropped, (last if len(term) else 0.0), j
 
 
 def lie_transform(H, F, order, dp=None, rem_tol=None):
@@ -775,10 +762,23 @@ def lie_transform(H, F, order, dp=None, rem_tol=None):
     return acc
 
 
+def _mirror(F):
+    """Rows (-k, alpha, gamma, beta) of F with conjugate coefficients, unsorted."""
+    n, nmodes = F.dims.n, len(F.dims.modes)
+    r = F.rows
+    return (np.concatenate([-r[:, :n], r[:, n:2 * n], r[:, 2 * n + nmodes:],
+                            r[:, 2 * n:2 * n + nmodes]], axis=1), F.coefs.conj())
+
+
+def realify(F):
+    """Project onto the real-valued subspace (average with the mirror)."""
+    rows, coefs = _mirror(F)
+    rows, coefs = _canonical(np.concatenate([F.rows, rows]), np.concatenate([F.coefs, coefs]))
+    return TFSeries._of(F, rows, coefs * 0.5, True)
+
+
 def reality_defect(F):
     """Max |c(-k, a, gamma, beta) - conj(c(k, a, beta, gamma))| over terms."""
-    worst = 0.0
-    for key, c in F.terms.items():
-        mirror = MonomialKey(tuple(-v for v in key.k), key.alpha, key.gamma, key.beta)
-        worst = max(worst, abs(F.terms.get(mirror, 0j) - c.conjugate()))
-    return worst
+    rows, coefs = _mirror(F)
+    rows, coefs = _canonical(np.concatenate([F.rows, rows]), np.concatenate([F.coefs, -coefs]))
+    return float(np.abs(coefs).max(initial=0.0))

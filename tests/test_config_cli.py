@@ -225,3 +225,24 @@ def test_oversized_condition_lattice_is_budget_exhausted(tmp_path):
     assert rep["verdict"] == "BudgetExhausted"
     assert rep["verdict_info"]["m"] == 1
     assert "11548161 points" in rep["verdict_info"]["reason"]
+
+
+def test_oversized_measure_lattice_is_budget_exhausted(tmp_path, capsys):
+    # [grid] kmax = 2000 in dimension 2 asks for an 8,004,001-point lattice
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(MINIMAL_NLS + """
+[budgets]
+degree_max = 4
+k_max = 64
+
+[grid]
+lo = 0.001 0.001
+hi = 0.01 0.01
+samples_per_axis = 4
+kmax = 2000
+""")
+    out = tmp_path / "o"
+    assert main(["measure", "--config", str(cfg), "--out", str(out)]) == EXIT_CODES["BudgetExhausted"]
+    err = capsys.readouterr().err
+    assert "BudgetExhausted" in err
+    assert "the k-lattice |k| <= 2000 in dimension 2 has 8004001 points" in err

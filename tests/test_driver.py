@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
-                            StepRecord, delta0, dichotomy, kam_step,
-                            make_synthetic_problem, no_torus_witness, run,
-                            schedule, scheduled_eps)
+                            StepRecord, _eval_poly, _frozen, _zero_mode_tables,
+                            delta0, dichotomy, kam_step, make_synthetic_problem,
+                            no_torus_witness, run, schedule, scheduled_eps)
 from kamzero.homological import NormalForm, ResonantParameter
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
                             make_key, vector_field_norm)
@@ -212,9 +212,8 @@ def test_witness_coupled_mode_agrees_when_drive_dominates():
     eps = 1e-6
     c = 1e4 * 20.0 * eps ** (7.0 / 6.0) / math.sqrt(2.0)
     N = _witness_nf(c)
-    R = TFSeries.zero(DIMS, BUD)
-    R.terms[make_key(2, k=(1, 0), beta={1: 1})] = 1e-9 + 0j
-    R.terms[make_key(2, k=(-1, 0), gamma={1: 1})] = 1e-9 + 0j
+    R = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): 1e-9 + 0j,
+                             make_key(2, k=(-1, 0), gamma={1: 1}): 1e-9 + 0j})
     params = schedule(1, BASE, eps_m=eps)
     esc_f, rec_f = no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="frozen")
     esc_c, rec_c = no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="coupled")
@@ -222,6 +221,58 @@ def test_witness_coupled_mode_agrees_when_drive_dominates():
     assert rec_c.final_norm == pytest.approx(rec_f.final_norm, rel=1e-3)
     with pytest.raises(ValueError):
         no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="bogus")
+
+
+def _zero_mode_gradients(R, dims, x, z, zb):
+    """Per-term loop over R.terms: (dR/dz0, dR/dzbar0, dR/dy) at y = 0 and
+    tail = 0, the reference for the witness gradient tables."""
+    pos = {m: i for i, m in enumerate(dims.zero_modes)}
+    gz = np.zeros(len(pos), dtype=complex)
+    gzb = np.zeros(len(pos), dtype=complex)
+    gy = np.zeros(dims.n, dtype=complex)
+
+    def mono(beta, gamma):
+        out = 1.0 + 0j
+        for m, e in beta:
+            out *= z[pos[m]] ** e
+        for m, e in gamma:
+            out *= zb[pos[m]] ** e
+        return out
+
+    def lowered(exps, m):
+        return tuple((mm, e - (mm == m)) for mm, e in exps if e - (mm == m))
+
+    for key, c in R.terms.items():
+        if any(m not in pos for m, _ in key.beta + key.gamma):
+            continue
+        c = c * np.exp(1j * np.dot(key.k, x))
+        if sum(key.alpha) == 1:
+            gy[key.alpha.index(1)] += c * mono(key.beta, key.gamma)
+        if sum(key.alpha):
+            continue
+        for m, e in key.beta:
+            gz[pos[m]] += e * c * mono(lowered(key.beta, m), key.gamma)
+        for m, e in key.gamma:
+            gzb[pos[m]] += e * c * mono(key.beta, lowered(key.gamma, m))
+    return gz, gzb, gy
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_witness_tables_match_per_term_loop(b):
+    dims = SeriesDims(2, (), tuple(range(1, b + 1)), 6)
+    _, R = make_synthetic_problem(dims, BUD, 1e-3, seed=4, n_low=30, n_high=20)
+    grad_z, grad_zb, grad_y = _zero_mode_tables(R, dims)
+    rng = np.random.default_rng(b)
+    for _ in range(5):
+        x = rng.uniform(0, 2 * np.pi, size=2)
+        z = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
+        zb = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
+        want = _zero_mode_gradients(R, dims, x, z, zb)
+        for tables, ref in zip((grad_z, grad_zb, grad_y), want):
+            got = [_eval_poly(t, z, zb, x) for t in tables]
+            frozen = [_eval_poly(_frozen(t, x), z, zb) for t in tables]
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
+            assert np.allclose(frozen, ref, rtol=1e-12, atol=1e-15)
 
 
 def test_witness_premise_guard():

@@ -115,9 +115,7 @@ def flow_time_one(F, x, y, z, zb, steps=200):
 
 def dict_series(template, terms):
     from kamzero.series import TFSeries
-    out = TFSeries.zero(template.dims, template.budgets)
-    out.terms = terms
-    return out
+    return TFSeries(template.dims, template.budgets, terms)
 
 
 @pytest.mark.parametrize("seed", [2, 7])

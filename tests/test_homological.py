@@ -36,10 +36,10 @@ def make_nf(dims, rng, block_scale=0.02, linear_scale=0.01):
 
 
 def random_low_perturbation(dims, budgets, rng, nterms=40, kspread=3, scale=1e-4):
-    R = TFSeries.zero(dims, budgets)
+    terms = {}
     n = dims.n
     modes = dims.modes
-    while len(R.terms) < nterms:
+    while len(terms) < nterms:
         k = tuple(int(v) for v in rng.integers(-kspread, kspread + 1, size=n))
         kind = rng.integers(0, 7)
         c = complex(rng.standard_normal(), rng.standard_normal())
@@ -67,8 +67,8 @@ def random_low_perturbation(dims, budgets, rng, nterms=40, kspread=3, scale=1e-4
         else:
             m1, m2 = rng.choice(len(modes), 2)
             key = make_key(n, k=k, beta={modes[m1]: 1}, gamma={modes[m2]: 1})
-        R.terms[key] = R.terms.get(key, 0j) + c
-    return realify(R) * scale
+        terms[key] = terms.get(key, 0j) + c
+    return realify(TFSeries(dims, budgets, terms)) * scale
 
 
 def step_params(b, eps=1e-4, gamma1=0.02, tau=3.5):
@@ -132,9 +132,9 @@ def test_block_operators_match_bracket_action(b):
     V = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
     W = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
     W = 0.5 * (W + W.T)
-    F = TFSeries.zero(dims, bud)
-    _write_quad_forms(F, dims, k, U, V, W)
-    img = poisson_bracket(Nser, F)
+    terms = {}
+    _write_quad_forms(terms, dims, k, U, V, W)
+    img = poisson_bracket(Nser, TFSeries(dims, bud, terms))
     RU, RM, RT = _quad_form_matrices(img, dims, k)
     A = assemble_block_operator("A", N, np.asarray(k))
     pred = A @ np.concatenate([vec(U), vec(V), vec(W)])
@@ -145,8 +145,7 @@ def test_block_operators_match_bracket_action(b):
     def probe(basis):
         op = np.zeros((len(basis), len(basis)), dtype=complex)
         for col, key in enumerate(basis):
-            e = TFSeries.zero(dims, bud)
-            e.terms[key] = 1.0 + 0j
+            e = TFSeries(dims, bud, {key: 1.0 + 0j})
             image = poisson_bracket(Nser, e)
             for row, rkey in enumerate(basis):
                 op[row, col] = -image.coefficient(rkey)
@@ -238,8 +237,7 @@ def test_diagonal_single_term_formula():
     k = (2, -1)
     i, j = 3, 5
     key = make_key(2, k=k, beta={i: 1}, gamma={j: 1})
-    R = TFSeries.zero(dims, bud)
-    R.terms[key] = c
+    R = TFSeries(dims, bud, {key: c})
     F, hat, _ = solve_homological(N, R, params, dims)
     div = 1j * (np.dot(k, N.omega) + N.Omega[i] - N.Omega[j])
     assert F.terms.keys() == {key}
@@ -296,8 +294,7 @@ def test_injected_resonance_raises():
     N.omega = np.array([2.0, 1.0])
     N.Omega = {j: float(j * j) for j in dims.tail_modes}
     params = step_params(1, gamma1=0.05)
-    R = TFSeries.zero(dims, bud)
-    R.terms[make_key(2, k=(1, -2), alpha=(1, 0))] = 1e-4  # <k,omega> = 0
+    R = TFSeries(dims, bud, {make_key(2, k=(1, -2), alpha=(1, 0)): 1e-4})  # <k,omega> = 0
     with pytest.raises(ResonantParameter):
         solve_homological(N, R, params, dims)
 
@@ -305,12 +302,13 @@ def test_injected_resonance_raises():
 def test_hat_collects_k0_means():
     dims = make_dims(1)
     bud = Budgets(6, 16)
-    R = TFSeries.zero(dims, bud)
-    R.terms[make_key(2)] = 0.5 + 0j                                  # x mean
-    R.terms[make_key(2, alpha=(0, 1))] = 0.25 + 0j                   # y mean
-    R.terms[make_key(2, beta={1: 1})] = 0.1 + 0.2j                   # z0
-    R.terms[make_key(2, beta={1: 2})] = 0.4 + 0j                     # z0z0
-    R.terms[make_key(2, beta={3: 1}, gamma={3: 1})] = 0.7 + 0j       # Omega shift
+    R = TFSeries(dims, bud, {
+        make_key(2): 0.5 + 0j,                                  # x mean
+        make_key(2, alpha=(0, 1)): 0.25 + 0j,                   # y mean
+        make_key(2, beta={1: 1}): 0.1 + 0.2j,                   # z0
+        make_key(2, beta={1: 2}): 0.4 + 0j,                     # z0z0
+        make_key(2, beta={3: 1}, gamma={3: 1}): 0.7 + 0j,       # Omega shift
+    })
     hat = extract_hat(R, dims)
     assert hat.Nx == 0.5
     assert hat.omega[1] == 0.25
@@ -366,14 +364,11 @@ def test_hom_residual_with_zero_generator():
     dp = DomainParams(0.5, 0.3, 0.1, 1.0)
     # means-only perturbation plus one oscillating term: with F = 0 and Nhat
     # the k = 0 means, the residual is the norm of the oscillating part
-    R = TFSeries.zero(dims, bud)
-    R.terms[make_key(2)] = 0.5 + 0j
     key = make_key(2, k=(1, 0), alpha=(1, 0))
-    R.terms[key] = 0.2 + 0j
+    R = TFSeries(dims, bud, {make_key(2): 0.5 + 0j, key: 0.2 + 0j})
     hat = extract_hat(R, dims)
     NF0 = poisson_bracket(N.to_series(dims, bud), TFSeries.zero(dims, bud))
-    osc = TFSeries.zero(dims, bud)
-    osc.terms[key] = 0.2 + 0j
+    osc = TFSeries(dims, bud, {key: 0.2 + 0j})
     assert hom_residual(NF0, R, hat, dp, dims) == pytest.approx(
         vector_field_norm(osc, dp))
     zero = TFSeries.zero(dims, bud)

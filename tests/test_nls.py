@@ -165,9 +165,8 @@ def test_parity_checks_on_fresh_build(nls_build):
 
 def test_parity_negative_control(nls_build):
     model, bk, kf = nls_build
-    spiked = kf.R0.copy()
     bad = make_key(2, k=(1, 1), beta={0: 1})  # |k| even, zero-mode linear
-    spiked.terms[bad] = 1e-3 + 0j
+    spiked = TFSeries(kf.dims, kf.R0.budgets, {**kf.R0.terms, bad: 1e-3 + 0j}, real=True)
     viol = parity_check(spiked, kf.dims, "even_k_blocks")
     assert any(key == bad for key, _ in viol)
 
@@ -185,10 +184,8 @@ def test_constant_term_dropped(nls_build):
 def test_classified_families(nls_build):
     model, bk, kf = nls_build
     # classify on the quartic-order slice: degree <= 4 terms only
-    slice4 = TFSeries.zero(kf.dims, kf.R0.budgets)
-    for key, c in kf.R0.terms.items():
-        if key_degree(key) + 2 * sum(key.alpha) <= 4:
-            slice4.terms[key] = c
+    slice4 = TFSeries(kf.dims, kf.R0.budgets, {
+        key: c for key, c in kf.R0.terms.items() if key_degree(key) + 2 * sum(key.alpha) <= 4})
     classes = classify_index_vectors(slice4, kf.dims)
     vs = classes.value_sets()
     assert set(vs["V1"]) <= {-3, -1, 1, 3} and set(vs["V1"]) & {-1, 1}

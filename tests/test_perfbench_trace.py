@@ -2,7 +2,9 @@
 
 ``perfbench/run.py --trace 1`` rebinds every function it times in each
 kamzero module and refuses to run if an untraced reference is left behind,
-so a refactor that hides one of those functions breaks the traced run.
+so a refactor that hides one of those functions breaks the traced run.  The
+bracket's sizing counts read each operand's ``terms`` view, so a view the
+tracer cannot walk shows up as zero generated rows.
 """
 
 import os
@@ -20,7 +22,9 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install(kamzero)
 code = cli.main(["run", "--config", "configs/synthetic.cfg", "--out", sys.argv[1]])
-print(code, tracer.layer_stats()["driver.kam_step"]["calls"])
+stats = tracer.layer_stats()
+print(code, stats["driver.kam_step"]["calls"], stats["series.poisson_bracket"]["calls"],
+      stats["series.poisson_bracket"]["rows_generated"])
 """
 
 
@@ -31,6 +35,8 @@ def test_tracer_installs_and_counts_kam_steps(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, steps = proc.stdout.split()[-2:]
+    code, steps, brackets, rows = proc.stdout.split()[-4:]
     assert code == "0"
     assert int(steps) > 0
+    assert int(brackets) > 0
+    assert int(rows) > 0

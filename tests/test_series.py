@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
+from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries, _Codec,
                             fourier_truncate, key_degree, key_kabs,
                             lie_transform, make_key, mode_weight,
                             poisson_bracket, reality_defect, split_low_high,
@@ -20,9 +20,9 @@ def mono(c, k=(), alpha=(), beta=(), gamma=(), dims=DIMS, bud=BUD):
 
 
 def random_series(rng, nterms=20, degmax=4, dims=DIMS, bud=BUD):
-    out = TFSeries.zero(dims, bud)
+    terms = {}
     modes = dims.modes
-    while len(out.terms) < nterms:
+    while len(terms) < nterms:
         k = tuple(int(v) for v in rng.integers(-2, 3, size=dims.n))
         nz = rng.integers(0, degmax + 1)
         na = rng.integers(0, (degmax - nz) // 2 + 1)
@@ -35,8 +35,8 @@ def random_series(rng, nterms=20, degmax=4, dims=DIMS, bud=BUD):
             tgt = bmap if rng.random() < 0.5 else gmap
             tgt[m] = tgt.get(m, 0) + 1
         key = make_key(dims.n, k, tuple(alpha), bmap, gmap)
-        out.terms[key] = complex(rng.standard_normal(), rng.standard_normal())
-    return out
+        terms[key] = complex(rng.standard_normal(), rng.standard_normal())
+    return TFSeries(dims, bud, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +101,40 @@ def test_leibniz_rule_within_dropped_mass():
         dropped = sum(s.meta.get("dropped_mass", 0.0) for s in (gh, lhs, t1, t2))
         scale = sum(vector_field_norm(s, DP) for s in (lhs, t1, t2))
         assert vector_field_norm(diff, DP) <= 10 * dropped + 1e-12 * scale
+
+
+def test_bracket_counts_the_final_relative_cut():
+    # coefficients over eight decades against prune_rel = 1e-4: product rows
+    # fall under the magnitude floor (pruned_mass) and merged sums under the
+    # final relative cut (cut_mass); together they bound the l1 distance to
+    # the uncut bracket
+    rng = np.random.default_rng(12)
+    cut, exact = Budgets(6, 16, prune_rel=1e-4), Budgets(6, 16, prune_rel=0.0)
+    F, G = ({key: c * 10.0 ** (-8 * rng.random()) for key, c in
+             random_series(rng, nterms=30).terms.items()} for _ in range(2))
+    out = poisson_bracket(TFSeries(DIMS, cut, F), TFSeries(DIMS, cut, G))
+    ref = poisson_bracket(TFSeries(DIMS, exact, F), TFSeries(DIMS, exact, G))
+    assert out.meta["cut_mass"] > 0 and out.meta["pruned_mass"] > 0
+    assert ref.meta["cut_mass"] == ref.meta["pruned_mass"] == 0.0
+    keys = set(out.terms) | set(ref.terms)
+    l1 = sum(abs(out.coefficient(k) - ref.coefficient(k)) for k in keys)
+    rounding = 1e-14 * sum(abs(c) for c in ref.terms.values())
+    assert l1 <= out.meta["pruned_mass"] + out.meta["cut_mass"] + rounding
+
+
+def test_codes_split_into_words_beyond_63_bits():
+    # four Fourier columns spanning [-2 k_max - 1, 2 k_max] need 64 bits
+    lo = np.array([-32767] * 4 + [0] * 3, dtype=np.int64)
+    hi = np.array([32766] * 4 + [2] * 3, dtype=np.int64)
+    codec = _Codec(lo, hi)
+    assert len(codec.words) == 2
+    rng = np.random.default_rng(13)
+    rows = rng.integers(lo, hi + 1, size=(500, 7)).astype(np.int16)
+    words = codec.encode(rows, lo)
+    assert all(w.min() >= 0 for w in words)
+    assert np.array_equal(codec.decode(words), rows)
+    order = np.lexsort(words[::-1])
+    assert np.array_equal(order, np.lexsort(rows.T[::-1]))
 
 
 def test_reality_preserved_by_bracket():
@@ -301,17 +335,14 @@ def test_text_round_trip_and_ordering():
     assert G.dims == F.dims
     assert G.budgets.degree_max == F.budgets.degree_max
     # deterministic: serialization is sorted, independent of insertion order
-    shuffled = TFSeries(F.dims, F.budgets)
-    for key in sorted(F.terms, key=lambda k: (k.beta, k.gamma)):
-        shuffled.terms[key] = F.terms[key]
+    shuffled = TFSeries(F.dims, F.budgets, {key: F.terms[key] for key in
+                                            sorted(F.terms, key=lambda k: (k.beta, k.gamma))})
     assert shuffled.to_text() == text
 
 
 def test_validate_rejects_site_modes():
-    bad = TFSeries.zero(DIMS, BUD)
-    bad.terms[make_key(2, beta={1: 1})] = 1.0 + 0j  # mode 1 is tangential
-    with pytest.raises(ValueError):
-        bad.validate()
+    with pytest.raises(ValueError):  # mode 1 is tangential
+        TFSeries(DIMS, BUD, {make_key(2, beta={1: 1}): 1.0 + 0j}).validate()
 
 
 def test_budgets_reject_key_overflow():

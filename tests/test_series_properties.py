@@ -1,0 +1,309 @@
+"""Property tests for the series algebra against a pure-Python dict reference.
+
+The reference below stores a series as ``{MonomialKey: complex}`` and forms
+brackets, sums, prunes, splits and Fourier truncations term by term, so it
+shares no code with the vectorized kernels in ``kamzero.series``.
+
+Dyadic coefficients (small integers over 4) make every product and sum
+exact in floating point: there the kernel must reproduce the reference key
+for key and bit for bit.  With general floating-point coefficients the two
+sum the same products in different orders, so a coefficient may differ by
+rounding, bounded by 1e-14 of the l1 mass of its summands.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from kamzero.driver import realify
+from kamzero.series import (Budgets, MonomialKey, SeriesDims, TFSeries,
+                            fourier_truncate, key_degree, key_kabs, make_key,
+                            poisson_bracket, reality_defect, split_low_high)
+
+DIMS = SeriesDims(2, (1, 2), (0,), 5)         # modes (0, 3, 4, 5)
+BUD = Budgets(degree_max=6, k_max=6, prune_rel=0.0)
+RTOL = 1e-14
+
+# derandomized and without an example database: the same examples on every run
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# the dict reference
+# ---------------------------------------------------------------------------
+
+def _bump(mapping, mode, delta):
+    exps = dict(mapping)
+    exps[mode] = exps.get(mode, 0) + delta
+    return tuple(sorted((m, e) for m, e in exps.items() if e))
+
+
+def _derivatives(terms, n, modes):
+    """Per conjugate variable: {derivative key: coefficient}, keyed by name."""
+    out = {}
+    for key, c in terms.items():
+        for b in range(n):
+            if key.k[b]:
+                out.setdefault(("x", b), []).append((key, c * 1j * key.k[b]))
+            if key.alpha[b]:
+                alpha = list(key.alpha)
+                alpha[b] -= 1
+                out.setdefault(("y", b), []).append(
+                    (key._replace(alpha=tuple(alpha)), c * key.alpha[b]))
+        for m, e in key.beta:
+            out.setdefault(("z", m), []).append((key._replace(beta=_bump(key.beta, m, -1)), c * e))
+        for m, e in key.gamma:
+            out.setdefault(("zb", m), []).append((key._replace(gamma=_bump(key.gamma, m, -1)), c * e))
+    return out
+
+
+def _key_product(a, b):
+    beta = dict(a.beta)
+    for m, e in b.beta:
+        beta[m] = beta.get(m, 0) + e
+    gamma = dict(a.gamma)
+    for m, e in b.gamma:
+        gamma[m] = gamma.get(m, 0) + e
+    return MonomialKey(tuple(x + y for x, y in zip(a.k, b.k)),
+                       tuple(x + y for x, y in zip(a.alpha, b.alpha)),
+                       tuple(sorted(beta.items())), tuple(sorted(gamma.items())))
+
+
+def ref_bracket(F, G, dims, budgets):
+    """{F, G} as (sums, l1 mass of each sum's summands, dropped l1 mass)."""
+    df = _derivatives(F, dims.n, dims.modes)
+    dg = _derivatives(G, dims.n, dims.modes)
+    pairs = []
+    for b in range(dims.n):
+        pairs += [(("x", b), ("y", b), 1.0), (("y", b), ("x", b), -1.0)]
+    for m in dims.modes:
+        pairs += [(("z", m), ("zb", m), 1j), (("zb", m), ("z", m), -1j)]
+    sums, mass, dropped = {}, {}, 0.0
+    for fv, gv, factor in pairs:
+        for ka, ca in df.get(fv, ()):
+            for kb, cb in dg.get(gv, ()):
+                key = _key_product(ka, kb)
+                c = ca * cb * factor
+                if key_degree(key) > budgets.degree_max or key_kabs(key) > budgets.k_max:
+                    dropped += abs(c)
+                    continue
+                sums[key] = sums.get(key, 0j) + c
+                mass[key] = mass.get(key, 0.0) + abs(c)
+    return {k: c for k, c in sums.items() if c != 0}, mass, dropped
+
+
+def ref_add(F, G):
+    out = dict(F)
+    for key, c in G.items():
+        out[key] = out.get(key, 0j) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def ref_prune(F, rel):
+    cut = rel * max((abs(c) for c in F.values()), default=0.0)
+    kept = {k: c for k, c in F.items() if abs(c) >= cut}
+    return kept, sum(abs(c) for k, c in F.items() if k not in kept)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+def _keys(dims, kspread, degree_max):
+    exps = st.dictionaries(st.sampled_from(dims.modes), st.integers(1, 2), max_size=2)
+    raw = st.tuples(st.tuples(*[st.integers(-kspread, kspread)] * dims.n),
+                    st.tuples(*[st.integers(0, 1)] * dims.n), exps, exps)
+    return raw.map(lambda t: make_key(dims.n, *t)).filter(
+        lambda key: key_degree(key) <= degree_max)
+
+
+DYADIC = st.builds(lambda re, im: complex(re / 4, im / 4),
+                   st.integers(-8, 8), st.integers(-8, 8)).filter(lambda c: c != 0)
+FLOATS = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)).filter(lambda c: abs(c) > 1e-3)
+
+
+def series(coefs=DYADIC, dims=DIMS, budgets=BUD, kspread=2, max_size=8, degree_max=None):
+    degree_max = budgets.degree_max if degree_max is None else degree_max
+    terms = st.dictionaries(_keys(dims, kspread, degree_max), coefs,
+                            min_size=1, max_size=max_size)
+    return terms.map(lambda t: TFSeries(dims, budgets, t))
+
+
+def _dict(S):
+    return dict(S.terms)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the reference
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(series(), series())
+def test_bracket_matches_reference_exactly_on_dyadic_coefficients(F, G):
+    out = poisson_bracket(F, G)
+    ref, _, dropped = ref_bracket(_dict(F), _dict(G), DIMS, BUD)
+    if _dict(F) == _dict(G):
+        ref, dropped = {}, 0.0   # the self-bracket is zero by definition
+    assert _dict(out) == ref
+    assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@SETTINGS
+@given(series(FLOATS), series(FLOATS))
+def test_bracket_matches_reference_within_rounding(F, G):
+    out = _dict(poisson_bracket(F, G))
+    ref, mass, _ = ref_bracket(_dict(F), _dict(G), DIMS, BUD)
+    if _dict(F) == _dict(G):
+        assert not out
+        return
+    for key in set(out) | set(ref):
+        got, want = out.get(key, 0j), ref.get(key, 0j)
+        # a key absent on one side must have cancelled on the other
+        assert abs(got - want) <= RTOL * mass.get(key, 0.0)
+
+
+@SETTINGS
+@given(series(FLOATS), series(FLOATS))
+def test_add_matches_reference_bit_for_bit(F, G):
+    assert _dict(F + G) == ref_add(_dict(F), _dict(G))
+    assert _dict(F - F) == {}
+
+
+@SETTINGS
+@given(series(FLOATS, max_size=12), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_prune_matches_reference(F, rel):
+    kept, removed = ref_prune(_dict(F), rel)
+    G = F.copy()
+    mass = G.prune(rel)
+    assert _dict(G) == kept
+    assert math.isclose(mass, removed, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@SETTINGS
+@given(series(FLOATS, max_size=12), st.integers(1, 4))
+def test_split_and_truncate_match_reference(F, K):
+    terms = _dict(F)
+    low, high = split_low_high(F)
+    assert _dict(low) == {k: c for k, c in terms.items() if key_degree(k) <= 2}
+    assert _dict(high) == {k: c for k, c in terms.items() if key_degree(k) > 2}
+    trunc, tail, _ = fourier_truncate(F, K)
+    assert _dict(trunc) == {k: c for k, c in terms.items() if key_kabs(k) <= K}
+    assert _dict(tail) == {k: c for k, c in terms.items() if key_kabs(k) > K}
+
+
+# ---------------------------------------------------------------------------
+# algebraic identities
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(series(FLOATS), series(FLOATS))
+def test_antisymmetry_is_exact(F, G):
+    fg = _dict(poisson_bracket(F, G))
+    gf = _dict(poisson_bracket(G, F))
+    assert fg.keys() == gf.keys()
+    assert all(fg[k] == -gf[k] for k in fg)
+    assert not poisson_bracket(F, F).terms
+
+
+# Degree <= 4 inputs with |k| <= 4 against degree and Fourier budgets of 8:
+# the inner brackets and products drop nothing, the outer ones may.  The
+# budgets cut keys, a linear map, so the identities hold for whatever the
+# outer operations keep, however much mass they drop; with dyadic
+# coefficients they hold exactly.
+LIN = Budgets(degree_max=8, k_max=8, prune_rel=0.0)
+SMALL = series(DYADIC, budgets=LIN, max_size=5, degree_max=4)
+
+
+@SETTINGS
+@given(SMALL, SMALL, SMALL)
+def test_jacobi_within_dropped_mass(F, G, H):
+    inner = [poisson_bracket(G, H), poisson_bracket(H, F), poisson_bracket(F, G)]
+    assert all(s.meta["dropped_mass"] == 0.0 for s in inner)
+    outer = [poisson_bracket(F, inner[0]), poisson_bracket(G, inner[1]),
+             poisson_bracket(H, inner[2])]
+    assert not (outer[0] + outer[1] + outer[2]).terms
+
+
+@SETTINGS
+@given(SMALL, SMALL, SMALL)
+def test_leibniz_within_dropped_mass(F, G, H):
+    gh, fg, fh = G.multiply(H), poisson_bracket(F, G), poisson_bracket(F, H)
+    assert gh.meta["dropped_mass"] == fg.meta["dropped_mass"] == fh.meta["dropped_mass"] == 0.0
+    lhs = poisson_bracket(F, gh)
+    t1 = fg.multiply(H)
+    t2 = G.multiply(fh)
+    assert not (lhs - t1 - t2).terms
+
+
+@SETTINGS
+@given(series(FLOATS), series(FLOATS))
+def test_bracket_of_real_series_is_real(F, G):
+    F, G = realify(F), realify(G)
+    assert reality_defect(F) == 0.0
+    br = poisson_bracket(F, G)
+    assert br.real
+    assert reality_defect(br) <= 1e-13 * max(br.max_abs(), 1.0)
+
+
+@SETTINGS
+@given(series(FLOATS, max_size=12))
+def test_text_round_trip(F):
+    G = TFSeries.from_text(F.to_text())
+    assert _dict(G) == _dict(F)
+    assert G.to_text() == F.to_text()
+
+
+# ---------------------------------------------------------------------------
+# keys wider than one 63-bit code word
+# ---------------------------------------------------------------------------
+
+WIDE = SeriesDims(4, (), (0,), 24)             # 25 modes, 58 key columns
+WIDE_BUD = Budgets(degree_max=6, k_max=16383, prune_rel=0.0)
+
+
+def _range_bits(F, G):
+    """Bits of a mixed-radix code over the column ranges of all product rows."""
+    def columns(key):
+        beta, gamma = dict(key.beta), dict(key.gamma)
+        return (list(key.k) + list(key.alpha) + [beta.get(m, 0) for m in WIDE.modes]
+                + [gamma.get(m, 0) for m in WIDE.modes])
+
+    fc = list(zip(*map(columns, F.terms)))
+    gc = list(zip(*map(columns, G.terms)))
+    return sum(math.log2(max(f) + max(g) - min(min(f), 0) - min(min(g), 0) + 1)
+               for f, g in zip(fc, gc))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(series(DYADIC, WIDE, WIDE_BUD, kspread=4000, max_size=6),
+       series(DYADIC, WIDE, WIDE_BUD, kspread=4000, max_size=6))
+def test_wide_keys_match_reference(F, G):
+    out = poisson_bracket(F, G)
+    ref, _, dropped = ref_bracket(_dict(F), _dict(G), WIDE, WIDE_BUD)
+    if _dict(F) == _dict(G):
+        ref, dropped = {}, 0.0
+    assert _dict(out) == ref
+    assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def test_wide_keys_at_the_fourier_budget_never_wrap():
+    # e^{+-i k_max x_b} z_last against e^{+-i k_max x_b} zbar_last and
+    # y_0 e^{-i x_0}: each column spans [-2 k_max - 1, 2 k_max] in the
+    # products, 64 bits over the four angles alone
+    top, last = WIDE_BUD.k_max, WIDE.modes[-1]
+    F, G = {}, {make_key(4, k=(-1, 0, 0, 0), alpha=(1, 0, 0, 0)): 0.25}
+    for b in range(4):
+        for s in (1, -1):
+            k = tuple(s * top if i == b else 0 for i in range(4))
+            F[make_key(4, k=k, beta={last: 1})] = complex(b + 1, s)
+            G[make_key(4, k=k, gamma={last: 1})] = complex(s, b + 1) / 2
+    F, G = TFSeries(WIDE, WIDE_BUD, F), TFSeries(WIDE, WIDE_BUD, G)
+    assert _range_bits(F, G) > 64
+    out = poisson_bracket(F, G)
+    ref, _, dropped = ref_bracket(_dict(F), _dict(G), WIDE, WIDE_BUD)
+    assert _dict(out) == ref
+    assert make_key(4, k=(top - 1, 0, 0, 0), beta={last: 1}) in ref
+    # the 56 z-zbar products with |k| = 2 k_max are dropped and counted
+    assert dropped > 56 * 0.5
+    assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12)
+    assert all(abs(v) <= top for key in out.terms for v in key.k)
