@@ -1,12 +1,13 @@
 """Text configuration: ``key = value`` lines under ``[section]`` headers.
 
-Unknown keys, type mismatches and constraint violations are collected with
-the offending line number and raised together, so a bad file reports every
-problem at once.
+Unknown keys, type mismatches (a float must be finite: nan and inf are
+rejected) and constraint violations are collected with the offending line
+number and raised together, so a bad file reports every problem at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .series import Budgets
@@ -78,17 +79,24 @@ _SCHEMA = {
 }
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _parse_value(kind, raw):
     if kind == "str":
         return raw
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "intlist":
         return tuple(int(v) for v in raw.replace(",", " ").split())
     if kind == "floatlist":
-        return tuple(float(v) for v in raw.replace(",", " ").split())
+        return tuple(_finite(v) for v in raw.replace(",", " ").split())
     raise AssertionError(kind)
 
 
@@ -141,7 +149,7 @@ def parse_config(text):
             values[section][key] = _parse_value(kind, raw_val)
         except ValueError:
             problems.append("line %d: key '%s' expects %s, got %r"
-                            % (lineno, key, kind, raw_val))
+                            % (lineno, key, kind.replace("float", "finite float"), raw_val))
 
     cfg = RunConfig(values, text)
     problems.extend(_validate(cfg))

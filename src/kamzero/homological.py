@@ -16,22 +16,29 @@ corrections between classes are evaluated with the series engine's own
 Poisson bracket rather than hand-coded, so the solution is consistent with
 the bracket by construction; ``hom_residual`` certifies it.
 
+The solve works on key rows: a row's class comes from column sums (action
+degree, zero-mode and tail z-degree), the scalar classes are divided row
+by row, and each block family reads its right sides and writes its
+solution through a *slot layout* (its key rows in the operator's order).
+
 The module also holds the one catalogue of small-divisor conditions
 (``condition_catalogue`` over the l1 lattice ``k_lattice``): families KL,
-R1, R3 and R4 with their thresholds.  ``check_nonresonance`` evaluates it
-at one parameter sample (the solver gate), ``measure.estimate_excluded``
-over a parameter grid.
+R1, R3 and R4, each with its block operator, scale and exponent named once
+in ``FAMILY_TABLE``.  ``check_nonresonance`` evaluates it at one parameter
+sample (the solver gate), ``measure.estimate_excluded`` over a parameter
+grid, and the solver's divisor guards read the same thresholds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .matrixkit import SingularSystem, commutation_matrix, det_modulus, kron, solve_dense, unvec, vec
-from .series import TFSeries, make_key, poisson_bracket, vector_field_norm
+from .series import TFSeries, poisson_bracket, vector_field_norm
 
 
 class BudgetExhausted(Exception):
@@ -86,109 +93,114 @@ class NormalForm:
                    np.zeros((b, b), dtype=complex), np.zeros((b, b), dtype=complex),
                    np.zeros((b, b), dtype=complex))
 
-    def copy(self):
-        return NormalForm(self.Nx, self.omega.copy(), dict(self.Omega),
-                          self.Nz0.copy(), self.Nzb0.copy(), self.Nz0z0.copy(),
-                          self.Nz0zb0.copy(), self.Nzb0zb0.copy())
-
     @property
     def b(self):
         return len(self.Nz0)
 
     def accumulate(self, hat):
         """N + Nhat: frequency updates and block sums for the next step."""
-        out = self.copy()
-        out.Nx = self.Nx + hat.Nx
-        out.omega = self.omega + hat.omega
+        Omega = dict(self.Omega)
         for j, v in hat.Omega.items():
-            out.Omega[j] = out.Omega.get(j, 0.0) + v
-        out.Nz0 = self.Nz0 + hat.Nz0
-        out.Nzb0 = self.Nzb0 + hat.Nzb0
-        out.Nz0z0 = self.Nz0z0 + hat.Nz0z0
-        out.Nz0zb0 = self.Nz0zb0 + hat.Nz0zb0
-        out.Nzb0zb0 = self.Nzb0zb0 + hat.Nzb0zb0
-        return out
-
-    def max_block_abs(self):
-        vals = [np.abs(self.Nz0).max(initial=0.0), np.abs(self.Nzb0).max(initial=0.0),
-                np.abs(self.Nz0z0).max(initial=0.0), np.abs(self.Nz0zb0).max(initial=0.0),
-                np.abs(self.Nzb0zb0).max(initial=0.0)]
-        return max(vals)
+            Omega[j] = Omega.get(j, 0.0) + v
+        return NormalForm(self.Nx + hat.Nx, self.omega + hat.omega, Omega, self.Nz0 + hat.Nz0,
+                          self.Nzb0 + hat.Nzb0, self.Nz0z0 + hat.Nz0z0,
+                          self.Nz0zb0 + hat.Nz0zb0, self.Nzb0zb0 + hat.Nzb0zb0)
 
     def to_series(self, dims, budgets, real=True):
         """Expand the structured block into a TFSeries."""
-        terms = {}
-        n = dims.n
-        zm = dims.zero_modes
-        if self.Nx != 0:
-            terms[make_key(n)] = complex(self.Nx)
-        for bidx in range(n):
-            w = self.omega[bidx]
-            if w != 0:
-                alpha = tuple(1 if i == bidx else 0 for i in range(n))
-                terms[make_key(n, alpha=alpha)] = complex(w)
-        for j, om in self.Omega.items():
-            if om != 0:
-                terms[make_key(n, beta={j: 1}, gamma={j: 1})] = complex(om)
-        for i, mode in enumerate(zm):
-            if self.Nz0[i] != 0:
-                terms[make_key(n, beta={mode: 1})] = complex(self.Nz0[i])
-            if self.Nzb0[i] != 0:
-                terms[make_key(n, gamma={mode: 1})] = complex(self.Nzb0[i])
-        b = self.b
-        for i in range(b):
-            for l in range(b):
-                S = self.Nz0z0[i, l]
-                if S != 0 and l >= i:
-                    coef = S if i == l else self.Nz0z0[i, l] + self.Nz0z0[l, i]
-                    key = make_key(n, beta=((zm[i], 1), (zm[l], 1)) if i != l else {zm[i]: 2})
-                    terms[key] = terms.get(key, 0j) + complex(coef)
-                T = self.Nzb0zb0[i, l]
-                if T != 0 and l >= i:
-                    coef = T if i == l else self.Nzb0zb0[i, l] + self.Nzb0zb0[l, i]
-                    key = make_key(n, gamma=((zm[i], 1), (zm[l], 1)) if i != l else {zm[i]: 2})
-                    terms[key] = terms.get(key, 0j) + complex(coef)
-                M = self.Nz0zb0[i, l]
-                if M != 0:
-                    key = make_key(n, beta={zm[l]: 1}, gamma={zm[i]: 1})
-                    terms[key] = terms.get(key, 0j) + complex(M)
-        return TFSeries(dims, budgets, terms, real=real)
+        values = np.concatenate([[self.Nx], self.omega,
+                                 [self.Omega.get(j, 0.0) for j in dims.tail_modes],
+                                 self.Nz0, self.Nzb0, vec(self.Nz0z0), vec(self.Nz0zb0),
+                                 vec(self.Nzb0zb0)])
+        return TFSeries.from_rows(dims, budgets, _nf_slots(dims)[0], values, real)
 
 
 # ---------------------------------------------------------------------------
-# key classification
+# key rows: classes and slot layouts
 # ---------------------------------------------------------------------------
 
-def _key_class(key, zero_set):
-    """Class tag of a low-degree key: which Part of the solve owns it."""
-    nb = sum(e for _, e in key.beta)
-    ng = sum(e for _, e in key.gamma)
-    na = sum(key.alpha)
-    if na == 1 and nb == 0 and ng == 0:
-        return "y"
-    if na == 0 and nb == 0 and ng == 0:
-        return "x"
-    bz = sum(e for m, e in key.beta if m in zero_set)
-    gz = sum(e for m, e in key.gamma if m in zero_set)
-    bt, gt = nb - bz, ng - gz
-    if nb + ng == 1:
-        if bz:
-            return "z0"
-        if gz:
-            return "zb0"
-        return "z" if bt else "zb"
-    if nb + ng == 2:
-        if bz + gz == 2:
-            return {(2, 0): "z0z0", (1, 1): "z0zb0", (0, 2): "zb0zb0"}[(bz, gz)]
-        if bz + gz == 1:
-            if bz:
-                return "z0z" if bt else "z0zb"
-            return "zb0z" if bt else "zb0zb"
-        return {(2, 0): "zz", (1, 1): "zzb", (0, 2): "zbzb"}[(bt, gt)]
-    raise ValueError("key %r is not low degree" % (key,))
+# class tags 100 * (action degree) + 10 * (zero-mode z-degree) + (tail z-degree)
+_X, _Y, _Z0, _T, _Z0Z0, _Z0T, _TT = 0, 100, 10, 1, 20, 11, 2
 
 
-_PRESERVED_AT_K0 = {"x", "y", "z0", "zb0", "z0z0", "z0zb0", "zb0zb0"}
+def _classes(S, dims):
+    """The rows of the low-degree series S and the class tag of each."""
+    n, b, nm = dims.n, dims.b, len(dims.modes)
+    rows = S.rows
+    na = rows[:, n:2 * n].sum(axis=1)
+    z = rows[:, 2 * n:2 * n + nm] + rows[:, 2 * n + nm:]
+    nz0, nt = z[:, :b].sum(axis=1), z[:, b:].sum(axis=1)
+    if np.any(2 * na + nz0 + nt > 2):
+        raise ValueError("the series has terms above degree 2")
+    return rows, 100 * na + 10 * nz0 + nt
+
+
+def _unique_rows(rows):
+    """The distinct rows, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
+
+
+def _key_rows(dims, count, *cols):
+    """``count`` key rows at k = 0, each exponent column ``cols[c][s]`` of
+    row s raised by one."""
+    rows = np.zeros((count, 2 * dims.n + 2 * len(dims.modes)), dtype=np.int16)
+    for c in cols:
+        np.add.at(rows, (np.arange(count), c), 1)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _layout(dims, block, j=None):
+    """Slot layout of block family 'A', 'B' (at tail mode j) or 'C'.
+
+    Returns the key rows (at k = 0) of the operator's unknown vector in its
+    order, and the read weights, both read-only (the layouts are cached).  In
+    family A the slots l*b + i of each b x b block hold entry (i, l) (column
+    straightening); the two slots of an off-diagonal symmetric pair z_i z_l
+    share one monomial, so each reads half its coefficient and writing sums
+    them back onto it.
+    """
+    n, b, nm = dims.n, dims.b, len(dims.modes)
+    z, zb = 2 * n + np.arange(b), 2 * n + nm + np.arange(b)
+    if block == "A":
+        i, l = np.tile(np.arange(b), b), np.repeat(np.arange(b), b)
+        half = np.where(i == l, 1.0, 0.5)
+        return _read_only(_key_rows(dims, 3 * b * b, np.concatenate([z[i], z[l], zb[i]]),
+                                    np.concatenate([z[l], zb[i], zb[l]])),
+                          np.concatenate([half, np.ones(b * b), half]))
+    if block == "B":
+        t = 2 * n + dims.modes.index(j)
+        return _read_only(_key_rows(dims, 4 * b, np.concatenate([z, z, zb, zb]),
+                                    np.repeat([t, t + nm, t, t + nm], b)), np.ones(4 * b))
+    return _read_only(_key_rows(dims, 2 * b, np.concatenate([z, zb])), np.ones(2 * b))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _nf_slots(dims):
+    """Slot layout of a NormalForm, read-only like ``_layout``: Nx, omega
+    (y_b), Omega (z_j zbar_j on the tail), then Nz0/Nzb0 (family C) and the
+    three quadratic blocks (family A), all at k = 0."""
+    n, nt = dims.n, len(dims.tail_modes)
+    tail = 2 * n + dims.b + np.arange(nt)
+    c_rows, c_w = _layout(dims, "C")
+    a_rows, a_w = _layout(dims, "A")
+    rows = np.concatenate([_key_rows(dims, 1), _key_rows(dims, n, n + np.arange(n)),
+                           _key_rows(dims, nt, tail, tail + len(dims.modes)), c_rows, a_rows])
+    return _read_only(rows, np.concatenate([np.ones(1 + n + nt), c_w, a_w]))
+
+
+def _l_tuple(tail, l):
+    """The sparse ((j, l_j), ...) form of a vector l over the tail modes."""
+    return tuple((j, int(e)) for j, e in zip(tail, l) if e)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +257,44 @@ def assemble_block_operator(family, N, kvec, j=None, Omega_j=None):
 # the small-divisor condition catalogue
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("KL", "R1", "R3", "R4")
+# family: (block operator, KamParams scale, KamParams exponent); the KL
+# scale is further weighted by <l>_d (``l_weight``)
+FAMILY_TABLE = {
+    "KL": (None, "gamma_m", "tau"),
+    "R1": ("A", "gamma_1m", "tau_1"),
+    "R3": ("B", "gamma_3m", "tau_3"),
+    "R4": ("C", "gamma_4m", "tau_4"),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 _LATTICE_CAP = 6_000_000
+
+
+def _scale_tau(params, family):
+    """Threshold scale and exponent of ``family``, read from ``params`` only
+    when asked for (``gamma_3m`` overflows a float for large m at b = 2)."""
+    _, scale, tau = FAMILY_TABLE[family]
+    return getattr(params, scale), getattr(params, tau)
+
+
+def l_weight(L, tail, d):
+    """The KL weight <l>_d = max(1, |sum_j j^d l_j|) of every row l of ``L``
+    (one column per mode of ``tail``)."""
+    return np.maximum(1.0, np.abs(L @ np.array([float(j) ** d for j in tail])))
+
+
+def _kpow(kabs, tau):
+    """max(|k|, 1)^tau."""
+    return np.maximum(kabs, 1).astype(float) ** tau
+
+
+def _kl_options(t):
+    """Every l on t tail modes with 0 <= |l| <= 2, one row each, in gate order."""
+    e = np.eye(t, dtype=np.int64)
+    opts = [np.zeros(t, dtype=np.int64)] + [sign * e[a] for a in range(t) for sign in (1, -1)]
+    for a in range(t):
+        for c in range(a, t):
+            opts += [e[a] + e[c], -e[a] - e[c]] + ([e[a] - e[c], e[c] - e[a]] if a != c else [])
+    return np.array(opts).reshape(len(opts), t)
 
 
 def k_lattice(n, kmax):
@@ -308,45 +356,34 @@ def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
     conds = []
     tail = dims.tail_modes
     Om = N.Omega
-    d = params.d
     if "KL" in families:
-        lopts = [((), 0.0, 1.0)]
-        for j in tail:
-            wj = max(1.0, float(j) ** d)
-            lopts += [(((j, 1),), Om[j], wj), (((j, -1),), -Om[j], wj)]
-        for a, ja in enumerate(tail):
-            for jc in tail[a:]:
-                ld = max(1.0, float(ja ** d + jc ** d))
-                lv = ((ja, 2),) if ja == jc else ((ja, 1), (jc, 1))
-                lopts += [(lv, Om[ja] + Om[jc], ld),
-                          (tuple((m, -e) for m, e in lv), -(Om[ja] + Om[jc]), ld)]
-                if ja != jc:
-                    ldm = max(1.0, abs(float(ja ** d - jc ** d)))
-                    lopts += [(((ja, 1), (jc, -1)), Om[ja] - Om[jc], ldm),
-                              (((ja, -1), (jc, 1)), Om[jc] - Om[ja], ldm)]
-        conds += [Condition("KL", lv, params.gamma_m * ld, params.tau, np.array([c]))
-                  for lv, c, ld in lopts]
+        L = _kl_options(len(tail))
+        shifts = L @ np.array([Om[j] for j in tail], dtype=float)
+        scale, tau = _scale_tau(params, "KL")
+        conds += [Condition("KL", _l_tuple(tail, l), float(scale * w), tau, np.array([c]))
+                  for l, c, w in zip(L, shifts, l_weight(L, tail, params.d))]
     if N.b == 0:
         return conds
     zk = np.zeros(dims.n)
+
+    def block_condition(family, j=None, l=None, kmin=1):
+        scale, tau = _scale_tau(params, family)
+        op = assemble_block_operator(FAMILY_TABLE[family][0], N, zk, j=j,
+                                     Omega_j=None if j is None else Om[j])
+        return Condition(family, l, scale, tau, np.linalg.eigvals(op), kmin)
+
     if "R1" in families:
-        conds.append(Condition("R1", None, params.gamma_1m, params.tau_1,
-                               np.linalg.eigvals(assemble_block_operator("A", N, zk))))
+        conds.append(block_condition("R1"))
     if "R3" in families:
-        for j in tail:
-            if j <= 2 * kmax:
-                B = assemble_block_operator("B", N, zk, j=j, Omega_j=Om[j])
-                conds.append(Condition("R3", ((j, 1),), params.gamma_3m, params.tau_3,
-                                       np.linalg.eigvals(B), kmin=0))
+        conds += [block_condition("R3", j, ((j, 1),), kmin=0) for j in tail if j <= 2 * kmax]
     if "R4" in families:
-        conds.append(Condition("R4", None, params.gamma_4m, params.tau_4,
-                               np.linalg.eigvals(assemble_block_operator("C", N, zk))))
+        conds.append(block_condition("R4"))
     return conds
 
 
 def k_powers(conds, kabs):
     """max(|k|, 1)^tau for every exponent tau the conditions use."""
-    return {tau: np.maximum(kabs, 1).astype(float) ** tau for tau in {c.tau for c in conds}}
+    return {tau: _kpow(kabs, tau) for tau in {c.tau for c in conds}}
 
 
 def check_nonresonance(N, params, dims, families=FAMILIES):
@@ -370,84 +407,16 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
     return failures
 
 
-# ---------------------------------------------------------------------------
-# coefficient <-> block extraction
-# ---------------------------------------------------------------------------
-
-def _pair_key(n, k, mode_a, bar_a, mode_b, bar_b):
-    beta = []
-    gamma = []
-    for mode, bar in ((mode_a, bar_a), (mode_b, bar_b)):
-        (gamma if bar else beta).append(mode)
-    bmap = {}
-    gmap = {}
-    for m in beta:
-        bmap[m] = bmap.get(m, 0) + 1
-    for m in gamma:
-        gmap[m] = gmap.get(m, 0) + 1
-    return make_key(n, k=k, beta=bmap, gamma=gmap)
-
-
-def _quad_form_matrices(series, dims, k):
-    """Read the three zero-mode quadratic form blocks at Fourier mode k."""
-    zm = dims.zero_modes
-    b = len(zm)
-    n = dims.n
-    S = np.zeros((b, b), dtype=complex)
-    M = np.zeros((b, b), dtype=complex)
-    T = np.zeros((b, b), dtype=complex)
-    for i in range(b):
-        for l in range(b):
-            if l >= i:
-                c = series.coefficient(_pair_key(n, k, zm[i], False, zm[l], False))
-                S[i, l] = S[l, i] = c if i == l else c / 2
-                c = series.coefficient(_pair_key(n, k, zm[i], True, zm[l], True))
-                T[i, l] = T[l, i] = c if i == l else c / 2
-            M[i, l] = series.coefficient(_pair_key(n, k, zm[l], False, zm[i], True))
-    return S, M, T
-
-
-def _write_quad_forms(F, dims, k, S, M, T):
-    """Write the three blocks at Fourier mode k into the term dict F."""
-    zm = dims.zero_modes
-    b = len(zm)
-    n = dims.n
-    for i in range(b):
-        for l in range(i, b):
-            cs = S[i, i] if i == l else S[i, l] + S[l, i]
-            ct = T[i, i] if i == l else T[i, l] + T[l, i]
-            if cs != 0:
-                F[_pair_key(n, k, zm[i], False, zm[l], False)] = cs
-            if ct != 0:
-                F[_pair_key(n, k, zm[i], True, zm[l], True)] = ct
-    for i in range(b):
-        for l in range(b):
-            if M[i, l] != 0:
-                F[_pair_key(n, k, zm[l], False, zm[i], True)] = M[i, l]
-
-
 def extract_hat(R_low, dims):
     """Collect the preserved k = 0 means of R_low into a NormalForm increment."""
-    n = dims.n
-    zm = dims.zero_modes
-    b = len(zm)
-    hat = NormalForm.zero(n, b)
-    k0 = (0,) * n
-    hat.Nx = R_low.coefficient(make_key(n))
-    omega_hat = np.zeros(n, dtype=float)
-    for bidx in range(n):
-        alpha = tuple(1 if i == bidx else 0 for i in range(n))
-        omega_hat[bidx] = R_low.coefficient(make_key(n, alpha=alpha)).real
-    hat.omega = omega_hat
-    for i, mode in enumerate(zm):
-        hat.Nz0[i] = R_low.coefficient(make_key(n, beta={mode: 1}))
-        hat.Nzb0[i] = R_low.coefficient(make_key(n, gamma={mode: 1}))
-    hat.Nz0z0, hat.Nz0zb0, hat.Nzb0zb0 = _quad_form_matrices(R_low, dims, k0)
-    for j in dims.tail_modes:
-        c = R_low.coefficient(make_key(n, beta={j: 1}, gamma={j: 1}))
-        if c != 0:
-            hat.Omega[j] = c.real
-    return hat
+    n, b = dims.n, dims.b
+    rows, weights = _nf_slots(dims)
+    nx, omega, Om, z0, zb0, S, M, T = np.split(
+        weights * R_low.coefficients_at(rows),
+        np.cumsum([1, n, len(dims.tail_modes), b, b, b * b, b * b]))
+    return NormalForm(complex(nx[0]), omega.real.copy(),
+                      {j: float(c.real) for j, c in zip(dims.tail_modes, Om) if c != 0},
+                      z0, zb0, unvec(S, b, b), unvec(M, b, b), unvec(T, b, b))
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +432,6 @@ class SolveReport:
     estimate_constant: float | None = None
     bracket: TFSeries | None = None     # {N, F}, formed for the residual when dp is given
 
-    def count(self, part):
-        self.solve_counts[part] = self.solve_counts.get(part, 0) + 1
-
-
-def _group_by_k(keys):
-    out = {}
-    for key in keys:
-        out.setdefault(key.k, []).append(key)
-    return out
-
 
 def solve_homological(N, R_low, params, dims, dp=None):
     """Solve {N, F} + R_low = Nhat in the six-part order.
@@ -481,173 +440,120 @@ def solve_homological(N, R_low, params, dims, dp=None):
     gamma_im / tau_i); the caller is expected to have run
     ``check_nonresonance`` first.  Divisor guards still protect every solve:
     a divisor or block determinant at or below half the matching
-    non-resonance threshold raises ResonantParameter.
+    non-resonance threshold raises ResonantParameter (the first one in part
+    order, then in row order).
 
     Returns (F, Nhat, SolveReport).  When ``dp`` is given the report
     includes the bracket {N, F}, the residual ||{N,F} + R_low - Nhat||
     certified with it, and the measured norm constant of the generating
     function.
     """
-    n = dims.n
-    zero_set = set(dims.zero_modes)
-    b = len(dims.zero_modes)
+    n, b, nm = dims.n, dims.b, len(dims.modes)
+    tail = dims.tail_modes
+    tz, tzb = slice(2 * n + b, 2 * n + nm), slice(2 * n + nm + b, None)   # tail columns
+    budgets = R_low.budgets
     report = SolveReport()
-    F = {}                        # the generating function's terms, solved part by part
     Nhat = extract_hat(R_low, dims)
-    k0 = (0,) * n
+    Om_tail = np.array([N.Omega.get(j, 0.0) for j in tail])
+    empty = (R_low.rows[:0], R_low.coefs[:0])
 
-    gamma = params.gamma_m
-    tau = params.tau
+    def lookup(rows, *series):
+        return sum(S.coefficients_at(rows) for S in series)
 
-    def kpowval(k, texp):
-        return max(1.0, float(sum(abs(v) for v in k))) ** texp
+    def guard(family, measured, thr, k, l):
+        # raise at a divisor at or below half its threshold, else record the margin
+        measured, thr = float(measured), float(thr)
+        if measured <= 0.5 * thr:
+            raise ResonantParameter(ResonanceCondition(family, tuple(map(int, k)), l, thr, measured))
+        report.min_divisor_margin = min(report.min_divisor_margin, measured / thr if thr > 0 else np.inf)
 
-    def scalar_solve(key, rhs, lvec, ld):
-        kw = float(np.dot(key.k, N.omega))
-        shift = sum(N.Omega.get(m, 0.0) * e for m, e in key.beta if m not in zero_set)
-        shift -= sum(N.Omega.get(m, 0.0) * e for m, e in key.gamma if m not in zero_set)
-        div = 1j * (kw + shift)
-        thr = gamma * ld / kpowval(key.k, tau)
-        if abs(div) <= 0.5 * thr:
-            raise ResonantParameter(ResonanceCondition("KL", key.k, lvec, thr, abs(div)))
-        report.min_divisor_margin = min(report.min_divisor_margin, abs(div) / thr)
-        return rhs / div
+    def solve_scalar(part, rows, *sources):
+        """F = rhs / i(<k, omega> + <l, Omega>) row by row, l = beta - gamma on
+        the tail, under the KL condition at l, with rhs read from the sum of
+        ``sources``; the rows with k = 0 and beta = gamma are the means Nhat
+        keeps."""
+        keep = rows[:, :n].any(axis=1) | np.any(rows[:, tz] != rows[:, tzb], axis=1)
+        rows = rows[keep]
+        if not len(rows):
+            return empty
+        k, l, rhs = rows[:, :n], rows[:, tz] - rows[:, tzb], lookup(rows, *sources)
+        div = np.vecdot(k.astype(float), N.omega) + l @ Om_tail
+        scale, tau = _scale_tau(params, "KL")
+        thr = scale * l_weight(l, tail, params.d) / _kpow(np.abs(k).sum(axis=1), tau)
+        # guard the first violation in row order, else the smallest margin
+        measured = np.abs(div)
+        bad = measured <= 0.5 * thr
+        with np.errstate(over="ignore", divide="ignore"):
+            i = np.argmax(bad) if bad.any() else np.argmin(measured / thr)
+        guard("KL", measured[i], thr[i], k[i], _l_tuple(tail, l[i]))
+        report.solve_counts[part] = len(rows)
+        # rhs / (i div) in real arithmetic
+        return rows, rhs.imag / div - 1j * (rhs.real / div)
 
-    def block_solve(family, A, rhs, k, tau_i, gamma_i, lvec=None):
-        thr = gamma_i / kpowval(k, tau_i)
-        dm = det_modulus(A)
-        fam = {"A": "R1", "B": "R3", "C": "R4"}[family]
-        if dm <= 0.5 * thr:
-            raise ResonantParameter(ResonanceCondition(fam, k, lvec, thr, dm))
-        report.min_divisor_margin = min(report.min_divisor_margin, dm / thr)
-        try:
-            return solve_dense(A, rhs, singular_tol=0.5 * thr)
-        except SingularSystem as err:
-            raise ResonantParameter(
-                ResonanceCondition(fam, k, lvec, thr, err.det_modulus)) from err
+    def solve_blocks(family, part, ks, js, *sources):
+        """One dense solve of ``family``'s block per Fourier mode ks[g] (and
+        tail mode js[g]), right sides read from the sum of ``sources``."""
+        if not len(ks):
+            return empty
+        block = FAMILY_TABLE[family][0]
+        rows = np.concatenate([_layout(dims, block, j)[0] for j in js])
+        rows[:, :n] = np.repeat(ks, len(rows) // len(ks), axis=0)
+        weights = np.concatenate([_layout(dims, block, j)[1] for j in js])
+        rhs = (weights * lookup(rows, *sources)).reshape(len(ks), -1)
+        scale, tau = _scale_tau(params, family)
+        thr = scale / _kpow(np.abs(ks).sum(axis=1), tau)
+        sol = np.empty_like(rhs)
+        for g, (k, j) in enumerate(zip(ks, js)):
+            l = None if j is None else ((int(j), 1),)
+            A = assemble_block_operator(block, N, k, j=j, Omega_j=None if j is None else N.Omega[j])
+            dm = det_modulus(A)
+            guard(family, dm, thr[g], k, l)
+            try:
+                sol[g] = solve_dense(A, rhs[g])
+            except SingularSystem as err:
+                raise ResonantParameter(ResonanceCondition(
+                    family, tuple(int(v) for v in k), l, float(thr[g]), dm)) from err
+        report.solve_counts[part] = len(ks)
+        return rows, sol.ravel()
 
-    # class buckets of the input
-    buckets = {}
-    for key, c in R_low.terms.items():
-        buckets.setdefault(_key_class(key, zero_set), {})[key] = c
+    def rows_of(tag, *classes):
+        return np.concatenate([rows[tags == tag] for rows, tags in classes])
 
-    # Part 1: zero-mode quadratics, per k != 0, straightened 3b^2 system
-    part1_ks = set()
-    for tag in ("z0z0", "z0zb0", "zb0zb0"):
-        part1_ks.update(key.k for key in buckets.get(tag, ()))
-    part1_ks.discard(k0)
-    for k in sorted(part1_ks):
-        RS, RM, RT = _quad_form_matrices(R_low, dims, k)
-        A = assemble_block_operator("A", N, np.asarray(k))
-        rhs = np.concatenate([vec(RS), vec(RM), vec(RT)])
-        sol = block_solve("A", A, rhs, k, params.tau_1, params.gamma_1m)
-        U = unvec(sol[:b * b], b, b)
-        V = unvec(sol[b * b:2 * b * b], b, b)
-        W = unvec(sol[2 * b * b:], b, b)
-        _write_quad_forms(F, dims, k, U, V, W)
-        report.count("part1")
+    def nonzero_ks(rows):
+        ks = _unique_rows(rows[:, :n])
+        return ks[ks.any(axis=1)]
 
+    def series_of(parts, real=False):
+        return TFSeries.from_rows(dims, budgets, np.concatenate([r for r, _ in parts]),
+                                  np.concatenate([c for _, c in parts]), real)
+
+    low = _classes(R_low, dims)
+    # Part 1: zero-mode quadratics, 3b^2 block per k != 0
+    ks = nonzero_ks(rows_of(_Z0Z0, low))
+    F = [solve_blocks("R1", "part1", ks, [None] * len(ks), R_low)]
     # Part 2: normal-tail quadratics, scalar divisors
-    for tag, lsign in (("zz", (1, 1)), ("zzb", (1, -1)), ("zbzb", (-1, -1))):
-        for key, c in buckets.get(tag, {}).items():
-            modes = [(m, e, +1) for m, e in key.beta if m not in zero_set]
-            modes += [(m, e, -1) for m, e in key.gamma if m not in zero_set]
-            lvec = tuple((m, sgn * e) for m, e, sgn in modes)
-            if key.k == k0 and tag == "zzb" and len(key.beta) == 1 and key.beta == key.gamma:
-                continue  # diagonal mean, preserved in Nhat
-            ld = max(1.0, abs(sum(float(m) ** params.d * e for m, e in lvec)))
-            F[key] = scalar_solve(key, c, lvec, ld)
-            report.count("part2")
-
+    F.append(solve_scalar("part2", rows_of(_TT, low), R_low))
     # Part 3: mixed zero/tail quadratics, 4b block per (k, j)
-    part3 = {}
-    for tag in ("z0z", "z0zb", "zb0z", "zb0zb"):
-        for key in buckets.get(tag, ()):
-            jt = [m for m, _ in key.beta + key.gamma if m not in zero_set][0]
-            part3.setdefault((key.k, jt), None)
-    for (k, j) in sorted(part3):
-        rhs = np.zeros(4 * b, dtype=complex)
-        for slot, (zbar0, tbar) in enumerate(((False, False), (False, True),
-                                              (True, False), (True, True))):
-            for i, mode in enumerate(dims.zero_modes):
-                key = _pair_key(n, k, mode, zbar0, j, tbar)
-                rhs[slot * b + i] = R_low.coefficient(key)
-        A = assemble_block_operator("B", N, np.asarray(k), j=j, Omega_j=N.Omega[j])
-        sol = block_solve("B", A, rhs, k, params.tau_3, params.gamma_3m, lvec=((j, 1),))
-        for slot, (zbar0, tbar) in enumerate(((False, False), (False, True),
-                                              (True, False), (True, True))):
-            for i, mode in enumerate(dims.zero_modes):
-                c = sol[slot * b + i]
-                if c != 0:
-                    F[_pair_key(n, k, mode, zbar0, j, tbar)] = c
-        report.count("part3")
+    rows = rows_of(_Z0T, low)
+    groups = _unique_rows(np.column_stack([rows[:, :n], (rows[:, tz] + rows[:, tzb]) @ np.arange(len(tail))]))
+    F.append(solve_blocks("R3", "part3", groups[:, :n], [tail[p] for p in groups[:, n]], R_low))
 
     # corrections for parts 4/5 come from the bracket with what is solved
-    N_series = N.to_series(dims, R_low.budgets)
-    corr = poisson_bracket(N_series, TFSeries(dims, R_low.budgets, F))
-
-    def rhs_with_corr(key):
-        return R_low.coefficient(key) + corr.coefficient(key)
-
+    N_series = N.to_series(dims, budgets)
+    corr = poisson_bracket(N_series, series_of(F))
+    both = (low, _classes(corr, dims))
     # Part 4: zero-mode linears, 2b block per k != 0
-    part4_ks = set()
-    for src in (buckets.get("z0", ()), buckets.get("zb0", ())):
-        part4_ks.update(key.k for key in src)
-    for key in corr.terms:
-        if _key_class_safe(key, zero_set) in ("z0", "zb0"):
-            part4_ks.add(key.k)
-    part4_ks.discard(k0)
-    for k in sorted(part4_ks):
-        rhs = np.zeros(2 * b, dtype=complex)
-        for i, mode in enumerate(dims.zero_modes):
-            rhs[i] = rhs_with_corr(make_key(n, k=k, beta={mode: 1}))
-            rhs[b + i] = rhs_with_corr(make_key(n, k=k, gamma={mode: 1}))
-        A = assemble_block_operator("C", N, np.asarray(k))
-        sol = block_solve("C", A, rhs, k, params.tau_4, params.gamma_4m)
-        for i, mode in enumerate(dims.zero_modes):
-            if sol[i] != 0:
-                F[make_key(n, k=k, beta={mode: 1})] = sol[i]
-            if sol[b + i] != 0:
-                F[make_key(n, k=k, gamma={mode: 1})] = sol[b + i]
-        report.count("part4")
-
+    ks = nonzero_ks(rows_of(_Z0, *both))
+    part4 = solve_blocks("R4", "part4", ks, [None] * len(ks), R_low, corr)
+    F.append(part4)
     # Part 5: tail linears, scalar divisors, corrected by part 3
-    part5 = set()
-    for src in (buckets.get("z", ()), buckets.get("zb", ())):
-        part5.update(src)
-    for key in corr.terms:
-        if _key_class_safe(key, zero_set) in ("z", "zb"):
-            part5.add(key)
-    for key in sorted(part5):
-        barred = bool(key.gamma)
-        j = (key.gamma if barred else key.beta)[0][0]
-        lvec = ((j, -1 if barred else 1),)
-        ld = max(1.0, float(j) ** params.d)
-        val = scalar_solve(key, rhs_with_corr(key), lvec, ld)
-        if val != 0:
-            F[key] = val
-        report.count("part5")
+    F.append(solve_scalar("part5", _unique_rows(rows_of(_T, *both)), R_low, corr))
+    # Part 6: y, then x coefficients; x corrected by part 4
+    corr6 = poisson_bracket(N_series, series_of([part4]))
+    rows = np.concatenate([rows_of(_Y, low), _unique_rows(rows_of(_X, low, _classes(corr6, dims)))])
+    F.append(solve_scalar("part6", rows, R_low, corr6))
 
-    # Part 6: x and y coefficients; x corrected by part 4
-    for key, c in buckets.get("y", {}).items():
-        if key.k == k0:
-            continue
-        F[key] = scalar_solve(key, c, (), 1.0)
-        report.count("part6")
-    zero_linear = {key: c for key, c in F.items()
-                   if _key_class_safe(key, zero_set) in ("z0", "zb0")}
-    corr6 = poisson_bracket(N_series, TFSeries(dims, R_low.budgets, zero_linear))
-    part6_ks = set(key.k for key in buckets.get("x", ()))
-    part6_ks.update(key.k for key in corr6.terms if _key_class_safe(key, zero_set) == "x")
-    part6_ks.discard(k0)
-    for k in sorted(part6_ks):
-        key = make_key(n, k=k)
-        val = scalar_solve(key, R_low.coefficient(key) + corr6.coefficient(key), (), 1.0)
-        if val != 0:
-            F[key] = val
-        report.count("part6")
-
-    F = TFSeries(dims, R_low.budgets, F, real=R_low.real)
+    F = series_of(F, R_low.real)
     F.prune()
     if dp is not None:
         report.bracket = poisson_bracket(N_series, F)
@@ -657,19 +563,12 @@ def solve_homological(N, R_low, params, dims, dp=None):
         if rnorm > 0 and report.xF_norm > 0:
             # log space: the K power can dwarf double range for b >= 2
             kd = max(params.K_m, 1.0)
-            kexp = (10 * b * b + 2) * tau + 10 * b * b
-            logc = (np.log(report.xF_norm) + 6 * np.log(gamma)
+            kexp = (10 * b * b + 2) * params.tau + 10 * b * b
+            logc = (np.log(report.xF_norm) + 6 * np.log(params.gamma_m)
                     - kexp * np.log(kd) + (n + 1) * np.log(params.s_gap)
                     - np.log(rnorm))
             report.estimate_constant = float(np.exp(logc)) if logc < 700 else np.inf
     return F, Nhat, report
-
-
-def _key_class_safe(key, zero_set):
-    try:
-        return _key_class(key, zero_set)
-    except ValueError:
-        return None
 
 
 def hom_residual(NF, R_low, Nhat, dp, dims):

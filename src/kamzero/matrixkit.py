@@ -57,26 +57,26 @@ def det_modulus(M):
     return float(np.exp(logdet))
 
 
-def solve_dense(M, rhs, singular_tol=0.0, cond_guard=1e12):
+def solve_dense(M, rhs, cond_guard=1e12):
     """Solve M x = rhs with partial pivoting.
 
-    Raises SingularSystem when |det M| falls at or below ``singular_tol``
-    or when the condition estimate exceeds ``cond_guard`` (conservative
-    exclusion of near-resonant systems).
+    Raises SingularSystem when the condition estimate exceeds ``cond_guard``
+    (conservative exclusion of near-resonant systems) or when M is exactly
+    singular.  The determinant is only formed to report a failure, so a
+    caller that has already checked it pays for it once.
     """
     M = np.asarray(M, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     if M.shape[0] != M.shape[1]:
         raise ValueError("solve needs a square matrix")
-    dm = det_modulus(M)
-    if dm <= singular_tol:
-        raise SingularSystem(dm)
     if cond_guard is not None and M.shape[0] > 0:
         c = np.linalg.cond(M)
         if not np.isfinite(c) or c > cond_guard:
-            raise SingularSystem(dm, "ill-conditioned linear system")
-    x = np.linalg.solve(M, rhs)
-    return x
+            raise SingularSystem(det_modulus(M), "ill-conditioned linear system")
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystem(det_modulus(M)) from None
 
 
 def op_norm(M, tol=1e-10, max_iter=500, seed=7):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -174,19 +174,6 @@ class DomainParams:
         return DomainParams(self.s, r, self.a, self.p)
 
 
-@dataclass
-class Frequencies:
-    """Tangential and normal frequencies at one parameter sample."""
-
-    omega: np.ndarray
-    Omega: dict
-    d: int = 2
-    delta: float = 0.0
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-
-
 def mode_weight(j, dp):
     """Sequence-space weight w_j = j^p e^{aj} (the j = 0 mode has weight 1)."""
     if j == 0:
@@ -201,8 +188,10 @@ class TFSeries:
     a beta and a gamma column per mode of ``dims.modes``) and ``coefs`` are
     the only store: rows unique and in lexicographic order, no coefficient
     zero.  ``TFSeries(dims, budgets, terms)`` packs a ``MonomialKey ->
-    complex`` mapping, and ``terms`` is the read-only view back, built on
-    first use.  Arithmetic returns fresh series and never mutates its inputs
+    complex`` mapping and ``TFSeries.from_rows`` takes the arrays;
+    ``coefficients_at`` reads the coefficients at given key rows, and
+    ``terms`` is the read-only view back, built on first use.  Arithmetic
+    returns fresh series and never mutates its inputs
     (only ``prune`` drops terms in place), so series are safe to share
     between threads.  ``meta`` carries operation bookkeeping: combining
     operations set ``meta['dropped_mass']`` to the l^1 coefficient mass
@@ -233,6 +222,17 @@ class TFSeries:
     def _set(self, dims, budgets, rows, coefs, real):
         self.dims, self.budgets, self.rows, self.coefs = dims, budgets, rows, coefs
         self.real, self.meta, self._terms = real, {}, None
+
+    @classmethod
+    def from_rows(cls, dims, budgets, rows, coefs, real=False):
+        """Series from key rows ``[k | alpha | beta | gamma]`` in any order and
+        their coefficients; repeated rows are summed in the given order and
+        zero sums dropped."""
+        coefs = np.asarray(coefs, dtype=complex)
+        rows = np.asarray(rows, dtype=np.int16).reshape(len(coefs), 2 * dims.n + 2 * len(dims.modes))
+        new = cls.__new__(cls)
+        new._set(dims, budgets, *_canonical(rows, coefs), real)
+        return new
 
     @classmethod
     def _of(cls, like, rows, coefs, real):
@@ -282,6 +282,22 @@ class TFSeries:
 
     def coefficient(self, key):
         return self.terms.get(key, 0j)
+
+    def coefficients_at(self, rows):
+        """Coefficients at the key ``rows`` (0 where a key is absent).
+
+        A binary search on the sorted rows, each compared column by column as
+        one structured record, so it is exact at any column range and copies
+        nothing of the series.
+        """
+        out = np.zeros(len(rows), dtype=complex)
+        if len(self) and len(rows):
+            rows = np.ascontiguousarray(rows, dtype=np.int16)
+            store = _records(np.ascontiguousarray(self.rows))
+            pos = np.minimum(np.searchsorted(store, _records(rows)), len(self) - 1)
+            hit = np.all(self.rows[pos] == rows, axis=1)
+            out[hit] = self.coefs[pos[hit]]
+        return out
 
     def max_abs(self):
         return float(np.abs(self.coefs).max()) if len(self) else 0.0
@@ -403,6 +419,17 @@ def _degrees(rows, n):
 def _kabs(rows, n):
     """Fourier radius |k| of each row."""
     return np.abs(rows[:, :n]).sum(axis=1)
+
+
+def _records(rows):
+    """Contiguous int16 key rows viewed as one structured record each (signed,
+    column-by-column comparison: the rows' lexicographic order)."""
+    return rows.view(_record_dtype(rows.shape[1])).reshape(len(rows))
+
+
+@lru_cache(maxsize=None)
+def _record_dtype(width):
+    return np.dtype([("c%d" % c, np.int16) for c in range(width)])
 
 
 def _bounds(rows):

@@ -246,3 +246,24 @@ kmax = 2000
     err = capsys.readouterr().err
     assert "BudgetExhausted" in err
     assert "the k-lattice |k| <= 2000 in dimension 2 has 8004001 points" in err
+
+
+SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+@pytest.mark.parametrize("section,key,value", [("synthetic", "eps0", "nan"),
+                                               ("schedule", "tau", "inf"),
+                                               ("schedule", "s1", "inf"),
+                                               ("budgets", "prune_rel", "nan")])
+def test_non_finite_float_is_config_error(tmp_path, section, key, value):
+    # each of these once ended in a traceback (LinAlgError, ZeroDivisionError,
+    # ValueError) or, for the NaN prune cut, in a TorusConverged verdict
+    with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
+        text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
+    lineno = len(text.splitlines())
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(p.startswith("line %d:" % lineno) and key in p for p in err.value.problems)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5

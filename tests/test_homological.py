@@ -4,10 +4,10 @@ import pytest
 from kamzero.driver import BaseParams, realify, schedule
 from kamzero.homological import (BudgetExhausted, NormalForm, ResonantParameter,
                                  assemble_block_operator, check_nonresonance,
-                                 extract_hat, hom_residual, k_lattice,
-                                 solve_homological)
-from kamzero.homological import _quad_form_matrices, _write_quad_forms
-from kamzero.matrixkit import det_modulus, unvec, vec
+                                 condition_catalogue, extract_hat, hom_residual,
+                                 k_lattice, k_powers, solve_homological)
+from kamzero.homological import _layout
+from kamzero.matrixkit import det_modulus, vec
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
                             fourier_truncate, key_kabs, make_key,
                             poisson_bracket, split_low_high,
@@ -126,19 +126,21 @@ def test_block_operators_match_bracket_action(b):
     zm = dims.zero_modes
     k = (1, -2)
 
-    # family A through the quadratic-form write/read maps
+    # family A through its slot layout: write (summing the symmetric pair
+    # slots onto one monomial), bracket, read back with the half weights
     U = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
     U = 0.5 * (U + U.T)
     V = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
     W = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
     W = 0.5 * (W + W.T)
-    terms = {}
-    _write_quad_forms(terms, dims, k, U, V, W)
-    img = poisson_bracket(Nser, TFSeries(dims, bud, terms))
-    RU, RM, RT = _quad_form_matrices(img, dims, k)
+    slots, weights = _layout(dims, "A")
+    rows = slots.copy()
+    rows[:, :n] = k
+    x = np.concatenate([vec(U), vec(V), vec(W)])
+    img = poisson_bracket(Nser, TFSeries.from_rows(dims, bud, rows, x))
     A = assemble_block_operator("A", N, np.asarray(k))
-    pred = A @ np.concatenate([vec(U), vec(V), vec(W)])
-    got = -np.concatenate([vec(RU), vec(RM), vec(RT)])
+    pred = A @ x
+    got = -weights * img.coefficients_at(rows)
     assert np.abs(pred - got).max() <= 1e-12
 
     # families B and C by probing basis monomials
@@ -265,6 +267,23 @@ def test_residual_oracle(b, seed):
     assert np.isfinite(rep.estimate_constant) or rep.estimate_constant is None
 
 
+def test_solver_without_tail_modes():
+    # jmax = the last zero mode leaves no tail: parts 2, 3 and 5 are empty
+    dims = SeriesDims(2, (), (1,), 1)
+    assert dims.tail_modes == ()
+    bud = Budgets(6, 16)
+    rng = np.random.default_rng(3)
+    N = make_nf(dims, rng)
+    params = step_params(1, gamma1=1e-3)
+    R_low, _ = split_low_high(random_low_perturbation(dims, bud, rng, nterms=20))
+    R_low, _, _ = fourier_truncate(R_low, 6.0)
+    dp = DomainParams(params.s_m, 0.3, 0.1, 1.0)
+    assert check_nonresonance(N, params, dims) == []
+    F, hat, rep = solve_homological(N, R_low, params, dims, dp=dp)
+    assert rep.solve_counts["part1"] > 0 and rep.solve_counts["part4"] > 0
+    assert rep.residual <= 1e-9 * vector_field_norm(R_low, dp)
+
+
 def test_block_solver_reduces_to_diagonal_formulas():
     # with all zero-mode blocks zero the coupled families must coincide with
     # the scalar divisor formulas coefficientwise
@@ -297,6 +316,58 @@ def test_injected_resonance_raises():
     R = TFSeries(dims, bud, {make_key(2, k=(1, -2), alpha=(1, 0)): 1e-4})  # <k,omega> = 0
     with pytest.raises(ResonantParameter):
         solve_homological(N, R, params, dims)
+
+
+@pytest.mark.parametrize("term,shift,family,l", [
+    (dict(alpha=(1, 0)), 0.0, "KL", ()),                               # y
+    (dict(beta={3: 1}), 9.0, "KL", ((3, 1),)),                         # tail linear
+    (dict(beta={3: 1}, gamma={5: 1}), -16.0, "KL", ((3, 1), (5, -1))),  # tail quadratic
+    (dict(beta={5: 1}, gamma={3: 1}), 16.0, "KL", ((3, -1), (5, 1))),
+    (dict(beta={1: 2}), 0.0, "R1", None),                              # z0 z0
+    (dict(beta={1: 1, 3: 1}), 9.0, "R3", ((3, 1),)),                   # z0 z_j
+    (dict(beta={1: 1}), 0.0, "R4", None),                              # z0
+])
+def test_guard_thresholds_are_the_catalogue_thresholds(term, shift, family, l):
+    # zero blocks and <k, omega> = -shift at k = (1, -2), so the one term's
+    # divisor or block determinant vanishes exactly
+    dims = make_dims(1)
+    bud = Budgets(6, 16)
+    N = NormalForm.zero(2, 1)
+    N.omega = np.array([2.0 - shift, 1.0])
+    N.Omega = {j: float(j * j) for j in dims.tail_modes}
+    params = step_params(1, gamma1=0.05)
+    k = (1, -2)
+    R = TFSeries(dims, bud, {make_key(2, k=k, **term): 1e-4 + 0j})
+    with pytest.raises(ResonantParameter) as err:
+        solve_homological(N, R, params, dims)
+    got = err.value.condition
+    assert (got.family, got.k, got.l, got.measured) == (family, k, l, 0.0)
+    cond = [c for c in condition_catalogue(N, params, dims, params.K_m)
+            if c.family == family and c.l == l]
+    assert len(cond) == 1
+    cond = cond[0]
+    assert got.threshold == cond.scale / k_powers([cond], np.array([3]))[cond.tau][0]
+
+
+def test_normal_form_round_trips_through_its_series():
+    rng = np.random.default_rng(21)
+    dims = make_dims(2, jmax=7)
+    bud = Budgets(6, 16)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    N = NormalForm.zero(2, 2)
+    N.Nx = complex(cplx(1)[0])
+    N.omega = rng.standard_normal(2)
+    N.Omega = {j: float(rng.standard_normal()) for j in dims.tail_modes}
+    N.Nz0, N.Nzb0 = cplx(2), cplx(2)
+    S, T = cplx(2, 2), cplx(2, 2)
+    N.Nz0z0, N.Nz0zb0, N.Nzb0zb0 = S + S.T, cplx(2, 2), T + T.T
+    hat = extract_hat(N.to_series(dims, bud), dims)
+    assert hat.Nx == N.Nx and hat.Omega == N.Omega
+    for name in ("omega", "Nz0", "Nzb0", "Nz0z0", "Nz0zb0", "Nzb0zb0"):
+        assert np.array_equal(getattr(hat, name), getattr(N, name)), name
 
 
 def test_hat_collects_k0_means():

@@ -90,7 +90,7 @@ def test_solve_dense_residual_and_roundtrip():
 def test_solve_dense_singular_raises_with_det():
     M = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystem) as err:
-        solve_dense(M, np.ones(2), singular_tol=1e-12)
+        solve_dense(M, np.ones(2))
     assert err.value.det_modulus <= 1e-12
 
 

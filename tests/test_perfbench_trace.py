@@ -4,7 +4,9 @@
 kamzero module and refuses to run if an untraced reference is left behind,
 so a refactor that hides one of those functions breaks the traced run.  The
 bracket's sizing counts read each operand's ``terms`` view, so a view the
-tracer cannot walk shows up as zero generated rows.
+tracer cannot walk shows up as zero generated rows; the solver's count
+reads ``solve_counts`` from the third item of its return value, so a changed
+return shape shows up here too.
 """
 
 import os
@@ -24,7 +26,8 @@ tracer.install(kamzero)
 code = cli.main(["run", "--config", "configs/synthetic.cfg", "--out", sys.argv[1]])
 stats = tracer.layer_stats()
 print(code, stats["driver.kam_step"]["calls"], stats["series.poisson_bracket"]["calls"],
-      stats["series.poisson_bracket"]["rows_generated"])
+      stats["series.poisson_bracket"]["rows_generated"],
+      stats["homological.solve_homological"]["solves"])
 """
 
 
@@ -35,8 +38,9 @@ def test_tracer_installs_and_counts_kam_steps(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, steps, brackets, rows = proc.stdout.split()[-4:]
+    code, steps, brackets, rows, solves = proc.stdout.split()[-5:]
     assert code == "0"
     assert int(steps) > 0
     assert int(brackets) > 0
     assert int(rows) > 0
+    assert int(solves) > 0

@@ -13,6 +13,7 @@ rounding, bounded by 1e-14 of the l1 mass of its summands.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from kamzero.driver import realify
@@ -307,3 +308,19 @@ def test_wide_keys_at_the_fourier_budget_never_wrap():
     assert dropped > 56 * 0.5
     assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12)
     assert all(abs(v) <= top for key in out.terms for v in key.k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(series(FLOATS, max_size=12), series(FLOATS, max_size=12),
+       series(DYADIC, WIDE, WIDE_BUD, kspread=4000, max_size=6),
+       series(DYADIC, WIDE, WIDE_BUD, kspread=4000, max_size=6))
+def test_coefficients_at_and_from_rows_match_the_terms_view(F, G, P, Q):
+    # lookups of present and absent keys, in any order, on narrow and on
+    # wide (beyond one 63-bit code word) key ranges
+    for A, B in ((F, G), (P, Q)):
+        rows = np.concatenate([B.rows[::-1], A.rows[::-1]])
+        keys = [key for S in (B, A) for key in reversed(list(S.terms))]
+        assert A.coefficients_at(rows).tolist() == [A.terms.get(key, 0j) for key in keys]
+        twice = TFSeries.from_rows(A.dims, A.budgets, np.tile(A.rows[::-1], (2, 1)),
+                                   np.tile(A.coefs[::-1], 2))
+        assert _dict(twice) == {key: 2 * c for key, c in A.terms.items()}
