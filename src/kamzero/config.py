@@ -191,6 +191,12 @@ def _validate(cfg):
             problems.append("[model] xi must list one action per site")
         elif any(x <= 0 for x in xi):
             problems.append("[model] xi entries must be positive")
+        if any(not 1 <= j <= v["model"]["jmax"] for j in sites):
+            problems.append("[model] sites must lie in 1..jmax = %d" % v["model"]["jmax"])
+        if len(set(sites)) != len(sites):
+            problems.append("[model] sites must be distinct")
+        if v["model"]["taylor_depth"] < 0:
+            problems.append("[model] taylor_depth must be >= 0")
         n = len(sites)
     else:
         n = v["synthetic"]["n"]

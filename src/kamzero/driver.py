@@ -38,8 +38,7 @@ from .homological import (BudgetExhausted, NormalForm, ResonantParameter,
                           check_nonresonance, solve_homological)
 from .matrixkit import op_norm
 from .series import (DomainParams, TFSeries, fourier_truncate, lie_series,
-                     make_key, poisson_bracket, realify, split_low_high,
-                     vector_field_norm)
+                     poisson_bracket, realify, split_low_high, vector_field_norm)
 
 
 class PremiseFailed(Exception):
@@ -93,18 +92,19 @@ class KamParams:
     def d(self):
         return self.base.d
 
-    # per-family thresholds; m = 1 reduces every gamma_im to gamma_1
+    # per-family thresholds; m = 1 reduces every gamma_im to gamma_1, and a
+    # float power underflows where m ** (e b^4) would overflow a float
     @property
     def gamma_1m(self):
-        return self.gamma_m / self.m ** (18 * self.base.b ** 4)
+        return self.gamma_m * float(self.m) ** -(18 * self.base.b ** 4)
 
     @property
     def gamma_3m(self):
-        return self.gamma_m / self.m ** (32 * self.base.b ** 4)
+        return self.gamma_m * float(self.m) ** -(32 * self.base.b ** 4)
 
     @property
     def gamma_4m(self):
-        return self.gamma_m / self.m ** (8 * self.base.b ** 4)
+        return self.gamma_m * float(self.m) ** -(8 * self.base.b ** 4)
 
     @property
     def tau_1(self):
@@ -590,60 +590,47 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
         N.Nzb0zb0 = S.conj()
         N.Nz0zb0 = M
 
-    terms = {}
-    modes = dims.modes
-
-    def rand_k():
-        k = rng.integers(-kspread, kspread + 1, size=n)
-        return tuple(int(v) for v in k)
+    # each drawn term is one key row [k | alpha | beta | gamma]; a beta or
+    # gamma column is the position of its mode in dims.modes
+    nmodes = len(dims.modes)
+    beta, gamma = 2 * n, 2 * n + nmodes
+    rows = np.zeros((n_low + n_high, gamma + nmodes), dtype=np.int16)
+    coefs = []
 
     def rand_coef():
         return complex(rng.standard_normal(), rng.standard_normal())
 
-    for _ in range(n_low):
-        k = rand_k()
+    for row in rows[:n_low]:
+        row[:n] = rng.integers(-kspread, kspread + 1, size=n)
         kind = rng.integers(0, 6)
         if kind == 0 and n:
-            alpha = tuple(1 if i == rng.integers(0, n) else 0 for i in range(n))
-            key = make_key(n, k=k, alpha=alpha)
-        elif kind == 1:
-            key = make_key(n, k=k)
-        elif kind == 2:
-            m1 = modes[rng.integers(0, len(modes))]
-            key = make_key(n, k=k, beta={m1: 1})
-        elif kind == 3:
-            m1 = modes[rng.integers(0, len(modes))]
-            key = make_key(n, k=k, gamma={m1: 1})
+            row[n:beta] = [i == rng.integers(0, n) for i in range(n)]
+        elif kind in (2, 3):
+            row[(beta if kind == 2 else gamma) + rng.integers(0, nmodes)] = 1
         elif kind == 4:
-            m1, m2 = rng.choice(len(modes), size=2)
-            bmap = {}
-            for m in (modes[m1], modes[m2]):
-                bmap[m] = bmap.get(m, 0) + 1
-            key = make_key(n, k=k, beta=bmap)
-        else:
-            m1, m2 = rng.choice(len(modes), size=2)
-            key = make_key(n, k=k, beta={modes[m1]: 1}, gamma={modes[m2]: 1})
-        terms[key] = terms.get(key, 0j) + rand_coef()
-    for _ in range(n_high):
-        k = rand_k()
-        picks = rng.choice(len(modes), size=3)
-        bmap = {}
-        for idx in picks[:2]:
-            bmap[modes[idx]] = bmap.get(modes[idx], 0) + 1
-        key = make_key(n, k=k, beta=bmap, gamma={modes[picks[2]]: 1})
-        terms[key] = terms.get(key, 0j) + rand_coef()
+            np.add.at(row, beta + rng.choice(nmodes, size=2), 1)
+        elif kind != 1:                     # kind 5, or kind 0 without angles
+            m1, m2 = rng.choice(nmodes, size=2)
+            row[[beta + m1, gamma + m2]] = 1
+        coefs.append(rand_coef())
+    for row in rows[n_low:]:
+        row[:n] = rng.integers(-kspread, kspread + 1, size=n)
+        picks = rng.choice(nmodes, size=3)
+        np.add.at(row, beta + picks[:2], 1)
+        row[gamma + picks[2]] = 1
+        coefs.append(rand_coef())
 
-    R = realify(TFSeries(dims, budgets, terms))
+    R = realify(TFSeries.from_rows(dims, budgets, rows, coefs))
     dp = dp or DomainParams(0.6, 0.25, 0.1, 1.0)
     norm = vector_field_norm(R, dp)
     if norm > 0:
         R = R * (eps0 / norm)
         R.real = True
     if inject_z0 > 0:
-        zmode = dims.zero_modes[0]
-        inject = TFSeries(dims, budgets, {make_key(n, beta={zmode: 1}): complex(inject_z0),
-                                          make_key(n, gamma={zmode: 1}): complex(inject_z0)},
-                          real=R.real)
+        # z0 and zbar0 of the first zero mode, which dims.modes lists first
+        inject = np.zeros((2, rows.shape[1]), dtype=np.int16)
+        inject[[0, 1], [beta, gamma]] = 1
+        inject = TFSeries.from_rows(dims, budgets, inject, [inject_z0] * 2, real=R.real)
         # the injected terms replace whatever R holds at their keys
         R = R.select(~(R.rows[:, None] == inject.rows).all(axis=2).any(axis=1)) + inject
     return N, R

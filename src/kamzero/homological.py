@@ -270,8 +270,7 @@ _LATTICE_CAP = 6_000_000
 
 
 def _scale_tau(params, family):
-    """Threshold scale and exponent of ``family``, read from ``params`` only
-    when asked for (``gamma_3m`` overflows a float for large m at b = 2)."""
+    """Threshold scale and exponent of ``family``, read from ``params``."""
     _, scale, tau = FAMILY_TABLE[family]
     return getattr(params, scale), getattr(params, tau)
 

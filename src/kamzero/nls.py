@@ -9,6 +9,11 @@ map omega(xi) = alpha + A xi (normal frequencies left unshifted) and a
 perturbation series on which the zero-mode parity identities can be checked
 exactly.
 
+Every stage works on the series' key rows: a monomial's class (degree,
+action or not, parity, z-degree at the zero mode) is read from its exponent
+columns.  Before the substitution the flat modes are 0..jmax in order, so
+a flat series' beta and gamma columns are indexed by the mode itself.
+
 Selection gradings: for the cosine basis the conserved integer gradings
 are mod-2 classes, (k . v0 + z-degree) mod 2 and the site-weighted version
 (sum_b k_b j_b + sum_m m (beta_m + gamma_m)) mod 2, both zero on every
@@ -19,14 +24,16 @@ conserved quantity of the folded (cosine) coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .homological import NormalForm
-from .series import (SeriesDims, TFSeries, key_degree, key_kabs,
-                     lie_transform, make_key)
+from .series import SeriesDims, TFSeries, _degrees, _kabs, lie_transform
 
 
 @dataclass
@@ -47,6 +54,10 @@ class NlsModel:
             raise ValueError("xi entries must be positive")
         if any(j < 1 or j > self.jmax for j in self.sites):
             raise ValueError("sites must lie in 1..jmax")
+        if len(set(self.sites)) != len(self.sites):
+            raise ValueError("sites must be distinct")
+        if self.taylor_depth < 0:
+            raise ValueError("taylor_depth must be >= 0")
 
     @property
     def n(self):
@@ -95,24 +106,24 @@ def quartic_hamiltonian(model, budgets):
     multiplicities (2 - delta)^2 folded into the coefficients.
     """
     dims = model.flat_dims()
-    lam = {make_key(0, beta={j: 1}, gamma={j: 1}): complex(model.lam(j))
-           for j in range(model.jmax + 1) if model.lam(j) != 0}
-    G = {}
+    width = model.jmax + 1
+    modes = np.arange(1, width)           # the zero mode has lambda = 0
+    lam = np.zeros((len(modes), 2 * width), dtype=np.int16)
+    lam[modes - 1, modes] = lam[modes - 1, width + modes] = 1
+    cols, coefs = [], []
     pairs = _multisets2(model.jmax)
     for (i, j) in pairs:
         mi = 1 if i == j else 2
         for (k, l) in pairs:
             g = g_tensor(i, j, k, l)
-            if g == 0.0:
-                continue
-            mk = 1 if k == l else 2
-            bmap = {i: 1}
-            bmap[j] = bmap.get(j, 0) + 1
-            gmap = {k: 1}
-            gmap[l] = gmap.get(l, 0) + 1
-            key = make_key(0, beta=bmap, gamma=gmap)
-            G[key] = G.get(key, 0j) + 0.25 * mi * mk * g
-    return TFSeries(dims, budgets, lam, real=True), TFSeries(dims, budgets, G, real=True)
+            if g != 0.0:
+                mk = 1 if k == l else 2
+                cols.append((i, j, width + k, width + l))
+                coefs.append(0.25 * mi * mk * g)
+    G = np.zeros((len(cols), 2 * width), dtype=np.int16)
+    np.add.at(G, (np.arange(len(cols))[:, None], np.array(cols)), 1)
+    return (TFSeries.from_rows(dims, budgets, lam, modes * modes, real=True),
+            TFSeries.from_rows(dims, budgets, G, coefs, real=True))
 
 
 @dataclass
@@ -126,11 +137,10 @@ class BirkhoffResult:
     lie_meta: dict = field(default_factory=dict)
 
 
-def _multiset_of(expmap):
-    out = []
-    for mode, exp in expmap:
-        out.extend([mode] * exp)
-    return tuple(out)
+def _is_action(rows):
+    """Rows of a flat series with beta == gamma: products of |q_j|^2."""
+    width = rows.shape[1] // 2
+    return np.all(rows[:, :width] == rows[:, width:], axis=1)
 
 
 def birkhoff_transform(model, budgets, order=None):
@@ -146,45 +156,32 @@ def birkhoff_transform(model, budgets, order=None):
     """
     lam, G = quartic_hamiltonian(model, budgets)
     dims = model.flat_dims()
-    F = {}
-    for key, c in G.terms.items():
-        bm = _multiset_of(key.beta)
-        gm = _multiset_of(key.gamma)
-        if bm == gm:
-            continue
-        div = sum(model.lam(m) for m in bm) - sum(model.lam(m) for m in gm)
-        if div == 0.0:
-            raise AssertionError(
-                "zero divisor on non-action quartic %r: momentum plus equal "
-                "power sums force equal index multisets" % (key,))
-        F[key] = c / (1j * div)
-    F = TFSeries(dims, budgets, F, real=True)
+    width = model.jmax + 1
+    elim = ~_is_action(G.rows)
+    div = (G.rows[:, :width] - G.rows[:, width:]) @ np.arange(width) ** 2
+    if np.any(elim & (div == 0)):
+        raise AssertionError(
+            "zero divisor on non-action quartics %r: momentum plus equal "
+            "power sums force equal index multisets" % (list(G.select(elim & (div == 0)).terms),))
+    # c / (i div) in real arithmetic, bit for bit Python's complex division
+    c, div = G.coefs[elim], div[elim].astype(float)
+    coefs = np.empty(len(c), dtype=complex)
+    coefs.real, coefs.imag = c.imag / div, -c.real / div
+    F = TFSeries.from_rows(dims, budgets, G.rows[elim], coefs, real=True)
     if order is None:
         order = max(2, (budgets.degree_max - 2) // 2)
     H = lie_transform(lam + G, F, order)
 
-    jm = model.jmax
-    Gbar = np.zeros((jm + 1, jm + 1))
-    quartic, K = {}, {}
-    leftover = 0.0
-    for key, c in H.terms.items():
-        deg = key_degree(key)
-        if deg == 2:
-            continue
-        if deg == 4:
-            quartic[key] = c
-            bm = _multiset_of(key.beta)
-            gm = _multiset_of(key.gamma)
-            if bm == gm:
-                i, j = bm
-                mult = (2 - (1 if i == j else 0)) ** 2
-                Gbar[i, j] = Gbar[j, i] = c.real / mult
-            else:
-                leftover = max(leftover, abs(c))
-        elif deg >= 6:
-            K[key] = c
-    return BirkhoffResult(H, F, Gbar, TFSeries(dims, budgets, quartic, real=True),
-                          TFSeries(dims, budgets, K, real=True), leftover, dict(H.meta))
+    deg, action = _degrees(H.rows, 0), _is_action(H.rows)
+    pairs = (deg == 4) & action
+    # the sorted index pair (i, j) of |q_i|^2 |q_j|^2 from its beta columns
+    count = np.cumsum(H.rows[pairs, :width], axis=1)
+    i, j = np.argmax(count >= 1, axis=1), np.argmax(count >= 2, axis=1)
+    Gbar = np.zeros((width, width))
+    Gbar[i, j] = Gbar[j, i] = H.coefs[pairs].real / np.where(i == j, 1, 4)
+    leftover = float(np.abs(H.coefs[(deg == 4) & ~action]).max(initial=0.0))
+    return BirkhoffResult(H, F, Gbar, H.select(deg == 4), H.select(deg >= 6),
+                          leftover, dict(H.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +207,32 @@ class KamForm:
     notes: dict = field(default_factory=dict)
 
 
+def _site_tables(xi, top, depth):
+    """Per-site factors of (xi_b + y_b)^{m/2}, m = 0..top, expanded in y_b.
+
+    weight[b, m, t] is the coefficient of y_b^t (t <= depth) and size[b, m,
+    t] its size at |y| = xi/4, a quarter of the expansion's convergence
+    radius; the first omitted order has size nxt[m] * root[b, m] / 4^(depth
+    + 1).  An absent site (m = 0) contributes the single factor 1 at t = 0.
+    Each entry is one scalar expression with numpy-scalar xi_b, so products
+    over the sites reproduce a per-term expansion bit for bit.
+    """
+    n = len(xi)
+    weight = np.zeros((n, top + 1, depth + 1))
+    size = np.zeros((n, top + 1, depth + 1))
+    root = np.ones((n, top + 1))
+    weight[:, 0, 0] = size[:, 0, 0] = 1.0
+    for b in range(n):
+        for m in range(1, top + 1):
+            h = 0.5 * m
+            root[b, m] = xi[b] ** h
+            for t in range(depth + 1):
+                weight[b, m, t] = _gbinom(h, t) * xi[b] ** (h - t)
+                size[b, m, t] = abs(_gbinom(h, t)) * xi[b] ** h / 4.0 ** t
+    nxt = np.array([abs(_gbinom(0.5 * m, depth + 1)) for m in range(top + 1)])
+    return weight, size, nxt, root
+
+
 def to_kam_form(model, birkhoff, budgets):
     """Substitute action-angle coordinates at the tangential sites.
 
@@ -218,97 +241,60 @@ def to_kam_form(model, birkhoff, budgets):
     reported); the y-linear means become the tangential frequencies
     omega(xi) = alpha + A xi, the normal frequencies stay at j^2 (the
     zero-mode keeps frequency 0), and everything else lands in R0.  The
-    omitted expansion orders are reported as coefficient mass.
+    omitted expansion orders (Taylor depth or degree/Fourier budget) are
+    reported as coefficient mass at |y| = xi/4.
     """
-    n = model.n
-    dims = model.kam_dims()
-    sites = model.sites
-    site_pos = {j: b for b, j in enumerate(sites)}
-    depth = model.taylor_depth
-    xi = model.xi
+    n, dims, depth, xi = model.n, model.kam_dims(), model.taylor_depth, model.xi
+    width = model.jmax + 1
+    sites = np.array(model.sites)
+    normal = np.array(dims.modes)     # flat columns are indexed by mode
+    H = birkhoff.H
+    osc = _degrees(H.rows, 0) == 2      # exactly Lambda; in closed form below
+    rows, c = H.rows[~osc], H.coefs[~osc]
+    a, ap = rows[:, sites], rows[:, width + sites]
+    k, m = ap - a, a + ap
+    z = np.concatenate([rows[:, normal], rows[:, width + normal]], axis=1)
 
-    out = {}
-    const_total = 0j
-    dropped_expansion = 0.0
-    src = birkhoff.H
-    for key, c in src.terms.items():
-        if key_degree(key) == 2 and key.beta == key.gamma:
-            continue  # oscillator diagonal, handled in closed form below
-        a = [0] * n
-        ap = [0] * n
-        bmap = {}
-        gmap = {}
-        for m, e in key.beta:
-            if m in site_pos:
-                a[site_pos[m]] = e
-            else:
-                bmap[m] = e
-        for m, e in key.gamma:
-            if m in site_pos:
-                ap[site_pos[m]] = e
-            else:
-                gmap[m] = e
-        kvec = tuple(ap[b] - a[b] for b in range(n))
-        # per-site truncated expansions of (xi + y)^{(a + a')/2}; dropped
-        # orders (Taylor depth or degree budget) are reported evaluated at
-        # |y| = xi/4, a quarter of the expansion's convergence radius
-        site_terms = []
-        for b in range(n):
-            mb = a[b] + ap[b]
-            if mb == 0:
-                site_terms.append([(0, 1.0, 1.0)])
-                continue
-            h = 0.5 * mb
-            opts = [(t, _gbinom(h, t) * xi[b] ** (h - t),
-                     abs(_gbinom(h, t)) * xi[b] ** h / 4.0 ** t)
-                    for t in range(depth + 1)]
-            dropped_expansion += (abs(c) * abs(_gbinom(h, depth + 1))
-                                  * xi[b] ** h / 4.0 ** (depth + 1))
-            site_terms.append(opts)
-        stack = [((), 1.0, 1.0)]
-        for opts in site_terms:
-            stack = [(ts + (t,), w * wt, ev * evt)
-                     for ts, w, ev in stack for t, wt, evt in opts]
-        for tvec, w, ev in stack:
-            coef = c * w
-            if coef == 0:
-                continue
-            newkey = make_key(n, k=kvec, alpha=tvec, beta=bmap, gamma=gmap)
-            if key_degree(newkey) > budgets.degree_max or key_kabs(newkey) > budgets.k_max:
-                dropped_expansion += abs(c) * ev
-                continue
-            if newkey == make_key(n):
-                const_total += coef
-                continue
-            out[newkey] = out.get(newkey, 0j) + coef
-
-    # oscillator part of the tangential sites: lambda_b (xi_b + y_b)
-    for b, j in enumerate(sites):
-        alpha_key = make_key(n, alpha=tuple(1 if i == b else 0 for i in range(n)))
-        out[alpha_key] = out.get(alpha_key, 0j) + model.lam(j)
-        const_total += model.lam(j) * xi[b]
-
-    # frequencies: pop the y means; everything else stays in R0
-    omega = np.zeros(n)
+    # term-major, then t-vector order: the order a per-term loop adds them in
+    tvecs = np.array(list(itertools.product(range(depth + 1), repeat=n))).reshape(-1, n)
+    weight, size, nxt, root = _site_tables(xi, int(m.max(initial=0)), depth)
+    w = np.ones((len(c), len(tvecs)))
+    ev = np.ones_like(w)
     for b in range(n):
-        alpha_key = make_key(n, alpha=tuple(1 if i == b else 0 for i in range(n)))
-        omega[b] = out.pop(alpha_key, 0j).real
-    out = TFSeries(dims, budgets, out, real=True)
-    out.prune()
+        w = w * weight[b, m[:, b, None], tvecs[:, b]]
+        ev = ev * size[b, m[:, b, None], tvecs[:, b]]
+    coef = 0j + c[:, None] * w      # 0j + clears negative zeros (text form: -0)
+    inside = ((2 * tvecs.sum(axis=1) + z.sum(axis=1)[:, None] <= budgets.degree_max)
+              & (_kabs(k, n) <= budgets.k_max)[:, None])
+    mags = np.abs(c)
+    drops = np.concatenate([mags[:, None] * nxt[m] * root[np.arange(n), m] / 4.0 ** (depth + 1),
+                            np.where(inside, 0.0, mags[:, None] * ev)], axis=1)
+    # each total is summed left to right in arrival order, like a per-term
+    # loop (sum() compensates float sums from Python 3.12 on)
+    expansion_dropped = reduce(add, drops.ravel().tolist(), 0.0)
+
+    # constants are dropped; the y means plus the oscillator part lambda_b
+    # (xi_b + y_b) of each site are the frequencies
+    flat = (~k.any(axis=1) & ~z.any(axis=1))[:, None]       # k = 0, no z factor
+    const = flat & ~tvecs.any(axis=1)
+    constant_dropped = reduce(add, coef[const].tolist()
+                              + [model.lam(j) * xi[b] for b, j in enumerate(model.sites)], 0j)
+    means = [flat & np.all(tvecs == e, axis=1) for e in np.eye(n, dtype=int)]
+    omega = np.array([reduce(add, coef[inside & mean].tolist() + [model.lam(j)], 0j).real
+                      for mean, j in zip(means, model.sites)])
+    term, t = np.nonzero(inside & ~const & ~np.any(means, axis=0))
+    R0 = TFSeries.from_rows(dims, budgets, np.concatenate([k[term], tvecs[t], z[term]], axis=1),
+                            coef[term, t], real=True)
+    R0.prune()
 
     N0 = NormalForm.zero(n, 1)
     N0.omega = omega
     N0.Omega = {j: model.lam(j) for j in dims.tail_modes}
-
-    alpha = np.array([model.lam(j) for j in sites])
-    A = np.zeros((n, n))
-    for bi, jb in enumerate(sites):
-        for li, jl in enumerate(sites):
-            coup = birkhoff.Gbar[jb, jl]
-            # ordered-multiplicity unfold: off-diagonal monomial carries 4x,
-            # the diagonal square contributes 2 xi per y
-            A[bi, li] = 2.0 * coup if bi == li else 4.0 * coup
-    return KamForm(N0, out, dims, alpha, A, const_total, dropped_expansion,
+    alpha = np.array([model.lam(j) for j in model.sites])
+    # ordered-multiplicity unfold: an off-diagonal monomial carries 4x, the
+    # diagonal square contributes 2 xi per y
+    A = np.where(np.eye(n, dtype=bool), 2.0, 4.0) * birkhoff.Gbar[np.ix_(sites, sites)]
+    return KamForm(N0, R0, dims, alpha, A, constant_dropped, expansion_dropped,
                    notes={"normal_shift_B": 0.0,
                           "B_zero_convention": "tail frequencies kept at j^2; "
                           "order-xi tail couplings remain in R0"})
@@ -325,39 +311,47 @@ def build_nls(model, budgets, order=None):
 # gradings and parity checks
 # ---------------------------------------------------------------------------
 
-def parity_v0(key):
-    """(k . v0 + z-degree) mod 2; zero on every pipeline monomial."""
-    degz = sum(e for _, e in key.beta) + sum(e for _, e in key.gamma)
-    return (sum(key.k) + degz) % 2
+def _z_degree(series):
+    return series.rows[:, 2 * series.dims.n:].sum(axis=1)
 
 
-def parity_weighted(key, sites):
-    """(sum_b k_b j_b + sum_m m (beta_m + gamma_m)) mod 2; also conserved."""
-    tot = sum(kb * jb for kb, jb in zip(key.k, sites))
-    tot += sum(m * e for m, e in key.beta) + sum(m * e for m, e in key.gamma)
-    return tot % 2
+def _mode_columns(series):
+    """Mode index of each beta and gamma column."""
+    return np.tile(series.dims.modes, 2)
 
 
-def momentum_signed(key, sites):
-    """Signed integer momentum -sum_b k_b j_b + sum_m m (beta_m - gamma_m).
+def parity_v0(series):
+    """(k . v0 + z-degree) mod 2 per row; zero on every pipeline monomial."""
+    return (series.rows[:, :series.dims.n].sum(axis=1) + _z_degree(series)) % 2
+
+
+def parity_weighted(series, sites):
+    """(sum_b k_b j_b + sum_m m (beta_m + gamma_m)) mod 2 per row; also conserved."""
+    n = series.dims.n
+    return (series.rows[:, :n] @ np.asarray(sites, dtype=int)
+            + series.rows[:, 2 * n:] @ _mode_columns(series)) % 2
+
+
+def momentum_signed(series, sites):
+    """Signed integer momentum -sum_b k_b j_b + sum_m m (beta_m - gamma_m) per row.
 
     Conserved for exponential mode bases; for the folded cosine basis only
     its mod-2 class survives, so this is a diagnostic, not an invariant.
     """
-    tot = -sum(kb * jb for kb, jb in zip(key.k, sites))
-    tot += sum(m * e for m, e in key.beta) - sum(m * e for m, e in key.gamma)
-    return tot
+    n, modes = series.dims.n, np.array(series.dims.modes)
+    return (-(series.rows[:, :n] @ np.asarray(sites, dtype=int))
+            + series.rows[:, 2 * n:] @ np.concatenate([modes, -modes]))
+
+
+def _violations(series, mask):
+    """[(key, |c|)] of the rows where ``mask`` holds, in row order."""
+    return [(key, abs(c)) for key, c in series.select(mask).terms.items()]
 
 
 def grading_violations(series, sites, tol=0.0):
     """Keys breaking either conserved mod-2 grading (beyond |c| <= tol)."""
-    bad = []
-    for key, c in series.terms.items():
-        if abs(c) <= tol:
-            continue
-        if parity_v0(key) or parity_weighted(key, sites):
-            bad.append((key, abs(c)))
-    return bad
+    bad = (parity_v0(series) != 0) | (parity_weighted(series, sites) != 0)
+    return _violations(series, bad & (np.abs(series.coefs) > tol))
 
 
 def parity_check(R, dims, which, tol=1e-12):
@@ -369,28 +363,19 @@ def parity_check(R, dims, which, tol=1e-12):
     which = 'zero_mode_linear': the k = 0 zero-mode linear coefficients
     vanish.  Returns the violation list [(key, |coef|), ...].
     """
-    zero_set = set(dims.zero_modes)
-    scale = max(R.max_abs(), 1.0)
-    bad = []
-    for key, c in R.terms.items():
-        if abs(c) <= tol * scale:
-            continue
-        degz = sum(e for _, e in key.beta) + sum(e for _, e in key.gamma)
-        keven = key_kabs(key) % 2 == 0
-        if which == "even_k_blocks":
-            if degz % 2 == 1 and keven:
-                bad.append((key, abs(c)))
-        elif which == "odd_k_blocks":
-            if degz % 2 == 0 and not keven:
-                bad.append((key, abs(c)))
-        elif which == "zero_mode_linear":
-            zf = sum(e for m, e in key.beta if m in zero_set)
-            zf += sum(e for m, e in key.gamma if m in zero_set)
-            if degz == 1 and zf == 1 and sum(key.alpha) == 0 and key_kabs(key) == 0:
-                bad.append((key, abs(c)))
-        else:
-            raise ValueError("unknown parity check %r" % (which,))
-    return bad
+    n = R.dims.n
+    degz = _z_degree(R)
+    kabs = _kabs(R.rows, n)
+    if which == "even_k_blocks":
+        bad = (degz % 2 == 1) & (kabs % 2 == 0)
+    elif which == "odd_k_blocks":
+        bad = (degz % 2 == 0) & (kabs % 2 == 1)
+    elif which == "zero_mode_linear":
+        zf = R.rows[:, 2 * n:][:, np.isin(_mode_columns(R), dims.zero_modes)].sum(axis=1)
+        bad = (degz == 1) & (zf == 1) & (kabs == 0) & ~R.rows[:, n:2 * n].any(axis=1)
+    else:
+        raise ValueError("unknown parity check %r" % (which,))
+    return _violations(R, bad & (np.abs(R.coefs) > tol * max(R.max_abs(), 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,22 +403,19 @@ class IndexVectorClass:
 
 
 def classify_index_vectors(R, dims, tol=0.0):
-    v0 = (1,) * dims.n
-    fam = {"V1": set(), "V2": set(), "V3": set(), "V4": set()}
-    for key, c in R.terms.items():
-        if abs(c) <= tol:
-            continue
-        degz = sum(e for _, e in key.beta) + sum(e for _, e in key.gamma)
-        na = sum(key.alpha)
-        if degz == 1 and na == 0:
-            fam["V1"].add(key.k)
-        elif degz == 0 and na == 1 and key_kabs(key) > 0:
-            fam["V2"].add(key.k)
-        elif degz == 1 and na == 1:
-            fam["V3"].add(key.k)
-        elif degz == 0 and na == 0 and key_kabs(key) > 0:
-            fam["V4"].add(key.k)
-    return IndexVectorClass(v0, fam["V1"], fam["V2"], fam["V3"], fam["V4"])
+    n = dims.n
+    degz = _z_degree(R)
+    na = R.rows[:, n:2 * n].sum(axis=1)
+    moving = _kabs(R.rows, n) > 0
+    live = np.abs(R.coefs) > tol
+
+    def family(mask):
+        return set(map(tuple, R.rows[live & mask, :n].tolist()))
+
+    return IndexVectorClass((1,) * n, family((degz == 1) & (na == 0)),
+                            family((degz == 0) & (na == 1) & moving),
+                            family((degz == 1) & (na == 1)),
+                            family((degz == 0) & (na == 0) & moving))
 
 
 def index_solvability(*families):

@@ -21,7 +21,8 @@ A series is stored as two arrays only, its key rows and coefficients
 (see ``TFSeries``).  Like terms are merged through exact mixed-radix integer codes of the rows
 (Kronecker substitution, as in Biscani's Piranha): the code of a product
 row is the sum of its factors' codes, and a merge is a stable 1-D sort plus
-``np.add.reduceat``, so each key's summands are added in arrival order.
+``np.add.reduceat``, which adds each key's first summand to numpy's
+pairwise sum of the others, taken in arrival order.
 The radix comes from the column ranges of the operands at hand; ranges
 wider than 63 bits spill into further code words sorted with
 ``np.lexsort``, so a code never wraps.
@@ -226,8 +227,8 @@ class TFSeries:
     @classmethod
     def from_rows(cls, dims, budgets, rows, coefs, real=False):
         """Series from key rows ``[k | alpha | beta | gamma]`` in any order and
-        their coefficients; repeated rows are summed in the given order and
-        zero sums dropped."""
+        their coefficients; repeated rows are summed as ``_sort_and_sum``
+        does and zero sums dropped."""
         coefs = np.asarray(coefs, dtype=complex)
         rows = np.asarray(rows, dtype=np.int16).reshape(len(coefs), 2 * dims.n + 2 * len(dims.modes))
         new = cls.__new__(cls)
@@ -478,7 +479,8 @@ class _Codec:
 
 
 def _sort_and_sum(words, coefs):
-    """Stable sort by code, then sum each key's coefficients in arrival order.
+    """Stable sort by code, then sum each key's coefficients: the first to
+    numpy's pairwise sum of the others, in arrival order.
 
     Returns (first, sums): ``first`` indexes one input row per distinct key,
     in key order, and ``sums`` holds the summed coefficients.

@@ -267,3 +267,32 @@ def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+
+
+@pytest.mark.parametrize("key,value", [("sites", "1 9"), ("sites", "1 1"),
+                                       ("taylor_depth", "-1")])
+def test_bad_model_is_config_error(tmp_path, key, value):
+    # a site beyond jmax = 8 once ended in a ValueError traceback; a repeated
+    # site (site 0 never got a factor) and a negative Taylor depth (every
+    # site term dropped) built a wrong model and exited 0
+    with open(os.path.join(SHIPPED, "nls.cfg")) as fh:
+        text = fh.read() + "\n[model]\n%s = %s\n" % (key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(p.startswith("[model] %s" % key) for p in err.value.problems)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["nls-build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+
+
+def test_b2_synthetic_run_ends_in_a_verdict(tmp_path):
+    # at b = 2 the step-4 threshold gamma_m / 4 ** 512 once overflowed a float
+    # and the run ended in a traceback (exit 1)
+    with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
+        text = fh.read() + "\n[run]\nseed = 1\n[synthetic]\nb = 2\n"
+    cfg = tmp_path / "b2.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    with open(tmp_path / "out" / "run.json") as fh:
+        report = json.load(fh)
+    assert report["verdict"] == "BudgetExhausted" and report["verdict_info"]["m"] == 4

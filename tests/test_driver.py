@@ -1,8 +1,14 @@
+import hashlib
 import math
+import os
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kamzero.cli import _build_problem
+from kamzero.config import parse_config
 from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
                             StepRecord, _eval_poly, _frozen, _zero_mode_tables,
                             delta0, dichotomy, kam_step, make_synthetic_problem,
@@ -63,6 +69,16 @@ def test_gamma_family_schedules():
     assert p.gamma_4m == pytest.approx(p.gamma_m / 2 ** (8 * b4))
     p1 = schedule(1, BASE)
     assert p1.gamma_1m == p1.gamma_3m == p1.gamma_4m == p1.gamma_m
+    # at b = 2, m = 4, m ** (32 b^4) = 2^1024 overflows a float: the thresholds
+    # must underflow to the correctly rounded value instead (a subnormal at
+    # m = 4, zero at m = 5)
+    for m in (4, 5):
+        p = schedule(m, replace(BASE, b=2))
+        for name, e in (("gamma_1m", 18), ("gamma_3m", 32), ("gamma_4m", 8)):
+            exact = float(Fraction(p.gamma_m) / m ** (e * 2 ** 4))
+            assert getattr(p, name) == pytest.approx(exact, rel=1e-15, abs=0)
+    assert 0 < schedule(4, replace(BASE, b=2)).gamma_3m < 2.0 ** -1022
+    assert schedule(5, replace(BASE, b=2)).gamma_3m == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +298,41 @@ def test_witness_premise_guard():
     params = schedule(1, BASE, eps_m=1e-6)
     with pytest.raises(PremiseFailed):
         no_torus_witness(N, R, params, DIMS, eps_prev=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# synthetic problems
+# ---------------------------------------------------------------------------
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+# sha256 prefix of R.rows.tobytes() + R.coefs.tobytes() per (shape, b, seed):
+# the shipped synthetic/no_torus configs (n_high = 0; at jmax = 6 their mode
+# universe, and so R, does not depend on b) and the builder's defaults
+# (n_high = 8) with random quadratic blocks
+PINNED_R = {
+    ("synthetic", 0): "6def1eac19d3fa78", ("synthetic", 1): "a1ad04fb688e0c5e",
+    ("synthetic", 2): "5ecde79e1f804064", ("no_torus", 0): "4104db09f1fdac6c",
+    ("no_torus", 1): "33366fa46bacce4a", ("no_torus", 2): "0d13fdbc19ac87ee",
+    ("defaults", 1, 0): "8b39b5eddfaf79c3", ("defaults", 1, 1): "96c80d3df7c49675",
+    ("defaults", 1, 2): "befa4c94e6213e8f", ("defaults", 2, 0): "1c99deb77a827d7b",
+    ("defaults", 2, 1): "49a372e92eb1560b", ("defaults", 2, 2): "995139652f100897",
+}
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_synthetic_problems_are_pinned(b, seed):
+    def digest(R):
+        return hashlib.sha256(R.rows.tobytes() + R.coefs.tobytes()).hexdigest()[:16]
+
+    for shape in ("synthetic", "no_torus"):
+        with open(os.path.join(CONFIGS, shape + ".cfg")) as fh:
+            cfg = parse_config(fh.read() + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n" % (seed, b))
+        assert digest(_build_problem(cfg, None)[1]) == PINNED_R[shape, seed]
+    dims = SeriesDims(2, (), tuple(range(1, 1 + b)), 6)
+    _, R = make_synthetic_problem(dims, BUD, 1e-6, seed=seed, block_scale=1e-3)
+    assert digest(R) == PINNED_R["defaults", b, seed]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from kamzero.nls import (NlsModel, birkhoff_transform, build_nls,
+from kamzero.nls import (NlsModel, _gbinom, birkhoff_transform, build_nls,
                          classify_index_vectors, g_tensor, grading_violations,
                          index_solvability, momentum_signed, parity_check,
-                         parity_v0, parity_weighted, quartic_hamiltonian,
-                         to_kam_form)
+                         parity_v0, parity_weighted, quartic_hamiltonian)
 from kamzero.series import (Budgets, DomainParams, TFSeries, key_degree,
-                            make_key, vector_field_norm)
+                            key_kabs, make_key, vector_field_norm)
 
 
 def _phi(j, x):
@@ -22,6 +22,12 @@ def quadrature_g(i, j, k, l, npts=2048):
     x = np.linspace(0.0, 2.0 * math.pi, npts, endpoint=False)
     vals = _phi(i, x) * _phi(j, x) * _phi(k, x) * _phi(l, x)
     return float(vals.sum() * (2.0 * math.pi / npts))
+
+
+@pytest.mark.parametrize("sites,depth", [((1, 9), 2), ((1, 1), 2), ((1, 2), -1)])
+def test_model_rejects_bad_sites_and_depth(sites, depth):
+    with pytest.raises(ValueError):
+        NlsModel(sites=sites, jmax=8, xi=np.array([1e-3, 1e-3]), taylor_depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +104,32 @@ def test_k_part_momentum_gradings(nls_build):
     for key in bk.K.terms:
         assert key_degree(key) >= 6
         assert key_degree(key) % 2 == 0
-        assert parity_v0(key) == 0
-        assert parity_weighted(key, ()) == 0
+    assert not parity_v0(bk.K).any()
+    assert not parity_weighted(bk.K, ()).any()
     # the signed integer momentum is NOT conserved by the folded cosine
     # modes: witness terms exist (selection rule 2 - 5 + 4 - 1 = 0 products);
     # only the mod-2 classes above survive, which is what the vanishing
     # lemmas use
-    assert any(momentum_signed(key, ()) != 0 for key in bk.K.terms)
+    assert momentum_signed(bk.K, ()).any()
 
 
 def test_birkhoff_zero_divisor_unreachable():
     # momentum plus equal power sums force equal multisets; scan every
-    # eliminated quartic of a small model for a vanishing divisor
+    # eliminated quartic of a small model for a vanishing divisor, and check
+    # the generator against Python's complex division c / (i div)
     model = NlsModel(sites=(1,), jmax=6, xi=np.array([1e-3]))
     lam, G = quartic_hamiltonian(model, Budgets(4, 8))
-    for key in G.terms:
+    F = birkhoff_transform(model, Budgets(4, 8)).F
+    for key, c in G.terms.items():
         bm = [m for m, e in key.beta for _ in range(e)]
         gm = [m for m, e in key.gamma for _ in range(e)]
         if tuple(bm) != tuple(gm):
             div = sum(m * m for m in bm) - sum(m * m for m in gm)
             assert div != 0
+            assert F.terms[key] == c / (1j * div)
+        else:
+            assert key not in F.terms
+    assert len(F) == sum(key.beta != key.gamma for key in G.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +175,188 @@ def test_parity_checks_on_fresh_build(nls_build):
     assert grading_violations(kf.R0, model.sites) == []
 
 
+# one term per check that the check must flag, at a coefficient far above
+# its 1e-12 relative cut
+SPIKES = {
+    "even_k_blocks": make_key(2, k=(1, 1), beta={0: 1}),       # |k| even, z-degree odd
+    "odd_k_blocks": make_key(2, k=(1, 0)),                      # |k| odd, z-degree even
+    "zero_mode_linear": make_key(2, beta={0: 1}),               # k = 0 zero-mode mean
+    "grading_violations": make_key(2, k=(0, 1), gamma={3: 1}),  # site-weighted class odd
+}
+
+
+def _spiked(kf, keys):
+    return TFSeries(kf.dims, kf.R0.budgets, {**kf.R0.terms, **{key: 1e-3 + 0j for key in keys}},
+                    real=True)
+
+
 def test_parity_negative_control(nls_build):
     model, bk, kf = nls_build
-    bad = make_key(2, k=(1, 1), beta={0: 1})  # |k| even, zero-mode linear
-    spiked = TFSeries(kf.dims, kf.R0.budgets, {**kf.R0.terms, bad: 1e-3 + 0j}, real=True)
-    viol = parity_check(spiked, kf.dims, "even_k_blocks")
-    assert any(key == bad for key, _ in viol)
+    for which, key in SPIKES.items():
+        spiked = _spiked(kf, [key])
+        if which == "grading_violations":
+            viol = grading_violations(spiked, model.sites)
+        else:
+            viol = parity_check(spiked, kf.dims, which)
+        assert viol == [(key, 1e-3)], which
+
+
+# ---------------------------------------------------------------------------
+# per-key references for the row code
+# ---------------------------------------------------------------------------
+
+def _degz(key):
+    return sum(e for _, e in key.beta + key.gamma)
+
+
+def _site_sum(key, sites):
+    return sum(kb * jb for kb, jb in zip(key.k, sites))
+
+
+def ref_parity_v0(key):
+    return (sum(key.k) + _degz(key)) % 2
+
+
+def ref_parity_weighted(key, sites):
+    return (_site_sum(key, sites) + sum(m * e for m, e in key.beta + key.gamma)) % 2
+
+
+def ref_momentum_signed(key, sites):
+    return (-_site_sum(key, sites) + sum(m * e for m, e in key.beta)
+            - sum(m * e for m, e in key.gamma))
+
+
+def ref_grading_violations(series, sites, tol=0.0):
+    return [(key, abs(c)) for key, c in series.terms.items()
+            if abs(c) > tol and (ref_parity_v0(key) or ref_parity_weighted(key, sites))]
+
+
+def ref_parity_check(R, dims, which, tol=1e-12):
+    scale = max(R.max_abs(), 1.0)
+    bad = []
+    for key, c in R.terms.items():
+        degz, kabs = _degz(key), key_kabs(key)
+        zf = sum(e for m, e in key.beta + key.gamma if m in dims.zero_modes)
+        hit = {"even_k_blocks": degz % 2 == 1 and kabs % 2 == 0,
+               "odd_k_blocks": degz % 2 == 0 and kabs % 2 == 1,
+               "zero_mode_linear": degz == 1 and zf == 1 and sum(key.alpha) == 0 and kabs == 0}
+        if abs(c) > tol * scale and hit[which]:
+            bad.append((key, abs(c)))
+    return bad
+
+
+def ref_classify(R):
+    fam = {"V1": set(), "V2": set(), "V3": set(), "V4": set()}
+    for key in R.terms:
+        degz, na, kabs = _degz(key), sum(key.alpha), key_kabs(key)
+        if degz == 1 and na == 0:
+            fam["V1"].add(key.k)
+        elif degz == 0 and na == 1 and kabs > 0:
+            fam["V2"].add(key.k)
+        elif degz == 1 and na == 1:
+            fam["V3"].add(key.k)
+        elif degz == 0 and na == 0 and kabs > 0:
+            fam["V4"].add(key.k)
+    return fam
+
+
+# terms no check may flag: a k = 0 y z0 term (an action factor, so not
+# zero-mode linear) and a k = 0 y mean (V2 needs |k| > 0)
+NEAR_MISSES = [make_key(2, alpha=(1, 0), beta={0: 1}), make_key(2, alpha=(0, 1))]
+
+
+def test_row_checks_match_per_key_reference(nls_build):
+    model, bk, kf = nls_build
+    spiked = _spiked(kf, [*SPIKES.values(), *NEAR_MISSES])
+    # an even-|k| zero-mode term under the cut 1e-12 * max(max|c|, 1); scaled
+    # by 1e6 it stays under that relative cut but exceeds 1e-12 itself
+    tiny = TFSeries(kf.dims, kf.R0.budgets, {**spiked.terms, make_key(2, k=(2, 0), beta={0: 1}): 1e-14},
+                    real=True)
+    for series, sites in ((kf.R0, model.sites), (spiked, model.sites), (tiny, model.sites),
+                          (tiny * 1e6, model.sites), (bk.K, ()), (bk.H, ())):
+        keys = list(series.terms)
+        assert parity_v0(series).tolist() == [ref_parity_v0(key) for key in keys]
+        assert parity_weighted(series, sites).tolist() == [ref_parity_weighted(key, sites)
+                                                           for key in keys]
+        assert momentum_signed(series, sites).tolist() == [ref_momentum_signed(key, sites)
+                                                           for key in keys]
+        assert grading_violations(series, sites) == ref_grading_violations(series, sites)
+        for which in ("even_k_blocks", "odd_k_blocks", "zero_mode_linear"):
+            for tol in (1e-12, 0.0):
+                assert (parity_check(series, series.dims, which, tol)
+                        == ref_parity_check(series, series.dims, which, tol))
+        classes = classify_index_vectors(series, series.dims)
+        assert {name: getattr(classes, name) for name in ("V1", "V2", "V3", "V4")} \
+            == ref_classify(series)
+    # the spikes make every check on the spiked copy nonempty
+    assert all(parity_check(spiked, kf.dims, which) for which in list(SPIKES)[:3])
+    assert grading_violations(spiked, model.sites)
+
+
+def ref_kam_expansion(model, H, budgets):
+    """The substitution term by term: (R0, omega, constant, expansion drops)."""
+    n, sites, depth, xi = model.n, model.sites, model.taylor_depth, model.xi
+    site_pos = {j: b for b, j in enumerate(sites)}
+    out, const, dropped = {}, 0j, 0.0
+    for key, c in H.terms.items():
+        if key_degree(key) == 2 and key.beta == key.gamma:
+            continue
+        a, ap, bmap, gmap = [0] * n, [0] * n, {}, {}
+        for exps, at_site, rest in ((key.beta, a, bmap), (key.gamma, ap, gmap)):
+            for m, e in exps:
+                if m in site_pos:
+                    at_site[site_pos[m]] = e
+                else:
+                    rest[m] = e
+        kvec = tuple(ap[b] - a[b] for b in range(n))
+        options = []
+        for b in range(n):
+            h = 0.5 * (a[b] + ap[b])
+            if h == 0:
+                options.append([(0, 1.0, 1.0)])
+                continue
+            options.append([(t, _gbinom(h, t) * xi[b] ** (h - t),
+                             abs(_gbinom(h, t)) * xi[b] ** h / 4.0 ** t) for t in range(depth + 1)])
+            dropped += abs(c) * abs(_gbinom(h, depth + 1)) * xi[b] ** h / 4.0 ** (depth + 1)
+        for combo in itertools.product(*options):
+            w = ev = 1.0
+            for _, wt, evt in combo:
+                w, ev = w * wt, ev * evt
+            coef = c * w
+            if coef == 0:
+                continue
+            newkey = make_key(n, k=kvec, alpha=[t for t, _, _ in combo], beta=bmap, gamma=gmap)
+            if key_degree(newkey) > budgets.degree_max or key_kabs(newkey) > budgets.k_max:
+                dropped += abs(c) * ev
+            elif newkey == make_key(n):
+                const += coef
+            else:
+                out[newkey] = out.get(newkey, 0j) + coef
+    ymeans = [make_key(n, alpha=[int(i == b) for i in range(n)]) for b in range(n)]
+    for b, j in enumerate(sites):
+        out[ymeans[b]] = out.get(ymeans[b], 0j) + model.lam(j)
+        const += model.lam(j) * xi[b]
+    omega = np.array([out.pop(key, 0j).real for key in ymeans])
+    R0 = TFSeries(model.kam_dims(), budgets, out, real=True)
+    R0.prune()
+    return R0, omega, const, dropped
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_kam_form_matches_per_term_expansion(depth):
+    # k_max = 4 makes the Fourier budget drop terms too, not only the degree
+    model = NlsModel(sites=(1, 3), jmax=4, xi=np.array([2e-3, 1e-3]), taylor_depth=depth)
+    budgets = Budgets(6, 4)
+    bk, kf = build_nls(model, budgets)
+    R0, omega, const, dropped = ref_kam_expansion(model, bk.H, budgets)
+    assert list(kf.R0.terms) == list(R0.terms)
+    for key, c in R0.terms.items():
+        got = kf.R0.terms[key]
+        assert abs(got - c) <= 1e-15 * abs(c)
+        assert np.signbit([got.real, got.imag]).tolist() == np.signbit([c.real, c.imag]).tolist()
+    assert np.array_equal(kf.N0.omega, omega)
+    assert kf.constant_dropped == const
+    assert kf.expansion_dropped == dropped
 
 
 def test_constant_term_dropped(nls_build):
