@@ -7,18 +7,11 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import driver, measure, nls
 from .config import ConfigError, parse_config
 from .homological import BudgetExhausted, ResonantParameter
 from .reporting import EXIT_CODES, emit_measure_report, emit_report, report_json
 from .series import Budgets, DomainParams, SeriesDims
-
-
-def _load(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
 
 
 def _budgets(cfg):
@@ -31,16 +24,32 @@ def _domain(cfg, s, r):
     return DomainParams(s, r, d["a"], d["p"])
 
 
+def _grid(cfg):
+    return measure.ParameterGrid(*(cfg["grid"][key] for key in ("lo", "hi", "samples_per_axis")))
+
+
 def _model(cfg, xi_index=None):
     m = cfg["model"]
-    xi = np.asarray(m["xi"], dtype=float)
-    if xi_index is not None:
-        g = cfg["grid"]
-        if g["lo"]:
-            grid = measure.ParameterGrid(np.asarray(g["lo"]), np.asarray(g["hi"]),
-                                         g["samples_per_axis"])
-            xi = grid.samples()[xi_index]
+    xi = m["xi"] if xi_index is None else _grid(cfg).samples()[xi_index]
     return nls.NlsModel(m["sites"], m["jmax"], xi, m["taylor_depth"])
+
+
+def _argument_problem(cfg, command, xi_index, max_steps):
+    """Why the command, --xi-index or --max-steps does not fit the config, or None."""
+    if command != "run" and cfg.mode == "synthetic":
+        return "%s needs an NLS model ([run] mode = nls or measure)" % command
+    if max_steps is not None and (command not in ("run", "check") or max_steps < 1):
+        return "--max-steps takes a step count >= 1, for run and check only (got %d)" % max_steps
+    if xi_index is not None and (command not in ("run", "nls-build") or cfg.mode == "synthetic"):
+        return "--xi-index picks a [grid] sample of the NLS model for run and nls-build"
+    if command == "measure" or xi_index is not None:
+        try:
+            count = len(_grid(cfg).samples())
+            if not 0 <= (xi_index or 0) < count:
+                return "--xi-index %d is outside the %d [grid] samples" % (xi_index, count)
+            _model(cfg, xi_index or 0)
+        except ValueError as err:
+            return "[grid] %s" % err
 
 
 def _base_params(cfg, n, b):
@@ -72,8 +81,7 @@ def _build_problem(cfg, xi_index):
 def cmd_run(cfg, outdir, xi_index, max_steps):
     N0, R0, dims, base = _build_problem(cfg, xi_index)
     dp0 = _domain(cfg, base.s1, base.r1)
-    steps = max_steps or cfg["run"]["max_steps"]
-    report = driver.run(N0, R0, base, dims, dp0, max_steps=steps,
+    report = driver.run(N0, R0, base, dims, dp0, max_steps=max_steps or cfg["run"]["max_steps"],
                         max_lie_order=cfg["run"]["max_lie_order"])
     code, jpath = emit_report(report, outdir)
     print("%s -> %s (exit %d)" % (report.verdict, jpath, code))
@@ -112,8 +120,7 @@ def cmd_measure(cfg, outdir):
     model = _model(cfg)
     bk, kf = nls.build_nls(model, _budgets(cfg))
     g = cfg["grid"]
-    grid = measure.ParameterGrid(np.asarray(g["lo"]), np.asarray(g["hi"]),
-                                 g["samples_per_axis"])
+    grid = _grid(cfg)
     base = _base_params(cfg, model.n, 1)
     fmap = measure.AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
     reports = {}
@@ -194,10 +201,18 @@ def main(argv=None):
     ap.add_argument("--max-steps", type=int, default=None)
     args = ap.parse_args(argv)
     try:
-        cfg = _load(args.config)
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
     except ConfigError as err:
         for p in err.problems:
             print("config error: %s" % p, file=sys.stderr)
+        return 5
+    except OSError as err:
+        print("config error: %s" % err, file=sys.stderr)
+        return 5
+    problem = _argument_problem(cfg, args.command, args.xi_index, args.max_steps)
+    if problem:
+        print("argument error: %s" % problem, file=sys.stderr)
         return 5
     outdir = args.out or cfg["output"]["dir"]
     if args.command == "run":

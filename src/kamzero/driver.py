@@ -308,13 +308,16 @@ def dichotomy(records, base, consecutive=3):
 # escape witness
 # ---------------------------------------------------------------------------
 
-def _zero_mode_tables(R, dims):
-    """Gradient tables of R restricted to y = 0, tail = 0.
+def _zero_mode_tables(R, dims, x0=None):
+    """The zero-mode gradients of R at y = 0, tail = 0 as one stacked table.
 
-    Each table is (k, E, c): Fourier rows, exponents of (z0, zbar0) and
-    coefficients of the z0 and zbar0 gradients and (terms with a single
-    action factor) the y gradients.  The angle dependence stays symbolic so
-    the tables serve both the frozen and the coupled witness flows.
+    Returns (k, E, c, spans): per stacked term its Fourier row, its
+    exponents of (z0, zbar0) as a column of E and its coefficient.  The
+    terms of dR/dzbar0_i, dR/dz0_i (i < b) and, for the coupled flow (``x0``
+    None), dR/dy_i (terms with a single action factor) are stacked in that
+    order; gradient g owns the terms ``spans[g]``.  With ``x0`` given the
+    phases e^{i <k, x0>} are folded into c once and the y gradients are
+    left out.
     """
     n, b, nmodes = dims.n, dims.b, len(dims.modes)
     rows, c = R.rows, R.coefs
@@ -323,34 +326,38 @@ def _zero_mode_tables(R, dims):
     tail = np.setdiff1d(np.arange(2 * n, rows.shape[1]), zcols)
     on_zero = ~rows[:, tail].any(axis=1)   # a tail factor vanishes at z = 0
     na = rows[:, n:2 * n].sum(axis=1)
-    k = rows[:, :n].astype(float)
     E = rows[:, zcols]
-    grad_y = []
-    for i in range(n):
-        sel = on_zero & (na == 1) & (rows[:, n + i] == 1)
-        grad_y.append((k[sel], E[sel], c[sel]))
-    grads = []
-    for i in range(2 * b):
+    parts = []   # (row mask, exponents, coefficients) per gradient
+    for i in np.r_[b:2 * b, :b]:
         sel = on_zero & (na == 0) & (E[:, i] > 0)
         lowered = E[sel]
         lowered[:, i] -= 1
-        grads.append((k[sel], lowered, E[sel, i] * c[sel]))
-    return grads[:b], grads[b:], grad_y
+        parts.append((sel, lowered, E[sel, i] * c[sel]))
+    for i in range(n if x0 is None else 0):
+        sel = on_zero & (na == 1) & (rows[:, n + i] == 1)
+        parts.append((sel, E[sel], c[sel]))
+    sels, exps, coefs = zip(*parts)
+    k = np.concatenate([rows[sel, :n] for sel in sels]).astype(float)
+    c = np.concatenate(coefs)
+    if x0 is not None:
+        c = c * np.exp(1j * (k @ x0))
+    cuts = np.cumsum([0] + [len(e) for e in exps])
+    return k, np.concatenate([e.T for e in exps], axis=1), c, list(zip(cuts[:-1], cuts[1:]))
 
 
-def _eval_poly(table, z, zb, x=None):
-    """Sum of c e^{i <k, x>} z^be zbar^ge over a table; with x None the
-    coefficients already carry the phase (``_frozen``)."""
-    k, E, c = table
-    if x is not None:
-        c = c * np.exp(1j * (k @ x))
-    return complex(c @ np.prod(np.concatenate([z, zb]) ** E, axis=1))
-
-
-def _frozen(table, x0):
-    """The table with its phases e^{i <k, x0>} folded into the coefficients."""
-    k, E, c = table
-    return k, E, c * np.exp(1j * (k @ x0))
+def _eval_gradients(tables, X, x=None):
+    """A ``_zero_mode_tables`` table's gradients at X = (z0, zbar0) and, without
+    folded phases, angles x: one power and product, one dot per nonempty span."""
+    k, E, c, spans = tables
+    g = np.zeros(len(spans), dtype=complex)
+    if len(c):
+        mon = np.multiply.reduce(X[:, None] ** E, axis=0)
+        if x is not None:
+            c = c * np.exp(1j * (k @ x))
+        for i, (lo, hi) in enumerate(spans):
+            if hi > lo:
+                g[i] = c[lo:hi].dot(mon[lo:hi])
+    return g
 
 
 def _exp_taylor(B, shift=0):
@@ -384,11 +391,12 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
 
     The subsystem is dX0/dt = alpha0 + A0 X0 + g0 with the constant and
     linear parts read from the accumulated zero-mode sums and g0 evaluated
-    from R along the trajectory.  mode='frozen' (default) keeps the angles
-    at x(0); mode='coupled' also flows the angles with dx/dt = omega +
-    R_y(x, 0, z0, 0).  Escape means the final Euclidean norm exceeds
-    2 eps_{m-1}^{7/6}; the record also carries the straightened coordinate
-    e^{-A0 t} X0 and the closed-form linear oracle.
+    from R along the trajectory through one stacked gradient table
+    (``_zero_mode_tables``).  mode='frozen' (default) keeps the angles at
+    x(0), whose phases the table carries; mode='coupled' also flows the
+    angles with dx/dt = omega + R_y(x, 0, z0, 0).  Escape means the final
+    Euclidean norm exceeds 2 eps_{m-1}^{7/6}; the record also carries the
+    straightened coordinate e^{-A0 t} X0 and the closed-form linear oracle.
     """
     if mode not in ("frozen", "coupled"):
         raise ValueError("mode must be 'frozen' or 'coupled'")
@@ -402,46 +410,27 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
         raise PremiseFailed("||A0|| = %.3e is not << 1" % A0_norm)
 
     bound = eps_prev ** (7.0 / 6.0)
-    if z_init is None:
-        X = np.zeros(2 * b, dtype=complex)
-    else:
-        X = np.asarray(z_init, dtype=complex)
-        if np.linalg.norm(X) > bound * math.sqrt(2.0) + 1e-15:
-            raise ValueError("initial data exceeds the eps^{7/6} ball")
+    X_init = np.zeros(2 * b, dtype=complex) if z_init is None else np.asarray(z_init, dtype=complex)
+    if np.linalg.norm(X_init) > bound * math.sqrt(2.0) + 1e-15:
+        raise ValueError("initial data exceeds the eps^{7/6} ball")
     x0 = np.zeros(dims.n) if x0 is None else np.asarray(x0, dtype=float)
 
-    grad_z, grad_zb, grad_y = _zero_mode_tables(R, dims)
-    if mode == "frozen":
-        grad_z = [_frozen(t, x0) for t in grad_z]
-        grad_zb = [_frozen(t, x0) for t in grad_zb]
+    # the state is (x, X0) in the coupled flow and X0 alone in the frozen one
+    frozen = mode == "frozen"
+    nx = 0 if frozen else dims.n
+    tables = _zero_mode_tables(R, dims, x0 if frozen else None)
+    rot = np.repeat([1j, -1j], b)   # dX0/dt gains i dR/dzbar0, -i dR/dz0
 
-    def g0(xv, Xv):
-        z = Xv[:b]
-        zb = Xv[b:]
-        gz = np.array([_eval_poly(t, z, zb, xv) for t in grad_zb])
-        gzb = np.array([_eval_poly(t, z, zb, xv) for t in grad_z])
-        return np.concatenate([1j * gz, -1j * gzb])
-
-    if mode == "frozen":
-        def rhs(state):
-            return alpha0 + A0 @ state + g0(None, state)
-    else:
-        def rhs(state):
-            xv = state[:dims.n].real
-            Xv = state[dims.n:]
-            dx = N.omega + np.array([_eval_poly(t, Xv[:b], Xv[b:], xv).real
-                                     for t in grad_y])
-            dX = alpha0 + A0 @ Xv + g0(xv, Xv)
-            return np.concatenate([dx.astype(complex), dX])
-        X = np.concatenate([x0.astype(complex), X])
-
-    def znorm(state):
-        zpart = state if mode == "frozen" else state[dims.n:]
-        return float(np.linalg.norm(zpart))
+    def rhs(state):
+        Xv = state[nx:]
+        g = _eval_gradients(tables, Xv, None if frozen else state[:nx].real)
+        dX = alpha0 + A0 @ Xv + rot * g[:2 * b]
+        return dX if frozen else np.concatenate([(N.omega + g[2 * b:].real).astype(complex), dX])
 
     h = 1.0 / steps
+    X = np.concatenate([x0[:nx], X_init])
     ts = [0.0]
-    norms = [znorm(X)]
+    norms = [float(np.linalg.norm(X[nx:]))]
     for i in range(steps):
         k1 = rhs(X)
         k2 = rhs(X + 0.5 * h * k1)
@@ -449,13 +438,10 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
         k4 = rhs(X + h * k3)
         X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         ts.append((i + 1) * h)
-        norms.append(znorm(X))
-    if mode == "coupled":
-        X = X[dims.n:]
+        norms.append(float(np.linalg.norm(X[nx:])))
 
-    tilde = _exp_taylor(-A0) @ X
-    lin = _exp_taylor(A0) @ (np.zeros(2 * b) if z_init is None else np.asarray(z_init)) \
-        + _exp_taylor(A0, shift=1) @ alpha0
+    tilde = _exp_taylor(-A0) @ X[nx:]
+    lin = _exp_taylor(A0) @ X_init + _exp_taylor(A0, shift=1) @ alpha0
     threshold = 2.0 * bound
     rec = WitnessRecord(
         escaped=bool(norms[-1] > threshold),

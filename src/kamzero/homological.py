@@ -227,30 +227,32 @@ def assemble_block_operator(family, N, kvec, j=None, Omega_j=None):
     if family == "A":
         P = commutation_matrix(b)
         Ibb = np.eye(b * b)
-        Z = np.zeros((b * b, b * b))
-        row1 = [kw * Ibb + kron(Ib, M.T) + kron(M.T, Ib),
-                -(kron(Ib, S) + kron(S, Ib) @ P), Z]
-        row2 = [4 * kron(Ib, T),
-                kw * Ibb + kron(M.T, Ib) - kron(Ib, M), -4 * kron(S, Ib)]
-        row3 = [Z, kron(Ib, T) @ P + kron(T, Ib),
-                kw * Ibb - (kron(Ib, M) + kron(M, Ib))]
-        return 1j * np.block([row1, row2, row3])
-    if family == "B":
+        blocks = [[kw * Ibb + kron(Ib, M.T) + kron(M.T, Ib),
+                   -(kron(Ib, S) + kron(S, Ib) @ P), None],
+                  [4 * kron(Ib, T),
+                   kw * Ibb + kron(M.T, Ib) - kron(Ib, M), -4 * kron(S, Ib)],
+                  [None, kron(Ib, T) @ P + kron(T, Ib),
+                   kw * Ibb - (kron(Ib, M) + kron(M, Ib))]]
+    elif family == "B":
         if j is None or Omega_j is None:
             raise ValueError("family B needs the tail mode j and Omega_j")
-        Z = np.zeros((b, b))
         om = float(Omega_j)
-        rows = [
-            [(kw + om) * Ib + M.T, Z, -2 * S, Z],
-            [Z, (kw - om) * Ib + M.T, Z, -2 * S],
-            [2 * T, Z, (kw + om) * Ib - M, Z],
-            [Z, 2 * T, Z, (kw - om) * Ib - M],
-        ]
-        return 1j * np.block(rows)
-    if family == "C":
-        return 1j * np.block([[kw * Ib + M.T, -2 * S],
-                              [2 * T, kw * Ib - M]])
-    raise ValueError("unknown family %r" % (family,))
+        blocks = [[(kw + om) * Ib + M.T, None, -2 * S, None],
+                  [None, (kw - om) * Ib + M.T, None, -2 * S],
+                  [2 * T, None, (kw + om) * Ib - M, None],
+                  [None, 2 * T, None, (kw - om) * Ib - M]]
+    elif family == "C":
+        blocks = [[kw * Ib + M.T, -2 * S],
+                  [2 * T, kw * Ib - M]]
+    else:
+        raise ValueError("unknown family %r" % (family,))
+    d = len(blocks[0][0])     # one preallocated matrix; None blocks stay zero
+    out = np.zeros((len(blocks) * d,) * 2, dtype=complex)
+    for r, row in enumerate(blocks):
+        for c, blk in enumerate(row):
+            if blk is not None:
+                out[r * d:(r + 1) * d, c * d:(c + 1) * d] = blk
+    return 1j * out
 
 
 # ---------------------------------------------------------------------------

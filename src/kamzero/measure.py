@@ -30,7 +30,7 @@ class ParameterGrid:
     def __post_init__(self):
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
+        if not self.lo.size or self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
             raise ValueError("invalid parameter box")
         if self.samples_per_axis < 2:
             raise ValueError("need at least 2 samples per axis")

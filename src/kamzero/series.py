@@ -171,9 +171,6 @@ class DomainParams:
             raise ValueError("sigma=%g must be smaller than s=%g" % (sigma, self.s))
         return DomainParams(self.s - sigma, self.r, self.a, self.p)
 
-    def with_r(self, r):
-        return DomainParams(self.s, r, self.a, self.p)
-
 
 def mode_weight(j, dp):
     """Sequence-space weight w_j = j^p e^{aj} (the j = 0 mode has weight 1)."""

@@ -146,6 +146,13 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 5
 
 
+def test_unreadable_config_is_config_error(tmp_path, capsys):
+    # a missing file once ended in a FileNotFoundError traceback
+    assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 5
+    assert "config error: " in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path)]) == 5
+
+
 def test_empty_trace_is_valid_json(tmp_path):
     from kamzero.driver import IterationReport
     from kamzero.reporting import emit_report
@@ -296,3 +303,54 @@ def test_b2_synthetic_run_ends_in_a_verdict(tmp_path):
     with open(tmp_path / "out" / "run.json") as fh:
         report = json.load(fh)
     assert report["verdict"] == "BudgetExhausted" and report["verdict_info"]["m"] == 4
+
+
+@pytest.mark.parametrize("args", [["--xi-index", "10000"], ["--xi-index", "-1"],
+                                  ["--max-steps", "-2"], ["--max-steps", "0"]])
+def test_bad_run_options_are_argument_errors(tmp_path, capsys, args):
+    # on nls.cfg (100 x 100 grid) these once ended in an IndexError traceback,
+    # ran the last grid sample, ran no step and reported BudgetExhausted at
+    # m = -2 (exit 4), or fell back to the config's max_steps
+    out = tmp_path / "out"
+    assert main(["run", "--config", os.path.join(SHIPPED, "nls.cfg"), "--out", str(out)] + args) == 5
+    assert "argument error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+SMALL_NLS = MINIMAL_NLS + "\n[budgets]\ndegree_max = 4\nk_max = 64\n"
+GRID = "\n[grid]\nlo = 0.001 0.001\nhi = 0.01 0.01\nsamples_per_axis = 4\n"
+TEXTS = {"nls": SMALL_NLS, "grid": SMALL_NLS + GRID, "synthetic": SYNTH,
+         "1d-grid": SMALL_NLS + GRID.replace("0.001 0.001", "0.001")}
+
+
+@pytest.mark.parametrize("command,config,args", [
+    ("run", "nls", ["--xi-index", "0"]),          # no [grid] box: was ignored
+    ("nls-build", "nls", ["--xi-index", "0"]),
+    ("run", "synthetic", ["--xi-index", "0"]),    # synthetic: was ignored
+    ("measure", "grid", ["--xi-index", "0"]),     # these three: ignored
+    ("measure", "grid", ["--max-steps", "2"]),
+    ("nls-build", "grid", ["--max-steps", "1"]),
+    ("run", "1d-grid", ["--xi-index", "0"]),      # was a ValueError traceback
+    ("measure", "nls", []),                       # was a ValueError traceback
+    ("nls-build", "synthetic", []),               # these three: IndexError
+    ("measure", "synthetic", []),
+    ("check", "synthetic", []),
+])
+def test_options_that_do_not_fit_are_argument_errors(tmp_path, capsys, command, config, args):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TEXTS[config])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + args) == 5
+    assert "argument error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_xi_index_picks_the_grid_sample(tmp_path):
+    from kamzero.measure import ParameterGrid
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_NLS + GRID)
+    out = tmp_path / "out"
+    assert main(["nls-build", "--config", str(cfg), "--out", str(out), "--xi-index", "5"]) == 0
+    xi = ParameterGrid([0.001, 0.001], [0.01, 0.01], 4).samples()[5]
+    assert json.loads((out / "model.json").read_text())["xi"] == xi.tolist()

@@ -10,7 +10,7 @@ import pytest
 from kamzero.cli import _build_problem
 from kamzero.config import parse_config
 from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
-                            StepRecord, _eval_poly, _frozen, _zero_mode_tables,
+                            StepRecord, _eval_gradients, _zero_mode_tables,
                             delta0, dichotomy, kam_step, make_synthetic_problem,
                             no_torus_witness, run, schedule, scheduled_eps)
 from kamzero.homological import NormalForm, ResonantParameter
@@ -276,19 +276,44 @@ def _zero_mode_gradients(R, dims, x, z, zb):
 @pytest.mark.parametrize("b", [1, 2])
 def test_witness_tables_match_per_term_loop(b):
     dims = SeriesDims(2, (), tuple(range(1, b + 1)), 6)
-    _, R = make_synthetic_problem(dims, BUD, 1e-3, seed=4, n_low=30, n_high=20)
-    grad_z, grad_zb, grad_y = _zero_mode_tables(R, dims)
     rng = np.random.default_rng(b)
-    for _ in range(5):
-        x = rng.uniform(0, 2 * np.pi, size=2)
-        z = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
-        zb = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
-        want = _zero_mode_gradients(R, dims, x, z, zb)
-        for tables, ref in zip((grad_z, grad_zb, grad_y), want):
-            got = [_eval_poly(t, z, zb, x) for t in tables]
-            frozen = [_eval_poly(_frozen(t, x), z, zb) for t in tables]
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
-            assert np.allclose(frozen, ref, rtol=1e-12, atol=1e-15)
+    # the small problem has gradients of one term and of none
+    for n_low, n_high in ((30, 20), (6, 3)):
+        _, R = make_synthetic_problem(dims, BUD, 1e-3, seed=4, n_low=n_low, n_high=n_high)
+        coupled = _zero_mode_tables(R, dims)
+        assert len(coupled[3]) == 2 * b + 2
+        for _ in range(5):
+            x = rng.uniform(0, 2 * np.pi, size=2)
+            z = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
+            zb = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
+            gz, gzb, gy = _zero_mode_gradients(R, dims, x, z, zb)
+            X = np.concatenate([z, zb])
+            # the stacked order: dR/dzbar0, dR/dz0, then (coupled) dR/dy
+            got = _eval_gradients(coupled, X, x)
+            frozen = _eval_gradients(_zero_mode_tables(R, dims, x), X)
+            assert np.allclose(got, np.concatenate([gzb, gz, gy]), rtol=1e-12, atol=1e-15)
+            assert np.allclose(frozen, np.concatenate([gzb, gz]), rtol=1e-12, atol=1e-15)
+
+
+# sha256 prefix of the frozen witness norms on R0 of the no_torus shape with
+# builder-default degree-3/4 terms at eps0 = 1e-2, so the z0-dependent
+# gradients move the trajectory; recorded with the former one-table-per-gradient
+# evaluation, which the stacked table reproduces bit for bit
+PINNED_NORMS = {1: "a7704db975115eed", 2: "fe0e02e8b854e5be"}
+
+
+@pytest.mark.parametrize("b,seed", [(1, 2), (2, 3)])
+def test_witness_norms_are_pinned(b, seed):
+    with open(os.path.join(CONFIGS, "no_torus.cfg")) as fh:
+        cfg = parse_config(fh.read() + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n"
+                           "n_high = 8\neps0 = 0.01\n" % (seed, b))
+    N0, R0, dims, base = _build_problem(cfg, None)
+    assert all(hi > lo for lo, hi in _zero_mode_tables(R0, dims, np.zeros(2))[3])
+    escaped, rec = no_torus_witness(N0, R0, schedule(1, base, eps_m=1e-6), dims,
+                                    eps_prev=1e-6)
+    assert escaped
+    digest = hashlib.sha256(np.asarray(rec.norms).tobytes()).hexdigest()[:16]
+    assert digest == PINNED_NORMS[b]
 
 
 def test_witness_premise_guard():

@@ -7,7 +7,7 @@ from kamzero.homological import (BudgetExhausted, NormalForm, ResonantParameter,
                                  condition_catalogue, extract_hat, hom_residual,
                                  k_lattice, k_powers, solve_homological)
 from kamzero.homological import _layout
-from kamzero.matrixkit import det_modulus, vec
+from kamzero.matrixkit import commutation_matrix, det_modulus, kron, vec
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
                             fourier_truncate, key_kabs, make_key,
                             poisson_bracket, split_low_high,
@@ -165,6 +165,43 @@ def test_block_operators_match_bracket_action(b):
                + [make_key(n, k=k, gamma={m: 1}) for m in zm])
     C = assemble_block_operator("C", N, np.asarray(k))
     assert np.abs(C - probe(basis_c)).max() <= 1e-12
+
+
+def _np_block_operator(family, N, kw, om):
+    """Reference: the same blocks joined by ``np.block``."""
+    b = N.b
+    S, M, T = N.Nz0z0, N.Nz0zb0, N.Nzb0zb0
+    Ib = np.eye(b)
+    if family == "A":
+        P = commutation_matrix(b)
+        Ibb = np.eye(b * b)
+        Z = np.zeros((b * b, b * b))
+        return 1j * np.block([
+            [kw * Ibb + kron(Ib, M.T) + kron(M.T, Ib), -(kron(Ib, S) + kron(S, Ib) @ P), Z],
+            [4 * kron(Ib, T), kw * Ibb + kron(M.T, Ib) - kron(Ib, M), -4 * kron(S, Ib)],
+            [Z, kron(Ib, T) @ P + kron(T, Ib), kw * Ibb - (kron(Ib, M) + kron(M, Ib))]])
+    Z = np.zeros((b, b))
+    if family == "B":
+        return 1j * np.block([[(kw + om) * Ib + M.T, Z, -2 * S, Z],
+                              [Z, (kw - om) * Ib + M.T, Z, -2 * S],
+                              [2 * T, Z, (kw + om) * Ib - M, Z],
+                              [Z, 2 * T, Z, (kw - om) * Ib - M]])
+    return 1j * np.block([[kw * Ib + M.T, -2 * S], [2 * T, kw * Ib - M]])
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_block_operator_is_bitwise_the_np_block_matrix(family, b):
+    rng = np.random.default_rng(7 * b)
+    dims = make_dims(b)
+    N = make_nf(dims, rng, block_scale=0.3)
+    j = dims.tail_modes[0]
+    for k in [(0, 0), (1, -2), (3, 1)]:
+        kw = float(np.dot(k, N.omega))
+        got = assemble_block_operator(family, N, np.asarray(k), j=j, Omega_j=N.Omega[j])
+        want = _np_block_operator(family, N, kw, float(N.Omega[j]))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_family_b_requires_mode():
