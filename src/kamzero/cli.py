@@ -125,7 +125,7 @@ def cmd_measure(cfg, outdir):
     fmap = measure.AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
     reports = {}
     gamma = base.gamma1
-    for rung in range(max(1, g["gamma_ladder"])):
+    for rung in range(g["gamma_ladder"]):
         params = driver.schedule(1, replace(base, gamma1=gamma))
         try:
             rep = measure.estimate_excluded(fmap, params, kf.dims, grid,

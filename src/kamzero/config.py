@@ -204,8 +204,16 @@ def _validate(cfg):
             problems.append("[synthetic] b must be >= 1")
     if n and not v["schedule"]["tau"] > n + 1:
         problems.append("[schedule] tau must exceed n + 1 = %d" % (n + 1))
+    g = v["grid"]
     if mode == "measure":
-        g = v["grid"]
         if not g["lo"] or not g["hi"] or len(g["lo"]) != len(g["hi"]):
             problems.append("[grid] lo and hi must be equal-length lists")
+    if g["lo"] or g["hi"]:
+        # an empty condition set or ladder would report every fraction as 0
+        if not g["kmax"] >= 1:
+            problems.append("[grid] kmax must be >= 1")
+        if not 0 <= g["k_lo"] < g["kmax"]:
+            problems.append("[grid] k_lo must satisfy 0 <= k_lo < kmax")
+        if g["gamma_ladder"] < 1:
+            problems.append("[grid] gamma_ladder must be >= 1")
     return problems

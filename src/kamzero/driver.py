@@ -38,7 +38,8 @@ from .homological import (BudgetExhausted, NormalForm, ResonantParameter,
                           check_nonresonance, solve_homological)
 from .matrixkit import op_norm
 from .series import (DomainParams, TFSeries, fourier_truncate, lie_series,
-                     poisson_bracket, realify, split_low_high, vector_field_norm)
+                     poisson_bracket, realify, split_low_high, truncated_mass,
+                     vector_field_norm)
 
 
 class PremiseFailed(Exception):
@@ -177,6 +178,8 @@ class StepRecord:
     freq_drift: float
     delta0: float
     dropped_mass: float
+    precut_mass: float
+    cut_mass: float
     lie_order: int
     tail_ratio: float
     min_divisor_margin: float
@@ -189,8 +192,9 @@ class StepRecord:
     def as_dict(self):
         out = {k: getattr(self, k) for k in (
             "m", "eps_scheduled", "eps_measured", "eps_next", "xF_norm",
-            "residual", "freq_drift", "delta0", "dropped_mass", "lie_order",
-            "tail_ratio", "min_divisor_margin", "K_m", "gamma_m", "s_m", "r_m")}
+            "residual", "freq_drift", "delta0", "dropped_mass", "precut_mass",
+            "cut_mass", "lie_order", "tail_ratio", "min_divisor_margin", "K_m",
+            "gamma_m", "s_m", "r_m")}
         out["solve_counts"] = dict(sorted(self.solve_counts.items()))
         return out
 
@@ -224,16 +228,16 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     rem_tol = 0.01 * max(eps_m ** (4.0 / 3.0), 1e-30)
     T1 = srep.bracket  # {N, F}, as certified by the solver's residual
     resid_series = T1 + low_trunc - Nhat.to_series(dims, R.budgets)
-    dropped = T1.meta.get("dropped_mass", 0.0)
+    masses = truncated_mass(T1)
     R_next = resid_series + tail
     lie_used = 1
     if len(F):
         T2 = poisson_bracket(T1, F)
-        chainN, d2, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
+        chainN, massN, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
         S1 = poisson_bracket(R, F)
-        chainR, d3, _, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
+        chainR, massR, _, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
         R_next = R_next + high + chainN + chainR
-        dropped += d2 + d3
+        masses = {key: mass + (massN[key] + massR[key]) for key, mass in masses.items()}
         lie_used = max(usedN, usedR)
     else:
         R_next = R_next + high
@@ -256,7 +260,9 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         residual=srep.residual if srep.residual is not None else 0.0,
         freq_drift=float(np.max(np.abs(Nhat.omega), initial=0.0)),
         delta0=delta0(N_next),
-        dropped_mass=dropped,
+        dropped_mass=masses["dropped_mass"],
+        precut_mass=masses["pruned_mass"],
+        cut_mass=masses["cut_mass"],
         lie_order=lie_used,
         tail_ratio=tailrep.ratio if tailrep else 0.0,
         min_divisor_margin=float(srep.min_divisor_margin),

@@ -26,6 +26,14 @@ pairwise sum of the others, taken in arrival order.
 The radix comes from the column ranges of the operands at hand; ranges
 wider than 63 bits spill into further code words sorted with
 ``np.lexsort``, so a code never wraps.
+
+Products (brackets and ``multiply``) stream their rows through a bounded
+accumulator (``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS``
+unsorted rows is sorted and summed on its own into a sorted block of
+distinct keys, and sorted blocks are merged with each other only when
+their rows pass ``_CHUNK_ROWS`` and once at the end.  Rows that fit in one
+buffer are summed by one sort; beyond that, each buffer is summed as above
+and the buffers' partial sums are added in buffer order.
 """
 
 from __future__ import annotations
@@ -480,14 +488,20 @@ def _sort_and_sum(words, coefs):
     numpy's pairwise sum of the others, in arrival order.
 
     Returns (first, sums): ``first`` indexes one input row per distinct key,
-    in key order, and ``sums`` holds the summed coefficients.
+    in key order, and ``sums`` holds the summed coefficients.  A
+    concatenation of sorted blocks (the accumulator's merges) costs about a
+    merge of them, since numpy's stable sort of int64 codes is a timsort;
+    the blocks' sums of one key are then added in block order.
     """
     if len(words) == 1:
         order = np.argsort(words[0], kind="stable")
+        code = words[0][order]
+        new = code[1:] != code[:-1]
     else:
         order = np.lexsort(words[::-1])
-    words = [w[order] for w in words]
-    starts = np.flatnonzero(np.concatenate([[True], np.any([w[1:] != w[:-1] for w in words], axis=0)]))
+        words = [w[order] for w in words]
+        new = np.any([w[1:] != w[:-1] for w in words], axis=0)
+    starts = np.concatenate([[0], np.flatnonzero(new) + 1])
     return order[starts], np.add.reduceat(coefs[order], starts)
 
 
@@ -505,29 +519,48 @@ def _canonical(rows, coefs):
 # the product kernel
 # ---------------------------------------------------------------------------
 
-# rows per product block, and buffered rows that trigger a merge (cache-sized)
+# rows per product block, per raw buffer and per sorted blocks before they
+# merge (cache-sized)
 _CHUNK_ROWS = 1_000_000
 
 
 class _Accumulator:
     """Bounded-memory collector of product rows as (code words, coefficient).
 
-    Incoming blocks arrive with a budget mask (the l^1 mass outside it is
-    accumulated in ``dropped``), are optionally pre-cut at a magnitude floor
-    (mass into ``precut``), and are merged whenever the buffered row count
-    grows large.
+    ``add`` drops the rows outside the budget mask ``keep`` (None when every
+    row is in budget; mass into ``dropped``) and those below the magnitude
+    floor (mass into ``precut``), and appends the rest to a raw buffer of
+    unsorted rows.  Before a block would push that buffer past
+    ``_CHUNK_ROWS`` rows (one larger block aside), the buffer alone is summed
+    into one sorted block of distinct keys.  Sorted blocks are merged with
+    each other only once they hold more than ``_CHUNK_ROWS`` rows, and once
+    more in ``finalize``; the running sum is never sorted again with each
+    new block.  Each buffer sums a key's rows as ``_sort_and_sum`` does, and
+    a merge adds the blocks' partial sums the same way, in buffer order, so
+    rows that fit in one buffer are summed by the one sort in ``finalize``.
     """
 
-    def __init__(self, nwords, mag_cut):
+    def __init__(self, mag_cut):
         self.mag_cut = mag_cut
-        self.words = [[] for _ in range(nwords)]
-        self.coefs = []
-        self.rows = 0
+        self.raw, self.raw_rows = [], 0           # unsorted (words, coefs) blocks
+        self.blocks, self.block_rows = [], 0      # sorted blocks of distinct keys
         self.dropped = 0.0
         self.precut = 0.0
 
     def add(self, words, coefs, keep):
-        if not keep.all():
+        words, coefs = self._cut(words, coefs, keep)
+        if self.raw_rows and self.raw_rows + len(coefs) > _CHUNK_ROWS:
+            self._reduce_raw()
+            if self.block_rows > _CHUNK_ROWS:
+                self._merge_blocks()
+        self.raw.append((words, coefs))
+        self.raw_rows += len(coefs)
+
+    def _cut(self, words, coefs, keep):
+        """The rows in budget and above the magnitude floor, the cut mass
+        counted (a method of its own, so that its temporaries are freed
+        before a reduction)."""
+        if keep is not None and not keep.all():
             self.dropped += float(np.abs(coefs[~keep]).sum())
             words = [w[keep] for w in words]
             coefs = coefs[keep]
@@ -538,39 +571,59 @@ class _Accumulator:
                 self.precut += float(mags[~live].sum())
                 words = [w[live] for w in words]
                 coefs = coefs[live]
-        for buf, w in zip(self.words, words):
-            buf.append(w)
-        self.coefs.append(coefs)
-        self.rows += len(coefs)
-        if self.rows > _CHUNK_ROWS:
-            self._compress()
+        return words, coefs
 
-    def _compress(self):
-        words = [np.concatenate(buf) for buf in self.words]
-        first, sums = _sort_and_sum(words, np.concatenate(self.coefs))
-        self.words = [[w[first]] for w in words]
-        self.coefs = [sums]
-        self.rows = len(sums)
+    def _reduce_raw(self):
+        self.blocks.append(_summed(self.raw))
+        self.block_rows += len(self.blocks[-1][1])
+        self.raw_rows = 0
+
+    def _merge_blocks(self):
+        self.blocks = [_summed(self.blocks)]
+        self.block_rows = len(self.blocks[0][1])
 
     def finalize(self, out, codec):
         """Merge everything into ``out``; the final relative cut
         ``prune_rel * max|c|`` lands in ``meta['cut_mass']``."""
         out.meta.update(dropped_mass=self.dropped, pruned_mass=self.precut, cut_mass=0.0)
-        if not self.rows:
+        if self.raw_rows:
+            self._reduce_raw()
+        if not self.block_rows:
             return
-        self._compress()
-        sums = self.coefs[0]
+        if len(self.blocks) > 1:
+            self._merge_blocks()
+        words, sums = self.blocks[0]
         mags = np.abs(sums)
         live = mags > out.budgets.prune_rel * mags.max()
         out.meta["cut_mass"] = float(mags[~live].sum())
-        out.rows = codec.decode([buf[0][live] for buf in self.words])
+        out.rows = codec.decode([w[live] for w in words])
         out.coefs = sums[live]
+
+
+def _summed(blocks):
+    """The (words, coefs) ``blocks`` concatenated in order, one row per
+    distinct key, sorted, with the key's summed coefficient.  Empties the
+    list ``blocks``, so that the pieces are freed before the sort."""
+    if len(blocks) == 1:
+        words, coefs = blocks[0]
+    else:
+        words = [np.concatenate(ws) for ws in zip(*(w for w, _ in blocks))]
+        coefs = np.concatenate([c for _, c in blocks])
+    blocks.clear()
+    first, sums = _sort_and_sum(words, coefs)
+    return [w[first] for w in words], sums
+
+
+def _lowering(col, n):
+    """Total-degree drop of differentiating in the variable of column ``col``:
+    0 for none and for an angle, 2 for an action, 1 for a normal mode."""
+    return 0 if col is None or col < n else 2 if col < 2 * n else 1
 
 
 def _factor(S, lo, codec, col):
     """Rows of S differentiated in the variable of column ``col`` (S itself
-    for None), as (code words, degrees, k columns, coefficients); None when
-    the derivative vanishes."""
+    for None), as (rows, code words, coefficients); None when the derivative
+    vanishes."""
     n = S.dims.n
     rows, coefs = S.rows, S.coefs
     if col is not None:
@@ -583,33 +636,52 @@ def _factor(S, lo, codec, col):
         else:
             coefs = coefs[sel] * rows[:, col]
             rows[:, col] -= 1
-    return codec.encode(rows, lo), _degrees(rows, n), rows[:, :n].astype(np.int32), coefs
+    return rows, codec.encode(rows, lo), coefs
 
 
 def _products(out, A, B, pairs):
     """Sum over ``(col_a, col_b, factor)`` of factor * dA/d(col_a) * dB/d(col_b)
-    into ``out``, truncated to the budgets."""
+    into ``out``, truncated to the budgets.
+
+    Each factor is +-1 or +-i and is folded into dB's coefficients once per
+    pair: ca * (cb * factor) equals (ca * cb) * factor exactly, also where
+    numpy's complex multiply fuses a multiply-add (folding it into ca does
+    not: the fused product then rounds a different partial product).
+    """
     n, bud = A.dims.n, A.budgets
     lo_a, hi_a = _bounds(A.rows)
     lo_b, hi_b = _bounds(B.rows)
     codec = _Codec(lo_a + lo_b, hi_a + hi_b)
     cut = (bud.prune_rel / 16.0) * A.max_abs() * B.max_abs()
-    acc = _Accumulator(len(codec.words), cut)
+    acc = _Accumulator(cut)
+    # a product row's degree is its factors' degrees less the pair's lowering
+    # and its |k| at most theirs, so the budget mask is needed only when the
+    # operands' extremes can exceed a budget
+    lowered = min(_lowering(ca, n) + _lowering(cb, n) for ca, cb, _ in pairs)
+    masked = (_degrees(A.rows, n).max() + _degrees(B.rows, n).max() - lowered > bud.degree_max
+              or _kabs(A.rows, n).max() + _kabs(B.rows, n).max() > bud.k_max)
     for col_a, col_b, factor in pairs:
         fa, fb = _factor(A, lo_a, codec, col_a), _factor(B, lo_b, codec, col_b)
         if fa is None or fb is None:
             continue
-        wa, dga, ka, ca = fa
-        wb, dgb, kb, cb = fb
+        ra, wa, ca = fa
+        rb, wb, cb = fb
+        cb = cb * factor
+        if masked:
+            dga, dgb = _degrees(ra, n), _degrees(rb, n)
+            ka, kb = ra[:, :n].astype(np.int32), rb[:, :n].astype(np.int32)
         step = max(1, _CHUNK_ROWS // len(cb))
         for lo in range(0, len(ca), step):
             hi = lo + step
-            keep = dga[lo:hi, None] + dgb <= bud.degree_max
-            if n:
-                kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
-                keep &= kabs <= bud.k_max
-            coefs = (ca[lo:hi, None] * cb).ravel() * factor
-            acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)], coefs, keep.ravel())
+            keep = None
+            if masked:
+                keep = dga[lo:hi, None] + dgb <= bud.degree_max
+                if n:
+                    kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
+                    keep &= kabs <= bud.k_max
+                keep = keep.ravel()
+            acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)],
+                    (ca[lo:hi, None] * cb).ravel(), keep)
     acc.finalize(out, codec)
 
 
@@ -739,6 +811,17 @@ def fourier_truncate(R, K, dp=None, sigma=None):
     return trunc, tail, report
 
 
+# the l^1 mass a bracket's meta records as truncated, by cause: the degree
+# and Fourier budgets, the magnitude pre-cut of product rows, the final
+# relative cut
+LEDGER = ("dropped_mass", "pruned_mass", "cut_mass")
+
+
+def truncated_mass(S):
+    """The ``LEDGER`` masses recorded in the meta of S (0.0 where absent)."""
+    return {key: S.meta.get(key, 0.0) for key in LEDGER}
+
+
 def lie_series(term, F, j, order, dp=None, rem_tol=None):
     """Sum_{i=j}^{order} ad_F^{i-j}(term) / i! for term = ad_F^j(H).
 
@@ -746,26 +829,27 @@ def lie_series(term, F, j, order, dp=None, rem_tol=None):
     term = H, the KAM step at a bracket it has already formed.  Orders are
     added one at a time; the sum stops after an empty increment or, with
     ``dp`` and ``rem_tol`` given, after one whose vector-field norm is below
-    ``rem_tol``.  Returns (sum, dropped_mass, last_norm, order_used), where
-    last_norm is the norm of the last increment (inf when unmeasured, 0 once
-    the series terminates).
+    ``rem_tol``.  Returns (sum, masses, last_norm, order_used), where masses
+    sums ``truncated_mass`` over the brackets (``term`` itself for j > 0)
+    and last_norm is the norm of the last increment (inf when unmeasured, 0
+    once the series terminates).
     """
     fact = math.factorial(j)
     if j:
-        acc, dropped = term * (1.0 / fact), term.meta.get("dropped_mass", 0.0)
+        acc, masses = term * (1.0 / fact), truncated_mass(term)
     else:
-        acc, dropped = term.copy(), 0.0
+        acc, masses = term.copy(), dict.fromkeys(LEDGER, 0.0)
     last = vector_field_norm(acc, dp) if j and dp is not None else math.inf
     while j < order and len(term) and (rem_tol is None or last >= rem_tol):
         j += 1
         term = poisson_bracket(term, F)
-        dropped += term.meta.get("dropped_mass", 0.0)
+        masses = {key: mass + term.meta.get(key, 0.0) for key, mass in masses.items()}
         fact *= j
         incr = term * (1.0 / fact)
         acc = acc + incr
         if dp is not None:
             last = vector_field_norm(incr, dp)
-    return acc, dropped, (last if len(term) else 0.0), j
+    return acc, masses, (last if len(term) else 0.0), j
 
 
 def lie_transform(H, F, order, dp=None, rem_tol=None):
@@ -774,14 +858,14 @@ def lie_transform(H, F, order, dp=None, rem_tol=None):
     Returns sum_{j=0}^{order} ad_F^j H / j! with ad_F H = {H, F}.  When
     ``dp`` and ``rem_tol`` are given the series stops early once the
     vector-field norm of the next increment falls below ``rem_tol``.  The
-    result's meta reports the accumulated truncation drops, the norm of the
-    last increment (remainder proxy) and the order actually used.
+    result's meta reports the brackets' summed ``LEDGER`` masses, the norm
+    of the last increment (remainder proxy) and the order actually used.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    acc, dropped, last, used = lie_series(H, F, 0, order, dp, rem_tol)
+    acc, masses, last, used = lie_series(H, F, 0, order, dp, rem_tol)
     acc.prune()
-    acc.meta["dropped_mass"] = dropped
+    acc.meta.update(masses)
     acc.meta["remainder_norm"] = last
     acc.meta["order_used"] = used
     acc.real = H.real and F.real

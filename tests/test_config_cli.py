@@ -276,6 +276,22 @@ def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
 
 
+@pytest.mark.parametrize("key,value", [("kmax", "-3"), ("kmax", "0"), ("k_lo", "10"),
+                                       ("k_lo", "12"), ("k_lo", "-1"), ("gamma_ladder", "0")])
+def test_empty_condition_set_is_config_error(tmp_path, capsys, key, value):
+    # on nls.cfg ([grid] kmax = 10) an empty condition set once gave a measure
+    # report with every fraction and bound 0.0, and gamma_ladder = 0 silently
+    # ran one rung; all exited 0
+    with open(os.path.join(SHIPPED, "nls.cfg")) as fh:
+        text = fh.read() + "\n[grid]\n%s = %s\n" % (key, value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["measure", "--config", str(cfg), "--out", str(out)]) == 5
+    assert "config error: [grid] %s" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("sites", "1 9"), ("sites", "1 1"),
                                        ("taylor_depth", "-1")])
 def test_bad_model_is_config_error(tmp_path, key, value):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 from dataclasses import replace
@@ -160,7 +161,8 @@ def test_delta0_values():
 def _rec(m, eps_measured, eps_next, d0):
     return StepRecord(m=m, eps_scheduled=eps_measured, eps_measured=eps_measured,
                       eps_next=eps_next, xF_norm=0.0, residual=0.0,
-                      freq_drift=0.0, delta0=d0, dropped_mass=0.0, lie_order=1,
+                      freq_drift=0.0, delta0=d0, dropped_mass=0.0, precut_mass=0.0,
+                      cut_mass=0.0, lie_order=1,
                       tail_ratio=0.0, min_divisor_margin=1.0, K_m=1.0,
                       gamma_m=0.05, s_m=0.5, r_m=0.1)
 
@@ -358,6 +360,46 @@ def test_synthetic_problems_are_pinned(b, seed):
     dims = SeriesDims(2, (), tuple(range(1, 1 + b)), 6)
     _, R = make_synthetic_problem(dims, BUD, 1e-6, seed=seed, block_scale=1e-3)
     assert digest(R) == PINNED_R["defaults", b, seed]
+
+
+def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
+    # every bracket that feeds R_next ({N, F} from the solver, then the two
+    # Lie chains) records its pre-cut and final-cut mass; each step record
+    # carries their sums next to dropped_mass
+    from kamzero import cli, driver, series
+
+    steps = []
+
+    def record(module, name, bracket_of):
+        orig = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            result = orig(*args, **kwargs)
+            steps[-1].append(series.truncated_mass(bracket_of(result)))
+            return result
+        monkeypatch.setattr(module, name, wrapped)
+
+    kam_step = driver.kam_step
+    monkeypatch.setattr(driver, "kam_step", lambda *a, **kw: steps.append([]) or kam_step(*a, **kw))
+    record(driver, "solve_homological", lambda res: res[2].bracket)
+    record(driver, "poisson_bracket", lambda res: res)
+    record(series, "poisson_bracket", lambda res: res)
+    with open(os.path.join(CONFIGS, "synthetic.cfg")) as fh:
+        text = fh.read() + "\n[budgets]\nprune_rel = 1e-8\n"
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(text)
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        steps.clear()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    records = json.loads((outs[-1] / "run.json").read_text())["steps"]
+    assert len(records) == len(steps) == 3
+    for rec, masses in zip(records, steps):
+        for field, key in (("dropped_mass", "dropped_mass"), ("precut_mass", "pruned_mass"),
+                           ("cut_mass", "cut_mass")):
+            assert math.isclose(rec[field], sum(m[key] for m in masses), rel_tol=1e-12)
+    assert all(rec["precut_mass"] > 0 and rec["cut_mass"] > 0 for rec in records[1:])
+    assert (outs[0] / "run.json").read_bytes() == (outs[1] / "run.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ rounding, bounded by 1e-14 of the l1 mass of its summands.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from kamzero import series as kseries
 from kamzero.driver import realify
 from kamzero.series import (Budgets, MonomialKey, SeriesDims, TFSeries,
                             fourier_truncate, key_degree, key_kabs, make_key,
@@ -70,6 +72,24 @@ def _key_product(a, b):
                        tuple(sorted(beta.items())), tuple(sorted(gamma.items())))
 
 
+def _ref_products(pairs, budgets):
+    """Sum of ca * cb * factor over ``(terms_a, terms_b, factor)``, each terms a
+    list of (key, coefficient), as (sums, l1 mass of each sum's summands,
+    dropped l1 mass)."""
+    sums, mass, dropped = {}, {}, 0.0
+    for terms_a, terms_b, factor in pairs:
+        for ka, ca in terms_a:
+            for kb, cb in terms_b:
+                key = _key_product(ka, kb)
+                c = ca * cb * factor
+                if key_degree(key) > budgets.degree_max or key_kabs(key) > budgets.k_max:
+                    dropped += abs(c)
+                    continue
+                sums[key] = sums.get(key, 0j) + c
+                mass[key] = mass.get(key, 0.0) + abs(c)
+    return {k: c for k, c in sums.items() if c != 0}, mass, dropped
+
+
 def ref_bracket(F, G, dims, budgets):
     """{F, G} as (sums, l1 mass of each sum's summands, dropped l1 mass)."""
     df = _derivatives(F, dims.n, dims.modes)
@@ -79,18 +99,13 @@ def ref_bracket(F, G, dims, budgets):
         pairs += [(("x", b), ("y", b), 1.0), (("y", b), ("x", b), -1.0)]
     for m in dims.modes:
         pairs += [(("z", m), ("zb", m), 1j), (("zb", m), ("z", m), -1j)]
-    sums, mass, dropped = {}, {}, 0.0
-    for fv, gv, factor in pairs:
-        for ka, ca in df.get(fv, ()):
-            for kb, cb in dg.get(gv, ()):
-                key = _key_product(ka, kb)
-                c = ca * cb * factor
-                if key_degree(key) > budgets.degree_max or key_kabs(key) > budgets.k_max:
-                    dropped += abs(c)
-                    continue
-                sums[key] = sums.get(key, 0j) + c
-                mass[key] = mass.get(key, 0.0) + abs(c)
-    return {k: c for k, c in sums.items() if c != 0}, mass, dropped
+    return _ref_products([(df.get(fv, ()), dg.get(gv, ()), factor) for fv, gv, factor in pairs],
+                         budgets)
+
+
+def ref_multiply(F, G, budgets):
+    """F * G as (sums, l1 mass of each sum's summands, dropped l1 mass)."""
+    return _ref_products([(list(F.items()), list(G.items()), 1.0)], budgets)
 
 
 def ref_add(F, G):
@@ -138,8 +153,32 @@ def _dict(S):
 # agreement with the reference
 # ---------------------------------------------------------------------------
 
+def _boundary(deg_a, deg_b, k_a, k_b):
+    """Operands whose extreme terms have degrees deg_a, deg_b and |k| = k_a,
+    k_b; their bracket holds a row of degree deg_a + deg_b - 2 (their product
+    one of deg_a + deg_b) and |k| = k_a + k_b."""
+    F = {make_key(2, k=(k_a, 0), alpha=(1, 0), beta={3: deg_a - 2}): 0.5 + 0.25j,
+         make_key(2, k=(0, -1), beta={0: 1}): -0.75}
+    G = {make_key(2, k=(0, k_b), alpha=(1, 0), gamma={4: deg_b - 2}): 1.25,
+         make_key(2, k=(1, 0), gamma={0: 1}): 0.25j}
+    return TFSeries(DIMS, BUD, F), TFSeries(DIMS, BUD, G)
+
+
+# operands at the budgets (the kernel skips the budget mask) and one over
+# (it masks): bracket degree 6 and 7, product degree 6 and 7, |k| 6 and 7
+BOUNDARY = [_boundary(4, 4, 1, 1), _boundary(5, 4, 1, 1), _boundary(4, 2, 1, 1),
+            _boundary(4, 3, 1, 1), _boundary(2, 2, 3, 3), _boundary(2, 2, 4, 3)]
+
+
+def at_the_budgets(test):
+    for F, G in BOUNDARY:
+        test = example(F, G)(test)
+    return test
+
+
 @SETTINGS
 @given(series(), series())
+@at_the_budgets
 def test_bracket_matches_reference_exactly_on_dyadic_coefficients(F, G):
     out = poisson_bracket(F, G)
     ref, _, dropped = ref_bracket(_dict(F), _dict(G), DIMS, BUD)
@@ -324,3 +363,43 @@ def test_coefficients_at_and_from_rows_match_the_terms_view(F, G, P, Q):
         twice = TFSeries.from_rows(A.dims, A.budgets, np.tile(A.rows[::-1], (2, 1)),
                                    np.tile(A.coefs[::-1], 2))
         assert _dict(twice) == {key: 2 * c for key, c in A.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# the accumulator beyond one buffer
+# ---------------------------------------------------------------------------
+
+# a few rows per buffer, so that raw-buffer reductions, block merges and the
+# final merge all run; the default size keeps everything in one buffer
+CHUNKS = st.one_of(st.integers(1, 6), st.just(kseries._CHUNK_ROWS))
+
+
+def _bracket_and_product(F, G, chunk):
+    """[(result, reference)] for {F, G} and F * G formed with the
+    accumulator's buffers shrunk to ``chunk`` rows."""
+    with mock.patch.object(kseries, "_CHUNK_ROWS", chunk):
+        bracket, product = poisson_bracket(F, G), F.multiply(G)
+    f, g = _dict(F), _dict(G)
+    ref = ({}, {}, 0.0) if f == g else ref_bracket(f, g, F.dims, F.budgets)
+    return [(bracket, ref), (product, ref_multiply(f, g, F.budgets))]
+
+
+@SETTINGS
+@given(st.one_of(st.tuples(series(), series()), st.tuples(SMALL, SMALL)), CHUNKS)
+@example(BOUNDARY[0], 2)
+@example(BOUNDARY[3], 2)
+@example(BOUNDARY[5], 3)
+def test_products_beyond_one_buffer_match_reference_exactly_on_dyadic_coefficients(pair, chunk):
+    for out, (ref, _, dropped) in _bracket_and_product(*pair, chunk):
+        assert _dict(out) == ref
+        assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@SETTINGS
+@given(series(FLOATS), series(FLOATS), CHUNKS)
+def test_products_beyond_one_buffer_match_reference_within_rounding(F, G, chunk):
+    for out, (ref, mass, dropped) in _bracket_and_product(F, G, chunk):
+        got = _dict(out)
+        for key in set(got) | set(ref):
+            assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
+        assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
