@@ -180,6 +180,7 @@ class StepRecord:
     dropped_mass: float
     precut_mass: float
     cut_mass: float
+    prune_mass: float
     lie_order: int
     tail_ratio: float
     min_divisor_margin: float
@@ -193,8 +194,8 @@ class StepRecord:
         out = {k: getattr(self, k) for k in (
             "m", "eps_scheduled", "eps_measured", "eps_next", "xF_norm",
             "residual", "freq_drift", "delta0", "dropped_mass", "precut_mass",
-            "cut_mass", "lie_order", "tail_ratio", "min_divisor_margin", "K_m",
-            "gamma_m", "s_m", "r_m")}
+            "cut_mass", "prune_mass", "lie_order", "tail_ratio", "min_divisor_margin",
+            "K_m", "gamma_m", "s_m", "r_m")}
         out["solve_counts"] = dict(sorted(self.solve_counts.items()))
         return out
 
@@ -241,7 +242,7 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         lie_used = max(usedN, usedR)
     else:
         R_next = R_next + high
-    R_next.prune()
+    prune_mass = srep.prune_mass + R_next.prune()
     R_next.real = R.real
 
     s_next = params.s_next
@@ -263,6 +264,7 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         dropped_mass=masses["dropped_mass"],
         precut_mass=masses["pruned_mass"],
         cut_mass=masses["cut_mass"],
+        prune_mass=prune_mass,
         lie_order=lie_used,
         tail_ratio=tailrep.ratio if tailrep else 0.0,
         min_divisor_margin=float(srep.min_divisor_margin),

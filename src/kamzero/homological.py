@@ -432,6 +432,7 @@ class SolveReport:
     xF_norm: float | None = None
     estimate_constant: float | None = None
     bracket: TFSeries | None = None     # {N, F}, formed for the residual when dp is given
+    prune_mass: float = 0.0             # l1 mass the final prune of F removed
 
 
 def solve_homological(N, R_low, params, dims, dp=None):
@@ -555,7 +556,7 @@ def solve_homological(N, R_low, params, dims, dp=None):
     F.append(solve_scalar("part6", rows, R_low, corr6))
 
     F = series_of(F, R_low.real)
-    F.prune()
+    report.prune_mass = F.prune()
     if dp is not None:
         report.bracket = poisson_bracket(N_series, F)
         report.residual = hom_residual(report.bracket, R_low, Nhat, dp, dims)

@@ -204,6 +204,7 @@ class KamForm:
     A: np.ndarray             # d omega / d xi, exact from the y expansion
     constant_dropped: complex
     expansion_dropped: float
+    prune_mass: float         # l1 mass the prune of R0 removed
     notes: dict = field(default_factory=dict)
 
 
@@ -242,7 +243,8 @@ def to_kam_form(model, birkhoff, budgets):
     omega(xi) = alpha + A xi, the normal frequencies stay at j^2 (the
     zero-mode keeps frequency 0), and everything else lands in R0.  The
     omitted expansion orders (Taylor depth or degree/Fourier budget) are
-    reported as coefficient mass at |y| = xi/4.
+    reported as coefficient mass at |y| = xi/4, and the mass the prune of
+    R0 removes as ``prune_mass``.
     """
     n, dims, depth, xi = model.n, model.kam_dims(), model.taylor_depth, model.xi
     width = model.jmax + 1
@@ -285,7 +287,7 @@ def to_kam_form(model, birkhoff, budgets):
     term, t = np.nonzero(inside & ~const & ~np.any(means, axis=0))
     R0 = TFSeries.from_rows(dims, budgets, np.concatenate([k[term], tvecs[t], z[term]], axis=1),
                             coef[term, t], real=True)
-    R0.prune()
+    prune_mass = R0.prune()
 
     N0 = NormalForm.zero(n, 1)
     N0.omega = omega
@@ -294,7 +296,7 @@ def to_kam_form(model, birkhoff, budgets):
     # ordered-multiplicity unfold: an off-diagonal monomial carries 4x, the
     # diagonal square contributes 2 xi per y
     A = np.where(np.eye(n, dtype=bool), 2.0, 4.0) * birkhoff.Gbar[np.ix_(sites, sites)]
-    return KamForm(N0, R0, dims, alpha, A, constant_dropped, expansion_dropped,
+    return KamForm(N0, R0, dims, alpha, A, constant_dropped, expansion_dropped, prune_mass,
                    notes={"normal_shift_B": 0.0,
                           "B_zero_convention": "tail frequencies kept at j^2; "
                           "order-xi tail couplings remain in R0"})

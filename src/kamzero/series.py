@@ -34,6 +34,15 @@ distinct keys, and sorted blocks are merged with each other only when
 their rows pass ``_CHUNK_ROWS`` and once at the end.  Rows that fit in one
 buffer are summed by one sort; beyond that, each buffer is summed as above
 and the buffers' partial sums are added in buffer order.
+
+The bracket is a real operation: with M the mirror (k -> -k, beta <->
+gamma, conjugate coefficient), two real operands give {A, B} = P + M(P)
+with P = {A_half, B}, where A_half holds the rows of A that sort below
+their mirror and its self-mirror rows at weight 1/2.  A bracket of two
+real-flagged operands whose in-budget rows pass one buffer is formed that
+way, at half the product rows; its output is exactly real.  Every bracket
+that fits one buffer, or has an operand not flagged real, is formed from
+the whole of both.
 """
 
 from __future__ import annotations
@@ -366,15 +375,16 @@ class TFSeries:
         """Deterministic text form, one term per line.
 
         Header: ``# tfseries n=.. sites=.. zero=.. jmax=.. dmax=.. kmax=..
-        real=..``; term lines read ``k=(k1,..,kn) a=(a1,..,an) b={j:e,..}
-        g={j:e,..} c=RE,IM`` ordered lexicographically on (k, alpha, beta,
-        gamma).
+        prune=.. real=..``; term lines read ``k=(k1,..,kn) a=(a1,..,an)
+        b={j:e,..} g={j:e,..} c=RE,IM`` ordered lexicographically on (k,
+        alpha, beta, gamma).
         """
         d = self.dims
-        head = ("# tfseries n=%d sites=%s zero=%s jmax=%d dmax=%d kmax=%d real=%d"
+        bud = self.budgets
+        head = ("# tfseries n=%d sites=%s zero=%s jmax=%d dmax=%d kmax=%d prune=%.17g real=%d"
                 % (d.n, ",".join(map(str, d.sites)) or "-",
                    ",".join(map(str, d.zero_modes)) or "-", d.jmax,
-                   self.budgets.degree_max, self.budgets.k_max, int(self.real)))
+                   bud.degree_max, bud.k_max, bud.prune_rel, int(self.real)))
         lines = [head]
         for key in sorted(self.terms):
             c = self.terms[key]
@@ -387,6 +397,8 @@ class TFSeries:
 
     @classmethod
     def from_text(cls, text):
+        """Series from ``to_text`` output; a header without ``prune=`` reads
+        the default ``Budgets.prune_rel``."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         head = lines[0]
         if not head.startswith("# tfseries"):
@@ -398,7 +410,8 @@ class TFSeries:
 
         dims = SeriesDims(int(fields["n"]), intlist(fields["sites"]),
                           intlist(fields["zero"]), int(fields["jmax"]))
-        budgets = Budgets(int(fields["dmax"]), int(fields["kmax"]))
+        budgets = Budgets(int(fields["dmax"]), int(fields["kmax"]),
+                          float(fields.get("prune", Budgets.prune_rel)))
         terms = {}
         for ln in lines[1:]:
             toks = dict(tok.split("=", 1) for tok in ln.split())
@@ -472,6 +485,13 @@ class _Codec:
             start = end
 
     def encode(self, rows, lo):
+        """Code words of ``rows``, formed a slice of rows at a time so that no
+        int64 temporary exceeds about ``_CHUNK_ROWS`` entries (codes are
+        exact integers, so the slicing changes no code)."""
+        step = max(1, _CHUNK_ROWS // max(1, rows.shape[1]))
+        if len(rows) > step:
+            parts = [self.encode(rows[s:s + step], lo) for s in range(0, len(rows), step)]
+            return [np.concatenate(words) for words in zip(*parts)]
         return [(rows[:, a:b] - lo[a:b]) @ strides for a, b, strides in self.words]
 
     def decode(self, words):
@@ -582,22 +602,32 @@ class _Accumulator:
         self.blocks = [_summed(self.blocks)]
         self.block_rows = len(self.blocks[0][1])
 
-    def finalize(self, out, codec):
+    def finalize(self, out, codec, mirrored=False):
         """Merge everything into ``out``; the final relative cut
-        ``prune_rel * max|c|`` lands in ``meta['cut_mass']``."""
-        out.meta.update(dropped_mass=self.dropped, pruned_mass=self.precut, cut_mass=0.0)
+        ``prune_rel * max|c|`` lands in ``meta['cut_mass']``.
+
+        With ``mirrored`` the rows collected are P = {A_half, B} (see
+        ``poisson_bracket``): the sum P is added to its mirror M(P) before
+        the cut, and the budget and pre-cut masses, both mirror-invariant,
+        count twice."""
+        twice = 2.0 if mirrored else 1.0
+        out.meta.update(dropped_mass=twice * self.dropped, pruned_mass=twice * self.precut,
+                        cut_mass=0.0)
         if self.raw_rows:
             self._reduce_raw()
         if not self.block_rows:
             return
         if len(self.blocks) > 1:
             self._merge_blocks()
-        words, sums = self.blocks[0]
+        words, sums = self.blocks.pop()
+        rows = codec.decode(words)
+        del words       # freed before the mirror merge
+        if mirrored:
+            rows, sums = _plus_mirror(out.dims, rows, sums)
         mags = np.abs(sums)
-        live = mags > out.budgets.prune_rel * mags.max()
+        live = mags > out.budgets.prune_rel * mags.max(initial=0.0)
         out.meta["cut_mass"] = float(mags[~live].sum())
-        out.rows = codec.decode([w[live] for w in words])
-        out.coefs = sums[live]
+        out.rows, out.coefs = rows[live], sums[live]
 
 
 def _summed(blocks):
@@ -639,9 +669,43 @@ def _factor(S, lo, codec, col):
     return rows, codec.encode(rows, lo), coefs
 
 
-def _products(out, A, B, pairs):
+def _half(A):
+    """The rows of A that sort below their mirror, and its self-mirror rows
+    (k = 0, beta = gamma) at weight 1/2.  For a real A (and B), {A, B} is
+    P + M(P) with P = {half, B} and M the mirror (``_mirror``)."""
+    mirror, _ = _mirror(A.dims, A.rows, A.coefs)
+    diff = mirror - A.rows
+    first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]   # 0: self-mirror
+    keep = first >= 0
+    coefs = A.coefs[keep]
+    return TFSeries._of(A, A.rows[keep], np.where(first[keep] == 0, 0.5 * coefs, coefs), True)
+
+
+def _beyond_one_buffer(A, B, pairs):
+    """Whether the product rows of ``pairs`` within the degree budget (the
+    rows the accumulator keeps, but for the Fourier budget and the
+    magnitude floor) pass ``_CHUNK_ROWS``; counted from per-column degree
+    histograms, without forming a row."""
+    if len(pairs) * len(A) * len(B) <= _CHUNK_ROWS:
+        return False
+    n, dmax = A.dims.n, A.budgets.degree_max
+    dga, dgb = _degrees(A.rows, n), _degrees(B.rows, n)
+    rows = 0
+    for col_a, col_b, _ in pairs:
+        ha = np.bincount(dga[A.rows[:, col_a] != 0])
+        hb = np.cumsum(np.bincount(dgb[B.rows[:, col_b] != 0], minlength=1))
+        # a dA row of degree d pairs with the dB rows of degree <= top[d]
+        top = dmax + _lowering(col_a, n) + _lowering(col_b, n) - np.arange(len(ha))
+        fit = top >= 0
+        rows += int(ha[fit] @ hb[np.minimum(top[fit], len(hb) - 1)])
+    return rows > _CHUNK_ROWS
+
+
+def _products(out, A, B, pairs, mirrored=False):
     """Sum over ``(col_a, col_b, factor)`` of factor * dA/d(col_a) * dB/d(col_b)
-    into ``out``, truncated to the budgets.
+    into ``out``, truncated to the budgets.  With ``mirrored`` (A and B
+    real) only ``_half(A)`` is multiplied and the accumulator adds the
+    mirror of the sum; the magnitude floor still comes from the whole of A.
 
     Each factor is +-1 or +-i and is folded into dB's coefficients once per
     pair: ca * (cb * factor) equals (ca * cb) * factor exactly, also where
@@ -649,11 +713,16 @@ def _products(out, A, B, pairs):
     not: the fused product then rounds a different partial product).
     """
     n, bud = A.dims.n, A.budgets
+    cut = (bud.prune_rel / 16.0) * A.max_abs() * B.max_abs()
+    acc = _Accumulator(cut)
+    if mirrored:
+        A = _half(A)
+        if not len(A):      # a real-flagged A with no row at or below its mirror
+            acc.finalize(out, None, mirrored)
+            return
     lo_a, hi_a = _bounds(A.rows)
     lo_b, hi_b = _bounds(B.rows)
     codec = _Codec(lo_a + lo_b, hi_a + hi_b)
-    cut = (bud.prune_rel / 16.0) * A.max_abs() * B.max_abs()
-    acc = _Accumulator(cut)
     # a product row's degree is its factors' degrees less the pair's lowering
     # and its |k| at most theirs, so the budget mask is needed only when the
     # operands' extremes can exceed a budget
@@ -682,7 +751,7 @@ def _products(out, A, B, pairs):
                 keep = keep.ravel()
             acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)],
                     (ca[lo:hi, None] * cb).ravel(), keep)
-    acc.finalize(out, codec)
+    acc.finalize(out, codec, mirrored)
 
 
 def poisson_bracket(F, G):
@@ -703,6 +772,17 @@ def poisson_bracket(F, G):
     canonical order by comparing their arrays (flipping the sign when they
     swap), and bracketing a series with itself returns the zero series
     outright.
+
+    When both operands are flagged ``real`` and the product rows within the
+    degree budget pass one accumulator buffer (``_CHUNK_ROWS``), only half
+    of the canonical first operand A is bracketed: the rows of A that sort
+    below their mirror, and its self-mirror rows (k = 0, beta = gamma) at
+    weight 1/2.  The accumulator adds the mirror of that sum, P + M(P),
+    before the final cut, so the output is exactly real; ``dropped_mass``
+    and ``pruned_mass`` are twice P's (budgets and magnitude floor are
+    mirror-invariant) and ``cut_mass`` is taken on P + M(P).  The halving
+    trusts the flags: with an operand that is not real to roundoff, it
+    brackets A's lower half and its mirror instead of A.
     """
     F._check_compatible(G)
     out = TFSeries._of(F, F.rows[:0], F.coefs[:0], F.real and G.real)
@@ -721,7 +801,7 @@ def poisson_bracket(F, G):
         pairs += [(b, n + b, sign), (n + b, b, -sign)]
     for z in range(2 * n, 2 * n + nmodes):
         pairs += [(z, z + nmodes, sign * 1j), (z + nmodes, z, -sign * 1j)]
-    _products(out, A, B, pairs)
+    _products(out, A, B, pairs, A.real and B.real and _beyond_one_buffer(A, B, pairs))
     return out
 
 
@@ -858,37 +938,43 @@ def lie_transform(H, F, order, dp=None, rem_tol=None):
     Returns sum_{j=0}^{order} ad_F^j H / j! with ad_F H = {H, F}.  When
     ``dp`` and ``rem_tol`` are given the series stops early once the
     vector-field norm of the next increment falls below ``rem_tol``.  The
-    result's meta reports the brackets' summed ``LEDGER`` masses, the norm
-    of the last increment (remainder proxy) and the order actually used.
+    result's meta reports the brackets' summed ``LEDGER`` masses, the mass
+    of the final ``prune`` (``prune_mass``), the norm of the last increment
+    (remainder proxy) and the order actually used.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     acc, masses, last, used = lie_series(H, F, 0, order, dp, rem_tol)
-    acc.prune()
-    acc.meta.update(masses)
+    acc.meta.update(masses, prune_mass=acc.prune())
     acc.meta["remainder_norm"] = last
     acc.meta["order_used"] = used
     acc.real = H.real and F.real
     return acc
 
 
-def _mirror(F):
-    """Rows (-k, alpha, gamma, beta) of F with conjugate coefficients, unsorted."""
-    n, nmodes = F.dims.n, len(F.dims.modes)
-    r = F.rows
-    return (np.concatenate([-r[:, :n], r[:, n:2 * n], r[:, 2 * n + nmodes:],
-                            r[:, 2 * n:2 * n + nmodes]], axis=1), F.coefs.conj())
+def _mirror(dims, rows, coefs):
+    """Rows (-k, alpha, gamma, beta) with conjugate coefficients, unsorted."""
+    n, nmodes = dims.n, len(dims.modes)
+    return (np.concatenate([-rows[:, :n], rows[:, n:2 * n], rows[:, 2 * n + nmodes:],
+                            rows[:, 2 * n:2 * n + nmodes]], axis=1), coefs.conj())
+
+
+def _plus_mirror(dims, rows, coefs):
+    """S + M(S) in canonical form, for S given by its rows and coefficients.
+    A key and its mirror each sum the same two values, in either order, so
+    the sum is exactly real."""
+    mirror, conj = _mirror(dims, rows, coefs)
+    return _canonical(np.concatenate([rows, mirror]), np.concatenate([coefs, conj]))
 
 
 def realify(F):
     """Project onto the real-valued subspace (average with the mirror)."""
-    rows, coefs = _mirror(F)
-    rows, coefs = _canonical(np.concatenate([F.rows, rows]), np.concatenate([F.coefs, coefs]))
+    rows, coefs = _plus_mirror(F.dims, F.rows, F.coefs)
     return TFSeries._of(F, rows, coefs * 0.5, True)
 
 
 def reality_defect(F):
     """Max |c(-k, a, gamma, beta) - conj(c(k, a, beta, gamma))| over terms."""
-    rows, coefs = _mirror(F)
+    rows, coefs = _mirror(F.dims, F.rows, F.coefs)
     rows, coefs = _canonical(np.concatenate([F.rows, rows]), np.concatenate([F.coefs, -coefs]))
     return float(np.abs(coefs).max(initial=0.0))

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -370,3 +372,12 @@ def test_xi_index_picks_the_grid_sample(tmp_path):
     assert main(["nls-build", "--config", str(cfg), "--out", str(out), "--xi-index", "5"]) == 0
     xi = ParameterGrid([0.001, 0.001], [0.01, 0.01], 4).samples()[5]
     assert json.loads((out / "model.json").read_text())["xi"] == xi.tolist()
+
+
+def test_python_dash_m_kamzero_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "kamzero", "--help"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: kamzero")

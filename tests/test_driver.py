@@ -162,7 +162,7 @@ def _rec(m, eps_measured, eps_next, d0):
     return StepRecord(m=m, eps_scheduled=eps_measured, eps_measured=eps_measured,
                       eps_next=eps_next, xF_norm=0.0, residual=0.0,
                       freq_drift=0.0, delta0=d0, dropped_mass=0.0, precut_mass=0.0,
-                      cut_mass=0.0, lie_order=1,
+                      cut_mass=0.0, prune_mass=0.0, lie_order=1,
                       tail_ratio=0.0, min_divisor_margin=1.0, K_m=1.0,
                       gamma_m=0.05, s_m=0.5, r_m=0.1)
 
@@ -365,10 +365,17 @@ def test_synthetic_problems_are_pinned(b, seed):
 def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     # every bracket that feeds R_next ({N, F} from the solver, then the two
     # Lie chains) records its pre-cut and final-cut mass; each step record
-    # carries their sums next to dropped_mass
-    from kamzero import cli, driver, series
+    # carries their sums next to dropped_mass, and the mass of the step's
+    # two prunes (the solver's F, then R_next) as prune_mass
+    from kamzero import cli, driver, nls, series
 
-    steps = []
+    steps, pruned, step_prunes = [], [], []
+    prune = series.TFSeries.prune
+
+    def counted_prune(self, rel=None):
+        pruned.append(prune(self, rel))
+        return pruned[-1]
+    monkeypatch.setattr(series.TFSeries, "prune", counted_prune)
 
     def record(module, name, bracket_of):
         orig = getattr(module, name)
@@ -380,7 +387,14 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     kam_step = driver.kam_step
-    monkeypatch.setattr(driver, "kam_step", lambda *a, **kw: steps.append([]) or kam_step(*a, **kw))
+
+    def step(*args, **kwargs):
+        steps.append([])
+        start = len(pruned)
+        result = kam_step(*args, **kwargs)
+        step_prunes.append(pruned[start:])
+        return result
+    monkeypatch.setattr(driver, "kam_step", step)
     record(driver, "solve_homological", lambda res: res[2].bracket)
     record(driver, "poisson_bracket", lambda res: res)
     record(series, "poisson_bracket", lambda res: res)
@@ -391,15 +405,51 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     outs = [tmp_path / "o1", tmp_path / "o2"]
     for out in outs:
         steps.clear()
+        step_prunes.clear()
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     records = json.loads((outs[-1] / "run.json").read_text())["steps"]
-    assert len(records) == len(steps) == 3
-    for rec, masses in zip(records, steps):
+    assert len(records) == len(steps) == len(step_prunes) == 3
+    for rec, masses, prunes in zip(records, steps, step_prunes):
         for field, key in (("dropped_mass", "dropped_mass"), ("precut_mass", "pruned_mass"),
                            ("cut_mass", "cut_mass")):
             assert math.isclose(rec[field], sum(m[key] for m in masses), rel_tol=1e-12)
+        assert len(prunes) == 2
+        assert rec["prune_mass"] == sum(prunes)
     assert all(rec["precut_mass"] > 0 and rec["cut_mass"] > 0 for rec in records[1:])
+    assert all(rec["prune_mass"] > 0 for rec in records)
     assert (outs[0] / "run.json").read_bytes() == (outs[1] / "run.json").read_bytes()
+
+    # the NLS front end: the Birkhoff Lie transform's prune in its meta, the
+    # prune of R0 in the KAM form (model.json's prune_mass)
+    pruned.clear()
+    model = nls.NlsModel((1, 2), 6, np.array([4e-3, 3e-3]))
+    bk, kf = nls.build_nls(model, Budgets(6, 2048, prune_rel=1e-6))
+    assert len(pruned) == 2
+    assert bk.H.meta["prune_mass"] == pruned[0] > 0
+    assert kf.prune_mass == pruned[1] > 0
+
+
+def test_halved_brackets_of_the_nls_run_have_real_operands(tmp_path, monkeypatch):
+    # a bracket beyond one accumulator buffer with two real-flagged operands
+    # is formed from half of the first one, which trusts the flags: on the
+    # NLS run every such operand must be real to roundoff.  (Brackets that
+    # fit one buffer take the full path and are not audited.)
+    from kamzero import cli, series
+
+    defects = []
+    products = series._products
+
+    def audited(out, A, B, pairs, mirrored=False):
+        if mirrored:
+            defects.extend(series.reality_defect(S) / S.max_abs() for S in (A, B))
+        return products(out, A, B, pairs, mirrored)
+    monkeypatch.setattr(series, "_products", audited)
+    cli.main(["run", "--config", os.path.join(CONFIGS, "nls.cfg"), "--max-steps", "2",
+              "--out", str(tmp_path)])
+    assert len(json.loads((tmp_path / "run.json").read_text())["steps"]) == 2
+    # the step-1 bracket {R, F} and step 2's
+    assert len(defects) >= 4
+    assert max(defects) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,12 @@ def test_bracket_of_real_series_is_real(F, G):
 
 
 @SETTINGS
-@given(series(FLOATS, max_size=12))
+@given(st.one_of(series(FLOATS, max_size=12),
+                 series(FLOATS, budgets=Budgets(6, 6, prune_rel=1e-8), max_size=12)))
 def test_text_round_trip(F):
     G = TFSeries.from_text(F.to_text())
     assert _dict(G) == _dict(F)
+    assert G.budgets == F.budgets
     assert G.to_text() == F.to_text()
 
 
@@ -374,14 +376,19 @@ def test_coefficients_at_and_from_rows_match_the_terms_view(F, G, P, Q):
 CHUNKS = st.one_of(st.integers(1, 6), st.just(kseries._CHUNK_ROWS))
 
 
+def _ref_bracket_of(F, G):
+    """``ref_bracket`` of two series; the self-bracket is zero by definition."""
+    f, g = _dict(F), _dict(G)
+    return ({}, {}, 0.0) if f == g else ref_bracket(f, g, F.dims, F.budgets)
+
+
 def _bracket_and_product(F, G, chunk):
     """[(result, reference)] for {F, G} and F * G formed with the
     accumulator's buffers shrunk to ``chunk`` rows."""
     with mock.patch.object(kseries, "_CHUNK_ROWS", chunk):
         bracket, product = poisson_bracket(F, G), F.multiply(G)
-    f, g = _dict(F), _dict(G)
-    ref = ({}, {}, 0.0) if f == g else ref_bracket(f, g, F.dims, F.budgets)
-    return [(bracket, ref), (product, ref_multiply(f, g, F.budgets))]
+    return [(bracket, _ref_bracket_of(F, G)),
+            (product, ref_multiply(_dict(F), _dict(G), F.budgets))]
 
 
 @SETTINGS
@@ -403,3 +410,109 @@ def test_products_beyond_one_buffer_match_reference_within_rounding(F, G, chunk)
         for key in set(got) | set(ref):
             assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
         assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(series(FLOATS, max_size=12), series(DYADIC, WIDE, WIDE_BUD, kspread=4000, max_size=6),
+       st.integers(1, 3))
+def test_sliced_encode_matches_one_shot_encode(F, P, per_slice):
+    # the codes of a series' rows against the code range of its products
+    # with itself, on narrow keys and on wide ones (about a third of these
+    # examples need two 63-bit words), do not depend on how many rows are
+    # encoded at a time
+    for S in (F, P):
+        lo, hi = kseries._bounds(S.rows)
+        codec = kseries._Codec(lo + lo, hi + hi)
+        whole = codec.encode(S.rows, lo)
+        with mock.patch.object(kseries, "_CHUNK_ROWS", per_slice * S.rows.shape[1]):
+            sliced = codec.encode(S.rows, lo)
+        assert len(codec.words) == len(whole) == len(sliced)
+        assert all(w.dtype == v.dtype == np.int64 and np.array_equal(w, v)
+                   for w, v in zip(whole, sliced))
+
+
+# ---------------------------------------------------------------------------
+# reality-halved brackets
+# ---------------------------------------------------------------------------
+
+# k = 0 terms: two self-mirror rows (k = 0, beta = gamma) and one whose
+# mirror is another row
+K0_TERMS = {make_key(2, alpha=(1, 0)): 0.5, make_key(2, beta={3: 1}, gamma={3: 1}): -0.25,
+            make_key(2, alpha=(0, 1), beta={0: 1}): 0.75j}
+
+
+def real_series(coefs):
+    """Real series (``realify``) holding the ``K0_TERMS`` keys among others."""
+    terms = st.dictionaries(_keys(DIMS, 2, BUD.degree_max), coefs, min_size=1, max_size=8)
+    return terms.map(lambda t: realify(TFSeries(DIMS, BUD, {**K0_TERMS, **t})))
+
+
+def _halved(F, G, chunk):
+    """{F, G} and {G, F} with the accumulator's buffers shrunk to ``chunk``
+    rows, and whether the bracket was formed from half of an operand."""
+    with mock.patch.object(kseries, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(kseries, "_half", wraps=kseries._half) as half:
+        fg, gf = poisson_bracket(F, G), poisson_bracket(G, F)
+    return fg, gf, half.called
+
+
+def _check_halved(F, G, chunk):
+    """{F, G} formed from half of an operand: exactly real and exactly
+    antisymmetric."""
+    fg, gf, halved = _halved(F, G, chunk)
+    assert halved == (_dict(F) != _dict(G))
+    assert fg.real and reality_defect(fg) == 0.0
+    assert _dict(fg) == {key: -c for key, c in _dict(gf).items()}
+    return fg
+
+
+@SETTINGS
+@given(real_series(DYADIC), real_series(DYADIC), st.integers(1, 6))
+def test_halved_bracket_matches_reference_exactly_on_dyadic_coefficients(F, G, chunk):
+    out = _check_halved(F, G, chunk)
+    ref, _, dropped = _ref_bracket_of(F, G)
+    assert _dict(out) == ref
+    assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@SETTINGS
+@given(real_series(FLOATS), real_series(FLOATS), st.integers(1, 6))
+def test_halved_bracket_matches_reference_within_rounding(F, G, chunk):
+    got = _dict(_check_halved(F, G, chunk))
+    ref, mass, _ = _ref_bracket_of(F, G)
+    for key in set(got) | set(ref):
+        assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
+
+
+@SETTINGS
+@given(real_series(FLOATS), real_series(FLOATS), st.integers(1, 6))
+def test_brackets_of_operands_not_flagged_real_are_never_halved(F, G, chunk):
+    # the same values without the real flag take the full path, bit for bit
+    # as with the halving switched off
+    plain = [TFSeries._of(S, S.rows, S.coefs, False) for S in (F, G)]
+    fg, gf, halved = _halved(*plain, chunk)
+    assert not halved
+    with mock.patch.object(kseries, "_CHUNK_ROWS", chunk), \
+            mock.patch.object(kseries, "_beyond_one_buffer", return_value=False):
+        full = poisson_bracket(F, G)
+    assert fg.rows.tobytes() == full.rows.tobytes()
+    assert fg.coefs.tobytes() == full.coefs.tobytes()
+    assert fg.meta == full.meta
+
+
+def test_halving_fires_only_beyond_one_buffer():
+    F = realify(TFSeries(DIMS, BUD, {**K0_TERMS, make_key(2, k=(1, -1), beta={4: 1}): 0.5j}))
+    G = realify(TFSeries(DIMS, BUD, {make_key(2, k=(2, 0), alpha=(1, 0), gamma={0: 1}): 0.25,
+                                     make_key(2, k=(0, 1), beta={3: 2}): -0.5}))
+    assert _halved(F, G, 2)[2]
+    assert not _halved(F, G, kseries._CHUNK_ROWS)[2]
+    # many product rows, none of them within the degree budget
+    deep = [realify(TFSeries(DIMS, BUD, {make_key(2, k=k, alpha=(1, 0), beta={3: 2},
+                                                  gamma={4: 2}): 0.5 + 0.25j}))
+            for k in ((1, 0), (0, 1))]
+    fg, _, halved = _halved(*deep, 1)
+    assert not halved and not fg.terms and fg.meta["dropped_mass"] > 0
+    # flagged real, but its one row sorts above its mirror: the half is empty
+    lone = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), alpha=(1, 0), beta={4: 1}): 0.5}, real=True)
+    fg, _, halved = _halved(lone, G, 1)
+    assert halved and not fg.terms and poisson_bracket(lone, G).terms
