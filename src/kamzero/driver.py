@@ -243,7 +243,6 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     else:
         R_next = R_next + high
     prune_mass = srep.prune_mass + R_next.prune()
-    R_next.real = R.real
 
     s_next = params.s_next
     # monitoring radius for the outgoing norm; the next schedule recomputes
@@ -619,7 +618,6 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
     norm = vector_field_norm(R, dp)
     if norm > 0:
         R = R * (eps0 / norm)
-        R.real = True
     if inject_z0 > 0:
         # z0 and zbar0 of the first zero mode, which dims.modes lists first
         inject = np.zeros((2, rows.shape[1]), dtype=np.int16)

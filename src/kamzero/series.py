@@ -35,14 +35,14 @@ their rows pass ``_CHUNK_ROWS`` and once at the end.  Rows that fit in one
 buffer are summed by one sort; beyond that, each buffer is summed as above
 and the buffers' partial sums are added in buffer order.
 
-The bracket is a real operation: with M the mirror (k -> -k, beta <->
-gamma, conjugate coefficient), two real operands give {A, B} = P + M(P)
-with P = {A_half, B}, where A_half holds the rows of A that sort below
-their mirror and its self-mirror rows at weight 1/2.  A bracket of two
-real-flagged operands whose in-budget rows pass one buffer is formed that
-way, at half the product rows; its output is exactly real.  Every bracket
-that fits one buffer, or has an operand not flagged real, is formed from
-the whole of both.
+Products are real operations: with M the mirror (k -> -k, beta <-> gamma,
+conjugate coefficient), M(A B) = M(A) M(B) and M({A, B}) = {M(A), M(B)}, so
+two real operands give {A, B} = P + M(P) with P = {A_half, B}, and A B the
+same way with P = A_half B, where A_half holds the rows of A that sort below
+their mirror and its self-mirror rows at weight 1/2.  One rule decides how a
+product is formed: two real-flagged operands, half of the first plus the
+mirror (at about half the product rows, and the output is exactly real);
+otherwise both whole.
 """
 
 from __future__ import annotations
@@ -351,7 +351,9 @@ class TFSeries:
             raise ValueError("series dims mismatch: %r vs %r" % (self.dims, other.dims))
 
     def multiply(self, other):
-        """Series product, truncated to budgets; drops reported in meta."""
+        """Series product, truncated to budgets; drops reported in meta.  A
+        product of two real-flagged series is formed from half of ``self``
+        and is exactly real (see ``_products``)."""
         self._check_compatible(other)
         out = TFSeries._of(self, self.rows[:0], self.coefs[:0], self.real and other.real)
         out.meta["dropped_mass"] = 0.0
@@ -602,14 +604,14 @@ class _Accumulator:
         self.blocks = [_summed(self.blocks)]
         self.block_rows = len(self.blocks[0][1])
 
-    def finalize(self, out, codec, mirrored=False):
+    def finalize(self, out, codec, mirrored):
         """Merge everything into ``out``; the final relative cut
         ``prune_rel * max|c|`` lands in ``meta['cut_mass']``.
 
-        With ``mirrored`` the rows collected are P = {A_half, B} (see
-        ``poisson_bracket``): the sum P is added to its mirror M(P) before
-        the cut, and the budget and pre-cut masses, both mirror-invariant,
-        count twice."""
+        With ``mirrored`` the rows collected are P, formed from half of an
+        operand (see ``_products``): the sum P is added to its mirror M(P)
+        before the cut, and the budget and pre-cut masses, both
+        mirror-invariant, count twice."""
         twice = 2.0 if mirrored else 1.0
         out.meta.update(dropped_mass=twice * self.dropped, pruned_mass=twice * self.precut,
                         cut_mass=0.0)
@@ -671,8 +673,9 @@ def _factor(S, lo, codec, col):
 
 def _half(A):
     """The rows of A that sort below their mirror, and its self-mirror rows
-    (k = 0, beta = gamma) at weight 1/2.  For a real A (and B), {A, B} is
-    P + M(P) with P = {half, B} and M the mirror (``_mirror``)."""
+    (k = 0, beta = gamma) at weight 1/2.  For a real A and B, {A, B} is
+    P + M(P) with P = {half, B}, and A B the same with P = half * B, where
+    M is the mirror (``_mirror``)."""
     mirror, _ = _mirror(A.dims, A.rows, A.coefs)
     diff = mirror - A.rows
     first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]   # 0: self-mirror
@@ -681,31 +684,15 @@ def _half(A):
     return TFSeries._of(A, A.rows[keep], np.where(first[keep] == 0, 0.5 * coefs, coefs), True)
 
 
-def _beyond_one_buffer(A, B, pairs):
-    """Whether the product rows of ``pairs`` within the degree budget (the
-    rows the accumulator keeps, but for the Fourier budget and the
-    magnitude floor) pass ``_CHUNK_ROWS``; counted from per-column degree
-    histograms, without forming a row."""
-    if len(pairs) * len(A) * len(B) <= _CHUNK_ROWS:
-        return False
-    n, dmax = A.dims.n, A.budgets.degree_max
-    dga, dgb = _degrees(A.rows, n), _degrees(B.rows, n)
-    rows = 0
-    for col_a, col_b, _ in pairs:
-        ha = np.bincount(dga[A.rows[:, col_a] != 0])
-        hb = np.cumsum(np.bincount(dgb[B.rows[:, col_b] != 0], minlength=1))
-        # a dA row of degree d pairs with the dB rows of degree <= top[d]
-        top = dmax + _lowering(col_a, n) + _lowering(col_b, n) - np.arange(len(ha))
-        fit = top >= 0
-        rows += int(ha[fit] @ hb[np.minimum(top[fit], len(hb) - 1)])
-    return rows > _CHUNK_ROWS
-
-
-def _products(out, A, B, pairs, mirrored=False):
+def _products(out, A, B, pairs):
     """Sum over ``(col_a, col_b, factor)`` of factor * dA/d(col_a) * dB/d(col_b)
-    into ``out``, truncated to the budgets.  With ``mirrored`` (A and B
-    real) only ``_half(A)`` is multiplied and the accumulator adds the
-    mirror of the sum; the magnitude floor still comes from the whole of A.
+    into ``out``, truncated to the budgets.  The one rule: when A and B are
+    both flagged ``real``, only ``_half(A)`` is multiplied and the
+    accumulator adds the mirror of the sum, so the output is exactly real
+    (the magnitude floor still comes from the whole of A); otherwise both
+    are used whole.  The halving trusts the flags: with an operand that is
+    not real to roundoff, it forms the product of A's lower half and its
+    mirror instead of A's.
 
     Each factor is +-1 or +-i and is folded into dB's coefficients once per
     pair: ca * (cb * factor) equals (ca * cb) * factor exactly, also where
@@ -715,6 +702,7 @@ def _products(out, A, B, pairs, mirrored=False):
     n, bud = A.dims.n, A.budgets
     cut = (bud.prune_rel / 16.0) * A.max_abs() * B.max_abs()
     acc = _Accumulator(cut)
+    mirrored = A.real and B.real
     if mirrored:
         A = _half(A)
         if not len(A):      # a real-flagged A with no row at or below its mirror
@@ -773,16 +761,14 @@ def poisson_bracket(F, G):
     swap), and bracketing a series with itself returns the zero series
     outright.
 
-    When both operands are flagged ``real`` and the product rows within the
-    degree budget pass one accumulator buffer (``_CHUNK_ROWS``), only half
-    of the canonical first operand A is bracketed: the rows of A that sort
+    When both operands are flagged ``real``, only half of the canonical
+    first operand A is bracketed (``_products``): the rows of A that sort
     below their mirror, and its self-mirror rows (k = 0, beta = gamma) at
     weight 1/2.  The accumulator adds the mirror of that sum, P + M(P),
     before the final cut, so the output is exactly real; ``dropped_mass``
     and ``pruned_mass`` are twice P's (budgets and magnitude floor are
-    mirror-invariant) and ``cut_mass`` is taken on P + M(P).  The halving
-    trusts the flags: with an operand that is not real to roundoff, it
-    brackets A's lower half and its mirror instead of A.
+    mirror-invariant) and ``cut_mass`` is taken on P + M(P).  Otherwise both
+    operands are used whole.
     """
     F._check_compatible(G)
     out = TFSeries._of(F, F.rows[:0], F.coefs[:0], F.real and G.real)
@@ -801,7 +787,7 @@ def poisson_bracket(F, G):
         pairs += [(b, n + b, sign), (n + b, b, -sign)]
     for z in range(2 * n, 2 * n + nmodes):
         pairs += [(z, z + nmodes, sign * 1j), (z + nmodes, z, -sign * 1j)]
-    _products(out, A, B, pairs, A.real and B.real and _beyond_one_buffer(A, B, pairs))
+    _products(out, A, B, pairs)
     return out
 
 
@@ -948,7 +934,6 @@ def lie_transform(H, F, order, dp=None, rem_tol=None):
     acc.meta.update(masses, prune_mass=acc.prune())
     acc.meta["remainder_norm"] = last
     acc.meta["order_used"] = used
-    acc.real = H.real and F.real
     return acc
 
 

@@ -9,7 +9,7 @@ from kamzero.nls import (NlsModel, _gbinom, birkhoff_transform, build_nls,
                          index_solvability, momentum_signed, parity_check,
                          parity_v0, parity_weighted, quartic_hamiltonian)
 from kamzero.series import (Budgets, DomainParams, TFSeries, key_degree,
-                            key_kabs, make_key, vector_field_norm)
+                            key_kabs, make_key, reality_defect, vector_field_norm)
 
 
 def _phi(j, x):
@@ -363,6 +363,16 @@ def test_constant_term_dropped(nls_build):
     model, bk, kf = nls_build
     assert kf.R0.coefficient(make_key(2)) == 0j
     assert kf.constant_dropped != 0
+
+
+def test_kam_form_is_exactly_real(nls_build):
+    # the Birkhoff Lie transform's brackets of two real series are formed as
+    # P + M(P), so its H and the action-angle substitution R0 are real to
+    # the last bit, not only to roundoff
+    model, bk, kf = nls_build
+    assert bk.H.real and kf.R0.real
+    assert reality_defect(bk.H) == 0.0
+    assert reality_defect(kf.R0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,9 @@ def test_reality_preserved_by_bracket():
         br = poisson_bracket(F, G)
         assert br.real
         assert reality_defect(br) < 1e-13 * max(br.max_abs(), 1.0)
+        # the flag propagates through the Lie transform's brackets and sums
+        lt = lie_transform(F, G * 1e-2, 3)
+        assert lt.real and reality_defect(lt) == 0.0
 
 
 def test_bracket_dimension_mismatch():

@@ -448,71 +448,88 @@ def real_series(coefs):
 
 
 def _halved(F, G, chunk):
-    """{F, G} and {G, F} with the accumulator's buffers shrunk to ``chunk``
-    rows, and whether the bracket was formed from half of an operand."""
+    """{F, G}, {G, F} and F * G with the accumulator's buffers shrunk to
+    ``chunk`` rows, and for the brackets and for the product whether it was
+    formed from half of an operand."""
     with mock.patch.object(kseries, "_CHUNK_ROWS", chunk), \
             mock.patch.object(kseries, "_half", wraps=kseries._half) as half:
         fg, gf = poisson_bracket(F, G), poisson_bracket(G, F)
-    return fg, gf, half.called
+        brackets_halved = half.called
+        half.reset_mock()
+        product = F.multiply(G)
+    return fg, gf, product, brackets_halved, half.called
 
 
 def _check_halved(F, G, chunk):
-    """{F, G} formed from half of an operand: exactly real and exactly
-    antisymmetric."""
-    fg, gf, halved = _halved(F, G, chunk)
-    assert halved == (_dict(F) != _dict(G))
-    assert fg.real and reality_defect(fg) == 0.0
+    """{F, G} and F * G formed from half of an operand: exactly real, and the
+    bracket exactly antisymmetric."""
+    fg, gf, product, brackets_halved, product_halved = _halved(F, G, chunk)
+    assert brackets_halved == (_dict(F) != _dict(G)) and product_halved
+    for out in (fg, product):
+        assert out.real and reality_defect(out) == 0.0
     assert _dict(fg) == {key: -c for key, c in _dict(gf).items()}
-    return fg
+    return [(fg, _ref_bracket_of(F, G)), (product, ref_multiply(_dict(F), _dict(G), F.budgets))]
 
 
 @SETTINGS
 @given(real_series(DYADIC), real_series(DYADIC), st.integers(1, 6))
 def test_halved_bracket_matches_reference_exactly_on_dyadic_coefficients(F, G, chunk):
-    out = _check_halved(F, G, chunk)
-    ref, _, dropped = _ref_bracket_of(F, G)
-    assert _dict(out) == ref
-    assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+    for out, (ref, _, dropped) in _check_halved(F, G, chunk):
+        assert _dict(out) == ref
+        assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
 
 
 @SETTINGS
 @given(real_series(FLOATS), real_series(FLOATS), st.integers(1, 6))
 def test_halved_bracket_matches_reference_within_rounding(F, G, chunk):
-    got = _dict(_check_halved(F, G, chunk))
-    ref, mass, _ = _ref_bracket_of(F, G)
-    for key in set(got) | set(ref):
-        assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
+    for out, (ref, mass, _) in _check_halved(F, G, chunk):
+        got = _dict(out)
+        for key in set(got) | set(ref):
+            assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
 
 
 @SETTINGS
 @given(real_series(FLOATS), real_series(FLOATS), st.integers(1, 6))
 def test_brackets_of_operands_not_flagged_real_are_never_halved(F, G, chunk):
-    # the same values without the real flag take the full path, bit for bit
-    # as with the halving switched off
+    # the same values with either flag or both removed take the full path,
+    # bit for bit alike
     plain = [TFSeries._of(S, S.rows, S.coefs, False) for S in (F, G)]
-    fg, gf, halved = _halved(*plain, chunk)
-    assert not halved
-    with mock.patch.object(kseries, "_CHUNK_ROWS", chunk), \
-            mock.patch.object(kseries, "_beyond_one_buffer", return_value=False):
-        full = poisson_bracket(F, G)
-    assert fg.rows.tobytes() == full.rows.tobytes()
-    assert fg.coefs.tobytes() == full.coefs.tobytes()
-    assert fg.meta == full.meta
+    fg, gf, product, brackets_halved, product_halved = _halved(*plain, chunk)
+    assert not brackets_halved and not product_halved
+    for mixed in ((F, plain[1]), (plain[0], G)):
+        fg_mixed, _, product_mixed, brackets_halved, product_halved = _halved(*mixed, chunk)
+        assert not brackets_halved and not product_halved
+        for out, full in ((fg_mixed, fg), (product_mixed, product)):
+            assert out.rows.tobytes() == full.rows.tobytes()
+            assert out.coefs.tobytes() == full.coefs.tobytes()
+            assert out.meta == full.meta
 
 
-def test_halving_fires_only_beyond_one_buffer():
+def test_halving_runs_for_every_product_of_two_distinct_real_operands():
     F = realify(TFSeries(DIMS, BUD, {**K0_TERMS, make_key(2, k=(1, -1), beta={4: 1}): 0.5j}))
     G = realify(TFSeries(DIMS, BUD, {make_key(2, k=(2, 0), alpha=(1, 0), gamma={0: 1}): 0.25,
                                      make_key(2, k=(0, 1), beta={3: 2}): -0.5}))
-    assert _halved(F, G, 2)[2]
-    assert not _halved(F, G, kseries._CHUNK_ROWS)[2]
+    # a few product rows, far below one accumulator buffer
+    assert len(F) * len(G) < kseries._CHUNK_ROWS
+    assert _halved(F, G, kseries._CHUNK_ROWS)[3:] == (True, True)
+    # the self-bracket is zero outright; the square is halved
+    fg, _, product, brackets_halved, product_halved = _halved(F, F, kseries._CHUNK_ROWS)
+    assert not brackets_halved and not fg.terms and product_halved
+    assert _dict(product) == ref_multiply(_dict(F), _dict(F), BUD)[0]
     # many product rows, none of them within the degree budget
     deep = [realify(TFSeries(DIMS, BUD, {make_key(2, k=k, alpha=(1, 0), beta={3: 2},
                                                   gamma={4: 2}): 0.5 + 0.25j}))
             for k in ((1, 0), (0, 1))]
-    fg, _, halved = _halved(*deep, 1)
-    assert not halved and not fg.terms and fg.meta["dropped_mass"] > 0
+    fg, _, product, brackets_halved, product_halved = _halved(*deep, 1)
+    assert brackets_halved and product_halved
+    for out, (_, _, dropped) in ((fg, _ref_bracket_of(*deep)),
+                                 (product, ref_multiply(*map(_dict, deep), BUD))):
+        assert not out.terms and out.meta["dropped_mass"] > 0
+        assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12)
     # flagged real, but its one row sorts above its mirror: the half is empty
     lone = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), alpha=(1, 0), beta={4: 1}): 0.5}, real=True)
-    fg, _, halved = _halved(lone, G, 1)
-    assert halved and not fg.terms and poisson_bracket(lone, G).terms
+    fg, _, product, brackets_halved, product_halved = _halved(lone, G, 1)
+    assert brackets_halved and product_halved and not fg.terms and not product.terms
+    # without the flag the same row gives a nonzero bracket and product
+    plain = TFSeries._of(lone, lone.rows, lone.coefs, False)
+    assert poisson_bracket(plain, G).terms and plain.multiply(G).terms
