@@ -30,7 +30,7 @@ def _grid(cfg):
 
 def _model(cfg, xi_index=None):
     m = cfg["model"]
-    xi = m["xi"] if xi_index is None else _grid(cfg).samples()[xi_index]
+    xi = m["xi"] if xi_index is None else _grid(cfg).sample(xi_index)
     return nls.NlsModel(m["sites"], m["jmax"], xi, m["taylor_depth"])
 
 
@@ -44,7 +44,7 @@ def _argument_problem(cfg, command, xi_index, max_steps):
         return "--xi-index picks a [grid] sample of the NLS model for run and nls-build"
     if command == "measure" or xi_index is not None:
         try:
-            count = len(_grid(cfg).samples())
+            count = _grid(cfg).size
             if not 0 <= (xi_index or 0) < count:
                 return "--xi-index %d is outside the %d [grid] samples" % (xi_index, count)
             _model(cfg, xi_index or 0)

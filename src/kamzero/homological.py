@@ -269,6 +269,9 @@ FAMILY_TABLE = {
 }
 FAMILIES = tuple(FAMILY_TABLE)
 _LATTICE_CAP = 6_000_000
+# k-rows x samples of one ``measure.estimate_excluded`` grid: 160 MB of
+# float64 values
+_GRID_CELL_CAP = 20_000_000
 
 
 def _scale_tau(params, family):
@@ -298,17 +301,27 @@ def _kl_options(t):
     return np.array(opts).reshape(len(opts), t)
 
 
-def k_lattice(n, kmax):
-    """All integer vectors with |k|_1 <= kmax, in lexicographic order.
+def lattice_size(n, kmax):
+    """Number of integer vectors with |k|_1 <= kmax in dimension n.
 
-    Built one coordinate at a time, so only the l1 ball is ever held.  A
-    ball of more than 6,000,000 points raises BudgetExhausted.
+    A ball of more than 6,000,000 points raises BudgetExhausted.
     """
     r = max(int(np.floor(kmax)), 0)
     size = sum(2 ** i * math.comb(n, i) * math.comb(r, i) for i in range(min(n, r) + 1))
     if size > _LATTICE_CAP:
         raise BudgetExhausted("the k-lattice |k| <= %d in dimension %d has %d points,"
                               " above the cap of %d" % (r, n, size, _LATTICE_CAP))
+    return size
+
+
+def k_lattice(n, kmax):
+    """All integer vectors with |k|_1 <= kmax, in lexicographic order.
+
+    Built one coordinate at a time, so only the l1 ball is ever held; the
+    size is checked against the cap (``lattice_size``) first.
+    """
+    lattice_size(n, kmax)
+    r = max(int(np.floor(kmax)), 0)
     lat = np.zeros((1, 0), dtype=int)
     for _ in range(n):
         rem = r - np.abs(lat).sum(axis=1)

@@ -189,7 +189,7 @@ gamma_ladder = 2
     csvs = [p for p in os.listdir(out) if p.endswith(".csv")]
     assert csvs
     head = open(out / csvs[0]).read().splitlines()[0]
-    assert head == "family,k,threshold,excluded_fraction,analytic_bound"
+    assert head == "family,k,l,threshold,excluded_fraction,analytic_bound"
 
 
 def test_measure_mode_builds_the_nls_problem(tmp_path):
@@ -255,6 +255,27 @@ kmax = 2000
     err = capsys.readouterr().err
     assert "BudgetExhausted" in err
     assert "the k-lattice |k| <= 2000 in dimension 2 has 8004001 points" in err
+
+
+def test_oversized_measure_grid_is_budget_exhausted(tmp_path, capsys):
+    # 220 k-rows at kmax = 10 times 302^2 samples is just over the cell cap
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(MINIMAL_NLS + """
+[budgets]
+degree_max = 4
+k_max = 64
+
+[grid]
+lo = 0.001 0.001
+hi = 0.01 0.01
+samples_per_axis = 302
+kmax = 10
+""")
+    out = tmp_path / "o"
+    assert main(["measure", "--config", str(cfg), "--out", str(out)]) == EXIT_CODES["BudgetExhausted"]
+    err = capsys.readouterr().err
+    assert "the measure grid has 220 k-rows x 91204 samples = 20064880 cells" in err
+    assert not out.exists()
 
 
 SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")

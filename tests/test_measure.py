@@ -1,9 +1,17 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kamzero import measure
 from kamzero.driver import BaseParams, schedule
-from kamzero.measure import (AffineFrequencyMap, ParameterGrid,
-                             estimate_excluded, rows_to_csv)
+from kamzero.homological import (FAMILIES, BudgetExhausted, Condition, NormalForm,
+                                 condition_catalogue, k_lattice, k_powers)
+from kamzero.measure import (AffineFrequencyMap, ConditionRow, ParameterGrid,
+                             estimate_excluded, rows_to_csv, window_lower_bound)
 from kamzero.series import SeriesDims
 
 
@@ -92,8 +100,21 @@ def test_csv_rows():
     rep = estimate_excluded(fmap, params, dims, grid, families=("KL",), kmax=1.0)
     text = rows_to_csv(rep.rows)
     head = text.splitlines()[0]
-    assert head == "family,k,threshold,excluded_fraction,analytic_bound"
+    assert head == "family,k,l,threshold,excluded_fraction,analytic_bound"
     assert len(text.splitlines()) == len(rep.rows) + 1
+    assert text.splitlines()[1].startswith("KL,-1,-,")
+
+
+def test_csv_lines_tell_conditions_apart(nls_freq_map):
+    # at gamma = 0.005, k = (-4, 5) is excluded for l = -e4 and l = e3 - e5,
+    # with the same shift -16 and weight 16: only the l column differs
+    fmap, dims = nls_freq_map
+    grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
+    rep = estimate_excluded(fmap, _params_for(0.005), dims, grid, kmax=10.0)
+    lines = rows_to_csv(rep.rows).splitlines()[1:]
+    assert len(set(lines)) == len(lines) == len(rep.rows)
+    assert {line.split(",")[2] for line in lines if line.startswith("KL,-4 5,")} \
+        >= {"4:-1", "3:1 5:-1"}
 
 
 @pytest.fixture(scope="session")
@@ -101,3 +122,206 @@ def nls_freq_map(nls_build):
     model, bk, kf = nls_build
     fmap = AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
     return fmap, kf.dims
+
+
+# ---------------------------------------------------------------------------
+# sorted-sample counting against the sample-by-sample evaluation
+# ---------------------------------------------------------------------------
+
+def reference_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
+    """Every condition evaluated at every grid sample: (fractions, bounds, ratios, rows)."""
+    xi = grid.samples()
+    nsamp = xi.shape[0]
+    kmax = params.K_m if kmax is None else kmax
+    kvecs = k_lattice(grid.ndim, kmax)
+    kvecs = kvecs[np.abs(kvecs).sum(axis=1) > 0]
+    kabs = np.abs(kvecs).sum(axis=1)
+    base = kvecs @ fmap.alpha
+    proj = kvecs @ fmap.A
+    vals = base[:, None] + proj @ xi.T
+
+    N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
+    N0.Omega = dict(fmap.Omega)
+    conds = condition_catalogue(N0, params, dims, kmax, families)
+    kpow = k_powers(conds, kabs)
+    thrs = [c.scale / kpow[c.tau] for c in conds]
+    live = [kabs > (k_lo if c.family == "KL" else 0) for c in conds]
+    effs = [t ** (1.0 / len(c.roots)) for c, t in zip(conds, thrs)]
+    excluded = {f: np.zeros(nsamp, dtype=bool) for f in families}
+    bound = dict.fromkeys(families, 0.0)
+    rows = []
+    widths = grid.hi - grid.lo
+    for i in range(len(kvecs)):
+        g = float(np.linalg.norm(proj[i], 2))
+        extent = float(np.abs(proj[i]) @ widths) / g if g else 0.0
+        for c, thr, sel, eff in zip(conds, thrs, live, effs):
+            if not sel[i]:
+                continue
+            viol = c.value(vals[i]) < thr[i]
+            excluded[c.family] |= viol
+            cb = len(c.roots) * (min(1.0, 2.0 * eff[i] / (g * extent)) if extent > 0 else 1.0)
+            bound[c.family] += cb
+            frac = float(viol.mean())
+            if frac > 0:
+                rows.append(ConditionRow(c.family, tuple(int(v) for v in kvecs[i]),
+                                         c.l, float(thr[i]), frac, cb))
+    rows.sort(key=lambda r: FAMILIES.index(r.family))
+    fractions = {f: float(e.mean()) for f, e in excluded.items()}
+    bounds = {f: min(1.0, b) for f, b in bound.items()}
+    ratios = {f: (fractions[f] / bounds[f] if bounds[f] > 0 else 0.0) for f in fractions}
+    return fractions, bounds, ratios, rows
+
+
+def assert_same_as_reference(fmap, params, dims, grid, **kw):
+    rep = estimate_excluded(fmap, params, dims, grid, **kw)
+    fractions, bounds, ratios, rows = reference_excluded(fmap, params, dims, grid, **kw)
+    assert rep.fractions == fractions
+    assert rep.bounds == bounds
+    assert rep.ratios == ratios
+    assert rep.rows == rows
+    assert [type(r.excluded_fraction) for r in rep.rows] == [float] * len(rows)
+    return rep
+
+
+def _dyadic(lo, hi, denom):
+    return st.integers(lo, hi).map(lambda v: v / denom)
+
+
+@st.composite
+def measure_problems(draw):
+    """Small grids whose values, shifts and thresholds are mostly dyadic, so
+    fl(x + c) often lands exactly on +-thr; A may be singular (k-rows with
+    zero gradient) or have zero entries (tied values on the tensor grid)."""
+    nd = draw(st.sampled_from((1, 2)))
+    spa = draw(st.integers(2, 300) if nd == 1 else st.integers(2, 30))
+    if draw(st.booleans()):
+        spa = 2 ** draw(st.integers(1, 8 if nd == 1 else 4)) + 1
+    lo = np.array([draw(_dyadic(-8, 0, 4)) for _ in range(nd)])
+    hi = lo + np.array([draw(_dyadic(1, 8, 4)) for _ in range(nd)])
+    alpha = np.array([draw(_dyadic(-8, 8, 8)) for _ in range(nd)])
+    A = np.array([[draw(_dyadic(-4, 4, 4)) for _ in range(nd)] for _ in range(nd)])
+    jmax = draw(st.integers(1, 3))
+    Omega = {j: draw(_dyadic(-32, 32, 8)) for j in range(1, jmax + 1)}
+    gamma = draw(_dyadic(0, 32, 64))
+    kmax = float(draw(st.integers(1, 4)))
+    k_lo = float(draw(st.integers(0, int(kmax) - 1)))
+    fams = draw(st.sets(st.sampled_from(FAMILIES), min_size=1))
+    base = BaseParams(n=nd, b=1, tau=nd + 1.5, s1=0.6, r1=0.02, gamma1=gamma)
+    return (AffineFrequencyMap(alpha, A, Omega), schedule(1, base, eps_m=1e-6),
+            SeriesDims(nd, (), (0,), jmax), ParameterGrid(lo, hi, spa),
+            dict(families=tuple(f for f in FAMILIES if f in fams), k_lo=k_lo, kmax=kmax))
+
+
+@settings(max_examples=80, deadline=None)
+@given(measure_problems(), st.sampled_from((1, 3, 16)), st.sampled_from((1, 5, 64)))
+def test_sorted_counts_equal_the_sample_by_sample_evaluation(problem, row_block, window):
+    fmap, params, dims, grid, kw = problem
+    with mock.patch.object(measure, "_ROW_BLOCK", row_block), \
+            mock.patch.object(measure, "_WINDOW", window):
+        assert_same_as_reference(fmap, params, dims, grid, **kw)
+
+
+def test_exact_threshold_hits_are_counted_like_the_evaluation():
+    # x on the dyadic grid -1, -7/8, ..., 1; k = 1 has thr = gamma = 1/4, and
+    # the shifts 0 and Omega_1 = 1/2 put fl(x + c) exactly on -thr and +thr
+    grid = ParameterGrid(np.array([-1.0]), np.array([1.0]), 17)
+    fmap = AffineFrequencyMap(np.array([0.0]), np.array([[1.0]]), {1: 0.5})
+    dims = SeriesDims(1, (), (0,), 1)
+    params = schedule(1, BaseParams(n=1, b=1, tau=2.5, s1=0.6, r1=0.02, gamma1=0.25),
+                      eps_m=1e-6)
+    xs = grid.samples()[:, 0]
+    assert params.gamma_m == 0.25
+    assert np.any(np.abs(xs + 0.5) == 0.25) and np.any(np.abs(xs) == 0.25)
+    rep = assert_same_as_reference(fmap, params, dims, grid, families=("KL",), kmax=1.0)
+    # the shifts 0, +-1/2 (thr 1/4) and +-1 (thr 1/2) exclude every sample
+    # but x = +-1/4, which sit exactly on |x| = thr and |x -+ 1/2| = thr
+    assert rep.fractions["KL"] == 15 / 17
+
+
+def test_nls_grid_counts_equal_the_sample_by_sample_evaluation(nls_freq_map):
+    fmap, dims = nls_freq_map
+    grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 40)
+    for gamma in (0.005, 0.05):
+        assert_same_as_reference(fmap, _params_for(gamma), dims, grid, k_lo=2.0, kmax=10.0)
+
+
+# complex roots, and purely imaginary ones as the zero blocks of the
+# catalogue give them (there the bound of a one-sample window is exact)
+_roots = st.lists(st.one_of(
+    st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+    st.floats(-50.0, 50.0).map(lambda y: complex(0.0, y))), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_roots, st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50))
+def test_window_lower_bound_never_exceeds_the_computed_value(roots, xs):
+    roots = np.array(roots, dtype=complex)
+    xs = np.sort(np.array(xs))
+    cond = Condition("R1", None, 1.0, 1.0, roots)
+    lower = window_lower_bound(roots, xs[:1], xs[-1:])
+    assert np.all(lower[0] <= cond.value(xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_roots, st.integers(1, 4), st.integers(1, 200), st.integers(1, 70),
+       st.floats(0.0, 1e4), st.randoms(use_true_random=False))
+def test_window_skipping_finds_every_violation(roots, nb, nsamp, window, scale, rnd):
+    cond = Condition("R1", None, 1.0, 1.0, np.array(roots, dtype=complex))
+    rng = np.random.default_rng(rnd.randrange(2 ** 32))
+    xs = np.sort(rng.uniform(-60.0, 60.0, (nb, nsamp)), axis=1)
+    thr = scale * rng.uniform(0.0, 1.0, nb)
+    # some rows with the threshold one ulp above a sample's computed value
+    tight = rng.uniform(size=nb) < 0.5
+    at = cond.value(xs[np.arange(nb), rng.integers(0, nsamp, nb)])
+    thr = np.where(tight, np.nextafter(at, np.inf), thr)
+    with mock.patch.object(measure, "_WINDOW", window):
+        r, p = measure._det_hits(cond, xs, thr)
+    expect = np.nonzero(cond.value(xs) < thr[:, None])
+    assert sorted(zip(r.tolist(), p.tolist())) == sorted(zip(*(e.tolist() for e in expect)))
+
+
+# ---------------------------------------------------------------------------
+# grid plumbing, the cell cap and memory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nd,spa", [(1, 5), (2, 4), (3, 3)])
+def test_grid_sample_is_the_indexed_sample(nd, spa):
+    grid = ParameterGrid(np.linspace(1e-3, 2e-3, nd), np.linspace(1e-2, 3e-2, nd), spa)
+    samples = grid.samples()
+    assert grid.size == len(samples)
+    for i in range(grid.size):
+        assert np.array_equal(grid.sample(i), samples[i])
+
+
+def test_batched_omega_equals_omega_per_sample(nls_freq_map):
+    fmap, _ = nls_freq_map
+    xi = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100).samples()
+    assert np.array_equal(fmap.omegas(xi), np.array([fmap.omega(x) for x in xi]))
+    assert np.array_equal(fmap.omegas(xi.reshape(100, 100, 2)),
+                          fmap.omegas(xi).reshape(100, 100, 2))
+
+
+def test_grid_over_the_cell_cap_is_budget_exhausted_before_allocating(nls_freq_map):
+    # kmax = 10 in dimension 2 has 220 k-rows; 302^2 samples make 20,064,880 cells
+    fmap, dims = nls_freq_map
+    grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 302)
+    with mock.patch.object(ParameterGrid, "samples", side_effect=AssertionError("allocated")):
+        with pytest.raises(BudgetExhausted, match="220 k-rows x 91204 samples"):
+            estimate_excluded(fmap, _params_for(0.005), dims, grid, kmax=10.0)
+
+
+def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
+    # forming vals = base + proj @ xi.T holds two (k-row x sample) float
+    # matrices, the whole peak of the sample-by-sample evaluation (35.4 MB
+    # on the nls.cfg grid); the sorted counting works in blocks of k-rows
+    # below it, where sorting all rows at once peaks at 98 MB
+    fmap, dims = nls_freq_map
+    grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
+    params = _params_for(0.005)
+    tracemalloc.start()
+    try:
+        estimate_excluded(fmap, params, dims, grid, kmax=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2 * 220 * grid.size * 8
