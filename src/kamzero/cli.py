@@ -124,23 +124,21 @@ def cmd_measure(cfg, outdir):
     grid = _grid(cfg)
     base = _base_params(cfg, model.n, 1)
     fmap = measure.AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
-    reports = {}
-    gamma = base.gamma1
-    for rung in range(g["gamma_ladder"]):
-        params = driver.schedule(1, replace(base, gamma1=gamma))
-        try:
-            rep = measure.estimate_excluded(fmap, params, kf.dims, grid,
-                                            k_lo=g["k_lo"], kmax=g["kmax"])
-        except BudgetExhausted as err:
-            print("BudgetExhausted: %s" % err, file=sys.stderr)
-            return EXIT_CODES["BudgetExhausted"]
-        name = "measure_gamma_%g" % gamma
-        emit_measure_report(rep, outdir, basename=name)
-        reports[gamma] = rep.fractions
-        gamma *= 0.5
+    gammas = [base.gamma1]
+    while len(gammas) < g["gamma_ladder"]:
+        gammas.append(gammas[-1] * 0.5)
+    rungs = [driver.schedule(1, replace(base, gamma1=gamma)) for gamma in gammas]
+    try:
+        reps = measure.estimate_ladder(fmap, rungs, kf.dims, grid,
+                                       k_lo=g["k_lo"], kmax=g["kmax"])
+    except BudgetExhausted as err:
+        print("BudgetExhausted: %s" % err, file=sys.stderr)
+        return EXIT_CODES["BudgetExhausted"]
+    for gamma, rep in zip(gammas, reps):
+        emit_measure_report(rep, outdir, basename="measure_gamma_%g" % gamma)
     path = os.path.join(outdir, "measure_ladder.json")
     with open(path, "w") as fh:
-        fh.write(report_json({"%g" % g_: f for g_, f in reports.items()}))
+        fh.write(report_json({"%g" % gamma: rep.fractions for gamma, rep in zip(gammas, reps)}))
     print("wrote %s" % path)
     return 0
 

@@ -29,9 +29,17 @@ evaluating the condition at every sample would give it:
   clears the threshold (with a relative margin of 1e-12) has no excluded
   sample; the condition itself is evaluated only on the other windows.
 
+Only the thresholds depend on gamma, so a gamma ladder (``estimate_ladder``)
+sorts each block of k-rows once for all its rungs: the bisection runs over
+every rung's KL thresholds side by side, and a determinant's window bounds
+(its roots do not depend on gamma) are formed once and compared with the
+largest threshold.  The values, the strip geometry of each k-row and the
+Lipschitz quotients are shared by the rungs as well.
+
 The fractions are count / samples and the analytic bounds are added one
-(k-row, condition) pair at a time in lattice order, so every reported
-figure is bit-identical to evaluating every condition at every sample.
+(k-row, condition) pair at a time in lattice order (a sequential
+accumulate), so every reported figure is bit-identical to evaluating every
+condition at every sample.
 """
 
 from __future__ import annotations
@@ -170,7 +178,14 @@ def lipschitz_quotients(fmap, grid):
 
 
 def estimate_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
-    """Excluded-fraction estimate for every condition family at step m.
+    """Excluded-fraction estimate for every condition family at step m: the
+    one-rung ladder ``estimate_ladder(fmap, [params], ...)[0]``."""
+    return estimate_ladder(fmap, [params], dims, grid, families, k_lo, kmax)[0]
+
+
+def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
+    """Excluded-fraction estimates for every condition family, one
+    MeasureReport per KamParams of ``rungs`` (a gamma ladder), in order.
 
     ``fmap`` is the affine frequency map.  The conditions come from the
     solver's catalogue (``homological.condition_catalogue``) with the
@@ -179,18 +194,26 @@ def estimate_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kma
     to the annulus k_lo < |k| <= kmax (the per-step bookkeeping); the
     determinant families use 0 < |k| <= kmax.  The k = 0 row does not
     depend on xi, so unlike the solver's R3 gate the grid never includes it.
+    ``kmax`` defaults to the rungs' K_m, which must then agree: the rungs
+    share one lattice.
 
-    Each k-row's sample values are sorted once and every condition's
-    excluded samples are counted from that order (module docstring): KL
-    ranges by bisection on the monotone fl(x + c), determinants only inside
-    the windows their lower bound does not clear.  The counts equal those
-    of evaluating every condition at every sample, the fractions are
+    Each k-row block is sorted once per ladder, and every rung's excluded
+    samples are counted from that order (module docstring): KL ranges by
+    one bisection over all rungs' thresholds, determinants only inside the
+    windows whose lower bound (the same on every rung, since the roots do
+    not depend on gamma) does not clear the largest threshold.  The values
+    <k, omega(xi)>, the strip geometry of each k-row and the Lipschitz
+    quotients are formed once per ladder.  The counts equal those of
+    evaluating every condition at every sample, the fractions are
     count / samples, and the analytic bounds are summed in the same
-    (k-row, condition) order, so the report is bit-identical to that
+    (k-row, condition) order, so each report is bit-identical to that
     evaluation.  More than 20,000,000 k-rows x samples raise BudgetExhausted
     before anything is allocated.
     """
-    kmax = params.K_m if kmax is None else kmax
+    kmaxes = {p.K_m if kmax is None else kmax for p in rungs}
+    if len(kmaxes) != 1:
+        raise ValueError("the rungs of a ladder share one k lattice: pass kmax")
+    kmax = kmaxes.pop()
     nk = lattice_size(grid.ndim, kmax) - 1
     if nk * grid.size > _GRID_CELL_CAP:
         raise BudgetExhausted("the measure grid has %d k-rows x %d samples = %d cells,"
@@ -207,70 +230,95 @@ def estimate_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kma
 
     N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
     N0.Omega = dict(fmap.Omega)
-    conds = condition_catalogue(N0, params, dims, kmax, families)
-    kpow = k_powers(conds, kabs)
-    # per condition: thresholds over the k-rows, the rows it covers, and
-    # thr^{1/order}, since {|det| < thr} scales like that per root
-    thrs = [c.scale / kpow[c.tau] for c in conds]
-    live = [kabs > (k_lo if c.family == "KL" else 0) for c in conds]
-    effs = [t ** (1.0 / len(c.roots)) for c, t in zip(conds, thrs)]
-    counts = np.zeros((len(kvecs), len(conds)), dtype=np.int64)
-    excluded = {f: np.zeros(nsamp, dtype=bool) for f in families}
+    catalogues = [condition_catalogue(N0, p, dims, kmax, families) for p in rungs]
+    conds = catalogues[0]
+    # gamma sets the scales only: every rung has the same conditions and roots
+    assert all(len(cs) == len(conds)
+               and all(c.family == c0.family and c.l == c0.l
+                       and np.array_equal(c.roots, c0.roots) for c, c0 in zip(cs, conds))
+               for cs in catalogues)
+    nr, nc = len(rungs), len(conds)
+    thr = np.empty((nr, nc, nk))        # thr[q, j]: condition j's thresholds on rung q
+    for q, cs in enumerate(catalogues):
+        kpow = k_powers(cs, kabs)
+        for j, c in enumerate(cs):
+            thr[q, j] = c.scale / kpow[c.tau]
+    live = np.array([kabs > (k_lo if c.family == "KL" else 0) for c in conds],
+                    dtype=bool).reshape(nc, nk)
+    counts = np.zeros((nr, nk, nc), dtype=np.int64)
+    excluded = [{f: np.zeros(nsamp, dtype=bool) for f in families} for _ in rungs]
     kl = [j for j, c in enumerate(conds) if c.family == "KL"]
     if kl:
-        shifts = np.array([conds[j].roots[0] for j in kl])
-        kl_thr = np.stack([thrs[j] for j in kl], axis=1)
+        # every rung's KL thresholds side by side, rung-major, with their shifts
+        shifts = np.tile([conds[j].roots[0] for j in kl], nr)
+        kl_thr = thr[:, kl].transpose(2, 0, 1).reshape(nk, nr * len(kl))
         kl_live = live[kl[0]]           # one annulus for every KL condition
-    for i0 in range(0, len(kvecs), _ROW_BLOCK):
+    for i0 in range(0, nk, _ROW_BLOCK):
         blk = slice(i0, i0 + _ROW_BLOCK)
         order = np.argsort(vals[blk], axis=1)
         xs = np.take_along_axis(vals[blk], order, axis=1)
+        nb = len(xs)
         if kl:
-            lo = _first_above(xs, shifts, -kl_thr[blk], strict=True)
-            hi = _first_above(xs, shifts, kl_thr[blk], strict=False)
-            n = np.where(kl_live[blk, None], np.maximum(hi - lo, 0), 0)
-            counts[blk, kl] = n
-            excluded["KL"][order[_cover(lo, hi, n > 0, nsamp)]] = True
+            lo = _first_above(xs, shifts, -kl_thr[blk], strict=True).reshape(nb, nr, -1)
+            hi = _first_above(xs, shifts, kl_thr[blk], strict=False).reshape(nb, nr, -1)
+            n = np.where(kl_live[blk, None, None], np.maximum(hi - lo, 0), 0)
+            for q in range(nr):
+                counts[q][blk, kl] = n[:, q]
+                excluded[q]["KL"][order[_cover(lo[:, q], hi[:, q], n[:, q] > 0, nsamp)]] = True
         for j, c in enumerate(conds):
             if c.family != "KL":
-                r, p = _det_hits(c, xs, thrs[j][blk])
-                counts[blk, j] = np.bincount(r, minlength=len(xs))
-                excluded[c.family][order[r, p]] = True
+                r, p, rung = _det_hits(c, xs, thr[:, j, blk].T)
+                for q in range(nr):
+                    at = rung == q
+                    counts[q, blk, j] = np.bincount(r[at], minlength=nb)
+                    excluded[q][c.family][order[r[at], p[at]]] = True
 
-    bound = dict.fromkeys(families, 0.0)
-    rows = []
+    # strip width 2 thr / |g| against the box extent along the gradient g
     widths = grid.hi - grid.lo
-    for i in range(len(kvecs)):
-        # strip width 2 thr / |g| against the box extent along the gradient g
-        g = float(np.linalg.norm(proj[i], 2))
-        extent = float(np.abs(proj[i]) @ widths) / g if g else 0.0
-        for c, thr, sel, eff, count in zip(conds, thrs, live, effs, counts[i].tolist()):
-            if not sel[i]:
-                continue
-            cb = len(c.roots) * (min(1.0, 2.0 * eff[i] / (g * extent)) if extent > 0 else 1.0)
-            bound[c.family] += cb
-            if count:
-                rows.append(ConditionRow(c.family, tuple(int(v) for v in kvecs[i]),
-                                         c.l, float(thr[i]), count / nsamp, cb))
-    rows.sort(key=lambda r: FAMILIES.index(r.family))
-    fractions = {f: float(e.mean()) for f, e in excluded.items()}
-    bounds = {f: min(1.0, b) for f, b in bound.items()}
-
-    ratios = {f: (fractions[f] / bounds[f] if bounds[f] > 0 else 0.0)
-              for f in fractions}
+    g = np.array([float(np.linalg.norm(v, 2)) for v in proj])
+    extent = np.array([float(np.abs(v) @ widths) / gi if gi else 0.0 for v, gi in zip(proj, g)])
+    wide = extent > 0
+    span = np.where(wide, g * extent, 1.0)[:, None]
+    nroots = np.array([float(len(c.roots)) for c in conds])
+    fam = np.array([FAMILIES.index(c.family) for c in conds], dtype=int)
+    cells = live.T                      # (k-row, condition) pairs counted
+    in_family = {f: cells & (fam == FAMILIES.index(f)) for f in families}
+    ktuples = [tuple(int(v) for v in k) for k in kvecs]
+    lip_lo, lip_hi = lipschitz_quotients(fmap, grid)
     b = max(dims.b, 1)
     mu_exp = 1.0 if fmap.d > 1 else 0.5
     K_prev = max(k_lo, 1.0)
-    per_step = (params.gamma_m ** mu_exp / (1.0 + K_prev)
-                + params.gamma_m ** (1.0 / (4 * b * b)) / params.m ** 2)
-    # cumulative check: the empirically surviving fraction must not undershoot
-    # 1 - (sum of family bounds) by more than the grid resolution
-    excl_sum = sum(fractions.values())
-    bound_sum = min(1.0, sum(bounds.values()))
-    cumulative_ok = bool(1.0 - excl_sum >= 1.0 - bound_sum - grid.resolution_error * grid.ndim)
-    lip_lo, lip_hi = lipschitz_quotients(fmap, grid)
-    return MeasureReport(fractions, bounds, ratios, per_step, cumulative_ok,
-                         grid.resolution_error, nsamp, lip_lo, lip_hi, rows)
+    reports = []
+    for q, params in enumerate(rungs):
+        # thr^{1/order}, since {|det| < thr} scales like that per root
+        eff = np.empty((nc, nk))
+        for j, c in enumerate(conds):
+            eff[j] = thr[q, j] ** (1.0 / len(c.roots))
+        cb = nroots * np.where(wide[:, None], np.minimum(1.0, 2.0 * eff.T / span), 1.0)
+        # each family's bound is summed one pair at a time in (k-row,
+        # condition) order: a sequential accumulate, not a pairwise sum
+        bound = {f: float(np.add.accumulate(np.append(0.0, cb[sel]))[-1])
+                 for f, sel in in_family.items()}
+        ii, jj = np.nonzero(cells & (counts[q] > 0))
+        by_family = np.argsort(fam[jj], kind="stable")
+        rows = [ConditionRow(conds[j].family, ktuples[i], conds[j].l, float(thr[q, j, i]),
+                             int(counts[q, i, j]) / nsamp, float(cb[i, j]))
+                for i, j in zip(ii[by_family].tolist(), jj[by_family].tolist())]
+        fractions = {f: float(e.mean()) for f, e in excluded[q].items()}
+        bounds = {f: min(1.0, b) for f, b in bound.items()}
+        ratios = {f: (fractions[f] / bounds[f] if bounds[f] > 0 else 0.0)
+                  for f in fractions}
+        per_step = (params.gamma_m ** mu_exp / (1.0 + K_prev)
+                    + params.gamma_m ** (1.0 / (4 * b * b)) / params.m ** 2)
+        # cumulative check: the empirically surviving fraction must not undershoot
+        # 1 - (sum of family bounds) by more than the grid resolution
+        excl_sum = sum(fractions.values())
+        bound_sum = min(1.0, sum(bounds.values()))
+        cumulative_ok = bool(1.0 - excl_sum
+                             >= 1.0 - bound_sum - grid.resolution_error * grid.ndim)
+        reports.append(MeasureReport(fractions, bounds, ratios, per_step, cumulative_ok,
+                                     grid.resolution_error, nsamp, lip_lo, lip_hi, rows))
+    return reports
 
 
 def _first_above(xs, shifts, bound, strict):
@@ -325,24 +373,25 @@ def window_lower_bound(roots, first, last):
 
 
 def _det_hits(cond, xs, thr):
-    """(row, sorted position) of every sample of the sorted rows ``xs`` with
-    ``cond.value < thr[row]``.
+    """(row, sorted position, rung) of every sample of the sorted rows ``xs``
+    with ``cond.value < thr[row, rung]``, for a threshold column per rung.
 
     Windows of ``_WINDOW`` sorted samples whose lower bound clears the
-    threshold by the relative margin are skipped; the condition is
-    evaluated on the samples of the others.
+    largest threshold of their row by the relative margin are skipped; the
+    condition is evaluated once on the samples of the others, and each
+    value is compared with every rung's threshold.
     """
     nb, nsamp = xs.shape
     starts = np.arange(0, nsamp, _WINDOW)
     ends = np.minimum(starts + _WINDOW, nsamp) - 1
     lower = window_lower_bound(cond.roots, xs[:, starts], xs[:, ends])
-    r, w = np.nonzero(lower < thr[:, None] * (1.0 + _MARGIN))
+    r, w = np.nonzero(lower < thr.max(axis=1)[:, None] * (1.0 + _MARGIN))
     p = (starts[w][:, None] + np.arange(_WINDOW)).ravel()
     r = np.repeat(r, _WINDOW)
     inside = p < nsamp
     r, p = r[inside], p[inside]
-    hit = cond.value(xs[r, p]) < thr[r]
-    return r[hit], p[hit]
+    hit, rung = np.nonzero(cond.value(xs[r, p])[:, None] < thr[r])
+    return r[hit], p[hit], rung
 
 
 def rows_to_csv(rows):

@@ -549,10 +549,10 @@ _CHUNK_ROWS = 1_000_000
 class _Accumulator:
     """Bounded-memory collector of product rows as (code words, coefficient).
 
-    ``add`` drops the rows outside the budget mask ``keep`` (None when every
-    row is in budget; mass into ``dropped``) and those below the magnitude
-    floor (mass into ``precut``), and appends the rest to a raw buffer of
-    unsorted rows.  Before a block would push that buffer past
+    ``add`` takes rows within the budgets (``_products`` forms only those
+    and counts the mass of the others into ``dropped``), drops those below
+    the magnitude floor (mass into ``precut``), and appends the rest to a
+    raw buffer of unsorted rows.  Before a block would push that buffer past
     ``_CHUNK_ROWS`` rows (one larger block aside), the buffer alone is summed
     into one sorted block of distinct keys.  Sorted blocks are merged with
     each other only once they hold more than ``_CHUNK_ROWS`` rows, and once
@@ -569,8 +569,8 @@ class _Accumulator:
         self.dropped = 0.0
         self.precut = 0.0
 
-    def add(self, words, coefs, keep):
-        words, coefs = self._cut(words, coefs, keep)
+    def add(self, words, coefs):
+        words, coefs = self._cut(words, coefs)
         if self.raw_rows and self.raw_rows + len(coefs) > _CHUNK_ROWS:
             self._reduce_raw()
             if self.block_rows > _CHUNK_ROWS:
@@ -578,14 +578,9 @@ class _Accumulator:
         self.raw.append((words, coefs))
         self.raw_rows += len(coefs)
 
-    def _cut(self, words, coefs, keep):
-        """The rows in budget and above the magnitude floor, the cut mass
-        counted (a method of its own, so that its temporaries are freed
-        before a reduction)."""
-        if keep is not None and not keep.all():
-            self.dropped += float(np.abs(coefs[~keep]).sum())
-            words = [w[keep] for w in words]
-            coefs = coefs[keep]
+    def _cut(self, words, coefs):
+        """The rows above the magnitude floor, the cut mass counted (a method
+        of its own, so that its temporaries are freed before a reduction)."""
         if self.mag_cut > 0.0:
             mags = np.abs(coefs)
             live = mags > self.mag_cut
@@ -694,6 +689,12 @@ def _products(out, A, B, pairs):
     not real to roundoff, it forms the product of A's lower half and its
     mirror instead of A's.
 
+    When the operands' extremes can exceed a budget, each block's in-budget
+    mask is built from the integer degree and |k| columns, and only the kept
+    (row of A, row of B) pairs are gathered, in the row-major order of the
+    full block; the dropped rows are never formed, and their mass is counted
+    from magnitudes as sum_i |ca_i| * sum_{j dropped} |cb_j|.
+
     Each factor is +-1 or +-i and is folded into dB's coefficients once per
     pair: ca * (cb * factor) equals (ca * cb) * factor exactly, also where
     numpy's complex multiply fuses a multiply-add (folding it into ca does
@@ -727,18 +728,23 @@ def _products(out, A, B, pairs):
         if masked:
             dga, dgb = _degrees(ra, n), _degrees(rb, n)
             ka, kb = ra[:, :n].astype(np.int32), rb[:, :n].astype(np.int32)
+            mb = np.abs(cb)
         step = max(1, _CHUNK_ROWS // len(cb))
         for lo in range(0, len(ca), step):
             hi = lo + step
-            keep = None
-            if masked:
-                keep = dga[lo:hi, None] + dgb <= bud.degree_max
-                if n:
-                    kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
-                    keep &= kabs <= bud.k_max
-                keep = keep.ravel()
-            acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)],
-                    (ca[lo:hi, None] * cb).ravel(), keep)
+            if not masked:
+                acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)],
+                        (ca[lo:hi, None] * cb).ravel())
+                continue
+            keep = dga[lo:hi, None] + dgb <= bud.degree_max
+            if n:
+                kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
+                keep &= kabs <= bud.k_max
+            # |ca_i cb_j| summed over the dropped pairs, from the magnitudes
+            acc.dropped += float(np.abs(ca[lo:hi]) @ (~keep @ mb))
+            i, j = np.nonzero(keep)     # row-major, as the full product's rows
+            i += lo
+            acc.add([x[i] + y[j] for x, y in zip(wa, wb)], ca[i] * cb[j])
     acc.finalize(out, codec, mirrored)
 
 

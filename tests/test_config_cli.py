@@ -192,6 +192,45 @@ gamma_ladder = 2
     assert head == "family,k,l,threshold,excluded_fraction,analytic_bound"
 
 
+def test_cli_measure_ladder_writes_the_files_of_one_call_per_rung(tmp_path):
+    # the CLI counts both rungs from one sort per k-row block; the files are
+    # those of one estimate_excluded call per rung, emitted in turn
+    from dataclasses import replace
+
+    from kamzero import cli, driver, measure, nls
+    from kamzero.reporting import emit_measure_report
+
+    text = MINIMAL_NLS + """
+[grid]
+lo = 0.001 0.001
+hi = 0.01 0.01
+samples_per_axis = 30
+kmax = 8
+k_lo = 2
+gamma_ladder = 2
+"""
+    (tmp_path / "m.cfg").write_text(text)
+    out, ref = tmp_path / "o", tmp_path / "ref"
+    assert main(["measure", "--config", str(tmp_path / "m.cfg"), "--out", str(out)]) == 0
+    cfg = parse_config(text)
+    model = cli._model(cfg)
+    _, kf = nls.build_nls(model, cli._budgets(cfg))
+    fmap = measure.AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
+    base = cli._base_params(cfg, model.n, 1)
+    ladder = {}
+    for gamma in (base.gamma1, base.gamma1 / 2):
+        rep = measure.estimate_excluded(fmap, driver.schedule(1, replace(base, gamma1=gamma)),
+                                        kf.dims, cli._grid(cfg), k_lo=2.0, kmax=8.0)
+        emit_measure_report(rep, str(ref), basename="measure_gamma_%g" % gamma)
+        ladder["%g" % gamma] = rep.fractions
+    (ref / "measure_ladder.json").write_text(report_json(ladder))
+    names = sorted(os.listdir(ref))
+    assert sorted(os.listdir(out)) == names and len(names) == 5
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    assert any(len((out / n).read_text().splitlines()) > 1 for n in names if n.endswith(".csv"))
+
+
 def test_measure_mode_builds_the_nls_problem(tmp_path):
     # a mode = measure config describes the NLS model in [model]; run used to
     # build the default synthetic problem from it and report TorusConverged

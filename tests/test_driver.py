@@ -370,6 +370,18 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     # two prunes (the solver's F, then R_next) as prune_mass
     from kamzero import cli, driver, nls, series
 
+    # a cut that does not rest on roundoff: {y_1, G} with dyadic
+    # G = e^{i x_1} + 2^-20 e^{2 i x_1} is -i e^{i x_1} - 2^-19 i e^{2 i x_1},
+    # whose second term is below prune_rel max|c| = 1e-5 and lands in the
+    # ledger as exactly its modulus, whatever order a sum takes
+    cut_bud = Budgets(6, 4096, prune_rel=1e-5)
+    y1 = TFSeries(DIMS, cut_bud, {make_key(2, alpha=(1, 0)): 1.0})
+    G = TFSeries(DIMS, cut_bud, {make_key(2, k=(1, 0)): 1.0, make_key(2, k=(2, 0)): 2.0 ** -20})
+    cut = series.poisson_bracket(y1, G)
+    assert dict(cut.terms) == {make_key(2, k=(1, 0)): -1j}
+    assert series.truncated_mass(cut) == {"dropped_mass": 0.0, "pruned_mass": 0.0,
+                                          "cut_mass": 2.0 ** -19}
+
     steps, pruned, step_prunes = [], [], []
     prune = series.TFSeries.prune
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,8 @@ from kamzero.driver import BaseParams, schedule
 from kamzero.homological import (FAMILIES, BudgetExhausted, Condition, NormalForm,
                                  condition_catalogue, k_lattice, k_powers)
 from kamzero.measure import (AffineFrequencyMap, ConditionRow, ParameterGrid,
-                             estimate_excluded, rows_to_csv, window_lower_bound)
+                             estimate_excluded, estimate_ladder, rows_to_csv,
+                             window_lower_bound)
 from kamzero.series import SeriesDims
 
 
@@ -173,7 +175,11 @@ def reference_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, km
 
 
 def assert_same_as_reference(fmap, params, dims, grid, **kw):
-    rep = estimate_excluded(fmap, params, dims, grid, **kw)
+    return assert_report_is_reference(estimate_excluded(fmap, params, dims, grid, **kw),
+                                      fmap, params, dims, grid, **kw)
+
+
+def assert_report_is_reference(rep, fmap, params, dims, grid, **kw):
     fractions, bounds, ratios, rows = reference_excluded(fmap, params, dims, grid, **kw)
     assert rep.fractions == fractions
     assert rep.bounds == bounds
@@ -221,6 +227,37 @@ def test_sorted_counts_equal_the_sample_by_sample_evaluation(problem, row_block,
         assert_same_as_reference(fmap, params, dims, grid, **kw)
 
 
+@settings(max_examples=60, deadline=None)
+@given(measure_problems(), st.lists(_dyadic(0, 32, 64), min_size=1, max_size=4),
+       st.sampled_from((1, 3, 16)), st.sampled_from((1, 5, 64)))
+def test_ladder_equals_its_rungs_one_at_a_time(problem, gammas, row_block, window):
+    # one sort per k-row block for the whole ladder gives every rung the
+    # report of its own call, and of the sample-by-sample evaluation
+    fmap, params, dims, grid, kw = problem
+    rungs = [schedule(1, replace(params.base, gamma1=g), eps_m=1e-6) for g in gammas]
+    with mock.patch.object(measure, "_ROW_BLOCK", row_block), \
+            mock.patch.object(measure, "_WINDOW", window):
+        reps = estimate_ladder(fmap, rungs, dims, grid, **kw)
+        assert len(reps) == len(rungs)
+        for rung, rep in zip(rungs, reps):
+            one = estimate_excluded(fmap, rung, dims, grid, **kw)
+            assert rep.as_dict() == one.as_dict()
+            assert rows_to_csv(rep.rows) == rows_to_csv(one.rows)
+            assert_report_is_reference(rep, fmap, rung, dims, grid, **kw)
+
+
+def test_ladder_rungs_share_one_lattice():
+    grid, fmap, dims, params = one_dim_setup(gamma=0.05, samples=11)
+    other = schedule(1, params.base, eps_m=1e-9)
+    assert other.K_m != params.K_m
+    with pytest.raises(ValueError, match="one k lattice"):
+        estimate_ladder(fmap, [params, other], dims, grid, families=("KL",))
+    reps = estimate_ladder(fmap, [params, other], dims, grid, families=("KL",), kmax=2.0)
+    assert [r.as_dict() for r in reps] == [
+        estimate_excluded(fmap, p, dims, grid, families=("KL",), kmax=2.0).as_dict()
+        for p in (params, other)]
+
+
 def test_exact_threshold_hits_are_counted_like_the_evaluation():
     # x on the dyadic grid -1, -7/8, ..., 1; k = 1 has thr = gamma = 1/4, and
     # the shifts 0 and Omega_1 = 1/2 put fl(x + c) exactly on -thr and +thr
@@ -264,20 +301,23 @@ def test_window_lower_bound_never_exceeds_the_computed_value(roots, xs):
 
 @settings(max_examples=100, deadline=None)
 @given(_roots, st.integers(1, 4), st.integers(1, 200), st.integers(1, 70),
-       st.floats(0.0, 1e4), st.randoms(use_true_random=False))
-def test_window_skipping_finds_every_violation(roots, nb, nsamp, window, scale, rnd):
+       st.floats(0.0, 1e4), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_window_skipping_finds_every_violation(roots, nb, nsamp, window, scale, nrungs, rnd):
+    # one threshold column per rung; each rung's hits are exactly its own
     cond = Condition("R1", None, 1.0, 1.0, np.array(roots, dtype=complex))
     rng = np.random.default_rng(rnd.randrange(2 ** 32))
     xs = np.sort(rng.uniform(-60.0, 60.0, (nb, nsamp)), axis=1)
-    thr = scale * rng.uniform(0.0, 1.0, nb)
-    # some rows with the threshold one ulp above a sample's computed value
-    tight = rng.uniform(size=nb) < 0.5
-    at = cond.value(xs[np.arange(nb), rng.integers(0, nsamp, nb)])
+    thr = scale * rng.uniform(0.0, 1.0, (nb, nrungs))
+    # some thresholds one ulp above a sample's computed value
+    tight = rng.uniform(size=(nb, nrungs)) < 0.5
+    at = cond.value(xs[np.arange(nb)[:, None], rng.integers(0, nsamp, (nb, nrungs))])
     thr = np.where(tight, np.nextafter(at, np.inf), thr)
     with mock.patch.object(measure, "_WINDOW", window):
-        r, p = measure._det_hits(cond, xs, thr)
-    expect = np.nonzero(cond.value(xs) < thr[:, None])
-    assert sorted(zip(r.tolist(), p.tolist())) == sorted(zip(*(e.tolist() for e in expect)))
+        r, p, rung = measure._det_hits(cond, xs, thr)
+    for q in range(nrungs):
+        expect = np.nonzero(cond.value(xs) < thr[:, q, None])
+        got = sorted(zip(r[rung == q].tolist(), p[rung == q].tolist()))
+        assert got == sorted(zip(*(e.tolist() for e in expect)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +354,18 @@ def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
     # forming vals = base + proj @ xi.T holds two (k-row x sample) float
     # matrices, the whole peak of the sample-by-sample evaluation (35.4 MB
     # on the nls.cfg grid); the sorted counting works in blocks of k-rows
-    # below it, where sorting all rows at once peaks at 98 MB
+    # below it, where sorting all rows at once peaks at 98 MB, and a ladder
+    # of three rungs shares that one vals matrix
     fmap, dims = nls_freq_map
     grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
-    params = _params_for(0.005)
-    tracemalloc.start()
-    try:
-        estimate_excluded(fmap, params, dims, grid, kmax=10.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 2 * 220 * grid.size * 8
+    calls = [lambda: estimate_excluded(fmap, _params_for(0.005), dims, grid, kmax=10.0),
+             lambda: estimate_ladder(fmap, [_params_for(g) for g in (0.005, 0.0025, 0.00125)],
+                                     dims, grid, kmax=10.0)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 * 220 * grid.size * 8

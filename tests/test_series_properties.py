@@ -15,7 +15,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kamzero import series as kseries
 from kamzero.driver import realify
@@ -90,8 +90,8 @@ def _ref_products(pairs, budgets):
     return {k: c for k, c in sums.items() if c != 0}, mass, dropped
 
 
-def ref_bracket(F, G, dims, budgets):
-    """{F, G} as (sums, l1 mass of each sum's summands, dropped l1 mass)."""
+def _bracket_pairs(F, G, dims):
+    """The ``(terms_a, terms_b, factor)`` derivative pairs whose products sum to {F, G}."""
     df = _derivatives(F, dims.n, dims.modes)
     dg = _derivatives(G, dims.n, dims.modes)
     pairs = []
@@ -99,13 +99,22 @@ def ref_bracket(F, G, dims, budgets):
         pairs += [(("x", b), ("y", b), 1.0), (("y", b), ("x", b), -1.0)]
     for m in dims.modes:
         pairs += [(("z", m), ("zb", m), 1j), (("zb", m), ("z", m), -1j)]
-    return _ref_products([(df.get(fv, ()), dg.get(gv, ()), factor) for fv, gv, factor in pairs],
-                         budgets)
+    return [(df.get(fv, ()), dg.get(gv, ()), factor) for fv, gv, factor in pairs]
+
+
+def _product_pairs(F, G):
+    """The one ``(terms_a, terms_b, factor)`` pair whose products sum to F * G."""
+    return [(list(F.items()), list(G.items()), 1.0)]
+
+
+def ref_bracket(F, G, dims, budgets):
+    """{F, G} as (sums, l1 mass of each sum's summands, dropped l1 mass)."""
+    return _ref_products(_bracket_pairs(F, G, dims), budgets)
 
 
 def ref_multiply(F, G, budgets):
     """F * G as (sums, l1 mass of each sum's summands, dropped l1 mass)."""
-    return _ref_products([(list(F.items()), list(G.items()), 1.0)], budgets)
+    return _ref_products(_product_pairs(F, G), budgets)
 
 
 def ref_add(F, G):
@@ -410,6 +419,75 @@ def test_products_beyond_one_buffer_match_reference_within_rounding(F, G, chunk)
         for key in set(got) | set(ref):
             assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
         assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+
+
+# terms of degree 4 to 6 under a degree budget of 6: a bracket keeps only the
+# rows of two degree-4 terms, a product none
+_EXPS = [{}] + [{m: e} for m in DIMS.modes for e in (1, 2)] + [
+    {m: e, q: f} for m in DIMS.modes for q in DIMS.modes if m < q for e in (1, 2) for f in (1, 2)]
+_HIGH_EXPONENTS = [(alpha, beta, gamma) for alpha in ((0, 0), (1, 0), (0, 1), (1, 1))
+                   for beta in _EXPS for gamma in _EXPS
+                   if 4 <= 2 * sum(alpha) + sum(beta.values()) + sum(gamma.values()) <= 6]
+HIGH = st.dictionaries(
+    st.builds(lambda k, exps: make_key(DIMS.n, k, *exps),
+              st.tuples(*[st.integers(-2, 2)] * DIMS.n), st.sampled_from(_HIGH_EXPONENTS)),
+    FLOATS, min_size=4, max_size=12)
+UNBOUNDED = Budgets(degree_max=40, k_max=40, prune_rel=0.0)
+
+
+def _formed(op, F, G):
+    """op(F, G) and the number of product rows it formed."""
+    rows, add = [], kseries._Accumulator.add
+
+    def counted(acc, words, coefs):
+        rows.append(len(coefs))
+        return add(acc, words, coefs)
+    with mock.patch.object(kseries._Accumulator, "add", counted):
+        out = op(F, G)
+    return out, sum(rows)
+
+
+@SETTINGS
+@given(HIGH, HIGH)
+def test_masked_products_form_only_the_rows_in_budget(f, g):
+    # a product whose operands can exceed a budget gathers only the in-budget
+    # (row of A, row of B) pairs: the same rows and coefficients, bit for bit,
+    # as forming every row with no budget to drop and keeping those in budget
+    assume(f != g)      # the self-bracket is zero by definition
+    pairs = _bracket_pairs(f, g, DIMS)
+    keys = [_key_product(ka, kb) for ta, tb, _ in pairs for ka, _ in ta for kb, _ in tb]
+    in_budget = sum(key_degree(k) <= BUD.degree_max and key_kabs(k) <= BUD.k_max for k in keys)
+    assume(0 < in_budget <= 0.1 * len(keys))
+    for op, ref, count in ((poisson_bracket, ref_bracket(f, g, DIMS, BUD), in_budget),
+                           (TFSeries.multiply, ref_multiply(f, g, BUD), 0)):
+        out, formed = _formed(op, TFSeries(DIMS, BUD, f), TFSeries(DIMS, BUD, g))
+        full, _ = _formed(op, TFSeries(DIMS, UNBOUNDED, f), TFSeries(DIMS, UNBOUNDED, g))
+        assert formed == count
+        assert _dict(out) == {key: c for key, c in _dict(full).items()
+                              if key_degree(key) <= BUD.degree_max and key_kabs(key) <= BUD.k_max}
+        assert math.isclose(out.meta["dropped_mass"], ref[2], rel_tol=1e-12)
+        assert out.meta["dropped_mass"] > 0
+
+
+def test_masked_bracket_sums_its_rows_in_the_full_products_order():
+    # about 75 in-budget rows per key, with float coefficients: each key's
+    # sum depends on the order of its summands, which the gathered rows keep
+    rng = np.random.default_rng(7)
+    grid = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    low = [make_key(DIMS.n, k, alpha) for k in grid for alpha in ((1, 1), (2, 0))]
+    high = [make_key(DIMS.n, k, *exps) for k in grid[16:33] for exps in _HIGH_EXPONENTS
+            if 2 * sum(exps[0]) + sum(exps[1].values()) + sum(exps[2].values()) > 4]
+    f, g = ({key: complex(*rng.uniform(-4, 4, 2))
+             for key in low + [high[i] for i in rng.choice(len(high), 400, False)]}
+            for _ in range(2))
+    out, formed = _formed(poisson_bracket, TFSeries(DIMS, BUD, f), TFSeries(DIMS, BUD, g))
+    full, total = _formed(poisson_bracket, TFSeries(DIMS, UNBOUNDED, f),
+                          TFSeries(DIMS, UNBOUNDED, g))
+    assert 0 < formed <= 0.1 * total and formed > 50 * len(out)
+    inside = ((kseries._degrees(full.rows, DIMS.n) <= BUD.degree_max)
+              & (kseries._kabs(full.rows, DIMS.n) <= BUD.k_max))
+    assert np.array_equal(out.rows, full.rows[inside])
+    assert np.array_equal(out.coefs, full.coefs[inside])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
