@@ -98,8 +98,8 @@ def cmd_nls_build(cfg, outdir, xi_index):
         "sites": list(model.sites),
         "jmax": model.jmax,
         "xi": [float(v) for v in model.xi],
-        "alpha": [float(v) for v in kf.alpha],
-        "A": [[float(v) for v in row] for row in kf.A],
+        "alpha": [float(v) for v in kf.fmap.alpha],
+        "A": [[float(v) for v in row] for row in kf.fmap.A],
         "omega": [float(v) for v in kf.N0.omega],
         "Omega": {str(j): float(v) for j, v in sorted(kf.N0.Omega.items())},
         "Gbar_sites": [[float(bk.Gbar[i, j]) for j in model.sites] for i in model.sites],
@@ -119,17 +119,16 @@ def cmd_nls_build(cfg, outdir, xi_index):
 
 def cmd_measure(cfg, outdir):
     model = _model(cfg)
-    bk, kf = nls.build_nls(model, _budgets(cfg))
+    fmap = nls.frequency_map(model, _budgets(cfg))
     g = cfg["grid"]
     grid = _grid(cfg)
     base = _base_params(cfg, model.n, 1)
-    fmap = measure.AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
     gammas = [base.gamma1]
     while len(gammas) < g["gamma_ladder"]:
         gammas.append(gammas[-1] * 0.5)
     rungs = [driver.schedule(1, replace(base, gamma1=gamma)) for gamma in gammas]
     try:
-        reps = measure.estimate_ladder(fmap, rungs, kf.dims, grid,
+        reps = measure.estimate_ladder(fmap, rungs, model.kam_dims(), grid,
                                        k_lo=g["k_lo"], kmax=g["kmax"])
     except BudgetExhausted as err:
         print("BudgetExhausted: %s" % err, file=sys.stderr)

@@ -103,13 +103,9 @@ def _parse_value(kind, raw):
 @dataclass
 class RunConfig:
     values: dict
-    text: str = ""
 
     def __getitem__(self, section):
         return self.values[section]
-
-    def get(self, section, key):
-        return self.values[section][key]
 
     @property
     def mode(self):
@@ -151,7 +147,7 @@ def parse_config(text):
             problems.append("line %d: key '%s' expects %s, got %r"
                             % (lineno, key, kind.replace("float", "finite float"), raw_val))
 
-    cfg = RunConfig(values, text)
+    cfg = RunConfig(values)
     problems.extend(_validate(cfg))
     if problems:
         raise ConfigError(problems)
@@ -165,14 +161,28 @@ def _validate(cfg):
     if mode not in _MODES:
         problems.append("[run] mode must be one of %s, got %r" % (_MODES, mode))
         return problems
-    for sec, key in (("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"),
-                     ("domain", "a")):
+    g = v["grid"]
+    positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"), ("domain", "a")]
+    # check_k_cap < 1 would silently drop every |k| >= 1 non-resonance check
+    least = [("run", "seed", 0), ("run", "max_steps", 1), ("run", "max_lie_order", 1),
+             ("schedule", "check_k_cap", 1)]
+    if mode == "synthetic":
+        positive.append(("synthetic", "eps0"))
+        least += [("synthetic", key, low) for key, low in
+                  (("n", 1), ("b", 1), ("zero_mode", 0), ("n_low", 0), ("n_high", 0))]
+    else:
+        least.append(("model", "taylor_depth", 0))
+    if g["lo"] or g["hi"]:
+        # an empty condition set or ladder would report every fraction as 0
+        least += [("grid", "kmax", 1), ("grid", "gamma_ladder", 1)]
+    for sec, key in positive:
         if not v[sec][key] > 0:
             problems.append("[%s] %s must be positive" % (sec, key))
+    for sec, key, low in least:
+        if not v[sec][key] >= low:
+            problems.append("[%s] %s must be >= %d" % (sec, key, low))
     if not v["domain"]["p"] > 0.5:
         problems.append("[domain] p must exceed 1/2")
-    if v["run"]["max_steps"] < 1:
-        problems.append("[run] max_steps must be >= 1")
     try:
         Budgets(**v["budgets"])
     except ValueError as err:
@@ -195,25 +205,13 @@ def _validate(cfg):
             problems.append("[model] sites must lie in 1..jmax = %d" % v["model"]["jmax"])
         if len(set(sites)) != len(sites):
             problems.append("[model] sites must be distinct")
-        if v["model"]["taylor_depth"] < 0:
-            problems.append("[model] taylor_depth must be >= 0")
         n = len(sites)
     else:
         n = v["synthetic"]["n"]
-        if v["synthetic"]["b"] < 1:
-            problems.append("[synthetic] b must be >= 1")
     if n and not v["schedule"]["tau"] > n + 1:
         problems.append("[schedule] tau must exceed n + 1 = %d" % (n + 1))
-    g = v["grid"]
-    if mode == "measure":
-        if not g["lo"] or not g["hi"] or len(g["lo"]) != len(g["hi"]):
-            problems.append("[grid] lo and hi must be equal-length lists")
-    if g["lo"] or g["hi"]:
-        # an empty condition set or ladder would report every fraction as 0
-        if not g["kmax"] >= 1:
-            problems.append("[grid] kmax must be >= 1")
-        if not 0 <= g["k_lo"] < g["kmax"]:
-            problems.append("[grid] k_lo must satisfy 0 <= k_lo < kmax")
-        if g["gamma_ladder"] < 1:
-            problems.append("[grid] gamma_ladder must be >= 1")
+    if mode == "measure" and (not g["lo"] or not g["hi"] or len(g["lo"]) != len(g["hi"])):
+        problems.append("[grid] lo and hi must be equal-length lists")
+    if (g["lo"] or g["hi"]) and not 0 <= g["k_lo"] < g["kmax"]:
+        problems.append("[grid] k_lo must satisfy 0 <= k_lo < kmax")
     return problems

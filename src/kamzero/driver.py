@@ -57,7 +57,6 @@ class BaseParams:
     r1: float
     gamma1: float
     eps1: float = 1e-6
-    d: int = 2
     r_floor_rel: float = 1e-2
     eps_floor: float = 1e-14
     check_k_cap: float = 64.0
@@ -88,10 +87,6 @@ class KamParams:
     @property
     def tau(self):
         return self.base.tau
-
-    @property
-    def d(self):
-        return self.base.d
 
     # per-family thresholds; m = 1 reduces every gamma_im to gamma_1, and a
     # float power underflows where m ** (e b^4) would overflow a float

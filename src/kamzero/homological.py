@@ -272,6 +272,8 @@ _LATTICE_CAP = 6_000_000
 # k-rows x samples of one ``measure.estimate_excluded`` grid: 160 MB of
 # float64 values
 _GRID_CELL_CAP = 20_000_000
+# dispersion exponent d of the normal frequencies Omega_j = j^d (cubic NLS)
+DISPERSION = 2
 
 
 def _scale_tau(params, family):
@@ -280,10 +282,10 @@ def _scale_tau(params, family):
     return getattr(params, scale), getattr(params, tau)
 
 
-def l_weight(L, tail, d):
+def l_weight(L, tail):
     """The KL weight <l>_d = max(1, |sum_j j^d l_j|) of every row l of ``L``
-    (one column per mode of ``tail``)."""
-    return np.maximum(1.0, np.abs(L @ np.array([float(j) ** d for j in tail])))
+    (one column per mode of ``tail``), d = ``DISPERSION``."""
+    return np.maximum(1.0, np.abs(L @ np.array([float(j) ** DISPERSION for j in tail])))
 
 
 def _kpow(kabs, tau):
@@ -375,7 +377,7 @@ def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
         shifts = L @ np.array([Om[j] for j in tail], dtype=float)
         scale, tau = _scale_tau(params, "KL")
         conds += [Condition("KL", _l_tuple(tail, l), float(scale * w), tau, np.array([c]))
-                  for l, c, w in zip(L, shifts, l_weight(L, tail, params.d))]
+                  for l, c, w in zip(L, shifts, l_weight(L, tail))]
     if N.b == 0:
         return conds
     zk = np.zeros(dims.n)
@@ -443,7 +445,6 @@ class SolveReport:
     min_divisor_margin: float = np.inf
     residual: float | None = None
     xF_norm: float | None = None
-    estimate_constant: float | None = None
     bracket: TFSeries | None = None     # {N, F}, formed for the residual when dp is given
     prune_mass: float = 0.0             # l1 mass the final prune of F removed
 
@@ -460,8 +461,7 @@ def solve_homological(N, R_low, params, dims, dp=None):
 
     Returns (F, Nhat, SolveReport).  When ``dp`` is given the report
     includes the bracket {N, F}, the residual ||{N,F} + R_low - Nhat||
-    certified with it, and the measured norm constant of the generating
-    function.
+    certified with it, and the vector-field norm of F.
     """
     n, b, nm = dims.n, dims.b, len(dims.modes)
     tail = dims.tail_modes
@@ -494,7 +494,7 @@ def solve_homological(N, R_low, params, dims, dp=None):
         k, l, rhs = rows[:, :n], rows[:, tz] - rows[:, tzb], lookup(rows, *sources)
         div = np.vecdot(k.astype(float), N.omega) + l @ Om_tail
         scale, tau = _scale_tau(params, "KL")
-        thr = scale * l_weight(l, tail, params.d) / _kpow(np.abs(k).sum(axis=1), tau)
+        thr = scale * l_weight(l, tail) / _kpow(np.abs(k).sum(axis=1), tau)
         # guard the first violation in row order, else the smallest margin
         measured = np.abs(div)
         bad = measured <= 0.5 * thr
@@ -574,15 +574,6 @@ def solve_homological(N, R_low, params, dims, dp=None):
         report.bracket = poisson_bracket(N_series, F)
         report.residual = hom_residual(report.bracket, R_low, Nhat, dp, dims)
         report.xF_norm = vector_field_norm(F, dp)
-        rnorm = vector_field_norm(R_low, dp)
-        if rnorm > 0 and report.xF_norm > 0:
-            # log space: the K power can dwarf double range for b >= 2
-            kd = max(params.K_m, 1.0)
-            kexp = (10 * b * b + 2) * params.tau + 10 * b * b
-            logc = (np.log(report.xF_norm) + 6 * np.log(params.gamma_m)
-                    - kexp * np.log(kd) + (n + 1) * np.log(params.s_gap)
-                    - np.log(rnorm))
-            report.estimate_constant = float(np.exp(logc)) if logc < 700 else np.inf
     return F, Nhat, report
 
 

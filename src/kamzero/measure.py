@@ -5,7 +5,7 @@ small-divisor condition of the solver's catalogue
 (``homological.condition_catalogue``) per sample through an affine
 frequency map, and compares the excluded fractions per family against
 linear strip-width estimates and the per-step bound shape
-gamma^mu/(1 + K_{m-1}) + gamma^{1/(4 b^2)}/m^2.  Estimation is grid-based
+gamma/(1 + K_{m-1}) + gamma^{1/(4 b^2)}/m^2.  Estimation is grid-based
 (no covering arguments); the grid resolution error 1/samples-per-axis is
 part of the report.
 
@@ -105,7 +105,6 @@ class AffineFrequencyMap:
     alpha: np.ndarray
     A: np.ndarray
     Omega: dict
-    d: int = 2
 
     def omega(self, xi):
         return self.alpha + self.A @ np.asarray(xi)
@@ -286,7 +285,6 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     ktuples = [tuple(int(v) for v in k) for k in kvecs]
     lip_lo, lip_hi = lipschitz_quotients(fmap, grid)
     b = max(dims.b, 1)
-    mu_exp = 1.0 if fmap.d > 1 else 0.5
     K_prev = max(k_lo, 1.0)
     reports = []
     for q, params in enumerate(rungs):
@@ -308,7 +306,8 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         bounds = {f: min(1.0, b) for f, b in bound.items()}
         ratios = {f: (fractions[f] / bounds[f] if bounds[f] > 0 else 0.0)
                   for f in fractions}
-        per_step = (params.gamma_m ** mu_exp / (1.0 + K_prev)
+        # gamma^mu with mu = 1, since the dispersion d = 2 exceeds 1
+        per_step = (params.gamma_m / (1.0 + K_prev)
                     + params.gamma_m ** (1.0 / (4 * b * b)) / params.m ** 2)
         # cumulative check: the empirically surviving fraction must not undershoot
         # 1 - (sum of family bounds) by more than the grid resolution

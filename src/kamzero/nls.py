@@ -9,6 +9,11 @@ map omega(xi) = alpha + A xi (normal frequencies left unshifted) and a
 perturbation series on which the zero-mode parity identities can be checked
 exactly.
 
+``frequency_map`` reads A from the quartic's action couplings Gbar alone:
+the Lie transform leaves every degree-4 action coefficient unchanged, since
+{Lambda, F} holds only non-action monomials and every other increment has
+degree >= 6.
+
 Every stage works on the series' key rows: a monomial's class (degree,
 action or not, parity, z-degree at the zero mode) is read from its exponent
 columns.  Before the substitution the flat modes are 0..jmax in order, so
@@ -33,6 +38,7 @@ from operator import add
 import numpy as np
 
 from .homological import NormalForm
+from .measure import AffineFrequencyMap
 from .series import SeriesDims, TFSeries, _degrees, _kabs, lie_transform
 
 
@@ -94,10 +100,6 @@ def g_tensor(i, j, k, l):
     return (2.0 * math.pi / 8.0) * hits * norm
 
 
-def _multisets2(jmax):
-    return [(i, j) for i in range(jmax + 1) for j in range(i, jmax + 1)]
-
-
 def quartic_hamiltonian(model, budgets):
     """(Lambda, G): oscillator part and collected quartic part, flat modes.
 
@@ -111,7 +113,7 @@ def quartic_hamiltonian(model, budgets):
     lam = np.zeros((len(modes), 2 * width), dtype=np.int16)
     lam[modes - 1, modes] = lam[modes - 1, width + modes] = 1
     cols, coefs = [], []
-    pairs = _multisets2(model.jmax)
+    pairs = [(i, j) for i in range(width) for j in range(i, width)]
     for (i, j) in pairs:
         mi = 1 if i == j else 2
         for (k, l) in pairs:
@@ -134,7 +136,6 @@ class BirkhoffResult:
     quartic: TFSeries         # surviving degree-4 part
     K: TFSeries               # degree >= 6 remainder
     max_resonant_leftover: float
-    lie_meta: dict = field(default_factory=dict)
 
 
 def _is_action(rows):
@@ -143,16 +144,41 @@ def _is_action(rows):
     return np.all(rows[:, :width] == rows[:, width:], axis=1)
 
 
+def action_couplings(G):
+    """Collected action couplings of the quartic G: each |q_i|^2 |q_j|^2 gives
+    Gbar_ij = Gbar_ji = coefficient / (2 - delta_ij)^2 (the tensor over 4)."""
+    width = G.rows.shape[1] // 2
+    action = _is_action(G.rows)
+    # the sorted index pair (i, j) of |q_i|^2 |q_j|^2 from its beta columns
+    count = np.cumsum(G.rows[action, :width], axis=1)
+    i, j = np.argmax(count >= 1, axis=1), np.argmax(count >= 2, axis=1)
+    Gbar = np.zeros((width, width))
+    Gbar[i, j] = Gbar[j, i] = G.coefs[action].real / np.where(i == j, 1, 4)
+    return Gbar
+
+
+def _site_map(model, Gbar):
+    """omega(xi) = alpha + A xi with alpha_b = j_b^2, A = 2 Gbar on the diagonal
+    (a square gives 2 xi per y) and 4 Gbar off it; the tail stays at j^2."""
+    sites = np.array(model.sites)
+    A = np.where(np.eye(model.n, dtype=bool), 2.0, 4.0) * Gbar[np.ix_(sites, sites)]
+    return AffineFrequencyMap(np.array([model.lam(j) for j in model.sites]), A,
+                              {j: model.lam(j) for j in model.kam_dims().tail_modes})
+
+
+def frequency_map(model, budgets):
+    """The frequency map of ``model``, read from the quartic alone."""
+    return _site_map(model, action_couplings(quartic_hamiltonian(model, budgets)[1]))
+
+
 def birkhoff_transform(model, budgets, order=None):
     """Remove the non-action quartic monomials by one Lie transform.
 
     Every quartic monomial with an index relation i +- j +- k +- l = 0 and
     {i, j} != {k, l} (as multisets) is eliminated; the surviving quartic
-    part is diagonal in the actions |q_i|^2 |q_j|^2 and its couplings are
-    returned as the matrix Gbar with the ordered-multiplicity normalization
-    Gbar_ij = coefficient / (2 - delta_ij)^2, which matches the closed-form
-    tensor divided by 4.  The degree >= 6 remainder K is exact up to the
-    series degree budget.
+    part is diagonal in the actions |q_i|^2 |q_j|^2, with the couplings
+    Gbar of ``action_couplings``, which the transform leaves unchanged.  The
+    degree >= 6 remainder K is exact up to the series degree budget.
     """
     lam, G = quartic_hamiltonian(model, budgets)
     dims = model.flat_dims()
@@ -172,16 +198,10 @@ def birkhoff_transform(model, budgets, order=None):
         order = max(2, (budgets.degree_max - 2) // 2)
     H = lie_transform(lam + G, F, order)
 
-    deg, action = _degrees(H.rows, 0), _is_action(H.rows)
-    pairs = (deg == 4) & action
-    # the sorted index pair (i, j) of |q_i|^2 |q_j|^2 from its beta columns
-    count = np.cumsum(H.rows[pairs, :width], axis=1)
-    i, j = np.argmax(count >= 1, axis=1), np.argmax(count >= 2, axis=1)
-    Gbar = np.zeros((width, width))
-    Gbar[i, j] = Gbar[j, i] = H.coefs[pairs].real / np.where(i == j, 1, 4)
-    leftover = float(np.abs(H.coefs[(deg == 4) & ~action]).max(initial=0.0))
-    return BirkhoffResult(H, F, Gbar, H.select(deg == 4), H.select(deg >= 6),
-                          leftover, dict(H.meta))
+    deg = _degrees(H.rows, 0)
+    leftover = float(np.abs(H.coefs[(deg == 4) & ~_is_action(H.rows)]).max(initial=0.0))
+    return BirkhoffResult(H, F, action_couplings(G), H.select(deg == 4), H.select(deg >= 6),
+                          leftover)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +220,7 @@ class KamForm:
     N0: NormalForm
     R0: TFSeries
     dims: SeriesDims
-    alpha: np.ndarray         # site eigenvalues j_b^2
-    A: np.ndarray             # d omega / d xi, exact from the y expansion
+    fmap: AffineFrequencyMap  # omega(xi) = alpha + A xi, exact from the y expansion
     constant_dropped: complex
     expansion_dropped: float
     prune_mass: float         # l1 mass the prune of R0 removed
@@ -289,14 +308,11 @@ def to_kam_form(model, birkhoff, budgets):
                             coef[term, t], real=True)
     prune_mass = R0.prune()
 
+    fmap = _site_map(model, birkhoff.Gbar)
     N0 = NormalForm.zero(n, 1)
     N0.omega = omega
-    N0.Omega = {j: model.lam(j) for j in dims.tail_modes}
-    alpha = np.array([model.lam(j) for j in model.sites])
-    # ordered-multiplicity unfold: an off-diagonal monomial carries 4x, the
-    # diagonal square contributes 2 xi per y
-    A = np.where(np.eye(n, dtype=bool), 2.0, 4.0) * birkhoff.Gbar[np.ix_(sites, sites)]
-    return KamForm(N0, R0, dims, alpha, A, constant_dropped, expansion_dropped, prune_mass,
+    N0.Omega = dict(fmap.Omega)
+    return KamForm(N0, R0, dims, fmap, constant_dropped, expansion_dropped, prune_mass,
                    notes={"normal_shift_B": 0.0,
                           "B_zero_convention": "tail frequencies kept at j^2; "
                           "order-xi tail couplings remain in R0"})

@@ -17,7 +17,7 @@ from kamzero.driver import (BaseParams, iterate, make_synthetic_problem,
 from kamzero.homological import (NormalForm, check_nonresonance,
                                  solve_homological)
 from kamzero.matrixkit import kron, vec
-from kamzero.measure import AffineFrequencyMap, ParameterGrid, estimate_excluded
+from kamzero.measure import ParameterGrid, estimate_excluded
 from kamzero.nls import (grading_violations, parity_check, parity_v0,
                          parity_weighted)
 from kamzero.reporting import emit_report
@@ -292,7 +292,7 @@ def test_criterion_08_delta0_dichotomy():
 
 def test_criterion_09_measure_scaling(nls_build):
     model, bk, kf = nls_build
-    fmap = AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
+    fmap = kf.fmap
     grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
     fracs = []
     gamma = 0.004

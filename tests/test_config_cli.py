@@ -215,7 +215,7 @@ gamma_ladder = 2
     cfg = parse_config(text)
     model = cli._model(cfg)
     _, kf = nls.build_nls(model, cli._budgets(cfg))
-    fmap = measure.AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
+    fmap = kf.fmap
     base = cli._base_params(cfg, model.n, 1)
     ladder = {}
     for gamma in (base.gamma1, base.gamma1 / 2):
@@ -229,6 +229,48 @@ gamma_ladder = 2
     for name in names:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     assert any(len((out / n).read_text().splitlines()) > 1 for n in names if n.endswith(".csv"))
+
+
+def test_cli_measure_runs_no_birkhoff_transform(tmp_path, monkeypatch):
+    # measure reads the frequency map from the quartic alone; its files are
+    # those of the map that build_nls hands to the iteration
+    from dataclasses import replace
+
+    from kamzero import cli, driver, measure, nls
+    from kamzero.reporting import emit_measure_report
+
+    text = MINIMAL_NLS + """
+[grid]
+lo = 0.001 0.001
+hi = 0.01 0.01
+samples_per_axis = 20
+kmax = 6
+gamma_ladder = 2
+"""
+    (tmp_path / "m.cfg").write_text(text)
+    cfg = parse_config(text)
+    _, kf = nls.build_nls(cli._model(cfg), cli._budgets(cfg))
+    base = cli._base_params(cfg, kf.dims.n, 1)
+    gammas = (base.gamma1, base.gamma1 / 2)
+    reps = measure.estimate_ladder(kf.fmap, [driver.schedule(1, replace(base, gamma1=g))
+                                             for g in gammas], kf.dims, cli._grid(cfg), kmax=6.0)
+    ref = tmp_path / "ref"
+    for gamma, rep in zip(gammas, reps):
+        emit_measure_report(rep, str(ref), basename="measure_gamma_%g" % gamma)
+    (ref / "measure_ladder.json").write_text(
+        report_json({"%g" % g: rep.fractions for g, rep in zip(gammas, reps)}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure ran a Hamiltonian build stage")
+
+    monkeypatch.setattr(nls, "birkhoff_transform", refuse)
+    monkeypatch.setattr(nls, "to_kam_form", refuse)
+    out = tmp_path / "o"
+    assert main(["measure", "--config", str(tmp_path / "m.cfg"), "--out", str(out)]) == 0
+    names = sorted(os.listdir(ref))
+    assert sorted(os.listdir(out)) == names and len(names) == 5
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_measure_mode_builds_the_nls_problem(tmp_path):
@@ -320,19 +362,28 @@ kmax = 10
 SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
-@pytest.mark.parametrize("section,key,value", [("synthetic", "eps0", "nan"),
-                                               ("schedule", "tau", "inf"),
-                                               ("schedule", "s1", "inf"),
-                                               ("budgets", "prune_rel", "nan")])
+@pytest.mark.parametrize("section,key,value", [
+    ("synthetic", "eps0", "nan"), ("schedule", "tau", "inf"), ("schedule", "s1", "inf"),
+    ("budgets", "prune_rel", "nan"),
+    ("synthetic", "n_low", "-1"), ("synthetic", "n", "-1"), ("synthetic", "n", "0"),
+    ("synthetic", "zero_mode", "-2"), ("run", "seed", "-1"), ("synthetic", "n_high", "-3"),
+    ("schedule", "check_k_cap", "0"), ("schedule", "check_k_cap", "-2"),
+    ("schedule", "check_k_cap", "0.5"), ("run", "max_lie_order", "0"),
+    ("run", "max_lie_order", "-1"), ("synthetic", "eps0", "0"), ("synthetic", "eps0", "-1e-6")])
 def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     # each of these once ended in a traceback (LinAlgError, ZeroDivisionError,
-    # ValueError) or, for the NaN prune cut, in a TorusConverged verdict
+    # ValueError) or, for the NaN prune cut, in a TorusConverged verdict; the
+    # out-of-range rows either raised (a negative n, n_low, zero_mode or
+    # seed; n = 0) or ran as given (n_high < 0 dropped low terms, a
+    # check_k_cap below 1 skipped every |k| >= 1 check, eps0 <= 0 and
+    # max_lie_order <= 0 were used as they came)
     with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
         text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
     lineno = len(text.splitlines())
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert any(p.startswith("line %d:" % lineno) and key in p for p in err.value.problems)
+    want = "line %d:" % lineno if value in ("nan", "inf") else "[%s] %s " % (section, key)
+    assert any(p.startswith(want) and key in p for p in err.value.problems)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5

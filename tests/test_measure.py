@@ -122,8 +122,7 @@ def test_csv_lines_tell_conditions_apart(nls_freq_map):
 @pytest.fixture(scope="session")
 def nls_freq_map(nls_build):
     model, bk, kf = nls_build
-    fmap = AffineFrequencyMap(kf.alpha, kf.A, dict(kf.N0.Omega))
-    return fmap, kf.dims
+    return kf.fmap, kf.dims
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from kamzero.nls import (NlsModel, _gbinom, birkhoff_transform, build_nls,
-                         classify_index_vectors, g_tensor, grading_violations,
-                         index_solvability, momentum_signed, parity_check,
-                         parity_v0, parity_weighted, quartic_hamiltonian)
-from kamzero.series import (Budgets, DomainParams, TFSeries, key_degree,
+from kamzero.nls import (NlsModel, _gbinom, action_couplings, birkhoff_transform,
+                         build_nls, classify_index_vectors, frequency_map, g_tensor,
+                         grading_violations, index_solvability, momentum_signed,
+                         parity_check, parity_v0, parity_weighted, quartic_hamiltonian,
+                         to_kam_form)
+from kamzero.series import (Budgets, DomainParams, TFSeries, _degrees, key_degree,
                             key_kabs, make_key, reality_defect, vector_field_norm)
 
 
@@ -132,6 +133,37 @@ def test_birkhoff_zero_divisor_unreachable():
     assert len(F) == sum(key.beta != key.gamma for key in G.terms)
 
 
+def _couplings_of_transformed(H):
+    """Gbar read from the degree-4 action rows of the transformed H: the
+    extraction the Birkhoff step used before it read the quartic instead."""
+    width = H.rows.shape[1] // 2
+    pairs = (_degrees(H.rows, 0) == 4) & np.all(H.rows[:, :width] == H.rows[:, width:], axis=1)
+    count = np.cumsum(H.rows[pairs, :width], axis=1)
+    i, j = np.argmax(count >= 1, axis=1), np.argmax(count >= 2, axis=1)
+    Gbar = np.zeros((width, width))
+    Gbar[i, j] = Gbar[j, i] = H.coefs[pairs].real / np.where(i == j, 1, 4)
+    return Gbar
+
+
+@pytest.mark.parametrize("sites,jmax,depth,degree_max", [
+    ((1, 2), 6, 2, 6), ((1, 3), 5, 1, 8), ((2,), 7, 3, 6), ((1, 2, 4), 6, 2, 6),
+    ((1, 2, 4), 5, 1, 8), ((3, 5), 10, 2, 6)])
+def test_lie_transform_leaves_the_action_couplings_exact(sites, jmax, depth, degree_max):
+    # {Lambda, F} holds only non-action monomials and every other increment
+    # has degree >= 6, so the quartic's action couplings are those of H bit
+    # for bit, and the frequency map needs no transform
+    model = NlsModel(sites, jmax, xi=np.full(len(sites), 1e-3), taylor_depth=depth)
+    budgets = Budgets(degree_max, 512)
+    bk = birkhoff_transform(model, budgets)
+    Gbar = action_couplings(quartic_hamiltonian(model, budgets)[1])
+    assert np.array_equal(_couplings_of_transformed(bk.H), Gbar)
+    assert np.array_equal(bk.Gbar, Gbar)
+    fmap, kf_map = frequency_map(model, budgets), to_kam_form(model, bk, budgets).fmap
+    assert np.array_equal(fmap.alpha, kf_map.alpha) and np.array_equal(fmap.A, kf_map.A)
+    assert fmap.Omega == kf_map.Omega == {j: float(j * j) for j in model.kam_dims().tail_modes}
+    assert np.all(fmap.A > 0)
+
+
 # ---------------------------------------------------------------------------
 # action-angle form
 # ---------------------------------------------------------------------------
@@ -139,9 +171,9 @@ def test_birkhoff_zero_divisor_unreachable():
 def test_frequency_map_affine_part(nls_build):
     model, bk, kf = nls_build
     xi = model.xi
-    affine = kf.alpha + kf.A @ xi
+    affine = kf.fmap.omega(xi)
     assert np.abs(kf.N0.omega - affine).max() <= 50.0 * float(xi @ xi)
-    assert np.array_equal(kf.alpha, np.array([1.0, 4.0]))
+    assert np.array_equal(kf.fmap.alpha, np.array([1.0, 4.0]))
     # normal frequencies stay at j^2 (tail couplings of order xi remain in R)
     assert kf.N0.Omega == {j: float(j * j) for j in kf.dims.tail_modes}
     assert kf.notes["normal_shift_B"] == 0.0

@@ -7,7 +7,8 @@ bracket's sizing counts read each operand's ``terms`` view, so a view the
 tracer cannot walk shows up as zero generated rows; the solver's count
 reads ``solve_counts`` from the third item of its return value, so a changed
 return shape shows up here too.  The NLS build must pass through each of
-the three traced front-end stages exactly once.
+the three traced front-end stages exactly once; ``measure`` reads the
+frequency map from the quartic and must pass through none of them.
 """
 
 import os
@@ -27,11 +28,15 @@ tracer.install(kamzero)
 code = cli.main(["run", "--config", "configs/synthetic.cfg", "--out", sys.argv[1]])
 built = cli.main(["nls-build", "--config", "configs/nls.cfg", "--out", sys.argv[1]])
 stats = tracer.layer_stats()
+measured = cli.main(["measure", "--config", "configs/nls.cfg", "--out", sys.argv[1]])
+after = tracer.layer_stats()
 print(code, stats["driver.kam_step"]["calls"], stats["series.poisson_bracket"]["calls"],
       stats["series.poisson_bracket"]["rows_generated"],
       stats["homological.solve_homological"]["solves"], built,
       *(stats["nls." + name]["calls"] for name in ("build_nls", "birkhoff_transform",
-                                                   "to_kam_form")))
+                                                   "to_kam_form")),
+      measured, after["cli.cmd_measure"]["calls"],
+      after["nls.birkhoff_transform"]["calls"] - stats["nls.birkhoff_transform"]["calls"])
 """
 
 
@@ -42,7 +47,8 @@ def test_tracer_installs_and_counts_kam_steps(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, steps, brackets, rows, solves, built, *nls_calls = proc.stdout.split()[-9:]
+    (code, steps, brackets, rows, solves, built, *nls_calls, measured, measures,
+     transforms) = proc.stdout.split()[-12:]
     assert code == "0"
     assert int(steps) > 0
     assert int(brackets) > 0
@@ -50,3 +56,4 @@ def test_tracer_installs_and_counts_kam_steps(tmp_path):
     assert int(solves) > 0
     assert built == "0"
     assert nls_calls == ["1", "1", "1"]
+    assert (measured, measures, transforms) == ("0", "1", "0")
