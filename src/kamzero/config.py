@@ -164,7 +164,7 @@ def _validate(cfg):
     g = v["grid"]
     positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"), ("domain", "a")]
     # check_k_cap < 1 would silently drop every |k| >= 1 non-resonance check
-    least = [("run", "seed", 0), ("run", "max_steps", 1), ("run", "max_lie_order", 1),
+    least = [("run", "seed", 0), ("run", "max_steps", 1), ("run", "max_lie_order", 2),
              ("schedule", "check_k_cap", 1)]
     if mode == "synthetic":
         positive.append(("synthetic", "eps0"))

@@ -25,8 +25,11 @@ The module also holds the one catalogue of small-divisor conditions
 (``condition_catalogue`` over the l1 lattice ``k_lattice``): families KL,
 R1, R3 and R4, each with its block operator, scale and exponent named once
 in ``FAMILY_TABLE``.  ``check_nonresonance`` evaluates it at one parameter
-sample (the solver gate), ``measure.estimate_excluded`` over a parameter
-grid, and the solver's divisor guards read the same thresholds.
+sample (the solver gate), ``measure.estimate_ladder`` over a parameter
+grid, and the solver's divisor guards read the same thresholds.  The gate
+and the grid both read their violations off sorted values of <k, omega>
+with one bisection (``_first_above``); the gate evaluates a condition only
+at the lattice points that bisection leaves as candidates.
 """
 
 from __future__ import annotations
@@ -293,14 +296,24 @@ def _kpow(kabs, tau):
     return np.maximum(kabs, 1).astype(float) ** tau
 
 
+@lru_cache(maxsize=None)
 def _kl_options(t):
-    """Every l on t tail modes with 0 <= |l| <= 2, one row each, in gate order."""
+    """Every l on t tail modes with 0 <= |l| <= 2, one row each, in gate
+    order; read-only, since the rows are cached."""
     e = np.eye(t, dtype=np.int64)
     opts = [np.zeros(t, dtype=np.int64)] + [sign * e[a] for a in range(t) for sign in (1, -1)]
     for a in range(t):
         for c in range(a, t):
             opts += [e[a] + e[c], -e[a] - e[c]] + ([e[a] - e[c], e[c] - e[a]] if a != c else [])
-    return np.array(opts).reshape(len(opts), t)
+    return _read_only(np.array(opts).reshape(len(opts), t))[0]
+
+
+@lru_cache(maxsize=None)
+def _kl_labels(tail):
+    """The sparse tuple and the weight <l>_d of every ``_kl_options`` row l
+    on the tail modes ``tail``."""
+    L = _kl_options(len(tail))
+    return tuple(_l_tuple(tail, l) for l in L), _read_only(l_weight(L, tail))[0]
 
 
 def lattice_size(n, kmax):
@@ -316,21 +329,32 @@ def lattice_size(n, kmax):
     return size
 
 
+@lru_cache(maxsize=32)
+def _ball_kpow(n, r, tau):
+    """max(|k|, 1)^tau at every point of the cached ball |k|_1 <= r, read-only."""
+    return _read_only(_kpow(np.abs(_l1_ball(n, r)).sum(axis=1), tau))[0]
+
+
 def k_lattice(n, kmax):
     """All integer vectors with |k|_1 <= kmax, in lexicographic order.
 
     Built one coordinate at a time, so only the l1 ball is ever held; the
-    size is checked against the cap (``lattice_size``) first.
+    size is checked against the cap (``lattice_size``) first.  The last few
+    balls are cached and returned read-only.
     """
     lattice_size(n, kmax)
-    r = max(int(np.floor(kmax)), 0)
+    return _l1_ball(n, max(int(np.floor(kmax)), 0))
+
+
+@lru_cache(maxsize=8)
+def _l1_ball(n, r):
     lat = np.zeros((1, 0), dtype=int)
     for _ in range(n):
         rem = r - np.abs(lat).sum(axis=1)
         width = 2 * rem + 1
         col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width + rem, width)
         lat = np.column_stack([np.repeat(lat, width, axis=0), col])
-    return lat
+    return _read_only(lat)[0]
 
 
 @dataclass(frozen=True)
@@ -360,6 +384,29 @@ class Condition:
         return det
 
 
+def _first_above(xs, shifts, bound, strict):
+    """First sorted position p of every (row, shift) pair with
+    fl(xs[row, p] + shift) > bound[row, shift] (>= unless ``strict``), or
+    the row length if there is none.
+
+    fl(x + c) is nondecreasing in x, so the test is monotone along a sorted
+    row; one bisection runs for all pairs at once and evaluates the same
+    sum the condition does at each probe.
+    """
+    nb, nsamp = xs.shape
+    lo = np.zeros(bound.shape, dtype=np.intp)
+    hi = np.full(bound.shape, nsamp, dtype=np.intp)
+    row = np.arange(nb)[:, None]
+    for _ in range(nsamp.bit_length()):
+        mid = (lo + hi) // 2
+        v = xs[row, np.minimum(mid, nsamp - 1)] + shifts
+        up = (v > bound) if strict else (v >= bound)
+        open_ = lo < hi
+        hi = np.where(open_ & up, mid, hi)
+        lo = np.where(open_ & ~up, mid + 1, lo)
+    return lo
+
+
 def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
     """The small-divisor conditions at normal form N, in gate order.
 
@@ -373,11 +420,11 @@ def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
     tail = dims.tail_modes
     Om = N.Omega
     if "KL" in families:
-        L = _kl_options(len(tail))
-        shifts = L @ np.array([Om[j] for j in tail], dtype=float)
+        labels, weights = _kl_labels(tail)
+        shifts = _kl_options(len(tail)) @ np.array([Om[j] for j in tail], dtype=float)
         scale, tau = _scale_tau(params, "KL")
-        conds += [Condition("KL", _l_tuple(tail, l), float(scale * w), tau, np.array([c]))
-                  for l, c, w in zip(L, shifts, l_weight(L, tail))]
+        conds += [Condition("KL", l, float(scale * w), tau, np.array([c]))
+                  for l, c, w in zip(labels, shifts, weights)]
     if N.b == 0:
         return conds
     zk = np.zeros(dims.n)
@@ -402,25 +449,85 @@ def k_powers(conds, kabs):
     return {tau: _kpow(kabs, tau) for tau in {c.tau for c in conds}}
 
 
+def _factor_floor(scale, count):
+    """A t > 0 such that a rounded product of ``count`` factors, each at
+    least t, is at least ``scale``.  Rounded products are monotone in their
+    factors, so the product of ``count`` t's is checked; t grows by a
+    doubling step until it holds (a few steps, subnormal scales included)."""
+    t, step = scale ** (1.0 / count), 2.0 ** -40
+    while True:
+        p = t
+        for _ in range(count - 1):
+            p *= t
+        if p >= scale:
+            return t
+        t, step = t * (1.0 + step), 2.0 * step
+
+
 def check_nonresonance(N, params, dims, families=FAMILIES):
     """Evaluate the condition catalogue at this sample for |k| <= K_m.
 
     Returns the list of violated ResonanceCondition records (empty means
     the sample passes), ordered by family, then l, then lattice index.
+
+    A threshold scale / max(|k|, 1)^tau never exceeds its condition's
+    scale, so only lattice points whose value is below the scale can fail.
+    A KL value is |fl(x + c)| at x = <k, omega>; a determinant is a rounded
+    product of factors |1j x + mu|, each at least |fl(x + Im mu)|, so it
+    stays at or above the scale unless some factor is below the
+    ``_factor_floor`` t of its scale.  Either way the candidates are the
+    x with |fl(x + c)| below a bound, for c a KL shift or an Im mu: one
+    range of the sorted values per shift, found for all shifts by one
+    bisection (``_first_above``, which ``measure`` counts with).  Each
+    candidate is then tested exactly as evaluating the condition at every
+    lattice point tests it.
     """
     lat = k_lattice(dims.n, params.K_m)
-    kabs = np.abs(lat).sum(axis=1)
+    r = max(int(np.floor(params.K_m)), 0)
     kw = lat @ N.omega
     conds = condition_catalogue(N, params, dims, params.K_m, families)
-    kpow = k_powers(conds, kabs)
-    failures = []
-    for cond in conds:
-        thr = cond.scale / kpow[cond.tau]
-        meas = cond.value(kw)
-        for i in np.flatnonzero((kabs >= cond.kmin) & (meas < thr)):
-            failures.append(ResonanceCondition(cond.family, tuple(int(v) for v in lat[i]),
-                                               cond.l, float(thr[i]), float(meas[i])))
-    return failures
+    # one shift and bound per KL condition and per determinant root; no
+    # value is below a zero threshold
+    kl = np.array([c.family == "KL" for c in conds], dtype=bool)
+    scale = np.array([c.scale for c in conds])
+    owner, shifts, bounds = [], [], []
+    for j, c in enumerate(conds):
+        if scale[j] > 0:
+            owner += [j] * len(c.roots)
+            shifts += (c.roots.real if kl[j] else c.roots.imag).tolist()
+            bounds += [c.scale if kl[j] else _factor_floor(c.scale, len(c.roots))] * len(c.roots)
+    order = np.argsort(kw)
+    # |fl(x + c)| < t is fl(x + c) >= nextafter(-t, inf) and not >= t: the
+    # two ends of every range in one bisection
+    bounds = np.array(bounds)
+    ends = _first_above(kw[order][None], np.tile(shifts, 2),
+                        np.concatenate([np.nextafter(-bounds, np.inf), bounds])[None],
+                        strict=False)[0]
+    lo, hi = np.split(ends, 2)
+    n = np.maximum(hi - lo, 0)
+    pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+    cj, ci = np.repeat(np.array(owner, dtype=np.intp), n), order[pos]
+    # each candidate's value and threshold; the KL conditions all at once
+    meas, thr = np.empty(len(ci)), np.empty(len(ci))
+    at_kl = kl[cj]
+    if at_kl.any():
+        j, i = cj[at_kl], ci[at_kl]
+        shift = np.array([c.roots[0].real for c in conds])
+        meas[at_kl] = np.abs(kw[i] + shift[j])
+        thr[at_kl] = scale[j] / _ball_kpow(dims.n, r, params.tau)[i]
+    for j in np.unique(cj[~at_kl]):
+        at = cj == j
+        meas[at] = conds[j].value(kw[ci[at]])
+        thr[at] = conds[j].scale / _ball_kpow(dims.n, r, conds[j].tau)[ci[at]]
+    kmin = np.array([c.kmin for c in conds], dtype=int)
+    hit = (np.abs(lat[ci]).sum(axis=1) >= kmin[cj]) & (meas < thr)
+    # the distinct failures (a determinant may list a point once per root),
+    # in condition, then lattice order
+    _, first = np.unique(cj[hit] * len(lat) + ci[hit], return_index=True)
+    hit = np.flatnonzero(hit)[first]
+    return [ResonanceCondition(conds[j].family, tuple(int(v) for v in lat[i]), conds[j].l,
+                               float(thr[h]), float(meas[h]))
+            for h, j, i in zip(hit, cj[hit], ci[hit])]
 
 
 def extract_hat(R_low, dims):

@@ -29,6 +29,10 @@ evaluating the condition at every sample would give it:
   clears the threshold (with a relative margin of 1e-12) has no excluded
   sample; the condition itself is evaluated only on the other windows.
 
+The KL bisection (``homological._first_above``) is shared with the solver
+gate ``check_nonresonance``, which runs it on the sorted values of one
+parameter sample over the k-lattice.
+
 Only the thresholds depend on gamma, so a gamma ladder (``estimate_ladder``)
 sorts each block of k-rows once for all its rungs: the bisection runs over
 every rung's KL thresholds side by side, and a determinant's window bounds
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm,
+from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm, _first_above,
                           condition_catalogue, k_lattice, k_powers, lattice_size)
 
 _ROW_BLOCK = 16     # k-rows sorted together
@@ -318,29 +322,6 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         reports.append(MeasureReport(fractions, bounds, ratios, per_step, cumulative_ok,
                                      grid.resolution_error, nsamp, lip_lo, lip_hi, rows))
     return reports
-
-
-def _first_above(xs, shifts, bound, strict):
-    """First sorted position p of every (row, shift) pair with
-    fl(xs[row, p] + shift) > bound[row, shift] (>= unless ``strict``), or
-    the row length if there is none.
-
-    fl(x + c) is nondecreasing in x, so the test is monotone along a sorted
-    row; one bisection runs for all pairs at once and evaluates the same
-    sum the condition does at each probe.
-    """
-    nb, nsamp = xs.shape
-    lo = np.zeros(bound.shape, dtype=np.intp)
-    hi = np.full(bound.shape, nsamp, dtype=np.intp)
-    row = np.arange(nb)[:, None]
-    for _ in range(nsamp.bit_length()):
-        mid = (lo + hi) // 2
-        v = xs[row, np.minimum(mid, nsamp - 1)] + shifts
-        up = (v > bound) if strict else (v >= bound)
-        open_ = lo < hi
-        hi = np.where(open_ & up, mid, hi)
-        lo = np.where(open_ & ~up, mid + 1, lo)
-    return lo
 
 
 def _cover(lo, hi, keep, nsamp):

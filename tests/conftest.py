@@ -21,3 +21,49 @@ def nls_build():
 @pytest.fixture(scope="session")
 def nls_domain():
     return DomainParams(0.6, 0.02, 0.1, 1.0)
+
+
+# the benchmark's synthetic sweep: both shipped synthetic shapes at b = 1, 2
+# and program seeds 0-29, 120 problems
+SWEEP_SHAPES = (("synthetic", 1), ("synthetic", 2), ("no_torus", 1), ("no_torus", 2))
+SWEEP_SEEDS = range(30)
+
+
+@pytest.fixture(scope="session")
+def sweep_gate_calls(tmp_path_factory):
+    """Every solver-gate and escape-witness call of one sweep pass.
+
+    Returns {"checks": [(args, failures)], "witnesses": [(args, kwargs,
+    (escaped, record))]}, recorded where ``driver`` calls them.
+    """
+    import os
+    from unittest import mock
+
+    from kamzero import cli, driver
+
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs")
+    calls = {"checks": [], "witnesses": []}
+    check, witness = driver.check_nonresonance, driver.no_torus_witness
+
+    def traced_check(*args):
+        out = check(*args)
+        calls["checks"].append((args, out))
+        return out
+
+    def traced_witness(*args, **kwargs):
+        out = witness(*args, **kwargs)
+        calls["witnesses"].append((args, kwargs, out))
+        return out
+
+    outdir = str(tmp_path_factory.mktemp("sweep"))
+    with mock.patch.object(driver, "check_nonresonance", traced_check), \
+            mock.patch.object(driver, "no_torus_witness", traced_witness):
+        for shape, b in SWEEP_SHAPES:
+            with open(os.path.join(configs, shape + ".cfg")) as fh:
+                text = fh.read()
+            for seed in SWEEP_SEEDS:
+                cfg = cli.parse_config(text + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n"
+                                       % (seed, b))
+                cli.cmd_run(cfg, outdir, None, None)
+    return calls

@@ -369,14 +369,16 @@ SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
     ("synthetic", "zero_mode", "-2"), ("run", "seed", "-1"), ("synthetic", "n_high", "-3"),
     ("schedule", "check_k_cap", "0"), ("schedule", "check_k_cap", "-2"),
     ("schedule", "check_k_cap", "0.5"), ("run", "max_lie_order", "0"),
-    ("run", "max_lie_order", "-1"), ("synthetic", "eps0", "0"), ("synthetic", "eps0", "-1e-6")])
+    ("run", "max_lie_order", "-1"), ("run", "max_lie_order", "1"), ("synthetic", "eps0", "0"),
+    ("synthetic", "eps0", "-1e-6")])
 def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     # each of these once ended in a traceback (LinAlgError, ZeroDivisionError,
     # ValueError) or, for the NaN prune cut, in a TorusConverged verdict; the
     # out-of-range rows either raised (a negative n, n_low, zero_mode or
     # seed; n = 0) or ran as given (n_high < 0 dropped low terms, a
     # check_k_cap below 1 skipped every |k| >= 1 check, eps0 <= 0 and
-    # max_lie_order <= 0 were used as they came)
+    # max_lie_order <= 0 were used as they came, and max_lie_order = 1 still
+    # added the order-2 term)
     with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
         text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
     lineno = len(text.splitlines())

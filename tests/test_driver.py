@@ -5,9 +5,12 @@ import os
 from dataclasses import replace
 from fractions import Fraction
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from kamzero import driver
 from kamzero.cli import _build_problem
 from kamzero.config import parse_config
 from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
@@ -237,6 +240,7 @@ def test_witness_coupled_mode_agrees_when_drive_dominates():
     esc_f, rec_f = no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="frozen")
     esc_c, rec_c = no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="coupled")
     assert esc_f and esc_c
+    assert (rec_f.path, rec_c.path) == ("closed_form", "rk4")
     assert rec_c.final_norm == pytest.approx(rec_f.final_norm, rel=1e-3)
     with pytest.raises(ValueError):
         no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="bogus")
@@ -317,6 +321,67 @@ def test_witness_norms_are_pinned(b, seed):
     assert escaped
     digest = hashlib.sha256(np.asarray(rec.norms).tobytes()).hexdigest()[:16]
     assert digest == PINNED_NORMS[b]
+
+
+def _rk4_witness(*args, **kwargs):
+    """The witness with the closed form switched off: an infinite margin
+    never clears the threshold, so RK4 decides."""
+    with mock.patch.object(driver, "_WITNESS_MARGIN", np.inf):
+        return no_torus_witness(*args, **kwargs)
+
+
+def test_closed_form_witness_equals_rk4_on_the_sweep(sweep_gate_calls):
+    witnesses = sweep_gate_calls["witnesses"]
+    assert len(witnesses) > 40
+    for args, kwargs, (escaped, rec) in witnesses:
+        assert rec.path == "closed_form"
+        assert rec.final_norm == rec.linear_oracle_norm
+        esc_rk4, rk4 = _rk4_witness(*args, **kwargs)
+        assert rk4.path == "rk4"
+        assert escaped == esc_rk4
+        assert rec.final_norm == pytest.approx(rk4.final_norm, rel=1e-12)
+        assert rec.bound == rk4.bound
+
+
+@pytest.mark.parametrize("drive", [0.1, 0.9, 1.1, 10.0])
+def test_closed_form_witness_decides_both_ways_like_rk4(drive):
+    # a drive |alpha0| of the given multiple of the threshold, a nonzero A0
+    # and a small nonlinear R: the bound decides, on either side
+    eps = 1e-6
+    thr = 2.0 * eps ** (7.0 / 6.0)
+    N = _witness_nf(drive * thr / math.sqrt(2.0))
+    N.Nz0zb0 = np.array([[0.05 + 0j]])
+    N.Nz0z0 = np.array([[0.02j]])
+    N.Nzb0zb0 = N.Nz0z0.conj()
+    R = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 2}, gamma={1: 1}): 1e-3 + 0j,
+                             make_key(2, k=(-1, 0), beta={1: 1}, gamma={1: 2}): 1e-3 + 0j})
+    params = schedule(1, BASE, eps_m=eps)
+    escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=eps, x0=np.array([0.3, 0.0]))
+    esc_rk4, rk4 = _rk4_witness(N, R, params, DIMS, eps_prev=eps, x0=np.array([0.3, 0.0]))
+    assert rec.path == "closed_form" and 0.0 < rec.bound < 1e-6 * thr
+    assert escaped == esc_rk4 == (drive > 1.0)
+    assert rec.final_norm == pytest.approx(rk4.final_norm, rel=1e-12)
+
+
+def test_witness_falls_back_to_rk4_where_r_steers():
+    # R's zero-mode gradient at x0 = 0 is -alpha0: an O(delta0) drive that the
+    # bound cannot bound below rho / 2, so RK4 decides, and R cancels the
+    # escape that N's constant drive alone would give
+    eps = 1e-6
+    c = 1e4 * 20.0 * eps ** (7.0 / 6.0) / math.sqrt(2.0)
+    N = _witness_nf(c)
+    R = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): -c + 0j,
+                             make_key(2, k=(-1, 0), gamma={1: 1}): -c + 0j,
+                             make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
+    params = schedule(1, BASE, eps_m=eps)
+    escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=eps)
+    assert rec.path == "rk4" and rec.bound > 0.5 * 2.0 * delta0(N)
+    assert not escaped and rec.final_norm < 1e-6 * rec.threshold
+    # without R's zero-mode gradient terms the drive escapes, decided in closed form
+    free = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
+    escaped0, rec0 = no_torus_witness(N, free, params, DIMS, eps_prev=eps)
+    assert escaped0 and rec0.path == "closed_form" and rec0.bound == 0.0
+    assert rec0.final_norm == pytest.approx(delta0(N), rel=1e-12)
 
 
 def test_witness_premise_guard():

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kamzero.driver import BaseParams, realify, schedule
-from kamzero.homological import (BudgetExhausted, NormalForm, ResonantParameter,
-                                 assemble_block_operator, check_nonresonance,
-                                 condition_catalogue, extract_hat, hom_residual,
-                                 k_lattice, k_powers, solve_homological)
-from kamzero.homological import _layout
+from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm, ResonanceCondition,
+                                 ResonantParameter, assemble_block_operator,
+                                 check_nonresonance, condition_catalogue, extract_hat,
+                                 hom_residual, k_lattice, k_powers, solve_homological)
+from kamzero.homological import _factor_floor, _kl_options, _layout
 from kamzero.matrixkit import commutation_matrix, det_modulus, kron, vec
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
                             fourier_truncate, key_kabs, make_key,
@@ -245,6 +249,59 @@ def test_condition2_determinant_is_scalar_cube_for_zero_blocks():
         kw = np.dot(k, N.omega)
         A = assemble_block_operator("A", N, np.asarray(k))
         assert det_modulus(A) == pytest.approx(abs(kw) ** 3, rel=1e-12)
+
+
+def dense_check(N, params, dims, families=FAMILIES):
+    """Every condition of the catalogue at every lattice point: the reference
+    for ``check_nonresonance``."""
+    lat = k_lattice(dims.n, params.K_m)
+    kabs = np.abs(lat).sum(axis=1)
+    kw = lat @ N.omega
+    conds = condition_catalogue(N, params, dims, params.K_m, families)
+    kpow = k_powers(conds, kabs)
+    failures = []
+    for cond in conds:
+        thr = cond.scale / kpow[cond.tau]
+        meas = cond.value(kw)
+        for i in np.flatnonzero((kabs >= cond.kmin) & (meas < thr)):
+            failures.append(ResonanceCondition(cond.family, tuple(int(v) for v in lat[i]),
+                                               cond.l, float(thr[i]), float(meas[i])))
+    return failures
+
+
+def test_check_equals_the_dense_evaluation_on_the_sweep(sweep_gate_calls):
+    checks = sweep_gate_calls["checks"]
+    assert len(checks) > 200
+    assert sum(len(out) for _, out in checks) > 0
+    for args, out in checks:
+        assert out == dense_check(*args)
+
+
+@st.composite
+def gate_samples(draw):
+    b = draw(st.sampled_from((1, 2)))
+    dims = make_dims(b, jmax=b + 3)
+    unit = st.floats(-1.0, 1.0)
+    N = NormalForm.zero(2, b)
+    N.omega = np.array([draw(st.floats(0.5, 2.0)) for _ in range(2)])
+    # the first tail mode's frequency is small, so its k = 0 R3 block fails
+    N.Omega = {j: draw(st.floats(0.01, 0.5) if j == dims.tail_modes[0] else st.floats(1.0, 30.0))
+               for j in dims.tail_modes}
+    draws = np.array([draw(unit) for _ in range(4 * b * b)]).reshape(4, b, b)
+    S = 0.05 * ((draws[0] + 1j * draws[1]) + (draws[0] + 1j * draws[1]).T)
+    M = 0.05 * ((draws[2] + 1j * draws[3]) + (draws[2] + 1j * draws[3]).conj().T)
+    N.Nz0z0, N.Nzb0zb0, N.Nz0zb0 = S, S.conj(), M
+    params = step_params(b, gamma1=draw(st.floats(0.5, 50.0)))
+    return N, replace(params, K_m=draw(st.sampled_from((49.0, 64.0)))), dims
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(gate_samples())
+def test_check_equals_the_dense_evaluation_with_inflated_gamma(sample):
+    N, params, dims = sample
+    got = check_nonresonance(N, params, dims)
+    assert got == dense_check(N, params, dims)
+    assert any(f.family == "R3" and not any(f.k) for f in got)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +548,27 @@ def test_k_lattice_is_the_l1_ball_in_lexicographic_order(n, kmax):
         box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         expect = box[np.abs(box).sum(axis=1) <= kmax]
     assert np.array_equal(k_lattice(n, kmax), expect)
+
+
+@pytest.mark.parametrize("scale", [5e-324, 3e-310, 1e-87, 0.05, 3.7, 1e300])
+def test_factor_floor_bounds_rounded_products(scale):
+    for count in range(1, 28):
+        t = _factor_floor(scale, count)
+        p = t
+        for _ in range(count - 1):
+            p *= t
+        assert p >= scale
+        assert t <= 2.0 * scale ** (1.0 / count)
+
+
+def test_k_lattice_and_kl_options_are_cached_read_only():
+    lat = k_lattice(2, 49.3)
+    assert k_lattice(2, 49.9) is lat
+    assert _kl_options(3) is _kl_options(3)
+    for cached in (lat, _kl_options(3)):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1
 
 
 def test_k_lattice_over_the_cap_is_budget_exhausted():
