@@ -1,7 +1,7 @@
 """Taylor-Fourier Hamiltonian algebra and a zero-frequency normal-form engine."""
 
 from .series import (Budgets, DomainParams, MonomialKey, SeriesDims, TFSeries,
-                     fourier_truncate, lie_transform, make_key, poisson_bracket,
+                     fourier_truncate, lie_transform, poisson_bracket,
                      split_low_high, vector_field_norm, weighted_norm)
 from .matrixkit import SingularSystem, det_modulus, kron, op_norm, solve_dense, vec
 from .homological import (NormalForm, ResonanceCondition, ResonantParameter,

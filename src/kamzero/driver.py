@@ -254,8 +254,8 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         eps_scheduled=params.eps_m,
         eps_measured=eps_m,
         eps_next=eps_next,
-        xF_norm=srep.xF_norm if srep.xF_norm is not None else 0.0,
-        residual=srep.residual if srep.residual is not None else 0.0,
+        xF_norm=srep.xF_norm,
+        residual=srep.residual,
         freq_drift=float(np.max(np.abs(Nhat.omega), initial=0.0)),
         delta0=delta0(N_next),
         dropped_mass=masses["dropped_mass"],
@@ -313,16 +313,14 @@ def dichotomy(records, base, consecutive=3):
 # escape witness
 # ---------------------------------------------------------------------------
 
-def _zero_mode_tables(R, dims, x0=None):
-    """The zero-mode gradients of R at y = 0, tail = 0 as one stacked table.
+def _zero_mode_tables(R, dims, x0):
+    """The zero-mode gradients of R at y = 0, tail = 0 and angles x0 as one
+    stacked table.
 
-    Returns (k, E, c, spans): per stacked term its Fourier row, its
-    exponents of (z0, zbar0) as a column of E and its coefficient.  The
-    terms of dR/dzbar0_i, dR/dz0_i (i < b) and, for the coupled flow (``x0``
-    None), dR/dy_i (terms with a single action factor) are stacked in that
-    order; gradient g owns the terms ``spans[g]``.  With ``x0`` given the
-    phases e^{i <k, x0>} are folded into c once and the y gradients are
-    left out.
+    Returns (E, c, spans): per stacked term its exponents of (z0, zbar0) as
+    a column of E and its coefficient, with the phase e^{i <k, x0>} folded
+    in.  The terms of dR/dzbar0_i, then dR/dz0_i (i < b) are stacked in that
+    order; gradient g owns the terms ``spans[g]``.
     """
     n, b, nmodes = dims.n, dims.b, len(dims.modes)
     rows, c = R.rows, R.coefs
@@ -338,27 +336,20 @@ def _zero_mode_tables(R, dims, x0=None):
         lowered = E[sel]
         lowered[:, i] -= 1
         parts.append((sel, lowered, E[sel, i] * c[sel]))
-    for i in range(n if x0 is None else 0):
-        sel = on_zero & (na == 1) & (rows[:, n + i] == 1)
-        parts.append((sel, E[sel], c[sel]))
     sels, exps, coefs = zip(*parts)
     k = np.concatenate([rows[sel, :n] for sel in sels]).astype(float)
-    c = np.concatenate(coefs)
-    if x0 is not None:
-        c = c * np.exp(1j * (k @ x0))
+    c = np.concatenate(coefs) * np.exp(1j * (k @ x0))
     cuts = np.cumsum([0] + [len(e) for e in exps])
-    return k, np.concatenate([e.T for e in exps], axis=1), c, list(zip(cuts[:-1], cuts[1:]))
+    return np.concatenate([e.T for e in exps], axis=1), c, list(zip(cuts[:-1], cuts[1:]))
 
 
-def _eval_gradients(tables, X, x=None):
-    """A ``_zero_mode_tables`` table's gradients at X = (z0, zbar0) and, without
-    folded phases, angles x: one power and product, one dot per nonempty span."""
-    k, E, c, spans = tables
+def _eval_gradients(tables, X):
+    """A ``_zero_mode_tables`` table's gradients at X = (z0, zbar0): one power
+    and product, one dot per nonempty span."""
+    E, c, spans = tables
     g = np.zeros(len(spans), dtype=complex)
     if len(c):
         mon = np.multiply.reduce(X[:, None] ** E, axis=0)
-        if x is not None:
-            c = c * np.exp(1j * (k @ x))
         for i, (lo, hi) in enumerate(spans):
             if hi > lo:
                 g[i] = c[lo:hi].dot(mon[lo:hi])
@@ -397,31 +388,26 @@ class WitnessRecord:
     path: str           # 'closed_form' or 'rk4': what decided the escape
 
 
-def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen", x0=None):
+def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, x0=None):
     """Decide whether the zero-mode subsystem escapes over t in [0, 1].
 
     The subsystem is dX0/dt = alpha0 + A0 X0 + g0, X0(0) = 0, with the
     constant and linear parts read from the accumulated zero-mode sums and
-    g0 from R's zero-mode gradients (one stacked table,
-    ``_zero_mode_tables``).  Escape means the final Euclidean norm exceeds
-    2 eps_{m-1}^{7/6}.
+    g0 from R's zero-mode gradients with the angles frozen at x0 (default 0;
+    one stacked table, ``_zero_mode_tables``, carries their phases).
+    Escape means the final Euclidean norm exceeds 2 eps_{m-1}^{7/6}.
 
-    With g0 = 0 the flow is lin = phi1(A0) alpha0 in closed form.  In the
-    frozen mode (default: the angles stay at x(0), whose phases the table
-    carries) the rest is bounded first.  With a = ||A0||_F, which bounds the
+    With g0 = 0 the flow is lin = phi1(A0) alpha0 in closed form, and the
+    rest is bounded first.  With a = ||A0||_F, which bounds the
     operator norm, the linear path stays within rho / 2 = e^a |alpha0|; if
     the table's majorant G = sum |c| rho^{|E|} on the ball of radius rho
     gives B = G e^a <= rho / 2, the flow never leaves the ball and
     Groenwall gives |X0(1) - lin| <= B.  When |lin| -+ B clears the
     threshold by the relative margin ``_WITNESS_MARGIN`` the closed form
-    decides and ``final_norm`` is |lin|.  Otherwise, and always in
-    mode='coupled' (which also flows the angles with
-    dx/dt = omega + R_y(x, 0, z0, 0)), ``steps`` RK4 steps integrate the
-    subsystem.  The record carries the bound, the path that decided, the
-    straightened coordinate e^{-A0} X0(1) and |lin|.
+    decides and ``final_norm`` is |lin|.  Otherwise ``steps`` RK4 steps
+    integrate the subsystem.  The record carries the bound, the path that
+    decided, the straightened coordinate e^{-A0} X0(1) and |lin|.
     """
-    if mode not in ("frozen", "coupled"):
-        raise ValueError("mode must be 'frozen' or 'coupled'")
     b = N.b
     eps_prev = params.eps_m if eps_prev is None else eps_prev
     alpha0 = np.concatenate([1j * N.Nzb0, -1j * N.Nz0]).astype(complex)
@@ -432,21 +418,16 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
         raise PremiseFailed("||A0|| = %.3e is not << 1" % A0_norm)
     threshold = 2.0 * eps_prev ** (7.0 / 6.0)
     x0 = np.zeros(dims.n) if x0 is None else np.asarray(x0, dtype=float)
-
-    # the state is (x, X0) in the coupled flow and X0 alone in the frozen one
-    frozen = mode == "frozen"
-    nx = 0 if frozen else dims.n
-    tables = _zero_mode_tables(R, dims, x0 if frozen else None)
+    tables = _zero_mode_tables(R, dims, x0)
     lin = _exp_taylor(A0, shift=1) @ alpha0
     lin_norm = float(np.linalg.norm(lin))
     growth = math.exp(float(np.linalg.norm(A0)))
     rho = 2.0 * growth * float(np.linalg.norm(alpha0))
-    # B = G e^a over the dR/dzbar0, dR/dz0 terms (the coupled table adds dR/dy)
-    _, E, c, spans = tables
-    zero = slice(0, spans[2 * b - 1][1])
-    bound = growth * float(np.abs(c[zero]) @ rho ** E[:, zero].sum(axis=0))
+    # B = G e^a over the dR/dzbar0, dR/dz0 terms
+    E, c, _ = tables
+    bound = growth * float(np.abs(c) @ rho ** E.sum(axis=0))
     escaped = None
-    if frozen and bound <= 0.5 * rho:
+    if bound <= 0.5 * rho:
         if lin_norm - bound > threshold * (1.0 + _WITNESS_MARGIN):
             escaped = True
         elif lin_norm + bound < threshold * (1.0 - _WITNESS_MARGIN):
@@ -457,14 +438,11 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
         path = "rk4"
         rot = np.repeat([1j, -1j], b)   # dX0/dt gains i dR/dzbar0, -i dR/dz0
 
-        def rhs(state):
-            Xv = state[nx:]
-            g = _eval_gradients(tables, Xv, None if frozen else state[:nx].real)
-            dX = alpha0 + A0 @ Xv + rot * g[:2 * b]
-            return dX if frozen else np.concatenate([(N.omega + g[2 * b:].real).astype(complex), dX])
+        def rhs(X):
+            return alpha0 + A0 @ X + rot * _eval_gradients(tables, X)
 
         h = 1.0 / steps
-        X = np.concatenate([x0[:nx], np.zeros(2 * b, dtype=complex)])
+        X = np.zeros(2 * b, dtype=complex)
         ts = [0.0]
         norms = [0.0]
         for i in range(steps):
@@ -474,8 +452,8 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, mode="frozen"
             k4 = rhs(X + h * k3)
             X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             ts.append((i + 1) * h)
-            norms.append(float(np.linalg.norm(X[nx:])))
-        X1 = X[nx:]
+            norms.append(float(np.linalg.norm(X)))
+        X1 = X
         escaped = norms[-1] > threshold
 
     rec = WitnessRecord(

@@ -35,7 +35,7 @@ at the lattice points that bisection leaves as candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -109,13 +109,13 @@ class NormalForm:
                           self.Nzb0 + hat.Nzb0, self.Nz0z0 + hat.Nz0z0,
                           self.Nz0zb0 + hat.Nz0zb0, self.Nzb0zb0 + hat.Nzb0zb0)
 
-    def to_series(self, dims, budgets, real=True):
-        """Expand the structured block into a TFSeries."""
+    def to_series(self, dims, budgets):
+        """Expand the structured block into a real TFSeries."""
         values = np.concatenate([[self.Nx], self.omega,
                                  [self.Omega.get(j, 0.0) for j in dims.tail_modes],
                                  self.Nz0, self.Nzb0, vec(self.Nz0z0), vec(self.Nz0zb0),
                                  vec(self.Nzb0zb0)])
-        return TFSeries.from_rows(dims, budgets, _nf_slots(dims)[0], values, real)
+        return TFSeries.from_rows(dims, budgets, _nf_slots(dims)[0], values, real=True)
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +548,15 @@ def extract_hat(R_low, dims):
 
 @dataclass
 class SolveReport:
-    solve_counts: dict = field(default_factory=dict)
-    min_divisor_margin: float = np.inf
-    residual: float | None = None
-    xF_norm: float | None = None
-    bracket: TFSeries | None = None     # {N, F}, formed for the residual when dp is given
-    prune_mass: float = 0.0             # l1 mass the final prune of F removed
+    solve_counts: dict
+    min_divisor_margin: float
+    residual: float         # ||{N,F} + R_low - Nhat|| on D(s, r, r)
+    xF_norm: float          # vector-field norm of F
+    bracket: TFSeries       # {N, F}, the bracket the residual is certified with
+    prune_mass: float       # l1 mass the final prune of F removed
 
 
-def solve_homological(N, R_low, params, dims, dp=None):
+def solve_homological(N, R_low, params, dims, dp):
     """Solve {N, F} + R_low = Nhat in the six-part order.
 
     ``params`` provides the step data (gamma_m, tau, K_m and the per-family
@@ -566,15 +566,15 @@ def solve_homological(N, R_low, params, dims, dp=None):
     non-resonance threshold raises ResonantParameter (the first one in part
     order, then in row order).
 
-    Returns (F, Nhat, SolveReport).  When ``dp`` is given the report
-    includes the bracket {N, F}, the residual ||{N,F} + R_low - Nhat||
+    Returns (F, Nhat, SolveReport).  The report includes the bracket
+    {N, F}, the residual ||{N,F} + R_low - Nhat|| on the domain ``dp``
     certified with it, and the vector-field norm of F.
     """
     n, b, nm = dims.n, dims.b, len(dims.modes)
     tail = dims.tail_modes
     tz, tzb = slice(2 * n + b, 2 * n + nm), slice(2 * n + nm + b, None)   # tail columns
     budgets = R_low.budgets
-    report = SolveReport()
+    counts, margin = {}, np.inf
     Nhat = extract_hat(R_low, dims)
     Om_tail = np.array([N.Omega.get(j, 0.0) for j in tail])
     empty = (R_low.rows[:0], R_low.coefs[:0])
@@ -584,10 +584,11 @@ def solve_homological(N, R_low, params, dims, dp=None):
 
     def guard(family, measured, thr, k, l):
         # raise at a divisor at or below half its threshold, else record the margin
+        nonlocal margin
         measured, thr = float(measured), float(thr)
         if measured <= 0.5 * thr:
             raise ResonantParameter(ResonanceCondition(family, tuple(map(int, k)), l, thr, measured))
-        report.min_divisor_margin = min(report.min_divisor_margin, measured / thr if thr > 0 else np.inf)
+        margin = min(margin, measured / thr if thr > 0 else np.inf)
 
     def solve_scalar(part, rows, *sources):
         """F = rhs / i(<k, omega> + <l, Omega>) row by row, l = beta - gamma on
@@ -608,7 +609,7 @@ def solve_homological(N, R_low, params, dims, dp=None):
         with np.errstate(over="ignore", divide="ignore"):
             i = np.argmax(bad) if bad.any() else np.argmin(measured / thr)
         guard("KL", measured[i], thr[i], k[i], _l_tuple(tail, l[i]))
-        report.solve_counts[part] = len(rows)
+        counts[part] = len(rows)
         # rhs / (i div) in real arithmetic
         return rows, rhs.imag / div - 1j * (rhs.real / div)
 
@@ -635,7 +636,7 @@ def solve_homological(N, R_low, params, dims, dp=None):
             except SingularSystem as err:
                 raise ResonantParameter(ResonanceCondition(
                     family, tuple(int(v) for v in k), l, float(thr[g]), dm)) from err
-        report.solve_counts[part] = len(ks)
+        counts[part] = len(ks)
         return rows, sol.ravel()
 
     def rows_of(tag, *classes):
@@ -676,12 +677,10 @@ def solve_homological(N, R_low, params, dims, dp=None):
     F.append(solve_scalar("part6", rows, R_low, corr6))
 
     F = series_of(F, R_low.real)
-    report.prune_mass = F.prune()
-    if dp is not None:
-        report.bracket = poisson_bracket(N_series, F)
-        report.residual = hom_residual(report.bracket, R_low, Nhat, dp, dims)
-        report.xF_norm = vector_field_norm(F, dp)
-    return F, Nhat, report
+    prune_mass = F.prune()
+    NF = poisson_bracket(N_series, F)
+    return F, Nhat, SolveReport(counts, margin, residual=hom_residual(NF, R_low, Nhat, dp, dims),
+                                xF_norm=vector_field_norm(F, dp), bracket=NF, prune_mass=prune_mass)
 
 
 def hom_residual(NF, R_low, Nhat, dp, dims):

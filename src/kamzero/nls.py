@@ -171,14 +171,15 @@ def frequency_map(model, budgets):
     return _site_map(model, action_couplings(quartic_hamiltonian(model, budgets)[1]))
 
 
-def birkhoff_transform(model, budgets, order=None):
+def birkhoff_transform(model, budgets):
     """Remove the non-action quartic monomials by one Lie transform.
 
     Every quartic monomial with an index relation i +- j +- k +- l = 0 and
     {i, j} != {k, l} (as multisets) is eliminated; the surviving quartic
     part is diagonal in the actions |q_i|^2 |q_j|^2, with the couplings
     Gbar of ``action_couplings``, which the transform leaves unchanged.  The
-    degree >= 6 remainder K is exact up to the series degree budget.
+    Lie series runs to order max(2, (degree_max - 2) // 2), and the degree
+    >= 6 remainder K is exact up to the series degree budget.
     """
     lam, G = quartic_hamiltonian(model, budgets)
     dims = model.flat_dims()
@@ -194,9 +195,7 @@ def birkhoff_transform(model, budgets, order=None):
     coefs = np.empty(len(c), dtype=complex)
     coefs.real, coefs.imag = c.imag / div, -c.real / div
     F = TFSeries.from_rows(dims, budgets, G.rows[elim], coefs, real=True)
-    if order is None:
-        order = max(2, (budgets.degree_max - 2) // 2)
-    H = lie_transform(lam + G, F, order)
+    H = lie_transform(lam + G, F, max(2, (budgets.degree_max - 2) // 2))
 
     deg = _degrees(H.rows, 0)
     leftover = float(np.abs(H.coefs[(deg == 4) & ~_is_action(H.rows)]).max(initial=0.0))
@@ -318,9 +317,9 @@ def to_kam_form(model, birkhoff, budgets):
                           "order-xi tail couplings remain in R0"})
 
 
-def build_nls(model, budgets, order=None):
+def build_nls(model, budgets):
     """Full pipeline: quartic tensor -> Birkhoff -> action-angle form."""
-    bk = birkhoff_transform(model, budgets, order=order)
+    bk = birkhoff_transform(model, budgets)
     kf = to_kam_form(model, bk, budgets)
     return bk, kf
 

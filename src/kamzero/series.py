@@ -13,36 +13,36 @@ indices never appear in ``beta``/``gamma``.
 The module provides the Poisson calculus (bracket, Lie transform), the
 weighted coefficient-majorant norm and the Hamiltonian vector-field norm,
 degree splitting, Fourier truncation with a tail certificate, and a text
-serialization.  All combining operations respect a total-degree budget and a
+form.  All combining operations respect a total-degree budget and a
 Fourier budget; mass removed by truncation is accumulated into the result's
 ``meta`` rather than silently discarded.
 
-A series is stored as two arrays only, its key rows and coefficients
-(see ``TFSeries``).  Like terms are merged through exact mixed-radix integer codes of the rows
-(Kronecker substitution, as in Biscani's Piranha): the code of a product
-row is the sum of its factors' codes, and a merge is a stable 1-D sort plus
-``np.add.reduceat``, which adds each key's first summand to numpy's
-pairwise sum of the others, taken in arrival order.
+A series is stored as two arrays only, its key rows and coefficients, and
+is built from them alone (see ``TFSeries``).  Like terms are merged through
+exact mixed-radix integer codes of the rows (Kronecker substitution, as in
+Biscani's Piranha): the code of a product row is the sum of its factors'
+codes, and a merge is a stable 1-D sort plus ``np.add.reduceat``, which
+adds each key's first summand to numpy's pairwise sum of the others, taken
+in arrival order.
 The radix comes from the column ranges of the operands at hand; ranges
 wider than 63 bits spill into further code words sorted with
 ``np.lexsort``, so a code never wraps.
 
-Products (brackets and ``multiply``) stream their rows through a bounded
-accumulator (``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS``
-unsorted rows is sorted and summed on its own into a sorted block of
-distinct keys, and sorted blocks are merged with each other only when
-their rows pass ``_CHUNK_ROWS`` and once at the end.  Rows that fit in one
-buffer are summed by one sort; beyond that, each buffer is summed as above
-and the buffers' partial sums are added in buffer order.
+Brackets stream their product rows through a bounded accumulator
+(``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS`` unsorted rows
+is sorted and summed on its own into a sorted block of distinct keys, and
+sorted blocks are merged with each other only when their rows pass
+``_CHUNK_ROWS`` and once at the end.  Rows that fit in one buffer are
+summed by one sort; beyond that, each buffer is summed as above and the
+buffers' partial sums are added in buffer order.
 
-Products are real operations: with M the mirror (k -> -k, beta <-> gamma,
-conjugate coefficient), M(A B) = M(A) M(B) and M({A, B}) = {M(A), M(B)}, so
-two real operands give {A, B} = P + M(P) with P = {A_half, B}, and A B the
-same way with P = A_half B, where A_half holds the rows of A that sort below
-their mirror and its self-mirror rows at weight 1/2.  One rule decides how a
-product is formed: two real-flagged operands, half of the first plus the
-mirror (at about half the product rows, and the output is exactly real);
-otherwise both whole.
+Brackets are real operations: with M the mirror (k -> -k, beta <-> gamma,
+conjugate coefficient), M({A, B}) = {M(A), M(B)}, so two real operands give
+{A, B} = P + M(P) with P = {A_half, B}, where A_half holds the rows of A
+that sort below their mirror and its self-mirror rows at weight 1/2.  One
+rule decides how a bracket is formed: two real-flagged operands, half of
+the first plus the mirror (at about half the product rows, and the output
+is exactly real); otherwise both whole.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 
 
 class MonomialKey(NamedTuple):
-    """Exponent data of one monomial.
+    """Exponent data of one monomial: the key of ``TFSeries.terms``.
 
     ``beta`` and ``gamma`` are sorted tuples of ``(mode, exponent)`` pairs
     with every stored exponent >= 1; an absent mode means exponent 0.
@@ -67,44 +67,6 @@ class MonomialKey(NamedTuple):
     alpha: tuple
     beta: tuple
     gamma: tuple
-
-
-def _norm_expmap(entries):
-    """Normalize a mode->exponent mapping into a sorted tuple of pairs."""
-    if isinstance(entries, dict):
-        items = entries.items()
-    else:
-        items = entries
-    out = []
-    for mode, exp in items:
-        exp = int(exp)
-        if exp < 0:
-            raise ValueError("negative exponent for mode %s" % mode)
-        if exp > 0:
-            out.append((int(mode), exp))
-    out.sort()
-    return tuple(out)
-
-
-def make_key(n, k=(), alpha=(), beta=(), gamma=()):
-    """Build a normalized MonomialKey for a series with ``n`` angles."""
-    k = tuple(int(v) for v in k) if k else (0,) * n
-    alpha = tuple(int(v) for v in alpha) if alpha else (0,) * n
-    if len(k) != n or len(alpha) != n:
-        raise ValueError("k and alpha must have length n=%d" % n)
-    return MonomialKey(k, alpha, _norm_expmap(beta), _norm_expmap(gamma))
-
-
-def key_degree(key):
-    """Total degree 2|alpha| + |beta| + |gamma|."""
-    return (2 * sum(key.alpha)
-            + sum(e for _, e in key.beta)
-            + sum(e for _, e in key.gamma))
-
-
-def key_kabs(key):
-    """Fourier radius |k| = sum_b |k_b|."""
-    return sum(abs(v) for v in key.k)
 
 
 @dataclass(frozen=True)
@@ -202,10 +164,13 @@ class TFSeries:
     ``rows`` (int16, one row ``[k | alpha | beta | gamma]`` per monomial, with
     a beta and a gamma column per mode of ``dims.modes``) and ``coefs`` are
     the only store: rows unique and in lexicographic order, no coefficient
-    zero.  ``TFSeries(dims, budgets, terms)`` packs a ``MonomialKey ->
-    complex`` mapping and ``TFSeries.from_rows`` takes the arrays;
+    zero.  A series is built from key rows only: ``TFSeries.from_rows``
+    takes them in any order, ``zero`` is the empty series.
     ``coefficients_at`` reads the coefficients at given key rows, and
-    ``terms`` is the read-only view back, built on first use.  Arithmetic
+    ``terms`` is the read-only ``MonomialKey -> complex`` view, built on
+    first use, for ``to_text``, the ``check`` command's violation lists
+    (``nls._violations``, ``cli.self_describe``) and the benchmark tracer
+    (``perfbench/tracer.py``).  Arithmetic
     returns fresh series and never mutates its inputs
     (only ``prune`` drops terms in place), so series are safe to share
     between threads.  ``meta`` carries operation bookkeeping: combining
@@ -215,26 +180,8 @@ class TFSeries:
 
     __slots__ = ("dims", "budgets", "rows", "coefs", "real", "meta", "_terms")
 
-    def __init__(self, dims, budgets, terms=None, real=False):
-        n, nmodes = dims.n, len(dims.modes)
-        pos = {m: i for i, m in enumerate(dims.modes)}
-        terms = terms or {}
-        rows = []
-        for key in terms:
-            if len(key.k) != n or len(key.alpha) != n:
-                raise ValueError("key arity mismatch: %r" % (key,))
-            row = list(key.k) + list(key.alpha) + [0] * (2 * nmodes)
-            for start, exps in ((2 * n, key.beta), (2 * n + nmodes, key.gamma)):
-                for mode, exp in exps:
-                    if mode not in pos:
-                        raise ValueError("mode %d is not a normal mode of %r" % (mode, dims))
-                    row[start + pos[mode]] = exp
-            rows.append(row)
-        rows = np.array(rows, dtype=np.int16).reshape(len(terms), 2 * n + 2 * nmodes)
-        coefs = np.array(list(terms.values()), dtype=complex)
-        self._set(dims, budgets, *_canonical(rows, coefs), real)
-
-    def _set(self, dims, budgets, rows, coefs, real):
+    def __init__(self, dims, budgets, rows, coefs, real=False):
+        """Series over canonical arrays (see ``from_rows`` for any others)."""
         self.dims, self.budgets, self.rows, self.coefs = dims, budgets, rows, coefs
         self.real, self.meta, self._terms = real, {}, None
 
@@ -245,16 +192,12 @@ class TFSeries:
         does and zero sums dropped."""
         coefs = np.asarray(coefs, dtype=complex)
         rows = np.asarray(rows, dtype=np.int16).reshape(len(coefs), 2 * dims.n + 2 * len(dims.modes))
-        new = cls.__new__(cls)
-        new._set(dims, budgets, *_canonical(rows, coefs), real)
-        return new
+        return cls(dims, budgets, *_canonical(rows, coefs), real)
 
     @classmethod
     def _of(cls, like, rows, coefs, real):
         """Series on the dims/budgets of ``like`` from canonical arrays."""
-        new = cls.__new__(cls)
-        new._set(like.dims, like.budgets, rows, coefs, real)
-        return new
+        return cls(like.dims, like.budgets, rows, coefs, real)
 
     def select(self, mask):
         """The terms of the rows where the boolean ``mask`` holds."""
@@ -278,12 +221,7 @@ class TFSeries:
 
     @classmethod
     def zero(cls, dims, budgets, real=False):
-        return cls(dims, budgets, real=real)
-
-    @classmethod
-    def monomial(cls, dims, budgets, coeff, k=(), alpha=(), beta=(), gamma=(), real=False):
-        key = make_key(dims.n, k, alpha, beta, gamma)
-        return cls(dims, budgets, {key: complex(coeff)}, real=real)
+        return cls.from_rows(dims, budgets, (), (), real)
 
     def copy(self):
         new = TFSeries._of(self, self.rows, self.coefs, self.real)
@@ -294,9 +232,6 @@ class TFSeries:
 
     def __len__(self):
         return len(self.coefs)
-
-    def coefficient(self, key):
-        return self.terms.get(key, 0j)
 
     def coefficients_at(self, rows):
         """Coefficients at the key ``rows`` (0 where a key is absent).
@@ -318,8 +253,9 @@ class TFSeries:
         return float(np.abs(self.coefs).max()) if len(self) else 0.0
 
     def validate(self):
-        """Check the degree and Fourier budgets (key arity and the mode universe
-        are checked when a series is built); raises ValueError on violation."""
+        """Check the degree and Fourier budgets (a row has one column per
+        angle, action and mode of ``dims.modes``, so its arity and modes hold
+        by construction); raises ValueError on violation."""
         n, bud = self.dims.n, self.budgets
         if np.any(_degrees(self.rows, n) > bud.degree_max) or np.any(_kabs(self.rows, n) > bud.k_max):
             raise ValueError("a key exceeds the budgets %r" % (bud,))
@@ -337,8 +273,6 @@ class TFSeries:
         return self + (other * -1.0)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, TFSeries):
-            return self.multiply(scalar)
         real = self.real and not (isinstance(scalar, complex) and scalar.imag != 0)
         coefs = scalar * self.coefs
         live = coefs != 0
@@ -349,17 +283,6 @@ class TFSeries:
     def _check_compatible(self, other):
         if self.dims != other.dims:
             raise ValueError("series dims mismatch: %r vs %r" % (self.dims, other.dims))
-
-    def multiply(self, other):
-        """Series product, truncated to budgets; drops reported in meta.  A
-        product of two real-flagged series is formed from half of ``self``
-        and is exactly real (see ``_products``)."""
-        self._check_compatible(other)
-        out = TFSeries._of(self, self.rows[:0], self.coefs[:0], self.real and other.real)
-        out.meta["dropped_mass"] = 0.0
-        if len(self) and len(other):
-            _products(out, self, other, [(None, None, 1.0)])
-        return out
 
     def prune(self, rel=None):
         """Drop coefficients below ``rel * max|c|``; returns pruned mass."""
@@ -396,36 +319,6 @@ class TFSeries:
                          % (",".join(map(str, key.k)), ",".join(map(str, key.alpha)),
                             bpart, gpart, c.real, c.imag))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        """Series from ``to_text`` output; a header without ``prune=`` reads
-        the default ``Budgets.prune_rel``."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0]
-        if not head.startswith("# tfseries"):
-            raise ValueError("missing tfseries header line")
-        fields = dict(tok.split("=", 1) for tok in head.split()[2:])
-
-        def intlist(sval):
-            return () if sval == "-" else tuple(int(v) for v in sval.split(","))
-
-        dims = SeriesDims(int(fields["n"]), intlist(fields["sites"]),
-                          intlist(fields["zero"]), int(fields["jmax"]))
-        budgets = Budgets(int(fields["dmax"]), int(fields["kmax"]),
-                          float(fields.get("prune", Budgets.prune_rel)))
-        terms = {}
-        for ln in lines[1:]:
-            toks = dict(tok.split("=", 1) for tok in ln.split())
-            k = tuple(int(v) for v in toks["k"].strip("()").split(",") if v)
-            a = tuple(int(v) for v in toks["a"].strip("()").split(",") if v)
-            exps = {}
-            for name in ("b", "g"):
-                body = toks[name].strip("{}")
-                exps[name] = tuple(tuple(map(int, pair.split(":"))) for pair in body.split(",") if pair)
-            re_s, im_s = toks["c"].split(",")
-            terms[MonomialKey(k, a, exps["b"], exps["g"])] = complex(float(re_s), float(im_s))
-        return cls(dims, budgets, terms, real=bool(int(fields["real"])))
 
 
 # ---------------------------------------------------------------------------
@@ -643,34 +536,30 @@ def _summed(blocks):
 
 def _lowering(col, n):
     """Total-degree drop of differentiating in the variable of column ``col``:
-    0 for none and for an angle, 2 for an action, 1 for a normal mode."""
-    return 0 if col is None or col < n else 2 if col < 2 * n else 1
+    0 for an angle, 2 for an action, 1 for a normal mode."""
+    return 0 if col < n else 2 if col < 2 * n else 1
 
 
 def _factor(S, lo, codec, col):
-    """Rows of S differentiated in the variable of column ``col`` (S itself
-    for None), as (rows, code words, coefficients); None when the derivative
-    vanishes."""
+    """Rows of S differentiated in the variable of column ``col``, as (rows,
+    code words, coefficients); None when the derivative vanishes."""
     n = S.dims.n
-    rows, coefs = S.rows, S.coefs
-    if col is not None:
-        sel = rows[:, col] != 0 if col < n else rows[:, col] > 0
-        if not sel.any():
-            return None
-        rows = rows[sel]
-        if col < n:
-            coefs = coefs[sel] * (1j * rows[:, col])
-        else:
-            coefs = coefs[sel] * rows[:, col]
-            rows[:, col] -= 1
+    sel = S.rows[:, col] != 0 if col < n else S.rows[:, col] > 0
+    if not sel.any():
+        return None
+    rows = S.rows[sel]
+    if col < n:
+        coefs = S.coefs[sel] * (1j * rows[:, col])
+    else:
+        coefs = S.coefs[sel] * rows[:, col]
+        rows[:, col] -= 1
     return rows, codec.encode(rows, lo), coefs
 
 
 def _half(A):
     """The rows of A that sort below their mirror, and its self-mirror rows
     (k = 0, beta = gamma) at weight 1/2.  For a real A and B, {A, B} is
-    P + M(P) with P = {half, B}, and A B the same with P = half * B, where
-    M is the mirror (``_mirror``)."""
+    P + M(P) with P = {half, B}, where M is the mirror (``_mirror``)."""
     mirror, _ = _mirror(A.dims, A.rows, A.coefs)
     diff = mirror - A.rows
     first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]   # 0: self-mirror
@@ -962,10 +851,3 @@ def realify(F):
     """Project onto the real-valued subspace (average with the mirror)."""
     rows, coefs = _plus_mirror(F.dims, F.rows, F.coefs)
     return TFSeries._of(F, rows, coefs * 0.5, True)
-
-
-def reality_defect(F):
-    """Max |c(-k, a, gamma, beta) - conj(c(k, a, beta, gamma))| over terms."""
-    rows, coefs = _mirror(F.dims, F.rows, F.coefs)
-    rows, coefs = _canonical(np.concatenate([F.rows, rows]), np.concatenate([F.coefs, -coefs]))
-    return float(np.abs(coefs).max(initial=0.0))

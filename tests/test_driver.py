@@ -18,8 +18,8 @@ from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
                             delta0, dichotomy, kam_step, make_synthetic_problem,
                             no_torus_witness, run, schedule, scheduled_eps)
 from kamzero.homological import NormalForm, ResonantParameter
-from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
-                            make_key, vector_field_norm)
+from kamzero.series import Budgets, DomainParams, SeriesDims, TFSeries, vector_field_norm
+from series_ref import from_terms, make_key, reality_defect
 
 DIMS = SeriesDims(2, (), (1,), 6)
 BUD = Budgets(6, 4096)
@@ -234,21 +234,20 @@ def test_witness_coupled_mode_agrees_when_drive_dominates():
     eps = 1e-6
     c = 1e4 * 20.0 * eps ** (7.0 / 6.0) / math.sqrt(2.0)
     N = _witness_nf(c)
-    R = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): 1e-9 + 0j,
-                             make_key(2, k=(-1, 0), gamma={1: 1}): 1e-9 + 0j})
+    R = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): 1e-9 + 0j,
+                               make_key(2, k=(-1, 0), gamma={1: 1}): 1e-9 + 0j})
     params = schedule(1, BASE, eps_m=eps)
-    esc_f, rec_f = no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="frozen")
-    esc_c, rec_c = no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="coupled")
-    assert esc_f and esc_c
-    assert (rec_f.path, rec_c.path) == ("closed_form", "rk4")
-    assert rec_c.final_norm == pytest.approx(rec_f.final_norm, rel=1e-3)
-    with pytest.raises(ValueError):
-        no_torus_witness(N, R, params, DIMS, eps_prev=eps, mode="bogus")
+    esc_f, rec_f = no_torus_witness(N, R, params, DIMS, eps_prev=eps)
+    coupled = _coupled_witness_norm(N, R, DIMS)
+    assert esc_f and coupled > rec_f.threshold
+    assert rec_f.path == "closed_form"
+    assert coupled == pytest.approx(rec_f.final_norm, rel=1e-3)
 
 
 def _zero_mode_gradients(R, dims, x, z, zb):
     """Per-term loop over R.terms: (dR/dz0, dR/dzbar0, dR/dy) at y = 0 and
-    tail = 0, the reference for the witness gradient tables."""
+    tail = 0: the reference for the witness gradient tables, and the right
+    side of the coupled flow."""
     pos = {m: i for i, m in enumerate(dims.zero_modes)}
     gz = np.zeros(len(pos), dtype=complex)
     gzb = np.zeros(len(pos), dtype=complex)
@@ -280,6 +279,30 @@ def _zero_mode_gradients(R, dims, x, z, zb):
     return gz, gzb, gy
 
 
+def _coupled_witness_norm(N, R, dims, steps=400):
+    """|X0(1)| of the witness subsystem with the angles flowing too: RK4 on
+    dx/dt = omega + R_y and dX0/dt = alpha0 + A0 X0 + (i dR/dzbar0, -i dR/dz0),
+    all at y = 0, tail = 0, from x = 0, X0 = 0."""
+    n, b = dims.n, N.b
+    alpha0 = np.concatenate([1j * N.Nzb0, -1j * N.Nz0])
+    A0 = np.block([[1j * N.Nz0zb0, 2j * N.Nzb0zb0], [-2j * N.Nz0z0, -1j * N.Nz0zb0.T]])
+
+    def rhs(state):
+        gz, gzb, gy = _zero_mode_gradients(R, dims, state[:n].real, state[n:n + b], state[n + b:])
+        return np.concatenate([N.omega + gy.real,
+                               alpha0 + A0 @ state[n:] + np.concatenate([1j * gzb, -1j * gz])])
+
+    h = 1.0 / steps
+    state = np.zeros(n + 2 * b, dtype=complex)
+    for _ in range(steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return float(np.linalg.norm(state[n:]))
+
+
 @pytest.mark.parametrize("b", [1, 2])
 def test_witness_tables_match_per_term_loop(b):
     dims = SeriesDims(2, (), tuple(range(1, b + 1)), 6)
@@ -287,19 +310,16 @@ def test_witness_tables_match_per_term_loop(b):
     # the small problem has gradients of one term and of none
     for n_low, n_high in ((30, 20), (6, 3)):
         _, R = make_synthetic_problem(dims, BUD, 1e-3, seed=4, n_low=n_low, n_high=n_high)
-        coupled = _zero_mode_tables(R, dims)
-        assert len(coupled[3]) == 2 * b + 2
         for _ in range(5):
             x = rng.uniform(0, 2 * np.pi, size=2)
             z = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
             zb = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
-            gz, gzb, gy = _zero_mode_gradients(R, dims, x, z, zb)
-            X = np.concatenate([z, zb])
-            # the stacked order: dR/dzbar0, dR/dz0, then (coupled) dR/dy
-            got = _eval_gradients(coupled, X, x)
-            frozen = _eval_gradients(_zero_mode_tables(R, dims, x), X)
-            assert np.allclose(got, np.concatenate([gzb, gz, gy]), rtol=1e-12, atol=1e-15)
-            assert np.allclose(frozen, np.concatenate([gzb, gz]), rtol=1e-12, atol=1e-15)
+            gz, gzb, _ = _zero_mode_gradients(R, dims, x, z, zb)
+            tables = _zero_mode_tables(R, dims, x)
+            assert len(tables[2]) == 2 * b
+            # the stacked order: dR/dzbar0, then dR/dz0
+            got = _eval_gradients(tables, np.concatenate([z, zb]))
+            assert np.allclose(got, np.concatenate([gzb, gz]), rtol=1e-12, atol=1e-15)
 
 
 # sha256 prefix of the frozen witness norms on R0 of the no_torus shape with
@@ -315,7 +335,7 @@ def test_witness_norms_are_pinned(b, seed):
         cfg = parse_config(fh.read() + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n"
                            "n_high = 8\neps0 = 0.01\n" % (seed, b))
     N0, R0, dims, base = _build_problem(cfg, None)
-    assert all(hi > lo for lo, hi in _zero_mode_tables(R0, dims, np.zeros(2))[3])
+    assert all(hi > lo for lo, hi in _zero_mode_tables(R0, dims, np.zeros(2))[2])
     escaped, rec = no_torus_witness(N0, R0, schedule(1, base, eps_m=1e-6), dims,
                                     eps_prev=1e-6)
     assert escaped
@@ -353,8 +373,8 @@ def test_closed_form_witness_decides_both_ways_like_rk4(drive):
     N.Nz0zb0 = np.array([[0.05 + 0j]])
     N.Nz0z0 = np.array([[0.02j]])
     N.Nzb0zb0 = N.Nz0z0.conj()
-    R = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 2}, gamma={1: 1}): 1e-3 + 0j,
-                             make_key(2, k=(-1, 0), beta={1: 1}, gamma={1: 2}): 1e-3 + 0j})
+    R = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 2}, gamma={1: 1}): 1e-3 + 0j,
+                               make_key(2, k=(-1, 0), beta={1: 1}, gamma={1: 2}): 1e-3 + 0j})
     params = schedule(1, BASE, eps_m=eps)
     escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=eps, x0=np.array([0.3, 0.0]))
     esc_rk4, rk4 = _rk4_witness(N, R, params, DIMS, eps_prev=eps, x0=np.array([0.3, 0.0]))
@@ -370,15 +390,15 @@ def test_witness_falls_back_to_rk4_where_r_steers():
     eps = 1e-6
     c = 1e4 * 20.0 * eps ** (7.0 / 6.0) / math.sqrt(2.0)
     N = _witness_nf(c)
-    R = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): -c + 0j,
-                             make_key(2, k=(-1, 0), gamma={1: 1}): -c + 0j,
-                             make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
+    R = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): -c + 0j,
+                               make_key(2, k=(-1, 0), gamma={1: 1}): -c + 0j,
+                               make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
     params = schedule(1, BASE, eps_m=eps)
     escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=eps)
     assert rec.path == "rk4" and rec.bound > 0.5 * 2.0 * delta0(N)
     assert not escaped and rec.final_norm < 1e-6 * rec.threshold
     # without R's zero-mode gradient terms the drive escapes, decided in closed form
-    free = TFSeries(DIMS, BUD, {make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
+    free = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
     escaped0, rec0 = no_torus_witness(N, free, params, DIMS, eps_prev=eps)
     assert escaped0 and rec0.path == "closed_form" and rec0.bound == 0.0
     assert rec0.final_norm == pytest.approx(delta0(N), rel=1e-12)
@@ -440,8 +460,8 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     # whose second term is below prune_rel max|c| = 1e-5 and lands in the
     # ledger as exactly its modulus, whatever order a sum takes
     cut_bud = Budgets(6, 4096, prune_rel=1e-5)
-    y1 = TFSeries(DIMS, cut_bud, {make_key(2, alpha=(1, 0)): 1.0})
-    G = TFSeries(DIMS, cut_bud, {make_key(2, k=(1, 0)): 1.0, make_key(2, k=(2, 0)): 2.0 ** -20})
+    y1 = from_terms(DIMS, cut_bud, {make_key(2, alpha=(1, 0)): 1.0})
+    G = from_terms(DIMS, cut_bud, {make_key(2, k=(1, 0)): 1.0, make_key(2, k=(2, 0)): 2.0 ** -20})
     cut = series.poisson_bracket(y1, G)
     assert dict(cut.terms) == {make_key(2, k=(1, 0)): -1j}
     assert series.truncated_mass(cut) == {"dropped_mass": 0.0, "pruned_mass": 0.0,
@@ -518,7 +538,7 @@ def test_halved_brackets_of_the_nls_run_have_real_operands(tmp_path, monkeypatch
 
     def audited(out, A, B, pairs):
         if A.real and B.real:
-            defects.extend(series.reality_defect(S) / S.max_abs() for S in (A, B))
+            defects.extend(reality_defect(S) / S.max_abs() for S in (A, B))
         return products(out, A, B, pairs)
     monkeypatch.setattr(series, "_products", audited)
     cli.main(["run", "--config", os.path.join(CONFIGS, "nls.cfg"), "--max-steps", "2",

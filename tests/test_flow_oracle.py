@@ -16,6 +16,7 @@ import pytest
 from kamzero.driver import BaseParams, kam_step, make_synthetic_problem, schedule
 from kamzero.series import (Budgets, DomainParams, SeriesDims,
                             vector_field_norm)
+from series_ref import from_terms
 
 DIMS = SeriesDims(2, (), (1,), 5)
 BUD = Budgets(6, 4096)
@@ -114,8 +115,7 @@ def flow_time_one(F, x, y, z, zb, steps=200):
 
 
 def dict_series(template, terms):
-    from kamzero.series import TFSeries
-    return TFSeries(template.dims, template.budgets, terms)
+    return from_terms(template.dims, template.budgets, terms)
 
 
 @pytest.mark.parametrize("seed", [2, 7])

@@ -13,9 +13,12 @@ from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm, Resonanc
 from kamzero.homological import _factor_floor, _kl_options, _layout
 from kamzero.matrixkit import commutation_matrix, det_modulus, kron, vec
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
-                            fourier_truncate, key_kabs, make_key,
-                            poisson_bracket, split_low_high,
+                            fourier_truncate, poisson_bracket, split_low_high,
                             vector_field_norm)
+from series_ref import from_terms, key_kabs, make_key, reality_defect
+
+# the domain of the residual the solver certifies where a test sets none
+DP = DomainParams(0.5, 0.3, 0.1, 1.0)
 
 
 def make_dims(b, jmax=8):
@@ -72,7 +75,7 @@ def random_low_perturbation(dims, budgets, rng, nterms=40, kspread=3, scale=1e-4
             m1, m2 = rng.choice(len(modes), 2)
             key = make_key(n, k=k, beta={modes[m1]: 1}, gamma={modes[m2]: 1})
         terms[key] = terms.get(key, 0j) + c
-    return realify(TFSeries(dims, budgets, terms)) * scale
+    return realify(from_terms(dims, budgets, terms)) * scale
 
 
 def step_params(b, eps=1e-4, gamma1=0.02, tau=3.5):
@@ -151,10 +154,10 @@ def test_block_operators_match_bracket_action(b):
     def probe(basis):
         op = np.zeros((len(basis), len(basis)), dtype=complex)
         for col, key in enumerate(basis):
-            e = TFSeries(dims, bud, {key: 1.0 + 0j})
+            e = from_terms(dims, bud, {key: 1.0 + 0j})
             image = poisson_bracket(Nser, e)
             for row, rkey in enumerate(basis):
-                op[row, col] = -image.coefficient(rkey)
+                op[row, col] = -image.terms.get(rkey, 0j)
         return op
 
     j = dims.tail_modes[0]
@@ -315,8 +318,8 @@ def test_zero_perturbation_gives_zero_solution():
     N = make_nf(dims, rng)
     params = step_params(1)
     R = TFSeries.zero(dims, bud)
-    F, hat, rep = solve_homological(N, R, params, dims)
-    assert not F.terms
+    F, hat, rep = solve_homological(N, R, params, dims, DP)
+    assert not F.terms and rep.residual == rep.xF_norm == 0.0
     assert hat.Nx == 0 and np.all(hat.omega == 0) and not hat.Omega
     assert np.all(hat.Nz0 == 0) and np.abs(hat.Nz0z0).max() == 0
 
@@ -333,8 +336,8 @@ def test_diagonal_single_term_formula():
     k = (2, -1)
     i, j = 3, 5
     key = make_key(2, k=k, beta={i: 1}, gamma={j: 1})
-    R = TFSeries(dims, bud, {key: c})
-    F, hat, _ = solve_homological(N, R, params, dims)
+    R = from_terms(dims, bud, {key: c})
+    F, hat, _ = solve_homological(N, R, params, dims, DP)
     div = 1j * (np.dot(k, N.omega) + N.Omega[i] - N.Omega[j])
     assert F.terms.keys() == {key}
     assert F.terms[key] == pytest.approx(c / div, rel=1e-14)
@@ -387,7 +390,7 @@ def test_block_solver_reduces_to_diagonal_formulas():
     params = step_params(1)
     R = random_low_perturbation(dims, bud, rng, nterms=30)
     R_low, _ = split_low_high(R)
-    F, hat, _ = solve_homological(N, R_low, params, dims)
+    F, hat, _ = solve_homological(N, R_low, params, dims, DP)
     z0 = dims.zero_modes[0]
     for key, c in R_low.terms.items():
         kw = np.dot(key.k, N.omega)
@@ -406,9 +409,9 @@ def test_injected_resonance_raises():
     N.omega = np.array([2.0, 1.0])
     N.Omega = {j: float(j * j) for j in dims.tail_modes}
     params = step_params(1, gamma1=0.05)
-    R = TFSeries(dims, bud, {make_key(2, k=(1, -2), alpha=(1, 0)): 1e-4})  # <k,omega> = 0
+    R = from_terms(dims, bud, {make_key(2, k=(1, -2), alpha=(1, 0)): 1e-4})  # <k,omega> = 0
     with pytest.raises(ResonantParameter):
-        solve_homological(N, R, params, dims)
+        solve_homological(N, R, params, dims, DP)
 
 
 @pytest.mark.parametrize("term,shift,family,l", [
@@ -430,9 +433,9 @@ def test_guard_thresholds_are_the_catalogue_thresholds(term, shift, family, l):
     N.Omega = {j: float(j * j) for j in dims.tail_modes}
     params = step_params(1, gamma1=0.05)
     k = (1, -2)
-    R = TFSeries(dims, bud, {make_key(2, k=k, **term): 1e-4 + 0j})
+    R = from_terms(dims, bud, {make_key(2, k=k, **term): 1e-4 + 0j})
     with pytest.raises(ResonantParameter) as err:
-        solve_homological(N, R, params, dims)
+        solve_homological(N, R, params, dims, DP)
     got = err.value.condition
     assert (got.family, got.k, got.l, got.measured) == (family, k, l, 0.0)
     cond = [c for c in condition_catalogue(N, params, dims, params.K_m)
@@ -466,7 +469,7 @@ def test_normal_form_round_trips_through_its_series():
 def test_hat_collects_k0_means():
     dims = make_dims(1)
     bud = Budgets(6, 16)
-    R = TFSeries(dims, bud, {
+    R = from_terms(dims, bud, {
         make_key(2): 0.5 + 0j,                                  # x mean
         make_key(2, alpha=(0, 1)): 0.25 + 0j,                   # y mean
         make_key(2, beta={1: 1}): 0.1 + 0.2j,                   # z0
@@ -482,8 +485,6 @@ def test_hat_collects_k0_means():
 
 
 def test_solver_preserves_reality():
-    from kamzero.series import reality_defect
-
     for b, seed in ((1, 3), (2, 8)):
         dims = make_dims(b, jmax=8)
         bud = Budgets(6, 16)
@@ -493,7 +494,7 @@ def test_solver_preserves_reality():
         R = random_low_perturbation(dims, bud, rng)
         R_low, _ = split_low_high(R)
         assert reality_defect(R_low) < 1e-15
-        F, hat, _ = solve_homological(N, R_low, params, dims)
+        F, hat, _ = solve_homological(N, R_low, params, dims, DP)
         # a real normal form and real right side give a real generator
         assert reality_defect(F) <= 1e-12 * max(F.max_abs(), 1.0)
         assert abs(hat.Nz0[0] - hat.Nzb0[0].conjugate()) <= 1e-15
@@ -515,7 +516,7 @@ def test_operations_leave_inputs_untouched():
     snapshots = {id(s): dict(s.terms) for s in (R, R_low, N_series)}
     poisson_bracket(N_series, R_low)
     lie_transform(R_low, N_series * 1e-3, 2)
-    solve_homological(N, R_low, params, dims)
+    solve_homological(N, R_low, params, dims, DP)
     for s in (R, R_low, N_series):
         assert s.terms == snapshots[id(s)]
 
@@ -529,10 +530,10 @@ def test_hom_residual_with_zero_generator():
     # means-only perturbation plus one oscillating term: with F = 0 and Nhat
     # the k = 0 means, the residual is the norm of the oscillating part
     key = make_key(2, k=(1, 0), alpha=(1, 0))
-    R = TFSeries(dims, bud, {make_key(2): 0.5 + 0j, key: 0.2 + 0j})
+    R = from_terms(dims, bud, {make_key(2): 0.5 + 0j, key: 0.2 + 0j})
     hat = extract_hat(R, dims)
     NF0 = poisson_bracket(N.to_series(dims, bud), TFSeries.zero(dims, bud))
-    osc = TFSeries(dims, bud, {key: 0.2 + 0j})
+    osc = from_terms(dims, bud, {key: 0.2 + 0j})
     assert hom_residual(NF0, R, hat, dp, dims) == pytest.approx(
         vector_field_norm(osc, dp))
     zero = TFSeries.zero(dims, bud)

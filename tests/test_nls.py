@@ -9,8 +9,8 @@ from kamzero.nls import (NlsModel, _gbinom, action_couplings, birkhoff_transform
                          grading_violations, index_solvability, momentum_signed,
                          parity_check, parity_v0, parity_weighted, quartic_hamiltonian,
                          to_kam_form)
-from kamzero.series import (Budgets, DomainParams, TFSeries, _degrees, key_degree,
-                            key_kabs, make_key, reality_defect, vector_field_norm)
+from kamzero.series import Budgets, DomainParams, _degrees, vector_field_norm
+from series_ref import from_terms, key_degree, key_kabs, make_key, reality_defect
 
 
 def _phi(j, x):
@@ -65,14 +65,14 @@ def test_birkhoff_eliminates_and_collects(nls_build):
     assert bk.max_resonant_leftover <= 1e-12
     # surviving |q1|^2 |q2|^2 coefficient carries the action coupling
     key = make_key(0, beta={1: 1, 2: 1}, gamma={1: 1, 2: 1})
-    coef = bk.quartic.coefficient(key)
+    coef = bk.quartic.terms.get(key, 0j)
     assert coef.real == pytest.approx(4.0 * bk.Gbar[1, 2], rel=1e-12)
     # the explicitly non-resonant monomial q1 q3 qbar2^2 (1 + 3 - 2 - 2 = 0,
     # {1,3} != {2,2}) is gone
     bad = make_key(0, beta={1: 1, 3: 1}, gamma={2: 2})
-    assert abs(bk.H.coefficient(bad)) <= 1e-12
+    assert abs(bk.H.terms.get(bad, 0j)) <= 1e-12
     lam, G = quartic_hamiltonian(model, Budgets(6, 512))
-    assert abs(G.coefficient(bad)) > 1e-3  # it was present before
+    assert abs(G.terms.get(bad, 0j)) > 1e-3  # it was present before
 
 
 def test_gbar_pattern_and_mass_identity(nls_build):
@@ -218,8 +218,8 @@ SPIKES = {
 
 
 def _spiked(kf, keys):
-    return TFSeries(kf.dims, kf.R0.budgets, {**kf.R0.terms, **{key: 1e-3 + 0j for key in keys}},
-                    real=True)
+    return from_terms(kf.dims, kf.R0.budgets, {**kf.R0.terms, **{key: 1e-3 + 0j for key in keys}},
+                      real=True)
 
 
 def test_parity_negative_control(nls_build):
@@ -302,8 +302,8 @@ def test_row_checks_match_per_key_reference(nls_build):
     spiked = _spiked(kf, [*SPIKES.values(), *NEAR_MISSES])
     # an even-|k| zero-mode term under the cut 1e-12 * max(max|c|, 1); scaled
     # by 1e6 it stays under that relative cut but exceeds 1e-12 itself
-    tiny = TFSeries(kf.dims, kf.R0.budgets, {**spiked.terms, make_key(2, k=(2, 0), beta={0: 1}): 1e-14},
-                    real=True)
+    tiny = from_terms(kf.dims, kf.R0.budgets, {**spiked.terms, make_key(2, k=(2, 0), beta={0: 1}): 1e-14},
+                      real=True)
     for series, sites in ((kf.R0, model.sites), (spiked, model.sites), (tiny, model.sites),
                           (tiny * 1e6, model.sites), (bk.K, ()), (bk.H, ())):
         keys = list(series.terms)
@@ -369,7 +369,7 @@ def ref_kam_expansion(model, H, budgets):
         out[ymeans[b]] = out.get(ymeans[b], 0j) + model.lam(j)
         const += model.lam(j) * xi[b]
     omega = np.array([out.pop(key, 0j).real for key in ymeans])
-    R0 = TFSeries(model.kam_dims(), budgets, out, real=True)
+    R0 = from_terms(model.kam_dims(), budgets, out, real=True)
     R0.prune()
     return R0, omega, const, dropped
 
@@ -393,7 +393,7 @@ def test_kam_form_matches_per_term_expansion(depth):
 
 def test_constant_term_dropped(nls_build):
     model, bk, kf = nls_build
-    assert kf.R0.coefficient(make_key(2)) == 0j
+    assert kf.R0.terms.get(make_key(2), 0j) == 0j
     assert kf.constant_dropped != 0
 
 
@@ -414,7 +414,7 @@ def test_kam_form_is_exactly_real(nls_build):
 def test_classified_families(nls_build):
     model, bk, kf = nls_build
     # classify on the quartic-order slice: degree <= 4 terms only
-    slice4 = TFSeries(kf.dims, kf.R0.budgets, {
+    slice4 = from_terms(kf.dims, kf.R0.budgets, {
         key: c for key, c in kf.R0.terms.items() if key_degree(key) + 2 * sum(key.alpha) <= 4})
     classes = classify_index_vectors(slice4, kf.dims)
     vs = classes.value_sets()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries, _Codec,
-                            fourier_truncate, key_degree, key_kabs,
-                            lie_transform, make_key, mode_weight,
-                            poisson_bracket, reality_defect, split_low_high,
+                            fourier_truncate, lie_transform, mode_weight,
+                            poisson_bracket, split_low_high,
                             vector_field_norm, weighted_norm)
 from kamzero.driver import realify
+from series_ref import (from_terms, from_text, key_kabs, make_key, monomial, product,
+                        reality_defect)
 
 DIMS = SeriesDims(2, (1, 2), (0,), 6)
 BUD = Budgets(6, 16)
@@ -16,7 +17,7 @@ DP = DomainParams(0.5, 0.3, 0.1, 1.0)
 
 
 def mono(c, k=(), alpha=(), beta=(), gamma=(), dims=DIMS, bud=BUD):
-    return TFSeries.monomial(dims, bud, c, k=k, alpha=alpha, beta=beta, gamma=gamma)
+    return monomial(dims, bud, c, k=k, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def random_series(rng, nterms=20, degmax=4, dims=DIMS, bud=BUD):
@@ -36,7 +37,7 @@ def random_series(rng, nterms=20, degmax=4, dims=DIMS, bud=BUD):
             tgt[m] = tgt.get(m, 0) + 1
         key = make_key(dims.n, k, tuple(alpha), bmap, gmap)
         terms[key] = complex(rng.standard_normal(), rng.standard_normal())
-    return TFSeries(dims, bud, terms)
+    return from_terms(dims, bud, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +100,11 @@ def test_leibniz_rule_within_dropped_mass():
     rng = np.random.default_rng(2)
     for _ in range(20):
         F, G, H = (random_series(rng, nterms=8, degmax=2) for _ in range(3))
-        gh, fg, fh = G.multiply(H), poisson_bracket(F, G), poisson_bracket(F, H)
+        gh, fg, fh = product(G, H), poisson_bracket(F, G), poisson_bracket(F, H)
         assert [s.meta["dropped_mass"] for s in (gh, fg, fh)] == [0.0] * 3
         lhs = poisson_bracket(F, gh)
-        t1 = fg.multiply(H)
-        t2 = G.multiply(fh)
+        t1 = product(fg, H)
+        t2 = product(G, fh)
         scale = sum(vector_field_norm(s, DP) for s in (lhs, t1, t2))
         assert vector_field_norm(lhs - t1 - t2, DP) <= 1e-12 * scale
 
@@ -117,12 +118,12 @@ def test_bracket_counts_the_final_relative_cut():
     cut, exact = Budgets(6, 16, prune_rel=1e-4), Budgets(6, 16, prune_rel=0.0)
     F, G = ({key: c * 10.0 ** (-8 * rng.random()) for key, c in
              random_series(rng, nterms=30).terms.items()} for _ in range(2))
-    out = poisson_bracket(TFSeries(DIMS, cut, F), TFSeries(DIMS, cut, G))
-    ref = poisson_bracket(TFSeries(DIMS, exact, F), TFSeries(DIMS, exact, G))
+    out = poisson_bracket(from_terms(DIMS, cut, F), from_terms(DIMS, cut, G))
+    ref = poisson_bracket(from_terms(DIMS, exact, F), from_terms(DIMS, exact, G))
     assert out.meta["cut_mass"] > 0 and out.meta["pruned_mass"] > 0
     assert ref.meta["cut_mass"] == ref.meta["pruned_mass"] == 0.0
     keys = set(out.terms) | set(ref.terms)
-    l1 = sum(abs(out.coefficient(k) - ref.coefficient(k)) for k in keys)
+    l1 = sum(abs(out.terms.get(k, 0j) - ref.terms.get(k, 0j)) for k in keys)
     rounding = 1e-14 * sum(abs(c) for c in ref.terms.values())
     assert l1 <= out.meta["pruned_mass"] + out.meta["cut_mass"] + rounding
 
@@ -159,8 +160,7 @@ def test_reality_preserved_by_bracket():
 def test_bracket_dimension_mismatch():
     other = SeriesDims(2, (1, 2), (0,), 5)
     with pytest.raises(ValueError):
-        poisson_bracket(mono(1.0, k=(1, 0)),
-                        TFSeries.monomial(other, BUD, 1.0, k=(1, 0)))
+        poisson_bracket(mono(1.0, k=(1, 0)), mono(1.0, k=(1, 0), dims=other))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +310,8 @@ def test_lie_transform_single_bracket_by_hand():
     H = mono(1.0, alpha=(1, 0))
     F = mono(eps, k=(1, 0))
     out = lie_transform(H, F, 1)
-    assert out.coefficient(make_key(2, alpha=(1, 0))) == pytest.approx(1.0)
-    assert out.coefficient(make_key(2, k=(1, 0))) == pytest.approx(-1j * eps)
+    assert out.terms[make_key(2, alpha=(1, 0))] == pytest.approx(1.0)
+    assert out.terms[make_key(2, k=(1, 0))] == pytest.approx(-1j * eps)
 
 
 def test_lie_transform_preserves_bracket():
@@ -337,20 +337,27 @@ def test_lie_transform_preserves_bracket():
 def test_text_round_trip_and_ordering():
     rng = np.random.default_rng(11)
     F = random_series(rng, nterms=25)
-    text = F.to_text()
-    G = TFSeries.from_text(text)
+    G = from_text(F.to_text())
     assert G.terms == F.terms
     assert G.dims == F.dims
-    assert G.budgets.degree_max == F.budgets.degree_max
-    # deterministic: serialization is sorted, independent of insertion order
-    shuffled = TFSeries(F.dims, F.budgets, {key: F.terms[key] for key in
-                                            sorted(F.terms, key=lambda k: (k.beta, k.gamma))})
-    assert shuffled.to_text() == text
+    assert G.budgets == F.budgets
+    # the lines follow MonomialKey order, not row order: the z_3 row (its
+    # z_0 column 0) sorts before the z_0 row, its line after
+    H = mono(1.0, beta={3: 1}) + mono(2.0, beta={0: 1})
+    assert [key.beta for key in H.terms] == [((3, 1),), ((0, 1),)]
+    assert H.to_text().splitlines()[1:] == ["k=(0,0) a=(0,0) b={0:1} g={} c=2,0",
+                                            "k=(0,0) a=(0,0) b={3:1} g={} c=1,0"]
 
 
 def test_validate_rejects_site_modes():
-    with pytest.raises(ValueError):  # mode 1 is tangential
-        TFSeries(DIMS, BUD, {make_key(2, beta={1: 1}): 1.0 + 0j}).validate()
+    # a row has one column per mode of DIMS.modes, so no row can hold mode 1
+    # (tangential): the key packer refuses it and a wider row is rejected
+    with pytest.raises(ValueError):
+        from_terms(DIMS, BUD, {make_key(2, beta={1: 1}): 1.0 + 0j})
+    with pytest.raises(ValueError):
+        TFSeries.from_rows(DIMS, BUD, np.zeros((1, 2 * DIMS.n + 2 * len(DIMS.modes) + 1)), [1.0])
+    with pytest.raises(ValueError, match="budgets"):
+        mono(1.0, k=(BUD.k_max, 1)).validate()
 
 
 def test_budgets_reject_key_overflow():
@@ -365,6 +372,6 @@ def test_budgets_reject_key_overflow():
         Budgets(degree_max=16384)
     dims = SeriesDims(1, (), (1,), 2)
     bud = Budgets(degree_max=6, k_max=16383)
-    F = TFSeries.monomial(dims, bud, 1.0, k=(8000,))
-    H = TFSeries.monomial(dims, bud, 1.0, k=(8383,), alpha=(1,))
+    F = monomial(dims, bud, 1.0, k=(8000,))
+    H = monomial(dims, bud, 1.0, k=(8383,), alpha=(1,))
     assert list(poisson_bracket(F, H).terms) == [make_key(1, k=(16383,))]
