@@ -15,8 +15,7 @@ from .series import Budgets, DomainParams, SeriesDims
 
 
 def _budgets(cfg):
-    b = cfg["budgets"]
-    return Budgets(b["degree_max"], b["k_max"], b["prune_rel"])
+    return Budgets(**cfg["budgets"])
 
 
 def _domain(cfg, s, r):

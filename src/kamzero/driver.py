@@ -4,11 +4,13 @@
 and radius update).  ``run``, the ``check`` command and the tests that step
 by hand consume it; ``run`` adds the verdict logic.
 
-One step conjugates H_m = N_m + R_m by the time-1 flow of the generating
-function solving the homological equation, updates the frequencies from the
-k = 0 means, accumulates the zero-mode normal-form sums, and measures the
-new perturbation.  The new perturbation is assembled from the exact
-decomposition
+One step first drops from R_m the terms of smallest vector-field majorant
+while their sum stays below ``vf_trunc_rel * eps_m`` (``vf_truncate``; the
+record carries the certified bound), then conjugates H_m = N_m + R_m by the
+time-1 flow of the generating function solving the homological equation,
+updates the frequencies from the k = 0 means, accumulates the zero-mode
+normal-form sums, and measures the new perturbation.  The new perturbation
+is assembled from the exact decomposition
 
     R_{m+1} = ({N,F} + R_low - Nhat)            (solver residual)
             + tail + R_high
@@ -42,7 +44,7 @@ from .homological import (BudgetExhausted, NormalForm, ResonantParameter,
 from .matrixkit import op_norm
 from .series import (DomainParams, TFSeries, fourier_truncate, lie_series,
                      poisson_bracket, realify, split_low_high, truncated_mass,
-                     vector_field_norm)
+                     vector_field_norm, vf_truncate)
 
 
 class PremiseFailed(Exception):
@@ -179,6 +181,8 @@ class StepRecord:
     precut_mass: float
     cut_mass: float
     prune_mass: float
+    vf_trunc_bound: float
+    vf_trunc_terms: int
     lie_order: int
     tail_ratio: float
     min_divisor_margin: float
@@ -192,8 +196,8 @@ class StepRecord:
         out = {k: getattr(self, k) for k in (
             "m", "eps_scheduled", "eps_measured", "eps_next", "xF_norm",
             "residual", "freq_drift", "delta0", "dropped_mass", "precut_mass",
-            "cut_mass", "prune_mass", "lie_order", "tail_ratio", "min_divisor_margin",
-            "K_m", "gamma_m", "s_m", "r_m")}
+            "cut_mass", "prune_mass", "vf_trunc_bound", "vf_trunc_terms", "lie_order",
+            "tail_ratio", "min_divisor_margin", "K_m", "gamma_m", "s_m", "r_m")}
         out["solve_counts"] = dict(sorted(self.solve_counts.items()))
         return out
 
@@ -210,6 +214,10 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         raise BudgetExhausted("K_m = %.1f exceeds the Fourier budget %d"
                               % (params.K_m, R.budgets.k_max))
     eps_m = vector_field_norm(R, dp) if eps_measured is None else eps_measured
+    # the step needs R only to the precision of eps_m: the terms of smallest
+    # vector-field majorant go while their sum stays below vf_trunc_rel *
+    # eps_m, so the step is exact for an R within that certified distance
+    R, vf_bound, vf_terms = vf_truncate(R, dp, R.budgets.vf_trunc_rel * eps_m)
 
     low, high = split_low_high(R)
     low_trunc, tail, tailrep = fourier_truncate(
@@ -262,6 +270,8 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         precut_mass=masses["pruned_mass"],
         cut_mass=masses["cut_mass"],
         prune_mass=prune_mass,
+        vf_trunc_bound=vf_bound,
+        vf_trunc_terms=vf_terms,
         lie_order=lie_used,
         tail_ratio=tailrep.ratio if tailrep else 0.0,
         min_divisor_margin=float(srep.min_divisor_margin),

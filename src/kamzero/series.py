@@ -11,9 +11,10 @@ distinguished zero-frequency modes plus the normal tail).  Tangential site
 indices never appear in ``beta``/``gamma``.
 
 The module provides the Poisson calculus (bracket, Lie transform), the
-weighted coefficient-majorant norm and the Hamiltonian vector-field norm,
-degree splitting, Fourier truncation with a tail certificate, and a text
-form.  All combining operations respect a total-degree budget and a
+weighted coefficient-majorant norm and the Hamiltonian vector-field norm
+with its per-term majorants and the truncation they certify, degree
+splitting, Fourier truncation with a tail certificate, and a text form.
+All combining operations respect a total-degree budget and a
 Fourier budget; mass removed by truncation is accumulated into the result's
 ``meta`` rather than silently discarded.
 
@@ -115,15 +116,20 @@ class SeriesDims:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Truncation budgets: total degree, Fourier radius, relative prune tol."""
+    """Truncation budgets: total degree, Fourier radius, relative prune tol,
+    and the share ``vf_trunc_rel`` of eps_m that a KAM step may drop from R
+    by vector-field majorant (``vf_truncate``; 0 keeps every term)."""
 
     degree_max: int = 6
     k_max: int = 32
     prune_rel: float = 1e-16
+    vf_trunc_rel: float = 1e-12
 
     def __post_init__(self):
         if self.degree_max < 0 or self.k_max < 0 or self.prune_rel < 0:
             raise ValueError("budgets must be nonnegative")
+        if not 0.0 <= self.vf_trunc_rel < 1.0:
+            raise ValueError("vf_trunc_rel must lie in [0, 1), got %r" % (self.vf_trunc_rel,))
         # key columns are int16 and a product adds two in-budget columns
         # before the budgets filter it, so each must stay below 2^14
         if max(self.degree_max, self.k_max) > 16383:
@@ -251,15 +257,6 @@ class TFSeries:
 
     def max_abs(self):
         return float(np.abs(self.coefs).max()) if len(self) else 0.0
-
-    def validate(self):
-        """Check the degree and Fourier budgets (a row has one column per
-        angle, action and mode of ``dims.modes``, so its arity and modes hold
-        by construction); raises ValueError on violation."""
-        n, bud = self.dims.n, self.budgets
-        if np.any(_degrees(self.rows, n) > bud.degree_max) or np.any(_kabs(self.rows, n) > bud.k_max):
-            raise ValueError("a key exceeds the budgets %r" % (bud,))
-        return True
 
     # -- arithmetic ---------------------------------------------------
 
@@ -698,7 +695,13 @@ def weighted_norm(F, dp):
     return float(np.abs(F.coefs) @ _term_weights(F, dp))
 
 
-def _term_weights(F, dp):
+def _term_weights(F, dp, rowwise=False):
+    """Per term, e^{|k| s} r^{2|alpha|} prod_j (r / w_j)^{beta_j + gamma_j}.
+
+    The mode factors enter as one matrix-vector product, whose rounding may
+    depend on a row's position in the matrix; ``rowwise`` sums them row by
+    row instead, so that equal rows get bit-equal weights.
+    """
     n = F.dims.n
     nmodes = len(F.dims.modes)
     rows = F.rows
@@ -707,8 +710,9 @@ def _term_weights(F, dp):
     kabs = _kabs(rows, n)
     na = rows[:, n:2 * n].sum(axis=1)
     zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
+    zlog = math.log(dp.r) - logw
     logs = (kabs * dp.s + 2 * na * math.log(dp.r)
-            + zexp @ (math.log(dp.r) - logw))
+            + ((zexp * zlog).sum(axis=1) if rowwise else zexp @ zlog))
     return np.exp(logs)
 
 
@@ -732,6 +736,47 @@ def vector_field_norm(F, dp):
     zbsq = np.sum((w * w * (rows[:, 2 * n + nmodes:].T @ base) / dp.r) ** 2)
     return (ynorm + xnorm / dp.r ** 2
             + math.sqrt(zbsq) / dp.r + math.sqrt(zsq) / dp.r)
+
+
+def vf_majorants(F, dp):
+    """Per term of F, the ``vector_field_norm`` of that term alone:
+
+        |c| weight * (max_b |k_b| + max_b alpha_b + |beta w^2|_2 + |gamma w^2|_2) / r^2
+
+    with the weight of ``weighted_norm``.  A term and its mirror (-k, alpha,
+    gamma, beta, conjugate coefficient) get bit-equal values: every factor is
+    computed row by row, and the two mode norms are added to each other
+    before they are added to the rest.
+    """
+    n, nmodes = F.dims.n, len(F.dims.modes)
+    rows = F.rows
+    base = np.abs(F.coefs) * _term_weights(F, dp, rowwise=True)
+    head = (np.abs(rows[:, :n]).max(axis=1, initial=0)
+            + rows[:, n:2 * n].max(axis=1, initial=0))
+    w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])
+    zb = np.sqrt(((rows[:, 2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=1))
+    zg = np.sqrt(((rows[:, 2 * n + nmodes:] * w2) ** 2).sum(axis=1))
+    return base * (head + (zb + zg)) / dp.r ** 2
+
+
+def vf_truncate(F, dp, budget):
+    """F without its terms of smallest ``vf_majorants`` while their sum stays
+    at most ``budget``; returns (kept, bound, dropped term count).
+
+    ``vector_field_norm`` is subadditive over disjoint terms, so the kept
+    part's norm is within ``bound``, the summed majorants of the dropped
+    terms, of F's.  The cut is the first majorant m* at which the ascending
+    prefix sum passes the budget, and exactly the terms below m* go: a term
+    and its mirror share their majorant, so a real F stays real.  A budget
+    of 0 keeps every term.
+    """
+    if budget <= 0.0 or not len(F):
+        return F, 0.0, 0
+    m = vf_majorants(F, dp)
+    ascending = np.sort(m)
+    over = np.cumsum(ascending) > budget
+    drop = m < ascending[over.argmax()] if over.any() else np.ones(len(m), dtype=bool)
+    return F.select(~drop), float(m[drop].sum()), int(drop.sum())
 
 
 def split_low_high(R):

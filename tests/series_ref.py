@@ -3,8 +3,8 @@
 The library builds a series from key rows only (``TFSeries.from_rows``).
 The tests write their operands as ``MonomialKey -> complex`` dicts, read
 results through the ``TFSeries.terms`` view, and need a few operations the
-library does not: a product, a reader of ``TFSeries.to_text`` and a
-reality probe.
+library does not: a product, a reader of ``TFSeries.to_text``, a reality
+probe and a budget check.
 """
 
 import numpy as np
@@ -105,3 +105,13 @@ def reality_defect(S):
     terms = S.terms
     return max((abs(terms.get(MonomialKey(tuple(-v for v in key.k), key.alpha, key.gamma, key.beta), 0j)
                     - c.conjugate()) for key, c in terms.items()), default=0.0)
+
+
+def validate(S):
+    """Check the degree and Fourier budgets of every key of S (a row has one
+    column per angle, action and mode of ``dims.modes``, so its arity and
+    modes hold by construction); raises ValueError on violation."""
+    bud = S.budgets
+    if any(key_degree(key) > bud.degree_max or key_kabs(key) > bud.k_max for key in S.terms):
+        raise ValueError("a key exceeds the budgets %r" % (bud,))
+    return True

@@ -166,7 +166,8 @@ def _rec(m, eps_measured, eps_next, d0):
     return StepRecord(m=m, eps_scheduled=eps_measured, eps_measured=eps_measured,
                       eps_next=eps_next, xF_norm=0.0, residual=0.0,
                       freq_drift=0.0, delta0=d0, dropped_mass=0.0, precut_mass=0.0,
-                      cut_mass=0.0, prune_mass=0.0, lie_order=1,
+                      cut_mass=0.0, prune_mass=0.0, vf_trunc_bound=0.0,
+                      vf_trunc_terms=0, lie_order=1,
                       tail_ratio=0.0, min_divisor_margin=1.0, K_m=1.0,
                       gamma_m=0.05, s_m=0.5, r_m=0.1)
 
@@ -525,6 +526,41 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     assert len(pruned) == 2
     assert bk.H.meta["prune_mass"] == pruned[0] > 0
     assert kf.prune_mass == pruned[1] > 0
+
+
+@pytest.mark.parametrize("shape", ["synthetic", "no_torus", "nls"])
+def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, shape):
+    # each step drops R's terms of smallest vector-field majorant up to
+    # vf_trunc_rel * eps_m (default 1e-12); vf_trunc_rel = 0 is the exact
+    # run.  The verdicts must agree, and each step's eps must stay within the
+    # summed certified bounds of the steps that fed it.  Where R is roundoff
+    # (synthetic m >= 2, no_torus m = 2) the solver may solve fewer blocks;
+    # on the NLS run every step solves the same ones.
+    from kamzero import cli
+
+    reports = []
+    for extra in ("", "\n[budgets]\nvf_trunc_rel = 0\n"):
+        with open(os.path.join(CONFIGS, shape + ".cfg")) as fh:
+            (tmp_path / "run.cfg").write_text(fh.read() + extra)
+        out = tmp_path / ("exact" if extra else "truncated")
+        cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+        reports.append(json.loads((out / "run.json").read_text()))
+    trunc, exact = reports
+    assert trunc["verdict"] == exact["verdict"]
+    assert trunc["verdict_info"]["m"] == exact["verdict_info"]["m"]
+    assert len(trunc["steps"]) == len(exact["steps"])
+    assert all(s["vf_trunc_bound"] == 0.0 and s["vf_trunc_terms"] == 0 for s in exact["steps"])
+    assert any(s["vf_trunc_terms"] for s in trunc["steps"])
+    bound = 0.0
+    for s, e in zip(trunc["steps"], exact["steps"]):
+        assert s["vf_trunc_bound"] <= 1e-12 * s["eps_measured"] * (1 + 1e-12)
+        assert abs(s["eps_measured"] - e["eps_measured"]) <= bound
+        bound += s["vf_trunc_bound"]
+        assert abs(s["eps_next"] - e["eps_next"]) <= bound
+    if shape == "nls":
+        assert [s["solve_counts"] for s in trunc["steps"]] == [s["solve_counts"] for s in exact["steps"]]
+        # the step-2 bracket {R, F} sees a seventh of R
+        assert trunc["steps"][1]["vf_trunc_terms"] > 100_000
 
 
 def test_halved_brackets_of_the_nls_run_have_real_operands(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries, _Codec,
                             vector_field_norm, weighted_norm)
 from kamzero.driver import realify
 from series_ref import (from_terms, from_text, key_kabs, make_key, monomial, product,
-                        reality_defect)
+                        reality_defect, validate)
 
 DIMS = SeriesDims(2, (1, 2), (0,), 6)
 BUD = Budgets(6, 16)
@@ -357,7 +357,7 @@ def test_validate_rejects_site_modes():
     with pytest.raises(ValueError):
         TFSeries.from_rows(DIMS, BUD, np.zeros((1, 2 * DIMS.n + 2 * len(DIMS.modes) + 1)), [1.0])
     with pytest.raises(ValueError, match="budgets"):
-        mono(1.0, k=(BUD.k_max, 1)).validate()
+        validate(mono(1.0, k=(BUD.k_max, 1)))
 
 
 def test_budgets_reject_key_overflow():

@@ -19,8 +19,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from kamzero import series as kseries
 from kamzero.driver import realify
-from kamzero.series import (Budgets, MonomialKey, SeriesDims, TFSeries,
-                            fourier_truncate, poisson_bracket, split_low_high)
+from kamzero.series import (Budgets, DomainParams, MonomialKey, SeriesDims, TFSeries,
+                            fourier_truncate, poisson_bracket, split_low_high,
+                            vector_field_norm, vf_majorants, vf_truncate)
 from series_ref import (from_terms, from_text, key_degree, key_kabs, make_key, product,
                         reality_defect)
 
@@ -601,3 +602,73 @@ def test_halving_runs_for_every_product_of_two_distinct_real_operands():
     # without the flag the same row gives a nonzero bracket
     plain = TFSeries._of(lone, lone.rows, lone.coefs, False)
     assert poisson_bracket(plain, G).terms
+
+
+# ---------------------------------------------------------------------------
+# vector-field majorants and the truncation they certify
+# ---------------------------------------------------------------------------
+
+VF_DP = DomainParams(0.5, 0.3, 0.1, 1.0)
+
+
+@SETTINGS
+@given(series(FLOATS, max_size=12))
+def test_majorant_is_the_vector_field_norm_of_the_term_alone(F):
+    m = vf_majorants(F, VF_DP)
+    for i in range(len(F)):
+        assert math.isclose(m[i], vector_field_norm(F.select(np.arange(len(F)) == i), VF_DP),
+                            rel_tol=1e-12, abs_tol=0.0)
+
+
+@SETTINGS
+@given(series(FLOATS, max_size=12), st.floats(0.0, 1.0))
+def test_truncated_norm_is_within_the_dropped_majorants(F, share):
+    m = vf_majorants(F, VF_DP)
+    budget = share * m.sum()
+    kept, bound, dropped = vf_truncate(F, VF_DP, budget)
+    assert dropped == len(F) - len(kept)
+    assert bound <= budget * (1 + 1e-12)
+    assert set(_dict(kept).items()) <= set(_dict(F).items())
+    norm = vector_field_norm(F, VF_DP)
+    # the two norms sum their terms in different orders: a few ulps of slack
+    slack = 4 * np.finfo(float).eps * norm
+    assert abs(norm - vector_field_norm(kept, VF_DP)) <= bound * (1 + 1e-12) + slack
+
+
+@SETTINGS
+@given(real_series(DYADIC))
+def test_truncation_of_a_real_series_keeps_whole_ties_and_stays_real(F):
+    # every prefix sum of the ascending majorants as the budget, so the cut
+    # falls between and inside every tie class (a row and its mirror tie)
+    m = vf_majorants(F, VF_DP)
+    for budget in np.cumsum(np.sort(m)):
+        kept, _, _ = vf_truncate(F, VF_DP, budget)
+        assert kept.real and reality_defect(kept) == 0.0
+        gone = ~(F.rows[:, None] == kept.rows).all(axis=2).any(axis=1)
+        assert not set(m[gone]) & set(m[~gone])
+
+
+def test_ties_at_the_cut_go_together():
+    # four rows of one majorant: two keys of |k| = 1 on one mode and their
+    # mirrors; a budget inside the tie class keeps it whole
+    F = realify(from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={3: 1}): 0.5,
+                                       make_key(2, k=(0, 1), beta={3: 1}): 0.5j,
+                                       make_key(2, alpha=(1, 0)): 100.0}))
+    m = vf_majorants(F, VF_DP)
+    tie = m[m != m.max()]
+    assert len(tie) == 4 and len(set(tie)) == 1
+    for share, left in ((0.5, 5), (2.5, 5), (3.99, 5), (4.5, 1)):
+        kept, bound, dropped = vf_truncate(F, VF_DP, share * tie[0])
+        assert (len(kept), dropped) == (left, 5 - left)
+        assert math.isclose(bound, 4 * tie[0] if dropped else 0.0, rel_tol=1e-15)
+        assert reality_defect(kept) == 0.0
+
+
+@SETTINGS
+@given(series(FLOATS, max_size=12))
+def test_a_zero_budget_drops_nothing(F):
+    # a constant has majorant 0 but still stays
+    const = from_terms(DIMS, BUD, {make_key(2): 0.25})
+    for S in (F, F + const):
+        kept, bound, dropped = vf_truncate(S, VF_DP, 0.0)
+        assert kept is S and bound == 0.0 and dropped == 0
