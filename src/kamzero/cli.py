@@ -15,7 +15,8 @@ from .series import Budgets, DomainParams, SeriesDims
 
 
 def _budgets(cfg):
-    return Budgets(**cfg["budgets"])
+    b = cfg["budgets"]
+    return Budgets(b["degree_max"], b["k_max"], b["prune_rel"])
 
 
 def _domain(cfg, s, r):

@@ -60,7 +60,6 @@ _SCHEMA = {
         "degree_max": ("int", 6),
         "k_max": ("int", 512),
         "prune_rel": ("float", 1e-16),
-        "vf_trunc_rel": ("float", 1e-12),
     },
     "domain": {
         "a": ("float", 0.1),

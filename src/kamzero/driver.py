@@ -5,12 +5,12 @@ and radius update).  ``run``, the ``check`` command and the tests that step
 by hand consume it; ``run`` adds the verdict logic.
 
 One step first drops from R_m the terms of smallest vector-field majorant
-while their sum stays below ``vf_trunc_rel * eps_m`` (``vf_truncate``; the
-record carries the certified bound), then conjugates H_m = N_m + R_m by the
-time-1 flow of the generating function solving the homological equation,
-updates the frequencies from the k = 0 means, accumulates the zero-mode
-normal-form sums, and measures the new perturbation.  The new perturbation
-is assembled from the exact decomposition
+while their sum stays below ``_VF_TRUNC_REL * eps_m`` (``vf_truncate``; the
+record carries the dropped majorants' sum), then conjugates H_m = N_m + R_m
+by the time-1 flow of the generating function solving the homological
+equation, updates the frequencies from the k = 0 means, accumulates the
+zero-mode normal-form sums, and measures the new perturbation.  The new
+perturbation is assembled from the exact decomposition
 
     R_{m+1} = ({N,F} + R_low - Nhat)            (solver residual)
             + tail + R_high
@@ -45,6 +45,11 @@ from .matrixkit import op_norm
 from .series import (DomainParams, TFSeries, fourier_truncate, lie_series,
                      poisson_bracket, realify, split_low_high, truncated_mass,
                      vector_field_norm, vf_truncate)
+
+
+# share of eps_m that a step may drop from R by vector-field majorant
+# (``vf_truncate``); 0 keeps every term
+_VF_TRUNC_REL = 1e-12
 
 
 class PremiseFailed(Exception):
@@ -215,9 +220,9 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
                               % (params.K_m, R.budgets.k_max))
     eps_m = vector_field_norm(R, dp) if eps_measured is None else eps_measured
     # the step needs R only to the precision of eps_m: the terms of smallest
-    # vector-field majorant go while their sum stays below vf_trunc_rel *
-    # eps_m, so the step is exact for an R within that certified distance
-    R, vf_bound, vf_terms = vf_truncate(R, dp, R.budgets.vf_trunc_rel * eps_m)
+    # vector-field majorant go while their sum stays below _VF_TRUNC_REL *
+    # eps_m, so the step is exact for an R within that distance on dp
+    R, vf_bound, vf_terms = vf_truncate(R, dp, _VF_TRUNC_REL * eps_m)
 
     low, high = split_low_high(R)
     low_trunc, tail, tailrep = fourier_truncate(

@@ -116,20 +116,15 @@ class SeriesDims:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Truncation budgets: total degree, Fourier radius, relative prune tol,
-    and the share ``vf_trunc_rel`` of eps_m that a KAM step may drop from R
-    by vector-field majorant (``vf_truncate``; 0 keeps every term)."""
+    """Truncation budgets: total degree, Fourier radius, relative prune tol."""
 
     degree_max: int = 6
     k_max: int = 32
     prune_rel: float = 1e-16
-    vf_trunc_rel: float = 1e-12
 
     def __post_init__(self):
         if self.degree_max < 0 or self.k_max < 0 or self.prune_rel < 0:
             raise ValueError("budgets must be nonnegative")
-        if not 0.0 <= self.vf_trunc_rel < 1.0:
-            raise ValueError("vf_trunc_rel must lie in [0, 1), got %r" % (self.vf_trunc_rel,))
         # key columns are int16 and a product adds two in-budget columns
         # before the budgets filter it, so each must stay below 2^14
         if max(self.degree_max, self.k_max) > 16383:
@@ -695,12 +690,12 @@ def weighted_norm(F, dp):
     return float(np.abs(F.coefs) @ _term_weights(F, dp))
 
 
-def _term_weights(F, dp, rowwise=False):
+def _term_weights(F, dp):
     """Per term, e^{|k| s} r^{2|alpha|} prod_j (r / w_j)^{beta_j + gamma_j}.
 
-    The mode factors enter as one matrix-vector product, whose rounding may
-    depend on a row's position in the matrix; ``rowwise`` sums them row by
-    row instead, so that equal rows get bit-equal weights.
+    The mode factors are summed row by row (a matrix-vector product may round
+    equal rows differently by their position), so equal rows, and a row and
+    its mirror, get bit-equal weights.
     """
     n = F.dims.n
     nmodes = len(F.dims.modes)
@@ -712,7 +707,7 @@ def _term_weights(F, dp, rowwise=False):
     zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
     zlog = math.log(dp.r) - logw
     logs = (kabs * dp.s + 2 * na * math.log(dp.r)
-            + ((zexp * zlog).sum(axis=1) if rowwise else zexp @ zlog))
+            + (zexp * zlog).sum(axis=1))
     return np.exp(logs)
 
 
@@ -750,7 +745,7 @@ def vf_majorants(F, dp):
     """
     n, nmodes = F.dims.n, len(F.dims.modes)
     rows = F.rows
-    base = np.abs(F.coefs) * _term_weights(F, dp, rowwise=True)
+    base = np.abs(F.coefs) * _term_weights(F, dp)
     head = (np.abs(rows[:, :n]).max(axis=1, initial=0)
             + rows[:, n:2 * n].max(axis=1, initial=0))
     w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])

@@ -364,9 +364,7 @@ SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 @pytest.mark.parametrize("section,key,value", [
     ("synthetic", "eps0", "nan"), ("schedule", "tau", "inf"), ("schedule", "s1", "inf"),
-    ("budgets", "prune_rel", "nan"), ("budgets", "vf_trunc_rel", "nan"),
-    ("budgets", "vf_trunc_rel", "inf"), ("budgets", "vf_trunc_rel", "-1e-12"),
-    ("budgets", "vf_trunc_rel", "1"), ("budgets", "vf_trunc_rel", "2.5"),
+    ("budgets", "prune_rel", "nan"),
     ("synthetic", "n_low", "-1"), ("synthetic", "n", "-1"), ("synthetic", "n", "0"),
     ("synthetic", "zero_mode", "-2"), ("run", "seed", "-1"), ("synthetic", "n_high", "-3"),
     ("schedule", "check_k_cap", "0"), ("schedule", "check_k_cap", "-2"),
@@ -380,8 +378,7 @@ def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     # seed; n = 0) or ran as given (n_high < 0 dropped low terms, a
     # check_k_cap below 1 skipped every |k| >= 1 check, eps0 <= 0 and
     # max_lie_order <= 0 were used as they came, and max_lie_order = 1 still
-    # added the order-2 term); a vf_trunc_rel outside [0, 1) would let a step
-    # drop R's terms beyond eps_m
+    # added the order-2 term)
     with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
         text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
     lineno = len(text.splitlines())

@@ -529,21 +529,19 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", ["synthetic", "no_torus", "nls"])
-def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, shape):
+def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, monkeypatch, shape):
     # each step drops R's terms of smallest vector-field majorant up to
-    # vf_trunc_rel * eps_m (default 1e-12); vf_trunc_rel = 0 is the exact
-    # run.  The verdicts must agree, and each step's eps must stay within the
-    # summed certified bounds of the steps that fed it.  Where R is roundoff
-    # (synthetic m >= 2, no_torus m = 2) the solver may solve fewer blocks;
-    # on the NLS run every step solves the same ones.
+    # _VF_TRUNC_REL * eps_m (1e-12); _VF_TRUNC_REL = 0 is the exact run.  The
+    # verdicts must agree.  Where R is roundoff (synthetic m >= 2, no_torus
+    # m = 2) the solver may solve fewer blocks; on the NLS run every step
+    # solves the same ones.
     from kamzero import cli
 
     reports = []
-    for extra in ("", "\n[budgets]\nvf_trunc_rel = 0\n"):
-        with open(os.path.join(CONFIGS, shape + ".cfg")) as fh:
-            (tmp_path / "run.cfg").write_text(fh.read() + extra)
-        out = tmp_path / ("exact" if extra else "truncated")
-        cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    for rel in (driver._VF_TRUNC_REL, 0.0):
+        monkeypatch.setattr(driver, "_VF_TRUNC_REL", rel)
+        out = tmp_path / str(rel)
+        cli.main(["run", "--config", os.path.join(CONFIGS, shape + ".cfg"), "--out", str(out)])
         reports.append(json.loads((out / "run.json").read_text()))
     trunc, exact = reports
     assert trunc["verdict"] == exact["verdict"]
@@ -551,12 +549,19 @@ def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, shape):
     assert len(trunc["steps"]) == len(exact["steps"])
     assert all(s["vf_trunc_bound"] == 0.0 and s["vf_trunc_terms"] == 0 for s in exact["steps"])
     assert any(s["vf_trunc_terms"] for s in trunc["steps"])
-    bound = 0.0
+    # vf_trunc_bound certifies the distance of R on the step's own domain
+    # only; eps_next is measured on the next, smaller one after the
+    # brackets, where a dropped term can weigh up to (r_m / r_next)^2 more.
+    # So the eps comparison is an empirical differential check against the
+    # bounds summed over the run so far; on these configs eps moves by at
+    # most 1e-4 of that sum (nls step 3: 5.5e-19 against 6.1e-15), since
+    # eps falls by orders of magnitude per step.
+    dropped = 0.0
     for s, e in zip(trunc["steps"], exact["steps"]):
         assert s["vf_trunc_bound"] <= 1e-12 * s["eps_measured"] * (1 + 1e-12)
-        assert abs(s["eps_measured"] - e["eps_measured"]) <= bound
-        bound += s["vf_trunc_bound"]
-        assert abs(s["eps_next"] - e["eps_next"]) <= bound
+        assert abs(s["eps_measured"] - e["eps_measured"]) <= dropped
+        dropped += s["vf_trunc_bound"]
+        assert abs(s["eps_next"] - e["eps_next"]) <= dropped
     if shape == "nls":
         assert [s["solve_counts"] for s in trunc["steps"]] == [s["solve_counts"] for s in exact["steps"]]
         # the step-2 bracket {R, F} sees a seventh of R
