@@ -6,7 +6,9 @@ by hand consume it; ``run`` adds the verdict logic.
 
 One step first drops from R_m the terms of smallest vector-field majorant
 while their sum stays below ``_VF_TRUNC_REL * eps_m`` (``vf_truncate``; the
-record carries the dropped majorants' sum), then conjugates H_m = N_m + R_m
+record carries the dropped majorants' sum), and forms the bracket {R_m, F}
+without the product rows whose summed majorant on the outgoing domain fits
+that budget (``skip_bound``, ``skip_rows``), then conjugates H_m = N_m + R_m
 by the time-1 flow of the generating function solving the homological
 equation, updates the frequencies from the k = 0 means, accumulates the
 zero-mode normal-form sums, and measures the new perturbation.  The new
@@ -161,11 +163,13 @@ def schedule(m, base, eps_m=None, r_prev=None):
     eta = eps ** (1.0 / 3.0) if eps > 0 else 0.0
     K = abs(math.log(eps)) / (s_m - s_next) if eps > 0 else base.check_k_cap
     K = max(K, 1.0)
-    if m == 1 or r_prev is None:
-        r_m = base.r1
-    else:
-        r_m = max(eta * r_prev / 8.0, base.r_floor_rel * base.r1)
+    r_m = base.r1 if m == 1 or r_prev is None else _next_radius(eta, r_prev, base)
     return KamParams(m, s_m, s_next, r_m, gamma_m, eps, eta, K, base)
+
+
+def _next_radius(eta, r, base):
+    """The radius recursion eta r / 8, clamped at the configured floor."""
+    return max(eta * r / 8.0, base.r_floor_rel * base.r1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +192,8 @@ class StepRecord:
     prune_mass: float
     vf_trunc_bound: float
     vf_trunc_terms: int
+    skip_bound: float
+    skip_rows: int
     lie_order: int
     tail_ratio: float
     min_divisor_margin: float
@@ -201,7 +207,8 @@ class StepRecord:
         out = {k: getattr(self, k) for k in (
             "m", "eps_scheduled", "eps_measured", "eps_next", "xF_norm",
             "residual", "freq_drift", "delta0", "dropped_mass", "precut_mass",
-            "cut_mass", "prune_mass", "vf_trunc_bound", "vf_trunc_terms", "lie_order",
+            "cut_mass", "prune_mass", "vf_trunc_bound", "vf_trunc_terms", "skip_bound",
+            "skip_rows", "lie_order",
             "tail_ratio", "min_divisor_margin", "K_m", "gamma_m", "s_m", "r_m")}
         out["solve_counts"] = dict(sorted(self.solve_counts.items()))
         return out
@@ -236,6 +243,11 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     F, Nhat, srep = solve_homological(N, low_trunc, params, dims, dp=dp)
     N_next = N.accumulate(Nhat)
 
+    # the outgoing domain: eps_next is measured on it (the next schedule
+    # recomputes the radius from its own measured eps)
+    r_next = _next_radius(params.eta_m, params.r_m, base)
+    dp_next = DomainParams(params.s_next, r_next, dp.a, dp.p)
+
     # exact decomposition of the transformed perturbation
     rem_tol = 0.01 * max(eps_m ** (4.0 / 3.0), 1e-30)
     T1 = srep.bracket  # {N, F}, as certified by the solver's residual
@@ -243,10 +255,15 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     masses = truncated_mass(T1)
     R_next = resid_series + tail
     lie_used = 1
+    skip_bound, skip_rows = 0.0, 0
     if len(F):
         T2 = poisson_bracket(T1, F)
         chainN, massN, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
-        S1 = poisson_bracket(R, F)
+        # {R, F} only to the precision of eps_m on the outgoing domain: the
+        # product rows of least majorant are never formed while their
+        # summed bound stays below _VF_TRUNC_REL * eps_m
+        S1 = poisson_bracket(R, F, dp_next, _VF_TRUNC_REL * eps_m)
+        skip_bound, skip_rows = S1.meta["skip_bound"], S1.meta["skip_rows"]
         chainR, massR, _, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
         R_next = R_next + high + chainN + chainR
         masses = {key: mass + (massN[key] + massR[key]) for key, mass in masses.items()}
@@ -254,12 +271,6 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     else:
         R_next = R_next + high
     prune_mass = srep.prune_mass + R_next.prune()
-
-    s_next = params.s_next
-    # monitoring radius for the outgoing norm; the next schedule recomputes
-    # the radius from its own measured eps, so this only affects diagnostics
-    r_next = max(params.eta_m * params.r_m / 8.0, base.r_floor_rel * base.r1)
-    dp_next = DomainParams(s_next, r_next, dp.a, dp.p)
     eps_next = vector_field_norm(R_next, dp_next)
 
     rec = StepRecord(
@@ -277,6 +288,8 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         prune_mass=prune_mass,
         vf_trunc_bound=vf_bound,
         vf_trunc_terms=vf_terms,
+        skip_bound=skip_bound,
+        skip_rows=skip_rows,
         lie_order=lie_used,
         tail_ratio=tailrep.ratio if tailrep else 0.0,
         min_divisor_margin=float(srep.min_divisor_margin),

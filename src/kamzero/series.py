@@ -12,8 +12,9 @@ indices never appear in ``beta``/``gamma``.
 
 The module provides the Poisson calculus (bracket, Lie transform), the
 weighted coefficient-majorant norm and the Hamiltonian vector-field norm
-with its per-term majorants and the truncation they certify, degree
-splitting, Fourier truncation with a tail certificate, and a text form.
+with its per-term majorants, the truncation they certify and the bracket
+that leaves out product rows within a majorant budget, degree splitting,
+Fourier truncation with a tail certificate, and a text form.
 All combining operations respect a total-degree budget and a
 Fourier budget; mass removed by truncation is accumulated into the result's
 ``meta`` rather than silently discarded.
@@ -532,12 +533,15 @@ def _lowering(col, n):
     return 0 if col < n else 2 if col < 2 * n else 1
 
 
-def _factor(S, lo, codec, col):
+def _factor(S, lo, codec, col, sel=None):
     """Rows of S differentiated in the variable of column ``col``, as (rows,
-    code words, coefficients); None when the derivative vanishes."""
+    code words, coefficients); None when the derivative vanishes.  ``sel``,
+    ascending indices of rows with a nonzero entry in ``col``, restricts
+    the rows (default: all of them)."""
     n = S.dims.n
-    sel = S.rows[:, col] != 0 if col < n else S.rows[:, col] > 0
-    if not sel.any():
+    if sel is None:
+        sel = np.flatnonzero(S.rows[:, col])
+    if not len(sel):
         return None
     rows = S.rows[sel]
     if col < n:
@@ -560,7 +564,46 @@ def _half(A):
     return TFSeries._of(A, A.rows[keep], np.where(first[keep] == 0, 0.5 * coefs, coefs), True)
 
 
-def _products(out, A, B, pairs):
+def _skip_plan(A, B, pairs, dp, budget):
+    """Per pair of ``pairs``, the rows of A and of B that ``_products``
+    differentiates and multiplies, less the rows whose product rows' summed
+    ``vf_majorants`` on ``dp`` fit ``budget``; returns (per pair the kept row
+    indices of A and of B, the left-out bound, product rows left out).
+
+    With u = |c| |e| weight gain for a row whose column entry e (exponent or
+    k component) the derivative brings down, where gain is the factor the
+    weight gains by that derivative (1 for an angle, r^-2 for an action, w_j
+    / r for mode j), and h of ``_vf_parts`` on the row before it is
+    differentiated, a product of derivative rows a', b' has majorant at most
+    u_a u_b (h_a + h_b) / r^2: the weight is submultiplicative (|k + k'| <=
+    |k| + |k'|), h subadditive, and lowering an exponent never raises h.
+    So leaving A-row i out of its pair costs at most u_i (h_i sum_j u_j +
+    sum_j u_j h_j) / r^2 over the pair's B-rows j, and a B-row the mirror
+    image.  The rows whose costs fall below ``_below_cut`` of all the costs
+    go; a product row whose A-row and B-row both go is counted twice, so
+    the bound is an upper bound of the left-out products' summed majorants.
+    """
+    n = A.dims.n
+    w = np.array([mode_weight(j, dp) for j in A.dims.modes])
+    gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
+    sides = []      # per operand: (rows in the pair, u, h), one column per pair
+    for S, cols in zip((A, B), np.array([pair[:2] for pair in pairs]).T):
+        base, h = _vf_parts(S, dp)
+        e = S.rows[:, cols]     # the entries the derivatives bring down
+        sides.append((e != 0, base[:, None] * np.abs(e) * gain[cols], h))
+    (ina, ua, ha), (inb, ub, hb) = sides
+    cost_a = ua * (ha[:, None] * ub.sum(axis=0) + hb @ ub)
+    cost_b = ub * (hb[:, None] * ua.sum(axis=0) + ha @ ua)
+    cost = np.concatenate([cost_a[ina], cost_b[inb]]) / dp.r ** 2
+    drop = _below_cut(cost, budget)
+    keep_a, keep_b = ina.copy(), inb.copy()
+    keep_a[ina], keep_b[inb] = np.split(~drop, [ina.sum()])
+    left_out = int(ina.sum(axis=0) @ inb.sum(axis=0) - keep_a.sum(axis=0) @ keep_b.sum(axis=0))
+    kept = [(np.flatnonzero(ka), np.flatnonzero(kb)) for ka, kb in zip(keep_a.T, keep_b.T)]
+    return kept, float(cost[drop].sum()), left_out
+
+
+def _products(out, A, B, pairs, dp=None, budget=0.0):
     """Sum over ``(col_a, col_b, factor)`` of factor * dA/d(col_a) * dB/d(col_b)
     into ``out``, truncated to the budgets.  The one rule: when A and B are
     both flagged ``real``, only ``_half(A)`` is multiplied and the
@@ -580,16 +623,29 @@ def _products(out, A, B, pairs):
     pair: ca * (cb * factor) equals (ca * cb) * factor exactly, also where
     numpy's complex multiply fuses a multiply-add (folding it into ca does
     not: the fused product then rounds a different partial product).
+
+    A positive ``budget`` leaves out, before any row is formed, the rows of
+    A and B that ``_skip_plan`` picks on the domain ``dp``; the kept rows
+    go through the accumulator in their order.  With halving, each
+    left-out product counts for P and M(P), so the plan gets half the
+    budget and ``meta['skip_bound']`` is twice its bound;
+    ``meta['skip_rows']`` counts the rows left out of the pair blocks
+    (before the budget mask, so rows it would drop count too).
     """
     n, bud = A.dims.n, A.budgets
     cut = (bud.prune_rel / 16.0) * A.max_abs() * B.max_abs()
     acc = _Accumulator(cut)
     mirrored = A.real and B.real
+    twice = 2.0 if mirrored else 1.0
     if mirrored:
         A = _half(A)
         if not len(A):      # a real-flagged A with no row at or below its mirror
             acc.finalize(out, None, mirrored)
             return
+    plan = [(None, None)] * len(pairs)
+    if budget > 0.0:
+        plan, bound, left_out = _skip_plan(A, B, pairs, dp, budget / twice)
+        out.meta.update(skip_bound=twice * bound, skip_rows=left_out)
     lo_a, hi_a = _bounds(A.rows)
     lo_b, hi_b = _bounds(B.rows)
     codec = _Codec(lo_a + lo_b, hi_a + hi_b)
@@ -599,8 +655,8 @@ def _products(out, A, B, pairs):
     lowered = min(_lowering(ca, n) + _lowering(cb, n) for ca, cb, _ in pairs)
     masked = (_degrees(A.rows, n).max() + _degrees(B.rows, n).max() - lowered > bud.degree_max
               or _kabs(A.rows, n).max() + _kabs(B.rows, n).max() > bud.k_max)
-    for col_a, col_b, factor in pairs:
-        fa, fb = _factor(A, lo_a, codec, col_a), _factor(B, lo_b, codec, col_b)
+    for (col_a, col_b, factor), (sel_a, sel_b) in zip(pairs, plan):
+        fa, fb = _factor(A, lo_a, codec, col_a, sel_a), _factor(B, lo_b, codec, col_b, sel_b)
         if fa is None or fb is None:
             continue
         ra, wa, ca = fa
@@ -629,7 +685,7 @@ def _products(out, A, B, pairs):
     acc.finalize(out, codec, mirrored)
 
 
-def poisson_bracket(F, G):
+def poisson_bracket(F, G, dp=None, budget=0.0):
     """Poisson bracket {F, G}.
 
     The sign convention is fixed as
@@ -656,10 +712,17 @@ def poisson_bracket(F, G):
     and ``pruned_mass`` are twice P's (budgets and magnitude floor are
     mirror-invariant) and ``cut_mass`` is taken on P + M(P).  Otherwise both
     operands are used whole.
+
+    With a positive ``budget``, the bracket leaves out product rows whose
+    summed ``vf_majorants`` on the domain ``dp`` stay within it, without
+    forming them (``_skip_plan``): ``vector_field_norm`` on ``dp`` of the
+    result is within ``meta['skip_bound']`` (<= budget) of the whole
+    bracket's, and ``meta['skip_rows']`` counts the product rows left out.
+    A budget of 0 (the default) forms the whole bracket, and both are 0.
     """
     F._check_compatible(G)
     out = TFSeries._of(F, F.rows[:0], F.coefs[:0], F.real and G.real)
-    out.meta["dropped_mass"] = 0.0
+    out.meta.update(dropped_mass=0.0, skip_bound=0.0, skip_rows=0)
     if not len(F) or not len(G):
         return out
     content_f = (len(F), F.rows.tobytes(), F.coefs.tobytes())
@@ -674,7 +737,7 @@ def poisson_bracket(F, G):
         pairs += [(b, n + b, sign), (n + b, b, -sign)]
     for z in range(2 * n, 2 * n + nmodes):
         pairs += [(z, z + nmodes, sign * 1j), (z + nmodes, z, -sign * 1j)]
-    _products(out, A, B, pairs)
+    _products(out, A, B, pairs, dp, budget)
     return out
 
 
@@ -733,25 +796,44 @@ def vector_field_norm(F, dp):
             + math.sqrt(zbsq) / dp.r + math.sqrt(zsq) / dp.r)
 
 
-def vf_majorants(F, dp):
-    """Per term of F, the ``vector_field_norm`` of that term alone:
-
-        |c| weight * (max_b |k_b| + max_b alpha_b + |beta w^2|_2 + |gamma w^2|_2) / r^2
-
-    with the weight of ``weighted_norm``.  A term and its mirror (-k, alpha,
-    gamma, beta, conjugate coefficient) get bit-equal values: every factor is
-    computed row by row, and the two mode norms are added to each other
-    before they are added to the rest.
+def _vf_parts(F, dp):
+    """Per term of F, (base, h) with base = |c| weight (``weighted_norm``'s)
+    and h = max_b |k_b| + max_b alpha_b + (|beta w^2|_2 + |gamma w^2|_2), so
+    that base h / r^2 is the ``vector_field_norm`` of the term alone.  Every factor is computed row by row, and the two
+    mode norms are added to each other before they are added to the rest,
+    so a term and its mirror (-k, alpha, gamma, beta, conjugate
+    coefficient) get bit-equal values.  Lowering an exponent never raises h.
     """
     n, nmodes = F.dims.n, len(F.dims.modes)
     rows = F.rows
-    base = np.abs(F.coefs) * _term_weights(F, dp)
     head = (np.abs(rows[:, :n]).max(axis=1, initial=0)
             + rows[:, n:2 * n].max(axis=1, initial=0))
     w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])
     zb = np.sqrt(((rows[:, 2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=1))
     zg = np.sqrt(((rows[:, 2 * n + nmodes:] * w2) ** 2).sum(axis=1))
-    return base * (head + (zb + zg)) / dp.r ** 2
+    return np.abs(F.coefs) * _term_weights(F, dp), head + (zb + zg)
+
+
+def vf_majorants(F, dp):
+    """Per term of F, the ``vector_field_norm`` of that term alone:
+
+        |c| weight * (max_b |k_b| + max_b alpha_b + |beta w^2|_2 + |gamma w^2|_2) / r^2
+
+    with the weight of ``weighted_norm`` (``_vf_parts``); a term and its
+    mirror get bit-equal values.
+    """
+    base, h = _vf_parts(F, dp)
+    return base * h / dp.r ** 2
+
+
+def _below_cut(values, budget):
+    """Mask of the ``values`` strictly below the first one, in ascending
+    order, at which the prefix sum passes ``budget`` (every value when the
+    whole sum stays within it).  Equal values fall on one side together,
+    and the masked values sum to at most ``budget``."""
+    ascending = np.sort(values)
+    over = np.cumsum(ascending) > budget
+    return values < ascending[over.argmax()] if over.any() else np.ones(len(values), dtype=bool)
 
 
 def vf_truncate(F, dp, budget):
@@ -760,17 +842,13 @@ def vf_truncate(F, dp, budget):
 
     ``vector_field_norm`` is subadditive over disjoint terms, so the kept
     part's norm is within ``bound``, the summed majorants of the dropped
-    terms, of F's.  The cut is the first majorant m* at which the ascending
-    prefix sum passes the budget, and exactly the terms below m* go: a term
-    and its mirror share their majorant, so a real F stays real.  A budget
-    of 0 keeps every term.
+    terms, of F's.  The cut is ``_below_cut``'s: a term and its mirror share
+    their majorant, so a real F stays real.  A budget of 0 keeps every term.
     """
     if budget <= 0.0 or not len(F):
         return F, 0.0, 0
     m = vf_majorants(F, dp)
-    ascending = np.sort(m)
-    over = np.cumsum(ascending) > budget
-    drop = m < ascending[over.argmax()] if over.any() else np.ones(len(m), dtype=bool)
+    drop = _below_cut(m, budget)
     return F.select(~drop), float(m[drop].sum()), int(drop.sum())
 
 

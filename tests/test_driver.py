@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kamzero import driver
+from kamzero import driver, series
 from kamzero.cli import _build_problem
 from kamzero.config import parse_config
 from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
@@ -167,7 +167,7 @@ def _rec(m, eps_measured, eps_next, d0):
                       eps_next=eps_next, xF_norm=0.0, residual=0.0,
                       freq_drift=0.0, delta0=d0, dropped_mass=0.0, precut_mass=0.0,
                       cut_mass=0.0, prune_mass=0.0, vf_trunc_bound=0.0,
-                      vf_trunc_terms=0, lie_order=1,
+                      vf_trunc_terms=0, skip_bound=0.0, skip_rows=0, lie_order=1,
                       tail_ratio=0.0, min_divisor_margin=1.0, K_m=1.0,
                       gamma_m=0.05, s_m=0.5, r_m=0.1)
 
@@ -531,12 +531,27 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
 @pytest.mark.parametrize("shape", ["synthetic", "no_torus", "nls"])
 def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, monkeypatch, shape):
     # each step drops R's terms of smallest vector-field majorant up to
-    # _VF_TRUNC_REL * eps_m (1e-12); _VF_TRUNC_REL = 0 is the exact run.  The
-    # verdicts must agree.  Where R is roundoff (synthetic m >= 2, no_torus
-    # m = 2) the solver may solve fewer blocks; on the NLS run every step
-    # solves the same ones.
+    # _VF_TRUNC_REL * eps_m (1e-12), and forms {R, F} without the product
+    # rows whose summed majorant fits the same budget; _VF_TRUNC_REL = 0 is
+    # the exact run.  The verdicts must agree.  Where R is roundoff
+    # (synthetic m >= 2, no_torus m = 2) the solver may solve fewer blocks;
+    # on the NLS run every step solves the same ones.
     from kamzero import cli
 
+    formed = []     # product rows formed by each step's {R, F}, default run
+    bracket, add = driver.poisson_bracket, series._Accumulator.add
+
+    def counted(F, G, dp=None, budget=0.0):
+        if not budget:
+            return bracket(F, G, dp, budget)
+        rows = []
+        with monkeypatch.context() as patch:
+            patch.setattr(series._Accumulator, "add",
+                          lambda acc, words, coefs: rows.append(len(coefs)) or add(acc, words, coefs))
+            out = bracket(F, G, dp, budget)
+        formed.append(sum(rows))
+        return out
+    monkeypatch.setattr(driver, "poisson_bracket", counted)
     reports = []
     for rel in (driver._VF_TRUNC_REL, 0.0):
         monkeypatch.setattr(driver, "_VF_TRUNC_REL", rel)
@@ -548,39 +563,44 @@ def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, monkeypat
     assert trunc["verdict_info"]["m"] == exact["verdict_info"]["m"]
     assert len(trunc["steps"]) == len(exact["steps"])
     assert all(s["vf_trunc_bound"] == 0.0 and s["vf_trunc_terms"] == 0 for s in exact["steps"])
+    assert all(s["skip_bound"] == 0.0 and s["skip_rows"] == 0 for s in exact["steps"])
     assert any(s["vf_trunc_terms"] for s in trunc["steps"])
-    # vf_trunc_bound certifies the distance of R on the step's own domain
-    # only; eps_next is measured on the next, smaller one after the
-    # brackets, where a dropped term can weigh up to (r_m / r_next)^2 more.
-    # So the eps comparison is an empirical differential check against the
-    # bounds summed over the run so far; on these configs eps moves by at
-    # most 1e-4 of that sum (nls step 3: 5.5e-19 against 6.1e-15), since
-    # eps falls by orders of magnitude per step.
+    # vf_trunc_bound certifies the distance of R on the step's own domain,
+    # skip_bound that of {R, F} on the outgoing one, where eps_next is
+    # measured; neither covers the higher Lie orders formed from them, and
+    # a term dropped from R can weigh up to (r_m / r_next)^2 more on the
+    # outgoing domain.  So the eps comparison is an empirical differential
+    # check against the bounds summed over the run so far; on these configs
+    # eps moves by at most a seventh of that sum (synthetic step 1: 8.7e-20
+    # against 6.4e-19), since eps falls by orders of magnitude per step.
     dropped = 0.0
     for s, e in zip(trunc["steps"], exact["steps"]):
-        assert s["vf_trunc_bound"] <= 1e-12 * s["eps_measured"] * (1 + 1e-12)
+        for bound in ("vf_trunc_bound", "skip_bound"):
+            assert s[bound] <= 1e-12 * s["eps_measured"] * (1 + 1e-12)
         assert abs(s["eps_measured"] - e["eps_measured"]) <= dropped
-        dropped += s["vf_trunc_bound"]
+        dropped += s["vf_trunc_bound"] + s["skip_bound"]
         assert abs(s["eps_next"] - e["eps_next"]) <= dropped
     if shape == "nls":
         assert [s["solve_counts"] for s in trunc["steps"]] == [s["solve_counts"] for s in exact["steps"]]
-        # the step-2 bracket {R, F} sees a seventh of R
-        assert trunc["steps"][1]["vf_trunc_terms"] > 100_000
+        # steps 1 and 2 bracket {R, F}; step 2 forms under a tenth of its rows
+        skipped = [s["skip_rows"] for s in trunc["steps"][:2]]
+        assert len(formed) == 2 and min(skipped) > 0
+        assert skipped[1] > 9 * formed[1]
 
 
 def test_halved_brackets_of_the_nls_run_have_real_operands(tmp_path, monkeypatch):
     # a product of two real-flagged operands is formed from half of the
     # first one, which trusts the flags: on the NLS run every such operand
     # must be real to roundoff
-    from kamzero import cli, series
+    from kamzero import cli
 
     defects = []
     products = series._products
 
-    def audited(out, A, B, pairs):
+    def audited(out, A, B, pairs, *args):
         if A.real and B.real:
             defects.extend(reality_defect(S) / S.max_abs() for S in (A, B))
-        return products(out, A, B, pairs)
+        return products(out, A, B, pairs, *args)
     monkeypatch.setattr(series, "_products", audited)
     cli.main(["run", "--config", os.path.join(CONFIGS, "nls.cfg"), "--max-steps", "2",
               "--out", str(tmp_path)])

@@ -672,3 +672,67 @@ def test_a_zero_budget_drops_nothing(F):
     for S in (F, F + const):
         kept, bound, dropped = vf_truncate(S, VF_DP, 0.0)
         assert kept is S and bound == 0.0 and dropped == 0
+
+
+# ---------------------------------------------------------------------------
+# brackets that leave out product rows within a vector-field budget
+# ---------------------------------------------------------------------------
+
+OPERANDS = st.one_of(st.tuples(series(FLOATS), series(FLOATS)),
+                     st.tuples(real_series(FLOATS), real_series(FLOATS)))
+
+
+@SETTINGS
+@given(OPERANDS, st.floats(0.0, 1.2))
+def test_skipped_bracket_norm_is_within_the_skip_bound(pair, share):
+    F, G = pair
+    full = poisson_bracket(F, G)
+    # an unbounded budget leaves every product row out: its bound sums the
+    # majorants of all of them, and so bounds the l1 mass of each key too
+    everything = poisson_bracket(F, G, VF_DP, math.inf)
+    total = everything.meta["skip_bound"]
+    assert not len(everything) and total >= 0.0
+    budget = share * total
+    out = poisson_bracket(F, G, VF_DP, budget)
+    bound = out.meta["skip_bound"]
+    assert bound <= budget * (1 + 1e-12)
+    assert (out.meta["skip_rows"] > 0) == (bound > 0)
+    if F.real and G.real:
+        assert out.real and reality_defect(out) == 0.0
+    # both brackets round each coefficient within RTOL of its summands' mass
+    slack = 2 * RTOL * total
+    assert (abs(vector_field_norm(full, VF_DP) - vector_field_norm(out, VF_DP))
+            <= bound * (1 + 1e-12) + slack)
+
+
+@SETTINGS
+@given(OPERANDS, st.sampled_from([0.0, 1e-300]))
+def test_a_budget_below_every_row_forms_the_whole_bracket(pair, budget):
+    # budget 0 computes no plan; a budget below every row's cost leaves no
+    # row out, and the kept rows reach the accumulator in their order
+    F, G = pair
+    full = poisson_bracket(F, G)
+    out = poisson_bracket(F, G, VF_DP, budget)
+    assert out.rows.tobytes() == full.rows.tobytes()
+    assert out.coefs.tobytes() == full.coefs.tobytes()
+    assert out.real == full.real
+    assert out.meta == full.meta
+    assert out.meta["skip_bound"] == 0.0 and out.meta["skip_rows"] == 0
+
+
+def test_skipped_rows_of_one_cost_go_together():
+    # {y1, cos x1}: the one pair block is the y1-row against the two rows
+    # e^{+-i x1}, which tie at cost t = e^s / r^2; the y1-row costs 2 t
+    F = from_terms(DIMS, BUD, {make_key(2, alpha=(1, 0)): 1.0})
+    G = from_terms(DIMS, BUD, {make_key(2, k=(1, 0)): 0.5, make_key(2, k=(-1, 0)): 0.5})
+    t = math.exp(VF_DP.s) / VF_DP.r ** 2
+    full = poisson_bracket(F, G)
+    assert len(full) == 2
+    for share, left, bound, rows in ((0.99, 2, 0.0, 0), (1.5, 2, 0.0, 0),
+                                     (2.5, 0, 2 * t, 2), (4.0, 0, 4 * t, 2)):
+        out = poisson_bracket(F, G, VF_DP, share * t)
+        assert len(out) == left
+        assert math.isclose(out.meta["skip_bound"], bound, rel_tol=1e-12)
+        assert out.meta["skip_rows"] == rows
+        if left:
+            assert out.coefs.tobytes() == full.coefs.tobytes()
