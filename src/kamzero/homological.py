@@ -20,6 +20,10 @@ The solve works on key rows: a row's class comes from column sums (action
 degree, zero-mode and tail z-degree), the scalar classes are divided row
 by row, and each block family reads its right sides and writes its
 solution through a *slot layout* (its key rows in the operator's order).
+A family's operators at all its Fourier modes are one stack
+(``block_operators``), factored, guarded and solved by one call each
+(``_block_solutions``); the catalogue takes the roots of each family's
+k = 0 blocks from one stacked eigenvalue call.
 
 The module also holds the one catalogue of small-divisor conditions
 (``condition_catalogue`` over the l1 lattice ``k_lattice``): families KL,
@@ -219,27 +223,37 @@ def assemble_block_operator(family, N, kvec, j=None, Omega_j=None):
     couples the two zero-mode linear vectors (2b unknowns).  In each case
     the matrix is i<k,omega> I plus Kronecker lifts of the zero-mode
     quadratic blocks of N, and it equals the action of F -> -{N, F}
-    restricted to the class.
+    restricted to the class.  It is the one matrix of ``block_operators``.
     """
-    b = N.b
-    kw = float(np.dot(kvec, N.omega)) if len(kvec) else 0.0
+    if family == "B" and (j is None or Omega_j is None):
+        raise ValueError("family B needs the tail mode j and Omega_j")
+    Omega = None if Omega_j is None else np.array([float(Omega_j)])
+    return block_operators(family, N, np.asarray(kvec)[None], Omega)[0]
+
+
+def block_operators(family, N, kvecs, Omega=None):
+    """``assemble_block_operator`` at every Fourier mode ``kvecs[g]`` (and,
+    for family 'B', every frequency ``Omega[g]`` of its tail mode) as one
+    ``(G, d, d)`` stack.  The blocks that do not depend on k are formed once,
+    and every entry by the same operations in the same order at every g."""
+    b, G = N.b, len(kvecs)
+    kw = np.vecdot(np.asarray(kvecs, dtype=float), N.omega)[:, None, None]
     S = N.Nz0z0
     M = N.Nz0zb0
     T = N.Nzb0zb0
     Ib = np.eye(b)
     if family == "A":
         P = commutation_matrix(b)
-        Ibb = np.eye(b * b)
-        blocks = [[kw * Ibb + kron(Ib, M.T) + kron(M.T, Ib),
-                   -(kron(Ib, S) + kron(S, Ib) @ P), None],
-                  [4 * kron(Ib, T),
-                   kw * Ibb + kron(M.T, Ib) - kron(Ib, M), -4 * kron(S, Ib)],
-                  [None, kron(Ib, T) @ P + kron(T, Ib),
-                   kw * Ibb - (kron(Ib, M) + kron(M, Ib))]]
+        diag = kw * np.eye(b * b)
+        IM, IMt, IS, IT = (kron(Ib, X) for X in (M, M.T, S, T))
+        MI, MtI, SI, TI = (kron(X, Ib) for X in (M, M.T, S, T))
+        blocks = [[diag + IMt + MtI, -(IS + SI @ P), None],
+                  [4 * IT, diag + MtI - IM, -4 * SI],
+                  [None, IT @ P + TI, diag - (IM + MI)]]
     elif family == "B":
-        if j is None or Omega_j is None:
-            raise ValueError("family B needs the tail mode j and Omega_j")
-        om = float(Omega_j)
+        if Omega is None:
+            raise ValueError("family B needs the tail-mode frequencies Omega")
+        om = np.asarray(Omega, dtype=float)[:, None, None]
         blocks = [[(kw + om) * Ib + M.T, None, -2 * S, None],
                   [None, (kw - om) * Ib + M.T, None, -2 * S],
                   [2 * T, None, (kw + om) * Ib - M, None],
@@ -249,12 +263,12 @@ def assemble_block_operator(family, N, kvec, j=None, Omega_j=None):
                   [2 * T, kw * Ib - M]]
     else:
         raise ValueError("unknown family %r" % (family,))
-    d = len(blocks[0][0])     # one preallocated matrix; None blocks stay zero
-    out = np.zeros((len(blocks) * d,) * 2, dtype=complex)
+    d = blocks[0][0].shape[-1]     # one preallocated stack; None blocks stay zero
+    out = np.zeros((G,) + (len(blocks) * d,) * 2, dtype=complex)
     for r, row in enumerate(blocks):
         for c, blk in enumerate(row):
             if blk is not None:
-                out[r * d:(r + 1) * d, c * d:(c + 1) * d] = blk
+                out[:, r * d:(r + 1) * d, c * d:(c + 1) * d] = blk
     return 1j * out
 
 
@@ -332,7 +346,13 @@ def lattice_size(n, kmax):
 @lru_cache(maxsize=32)
 def _ball_kpow(n, r, tau):
     """max(|k|, 1)^tau at every point of the cached ball |k|_1 <= r, read-only."""
-    return _read_only(_kpow(np.abs(_l1_ball(n, r)).sum(axis=1), tau))[0]
+    return _read_only(_kpow(_ball_kabs(n, r), tau))[0]
+
+
+@lru_cache(maxsize=8)
+def _ball_kabs(n, r):
+    """|k| at every point of the cached ball |k|_1 <= r, read-only."""
+    return _read_only(np.abs(_l1_ball(n, r)).sum(axis=1))[0]
 
 
 def k_lattice(n, kmax):
@@ -390,21 +410,23 @@ def _first_above(xs, shifts, bound, strict):
     the row length if there is none.
 
     fl(x + c) is nondecreasing in x, so the test is monotone along a sorted
-    row; one bisection runs for all pairs at once and evaluates the same
-    sum the condition does at each probe.
+    row; one binary search runs for all pairs at once and evaluates the
+    same sum the condition does at each probe.  The rows are padded with
+    +inf to a power of two, so that the search takes one step per bit
+    (p grows by the step wherever the probe fails the test) and never
+    leaves the rows.
     """
     nb, nsamp = xs.shape
-    lo = np.zeros(bound.shape, dtype=np.intp)
-    hi = np.full(bound.shape, nsamp, dtype=np.intp)
+    step = 1 << (nsamp.bit_length() - 1) if nsamp else 0
+    padded = np.full((nb, 2 * step), np.inf)
+    padded[:, :nsamp] = xs
     row = np.arange(nb)[:, None]
-    for _ in range(nsamp.bit_length()):
-        mid = (lo + hi) // 2
-        v = xs[row, np.minimum(mid, nsamp - 1)] + shifts
-        up = (v > bound) if strict else (v >= bound)
-        open_ = lo < hi
-        hi = np.where(open_ & up, mid, hi)
-        lo = np.where(open_ & ~up, mid + 1, lo)
-    return lo
+    p = np.zeros(bound.shape, dtype=np.intp)
+    while step:
+        v = padded[row, p + (step - 1)] + shifts
+        p += np.where((v > bound) if strict else (v >= bound), 0, step)
+        step //= 2
+    return np.minimum(p, nsamp)
 
 
 def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
@@ -427,20 +449,23 @@ def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
                   for l, c, w in zip(labels, shifts, weights)]
     if N.b == 0:
         return conds
-    zk = np.zeros(dims.n)
 
-    def block_condition(family, j=None, l=None, kmin=1):
+    def block_conditions(family, js=(None,), ls=(None,), kmin=1):
+        # the roots of the k = 0 block of every tail mode of js, one eigvals
+        # call per family
         scale, tau = _scale_tau(params, family)
-        op = assemble_block_operator(FAMILY_TABLE[family][0], N, zk, j=j,
-                                     Omega_j=None if j is None else Om[j])
-        return Condition(family, l, scale, tau, np.linalg.eigvals(op), kmin)
+        Omega = None if js[0] is None else np.array([Om[j] for j in js])
+        roots = np.linalg.eigvals(block_operators(FAMILY_TABLE[family][0], N,
+                                                  np.zeros((len(js), dims.n)), Omega))
+        return [Condition(family, l, scale, tau, mu, kmin) for l, mu in zip(ls, roots)]
 
     if "R1" in families:
-        conds.append(block_condition("R1"))
-    if "R3" in families:
-        conds += [block_condition("R3", j, ((j, 1),), kmin=0) for j in tail if j <= 2 * kmax]
+        conds += block_conditions("R1")
+    js = [j for j in tail if j <= 2 * kmax]
+    if "R3" in families and js:
+        conds += block_conditions("R3", js, [((j, 1),) for j in js], kmin=0)
     if "R4" in families:
-        conds.append(block_condition("R4"))
+        conds += block_conditions("R4")
     return conds
 
 
@@ -490,29 +515,32 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
     # value is below a zero threshold
     kl = np.array([c.family == "KL" for c in conds], dtype=bool)
     scale = np.array([c.scale for c in conds])
-    owner, shifts, bounds = [], [], []
-    for j, c in enumerate(conds):
-        if scale[j] > 0:
-            owner += [j] * len(c.roots)
-            shifts += (c.roots.real if kl[j] else c.roots.imag).tolist()
-            bounds += [c.scale if kl[j] else _factor_floor(c.scale, len(c.roots))] * len(c.roots)
+    count = np.array([len(c.roots) for c in conds])
+    roots = np.concatenate([c.roots for c in conds])
+    floor = scale.copy()
+    for j in np.flatnonzero(~kl & (scale > 0)):
+        floor[j] = _factor_floor(float(scale[j]), int(count[j]))
+    owner = np.repeat(np.arange(len(conds)), count)
+    shifts = np.where(kl[owner], roots.real, roots.imag)
+    live = scale[owner] > 0
+    owner, shifts = owner[live], shifts[live]
+    bounds = floor[owner]
     order = np.argsort(kw)
     # |fl(x + c)| < t is fl(x + c) >= nextafter(-t, inf) and not >= t: the
     # two ends of every range in one bisection
-    bounds = np.array(bounds)
     ends = _first_above(kw[order][None], np.tile(shifts, 2),
                         np.concatenate([np.nextafter(-bounds, np.inf), bounds])[None],
                         strict=False)[0]
     lo, hi = np.split(ends, 2)
     n = np.maximum(hi - lo, 0)
     pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
-    cj, ci = np.repeat(np.array(owner, dtype=np.intp), n), order[pos]
+    cj, ci = np.repeat(owner, n), order[pos]
     # each candidate's value and threshold; the KL conditions all at once
     meas, thr = np.empty(len(ci)), np.empty(len(ci))
     at_kl = kl[cj]
     if at_kl.any():
         j, i = cj[at_kl], ci[at_kl]
-        shift = np.array([c.roots[0].real for c in conds])
+        shift = roots.real[np.cumsum(count) - count]     # a KL condition's one root
         meas[at_kl] = np.abs(kw[i] + shift[j])
         thr[at_kl] = scale[j] / _ball_kpow(dims.n, r, params.tau)[i]
     for j in np.unique(cj[~at_kl]):
@@ -520,7 +548,7 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
         meas[at] = conds[j].value(kw[ci[at]])
         thr[at] = conds[j].scale / _ball_kpow(dims.n, r, conds[j].tau)[ci[at]]
     kmin = np.array([c.kmin for c in conds], dtype=int)
-    hit = (np.abs(lat[ci]).sum(axis=1) >= kmin[cj]) & (meas < thr)
+    hit = (_ball_kabs(dims.n, r)[ci] >= kmin[cj]) & (meas < thr)
     # the distinct failures (a determinant may list a point once per root),
     # in condition, then lattice order
     _, first = np.unique(cj[hit] * len(lat) + ci[hit], return_index=True)
@@ -545,6 +573,39 @@ def extract_hat(R_low, dims):
 # ---------------------------------------------------------------------------
 # the six-part solve
 # ---------------------------------------------------------------------------
+
+def _block_solutions(family, N, params, ks, js, rhs):
+    """The solutions x[g] of ``family``'s block systems at Fourier modes
+    ks[g] (and tail modes js[g], None outside R3) with right sides rhs[g],
+    and the smallest margin |det| / threshold, all on one stack of
+    operators (``block_operators``).
+
+    The first failure in row order raises ResonantParameter: a determinant
+    at or below half its threshold, else a system ``solve_dense`` rejects
+    (reported with its determinant).
+    """
+    scale, tau = _scale_tau(params, family)
+    thr = scale / _kpow(np.abs(ks).sum(axis=1), tau)
+    ops = block_operators(FAMILY_TABLE[family][0], N, ks,
+                          None if js[0] is None else [N.Omega[j] for j in js])
+    dm = det_modulus(ops)
+
+    def failed(g):
+        l = None if js[g] is None else ((int(js[g]), 1),)
+        return ResonantParameter(ResonanceCondition(
+            family, tuple(int(v) for v in ks[g]), l, float(thr[g]), float(dm[g])))
+
+    low = dm <= 0.5 * thr
+    stop = int(np.argmax(low)) if low.any() else len(ks)
+    try:
+        sol = solve_dense(ops[:stop], rhs[:stop])
+    except SingularSystem as err:
+        raise failed(err.index[0]) from err
+    if stop < len(ks):
+        raise failed(stop)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return sol, float(np.fmin.reduce(np.where(thr > 0, dm / thr, np.inf), initial=np.inf))
+
 
 @dataclass
 class SolveReport:
@@ -616,6 +677,7 @@ def solve_homological(N, R_low, params, dims, dp):
     def solve_blocks(family, part, ks, js, *sources):
         """One dense solve of ``family``'s block per Fourier mode ks[g] (and
         tail mode js[g]), right sides read from the sum of ``sources``."""
+        nonlocal margin
         if not len(ks):
             return empty
         block = FAMILY_TABLE[family][0]
@@ -623,19 +685,8 @@ def solve_homological(N, R_low, params, dims, dp):
         rows[:, :n] = np.repeat(ks, len(rows) // len(ks), axis=0)
         weights = np.concatenate([_layout(dims, block, j)[1] for j in js])
         rhs = (weights * lookup(rows, *sources)).reshape(len(ks), -1)
-        scale, tau = _scale_tau(params, family)
-        thr = scale / _kpow(np.abs(ks).sum(axis=1), tau)
-        sol = np.empty_like(rhs)
-        for g, (k, j) in enumerate(zip(ks, js)):
-            l = None if j is None else ((int(j), 1),)
-            A = assemble_block_operator(block, N, k, j=j, Omega_j=None if j is None else N.Omega[j])
-            dm = det_modulus(A)
-            guard(family, dm, thr[g], k, l)
-            try:
-                sol[g] = solve_dense(A, rhs[g])
-            except SingularSystem as err:
-                raise ResonantParameter(ResonanceCondition(
-                    family, tuple(int(v) for v in k), l, float(thr[g]), dm)) from err
+        sol, least = _block_solutions(family, N, params, ks, js, rhs)
+        margin = min(margin, least)
         counts[part] = len(ks)
         return rows, sol.ravel()
 

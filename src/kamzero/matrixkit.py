@@ -2,19 +2,28 @@
 
 Kronecker products and column straightening follow the block definitions;
 dense solves and determinant moduli are backed by LAPACK through
-numpy.linalg, behind the contracts below (residual guard, singular-system
-error carrying |det|).  Everything here is a pure function on small arrays.
+numpy.linalg, behind the contracts below (condition guard, singular-system
+error carrying |det| and the failing matrix's index).  Both take one matrix
+or a stack ``(..., d, d)`` of them: numpy's batched LAPACK routines factor
+each matrix of a stack on its own, so every result is the one the matrix
+alone gives, bit for bit.  Everything here is a pure function on small
+arrays.
 """
 
 import numpy as np
 
 
 class SingularSystem(Exception):
-    """Raised when a per-mode linear system is numerically singular."""
+    """Raised when a per-mode linear system is numerically singular.
 
-    def __init__(self, det_modulus, message="singular linear system"):
-        super().__init__("%s (|det| = %.3e)" % (message, det_modulus))
+    ``index`` is the position of the failing matrix in a stack (a tuple over
+    the stack's axes, ``()`` for a single matrix)."""
+
+    def __init__(self, det_modulus, message="singular linear system", index=()):
+        where = " at matrix %s" % (index,) if index else ""
+        super().__init__("%s%s (|det| = %.3e)" % (message, where, det_modulus))
         self.det_modulus = det_modulus
+        self.index = index
 
 
 def kron(A, B):
@@ -46,37 +55,53 @@ def commutation_matrix(b):
     return P
 
 
-def det_modulus(M):
-    """|det M| via pivoted LU factorization."""
+def _square(M, what):
     M = np.asarray(M, dtype=complex)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("determinant needs a square matrix")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("%s needs a square matrix or a stack of them" % what)
+    return M
+
+
+def det_modulus(M):
+    """|det M| via pivoted LU factorization: a float for one matrix, an array
+    over the stack's axes for a stack ``(..., d, d)``."""
+    M = _square(M, "determinant")
     sign, logdet = np.linalg.slogdet(M)
-    if sign == 0:
-        return 0.0
-    return float(np.exp(logdet))
+    if M.ndim == 2:
+        return 0.0 if sign == 0 else float(np.exp(logdet))
+    return np.where(sign == 0, 0.0, np.exp(logdet))
+
+
+def _failure(M, failed, message):
+    """SingularSystem at the first matrix of the stack M where ``failed``
+    holds, in row-major order of the stack's axes."""
+    index = np.unravel_index(int(np.argmax(failed)), M.shape[:-2])
+    return SingularSystem(det_modulus(M[index]), message, tuple(int(i) for i in index))
 
 
 def solve_dense(M, rhs, cond_guard=1e12):
-    """Solve M x = rhs with partial pivoting.
+    """Solve M x = rhs with partial pivoting; a stack ``(..., d, d)`` of
+    matrices takes one right side ``(..., d)`` each.
 
     Raises SingularSystem when the condition estimate exceeds ``cond_guard``
     (conservative exclusion of near-resonant systems) or when M is exactly
-    singular.  The determinant is only formed to report a failure, so a
-    caller that has already checked it pays for it once.
+    singular, naming the first failing matrix of a stack.  The determinant
+    is only formed to report a failure, so a caller that has already
+    checked it pays for it once.
     """
-    M = np.asarray(M, dtype=complex)
+    M = _square(M, "solve")
     rhs = np.asarray(rhs, dtype=complex)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("solve needs a square matrix")
-    if cond_guard is not None and M.shape[0] > 0:
+    if cond_guard is not None and M.size:
         c = np.linalg.cond(M)
-        if not np.isfinite(c) or c > cond_guard:
-            raise SingularSystem(det_modulus(M), "ill-conditioned linear system")
+        bad = ~np.isfinite(c) | (c > cond_guard)
+        if bad.any():
+            raise _failure(M, bad, "ill-conditioned linear system")
     try:
-        return np.linalg.solve(M, rhs)
+        if M.ndim == 2:
+            return np.linalg.solve(M, rhs)
+        return np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        raise SingularSystem(det_modulus(M)) from None
+        raise _failure(M, np.linalg.slogdet(M)[0] == 0, "singular linear system") from None
 
 
 def op_norm(M, tol=1e-10, max_iter=500, seed=7):

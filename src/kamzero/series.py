@@ -30,7 +30,11 @@ The radix comes from the column ranges of the operands at hand; ranges
 wider than 63 bits spill into further code words sorted with
 ``np.lexsort``, so a code never wraps.
 
-Brackets stream their product rows through a bounded accumulator
+A bracket is formed in one pass over its derivative pairs
+(``_products``): each operand's rows are encoded once and its derivatives
+for every pair formed together, and the product rows of consecutive pairs
+are formed in blocks of at most ``_CHUNK_ROWS`` rows.  Brackets stream
+these rows through a bounded accumulator
 (``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS`` unsorted rows
 is sorted and summed on its own into a sorted block of distinct keys, and
 sorted blocks are merged with each other only when their rows pass
@@ -358,36 +362,55 @@ class _Codec:
 
     def __init__(self, lo, hi):
         self.lo = lo
-        self.radix = (hi - lo + 1).tolist()
+        self.radix = hi - lo + 1
         self.words = []          # (first column, end column, strides)
         start = 0
-        while start < len(self.radix) or not self.words:
+        radix = self.radix.tolist()
+        while start < len(radix) or not self.words:
             end, size = start, 1
-            while end < len(self.radix) and size * self.radix[end] < 2 ** 63:
-                size *= self.radix[end]
+            while end < len(radix) and size * radix[end] < 2 ** 63:
+                size *= radix[end]
                 end += 1
             strides = [1] * (end - start)
             for c in range(end - start - 2, -1, -1):
-                strides[c] = strides[c + 1] * self.radix[start + c + 1]
+                strides[c] = strides[c + 1] * radix[start + c + 1]
             self.words.append((start, end, np.array(strides, dtype=np.int64)))
             start = end
+
+    def _slices(self, count):
+        """Row slices of at most about ``_CHUNK_ROWS`` int64 entries each."""
+        step = max(1, _CHUNK_ROWS // max(1, len(self.radix)))
+        if count <= step:
+            return [slice(None)]
+        return [slice(s, s + step) for s in range(0, count, step)]
 
     def encode(self, rows, lo):
         """Code words of ``rows``, formed a slice of rows at a time so that no
         int64 temporary exceeds about ``_CHUNK_ROWS`` entries (codes are
         exact integers, so the slicing changes no code)."""
-        step = max(1, _CHUNK_ROWS // max(1, rows.shape[1]))
-        if len(rows) > step:
-            parts = [self.encode(rows[s:s + step], lo) for s in range(0, len(rows), step)]
-            return [np.concatenate(words) for words in zip(*parts)]
-        return [(rows[:, a:b] - lo[a:b]) @ strides for a, b, strides in self.words]
+        parts = [[(rows[s, a:b] - lo[a:b]) @ strides for a, b, strides in self.words]
+                 for s in self._slices(len(rows))]
+        return parts[0] if len(parts) == 1 else [np.concatenate(w) for w in zip(*parts)]
+
+    def lowered(self, words, cols):
+        """The code words of rows lowered by one in column ``cols[i]`` (-1:
+        left as they are): each word less the column's stride where the
+        column is one of its digits.  Exact wherever the lowered entry stays
+        at or above ``lo``, as a derivative's does (``_bounds`` includes 0)."""
+        out = []
+        for (a, b, strides), code in zip(self.words, words):
+            step = np.zeros(len(self.radix) + 1, dtype=np.int64)    # step[-1]: no column
+            step[a:b] = strides
+            out.append(code - step[cols])
+        return out
 
     def decode(self, words):
+        """Rows of the code ``words``: one broadcast division per word, a
+        slice of rows at a time (as ``encode``)."""
         rows = np.empty((len(words[0]), len(self.radix)), dtype=np.int16)
-        for (a, b, _), code in zip(self.words, words):
-            for c in range(b - 1, a - 1, -1):
-                code, digit = np.divmod(code, self.radix[c])
-                rows[:, c] = digit + self.lo[c]
+        for s in self._slices(len(rows)):
+            for (a, b, strides), code in zip(self.words, words):
+                rows[s, a:b] = code[s, None] // strides % self.radix[a:b] + self.lo[a:b]
         return rows
 
 
@@ -527,29 +550,10 @@ def _summed(blocks):
     return [w[first] for w in words], sums
 
 
-def _lowering(col, n):
-    """Total-degree drop of differentiating in the variable of column ``col``:
-    0 for an angle, 2 for an action, 1 for a normal mode."""
-    return 0 if col < n else 2 if col < 2 * n else 1
-
-
-def _factor(S, lo, codec, col, sel=None):
-    """Rows of S differentiated in the variable of column ``col``, as (rows,
-    code words, coefficients); None when the derivative vanishes.  ``sel``,
-    ascending indices of rows with a nonzero entry in ``col``, restricts
-    the rows (default: all of them)."""
-    n = S.dims.n
-    if sel is None:
-        sel = np.flatnonzero(S.rows[:, col])
-    if not len(sel):
-        return None
-    rows = S.rows[sel]
-    if col < n:
-        coefs = S.coefs[sel] * (1j * rows[:, col])
-    else:
-        coefs = S.coefs[sel] * rows[:, col]
-        rows[:, col] -= 1
-    return rows, codec.encode(rows, lo), coefs
+def _lowering(cols, n):
+    """Total-degree drop of differentiating in the variable of each column of
+    ``cols``: 0 for an angle, 2 for an action, 1 for a normal mode."""
+    return np.where(cols < n, 0, np.where(cols < 2 * n, 2, 1))
 
 
 def _half(A):
@@ -564,11 +568,12 @@ def _half(A):
     return TFSeries._of(A, A.rows[keep], np.where(first[keep] == 0, 0.5 * coefs, coefs), True)
 
 
-def _skip_plan(A, B, pairs, dp, budget):
-    """Per pair of ``pairs``, the rows of A and of B that ``_products``
-    differentiates and multiplies, less the rows whose product rows' summed
-    ``vf_majorants`` on ``dp`` fit ``budget``; returns (per pair the kept row
-    indices of A and of B, the left-out bound, product rows left out).
+def _skip_plan(A, B, cols_a, cols_b, dp, budget):
+    """Per pair (column ``cols_a[p]`` of A with ``cols_b[p]`` of B), the rows
+    of A and of B that ``_products`` differentiates and multiplies, less the
+    rows whose product rows' summed ``vf_majorants`` on ``dp`` fit
+    ``budget``; returns (the kept rows of A and of B as masks with one
+    column per pair, the left-out bound, product rows left out).
 
     With u = |c| |e| weight gain for a row whose column entry e (exponent or
     k component) the derivative brings down, where gain is the factor the
@@ -587,7 +592,7 @@ def _skip_plan(A, B, pairs, dp, budget):
     w = np.array([mode_weight(j, dp) for j in A.dims.modes])
     gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
     sides = []      # per operand: (rows in the pair, u, h), one column per pair
-    for S, cols in zip((A, B), np.array([pair[:2] for pair in pairs]).T):
+    for S, cols in ((A, cols_a), (B, cols_b)):
         base, h = _vf_parts(S, dp)
         e = S.rows[:, cols]     # the entries the derivatives bring down
         sides.append((e != 0, base[:, None] * np.abs(e) * gain[cols], h))
@@ -599,8 +604,107 @@ def _skip_plan(A, B, pairs, dp, budget):
     keep_a, keep_b = ina.copy(), inb.copy()
     keep_a[ina], keep_b[inb] = np.split(~drop, [ina.sum()])
     left_out = int(ina.sum(axis=0) @ inb.sum(axis=0) - keep_a.sum(axis=0) @ keep_b.sum(axis=0))
-    kept = [(np.flatnonzero(ka), np.flatnonzero(kb)) for ka, kb in zip(keep_a.T, keep_b.T)]
-    return kept, float(cost[drop].sum()), left_out
+    return keep_a, keep_b, float(cost[drop].sum()), left_out
+
+
+class _Derivatives(NamedTuple):
+    """Every pair's derivative rows of one operand, pair-major: pair p holds
+    ``counts[p]`` rows, ``offsets[p]:offsets[p + 1]``, each from operand row
+    ``src``."""
+
+    counts: np.ndarray
+    offsets: np.ndarray
+    src: np.ndarray
+    words: list
+    coefs: np.ndarray
+
+    def span(self, p):
+        return slice(self.offsets[p], self.offsets[p + 1])
+
+    def pair(self, p):
+        """(code words, coefficients) of pair p."""
+        at = self.span(p)
+        return [w[at] for w in self.words], self.coefs[at]
+
+
+def _derivatives(S, lo, codec, cols, keep):
+    """The rows of S where ``keep[:, p]`` holds, differentiated in the
+    variable of column ``cols[p]``, for every pair p at once.
+
+    The rows are encoded once; a derivative multiplies the coefficient by
+    the exponent, or by 1j k for an angle, and lowers the exponent by one,
+    which lowers the code by one stride (``_Codec.lowered``)."""
+    pair, src = np.nonzero(keep.T)      # pair-major, rows in order
+    col = cols[pair]
+    e = S.rows[src, col]
+    angle = col < S.dims.n
+    words = codec.lowered([w[src] for w in codec.encode(S.rows, lo)], np.where(angle, -1, col))
+    counts = keep.sum(axis=0)
+    return _Derivatives(counts, np.concatenate([[0], np.cumsum(counts)]), src, words,
+                        S.coefs[src] * np.where(angle, 1j * e, e))
+
+
+def _groups(sizes):
+    """(p, q, total) for runs of consecutive pairs p to q - 1 whose
+    ``total`` products, ``sizes`` of them per pair, fit ``_CHUNK_ROWS``
+    together, and for each pair with more alone; runs without products are
+    left out."""
+    p = 0
+    while p < len(sizes):
+        q, total = p + 1, sizes[p]
+        while q < len(sizes) and total + sizes[q] <= _CHUNK_ROWS:
+            total += sizes[q]
+            q += 1
+        if total:
+            yield p, q, total
+        p = q
+
+
+def _pair_products(acc, da, db, p):
+    """The products of pair p, row-major, an A-row slice of at most about
+    ``_CHUNK_ROWS`` rows at a time (one A-row at least)."""
+    (wa, ca), (wb, cb) = da.pair(p), db.pair(p)
+    step = max(1, _CHUNK_ROWS // len(cb))
+    for lo in range(0, len(ca), step):
+        hi = lo + step
+        acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)],
+                (ca[lo:hi, None] * cb).ravel())
+
+
+def _group_products(acc, da, db, p, q, total):
+    """The ``total`` products of pairs p to q - 1 in one block, row-major
+    pair by pair: each A-row repeated once per B-row of its pair."""
+    na, nb = da.counts[p:q], db.counts[p:q]
+    reps = np.repeat(nb, na)        # B-rows per A-row
+    at = slice(da.offsets[p], da.offsets[q])
+    jb = np.arange(total) + np.repeat(np.repeat(db.offsets[p:q], na) - (np.cumsum(reps) - reps), reps)
+    coefs = np.repeat(da.coefs[at], reps)
+    coefs *= db.coefs[jb]
+    acc.add([np.repeat(x[at], reps) + y[jb] for x, y in zip(da.words, db.words)], coefs)
+
+
+def _masked_products(acc, A, B, da, db, p, lowered):
+    """The products of pair p within the budgets, row-major, gathered from
+    an A-row slice's broadcast mask; the mass of the others is counted from
+    magnitudes.  ``lowered`` is each operand's degree drop in the pair."""
+    n, bud = A.dims.n, A.budgets
+    (wa, ca), (wb, cb) = da.pair(p), db.pair(p)
+    ra, rb = A.rows[da.src[da.span(p)]], B.rows[db.src[db.span(p)]]
+    dga, dgb = _degrees(ra, n) - lowered[0], _degrees(rb, n) - lowered[1]
+    ka, kb = ra[:, :n].astype(np.int32), rb[:, :n].astype(np.int32)
+    mb = np.abs(cb)
+    step = max(1, _CHUNK_ROWS // len(cb))
+    for lo in range(0, len(ca), step):
+        hi = lo + step
+        keep = dga[lo:hi, None] + dgb <= bud.degree_max
+        if n:
+            kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
+            keep &= kabs <= bud.k_max
+        # |ca_i cb_j| summed over the dropped pairs, from the magnitudes
+        acc.dropped += float(np.abs(ca[lo:hi]) @ (~keep @ mb))
+        i, j = np.nonzero(keep)     # row-major, as the full product's rows
+        i += lo
+        acc.add([x[i] + y[j] for x, y in zip(wa, wb)], ca[i] * cb[j])
 
 
 def _products(out, A, B, pairs, dp=None, budget=0.0):
@@ -613,16 +717,24 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     not real to roundoff, it forms the product of A's lower half and its
     mirror instead of A's.
 
-    When the operands' extremes can exceed a budget, each block's in-budget
+    One pass over all pairs: each operand's rows are encoded once and its
+    derivatives for every pair formed together (``_derivatives``).  Each
+    factor is +-1 or +-i and is folded into dB's coefficients: ca * (cb *
+    factor) equals (ca * cb) * factor exactly, also where numpy's complex
+    multiply fuses a multiply-add (folding it into ca does not: the fused
+    product then rounds a different partial product).  The product rows
+    reach the accumulator pair by pair, row-major within a pair: the pairs
+    in consecutive groups of at most ``_CHUNK_ROWS`` products, one block
+    each (``_group_products``), and a pair that is a group alone in A-row
+    slices (``_pair_products``).  Where the same ca * cb sits in a longer
+    array, numpy may round it differently, so a coefficient can differ by
+    an ulp from the pair-by-pair product.
+
+    When the operands' extremes can exceed a budget, each pair's in-budget
     mask is built from the integer degree and |k| columns, and only the kept
     (row of A, row of B) pairs are gathered, in the row-major order of the
     full block; the dropped rows are never formed, and their mass is counted
     from magnitudes as sum_i |ca_i| * sum_{j dropped} |cb_j|.
-
-    Each factor is +-1 or +-i and is folded into dB's coefficients once per
-    pair: ca * (cb * factor) equals (ca * cb) * factor exactly, also where
-    numpy's complex multiply fuses a multiply-add (folding it into ca does
-    not: the fused product then rounds a different partial product).
 
     A positive ``budget`` leaves out, before any row is formed, the rows of
     A and B that ``_skip_plan`` picks on the domain ``dp``; the kept rows
@@ -642,46 +754,34 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
         if not len(A):      # a real-flagged A with no row at or below its mirror
             acc.finalize(out, None, mirrored)
             return
-    plan = [(None, None)] * len(pairs)
+    cols_a, cols_b, factors = (np.array(c) for c in zip(*pairs))
     if budget > 0.0:
-        plan, bound, left_out = _skip_plan(A, B, pairs, dp, budget / twice)
+        keep_a, keep_b, bound, left_out = _skip_plan(A, B, cols_a, cols_b, dp, budget / twice)
         out.meta.update(skip_bound=twice * bound, skip_rows=left_out)
+    else:
+        keep_a, keep_b = A.rows[:, cols_a] != 0, B.rows[:, cols_b] != 0
     lo_a, hi_a = _bounds(A.rows)
     lo_b, hi_b = _bounds(B.rows)
     codec = _Codec(lo_a + lo_b, hi_a + hi_b)
+    da = _derivatives(A, lo_a, codec, cols_a, keep_a)
+    db = _derivatives(B, lo_b, codec, cols_b, keep_b)
+    db = db._replace(coefs=db.coefs * np.repeat(factors.astype(complex), db.counts))
     # a product row's degree is its factors' degrees less the pair's lowering
     # and its |k| at most theirs, so the budget mask is needed only when the
     # operands' extremes can exceed a budget
-    lowered = min(_lowering(ca, n) + _lowering(cb, n) for ca, cb, _ in pairs)
-    masked = (_degrees(A.rows, n).max() + _degrees(B.rows, n).max() - lowered > bud.degree_max
-              or _kabs(A.rows, n).max() + _kabs(B.rows, n).max() > bud.k_max)
-    for (col_a, col_b, factor), (sel_a, sel_b) in zip(pairs, plan):
-        fa, fb = _factor(A, lo_a, codec, col_a, sel_a), _factor(B, lo_b, codec, col_b, sel_b)
-        if fa is None or fb is None:
-            continue
-        ra, wa, ca = fa
-        rb, wb, cb = fb
-        cb = cb * factor
-        if masked:
-            dga, dgb = _degrees(ra, n), _degrees(rb, n)
-            ka, kb = ra[:, :n].astype(np.int32), rb[:, :n].astype(np.int32)
-            mb = np.abs(cb)
-        step = max(1, _CHUNK_ROWS // len(cb))
-        for lo in range(0, len(ca), step):
-            hi = lo + step
-            if not masked:
-                acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)],
-                        (ca[lo:hi, None] * cb).ravel())
-                continue
-            keep = dga[lo:hi, None] + dgb <= bud.degree_max
-            if n:
-                kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
-                keep &= kabs <= bud.k_max
-            # |ca_i cb_j| summed over the dropped pairs, from the magnitudes
-            acc.dropped += float(np.abs(ca[lo:hi]) @ (~keep @ mb))
-            i, j = np.nonzero(keep)     # row-major, as the full product's rows
-            i += lo
-            acc.add([x[i] + y[j] for x, y in zip(wa, wb)], ca[i] * cb[j])
+    low_a, low_b = _lowering(cols_a, n), _lowering(cols_b, n)
+    masked = (_degrees(A.rows, n).max() + _degrees(B.rows, n).max() - (low_a + low_b).min()
+              > bud.degree_max or _kabs(A.rows, n).max() + _kabs(B.rows, n).max() > bud.k_max)
+    sizes = (da.counts * db.counts).tolist()
+    if masked:
+        for p in np.flatnonzero(sizes):
+            _masked_products(acc, A, B, da, db, p, (low_a[p], low_b[p]))
+    else:
+        for p, q, total in _groups(sizes):
+            if q == p + 1:
+                _pair_products(acc, da, db, p)
+            else:
+                _group_products(acc, da, db, p, q, total)
     acc.finalize(out, codec, mirrored)
 
 

@@ -31,11 +31,16 @@ SWEEP_SEEDS = range(30)
 
 @pytest.fixture(scope="session")
 def sweep_gate_calls(tmp_path_factory):
-    """Every solver-gate and escape-witness call of one sweep pass.
+    """Every solver-gate, solver and escape-witness call of one sweep pass,
+    and each problem's verdict.
 
-    Returns {"checks": [(args, failures)], "witnesses": [(args, kwargs,
-    (escaped, record))]}, recorded where ``driver`` calls them.
+    Returns {"checks": [(args, failures)], "solves": [(args, kwargs)],
+    "witnesses": [(args, kwargs, (escaped, record))], "verdicts": {label:
+    {"verdict": .., "m": ..}}}, the calls recorded where ``driver`` makes
+    them and the labels ``<shape>-b<b>-seed<seed>`` as the benchmark names
+    its problems.
     """
+    import json
     import os
     from unittest import mock
 
@@ -43,13 +48,17 @@ def sweep_gate_calls(tmp_path_factory):
 
     configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "configs")
-    calls = {"checks": [], "witnesses": []}
-    check, witness = driver.check_nonresonance, driver.no_torus_witness
+    calls = {"checks": [], "solves": [], "witnesses": [], "verdicts": {}}
+    check, solve, witness = driver.check_nonresonance, driver.solve_homological, driver.no_torus_witness
 
     def traced_check(*args):
         out = check(*args)
         calls["checks"].append((args, out))
         return out
+
+    def traced_solve(*args, **kwargs):
+        calls["solves"].append((args, kwargs))
+        return solve(*args, **kwargs)
 
     def traced_witness(*args, **kwargs):
         out = witness(*args, **kwargs)
@@ -58,6 +67,7 @@ def sweep_gate_calls(tmp_path_factory):
 
     outdir = str(tmp_path_factory.mktemp("sweep"))
     with mock.patch.object(driver, "check_nonresonance", traced_check), \
+            mock.patch.object(driver, "solve_homological", traced_solve), \
             mock.patch.object(driver, "no_torus_witness", traced_witness):
         for shape, b in SWEEP_SHAPES:
             with open(os.path.join(configs, shape + ".cfg")) as fh:
@@ -66,4 +76,8 @@ def sweep_gate_calls(tmp_path_factory):
                 cfg = cli.parse_config(text + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n"
                                        % (seed, b))
                 cli.cmd_run(cfg, outdir, None, None)
+                with open(os.path.join(outdir, "run.json")) as fh:
+                    report = json.load(fh)
+                calls["verdicts"]["%s-b%d-seed%d" % (shape, b, seed)] = {
+                    "verdict": report["verdict"], "m": report["verdict_info"].get("m")}
     return calls

@@ -364,6 +364,21 @@ def test_closed_form_witness_equals_rk4_on_the_sweep(sweep_gate_calls):
         assert rec.bound == rk4.bound
 
 
+def test_sweep_verdicts_match_the_benchmark_reference(sweep_gate_calls):
+    # the verdict table the benchmark checks its sweep against, read only;
+    # its error entries record a known schedule overflow, skipped as the
+    # benchmark skips them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+        table = json.load(fh)["synthetic-sweep"]
+    verdicts = sweep_gate_calls["verdicts"]
+    assert set(verdicts) == set(table) and len(table) == 120
+    checked = [label for label, ref in table.items() if "error" not in ref]
+    assert len(checked) >= 100
+    assert {label: verdicts[label] for label in checked} == {label: table[label]
+                                                             for label in checked}
+
+
 @pytest.mark.parametrize("drive", [0.1, 0.9, 1.1, 10.0])
 def test_closed_form_witness_decides_both_ways_like_rk4(drive):
     # a drive |alpha0| of the given multiple of the threshold, a nonzero A0

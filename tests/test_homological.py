@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm, Resonanc
                                  ResonantParameter, assemble_block_operator,
                                  check_nonresonance, condition_catalogue, extract_hat,
                                  hom_residual, k_lattice, k_powers, solve_homological)
-from kamzero.homological import _factor_floor, _kl_options, _layout
-from kamzero.matrixkit import commutation_matrix, det_modulus, kron, vec
+from kamzero import homological
+from kamzero.homological import (FAMILY_TABLE, _factor_floor, _kl_options, _kpow, _layout,
+                                 _scale_tau)
+from kamzero.matrixkit import (SingularSystem, commutation_matrix, det_modulus, kron,
+                               solve_dense, vec)
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
                             fourier_truncate, poisson_bracket, split_low_high,
                             vector_field_norm)
@@ -278,6 +282,91 @@ def test_check_equals_the_dense_evaluation_on_the_sweep(sweep_gate_calls):
     assert sum(len(out) for _, out in checks) > 0
     for args, out in checks:
         assert out == dense_check(*args)
+
+
+def per_k_block_solutions(family, N, params, ks, js, rhs):
+    """Reference for ``homological._block_solutions``: one operator,
+    determinant and solve per Fourier mode, guarded in row order (the
+    determinant before the solve at each mode)."""
+    scale, tau = _scale_tau(params, family)
+    thr = scale / _kpow(np.abs(ks).sum(axis=1), tau)
+    sol, margin = np.empty_like(rhs), np.inf
+    for g, (k, j) in enumerate(zip(ks, js)):
+        A = assemble_block_operator(FAMILY_TABLE[family][0], N, k, j=j,
+                                    Omega_j=None if j is None else N.Omega[j])
+        dm, t = det_modulus(A), float(thr[g])
+        failed = ResonantParameter(ResonanceCondition(
+            family, tuple(int(v) for v in k), None if j is None else ((int(j), 1),), t, dm))
+        if dm <= 0.5 * t:
+            raise failed
+        margin = min(margin, dm / t if t > 0 else np.inf)
+        try:
+            sol[g] = homological.solve_dense(A, rhs[g])
+        except SingularSystem as err:
+            raise failed from err
+    return sol, margin
+
+
+def _block_outcome(solutions, *args):
+    """(solution bytes, margin) of a block solve, or the condition it raised."""
+    try:
+        sol, margin = solutions(*args)
+    except ResonantParameter as err:
+        return err.condition
+    return sol.tobytes(), margin
+
+
+def test_stacked_block_solutions_equal_the_per_k_loop_at_every_guard():
+    # inflated thresholds fail some determinants, a cond guard of 3 some
+    # solves: the stack raises where the loop does, the determinant first
+    # at one mode, with the same condition, and else solves bit for bit
+    kinds = {"solved": 0, "determinant": 0, "solve": 0}
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        b = 1 + seed % 2
+        dims = make_dims(b, jmax=b + 4)
+        N = make_nf(dims, rng, block_scale=0.3)
+        params = step_params(b, gamma1=[0.02, 2.0, 20.0][seed % 3])
+        ks = rng.integers(-2, 3, (rng.integers(1, 8), dims.n)).astype(np.int16)
+        guard = [None, 1e12, 3.0][(seed // 3) % 3]
+        for family, size in (("R1", 3 * b * b), ("R3", 4 * b), ("R4", 2 * b)):
+            js = ([int(j) for j in rng.choice(dims.tail_modes, len(ks))] if family == "R3"
+                  else [None] * len(ks))
+            args = (family, N, params, ks, js,
+                    rng.standard_normal((len(ks), size)) + 1j * rng.standard_normal((len(ks), size)))
+            with mock.patch.object(homological, "solve_dense",
+                                   lambda M, rhs: solve_dense(M, rhs, guard)):
+                got = _block_outcome(homological._block_solutions, *args)
+                assert got == _block_outcome(per_k_block_solutions, *args)
+            kinds["solved" if isinstance(got, tuple) else
+                  "determinant" if got.measured <= 0.5 * got.threshold else "solve"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def _solve_outcome(args, kwargs):
+    """Everything ``solve_homological`` returns, as bytes where it is an
+    array, or the condition it raised."""
+    try:
+        F, hat, rep = solve_homological(*args, **kwargs)
+    except ResonantParameter as err:
+        return err.condition
+    fields = [np.asarray(getattr(hat, f)).tobytes() for f in
+              ("Nx", "omega", "Nz0", "Nzb0", "Nz0z0", "Nz0zb0", "Nzb0zb0")]
+    return (F.rows.tobytes(), F.coefs.tobytes(), fields, hat.Omega, rep.solve_counts,
+            rep.min_divisor_margin, rep.residual, rep.xF_norm)
+
+
+def test_stacked_block_solves_equal_the_per_k_loop_on_the_sweep(sweep_gate_calls):
+    solves = sweep_gate_calls["solves"]
+    assert len(solves) > 200
+    blocks = 0
+    for args, kwargs in solves:
+        got = _solve_outcome(args, kwargs)
+        with mock.patch.object(homological, "_block_solutions",
+                               side_effect=per_k_block_solutions) as ref:
+            assert _solve_outcome(args, kwargs) == got
+        blocks += ref.call_count
+    assert blocks > 400
 
 
 @st.composite

@@ -123,3 +123,62 @@ def test_op_norm():
     for _ in range(100):
         v = crandn(rng, 5)
         assert np.linalg.norm(M @ v) <= nrm * np.linalg.norm(v) * (1 + 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# stacks of matrices
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+def test_stacked_det_and_solve_equal_the_per_matrix_loop_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 4, 12):
+        M = crandn(rng, 2, 5, d, d) + d * np.eye(d)
+        rhs = crandn(rng, 2, 5, d)
+        dm = det_modulus(M)
+        assert dm.shape == (2, 5)
+        assert _bits(dm) == _bits([[det_modulus(m) for m in row] for row in M])
+        x = solve_dense(M, rhs)
+        assert x.shape == (2, 5, d)
+        assert _bits(x) == _bits([[solve_dense(m, r) for m, r in zip(*row)] for row in zip(M, rhs)])
+    assert det_modulus(np.zeros((0, 3, 3))).shape == (0,)
+    assert solve_dense(np.zeros((0, 3, 3)), np.zeros((0, 3))).shape == (0, 3)
+
+
+def _first_failure(M, rhs, cond_guard):
+    """(index, |det|, message) of the first matrix the per-matrix loop rejects."""
+    for g, (m, r) in enumerate(zip(M, rhs)):
+        try:
+            solve_dense(m, r, cond_guard)
+        except SingularSystem as err:
+            return (g,), err.det_modulus, str(err).split(" (")[0]
+    return None
+
+
+def test_stacked_solve_names_the_first_failing_matrix():
+    rng = np.random.default_rng(10)
+    M = crandn(rng, 6, 3, 3) + 3 * np.eye(3)
+    rhs = crandn(rng, 6, 3)
+    # an ill-conditioned member at 4 and an exactly singular one at 2 (its
+    # second row twice its first, so the LU factorization meets a zero pivot)
+    M[4, 2] = M[4, 1] + 1e-14 * M[4, 0]
+    M[2] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    for stack, guard, where, message in [(M, 1e12, (2,), "ill-conditioned linear system"),
+                                         (M, None, (2,), "singular linear system"),
+                                         (np.delete(M, 2, axis=0), 1e12, (3,),
+                                          "ill-conditioned linear system")]:
+        right = rhs[:len(stack)]
+        with pytest.raises(SingularSystem) as err:
+            solve_dense(stack, right, guard)
+        assert err.value.index == where
+        assert str(err.value).startswith(message + " at matrix (%d,)" % where[0])
+        assert (err.value.index, err.value.det_modulus, message) == _first_failure(stack, right,
+                                                                                    guard)
+    assert det_modulus(M)[2] == 0.0 == det_modulus(M[2])
+    # a single matrix names no index
+    with pytest.raises(SingularSystem) as err:
+        solve_dense(M[2], rhs[2], None)
+    assert err.value.index == () and "at matrix" not in str(err.value)

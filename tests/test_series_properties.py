@@ -12,6 +12,7 @@ rounding, bounded by 1e-14 of the l1 mass of its summands.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -365,6 +366,31 @@ def test_wide_keys_at_the_fourier_budget_never_wrap():
     assert all(abs(v) <= top for key in out.terms for v in key.k)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_codec_decode_inverts_encode_on_wide_codes(width, seed, per_slice):
+    # int16 columns with ranges of 12 to 15 bits each, so that from six
+    # columns on every code spills into further 63-bit words; rows drawn
+    # inside the ranges come back from their codes, decoded all at once and
+    # a few rows at a time, and so do rows lowered by one in a column
+    rng = np.random.default_rng(seed)
+    lo = rng.integers(-16384, 1, width)
+    hi = lo + rng.integers(4095, 32768, width)
+    rows = rng.integers(lo, hi + 1, (rng.integers(1, 60), width)).astype(np.int16)
+    codec = kseries._Codec(lo, hi)
+    assert len(codec.words) > 1 or width < 6
+    words = codec.encode(rows, lo)
+    assert np.array_equal(codec.decode(words), rows)
+    with mock.patch.object(kseries, "_CHUNK_ROWS", per_slice * width):
+        assert np.array_equal(codec.decode(words), rows)
+    cols = rng.integers(-1, width, len(rows))
+    cols[rows[np.arange(len(rows)), cols] == lo[cols]] = -1     # stays within the range
+    lowered = rows.copy()
+    at = np.flatnonzero(cols >= 0)
+    lowered[at, cols[at]] -= 1
+    assert np.array_equal(codec.decode(codec.lowered(words, cols)), lowered)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(series(FLOATS, max_size=12), series(FLOATS, max_size=12),
        series(DYADIC, WIDE, WIDE_BUD, kspread=4000, max_size=6),
@@ -422,6 +448,48 @@ def test_products_beyond_one_buffer_match_reference_within_rounding(F, G, chunk)
     for key in set(got) | set(ref):
         assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
     assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def _box(kmax, alpha, rng):
+    """Series of every row with |k_b| <= kmax and alpha_b < alpha[b] (no mode
+    exponents), Gaussian coefficients, on budgets no product reaches."""
+    grid = np.stack(np.meshgrid(*[np.arange(-kmax, kmax + 1)] * 2, *map(np.arange, alpha),
+                                indexing="ij"), axis=-1).reshape(-1, 4)
+    rows = np.zeros((len(grid), 2 * DIMS.n + 2 * len(DIMS.modes)), dtype=np.int16)
+    rows[:, :4] = grid
+    return TFSeries.from_rows(DIMS, Budgets(40, 64, 0.0), rows,
+                              rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows)))
+
+
+def test_unmasked_bracket_forms_its_rows_a_chunk_at_a_time():
+    # 2,205 x 300 terms, 1.3M product rows, 16,875 distinct: with a chunk
+    # of a few thousand rows no block reaches the accumulator larger than a
+    # chunk, and the bracket's numpy memory peaks within 64 chunks of 24
+    # bytes (a code word and a coefficient per row) where forming its rows
+    # at once would take about 1,300
+    rng = np.random.default_rng(11)
+    F, G = _box(10, (5, 1), rng), _box(2, (3, 4), rng)
+    whole = poisson_bracket(F, G)
+    for chunk, largest in ((4096, 4096), (128, max(len(F), len(G)))):
+        sizes, add = [], kseries._Accumulator.add
+
+        def counted(acc, words, coefs):
+            sizes.append(len(coefs))
+            return add(acc, words, coefs)
+        with mock.patch.object(kseries, "_CHUNK_ROWS", chunk), \
+                mock.patch.object(kseries._Accumulator, "add", counted):
+            tracemalloc.start()
+            try:
+                out = poisson_bracket(F, G)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a pair whose B-side holds more than a chunk goes an A-row at a time
+        assert sum(sizes) > 1_000_000 and max(sizes) <= largest
+        assert np.array_equal(out.rows, whole.rows) and len(out) == 16875
+        assert np.allclose(out.coefs, whole.coefs, rtol=1e-12, atol=0.0)
+        if chunk == 4096:
+            assert peak <= 64 * 24 * chunk
 
 
 # terms of degree 4 to 6 under a degree budget of 6: a bracket keeps only the
