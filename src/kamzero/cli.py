@@ -106,7 +106,6 @@ def cmd_nls_build(cfg, outdir, xi_index):
         "max_resonant_leftover": bk.max_resonant_leftover,
         "constant_dropped": {"re": kf.constant_dropped.real, "im": kf.constant_dropped.imag},
         "expansion_dropped": kf.expansion_dropped,
-        "prune_mass": kf.prune_mass,
         "terms": len(kf.R0),
         "notes": kf.notes,
     }

@@ -22,7 +22,10 @@ perturbation is assembled from the exact decomposition
 so no O(1) normal-form mass is pushed through a floating-point
 cancellation; every piece is of size O(eps) or smaller.  The bracket
 {N, F} is the one the solver formed to certify its residual, and both Lie
-sums run through ``series.lie_series``.
+sums run through ``series.lie_series``.  Brackets and Lie sums cut no
+coefficient by its magnitude; the step does so once, at its end
+(``TFSeries.prune`` of R_{m+1}: ``prune_mass`` and ``prune_vf_bound`` in
+the record).
 
 The dichotomy monitors delta_0 = sqrt(|J^{z0}|_2^2 + |J^{zbar0}|_2^2)
 against 20 eps_{m-1}^{7/6}: persistently below (with eps under the
@@ -46,7 +49,7 @@ from .homological import (BudgetExhausted, NormalForm, ResonantParameter,
 from .matrixkit import op_norm
 from .series import (DomainParams, TFSeries, fourier_truncate, lie_series,
                      poisson_bracket, realify, split_low_high, truncated_mass,
-                     vector_field_norm, vf_truncate)
+                     vector_field_norm, vf_majorants, vf_truncate)
 
 
 # share of eps_m that a step may drop from R by vector-field majorant
@@ -187,9 +190,8 @@ class StepRecord:
     freq_drift: float
     delta0: float
     dropped_mass: float
-    precut_mass: float
-    cut_mass: float
     prune_mass: float
+    prune_vf_bound: float
     vf_trunc_bound: float
     vf_trunc_terms: int
     skip_bound: float
@@ -206,8 +208,8 @@ class StepRecord:
     def as_dict(self):
         out = {k: getattr(self, k) for k in (
             "m", "eps_scheduled", "eps_measured", "eps_next", "xF_norm",
-            "residual", "freq_drift", "delta0", "dropped_mass", "precut_mass",
-            "cut_mass", "prune_mass", "vf_trunc_bound", "vf_trunc_terms", "skip_bound",
+            "residual", "freq_drift", "delta0", "dropped_mass",
+            "prune_mass", "prune_vf_bound", "vf_trunc_bound", "vf_trunc_terms", "skip_bound",
             "skip_rows", "lie_order",
             "tail_ratio", "min_divisor_margin", "K_m", "gamma_m", "s_m", "r_m")}
         out["solve_counts"] = dict(sorted(self.solve_counts.items()))
@@ -252,25 +254,28 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     rem_tol = 0.01 * max(eps_m ** (4.0 / 3.0), 1e-30)
     T1 = srep.bracket  # {N, F}, as certified by the solver's residual
     resid_series = T1 + low_trunc - Nhat.to_series(dims, R.budgets)
-    masses = truncated_mass(T1)
+    dropped = truncated_mass(T1)
     R_next = resid_series + tail
     lie_used = 1
     skip_bound, skip_rows = 0.0, 0
     if len(F):
         T2 = poisson_bracket(T1, F)
-        chainN, massN, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
+        chainN, droppedN, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
         # {R, F} only to the precision of eps_m on the outgoing domain: the
         # product rows of least majorant are never formed while their
         # summed bound stays below _VF_TRUNC_REL * eps_m
         S1 = poisson_bracket(R, F, dp_next, _VF_TRUNC_REL * eps_m)
         skip_bound, skip_rows = S1.meta["skip_bound"], S1.meta["skip_rows"]
-        chainR, massR, _, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
+        chainR, droppedR, _, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
         R_next = R_next + high + chainN + chainR
-        masses = {key: mass + (massN[key] + massR[key]) for key, mass in masses.items()}
+        dropped += droppedN + droppedR
         lie_used = max(usedN, usedR)
     else:
         R_next = R_next + high
-    prune_mass = srep.prune_mass + R_next.prune()
+    # the step's one magnitude cut; the majorants of the terms it drops bound
+    # how far it moves eps_next
+    prune_vf_bound = float(vf_majorants(R_next.select(R_next.prune_mask()), dp_next).sum())
+    prune_mass = R_next.prune()
     eps_next = vector_field_norm(R_next, dp_next)
 
     rec = StepRecord(
@@ -282,10 +287,9 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
         residual=srep.residual,
         freq_drift=float(np.max(np.abs(Nhat.omega), initial=0.0)),
         delta0=delta0(N_next),
-        dropped_mass=masses["dropped_mass"],
-        precut_mass=masses["pruned_mass"],
-        cut_mass=masses["cut_mass"],
+        dropped_mass=dropped,
         prune_mass=prune_mass,
+        prune_vf_bound=prune_vf_bound,
         vf_trunc_bound=vf_bound,
         vf_trunc_terms=vf_terms,
         skip_bound=skip_bound,

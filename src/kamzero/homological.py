@@ -614,7 +614,6 @@ class SolveReport:
     residual: float         # ||{N,F} + R_low - Nhat|| on D(s, r, r)
     xF_norm: float          # vector-field norm of F
     bracket: TFSeries       # {N, F}, the bracket the residual is certified with
-    prune_mass: float       # l1 mass the final prune of F removed
 
 
 def solve_homological(N, R_low, params, dims, dp):
@@ -728,10 +727,9 @@ def solve_homological(N, R_low, params, dims, dp):
     F.append(solve_scalar("part6", rows, R_low, corr6))
 
     F = series_of(F, R_low.real)
-    prune_mass = F.prune()
     NF = poisson_bracket(N_series, F)
     return F, Nhat, SolveReport(counts, margin, residual=hom_residual(NF, R_low, Nhat, dp, dims),
-                                xF_norm=vector_field_norm(F, dp), bracket=NF, prune_mass=prune_mass)
+                                xF_norm=vector_field_norm(F, dp), bracket=NF)
 
 
 def hom_residual(NF, R_low, Nhat, dp, dims):

@@ -222,7 +222,6 @@ class KamForm:
     fmap: AffineFrequencyMap  # omega(xi) = alpha + A xi, exact from the y expansion
     constant_dropped: complex
     expansion_dropped: float
-    prune_mass: float         # l1 mass the prune of R0 removed
     notes: dict = field(default_factory=dict)
 
 
@@ -261,8 +260,8 @@ def to_kam_form(model, birkhoff, budgets):
     omega(xi) = alpha + A xi, the normal frequencies stay at j^2 (the
     zero-mode keeps frequency 0), and everything else lands in R0.  The
     omitted expansion orders (Taylor depth or degree/Fourier budget) are
-    reported as coefficient mass at |y| = xi/4, and the mass the prune of
-    R0 removes as ``prune_mass``.
+    reported as coefficient mass at |y| = xi/4.  No coefficient of R0 is
+    cut by its magnitude.
     """
     n, dims, depth, xi = model.n, model.kam_dims(), model.taylor_depth, model.xi
     width = model.jmax + 1
@@ -305,13 +304,12 @@ def to_kam_form(model, birkhoff, budgets):
     term, t = np.nonzero(inside & ~const & ~np.any(means, axis=0))
     R0 = TFSeries.from_rows(dims, budgets, np.concatenate([k[term], tvecs[t], z[term]], axis=1),
                             coef[term, t], real=True)
-    prune_mass = R0.prune()
 
     fmap = _site_map(model, birkhoff.Gbar)
     N0 = NormalForm.zero(n, 1)
     N0.omega = omega
     N0.Omega = dict(fmap.Omega)
-    return KamForm(N0, R0, dims, fmap, constant_dropped, expansion_dropped, prune_mass,
+    return KamForm(N0, R0, dims, fmap, constant_dropped, expansion_dropped,
                    notes={"normal_shift_B": 0.0,
                           "B_zero_convention": "tail frequencies kept at j^2; "
                           "order-xi tail couplings remain in R0"})

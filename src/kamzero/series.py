@@ -121,7 +121,8 @@ class SeriesDims:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Truncation budgets: total degree, Fourier radius, relative prune tol."""
+    """Truncation budgets: total degree, Fourier radius, and the end-of-step
+    prune's tolerance (``TFSeries.prune``, relative to max|c|)."""
 
     degree_max: int = 6
     k_max: int = 32
@@ -281,15 +282,21 @@ class TFSeries:
         if self.dims != other.dims:
             raise ValueError("series dims mismatch: %r vs %r" % (self.dims, other.dims))
 
-    def prune(self, rel=None):
-        """Drop coefficients below ``rel * max|c|``; returns pruned mass."""
+    def prune_mask(self, rel=None):
+        """Mask of the coefficients below ``rel * max|c|`` (``prune_rel`` by
+        default): the terms ``prune`` drops."""
         rel = self.budgets.prune_rel if rel is None else rel
-        if not len(self) or rel <= 0:
-            return 0.0
         mags = np.abs(self.coefs)
-        keep = mags >= rel * mags.max()
-        self.rows, self.coefs, self._terms = self.rows[keep], self.coefs[keep], None
-        return float(mags[~keep].sum())
+        return mags < rel * mags.max(initial=0.0)
+
+    def prune(self, rel=None):
+        """Drop the terms of ``prune_mask``; returns their l^1 mass."""
+        drop = self.prune_mask(rel)
+        if not drop.any():
+            return 0.0
+        mass = float(np.abs(self.coefs[drop]).sum())
+        self.rows, self.coefs, self._terms = self.rows[~drop], self.coefs[~drop], None
+        return mass
 
     # -- serialization --------------------------------------------------
 
@@ -459,9 +466,9 @@ class _Accumulator:
     """Bounded-memory collector of product rows as (code words, coefficient).
 
     ``add`` takes rows within the budgets (``_products`` forms only those
-    and counts the mass of the others into ``dropped``), drops those below
-    the magnitude floor (mass into ``precut``), and appends the rest to a
-    raw buffer of unsorted rows.  Before a block would push that buffer past
+    and counts the mass of the others into ``dropped``) and appends them to
+    a raw buffer of unsorted rows; no row is cut by its magnitude, so the
+    sum is exact up to rounding.  Before a block would push that buffer past
     ``_CHUNK_ROWS`` rows (one larger block aside), the buffer alone is summed
     into one sorted block of distinct keys.  Sorted blocks are merged with
     each other only once they hold more than ``_CHUNK_ROWS`` rows, and once
@@ -471,33 +478,18 @@ class _Accumulator:
     rows that fit in one buffer are summed by the one sort in ``finalize``.
     """
 
-    def __init__(self, mag_cut):
-        self.mag_cut = mag_cut
+    def __init__(self):
         self.raw, self.raw_rows = [], 0           # unsorted (words, coefs) blocks
         self.blocks, self.block_rows = [], 0      # sorted blocks of distinct keys
         self.dropped = 0.0
-        self.precut = 0.0
 
     def add(self, words, coefs):
-        words, coefs = self._cut(words, coefs)
         if self.raw_rows and self.raw_rows + len(coefs) > _CHUNK_ROWS:
             self._reduce_raw()
             if self.block_rows > _CHUNK_ROWS:
                 self._merge_blocks()
         self.raw.append((words, coefs))
         self.raw_rows += len(coefs)
-
-    def _cut(self, words, coefs):
-        """The rows above the magnitude floor, the cut mass counted (a method
-        of its own, so that its temporaries are freed before a reduction)."""
-        if self.mag_cut > 0.0:
-            mags = np.abs(coefs)
-            live = mags > self.mag_cut
-            if not live.all():
-                self.precut += float(mags[~live].sum())
-                words = [w[live] for w in words]
-                coefs = coefs[live]
-        return words, coefs
 
     def _reduce_raw(self):
         self.blocks.append(_summed(self.raw))
@@ -509,16 +501,13 @@ class _Accumulator:
         self.block_rows = len(self.blocks[0][1])
 
     def finalize(self, out, codec, mirrored):
-        """Merge everything into ``out``; the final relative cut
-        ``prune_rel * max|c|`` lands in ``meta['cut_mass']``.
+        """Merge everything into ``out``, dropping only the keys whose sum is
+        exactly zero; the budget mass lands in ``meta['dropped_mass']``.
 
         With ``mirrored`` the rows collected are P, formed from half of an
-        operand (see ``_products``): the sum P is added to its mirror M(P)
-        before the cut, and the budget and pre-cut masses, both
-        mirror-invariant, count twice."""
-        twice = 2.0 if mirrored else 1.0
-        out.meta.update(dropped_mass=twice * self.dropped, pruned_mass=twice * self.precut,
-                        cut_mass=0.0)
+        operand (see ``_products``): the sum P is added to its mirror M(P),
+        and the budget mass, mirror-invariant, counts twice."""
+        out.meta["dropped_mass"] = (2.0 if mirrored else 1.0) * self.dropped
         if self.raw_rows:
             self._reduce_raw()
         if not self.block_rows:
@@ -530,9 +519,7 @@ class _Accumulator:
         del words       # freed before the mirror merge
         if mirrored:
             rows, sums = _plus_mirror(out.dims, rows, sums)
-        mags = np.abs(sums)
-        live = mags > out.budgets.prune_rel * mags.max(initial=0.0)
-        out.meta["cut_mass"] = float(mags[~live].sum())
+        live = sums != 0
         out.rows, out.coefs = rows[live], sums[live]
 
 
@@ -711,11 +698,10 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     """Sum over ``(col_a, col_b, factor)`` of factor * dA/d(col_a) * dB/d(col_b)
     into ``out``, truncated to the budgets.  The one rule: when A and B are
     both flagged ``real``, only ``_half(A)`` is multiplied and the
-    accumulator adds the mirror of the sum, so the output is exactly real
-    (the magnitude floor still comes from the whole of A); otherwise both
-    are used whole.  The halving trusts the flags: with an operand that is
-    not real to roundoff, it forms the product of A's lower half and its
-    mirror instead of A's.
+    accumulator adds the mirror of the sum, so the output is exactly real;
+    otherwise both are used whole.  The halving trusts the flags: with an
+    operand that is not real to roundoff, it forms the product of A's lower
+    half and its mirror instead of A's.
 
     One pass over all pairs: each operand's rows are encoded once and its
     derivatives for every pair formed together (``_derivatives``).  Each
@@ -745,8 +731,7 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     (before the budget mask, so rows it would drop count too).
     """
     n, bud = A.dims.n, A.budgets
-    cut = (bud.prune_rel / 16.0) * A.max_abs() * B.max_abs()
-    acc = _Accumulator(cut)
+    acc = _Accumulator()
     mirrored = A.real and B.real
     twice = 2.0 if mirrored else 1.0
     if mirrored:
@@ -794,10 +779,10 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
 
     so that d/dt (G o X_F^t) = {G, F} o X_F^t, i.e. ad_F G = {G, F} generates
     the time evolution along the Hamiltonian flow of F.  The result is
-    truncated to the shared budgets; mass lost to truncation lands in
-    ``meta['dropped_mass']`` (degree/Fourier budgets), ``meta['pruned_mass']``
-    (magnitude floor on the products) and ``meta['cut_mass']`` (final
-    relative cut).
+    truncated to the shared degree and Fourier budgets, and the l1 mass lost
+    to them lands in ``meta['dropped_mass']``.  No coefficient is cut by its
+    magnitude: within the budgets the bracket is exact up to rounding, and
+    only keys whose sum is exactly zero are dropped.
 
     Antisymmetry is exact coefficientwise: the two arguments are put into a
     canonical order by comparing their arrays (flipping the sign when they
@@ -807,11 +792,9 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     When both operands are flagged ``real``, only half of the canonical
     first operand A is bracketed (``_products``): the rows of A that sort
     below their mirror, and its self-mirror rows (k = 0, beta = gamma) at
-    weight 1/2.  The accumulator adds the mirror of that sum, P + M(P),
-    before the final cut, so the output is exactly real; ``dropped_mass``
-    and ``pruned_mass`` are twice P's (budgets and magnitude floor are
-    mirror-invariant) and ``cut_mass`` is taken on P + M(P).  Otherwise both
-    operands are used whole.
+    weight 1/2.  The accumulator adds the mirror of that sum, P + M(P), so
+    the output is exactly real, and ``dropped_mass`` is twice P's (the
+    budgets are mirror-invariant).  Otherwise both operands are used whole.
 
     With a positive ``budget``, the bracket leaves out product rows whose
     summed ``vf_majorants`` on the domain ``dp`` stay within it, without
@@ -990,15 +973,10 @@ def fourier_truncate(R, K, dp=None, sigma=None):
     return trunc, tail, report
 
 
-# the l^1 mass a bracket's meta records as truncated, by cause: the degree
-# and Fourier budgets, the magnitude pre-cut of product rows, the final
-# relative cut
-LEDGER = ("dropped_mass", "pruned_mass", "cut_mass")
-
-
 def truncated_mass(S):
-    """The ``LEDGER`` masses recorded in the meta of S (0.0 where absent)."""
-    return {key: S.meta.get(key, 0.0) for key in LEDGER}
+    """The l^1 mass the degree and Fourier budgets cut from S, as its meta
+    records it (0.0 where absent)."""
+    return S.meta.get("dropped_mass", 0.0)
 
 
 def lie_series(term, F, j, order, dp=None, rem_tol=None):
@@ -1008,45 +986,44 @@ def lie_series(term, F, j, order, dp=None, rem_tol=None):
     term = H, the KAM step at a bracket it has already formed.  Orders are
     added one at a time; the sum stops after an empty increment or, with
     ``dp`` and ``rem_tol`` given, after one whose vector-field norm is below
-    ``rem_tol``.  Returns (sum, masses, last_norm, order_used), where masses
+    ``rem_tol``.  Returns (sum, mass, last_norm, order_used), where mass
     sums ``truncated_mass`` over the brackets (``term`` itself for j > 0)
     and last_norm is the norm of the last increment (inf when unmeasured, 0
-    once the series terminates).
+    once the series terminates).  No coefficient is cut by its magnitude.
     """
     fact = math.factorial(j)
     if j:
-        acc, masses = term * (1.0 / fact), truncated_mass(term)
+        acc, mass = term * (1.0 / fact), truncated_mass(term)
     else:
-        acc, masses = term.copy(), dict.fromkeys(LEDGER, 0.0)
+        acc, mass = term.copy(), 0.0
     last = vector_field_norm(acc, dp) if j and dp is not None else math.inf
     while j < order and len(term) and (rem_tol is None or last >= rem_tol):
         j += 1
         term = poisson_bracket(term, F)
-        masses = {key: mass + term.meta.get(key, 0.0) for key, mass in masses.items()}
+        mass += truncated_mass(term)
         fact *= j
         incr = term * (1.0 / fact)
         acc = acc + incr
         if dp is not None:
             last = vector_field_norm(incr, dp)
-    return acc, masses, (last if len(term) else 0.0), j
+    return acc, mass, (last if len(term) else 0.0), j
 
 
 def lie_transform(H, F, order, dp=None, rem_tol=None):
     """Finite Lie series H o X_F^t at t = 1.
 
-    Returns sum_{j=0}^{order} ad_F^j H / j! with ad_F H = {H, F}.  When
-    ``dp`` and ``rem_tol`` are given the series stops early once the
+    Returns sum_{j=0}^{order} ad_F^j H / j! with ad_F H = {H, F}, exact up
+    to rounding within the budgets: no coefficient is cut by its magnitude.
+    When ``dp`` and ``rem_tol`` are given the series stops early once the
     vector-field norm of the next increment falls below ``rem_tol``.  The
-    result's meta reports the brackets' summed ``LEDGER`` masses, the mass
-    of the final ``prune`` (``prune_mass``), the norm of the last increment
-    (remainder proxy) and the order actually used.
+    result's meta reports the brackets' summed budget mass
+    (``dropped_mass``), the norm of the last increment (remainder proxy)
+    and the order actually used.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    acc, masses, last, used = lie_series(H, F, 0, order, dp, rem_tol)
-    acc.meta.update(masses, prune_mass=acc.prune())
-    acc.meta["remainder_norm"] = last
-    acc.meta["order_used"] = used
+    acc, mass, last, used = lie_series(H, F, 0, order, dp, rem_tol)
+    acc.meta.update(dropped_mass=mass, remainder_norm=last, order_used=used)
     return acc
 
 

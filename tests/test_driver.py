@@ -165,8 +165,8 @@ def test_delta0_values():
 def _rec(m, eps_measured, eps_next, d0):
     return StepRecord(m=m, eps_scheduled=eps_measured, eps_measured=eps_measured,
                       eps_next=eps_next, xF_norm=0.0, residual=0.0,
-                      freq_drift=0.0, delta0=d0, dropped_mass=0.0, precut_mass=0.0,
-                      cut_mass=0.0, prune_mass=0.0, vf_trunc_bound=0.0,
+                      freq_drift=0.0, delta0=d0, dropped_mass=0.0, prune_mass=0.0,
+                      prune_vf_bound=0.0, vf_trunc_bound=0.0,
                       vf_trunc_terms=0, skip_bound=0.0, skip_rows=0, lie_order=1,
                       tail_ratio=0.0, min_divisor_margin=1.0, K_m=1.0,
                       gamma_m=0.05, s_m=0.5, r_m=0.1)
@@ -379,6 +379,64 @@ def test_sweep_verdicts_match_the_benchmark_reference(sweep_gate_calls):
                                                              for label in checked}
 
 
+def test_nls_run_matches_the_benchmark_reference(tmp_path):
+    # the nls-torus entry the benchmark checks its run against, read only,
+    # with the benchmark's check: verdict, m, exit code, and both eps traces
+    # at rel 1e-8
+    from kamzero import cli
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+        ref = json.load(fh)["nls-torus"]
+    code = cli.main(["run", "--config", os.path.join(CONFIGS, "nls.cfg"), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "run.json").read_text())
+    assert (report["verdict"], report["verdict_info"]["m"], code) == (ref["verdict"], ref["m"],
+                                                                       ref["exit_code"])
+    for key in ("eps_measured", "eps_next"):
+        trace = [s[key] for s in report["steps"]]
+        assert len(trace) == len(ref[key])
+        assert all(math.isclose(a, b, rel_tol=1e-8, abs_tol=0.0) for a, b in zip(trace, ref[key]))
+
+
+def test_runs_do_not_depend_on_the_summation_order(tmp_path, monkeypatch):
+    # _CHUNK_ROWS sets how a bracket's product rows are split into blocks,
+    # and so the order in which a key's rows are summed.  With no magnitude
+    # cut inside brackets and Lie series, a smaller chunk may move a run only
+    # by rounding: the shipped configs and the 120 sweep problems keep their
+    # verdict, m, Lie orders and solve counts, and each eps within 1e-12
+    # eps_measured of its step
+    from conftest import SWEEP_SEEDS, SWEEP_SHAPES
+    from kamzero import cli
+
+    texts = {}
+    for name in ("nls", "synthetic", "no_torus"):
+        with open(os.path.join(CONFIGS, name + ".cfg")) as fh:
+            texts[name] = fh.read()
+    jobs = list(texts.values()) + [
+        texts[shape] + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n" % (seed, b)
+        for shape, b in SWEEP_SHAPES for seed in SWEEP_SEEDS]
+
+    def runs():
+        reports = []
+        for text in jobs:
+            cli.cmd_run(parse_config(text), str(tmp_path), None, None)
+            reports.append(json.loads((tmp_path / "run.json").read_text()))
+        return reports
+
+    shipped = runs()
+    monkeypatch.setattr(series, "_CHUNK_ROWS", 4096)
+    chunked = runs()
+    assert len(shipped) == 123
+    for a, b in zip(shipped, chunked):
+        assert a["verdict"] == b["verdict"]
+        assert a["verdict_info"].get("m") == b["verdict_info"].get("m")
+        assert len(a["steps"]) == len(b["steps"])
+        for s, t in zip(a["steps"], b["steps"]):
+            assert (s["lie_order"], s["solve_counts"]) == (t["lie_order"], t["solve_counts"])
+            for key in ("eps_measured", "eps_next"):
+                assert abs(s[key] - t[key]) <= 1e-12 * s["eps_measured"]
+
+
 @pytest.mark.parametrize("drive", [0.1, 0.9, 1.1, 10.0])
 def test_closed_form_witness_decides_both_ways_like_rk4(drive):
     # a drive |alpha0| of the given multiple of the threshold, a nonzero A0
@@ -466,22 +524,21 @@ def test_synthetic_problems_are_pinned(b, seed):
 
 def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     # every bracket that feeds R_next ({N, F} from the solver, then the two
-    # Lie chains) records its pre-cut and final-cut mass; each step record
-    # carries their sums next to dropped_mass, and the mass of the step's
-    # two prunes (the solver's F, then R_next) as prune_mass
+    # Lie chains) records its budget mass; each step record carries their
+    # sum as dropped_mass.  The step's one magnitude cut is the prune of
+    # R_next at its end (prune_mass); brackets and the NLS front end cut
+    # nothing by magnitude
     from kamzero import cli, driver, nls, series
 
-    # a cut that does not rest on roundoff: {y_1, G} with dyadic
-    # G = e^{i x_1} + 2^-20 e^{2 i x_1} is -i e^{i x_1} - 2^-19 i e^{2 i x_1},
-    # whose second term is below prune_rel max|c| = 1e-5 and lands in the
-    # ledger as exactly its modulus, whatever order a sum takes
+    # {y_1, G} with dyadic G = e^{i x_1} + 2^-20 e^{2 i x_1} is
+    # -i e^{i x_1} - 2^-19 i e^{2 i x_1}: the second term, below
+    # prune_rel max|c| = 1e-5, stays in the bracket, and no mass is recorded
     cut_bud = Budgets(6, 4096, prune_rel=1e-5)
     y1 = from_terms(DIMS, cut_bud, {make_key(2, alpha=(1, 0)): 1.0})
     G = from_terms(DIMS, cut_bud, {make_key(2, k=(1, 0)): 1.0, make_key(2, k=(2, 0)): 2.0 ** -20})
     cut = series.poisson_bracket(y1, G)
-    assert dict(cut.terms) == {make_key(2, k=(1, 0)): -1j}
-    assert series.truncated_mass(cut) == {"dropped_mass": 0.0, "pruned_mass": 0.0,
-                                          "cut_mass": 2.0 ** -19}
+    assert dict(cut.terms) == {make_key(2, k=(1, 0)): -1j, make_key(2, k=(2, 0)): -2.0 ** -19 * 1j}
+    assert series.truncated_mass(cut) == 0.0
 
     steps, pruned, step_prunes = [], [], []
     prune = series.TFSeries.prune
@@ -524,23 +581,41 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     records = json.loads((outs[-1] / "run.json").read_text())["steps"]
     assert len(records) == len(steps) == len(step_prunes) == 3
     for rec, masses, prunes in zip(records, steps, step_prunes):
-        for field, key in (("dropped_mass", "dropped_mass"), ("precut_mass", "pruned_mass"),
-                           ("cut_mass", "cut_mass")):
-            assert math.isclose(rec[field], sum(m[key] for m in masses), rel_tol=1e-12)
-        assert len(prunes) == 2
-        assert rec["prune_mass"] == sum(prunes)
-    assert all(rec["precut_mass"] > 0 and rec["cut_mass"] > 0 for rec in records[1:])
-    assert all(rec["prune_mass"] > 0 for rec in records)
+        assert math.isclose(rec["dropped_mass"], sum(masses), rel_tol=1e-12)
+        assert not {"precut_mass", "cut_mass"} & set(rec)
+        assert len(prunes) == 1
+        assert rec["prune_mass"] == prunes[0]
+    assert all(rec["prune_mass"] > 0 and rec["prune_vf_bound"] > 0 for rec in records)
     assert (outs[0] / "run.json").read_bytes() == (outs[1] / "run.json").read_bytes()
 
-    # the NLS front end: the Birkhoff Lie transform's prune in its meta, the
-    # prune of R0 in the KAM form (model.json's prune_mass)
+    # the NLS front end: neither the Birkhoff Lie transform nor the KAM form
+    # prunes, even under a coarse prune_rel
     pruned.clear()
     model = nls.NlsModel((1, 2), 6, np.array([4e-3, 3e-3]))
     bk, kf = nls.build_nls(model, Budgets(6, 2048, prune_rel=1e-6))
-    assert len(pruned) == 2
-    assert bk.H.meta["prune_mass"] == pruned[0] > 0
-    assert kf.prune_mass == pruned[1] > 0
+    assert pruned == []
+    assert "prune_mass" not in bk.H.meta and not hasattr(kf, "prune_mass")
+
+
+def test_prune_vf_bound_bounds_the_move_of_eps_next(tmp_path, monkeypatch):
+    # the end-of-step prune is the one magnitude cut left in a step; with it
+    # made a no-op, step 1's eps_next moves by at most the summed majorants
+    # of the terms it would drop (vector_field_norm is subadditive)
+    from kamzero import cli
+
+    reports = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(series.TFSeries, "prune", lambda self, rel=None: 0.0)
+        out = tmp_path / str(patched)
+        cli.main(["run", "--config", os.path.join(CONFIGS, "nls.cfg"), "--max-steps", "1",
+                  "--out", str(out)])
+        reports.append(json.loads((out / "run.json").read_text())["steps"][0])
+    pruned, kept = reports
+    assert pruned["prune_mass"] > 0 and kept["prune_mass"] == 0.0
+    assert kept["prune_vf_bound"] == pruned["prune_vf_bound"] > 0
+    assert kept["eps_measured"] == pruned["eps_measured"]
+    assert abs(kept["eps_next"] - pruned["eps_next"]) <= pruned["prune_vf_bound"]
 
 
 @pytest.mark.parametrize("shape", ["synthetic", "no_torus", "nls"])

@@ -370,7 +370,6 @@ def ref_kam_expansion(model, H, budgets):
         const += model.lam(j) * xi[b]
     omega = np.array([out.pop(key, 0j).real for key in ymeans])
     R0 = from_terms(model.kam_dims(), budgets, out, real=True)
-    R0.prune()
     return R0, omega, const, dropped
 
 
