@@ -13,8 +13,9 @@ indices never appear in ``beta``/``gamma``.
 The module provides the Poisson calculus (bracket, Lie transform), the
 weighted coefficient-majorant norm and the Hamiltonian vector-field norm
 with its per-term majorants, the truncation they certify and the bracket
-that leaves out product rows within a majorant budget, degree splitting,
-Fourier truncation with a tail certificate, and a text form.
+that leaves out single products of derivative rows within a majorant
+budget (``_skip_plan``), degree splitting, Fourier truncation with a tail
+certificate, and a text form.
 All combining operations respect a total-degree budget and a
 Fourier budget; mass removed by truncation is accumulated into the result's
 ``meta`` rather than silently discarded.
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -243,15 +244,18 @@ class TFSeries:
     def coefficients_at(self, rows):
         """Coefficients at the key ``rows`` (0 where a key is absent).
 
-        A binary search on the sorted rows, each compared column by column as
-        one structured record, so it is exact at any column range and copies
-        nothing of the series.
+        One binary search on the sorted rows as byte strings: both sides are
+        shifted by their joint column minima to 0..65535 and written as
+        big-endian uint16, so that byte order is the rows' lexicographic
+        order, exact at any int16 column range.
         """
         out = np.zeros(len(rows), dtype=complex)
         if len(self) and len(rows):
-            rows = np.ascontiguousarray(rows, dtype=np.int16)
-            store = _records(np.ascontiguousarray(self.rows))
-            pos = np.minimum(np.searchsorted(store, _records(rows)), len(self) - 1)
+            rows = np.asarray(rows, dtype=np.int16)
+            lo = np.minimum(self.rows.min(axis=0), rows.min(axis=0)).astype(np.int32)
+            store, keys = (np.ascontiguousarray((r - lo).astype(">u2")).view(
+                np.dtype((np.void, 2 * r.shape[1]))).ravel() for r in (self.rows, rows))
+            pos = np.minimum(np.searchsorted(store, keys), len(self) - 1)
             hit = np.all(self.rows[pos] == rows, axis=1)
             out[hit] = self.coefs[pos[hit]]
         return out
@@ -337,17 +341,6 @@ def _degrees(rows, n):
 def _kabs(rows, n):
     """Fourier radius |k| of each row."""
     return np.abs(rows[:, :n]).sum(axis=1)
-
-
-def _records(rows):
-    """Contiguous int16 key rows viewed as one structured record each (signed,
-    column-by-column comparison: the rows' lexicographic order)."""
-    return rows.view(_record_dtype(rows.shape[1])).reshape(len(rows))
-
-
-@lru_cache(maxsize=None)
-def _record_dtype(width):
-    return np.dtype([("c%d" % c, np.int16) for c in range(width)])
 
 
 def _bounds(rows):
@@ -555,12 +548,37 @@ def _half(A):
     return TFSeries._of(A, A.rows[keep], np.where(first[keep] == 0, 0.5 * coefs, coefs), True)
 
 
-def _skip_plan(A, B, cols_a, cols_b, dp, budget):
-    """Per pair (column ``cols_a[p]`` of A with ``cols_b[p]`` of B), the rows
-    of A and of B that ``_products`` differentiates and multiplies, less the
-    rows whose product rows' summed ``vf_majorants`` on ``dp`` fit
-    ``budget``; returns (the kept rows of A and of B as masks with one
-    column per pair, the left-out bound, product rows left out).
+def _derivative_rows(S, cols):
+    """(pair, row) of every pair's derivative rows of S, pair-major with rows
+    in order: the rows whose entry in column ``cols[p]`` is nonzero."""
+    return np.nonzero((S.rows[:, cols] != 0).T)
+
+
+class _Plan(NamedTuple):
+    """The products ``_skip_plan`` keeps.  B's derivative rows come in the
+    plan's order (``rows_b``: pair, row), each pair's in buckets
+    (``bucket``), and one query per A derivative row and bucket of its pair
+    keeps the products with that bucket's rows ``start[q]`` to ``end[q] -
+    1``; pair p's queries are ``qoff[p]:qoff[p + 1]``, A-row-major."""
+
+    rows_b: tuple
+    bucket: np.ndarray
+    qa: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    qoff: np.ndarray
+    ua: np.ndarray
+    ha: np.ndarray
+    ub: np.ndarray
+    hb: np.ndarray
+    bound: float
+    left_out: int
+
+
+def _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget):
+    """The products of A's derivative rows ``rows_a`` with B's ``rows_b``
+    (``_derivative_rows``) to form, less those whose summed majorants on
+    ``dp`` fit ``budget``; a ``_Plan``, or None when it leaves none out.
 
     With u = |c| |e| weight gain for a row whose column entry e (exponent or
     k component) the derivative brings down, where gain is the factor the
@@ -569,29 +587,87 @@ def _skip_plan(A, B, cols_a, cols_b, dp, budget):
     differentiated, a product of derivative rows a', b' has majorant at most
     u_a u_b (h_a + h_b) / r^2: the weight is submultiplicative (|k + k'| <=
     |k| + |k'|), h subadditive, and lowering an exponent never raises h.
-    So leaving A-row i out of its pair costs at most u_i (h_i sum_j u_j +
-    sum_j u_j h_j) / r^2 over the pair's B-rows j, and a B-row the mirror
-    image.  The rows whose costs fall below ``_below_cut`` of all the costs
-    go; a product row whose A-row and B-row both go is counted twice, so
-    the bound is an upper bound of the left-out products' summed majorants.
+
+    Every product below one threshold t of u_a u_b (h_a + H) / r^2 goes,
+    with H >= h_b the largest h of the dyadic bucket of h_b in b's pair:
+    with the pair's B-rows in these buckets, each sorted by u, the products
+    of one A-row that go are a prefix of each bucket, and their summed
+    bound is u_a (h_a sum u_b + sum u_b h_b) / r^2 over the prefix, read
+    from per-bucket prefix sums.  A bisection on log t takes the largest
+    probed t whose left-out bound fits the budget.  Since h_b <= H < 2 h_b,
+    a product's bound is within a factor 2 of its key, so t lies between
+    budget / (2 candidates) and 4 budget.  An A-row's products with B-rows
+    of one bucket and equal u go together.
     """
+    (pa, sa), (pb, sb) = rows_a, rows_b
+    if not len(pa) or not len(pb):
+        return None
     n = A.dims.n
     w = np.array([mode_weight(j, dp) for j in A.dims.modes])
     gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
-    sides = []      # per operand: (rows in the pair, u, h), one column per pair
-    for S, cols in ((A, cols_a), (B, cols_b)):
-        base, h = _vf_parts(S, dp)
-        e = S.rows[:, cols]     # the entries the derivatives bring down
-        sides.append((e != 0, base[:, None] * np.abs(e) * gain[cols], h))
-    (ina, ua, ha), (inb, ub, hb) = sides
-    cost_a = ua * (ha[:, None] * ub.sum(axis=0) + hb @ ub)
-    cost_b = ub * (hb[:, None] * ua.sum(axis=0) + ha @ ua)
-    cost = np.concatenate([cost_a[ina], cost_b[inb]]) / dp.r ** 2
-    drop = _below_cut(cost, budget)
-    keep_a, keep_b = ina.copy(), inb.copy()
-    keep_a[ina], keep_b[inb] = np.split(~drop, [ina.sum()])
-    left_out = int(ina.sum(axis=0) @ inb.sum(axis=0) - keep_a.sum(axis=0) @ keep_b.sum(axis=0))
-    return keep_a, keep_b, float(cost[drop].sum()), left_out
+    u, h = [], []
+    for S, cols, (pair, src) in ((A, cols_a, rows_a), (B, cols_b, rows_b)):
+        base, hs = _vf_parts(S, dp)
+        col = cols[pair]
+        u.append(base[src] * np.abs(S.rows[src, col]) * gain[col])
+        h.append(hs[src])
+    (ua, ub), (ha, hb) = u, h
+    ua = ua / dp.r ** 2
+    tiny = np.finfo(float).tiny
+    # B's derivative rows in the buckets of each pair, each sorted by u: one
+    # sort of log2 u banded by (pair, bucket), whose keys then serve one
+    # search for the prefixes of every bucket
+    level = np.frexp(hb)[1]
+    band = pb * (level.max() - level.min() + 1) + (level - level.min())
+    keys = band * 4096.0 + np.log2(np.maximum(ub, tiny))
+    order = np.argsort(keys)
+    pb, sb, ub, hb, band, keys = (x[order] for x in (pb, sb, ub, hb, band, keys))
+    starts = np.flatnonzero(np.concatenate([[True], band[1:] != band[:-1]]))
+    sizes = np.diff(np.concatenate([starts, [len(pb)]]))
+    bucket = np.repeat(np.arange(len(starts)), sizes)
+    nbk = np.bincount(pb[starts], minlength=len(cols_b))
+    # bucket g's slots starts[g] + g to starts[g + 1] + g hold the sums of
+    # u and of u h over its first 0, 1, ... rows, each summed in its bucket
+    slots = np.zeros((len(pb) + len(starts), 2))
+    at = np.arange(len(pb)) + bucket + 1
+    slots[at, 0], slots[at, 1] = ub, ub * hb
+    for a, b in zip((at[starts] - 1)[sizes > 1].tolist(), (at[starts] + sizes)[sizes > 1].tolist()):
+        np.add.accumulate(slots[a:b], out=slots[a:b])
+    # the queries: each A derivative row against each bucket of its pair; a
+    # product of query q goes when u_b scale[q] < t
+    per = nbk[pa]
+    qa = np.repeat(np.arange(len(pa)), per)
+    qg = np.arange(len(qa)) + np.repeat((np.cumsum(nbk) - nbk)[pa] - (np.cumsum(per) - per), per)
+    first, end = starts[qg], (starts + sizes)[qg]
+    scale = ua[qa] * (ha[qa] + np.maximum.reduceat(hb, starts)[qg])
+    # query q searches for its band's keys below base[q] + log2 t; the
+    # queries go in the order of base, which any t keeps.  log2 t - log2
+    # scale stays within [-2,200, 2,048], inside the gap to the other
+    # bands' keys (log2 u lies in [-1,022, 1,024])
+    base = band[first] * 4096.0 - np.log2(np.maximum(scale, tiny))
+    qs = np.argsort(base)
+    weights = np.stack([ua[qa] * ha[qa], ua[qa]], axis=1)[qs]
+    base, qg = base[qs], qg[qs]
+    pos = end[qs]
+    bound = float((weights * slots[pos + qg]).sum())
+    if bound > budget:
+        pos, bound = first[qs], 0.0
+        lo, hi = math.log2(budget) - math.log2(2.0 * sizes[qg].sum()), math.log2(budget) + 2.0
+        for _ in range(12):
+            mid = 0.5 * (lo + hi)
+            probe = np.searchsorted(keys, base + mid)
+            total = float((weights * slots[probe + qg]).sum())
+            if total <= budget:
+                lo, pos, bound = mid, probe, total
+            else:
+                hi = mid
+    start = np.empty_like(pos)
+    start[qs] = pos
+    left_out = int((start - first).sum())
+    if not left_out:
+        return None
+    qoff = np.concatenate([[0], np.cumsum(np.bincount(pa, minlength=len(cols_a)) * nbk)])
+    return _Plan((pb, sb), bucket, qa, start, end, qoff, ua, ha, ub, hb, bound, left_out)
 
 
 class _Derivatives(NamedTuple):
@@ -614,27 +690,26 @@ class _Derivatives(NamedTuple):
         return [w[at] for w in self.words], self.coefs[at]
 
 
-def _derivatives(S, lo, codec, cols, keep):
-    """The rows of S where ``keep[:, p]`` holds, differentiated in the
-    variable of column ``cols[p]``, for every pair p at once.
+def _derivatives(S, lo, codec, cols, pair, src):
+    """The rows ``src`` of S, differentiated in the variable of column
+    ``cols[pair]`` each, for every pair at once (``pair`` nondecreasing).
 
     The rows are encoded once; a derivative multiplies the coefficient by
     the exponent, or by 1j k for an angle, and lowers the exponent by one,
     which lowers the code by one stride (``_Codec.lowered``)."""
-    pair, src = np.nonzero(keep.T)      # pair-major, rows in order
     col = cols[pair]
     e = S.rows[src, col]
     angle = col < S.dims.n
     words = codec.lowered([w[src] for w in codec.encode(S.rows, lo)], np.where(angle, -1, col))
-    counts = keep.sum(axis=0)
+    counts = np.bincount(pair, minlength=len(cols))
     return _Derivatives(counts, np.concatenate([[0], np.cumsum(counts)]), src, words,
                         S.coefs[src] * np.where(angle, 1j * e, e))
 
 
 def _groups(sizes):
-    """(p, q, total) for runs of consecutive pairs p to q - 1 whose
-    ``total`` products, ``sizes`` of them per pair, fit ``_CHUNK_ROWS``
-    together, and for each pair with more alone; runs without products are
+    """(p, q, total) for runs of consecutive items p to q - 1 whose
+    ``total`` products, ``sizes`` of them per item, fit ``_CHUNK_ROWS``
+    together, and for each item with more alone; runs without products are
     left out."""
     p = 0
     while p < len(sizes):
@@ -658,28 +733,37 @@ def _pair_products(acc, da, db, p):
                 (ca[lo:hi, None] * cb).ravel())
 
 
-def _group_products(acc, da, db, p, q, total):
-    """The ``total`` products of pairs p to q - 1 in one block, row-major
-    pair by pair: each A-row repeated once per B-row of its pair."""
-    na, nb = da.counts[p:q], db.counts[p:q]
-    reps = np.repeat(nb, na)        # B-rows per A-row
-    at = slice(da.offsets[p], da.offsets[q])
-    jb = np.arange(total) + np.repeat(np.repeat(db.offsets[p:q], na) - (np.cumsum(reps) - reps), reps)
-    coefs = np.repeat(da.coefs[at], reps)
+def _segment_products(acc, da, db, ia, jb, lens):
+    """In one block, segment by segment, the products of A-row ``ia[s]``
+    with the ``lens[s]`` B-rows from ``jb[s]`` on."""
+    ends = np.cumsum(lens)
+    jb = np.arange(ends[-1]) + np.repeat(jb - (ends - lens), lens)
+    coefs = np.repeat(da.coefs[ia], lens)
     coefs *= db.coefs[jb]
-    acc.add([np.repeat(x[at], reps) + y[jb] for x, y in zip(da.words, db.words)], coefs)
+    acc.add([np.repeat(x[ia], lens) + y[jb] for x, y in zip(da.words, db.words)], coefs)
 
 
-def _masked_products(acc, A, B, da, db, p, lowered):
+def _masked_products(acc, A, B, da, db, p, lowered, plan):
     """The products of pair p within the budgets, row-major, gathered from
     an A-row slice's broadcast mask; the mass of the others is counted from
-    magnitudes.  ``lowered`` is each operand's degree drop in the pair."""
+    magnitudes.  ``lowered`` is each operand's degree drop in the pair.
+
+    With a ``plan``, the products it leaves out are not formed either;
+    returns the count and the summed bound of those within the budgets."""
     n, bud = A.dims.n, A.budgets
     (wa, ca), (wb, cb) = da.pair(p), db.pair(p)
     ra, rb = A.rows[da.src[da.span(p)]], B.rows[db.src[db.span(p)]]
     dga, dgb = _degrees(ra, n) - lowered[0], _degrees(rb, n) - lowered[1]
     ka, kb = ra[:, :n].astype(np.int32), rb[:, :n].astype(np.int32)
     mb = np.abs(cb)
+    left_out, bound = 0, 0.0
+    if plan is not None:
+        start = plan.start[plan.qoff[p]:plan.qoff[p + 1]].reshape(len(ca), -1)
+        local = plan.bucket[db.span(p)] - plan.bucket[db.offsets[p]]
+        jpos = np.arange(db.offsets[p], db.offsets[p + 1])
+        ua, ha = plan.ua[da.span(p)], plan.ha[da.span(p)]
+        ub = plan.ub[db.span(p)]
+        ubh = ub * plan.hb[db.span(p)]
     step = max(1, _CHUNK_ROWS // len(cb))
     for lo in range(0, len(ca), step):
         hi = lo + step
@@ -689,9 +773,16 @@ def _masked_products(acc, A, B, da, db, p, lowered):
             keep &= kabs <= bud.k_max
         # |ca_i cb_j| summed over the dropped pairs, from the magnitudes
         acc.dropped += float(np.abs(ca[lo:hi]) @ (~keep @ mb))
+        if plan is not None:
+            gone = keep & (jpos < start[lo:hi][:, local])
+            keep &= ~gone
+            left_out += int(gone.sum())
+            gone = gone.astype(float)
+            bound += float(ua[lo:hi] @ (ha[lo:hi] * (gone @ ub) + gone @ ubh))
         i, j = np.nonzero(keep)     # row-major, as the full product's rows
         i += lo
         acc.add([x[i] + y[j] for x, y in zip(wa, wb)], ca[i] * cb[j])
+    return left_out, bound
 
 
 def _products(out, A, B, pairs, dp=None, budget=0.0):
@@ -711,7 +802,7 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     product then rounds a different partial product).  The product rows
     reach the accumulator pair by pair, row-major within a pair: the pairs
     in consecutive groups of at most ``_CHUNK_ROWS`` products, one block
-    each (``_group_products``), and a pair that is a group alone in A-row
+    each (``_segment_products``), and a pair that is a group alone in A-row
     slices (``_pair_products``).  Where the same ca * cb sits in a longer
     array, numpy may round it differently, so a coefficient can differ by
     an ulp from the pair-by-pair product.
@@ -722,13 +813,17 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     full block; the dropped rows are never formed, and their mass is counted
     from magnitudes as sum_i |ca_i| * sum_{j dropped} |cb_j|.
 
-    A positive ``budget`` leaves out, before any row is formed, the rows of
-    A and B that ``_skip_plan`` picks on the domain ``dp``; the kept rows
-    go through the accumulator in their order.  With halving, each
+    A positive ``budget`` leaves out, before any row is formed, the products
+    that ``_skip_plan`` picks on the domain ``dp``.  With halving, each
     left-out product counts for P and M(P), so the plan gets half the
-    budget and ``meta['skip_bound']`` is twice its bound;
-    ``meta['skip_rows']`` counts the rows left out of the pair blocks
-    (before the budget mask, so rows it would drop count too).
+    budget and ``meta['skip_bound']`` is twice the left-out products'
+    summed bound; ``meta['skip_rows']`` counts them.  Both count only
+    products within the degree and Fourier budgets, the ones the whole
+    bracket forms.  A plan that leaves products out takes B's rows in its
+    order and forms each A-row's kept products bucket by bucket, in blocks
+    of consecutive segments of at most ``_CHUNK_ROWS`` rows
+    (``_segment_products``), or through the budget mask; a plan that leaves
+    none out changes nothing.
     """
     n, bud = A.dims.n, A.budgets
     acc = _Accumulator()
@@ -740,16 +835,15 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
             acc.finalize(out, None, mirrored)
             return
     cols_a, cols_b, factors = (np.array(c) for c in zip(*pairs))
+    rows_a, rows_b = _derivative_rows(A, cols_a), _derivative_rows(B, cols_b)
+    plan = None
     if budget > 0.0:
-        keep_a, keep_b, bound, left_out = _skip_plan(A, B, cols_a, cols_b, dp, budget / twice)
-        out.meta.update(skip_bound=twice * bound, skip_rows=left_out)
-    else:
-        keep_a, keep_b = A.rows[:, cols_a] != 0, B.rows[:, cols_b] != 0
+        plan = _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget / twice)
     lo_a, hi_a = _bounds(A.rows)
     lo_b, hi_b = _bounds(B.rows)
     codec = _Codec(lo_a + lo_b, hi_a + hi_b)
-    da = _derivatives(A, lo_a, codec, cols_a, keep_a)
-    db = _derivatives(B, lo_b, codec, cols_b, keep_b)
+    da = _derivatives(A, lo_a, codec, cols_a, *rows_a)
+    db = _derivatives(B, lo_b, codec, cols_b, *(rows_b if plan is None else plan.rows_b))
     db = db._replace(coefs=db.coefs * np.repeat(factors.astype(complex), db.counts))
     # a product row's degree is its factors' degrees less the pair's lowering
     # and its |k| at most theirs, so the budget mask is needed only when the
@@ -759,14 +853,26 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
               > bud.degree_max or _kabs(A.rows, n).max() + _kabs(B.rows, n).max() > bud.k_max)
     sizes = (da.counts * db.counts).tolist()
     if masked:
+        left_out, bound = 0, 0.0
         for p in np.flatnonzero(sizes):
-            _masked_products(acc, A, B, da, db, p, (low_a[p], low_b[p]))
+            count, part = _masked_products(acc, A, B, da, db, p, (low_a[p], low_b[p]), plan)
+            left_out, bound = left_out + count, bound + part
+    elif plan is not None:
+        left_out, bound = plan.left_out, plan.bound
+        kept = np.flatnonzero(plan.start < plan.end)
+        ia, jb, lens = plan.qa[kept], plan.start[kept], (plan.end - plan.start)[kept]
+        for p, q, _ in _groups(lens.tolist()):
+            _segment_products(acc, da, db, ia[p:q], jb[p:q], lens[p:q])
     else:
-        for p, q, total in _groups(sizes):
+        for p, q, _ in _groups(sizes):
             if q == p + 1:
                 _pair_products(acc, da, db, p)
             else:
-                _group_products(acc, da, db, p, q, total)
+                na, nb = da.counts[p:q], db.counts[p:q]
+                _segment_products(acc, da, db, np.arange(da.offsets[p], da.offsets[q]),
+                                  np.repeat(db.offsets[p:q], na), np.repeat(nb, na))
+    if plan is not None:
+        out.meta.update(skip_bound=twice * bound, skip_rows=left_out)
     acc.finalize(out, codec, mirrored)
 
 
@@ -796,13 +902,20 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     the output is exactly real, and ``dropped_mass`` is twice P's (the
     budgets are mirror-invariant).  Otherwise both operands are used whole.
 
-    With a positive ``budget``, the bracket leaves out product rows whose
-    summed ``vf_majorants`` on the domain ``dp`` stay within it, without
-    forming them (``_skip_plan``): ``vector_field_norm`` on ``dp`` of the
-    result is within ``meta['skip_bound']`` (<= budget) of the whole
-    bracket's, and ``meta['skip_rows']`` counts the product rows left out.
-    A budget of 0 (the default) forms the whole bracket, and both are 0.
+    With a positive ``budget``, the bracket leaves out, without forming
+    them, the products of derivative rows whose summed majorant bounds on
+    the domain ``dp`` stay within it: every product whose bound key falls
+    below one threshold (``_skip_plan``).  ``vector_field_norm`` on ``dp``
+    of the result is then within ``meta['skip_bound']`` (<= budget) of the
+    whole bracket's, and ``meta['skip_rows']`` counts the product rows left
+    out.  A budget of 0 (the default) forms the whole bracket, and both are
+    0.  A negative or NaN budget, or a positive one without ``dp``, raises
+    ValueError.
     """
+    if not budget >= 0.0:
+        raise ValueError("budget must be a nonnegative number, got %r" % (budget,))
+    if budget > 0.0 and dp is None:
+        raise ValueError("a positive budget needs the domain dp")
     F._check_compatible(G)
     out = TFSeries._of(F, F.rows[:0], F.coefs[:0], F.real and G.real)
     out.meta.update(dropped_mass=0.0, skip_bound=0.0, skip_rows=0)
@@ -926,9 +1039,12 @@ def vf_truncate(F, dp, budget):
     ``vector_field_norm`` is subadditive over disjoint terms, so the kept
     part's norm is within ``bound``, the summed majorants of the dropped
     terms, of F's.  The cut is ``_below_cut``'s: a term and its mirror share
-    their majorant, so a real F stays real.  A budget of 0 keeps every term.
+    their majorant, so a real F stays real.  A budget of 0 keeps every term;
+    a negative or NaN one raises ValueError.
     """
-    if budget <= 0.0 or not len(F):
+    if not budget >= 0.0:
+        raise ValueError("budget must be a nonnegative number, got %r" % (budget,))
+    if budget == 0.0 or not len(F):
         return F, 0.0, 0
     m = vf_majorants(F, dp)
     drop = _below_cut(m, budget)

@@ -6,7 +6,7 @@ import pytest
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries, _Codec,
                             fourier_truncate, lie_transform, mode_weight,
                             poisson_bracket, split_low_high,
-                            vector_field_norm, weighted_norm)
+                            vector_field_norm, vf_truncate, weighted_norm)
 from kamzero.driver import realify
 from series_ref import (from_terms, from_text, key_kabs, make_key, monomial, product,
                         reality_defect, validate)
@@ -159,6 +159,27 @@ def test_bracket_dimension_mismatch():
     other = SeriesDims(2, (1, 2), (0,), 5)
     with pytest.raises(ValueError):
         poisson_bracket(mono(1.0, k=(1, 0)), mono(1.0, k=(1, 0), dims=other))
+
+
+def test_bad_budgets_raise_instead_of_dropping_or_forming_everything():
+    # a NaN budget made vf_truncate drop every term and a bracket form every
+    # row; a positive bracket budget without a domain failed inside
+    # mode_weight
+    F = mono(1.0, k=(1, 0), alpha=(1, 0)) + mono(0.5, beta={0: 1}) + mono(0.25j, k=(0, 1))
+    G = mono(1.0, k=(-1, 0), gamma={3: 1})
+    assert len(F) == 3
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="budget"):
+            vf_truncate(F, DP, bad)
+    for bad in (math.nan, -1e-30, -math.inf):
+        with pytest.raises(ValueError, match="budget"):
+            poisson_bracket(F, G, DP, bad)
+    with pytest.raises(ValueError, match="dp"):
+        poisson_bracket(F, G, None, 1.0)
+    # the budgets that stay: 0 keeps or forms everything, inf leaves it all out
+    assert vf_truncate(F, DP, 0.0)[0] is F
+    assert poisson_bracket(F, G, None, 0.0).terms == poisson_bracket(F, G).terms
+    assert not poisson_bracket(F, G, DP, math.inf).terms
 
 
 # ---------------------------------------------------------------------------

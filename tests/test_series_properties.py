@@ -21,8 +21,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from kamzero import series as kseries
 from kamzero.driver import realify
 from kamzero.series import (Budgets, DomainParams, MonomialKey, SeriesDims, TFSeries,
-                            fourier_truncate, poisson_bracket, split_low_high,
-                            vector_field_norm, vf_majorants, vf_truncate)
+                            fourier_truncate, mode_weight, poisson_bracket, split_low_high,
+                            vector_field_norm, vf_majorants, vf_truncate, weighted_norm)
 from series_ref import (from_terms, from_text, key_degree, key_kabs, make_key, product,
                         reality_defect)
 
@@ -407,6 +407,43 @@ def test_coefficients_at_and_from_rows_match_the_terms_view(F, G, P, Q):
         assert _dict(twice) == {key: 2 * c for key, c in A.terms.items()}
 
 
+def _structured_coefficients_at(S, rows):
+    """``coefficients_at`` by a binary search on the rows viewed as structured
+    int16 records (signed, column-by-column comparison)."""
+    record = np.dtype([("c%d" % c, np.int16) for c in range(S.rows.shape[1])])
+    rows = np.ascontiguousarray(rows, dtype=np.int16)
+    store = np.ascontiguousarray(S.rows).view(record).ravel()
+    pos = np.minimum(np.searchsorted(store, rows.view(record).ravel()), len(S) - 1)
+    hit = np.all(S.rows[pos] == rows, axis=1)
+    out = np.zeros(len(rows), dtype=complex)
+    out[hit] = S.coefs[pos[hit]]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_coefficients_at_matches_the_structured_record_search(size, queries, seed):
+    # columns of one value up to the whole -16383..16383 range; the queries
+    # are the stored rows, rows one step away from them and fresh rows
+    rng = np.random.default_rng(seed)
+    width = 2 * DIMS.n + 2 * len(DIMS.modes)
+    span = rng.choice([1, 3, 40, 32767], width)
+    lo = rng.integers(-16383, 16384 - span + 1)
+    rows = rng.integers(lo, lo + span, (size, width))
+    wide = np.flatnonzero(span == 32767)
+    if len(wide):
+        rows[0, wide], rows[-1, wide] = -16383, 16383
+    S = TFSeries.from_rows(DIMS, BUD, rows, rng.standard_normal(size) + 1j)
+    near = S.rows[rng.integers(0, len(S), queries)].astype(np.int32)
+    near[np.arange(queries), rng.integers(0, width, queries)] += rng.choice([-1, 1], queries)
+    fresh = rng.integers(lo, lo + span, (queries, width))
+    keys = np.concatenate([S.rows[rng.permutation(len(S))],
+                           np.clip(near, -16383, 16383), fresh]).astype(np.int16)
+    got = S.coefficients_at(keys)
+    assert got.tobytes() == _structured_coefficients_at(S, keys).tobytes()
+    assert np.count_nonzero(got) >= len(S)
+
+
 # ---------------------------------------------------------------------------
 # the accumulator beyond one buffer
 # ---------------------------------------------------------------------------
@@ -789,18 +826,123 @@ def test_a_budget_below_every_row_forms_the_whole_bracket(pair, budget):
 
 
 def test_skipped_rows_of_one_cost_go_together():
-    # {y1, cos x1}: the one pair block is the y1-row against the two rows
-    # e^{+-i x1}, which tie at cost t = e^s / r^2; the y1-row costs 2 t
+    # {y1, cos x1}: the one pair block is the y1-row (u = 1, h = 1) against
+    # the two rows e^{+-i x1} (u = e^s / 2, h = 1), two products of bound
+    # u_a u_b (h_a + h_b) / r^2 = t = e^s / r^2 each; they tie, so they go
+    # together, and the bound counts each product once
     F = from_terms(DIMS, BUD, {make_key(2, alpha=(1, 0)): 1.0})
     G = from_terms(DIMS, BUD, {make_key(2, k=(1, 0)): 0.5, make_key(2, k=(-1, 0)): 0.5})
     t = math.exp(VF_DP.s) / VF_DP.r ** 2
     full = poisson_bracket(F, G)
     assert len(full) == 2
     for share, left, bound, rows in ((0.99, 2, 0.0, 0), (1.5, 2, 0.0, 0),
-                                     (2.5, 0, 2 * t, 2), (4.0, 0, 4 * t, 2)):
+                                     (2.5, 0, 2 * t, 2), (4.0, 0, 2 * t, 2)):
         out = poisson_bracket(F, G, VF_DP, share * t)
         assert len(out) == left
         assert math.isclose(out.meta["skip_bound"], bound, rel_tol=1e-12)
         assert out.meta["skip_rows"] == rows
         if left:
             assert out.coefs.tobytes() == full.coefs.tobytes()
+
+
+def _plan_candidates(A, B, pairs, dp):
+    """The (product row, coefficient, majorant bound) of every product of a
+    derivative row of A with one of B, pair by pair, that lies within the
+    budgets, from the definitions: a derivative brings down the exponent (1j
+    k for an angle), u = |c| weight |e| gain and h = max |k_b| + max alpha_b
+    + |beta w^2|_2 + |gamma w^2|_2 per row, and a product's bound is u_a u_b
+    (h_a + h_b) / r^2."""
+    n, nmodes, bud = A.dims.n, len(A.dims.modes), A.budgets
+    w = np.array([mode_weight(j, dp) for j in A.dims.modes])
+    gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
+
+    def rows_of(S, col, factor):
+        out = []
+        for i, (row, c) in enumerate(zip(S.rows.astype(np.int64), S.coefs)):
+            e = int(row[col])
+            if not e:
+                continue
+            h = (max(abs(row[:n]), default=0) + max(row[n:2 * n], default=0)
+                 + math.hypot(*(row[2 * n:2 * n + nmodes] * w ** 2))
+                 + math.hypot(*(row[2 * n + nmodes:] * w ** 2)))
+            base = weighted_norm(S.select(np.arange(len(S)) == i), dp)
+            lowered = row.copy()
+            if col >= n:
+                lowered[col] -= 1
+            out.append((lowered, c * (1j * e if col < n else e) * factor,
+                        base * abs(e) * gain[col], h))
+        return out
+
+    cands = []
+    for col_a, col_b, factor in pairs:
+        for ra, ca, ua, ha in rows_of(A, col_a, 1.0):
+            for rb, cb, ub, hb in rows_of(B, col_b, factor):
+                row = ra + rb
+                if (2 * row[n:2 * n].sum() + row[2 * n:].sum() <= bud.degree_max
+                        and np.abs(row[:n]).sum() <= bud.k_max):
+                    cands.append((row, ca * cb, ua * ub * (ha + hb) / dp.r ** 2))
+    return cands
+
+
+def _random_coefficients(S, seed, real):
+    """S on its keys with standard normal coefficients (no two products of
+    different factors coincide), made real by ``realify`` when asked."""
+    rng = np.random.default_rng(seed)
+    S = TFSeries._of(S, S.rows, rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S)),
+                     False)
+    return realify(S) if real else S
+
+
+# keys under the budgets (the kernel may skip the budget mask) and keys of
+# degree 4 to 6 (it masks)
+PLAN_KEYS = st.one_of(series(DYADIC, max_size=6), HIGH.map(lambda t: from_terms(DIMS, BUD, t)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PLAN_KEYS, PLAN_KEYS, st.booleans(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2))
+def test_skipped_bracket_leaves_out_exactly_the_products_it_counts(F, G, real, seed, share):
+    # brute force over every product of derivative rows: the bracket forms
+    # the in-budget ones less skip_rows of them, and skip_bound is the
+    # summed bound of those it does not form (twice for a halved bracket)
+    F, G = _random_coefficients(F, seed, real), _random_coefficients(G, seed + 1, real)
+    assume(_dict(F) != _dict(G))
+    total = poisson_bracket(F, G, VF_DP, math.inf).meta["skip_bound"]
+    formed, codecs, add, finalize = [], [], kseries._Accumulator.add, kseries._Accumulator.finalize
+
+    def added(acc, words, coefs):
+        formed.append((words, coefs))
+        return add(acc, words, coefs)
+
+    def finalized(acc, out, codec, mirrored):
+        codecs.append(codec)
+        return finalize(acc, out, codec, mirrored)
+    with mock.patch.object(kseries, "_products", wraps=kseries._products) as products, \
+            mock.patch.object(kseries._Accumulator, "add", added), \
+            mock.patch.object(kseries._Accumulator, "finalize", finalized):
+        out = poisson_bracket(F, G, VF_DP, share * total)
+    _, A, B, pairs = products.call_args.args[:4]
+    halved = A.real and B.real
+    assert halved == real
+    cands = _plan_candidates(kseries._half(A) if halved else A, B, pairs, VF_DP)
+    assert len(cands) == _formed(poisson_bracket, F, G)[1]
+    rows = sum(len(coefs) for _, coefs in formed)
+    assert rows == len(cands) - out.meta["skip_rows"]
+    # match each formed product to a candidate of its row and coefficient;
+    # candidates that tie on both tie on their bound too
+    left = {}
+    for row, c, bound in cands:
+        left.setdefault(row.tobytes(), []).append((c, bound))
+    if rows:
+        words = [np.concatenate(ws) for ws in zip(*(w for w, _ in formed))]
+        coefs = np.concatenate([c for _, c in formed])
+        for row, c in zip(codecs[0].decode(words).astype(np.int64), coefs):
+            same = left[row.tobytes()]
+            at = min(range(len(same)), key=lambda i: abs(same[i][0] - c))
+            assert abs(same[at][0] - c) <= 1e-12 * abs(c)
+            same.pop(at)
+    skipped = sum(bound for same in left.values() for _, bound in same)
+    assert math.isclose(out.meta["skip_bound"], (2.0 if halved else 1.0) * skipped,
+                        rel_tol=1e-12, abs_tol=0.0)
+    # the degree and Fourier budgets drop the whole bracket's mass
+    assert math.isclose(out.meta["dropped_mass"], poisson_bracket(F, G).meta["dropped_mass"],
+                        rel_tol=1e-12, abs_tol=0.0)
