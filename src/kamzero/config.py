@@ -8,6 +8,7 @@ number and raised together, so a bad file reports every problem at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .series import Budgets
@@ -154,6 +155,34 @@ def parse_config(text):
     return cfg
 
 
+def _range_problems(v, mode):
+    """Finite values that the norms cannot take: the vector-field norm divides
+    by r^2 on every radius of the schedule, from r1 down to the floor
+    r_floor_rel r1, and weighs mode j by w_j = j^p e^{a j}."""
+    problems = []
+    sched, dom = v["schedule"], v["domain"]
+    floor = sched["r_floor_rel"] * sched["r1"]
+    for what, radius in (("r1", sched["r1"]), ("r_floor_rel * r1", floor)):
+        square = radius * radius
+        if radius > 0 and not sys.float_info.min <= square < math.inf:
+            problems.append("[schedule] %s = %g squares to %g; its square must be a positive "
+                            "normal float" % (what, radius, square))
+    if mode == "synthetic":
+        syn = v["synthetic"]
+        top = max(syn["jmax"], syn["zero_mode"] + syn["b"] - 1)
+    else:
+        top = v["model"]["jmax"]
+    if top >= 1 and dom["a"] > 0:
+        try:
+            weight = top ** dom["p"] * math.exp(dom["a"] * top)
+        except OverflowError:
+            weight = math.inf
+        if not weight < math.inf:
+            problems.append("[domain] a = %g and p = %g give mode %d the weight j^p e^(a j) = inf; "
+                            "it must be finite" % (dom["a"], dom["p"], top))
+    return problems
+
+
 def _validate(cfg):
     problems = []
     v = cfg.values
@@ -162,7 +191,8 @@ def _validate(cfg):
         problems.append("[run] mode must be one of %s, got %r" % (_MODES, mode))
         return problems
     g = v["grid"]
-    positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"), ("domain", "a")]
+    positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"),
+                ("schedule", "r_floor_rel"), ("domain", "a")]
     # check_k_cap < 1 would silently drop every |k| >= 1 non-resonance check
     least = [("run", "seed", 0), ("run", "max_steps", 1), ("run", "max_lie_order", 2),
              ("schedule", "check_k_cap", 1)]
@@ -183,6 +213,8 @@ def _validate(cfg):
             problems.append("[%s] %s must be >= %d" % (sec, key, low))
     if not v["domain"]["p"] > 0.5:
         problems.append("[domain] p must exceed 1/2")
+    else:
+        problems.extend(_range_problems(v, mode))
     try:
         Budgets(**v["budgets"])
     except ValueError as err:

@@ -527,12 +527,17 @@ def iterate(N0, R0, base, dims, dp0, max_lie_order):
     """Run the steps m = 1, 2, ... and yield (m, params, N, R, record) after each.
 
     Every step schedules from the measured eps and the previous radius, sets
-    the domain D(s_m, r_m) and conjugates with ``kam_step``.
-    ResonantParameter and BudgetExhausted propagate to the consumer, which
-    also decides when to stop.
+    the domain D(s_m, r_m) and conjugates with ``kam_step``.  A norm of R0
+    on ``dp0`` that is not finite raises BudgetExhausted before the first
+    step.  ResonantParameter and BudgetExhausted propagate to the consumer,
+    which also decides when to stop.
     """
     N, R = N0, R0
-    eps = vector_field_norm(R, dp0)
+    with np.errstate(over="ignore", invalid="ignore"):     # reported as BudgetExhausted
+        eps = vector_field_norm(R, dp0)
+    if not math.isfinite(eps):
+        raise BudgetExhausted("the vector-field norm of R0 on the starting domain "
+                              "D(s1 = %g, r1 = %g) is %r" % (dp0.s, dp0.r, eps))
     r_prev = None
     for m in itertools.count(1):
         params = schedule(m, base, eps_m=eps, r_prev=r_prev)
@@ -604,10 +609,11 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
 
     Draws random low-degree terms (over every solver class) and a few
     degree-3/4 terms, symmetrizes to a real Hamiltonian, and scales the
-    whole perturbation so its vector-field norm equals ``eps0``.
-    ``inject_z0`` adds a constant zero-mode term of that magnitude after
-    scaling (the no-torus driver); ``block_scale`` puts random symmetric
-    quadratic blocks of that size into N.
+    whole perturbation so its vector-field norm on ``dp`` equals ``eps0``
+    (where that norm is positive and finite).  ``inject_z0`` adds a
+    constant zero-mode term of that magnitude after scaling (the no-torus
+    driver); ``block_scale`` puts random symmetric quadratic blocks of that
+    size into N.
     """
     rng = np.random.default_rng(seed)
     n = dims.n
@@ -657,8 +663,10 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
 
     R = realify(TFSeries.from_rows(dims, budgets, rows, coefs))
     dp = dp or DomainParams(0.6, 0.25, 0.1, 1.0)
-    norm = vector_field_norm(R, dp)
-    if norm > 0:
+    # a norm that overflows on dp is left for ``iterate`` to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = vector_field_norm(R, dp)
+    if 0 < norm < math.inf:
         R = R * (eps0 / norm)
     if inject_z0 > 0:
         # z0 and zbar0 of the first zero mode, which dims.modes lists first

@@ -39,7 +39,7 @@ import numpy as np
 
 from .homological import NormalForm
 from .measure import AffineFrequencyMap
-from .series import SeriesDims, TFSeries, _degrees, _kabs, lie_transform
+from .series import SeriesDims, TFSeries, _columns, _degrees, _kabs, lie_transform
 
 
 @dataclass
@@ -283,19 +283,21 @@ def to_kam_form(model, birkhoff, budgets):
         w = w * weight[b, m[:, b, None], tvecs[:, b]]
         ev = ev * size[b, m[:, b, None], tvecs[:, b]]
     coef = 0j + c[:, None] * w      # 0j + clears negative zeros (text form: -0)
-    inside = ((2 * tvecs.sum(axis=1) + z.sum(axis=1)[:, None] <= budgets.degree_max)
+    zcols, tcols = _columns(z), _columns(tvecs)
+    inside = ((2 * tcols.sum(axis=0) + zcols.sum(axis=0)[:, None] <= budgets.degree_max)
               & (_kabs(k, n) <= budgets.k_max)[:, None])
     mags = np.abs(c)
     drops = np.concatenate([mags[:, None] * nxt[m] * root[np.arange(n), m] / 4.0 ** (depth + 1),
                             np.where(inside, 0.0, mags[:, None] * ev)], axis=1)
     # each total is summed left to right in arrival order, like a per-term
-    # loop (sum() compensates float sums from Python 3.12 on)
-    expansion_dropped = reduce(add, drops.ravel().tolist(), 0.0)
+    # loop: np.add.accumulate runs strictly in order, where np.sum adds
+    # pairwise (and sum() compensates float sums from Python 3.12 on)
+    expansion_dropped = float(np.add.accumulate(np.concatenate([[0.0], drops.ravel()]))[-1])
 
     # constants are dropped; the y means plus the oscillator part lambda_b
     # (xi_b + y_b) of each site are the frequencies
-    flat = (~k.any(axis=1) & ~z.any(axis=1))[:, None]       # k = 0, no z factor
-    const = flat & ~tvecs.any(axis=1)
+    flat = (~_columns(k).any(axis=0) & ~zcols.any(axis=0))[:, None]     # k = 0, no z factor
+    const = flat & ~tcols.any(axis=0)
     constant_dropped = reduce(add, coef[const].tolist()
                               + [model.lam(j) * xi[b] for b, j in enumerate(model.sites)], 0j)
     means = [flat & np.all(tvecs == e, axis=1) for e in np.eye(n, dtype=int)]

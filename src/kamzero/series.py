@@ -252,7 +252,8 @@ class TFSeries:
         out = np.zeros(len(rows), dtype=complex)
         if len(self) and len(rows):
             rows = np.asarray(rows, dtype=np.int16)
-            lo = np.minimum(self.rows.min(axis=0), rows.min(axis=0)).astype(np.int32)
+            lo = np.minimum(_columns(self.rows).min(axis=1), _columns(rows).min(axis=1))
+            lo = lo.astype(np.int32)
             store, keys = (np.ascontiguousarray((r - lo).astype(">u2")).view(
                 np.dtype((np.void, 2 * r.shape[1]))).ravel() for r in (self.rows, rows))
             pos = np.minimum(np.searchsorted(store, keys), len(self) - 1)
@@ -333,20 +334,37 @@ class TFSeries:
 # key columns and exact codes
 # ---------------------------------------------------------------------------
 
+def _columns(rows, start=0, stop=None):
+    """Columns ``start:stop`` of ``rows`` as one C-ordered (column, row) array.
+
+    numpy reduces a C-ordered (rows, a few columns) block along its short
+    axis with an inner loop of a few entries per row.  On the transpose a
+    per-row reduction (``axis=0``) adds whole contiguous columns one after
+    another, in column order, and a per-column one (``axis=1``) runs along
+    one contiguous column.  Integer results are exact either way.  A float
+    sum along axis 0 adds each row's entries left to right, which is also
+    what numpy's row-wise sum does with fewer than 8 of them (its pairwise
+    sum starts at 8), so a row's sum does not depend on its position.
+    """
+    return np.ascontiguousarray(rows[:, start:stop].T)
+
+
 def _degrees(rows, n):
     """Total degree 2|alpha| + |beta| + |gamma| of each row."""
-    return 2 * rows[:, n:2 * n].sum(axis=1) + rows[:, 2 * n:].sum(axis=1)
+    cols = _columns(rows, n)
+    return 2 * cols[:n].sum(axis=0) + cols[n:].sum(axis=0)
 
 
 def _kabs(rows, n):
     """Fourier radius |k| of each row."""
-    return np.abs(rows[:, :n]).sum(axis=1)
+    return np.abs(_columns(rows, 0, n)).sum(axis=0)
 
 
 def _bounds(rows):
     """Per-column value range, widened to include 0 (a derivative lowers an
     exponent column to 0)."""
-    return np.minimum(rows.min(axis=0), 0).astype(np.int64), rows.max(axis=0).astype(np.int64)
+    cols = _columns(rows)
+    return np.minimum(cols.min(axis=1), 0).astype(np.int64), cols.max(axis=1).astype(np.int64)
 
 
 class _Codec:
@@ -405,12 +423,18 @@ class _Codec:
         return out
 
     def decode(self, words):
-        """Rows of the code ``words``: one broadcast division per word, a
-        slice of rows at a time (as ``encode``)."""
+        """Rows of the code ``words``, a slice of rows at a time (as
+        ``encode``): per word, the quotients code // stride_c in one
+        contiguous row per column, each but the leading one reduced modulo
+        its radix in place (a code lies below its leading radix times
+        stride), so that one int64 temporary of the slice's size is alive."""
         rows = np.empty((len(words[0]), len(self.radix)), dtype=np.int16)
         for s in self._slices(len(rows)):
             for (a, b, strides), code in zip(self.words, words):
-                rows[s, a:b] = code[s, None] // strides % self.radix[a:b] + self.lo[a:b]
+                q = code[s] // strides[:, None]
+                q[1:] %= self.radix[a + 1:b, None]
+                q += self.lo[a:b, None]
+                rows[s, a:b] = q.T
         return rows
 
 
@@ -628,11 +652,14 @@ def _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget):
     nbk = np.bincount(pb[starts], minlength=len(cols_b))
     # bucket g's slots starts[g] + g to starts[g + 1] + g hold the sums of
     # u and of u h over its first 0, 1, ... rows, each summed in its bucket
-    slots = np.zeros((len(pb) + len(starts), 2))
+    # along a contiguous column, then stacked for the probes
+    su, suh = np.zeros((2, len(pb) + len(starts)))
     at = np.arange(len(pb)) + bucket + 1
-    slots[at, 0], slots[at, 1] = ub, ub * hb
+    su[at], suh[at] = ub, ub * hb
     for a, b in zip((at[starts] - 1)[sizes > 1].tolist(), (at[starts] + sizes)[sizes > 1].tolist()):
-        np.add.accumulate(slots[a:b], out=slots[a:b])
+        np.add.accumulate(su[a:b], out=su[a:b])
+        np.add.accumulate(suh[a:b], out=suh[a:b])
+    slots = np.stack([su, suh], axis=1)
     # the queries: each A derivative row against each bucket of its pair; a
     # product of query q goes when u_b scale[q] < t
     per = nbk[pa]
@@ -949,24 +976,26 @@ def weighted_norm(F, dp):
     return float(np.abs(F.coefs) @ _term_weights(F, dp))
 
 
-def _term_weights(F, dp):
+def _term_weights(F, dp, cols=None):
     """Per term, e^{|k| s} r^{2|alpha|} prod_j (r / w_j)^{beta_j + gamma_j}.
 
-    The mode factors are summed row by row (a matrix-vector product may round
-    equal rows differently by their position), so equal rows, and a row and
-    its mirror, get bit-equal weights.
+    The mode factors of a row are added left to right, in column order, on
+    the contiguous columns ``cols`` of ``_columns(F.rows)`` (a
+    matrix-vector product may round equal rows differently by their
+    position), so equal rows, and a row and its mirror, get bit-equal
+    weights.
     """
     n = F.dims.n
     nmodes = len(F.dims.modes)
-    rows = F.rows
+    cols = _columns(F.rows) if cols is None else cols
     logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j
                      for j in F.dims.modes])
-    kabs = _kabs(rows, n)
-    na = rows[:, n:2 * n].sum(axis=1)
-    zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
+    kabs = np.abs(cols[:n]).sum(axis=0)
+    na = cols[n:2 * n].sum(axis=0)
+    zexp = cols[2 * n:2 * n + nmodes] + cols[2 * n + nmodes:]
     zlog = math.log(dp.r) - logw
     logs = (kabs * dp.s + 2 * na * math.log(dp.r)
-            + (zexp * zlog).sum(axis=1))
+            + (zexp * zlog[:, None]).sum(axis=0))
     return np.exp(logs)
 
 
@@ -995,19 +1024,21 @@ def vector_field_norm(F, dp):
 def _vf_parts(F, dp):
     """Per term of F, (base, h) with base = |c| weight (``weighted_norm``'s)
     and h = max_b |k_b| + max_b alpha_b + (|beta w^2|_2 + |gamma w^2|_2), so
-    that base h / r^2 is the ``vector_field_norm`` of the term alone.  Every factor is computed row by row, and the two
-    mode norms are added to each other before they are added to the rest,
-    so a term and its mirror (-k, alpha, gamma, beta, conjugate
-    coefficient) get bit-equal values.  Lowering an exponent never raises h.
+    that base h / r^2 is the ``vector_field_norm`` of the term alone.  Every
+    factor of a row is reduced left to right, in column order, on
+    ``_columns(F.rows)``, and the two mode norms are added to each other
+    before they are added to the rest, so a term and its mirror (-k, alpha,
+    gamma, beta, conjugate coefficient) get bit-equal values.  Lowering an
+    exponent never raises h.
     """
     n, nmodes = F.dims.n, len(F.dims.modes)
-    rows = F.rows
-    head = (np.abs(rows[:, :n]).max(axis=1, initial=0)
-            + rows[:, n:2 * n].max(axis=1, initial=0))
-    w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])
-    zb = np.sqrt(((rows[:, 2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=1))
-    zg = np.sqrt(((rows[:, 2 * n + nmodes:] * w2) ** 2).sum(axis=1))
-    return np.abs(F.coefs) * _term_weights(F, dp), head + (zb + zg)
+    cols = _columns(F.rows)
+    head = (np.abs(cols[:n]).max(axis=0, initial=0)
+            + cols[n:2 * n].max(axis=0, initial=0))
+    w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])[:, None]
+    zb = np.sqrt(((cols[2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=0))
+    zg = np.sqrt(((cols[2 * n + nmodes:] * w2) ** 2).sum(axis=0))
+    return np.abs(F.coefs) * _term_weights(F, dp, cols), head + (zb + zg)
 
 
 def vf_majorants(F, dp):

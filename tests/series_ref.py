@@ -5,11 +5,19 @@ The tests write their operands as ``MonomialKey -> complex`` dicts, read
 results through the ``TFSeries.terms`` view, and need a few operations the
 library does not: a product, a reader of ``TFSeries.to_text``, a reality
 probe and a budget check.
+
+It also keeps the row-wise forms of the series core's per-row kernels
+(``row_degrees`` to ``row_decode``): each reduces a C-ordered (rows,
+columns) block along its short axis, where the library reduces contiguous
+columns (``kamzero.series._columns``).  They are the reference of the
+library's kernels in ``test_series_properties.py``.
 """
+
+import math
 
 import numpy as np
 
-from kamzero.series import Budgets, MonomialKey, SeriesDims, TFSeries
+from kamzero.series import Budgets, MonomialKey, SeriesDims, TFSeries, mode_weight
 
 
 def _norm_expmap(entries):
@@ -115,3 +123,59 @@ def validate(S):
     if any(key_degree(key) > bud.degree_max or key_kabs(key) > bud.k_max for key in S.terms):
         raise ValueError("a key exceeds the budgets %r" % (bud,))
     return True
+
+
+# ---------------------------------------------------------------------------
+# row-wise references of the per-row kernels
+# ---------------------------------------------------------------------------
+
+def row_degrees(rows, n):
+    """Total degree 2|alpha| + |beta| + |gamma| of each row."""
+    return 2 * rows[:, n:2 * n].sum(axis=1) + rows[:, 2 * n:].sum(axis=1)
+
+
+def row_kabs(rows, n):
+    """Fourier radius |k| of each row."""
+    return np.abs(rows[:, :n]).sum(axis=1)
+
+
+def row_bounds(rows):
+    """Per-column value range, widened to include 0."""
+    return np.minimum(rows.min(axis=0), 0).astype(np.int64), rows.max(axis=0).astype(np.int64)
+
+
+def row_term_weights(F, dp):
+    """Per term, e^{|k| s} r^{2|alpha|} prod_j (r / w_j)^{beta_j + gamma_j},
+    the mode factors summed along each row."""
+    n = F.dims.n
+    nmodes = len(F.dims.modes)
+    rows = F.rows
+    logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j
+                     for j in F.dims.modes])
+    na = rows[:, n:2 * n].sum(axis=1)
+    zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
+    zlog = math.log(dp.r) - logw
+    logs = row_kabs(rows, n) * dp.s + 2 * na * math.log(dp.r) + (zexp * zlog).sum(axis=1)
+    return np.exp(logs)
+
+
+def row_vf_parts(F, dp):
+    """Per term, (|c| weight, max_b |k_b| + max_b alpha_b + (|beta w^2|_2 +
+    |gamma w^2|_2)), each factor reduced along each row."""
+    n, nmodes = F.dims.n, len(F.dims.modes)
+    rows = F.rows
+    head = (np.abs(rows[:, :n]).max(axis=1, initial=0)
+            + rows[:, n:2 * n].max(axis=1, initial=0))
+    w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])
+    zb = np.sqrt(((rows[:, 2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=1))
+    zg = np.sqrt(((rows[:, 2 * n + nmodes:] * w2) ** 2).sum(axis=1))
+    return np.abs(F.coefs) * row_term_weights(F, dp), head + (zb + zg)
+
+
+def row_decode(codec, words):
+    """Rows of the code ``words`` of ``codec`` (a ``kamzero.series._Codec``):
+    per word, one broadcast division and remainder for all its columns."""
+    rows = np.empty((len(words[0]), len(codec.radix)), dtype=np.int16)
+    for (a, b, strides), code in zip(codec.words, words):
+        rows[:, a:b] = code[:, None] // strides % codec.radix[a:b] + codec.lo[a:b]
+    return rows

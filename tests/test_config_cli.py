@@ -391,6 +391,33 @@ def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
 
 
+@pytest.mark.parametrize("section,key,value,code", [
+    ("schedule", "s1", "1e3", 4), ("schedule", "r1", "1e160", 5), ("schedule", "r1", "1e-200", 5),
+    ("domain", "a", "1e300", 5), ("domain", "p", "1e300", 5), ("schedule", "r1", "1e-153", 5)])
+def test_extreme_domain_values_end_in_an_exit_code(tmp_path, section, key, value, code):
+    # finite values that parse, and each once ended in a traceback: s1 = 1e3
+    # in a ValueError for a NaN truncation budget, r1 = 1e160 and a or p =
+    # 1e300 in an OverflowError, r1 = 1e-200 in a ZeroDivisionError, and r1
+    # = 1e-153 (whose floor radius 1e-155 squares to a subnormal) in an
+    # OverflowError at step 2.  A radius whose square is not a positive
+    # normal float, or an infinite top mode weight, is a config error; a
+    # norm of R0 that overflows on the starting domain is BudgetExhausted
+    with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
+        text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
+    if code == 5:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(p.startswith("[%s] " % section) and key in p for p in err.value.problems)
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    if code == EXIT_CODES["BudgetExhausted"]:
+        rep = json.loads((out / "run.json").read_text())
+        assert rep["verdict"] == "BudgetExhausted" and rep["verdict_info"]["m"] == 1
+        assert "starting domain" in rep["verdict_info"]["reason"] and not rep["steps"]
+
+
 @pytest.mark.parametrize("key,value", [("kmax", "-3"), ("kmax", "0"), ("k_lo", "10"),
                                        ("k_lo", "12"), ("k_lo", "-1"), ("gamma_ladder", "0")])
 def test_empty_condition_set_is_config_error(tmp_path, capsys, key, value):

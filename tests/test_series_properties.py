@@ -24,7 +24,8 @@ from kamzero.series import (Budgets, DomainParams, MonomialKey, SeriesDims, TFSe
                             fourier_truncate, mode_weight, poisson_bracket, split_low_high,
                             vector_field_norm, vf_majorants, vf_truncate, weighted_norm)
 from series_ref import (from_terms, from_text, key_degree, key_kabs, make_key, product,
-                        reality_defect)
+                        reality_defect, row_bounds, row_decode, row_degrees, row_kabs,
+                        row_term_weights, row_vf_parts)
 
 DIMS = SeriesDims(2, (1, 2), (0,), 5)         # modes (0, 3, 4, 5)
 BUD = Budgets(degree_max=6, k_max=6, prune_rel=0.0)
@@ -418,6 +419,68 @@ def _structured_coefficients_at(S, rows):
     out = np.zeros(len(rows), dtype=complex)
     out[hit] = S.coefs[pos[hit]]
     return out
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 3), st.integers(1, 10), st.integers(0, 2000), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_column_kernels_match_the_row_wise_reference(n, nmodes, count, zero, seed):
+    # the kernels on contiguous columns against their row-wise forms in
+    # series_ref: integers equal; floats bit-equal below 8 mode columns a
+    # side, where numpy adds a row's entries left to right as a column sum
+    # does; from 8 on numpy sums a row pairwise, so there they agree within
+    # 4 ulps of the summands (the weights carry the mode sum through exp),
+    # and a row and its mirror still get bit-equal majorants
+    rng = np.random.default_rng(seed)
+    dims = SeriesDims(n, (), (0,) if zero else (), nmodes - zero)
+    assert len(dims.modes) == nmodes
+    width = 2 * n + 2 * nmodes
+    rows = np.concatenate([rng.integers(-6, 7, (count, n)), rng.integers(0, 4, (count, n)),
+                           rng.integers(0, 4, (count, 2 * nmodes))
+                           * (rng.random((count, 2 * nmodes)) < 0.4)], axis=1).astype(np.int16)
+    coefs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    dp = DomainParams(rng.uniform(0.01, 2.0), math.exp(rng.uniform(-4.0, 1.0)),
+                      rng.uniform(0.01, 1.0), rng.uniform(0.51, 3.0))
+    for got, want in ((kseries._degrees(rows, n), row_degrees(rows, n)),
+                      (kseries._kabs(rows, n), row_kabs(rows, n))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if count:
+        for got, want in zip(kseries._bounds(rows), row_bounds(rows)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    F = TFSeries(dims, BUD, rows, coefs)
+    weights, (base, h) = kseries._term_weights(F, dp), kseries._vf_parts(F, dp)
+    ref_weights, (ref_base, ref_h) = row_term_weights(F, dp), row_vf_parts(F, dp)
+    if nmodes < 8:
+        for got, want in ((weights, ref_weights), (base, ref_base), (h, ref_h)):
+            assert np.array_equal(_bits(got), _bits(want))
+    else:
+        logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j for j in dims.modes])
+        zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
+        summands = (zexp * np.abs(math.log(dp.r) - logw)).sum(axis=1)
+        tol = 4 * np.finfo(float).eps * (summands + 1.0)
+        assert np.all(np.abs(weights - ref_weights) <= tol * ref_weights)
+        assert np.all(np.abs(base - ref_base) <= tol * ref_base)
+        np.testing.assert_array_max_ulp(h, ref_h, maxulp=4)
+    # each row and its mirror, at shuffled positions of one series
+    perm = rng.permutation(count)
+    mirror, conj = kseries._mirror(dims, rows, coefs)
+    both = TFSeries(dims, BUD, np.concatenate([rows, mirror[perm]]),
+                    np.concatenate([coefs, conj[perm]]))
+    at = count + np.argsort(perm)
+    for part in kseries._vf_parts(both, dp):
+        assert np.array_equal(_bits(part[:count]), _bits(part[at]))
+    # decode, on column ranges spanning -16383..16383 (several code words)
+    lo = rng.integers(-16383, 1, width)
+    hi = rng.integers(lo, 16384)
+    codec = kseries._Codec(lo, hi)
+    wide = rng.integers(lo, hi + 1, (count, width)).astype(np.int16)
+    words = codec.encode(wide, lo)
+    got = codec.decode(words)
+    assert np.array_equal(got, row_decode(codec, words)) and np.array_equal(got, wide)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
