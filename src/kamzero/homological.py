@@ -286,7 +286,7 @@ FAMILY_TABLE = {
 }
 FAMILIES = tuple(FAMILY_TABLE)
 _LATTICE_CAP = 6_000_000
-# k-rows x samples of one ``measure.estimate_excluded`` grid: 160 MB of
+# k-rows x samples of one ``measure.estimate_ladder`` grid: 160 MB of
 # float64 values
 _GRID_CELL_CAP = 20_000_000
 # dispersion exponent d of the normal frequencies Omega_j = j^d (cubic NLS)

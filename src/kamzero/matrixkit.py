@@ -105,24 +105,11 @@ def solve_dense(M, rhs, cond_guard=1e12):
 
 
 def op_norm(M, tol=1e-10, max_iter=500, seed=7):
-    """Spectral norm via power iteration on M* M (relative tolerance)."""
+    """Spectral norm, the largest singular value of M (0 for an empty M).
+
+    Exact to rounding by an SVD; ``tol``, ``max_iter`` and ``seed`` are
+    accepted and ignored."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0
-    MM = M.conj().T @ M
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = MM @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(np.real(np.vdot(v, MM @ v)))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(M, 2))

@@ -32,10 +32,11 @@ wider than 63 bits spill into further code words sorted with
 ``np.lexsort``, so a code never wraps.
 
 A bracket is formed in one pass over its derivative pairs
-(``_products``): each operand's rows are encoded once and its derivatives
-for every pair formed together, and the product rows of consecutive pairs
-are formed in blocks of at most ``_CHUNK_ROWS`` rows.  Brackets stream
-these rows through a bounded accumulator
+(``_products``): the rows with no product within the degree budget leave
+first, each operand's rows are encoded once and its derivatives for every
+pair formed together, and one stream forms the product rows in blocks of
+at most ``_CHUNK_ROWS``.  Brackets stream these rows through a bounded
+accumulator
 (``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS`` unsorted rows
 is sorted and summed on its own into a sorted block of distinct keys, and
 sorted blocks are merged with each other only when their rows pass
@@ -181,9 +182,10 @@ class TFSeries:
     (``perfbench/tracer.py``).  Arithmetic
     returns fresh series and never mutates its inputs
     (only ``prune`` drops terms in place), so series are safe to share
-    between threads.  ``meta`` carries operation bookkeeping: combining
-    operations set ``meta['dropped_mass']`` to the l^1 coefficient mass
-    removed by the degree/Fourier budgets.
+    between threads.  Series combine (``+``, ``-``, brackets) only with
+    equal ``dims`` and ``budgets``; otherwise ValueError.  ``meta`` carries
+    operation bookkeeping: combining operations set ``meta['dropped_mass']``
+    to the l^1 coefficient mass removed by the degree/Fourier budgets.
     """
 
     __slots__ = ("dims", "budgets", "rows", "coefs", "real", "meta", "_terms")
@@ -276,7 +278,7 @@ class TFSeries:
         return self + (other * -1.0)
 
     def __mul__(self, scalar):
-        real = self.real and not (isinstance(scalar, complex) and scalar.imag != 0)
+        real = self.real and not np.imag(scalar)
         coefs = scalar * self.coefs
         live = coefs != 0
         return TFSeries._of(self, self.rows[live], coefs[live], real)
@@ -286,6 +288,8 @@ class TFSeries:
     def _check_compatible(self, other):
         if self.dims != other.dims:
             raise ValueError("series dims mismatch: %r vs %r" % (self.dims, other.dims))
+        if self.budgets != other.budgets:
+            raise ValueError("series budgets mismatch: %r vs %r" % (self.budgets, other.budgets))
 
     def prune_mask(self, rel=None):
         """Mask of the coefficients below ``rel * max|c|`` (``prune_rel`` by
@@ -554,12 +558,6 @@ def _summed(blocks):
     return [w[first] for w in words], sums
 
 
-def _lowering(cols, n):
-    """Total-degree drop of differentiating in the variable of each column of
-    ``cols``: 0 for an angle, 2 for an action, 1 for a normal mode."""
-    return np.where(cols < n, 0, np.where(cols < 2 * n, 2, 1))
-
-
 def _half(A):
     """The rows of A that sort below their mirror, and its self-mirror rows
     (k = 0, beta = gamma) at weight 1/2.  For a real A and B, {A, B} is
@@ -580,17 +578,15 @@ def _derivative_rows(S, cols):
 
 class _Plan(NamedTuple):
     """The products ``_skip_plan`` keeps.  B's derivative rows come in the
-    plan's order (``rows_b``: pair, row), each pair's in buckets
-    (``bucket``), and one query per A derivative row and bucket of its pair
-    keeps the products with that bucket's rows ``start[q]`` to ``end[q] -
-    1``; pair p's queries are ``qoff[p]:qoff[p + 1]``, A-row-major."""
+    plan's order (``rows_b``: pair, row), each pair's in buckets; query q,
+    A derivative row ``qa[q]`` against one bucket of its pair, leaves out
+    its rows ``first[q]:start[q]`` and keeps ``start[q]:end[q]``."""
 
     rows_b: tuple
-    bucket: np.ndarray
     qa: np.ndarray
+    first: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    qoff: np.ndarray
     ua: np.ndarray
     ha: np.ndarray
     ub: np.ndarray
@@ -693,8 +689,7 @@ def _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget):
     left_out = int((start - first).sum())
     if not left_out:
         return None
-    qoff = np.concatenate([[0], np.cumsum(np.bincount(pa, minlength=len(cols_a)) * nbk)])
-    return _Plan((pb, sb), bucket, qa, start, end, qoff, ua, ha, ub, hb, bound, left_out)
+    return _Plan((pb, sb), qa, first, start, end, ua, ha, ub, hb, bound, left_out)
 
 
 class _Derivatives(NamedTuple):
@@ -707,14 +702,6 @@ class _Derivatives(NamedTuple):
     src: np.ndarray
     words: list
     coefs: np.ndarray
-
-    def span(self, p):
-        return slice(self.offsets[p], self.offsets[p + 1])
-
-    def pair(self, p):
-        """(code words, coefficients) of pair p."""
-        at = self.span(p)
-        return [w[at] for w in self.words], self.coefs[at]
 
 
 def _derivatives(S, lo, codec, cols, pair, src):
@@ -733,83 +720,76 @@ def _derivatives(S, lo, codec, cols, pair, src):
                         S.coefs[src] * np.where(angle, 1j * e, e))
 
 
-def _groups(sizes):
-    """(p, q, total) for runs of consecutive items p to q - 1 whose
-    ``total`` products, ``sizes`` of them per item, fit ``_CHUNK_ROWS``
-    together, and for each item with more alone; runs without products are
-    left out."""
-    p = 0
-    while p < len(sizes):
-        q, total = p + 1, sizes[p]
-        while q < len(sizes) and total + sizes[q] <= _CHUNK_ROWS:
-            total += sizes[q]
-            q += 1
-        if total:
-            yield p, q, total
-        p = q
+def _within_degree(acc, A, B, cols_a, cols_b):
+    """A and B less their rows with no product within the degree budget, and
+    the kept rows' degrees; those products' mass goes to ``acc.dropped``.
+    Each pair lowers the degree by 2, so a row of A whose degree plus B's
+    least passes ``degree_max + 2`` has none, and so for B.  The mass, with
+    S(p) = sum |c e_p| over rows, is sum_p S_deadA S_B + S_liveA S_deadB."""
+    n, top = A.dims.n, A.budgets.degree_max + 2
+    dga, dgb = _degrees(A.rows, n), _degrees(B.rows, n)
+    live_a = dga + dgb.min(initial=top + 1) <= top
+    live_b = dgb + dga.min(initial=top + 1) <= top
+    if live_a.all() and live_b.all():
+        return A, B, dga, dgb
+    (la, da), (lb, db) = ([np.abs(S.coefs[m]) @ np.abs(S.rows[m][:, cols]) for m in (live, ~live)]
+                          for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b)))
+    acc.dropped += float(da @ (lb + db) + la @ db)
+    return A.select(live_a), B.select(live_b), dga[live_a], dgb[live_b]
 
 
-def _pair_products(acc, da, db, p):
-    """The products of pair p, row-major, an A-row slice of at most about
-    ``_CHUNK_ROWS`` rows at a time (one A-row at least)."""
-    (wa, ca), (wb, cb) = da.pair(p), db.pair(p)
-    step = max(1, _CHUNK_ROWS // len(cb))
-    for lo in range(0, len(ca), step):
-        hi = lo + step
-        acc.add([(x[lo:hi, None] + y).ravel() for x, y in zip(wa, wb)],
-                (ca[lo:hi, None] * cb).ravel())
-
-
-def _segment_products(acc, da, db, ia, jb, lens):
-    """In one block, segment by segment, the products of A-row ``ia[s]``
-    with the ``lens[s]`` B-rows from ``jb[s]`` on."""
-    ends = np.cumsum(lens)
-    jb = np.arange(ends[-1]) + np.repeat(jb - (ends - lens), lens)
-    coefs = np.repeat(da.coefs[ia], lens)
-    coefs *= db.coefs[jb]
-    acc.add([np.repeat(x[ia], lens) + y[jb] for x, y in zip(da.words, db.words)], coefs)
-
-
-def _masked_products(acc, A, B, da, db, p, lowered, plan):
-    """The products of pair p within the budgets, row-major, gathered from
-    an A-row slice's broadcast mask; the mass of the others is counted from
-    magnitudes.  ``lowered`` is each operand's degree drop in the pair.
-
-    With a ``plan``, the products it leaves out are not formed either;
-    returns the count and the summed bound of those within the budgets."""
+def _budget_test(A, B, dga, dgb, da, db):
+    """None when the extremes of A's and B's rows (degrees ``dga``, ``dgb``)
+    keep every product within the budgets; else the in-budget mask of the
+    products of A derivative rows i with B's j."""
     n, bud = A.dims.n, A.budgets
-    (wa, ca), (wb, cb) = da.pair(p), db.pair(p)
-    ra, rb = A.rows[da.src[da.span(p)]], B.rows[db.src[db.span(p)]]
-    dga, dgb = _degrees(ra, n) - lowered[0], _degrees(rb, n) - lowered[1]
-    ka, kb = ra[:, :n].astype(np.int32), rb[:, :n].astype(np.int32)
-    mb = np.abs(cb)
-    left_out, bound = 0, 0.0
-    if plan is not None:
-        start = plan.start[plan.qoff[p]:plan.qoff[p + 1]].reshape(len(ca), -1)
-        local = plan.bucket[db.span(p)] - plan.bucket[db.offsets[p]]
-        jpos = np.arange(db.offsets[p], db.offsets[p + 1])
-        ua, ha = plan.ua[da.span(p)], plan.ha[da.span(p)]
-        ub = plan.ub[db.span(p)]
-        ubh = ub * plan.hb[db.span(p)]
-    step = max(1, _CHUNK_ROWS // len(cb))
-    for lo in range(0, len(ca), step):
-        hi = lo + step
-        keep = dga[lo:hi, None] + dgb <= bud.degree_max
-        if n:
-            kabs = sum(np.abs(ka[lo:hi, b, None] + kb[:, b]) for b in range(n))
-            keep &= kabs <= bud.k_max
-        # |ca_i cb_j| summed over the dropped pairs, from the magnitudes
-        acc.dropped += float(np.abs(ca[lo:hi]) @ (~keep @ mb))
-        if plan is not None:
-            gone = keep & (jpos < start[lo:hi][:, local])
-            keep &= ~gone
-            left_out += int(gone.sum())
-            gone = gone.astype(float)
-            bound += float(ua[lo:hi] @ (ha[lo:hi] * (gone @ ub) + gone @ ubh))
-        i, j = np.nonzero(keep)     # row-major, as the full product's rows
-        i += lo
-        acc.add([x[i] + y[j] for x, y in zip(wa, wb)], ca[i] * cb[j])
-    return left_out, bound
+    if (dga.max() + dgb.max() - 2 <= bud.degree_max
+            and _kabs(A.rows, n).max() + _kabs(B.rows, n).max() <= bud.k_max):
+        return None
+    dga, dgb = dga[da.src], dgb[db.src]
+    ka, kb = (_columns(S.rows, 0, n)[:, d.src].astype(np.int32) for S, d in ((A, da), (B, db)))
+
+    def within(i, j):
+        kabs = sum(np.abs(x[i] + y[j]) for x, y in zip(ka, kb))
+        return (dga[i] + dgb[j] <= bud.degree_max + 2) & (kabs <= bud.k_max)
+    return within
+
+
+def _blocks(lens):
+    """(s, t) for runs of whole segments s to t - 1 with at most ``_CHUNK_ROWS``
+    products together (``lens`` per segment), or for one longer segment."""
+    ends = np.cumsum(lens)
+    s = 0
+    while s < len(lens):
+        t = max(s + 1, int(np.searchsorted(ends, ends[s] - lens[s] + _CHUNK_ROWS, "right")))
+        yield s, t
+        s = t
+
+
+def _stream(acc, da, db, ia, jb, lens, within):
+    """Per block (``_blocks``), the index pairs (i, j) of the products of
+    segments s, A derivative row ``ia[s]`` with the ``lens[s]`` B derivative
+    rows from ``jb[s]`` on, row-major; with a ``within`` test only those in
+    the budgets, the others' mass going to ``acc.dropped``."""
+    for s, t in _blocks(lens):
+        ends = np.cumsum(lens[s:t])
+        i = np.repeat(ia[s:t], lens[s:t])
+        j = np.arange(ends[-1]) + np.repeat(jb[s:t] - (ends - lens[s:t]), lens[s:t])
+        if within is not None:
+            keep = within(i, j)
+            acc.dropped += float(np.abs(da.coefs[i[~keep]]) @ np.abs(db.coefs[j[~keep]]))
+            i, j = i[keep], j[keep]
+        yield i, j
+
+
+def _form(acc, da, db, blocks):
+    """Adds each block's products (i, j) to ``acc``, freeing the block after."""
+    for i, j in blocks:
+        # in place: for one element numpy's in-place complex multiply skips
+        # the fused multiply-add of its out-of-place one; runs keep the former
+        coefs = da.coefs[i]
+        coefs *= db.coefs[j]
+        acc.add([x[i] + y[j] for x, y in zip(da.words, db.words)], coefs)
 
 
 def _products(out, A, B, pairs, dp=None, budget=0.0):
@@ -821,47 +801,40 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     operand that is not real to roundoff, it forms the product of A's lower
     half and its mirror instead of A's.
 
-    One pass over all pairs: each operand's rows are encoded once and its
-    derivatives for every pair formed together (``_derivatives``).  Each
-    factor is +-1 or +-i and is folded into dB's coefficients: ca * (cb *
-    factor) equals (ca * cb) * factor exactly, also where numpy's complex
-    multiply fuses a multiply-add (folding it into ca does not: the fused
-    product then rounds a different partial product).  The product rows
-    reach the accumulator pair by pair, row-major within a pair: the pairs
-    in consecutive groups of at most ``_CHUNK_ROWS`` products, one block
-    each (``_segment_products``), and a pair that is a group alone in A-row
-    slices (``_pair_products``).  Where the same ca * cb sits in a longer
-    array, numpy may round it differently, so a coefficient can differ by
-    an ulp from the pair-by-pair product.
+    First the rows that have no product within the degree budget leave
+    both operands, their products' mass counted in closed form
+    (``_within_degree``).  Then one pass over all pairs: each operand's
+    rows are encoded once and its derivatives for every pair formed
+    together (``_derivatives``).  Each factor is +-1 or +-i and is folded
+    into dB's coefficients: ca * (cb * factor) equals (ca * cb) * factor
+    exactly, also where numpy's complex multiply fuses a multiply-add
+    (folding it into ca does not: the fused product then rounds a different
+    partial product).
 
-    When the operands' extremes can exceed a budget, each pair's in-budget
-    mask is built from the integer degree and |k| columns, and only the kept
-    (row of A, row of B) pairs are gathered, in the row-major order of the
-    full block; the dropped rows are never formed, and their mass is counted
-    from magnitudes as sum_i |ca_i| * sum_{j dropped} |cb_j|.
+    One stream (``_stream``) forms every product row: a segment is an A
+    derivative row with a run of its pair's B derivative rows (all, or with
+    a plan each kept bucket suffix), and blocks of whole segments reach the
+    accumulator in row-major order, through the per-product budget test
+    only when the kept rows' extremes can still pass a budget.
 
     A positive ``budget`` leaves out, before any row is formed, the products
     that ``_skip_plan`` picks on the domain ``dp``.  With halving, each
     left-out product counts for P and M(P), so the plan gets half the
     budget and ``meta['skip_bound']`` is twice the left-out products'
     summed bound; ``meta['skip_rows']`` counts them.  Both count only
-    products within the degree and Fourier budgets, the ones the whole
-    bracket forms.  A plan that leaves products out takes B's rows in its
-    order and forms each A-row's kept products bucket by bucket, in blocks
-    of consecutive segments of at most ``_CHUNK_ROWS`` rows
-    (``_segment_products``), or through the budget mask; a plan that leaves
-    none out changes nothing.
+    products within the degree and Fourier budgets (the left-out segments
+    pass the same test).  A plan that leaves none out changes nothing.
     """
-    n, bud = A.dims.n, A.budgets
     acc = _Accumulator()
     mirrored = A.real and B.real
     twice = 2.0 if mirrored else 1.0
     if mirrored:
         A = _half(A)
-        if not len(A):      # a real-flagged A with no row at or below its mirror
-            acc.finalize(out, None, mirrored)
-            return
     cols_a, cols_b, factors = (np.array(c) for c in zip(*pairs))
+    A, B, dga, dgb = _within_degree(acc, A, B, cols_a, cols_b)
+    if not len(A) or not len(B):
+        acc.finalize(out, None, mirrored)
+        return
     rows_a, rows_b = _derivative_rows(A, cols_a), _derivative_rows(B, cols_b)
     plan = None
     if budget > 0.0:
@@ -872,33 +845,20 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     da = _derivatives(A, lo_a, codec, cols_a, *rows_a)
     db = _derivatives(B, lo_b, codec, cols_b, *(rows_b if plan is None else plan.rows_b))
     db = db._replace(coefs=db.coefs * np.repeat(factors.astype(complex), db.counts))
-    # a product row's degree is its factors' degrees less the pair's lowering
-    # and its |k| at most theirs, so the budget mask is needed only when the
-    # operands' extremes can exceed a budget
-    low_a, low_b = _lowering(cols_a, n), _lowering(cols_b, n)
-    masked = (_degrees(A.rows, n).max() + _degrees(B.rows, n).max() - (low_a + low_b).min()
-              > bud.degree_max or _kabs(A.rows, n).max() + _kabs(B.rows, n).max() > bud.k_max)
-    sizes = (da.counts * db.counts).tolist()
-    if masked:
-        left_out, bound = 0, 0.0
-        for p in np.flatnonzero(sizes):
-            count, part = _masked_products(acc, A, B, da, db, p, (low_a[p], low_b[p]), plan)
-            left_out, bound = left_out + count, bound + part
-    elif plan is not None:
-        left_out, bound = plan.left_out, plan.bound
-        kept = np.flatnonzero(plan.start < plan.end)
-        ia, jb, lens = plan.qa[kept], plan.start[kept], (plan.end - plan.start)[kept]
-        for p, q, _ in _groups(lens.tolist()):
-            _segment_products(acc, da, db, ia[p:q], jb[p:q], lens[p:q])
+    within = _budget_test(A, B, dga, dgb, da, db)
+    if plan is None:
+        pa = rows_a[0]
+        ia, jb, lens = np.arange(len(pa)), db.offsets[pa], db.counts[pa]
     else:
-        for p, q, _ in _groups(sizes):
-            if q == p + 1:
-                _pair_products(acc, da, db, p)
-            else:
-                na, nb = da.counts[p:q], db.counts[p:q]
-                _segment_products(acc, da, db, np.arange(da.offsets[p], da.offsets[q]),
-                                  np.repeat(db.offsets[p:q], na), np.repeat(nb, na))
+        ia, jb, lens = plan.qa, plan.start, plan.end - plan.start
+    _form(acc, da, db, _stream(acc, da, db, ia, jb, lens, within))
     if plan is not None:
+        left_out, bound = plan.left_out, plan.bound
+        if within is not None:
+            left_out, bound = 0, 0.0
+            for i, j in _stream(acc, da, db, plan.qa, plan.first, plan.start - plan.first, within):
+                left_out += len(i)
+                bound += float(plan.ua[i] @ (plan.ub[j] * (plan.ha[i] + plan.hb[j])))
         out.meta.update(skip_bound=twice * bound, skip_rows=left_out)
     acc.finalize(out, codec, mirrored)
 

@@ -404,9 +404,11 @@ def test_runs_do_not_depend_on_the_summation_order(tmp_path, monkeypatch):
     # cut inside brackets and Lie series, a smaller chunk may move a run only
     # by rounding: the shipped configs and the 120 sweep problems keep their
     # verdict, m, Lie orders and solve counts, and each eps within 1e-12
-    # eps_measured of its step
+    # eps_measured of its step; nls-build's R0, whose Birkhoff brackets take
+    # the same stream, keeps its keys above 1e-12 max|c| and each
+    # coefficient within 1e-12 max|c|
     from conftest import SWEEP_SEEDS, SWEEP_SHAPES
-    from kamzero import cli
+    from kamzero import cli, nls
 
     texts = {}
     for name in ("nls", "synthetic", "no_torus"):
@@ -423,9 +425,18 @@ def test_runs_do_not_depend_on_the_summation_order(tmp_path, monkeypatch):
             reports.append(json.loads((tmp_path / "run.json").read_text()))
         return reports
 
-    shipped = runs()
+    def r0():
+        cfg = parse_config(texts["nls"])
+        return nls.build_nls(cli._model(cfg), cli._budgets(cfg))[1].R0
+
+    shipped, shipped_r0 = runs(), r0()
     monkeypatch.setattr(series, "_CHUNK_ROWS", 4096)
-    chunked = runs()
+    chunked, chunked_r0 = runs(), r0()
+    tol = 1e-12 * shipped_r0.max_abs()
+    for S, T in ((shipped_r0, chunked_r0), (chunked_r0, shipped_r0)):
+        assert np.all(np.abs(S.coefs - T.coefficients_at(S.rows)) <= tol)
+    assert np.array_equal(shipped_r0.rows[np.abs(shipped_r0.coefs) > tol],
+                          chunked_r0.rows[np.abs(chunked_r0.coefs) > tol])
     assert len(shipped) == 123
     for a, b in zip(shipped, chunked):
         assert a["verdict"] == b["verdict"]

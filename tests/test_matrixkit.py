@@ -123,6 +123,12 @@ def test_op_norm():
     for _ in range(100):
         v = crandn(rng, 5)
         assert np.linalg.norm(M @ v) <= nrm * np.linalg.norm(v) * (1 + 1e-8)
+    # exact to rounding also where the top two singular values nearly tie
+    # (a power iteration stops short of the norm there), and 0 when empty
+    U, V = (np.linalg.qr(crandn(rng, 3, 3))[0] for _ in range(2))
+    M = U @ np.diag([2.0, 2.0 * (1 - 1e-6), 0.5]) @ V.conj().T
+    assert op_norm(M) == pytest.approx(2.0, rel=1e-14)
+    assert op_norm(np.zeros((0, 3))) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,38 @@ def test_bracket_dimension_mismatch():
         poisson_bracket(mono(1.0, k=(1, 0)), mono(1.0, k=(1, 0), dims=other))
 
 
+def test_mixed_budgets_raise():
+    # {F, G} = -2i e^{5 i x1} has |k| = 5: under G's k_max = 4 it would be
+    # dropped, under F's k_max = 100 kept, so no budget is right for both
+    F = mono(1.0, k=(3, 0), alpha=(1, 0), bud=Budgets(6, 100))
+    G = mono(1.0, k=(2, 0), bud=Budgets(6, 4))
+    assert poisson_bracket(F, mono(1.0, k=(2, 0), bud=F.budgets)).terms == {
+        make_key(2, k=(5, 0)): -2j}
+    for op in (lambda a, b: a + b, lambda a, b: a - b, poisson_bracket):
+        for a, b in ((F, G), (G, F)):
+            with pytest.raises(ValueError, match="budgets"):
+                op(a, b)
+    with pytest.raises(ValueError, match="budgets"):
+        F + mono(1.0, k=(3, 0), alpha=(1, 0), bud=Budgets(6, 100, 1e-8))
+
+
+@pytest.mark.parametrize("scalar", [np.complex64(1j), np.complex128(1j), np.complex64(0.5 - 2j)])
+def test_complex_numpy_scalars_clear_the_real_flag(scalar):
+    # a real-flagged product would be halved by the next bracket as if it
+    # were still real
+    rng = np.random.default_rng(5)
+    F, G = (realify(random_series(rng, nterms=12)) for _ in range(2))
+    S = F * scalar
+    assert not S.real and not (scalar * F).real
+    plain = TFSeries(S.dims, S.budgets, S.rows, S.coefs)
+    for br, ref in ((poisson_bracket(S, G), poisson_bracket(plain, G)),
+                    (poisson_bracket(G, S), poisson_bracket(G, plain))):
+        assert br.rows.tobytes() == ref.rows.tobytes()
+        assert br.coefs.tobytes() == ref.coefs.tobytes()
+    for real in (np.float32(2.0), np.complex64(2.0), np.complex128(-0.5), 3):
+        assert (F * real).real
+
+
 def test_bad_budgets_raise_instead_of_dropping_or_forming_everything():
     # a NaN budget made vf_truncate drop every term and a bracket form every
     # row; a positive bracket budget without a domain failed inside

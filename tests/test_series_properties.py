@@ -177,8 +177,9 @@ def _boundary(deg_a, deg_b, k_a, k_b):
     return from_terms(DIMS, BUD, F), from_terms(DIMS, BUD, G)
 
 
-# operands at the budgets (the kernel skips the budget mask) and one over
-# (it masks): bracket degree 6 and 7, product degree 6 and 7, |k| 6 and 7
+# operands at the budgets (no product needs the budget test) and one over
+# (rows leave by degree, or products are tested): bracket degree 6 and 7,
+# product degree 6 and 7, |k| 6 and 7
 BOUNDARY = [_boundary(4, 4, 1, 1), _boundary(5, 4, 1, 1), _boundary(4, 2, 1, 1),
             _boundary(4, 3, 1, 1), _boundary(2, 2, 3, 3), _boundary(2, 2, 4, 3)]
 
@@ -584,7 +585,7 @@ def test_unmasked_bracket_forms_its_rows_a_chunk_at_a_time():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # a pair whose B-side holds more than a chunk goes an A-row at a time
+        # a segment (an A-row with its pair's B-rows) above a chunk goes alone
         assert sum(sizes) > 1_000_000 and max(sizes) <= largest
         assert np.array_equal(out.rows, whole.rows) and len(out) == 16875
         assert np.allclose(out.coefs, whole.coefs, rtol=1e-12, atol=0.0)
@@ -956,8 +957,8 @@ def _random_coefficients(S, seed, real):
     return realify(S) if real else S
 
 
-# keys under the budgets (the kernel may skip the budget mask) and keys of
-# degree 4 to 6 (it masks)
+# keys under the budgets (no product needs the budget test) and keys of
+# degree 4 to 6 (rows leave by degree, and products may be tested)
 PLAN_KEYS = st.one_of(series(DYADIC, max_size=6), HIGH.map(lambda t: from_terms(DIMS, BUD, t)))
 
 
