@@ -253,9 +253,8 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     # exact decomposition of the transformed perturbation
     rem_tol = 0.01 * max(eps_m ** (4.0 / 3.0), 1e-30)
     T1 = srep.bracket  # {N, F}, as certified by the solver's residual
-    resid_series = T1 + low_trunc - Nhat.to_series(dims, R.budgets)
     dropped = truncated_mass(T1)
-    R_next = resid_series + tail
+    R_next = srep.remainder + tail
     lie_used = 1
     skip_bound, skip_rows = 0.0, 0
     if len(F):

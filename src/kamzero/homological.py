@@ -14,7 +14,8 @@ zero-mode linears (2b blocks, right side corrected by the quadratic
 solution), tail linears, and finally the x/y coefficients.  Right-side
 corrections between classes are evaluated with the series engine's own
 Poisson bracket rather than hand-coded, so the solution is consistent with
-the bracket by construction; ``hom_residual`` certifies it.
+the bracket by construction; the norm of what ``hom_residual`` leaves of
+the equation certifies it.
 
 The solve works on key rows: a row's class comes from column sums (action
 degree, zero-mode and tail z-degree), the scalar classes are divided row
@@ -31,9 +32,11 @@ R1, R3 and R4, each with its block operator, scale and exponent named once
 in ``FAMILY_TABLE``.  ``check_nonresonance`` evaluates it at one parameter
 sample (the solver gate), ``measure.estimate_ladder`` over a parameter
 grid, and the solver's divisor guards read the same thresholds.  The gate
-and the grid both read their violations off sorted values of <k, omega>
-with one bisection (``_first_above``); the gate evaluates a condition only
-at the lattice points that bisection leaves as candidates.
+and the grid find their violations by one search over sorted values x of
+<k, omega> (``_ranges``): the x with |fl(x + c)| below a bound, with the
+threshold as the bound of a KL shift c and its ``_factor_floor`` as the
+bound of a determinant root's shift Im mu.  A determinant is evaluated
+only at the candidates that search leaves.
 """
 
 from __future__ import annotations
@@ -404,10 +407,10 @@ class Condition:
         return det
 
 
-def _first_above(xs, shifts, bound, strict):
+def _first_above(xs, shifts, bound):
     """First sorted position p of every (row, shift) pair with
-    fl(xs[row, p] + shift) > bound[row, shift] (>= unless ``strict``), or
-    the row length if there is none.
+    fl(xs[row, p] + shift) >= bound[row, shift], or the row length if there
+    is none.
 
     fl(x + c) is nondecreasing in x, so the test is monotone along a sorted
     row; one binary search runs for all pairs at once and evaluates the
@@ -423,10 +426,29 @@ def _first_above(xs, shifts, bound, strict):
     row = np.arange(nb)[:, None]
     p = np.zeros(bound.shape, dtype=np.intp)
     while step:
-        v = padded[row, p + (step - 1)] + shifts
-        p += np.where((v > bound) if strict else (v >= bound), 0, step)
+        p += np.where(padded[row, p + (step - 1)] + shifts >= bound, 0, step)
         step //= 2
     return np.minimum(p, nsamp)
+
+
+def _ranges(xs, shifts, bound):
+    """The range [lo, hi) (hi = lo when empty) of sorted positions p with
+    |fl(xs[row, p] + shift)| < bound[row, shift], for every row of the
+    sorted ``xs`` and every shift.  |fl(x + c)| < b is
+    fl(x + c) >= nextafter(-b, inf) and not >= b, so one ``_first_above``
+    finds both ends of every range."""
+    ends = _first_above(xs, np.tile(shifts, 2),
+                        np.concatenate([np.nextafter(-bound, np.inf), bound], axis=1))
+    lo, hi = np.split(ends, 2, axis=1)
+    return lo, np.maximum(hi, lo)
+
+
+def _expand(lo, hi):
+    """Every position of the ranges [lo, hi), each with the flat index of
+    its range: (range index, position) arrays in range order."""
+    lo, n = lo.ravel(), (hi - lo).ravel()
+    return (np.repeat(np.arange(n.size), n),
+            np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n))
 
 
 def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
@@ -475,18 +497,24 @@ def k_powers(conds, kabs):
 
 
 def _factor_floor(scale, count):
-    """A t > 0 such that a rounded product of ``count`` factors, each at
-    least t, is at least ``scale``.  Rounded products are monotone in their
-    factors, so the product of ``count`` t's is checked; t grows by a
-    doubling step until it holds (a few steps, subnormal scales included)."""
-    t, step = scale ** (1.0 / count), 2.0 ** -40
+    """Elementwise, a t > 0 such that a rounded product of ``count``
+    factors, each at least t, is at least ``scale`` (0 for a zero scale).
+    Rounded products are monotone in their factors, so the product of
+    ``count`` t's is checked; t starts at scale^(1/count) (``float_power``,
+    which rounds like the C pow; ``power`` may not) and grows by a doubling
+    step until it holds (a few steps, subnormal scales included)."""
+    scale, count = np.broadcast_arrays(np.asarray(scale, dtype=float), np.asarray(count))
+    t = np.float_power(scale, 1.0 / count)
+    step = np.full(t.shape, 2.0 ** -40)
     while True:
-        p = t
-        for _ in range(count - 1):
-            p *= t
-        if p >= scale:
+        p = t.copy()
+        for i in range(1, int(count.max(initial=1))):
+            np.multiply(p, t, out=p, where=i < count)
+        short = p < scale
+        if not short.any():
             return t
-        t, step = t * (1.0 + step), 2.0 * step
+        t = np.where(short, t * (1.0 + step), t)
+        step = np.where(short, 2.0 * step, step)
 
 
 def check_nonresonance(N, params, dims, families=FAMILIES):
@@ -500,41 +528,28 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
     A KL value is |fl(x + c)| at x = <k, omega>; a determinant is a rounded
     product of factors |1j x + mu|, each at least |fl(x + Im mu)|, so it
     stays at or above the scale unless some factor is below the
-    ``_factor_floor`` t of its scale.  Either way the candidates are the
-    x with |fl(x + c)| below a bound, for c a KL shift or an Im mu: one
-    range of the sorted values per shift, found for all shifts by one
-    bisection (``_first_above``, which ``measure`` counts with).  Each
-    candidate is then tested exactly as evaluating the condition at every
-    lattice point tests it.
+    ``_factor_floor`` t of its scale (a KL value has one factor, and t is
+    its scale).  Either way the candidates are the x with |fl(x + c)|
+    below a bound, for c a KL shift or an Im mu: one range of the sorted
+    values per shift, found for all shifts by one bisection (``_ranges``,
+    which ``measure`` counts with).  Each candidate is then tested exactly
+    as evaluating the condition at every lattice point tests it.
     """
     lat = k_lattice(dims.n, params.K_m)
     r = max(int(np.floor(params.K_m)), 0)
     kw = lat @ N.omega
     conds = condition_catalogue(N, params, dims, params.K_m, families)
-    # one shift and bound per KL condition and per determinant root; no
-    # value is below a zero threshold
+    # one shift and bound per KL condition and per determinant root
     kl = np.array([c.family == "KL" for c in conds], dtype=bool)
     scale = np.array([c.scale for c in conds])
     count = np.array([len(c.roots) for c in conds])
     roots = np.concatenate([c.roots for c in conds])
-    floor = scale.copy()
-    for j in np.flatnonzero(~kl & (scale > 0)):
-        floor[j] = _factor_floor(float(scale[j]), int(count[j]))
     owner = np.repeat(np.arange(len(conds)), count)
     shifts = np.where(kl[owner], roots.real, roots.imag)
-    live = scale[owner] > 0
-    owner, shifts = owner[live], shifts[live]
-    bounds = floor[owner]
     order = np.argsort(kw)
-    # |fl(x + c)| < t is fl(x + c) >= nextafter(-t, inf) and not >= t: the
-    # two ends of every range in one bisection
-    ends = _first_above(kw[order][None], np.tile(shifts, 2),
-                        np.concatenate([np.nextafter(-bounds, np.inf), bounds])[None],
-                        strict=False)[0]
-    lo, hi = np.split(ends, 2)
-    n = np.maximum(hi - lo, 0)
-    pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
-    cj, ci = np.repeat(owner, n), order[pos]
+    lo, hi = _ranges(kw[order][None], shifts, _factor_floor(scale, count)[owner][None])
+    which, pos = _expand(lo, hi)
+    cj, ci = owner[which], order[pos]
     # each candidate's value and threshold; the KL conditions all at once
     meas, thr = np.empty(len(ci)), np.empty(len(ci))
     at_kl = kl[cj]
@@ -614,6 +629,7 @@ class SolveReport:
     residual: float         # ||{N,F} + R_low - Nhat|| on D(s, r, r)
     xF_norm: float          # vector-field norm of F
     bracket: TFSeries       # {N, F}, the bracket the residual is certified with
+    remainder: TFSeries     # {N, F} + R_low - Nhat, the series the residual measures
 
 
 def solve_homological(N, R_low, params, dims, dp):
@@ -627,8 +643,9 @@ def solve_homological(N, R_low, params, dims, dp):
     order, then in row order).
 
     Returns (F, Nhat, SolveReport).  The report includes the bracket
-    {N, F}, the residual ||{N,F} + R_low - Nhat|| on the domain ``dp``
-    certified with it, and the vector-field norm of F.
+    {N, F}, the series {N,F} + R_low - Nhat formed with it, that series'
+    norm on the domain ``dp`` (the certified residual), and the
+    vector-field norm of F.
     """
     n, b, nm = dims.n, dims.b, len(dims.modes)
     tail = dims.tail_modes
@@ -728,10 +745,12 @@ def solve_homological(N, R_low, params, dims, dp):
 
     F = series_of(F, R_low.real)
     NF = poisson_bracket(N_series, F)
-    return F, Nhat, SolveReport(counts, margin, residual=hom_residual(NF, R_low, Nhat, dp, dims),
-                                xF_norm=vector_field_norm(F, dp), bracket=NF)
+    rest = hom_residual(NF, R_low, Nhat, dims)
+    return F, Nhat, SolveReport(counts, margin, residual=vector_field_norm(rest, dp),
+                                xF_norm=vector_field_norm(F, dp), bracket=NF, remainder=rest)
 
 
-def hom_residual(NF, R_low, Nhat, dp, dims):
-    """Vector-field norm of {N, F} + R_low - Nhat, given the bracket NF = {N, F}."""
-    return vector_field_norm(NF + R_low - Nhat.to_series(dims, R_low.budgets), dp)
+def hom_residual(NF, R_low, Nhat, dims):
+    """The series {N, F} + R_low - Nhat that the solve leaves, given the
+    bracket NF = {N, F}; its vector-field norm is the certified residual."""
+    return NF + R_low - Nhat.to_series(dims, R_low.budgets)

@@ -104,11 +104,9 @@ def solve_dense(M, rhs, cond_guard=1e12):
         raise _failure(M, np.linalg.slogdet(M)[0] == 0, "singular linear system") from None
 
 
-def op_norm(M, tol=1e-10, max_iter=500, seed=7):
-    """Spectral norm, the largest singular value of M (0 for an empty M).
-
-    Exact to rounding by an SVD; ``tol``, ``max_iter`` and ``seed`` are
-    accepted and ignored."""
+def op_norm(M):
+    """Spectral norm, the largest singular value of M (0 for an empty M),
+    exact to rounding by an SVD."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0.0

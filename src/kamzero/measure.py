@@ -12,33 +12,30 @@ part of the report.
 Counting works on sorted samples.  For one k-row every condition is a
 function of the single value x = <k, omega(xi)>, so each row's sample
 values are sorted once and every count is read off that order, exactly as
-evaluating the condition at every sample would give it:
+evaluating the condition at every sample would give it.  Both families
+come from one search, the solver gate's (``homological._ranges``): the
+samples with |fl(x + c)| below a bound are one contiguous range of the
+sorted values (fl(x + c) is nondecreasing in x, since rounding is
+monotone), and one bisection that evaluates the same fl(x + c) at each
+probe finds both ends for all shifts at once.
 
-* KL: the computed value is |fl(x + c)| for the shift c = <l, Omega>, and
-  fl(x + c) is nondecreasing in x (rounding is monotone), so the samples
-  with |fl(x + c)| < thr are one contiguous range of the sorted values.
-  A bisection that evaluates the same fl(x + c) at each probe finds both
-  ends for all shifts at once; the count is the range length.
+* KL: the computed value is |fl(x + c)| for the shift c = <l, Omega>, so
+  with the threshold as the bound the range is the excluded set and the
+  count is its length.
 * R1/R3/R4: the computed value is the rounded product of the factors
-  |1j x + mu| over the roots mu.  Each factor is at least
-  max(|Re mu|, |fl(x + Im mu)|), and over a window of sorted samples the
-  minimum of |fl(x + Im mu)| sits at a window end unless the sign changes
-  inside it.  Rounded products are monotone in their factors, so the
-  product of these per-factor minima, formed in the same order, bounds the
-  computed value from below on the whole window.  A window whose bound
-  clears the threshold (with a relative margin of 1e-12) has no excluded
-  sample; the condition itself is evaluated only on the other windows.
-
-The KL bisection (``homological._first_above``) is shared with the solver
-gate ``check_nonresonance``, which runs it on the sorted values of one
-parameter sample over the k-lattice.
+  |1j x + mu| over the roots mu, each at least |fl(x + Im mu)|.  Rounded
+  products are monotone in their factors, so a value below the threshold
+  has a factor below the threshold's ``_factor_floor``: with that as the
+  bound of each root's shift Im mu, the ranges hold every excluded sample,
+  and the condition is evaluated only on them.
 
 Only the thresholds depend on gamma, so a gamma ladder (``estimate_ladder``)
-sorts each block of k-rows once for all its rungs: the bisection runs over
-every rung's KL thresholds side by side, and a determinant's window bounds
-(its roots do not depend on gamma) are formed once and compared with the
-largest threshold.  The values, the strip geometry of each k-row and the
-Lipschitz quotients are shared by the rungs as well.
+sorts each block of k-rows once for all its rungs, and one bisection per
+block runs over every rung's KL thresholds side by side and over every
+determinant root (the roots do not depend on gamma), bounded by the floor
+of its condition's largest threshold; each candidate's value is compared
+with every rung's threshold.  The values, the strip geometry of each k-row
+and the Lipschitz quotients are shared by the rungs as well.
 
 The fractions are count / samples and the analytic bounds are added one
 (k-row, condition) pair at a time in lattice order (a sequential
@@ -52,12 +49,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm, _first_above,
-                          condition_catalogue, k_lattice, k_powers, lattice_size)
+from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm, _expand,
+                          _factor_floor, _ranges, condition_catalogue, k_lattice, k_powers,
+                          lattice_size)
 
 _ROW_BLOCK = 16     # k-rows sorted together
-_WINDOW = 64        # sorted samples per lower-bound window of a determinant
-_MARGIN = 1e-12     # relative margin a window's lower bound must clear
 
 
 @dataclass
@@ -201,10 +197,9 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     share one lattice.
 
     Each k-row block is sorted once per ladder, and every rung's excluded
-    samples are counted from that order (module docstring): KL ranges by
-    one bisection over all rungs' thresholds, determinants only inside the
-    windows whose lower bound (the same on every rung, since the roots do
-    not depend on gamma) does not clear the largest threshold.  The values
+    samples are counted from that order (module docstring): one bisection
+    per block gives the KL ranges of all rungs and the candidates of every
+    determinant, which is evaluated only there.  The values
     <k, omega(xi)>, the strip geometry of each k-row and the Lipschitz
     quotients are formed once per ladder.  The counts equal those of
     evaluating every condition at every sample, the fractions are
@@ -251,30 +246,47 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     counts = np.zeros((nr, nk, nc), dtype=np.int64)
     excluded = [{f: np.zeros(nsamp, dtype=bool) for f in families} for _ in rungs]
     kl = [j for j, c in enumerate(conds) if c.family == "KL"]
-    if kl:
-        # every rung's KL thresholds side by side, rung-major, with their shifts
-        shifts = np.tile([conds[j].roots[0] for j in kl], nr)
-        kl_thr = thr[:, kl].transpose(2, 0, 1).reshape(nk, nr * len(kl))
-        kl_live = live[kl[0]]           # one annulus for every KL condition
+    det = [j for j, c in enumerate(conds) if c.family != "KL"]
+    # the shifts of one bisection per block: every rung's KL shifts,
+    # rung-major, bounded by their thresholds, then every determinant root
+    # Im mu, bounded by the factor floor of its condition's largest threshold
+    count = np.array([len(conds[j].roots) for j in det], dtype=int)
+    owner = np.repeat(np.array(det, dtype=int), count)
+    shifts = np.concatenate([np.tile([conds[j].roots[0] for j in kl], nr)]
+                            + [conds[j].roots.imag for j in det])
+    floors = _factor_floor(thr[:, det].max(axis=0).T, count)
+    bounds = np.concatenate([thr[:, kl].transpose(2, 0, 1).reshape(nk, nr * len(kl)),
+                             np.repeat(floors, count, axis=1)], axis=1)
+    m = nr * len(kl)
     for i0 in range(0, nk, _ROW_BLOCK):
         blk = slice(i0, i0 + _ROW_BLOCK)
         order = np.argsort(vals[blk], axis=1)
         xs = np.take_along_axis(vals[blk], order, axis=1)
         nb = len(xs)
+        lo, hi = _ranges(xs, shifts, bounds[blk])
         if kl:
-            lo = _first_above(xs, shifts, -kl_thr[blk], strict=True).reshape(nb, nr, -1)
-            hi = _first_above(xs, shifts, kl_thr[blk], strict=False).reshape(nb, nr, -1)
-            n = np.where(kl_live[blk, None, None], np.maximum(hi - lo, 0), 0)
+            lk, hk = lo[:, :m].reshape(nb, nr, -1), hi[:, :m].reshape(nb, nr, -1)
+            # one annulus for every KL condition
+            n = np.where(live[kl[0], blk, None, None], hk - lk, 0)
             for q in range(nr):
                 counts[q][blk, kl] = n[:, q]
-                excluded[q]["KL"][order[_cover(lo[:, q], hi[:, q], n[:, q] > 0, nsamp)]] = True
-        for j, c in enumerate(conds):
-            if c.family != "KL":
-                r, p, rung = _det_hits(c, xs, thr[:, j, blk].T)
-                for q in range(nr):
-                    at = rung == q
-                    counts[q, blk, j] = np.bincount(r[at], minlength=nb)
-                    excluded[q][c.family][order[r[at], p[at]]] = True
+                excluded[q]["KL"][order[_cover(lk[:, q], hk[:, q], n[:, q] > 0, nsamp)]] = True
+        # a determinant below a threshold has a factor below its floor: the
+        # candidates, once per (condition, row, position), evaluated exactly
+        which, p = _expand(lo[:, m:], hi[:, m:])
+        r, root = np.divmod(which, len(owner))
+        shape = (nc, nb, nsamp)
+        j, r, p = np.unravel_index(np.unique(np.ravel_multi_index((owner[root], r, p), shape)),
+                                   shape)
+        for jj in np.unique(j):
+            at = slice(*np.searchsorted(j, [jj, jj + 1]))
+            rows, pos = r[at], p[at]
+            hit, rung = np.nonzero(conds[jj].value(xs[rows, pos])[:, None]
+                                   < thr[:, jj, i0 + rows].T)
+            for q in range(nr):
+                got = hit[rung == q]
+                counts[q, blk, jj] = np.bincount(rows[got], minlength=nb)
+                excluded[q][conds[jj].family][order[rows[got], pos[got]]] = True
 
     # strip width 2 thr / |g| against the box extent along the gradient g
     widths = grid.hi - grid.lo
@@ -332,46 +344,6 @@ def _cover(lo, hi, keep, nsamp):
     np.add.at(diff, (r, lo[keep]), 1)
     np.add.at(diff, (r, hi[keep]), -1)
     return np.cumsum(diff[:, :-1], axis=1) > 0
-
-
-def window_lower_bound(roots, first, last):
-    """Lower bound on the computed prod |1j x + mu| over the roots mu, for
-    every x between the sorted window ends ``first`` and ``last``.
-
-    Each factor is at least max(|Re mu|, |fl(x + Im mu)|); over the window
-    fl(x + Im mu) is monotone, so its smallest modulus is at an end unless
-    its sign changes in between (then 0).  The factors are multiplied in
-    ``Condition.value``'s order, and rounded products are monotone.
-    """
-    lower = None
-    for mu in roots:
-        a, b = first + mu.imag, last + mu.imag
-        near = np.where((a < 0) & (b > 0), 0.0, np.minimum(np.abs(a), np.abs(b)))
-        f = np.maximum(abs(mu.real), near)
-        lower = f if lower is None else lower * f
-    return lower
-
-
-def _det_hits(cond, xs, thr):
-    """(row, sorted position, rung) of every sample of the sorted rows ``xs``
-    with ``cond.value < thr[row, rung]``, for a threshold column per rung.
-
-    Windows of ``_WINDOW`` sorted samples whose lower bound clears the
-    largest threshold of their row by the relative margin are skipped; the
-    condition is evaluated once on the samples of the others, and each
-    value is compared with every rung's threshold.
-    """
-    nb, nsamp = xs.shape
-    starts = np.arange(0, nsamp, _WINDOW)
-    ends = np.minimum(starts + _WINDOW, nsamp) - 1
-    lower = window_lower_bound(cond.roots, xs[:, starts], xs[:, ends])
-    r, w = np.nonzero(lower < thr.max(axis=1)[:, None] * (1.0 + _MARGIN))
-    p = (starts[w][:, None] + np.arange(_WINDOW)).ravel()
-    r = np.repeat(r, _WINDOW)
-    inside = p < nsamp
-    r, p = r[inside], p[inside]
-    hit, rung = np.nonzero(cond.value(xs[r, p])[:, None] < thr[r])
-    return r[hit], p[hit], rung
 
 
 def rows_to_csv(rows):

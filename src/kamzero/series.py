@@ -721,21 +721,25 @@ def _derivatives(S, lo, codec, cols, pair, src):
 
 
 def _within_degree(acc, A, B, cols_a, cols_b):
-    """A and B less their rows with no product within the degree budget, and
-    the kept rows' degrees; those products' mass goes to ``acc.dropped``.
-    Each pair lowers the degree by 2, so a row of A whose degree plus B's
-    least passes ``degree_max + 2`` has none, and so for B.  The mass, with
-    S(p) = sum |c e_p| over rows, is sum_p S_deadA S_B + S_liveA S_deadB."""
+    """A and B less their rows with no product within the degree budget,
+    the kept rows' degrees and the number of products dropped, whose mass
+    goes to ``acc.dropped``.  Each pair lowers the degree by 2, so a row of
+    A whose degree plus B's least passes ``degree_max + 2`` has none, and so
+    for B.  The mass, with S(p) = sum |c e_p| over rows, is sum_p S_deadA
+    S_B + S_liveA S_deadB; the number is that sum over S(p) = #{e_p != 0}."""
     n, top = A.dims.n, A.budgets.degree_max + 2
     dga, dgb = _degrees(A.rows, n), _degrees(B.rows, n)
     live_a = dga + dgb.min(initial=top + 1) <= top
     live_b = dgb + dga.min(initial=top + 1) <= top
     if live_a.all() and live_b.all():
-        return A, B, dga, dgb
+        return A, B, dga, dgb, 0
     (la, da), (lb, db) = ([np.abs(S.coefs[m]) @ np.abs(S.rows[m][:, cols]) for m in (live, ~live)]
                           for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b)))
+    (na, nda), (nb, ndb) = ([np.count_nonzero(S.rows[m][:, cols], axis=0) for m in (live, ~live)]
+                            for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b)))
     acc.dropped += float(da @ (lb + db) + la @ db)
-    return A.select(live_a), B.select(live_b), dga[live_a], dgb[live_b]
+    return (A.select(live_a), B.select(live_b), dga[live_a], dgb[live_b],
+            int(nda @ (nb + ndb) + na @ ndb))
 
 
 def _budget_test(A, B, dga, dgb, da, db):
@@ -782,13 +786,17 @@ def _stream(acc, da, db, ia, jb, lens, within):
         yield i, j
 
 
-def _form(acc, da, db, blocks):
-    """Adds each block's products (i, j) to ``acc``, freeing the block after."""
+def _form(acc, da, db, blocks, lone):
+    """Adds each block's products (i, j) to ``acc``, freeing the block after.
+
+    numpy's complex multiply fuses a multiply-add, except on one element in
+    place.  Blocks are formed in place, and a one-product block out of place
+    unless it holds the bracket's ``lone`` product (its only one, counting
+    those the budgets drop): so a product rounds alike however many of its
+    neighbours the degree and Fourier budgets drop."""
     for i, j in blocks:
-        # in place: for one element numpy's in-place complex multiply skips
-        # the fused multiply-add of its out-of-place one; runs keep the former
         coefs = da.coefs[i]
-        coefs *= db.coefs[j]
+        coefs = np.multiply(coefs, db.coefs[j], out=coefs if lone or len(coefs) > 1 else None)
         acc.add([x[i] + y[j] for x, y in zip(da.words, db.words)], coefs)
 
 
@@ -831,7 +839,7 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     if mirrored:
         A = _half(A)
     cols_a, cols_b, factors = (np.array(c) for c in zip(*pairs))
-    A, B, dga, dgb = _within_degree(acc, A, B, cols_a, cols_b)
+    A, B, dga, dgb, cut = _within_degree(acc, A, B, cols_a, cols_b)
     if not len(A) or not len(B):
         acc.finalize(out, None, mirrored)
         return
@@ -851,7 +859,7 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
         ia, jb, lens = np.arange(len(pa)), db.offsets[pa], db.counts[pa]
     else:
         ia, jb, lens = plan.qa, plan.start, plan.end - plan.start
-    _form(acc, da, db, _stream(acc, da, db, ia, jb, lens, within))
+    _form(acc, da, db, _stream(acc, da, db, ia, jb, lens, within), cut + lens.sum() == 1)
     if plan is not None:
         left_out, bound = plan.left_out, plan.bound
         if within is not None:

@@ -12,8 +12,8 @@ from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm, Resonanc
                                  check_nonresonance, condition_catalogue, extract_hat,
                                  hom_residual, k_lattice, k_powers, solve_homological)
 from kamzero import homological
-from kamzero.homological import (FAMILY_TABLE, _factor_floor, _kl_options, _kpow, _layout,
-                                 _scale_tau)
+from kamzero.homological import (FAMILY_TABLE, _expand, _factor_floor, _kl_options, _kpow,
+                                 _layout, _ranges, _scale_tau)
 from kamzero.matrixkit import (SingularSystem, commutation_matrix, det_modulus, kron,
                                solve_dense, vec)
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
@@ -623,10 +623,10 @@ def test_hom_residual_with_zero_generator():
     hat = extract_hat(R, dims)
     NF0 = poisson_bracket(N.to_series(dims, bud), TFSeries.zero(dims, bud))
     osc = from_terms(dims, bud, {key: 0.2 + 0j})
-    assert hom_residual(NF0, R, hat, dp, dims) == pytest.approx(
+    assert vector_field_norm(hom_residual(NF0, R, hat, dims), dp) == pytest.approx(
         vector_field_norm(osc, dp))
     zero = TFSeries.zero(dims, bud)
-    assert hom_residual(NF0, zero, extract_hat(zero, dims), dp, dims) == 0.0
+    assert vector_field_norm(hom_residual(NF0, zero, extract_hat(zero, dims), dims), dp) == 0.0
 
 
 @pytest.mark.parametrize("n,kmax", [(0, 3), (1, 4), (2, 5.5), (3, 4), (4, 2), (2, 0)])
@@ -640,15 +640,66 @@ def test_k_lattice_is_the_l1_ball_in_lexicographic_order(n, kmax):
     assert np.array_equal(k_lattice(n, kmax), expect)
 
 
+def factor_floor_reference(scale, count):
+    """The scalar definition: t from scale^(1/count), grown by a doubling
+    step until the rounded product of ``count`` t's reaches the scale."""
+    t, step = scale ** (1.0 / count), 2.0 ** -40
+    while True:
+        p = t
+        for _ in range(count - 1):
+            p *= t
+        if p >= scale:
+            return t
+        t, step = t * (1.0 + step), 2.0 * step
+
+
 @pytest.mark.parametrize("scale", [5e-324, 3e-310, 1e-87, 0.05, 3.7, 1e300])
 def test_factor_floor_bounds_rounded_products(scale):
-    for count in range(1, 28):
-        t = _factor_floor(scale, count)
+    # the array form, over every count at once and over mixed scales, is the
+    # scalar definition element by element
+    counts = np.arange(1, 28)
+    floors = _factor_floor(scale, counts)
+    assert floors.tolist() == [factor_floor_reference(scale, c) for c in counts.tolist()]
+    mixed = [scale, 0.0, 3.7, 1e-87]
+    assert _factor_floor(mixed, 3).tolist() == [factor_floor_reference(s, 3) for s in mixed]
+    for count, t in zip(counts.tolist(), floors.tolist()):
         p = t
         for _ in range(count - 1):
             p *= t
         assert p >= scale
         assert t <= 2.0 * scale ** (1.0 / count)
+
+
+_eighths = st.integers(-24, 24).map(lambda v: v / 8)
+
+
+@st.composite
+def sorted_rows(draw):
+    """Sorted rows of mostly dyadic values (repeats, and sums that land
+    exactly on +-bound) with some rounded ones, padded with +inf as
+    ``_first_above`` pads them; shifts, and bounds per (row, shift)."""
+    nb, nsamp, pad, ns = (draw(st.integers(*r)) for r in ((1, 3), (0, 24), (0, 3), (1, 4)))
+    value = st.one_of(_eighths, st.floats(-3.0, 3.0))
+    xs = np.sort(np.array([draw(value) for _ in range(nb * nsamp)]).reshape(nb, nsamp), axis=1)
+    xs = np.concatenate([xs, np.full((nb, pad), np.inf)], axis=1)
+    shifts = np.array([draw(value) for _ in range(ns)])
+    bound = st.one_of(_eighths.map(abs), st.floats(0.0, 3.0))
+    return xs, shifts, np.array([draw(bound) for _ in range(nb * ns)]).reshape(nb, ns)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sorted_rows())
+def test_ranges_are_the_positions_below_the_bound(rows):
+    # brute force: |fl(x + c)| < b at every (row, shift, position)
+    xs, shifts, bound = rows
+    below = np.abs(xs[:, None, :] + shifts[None, :, None]) < bound[:, :, None]
+    lo, hi = _ranges(xs, shifts, bound)
+    assert np.all(lo <= hi)
+    pos = np.arange(xs.shape[1])
+    assert np.array_equal((lo[..., None] <= pos) & (pos < hi[..., None]), below)
+    which, at = _expand(lo, hi)
+    flat, expect = np.nonzero(below.reshape(lo.size, xs.shape[1]))
+    assert np.array_equal(which, flat) and np.array_equal(at, expect)
 
 
 def test_k_lattice_and_kl_options_are_cached_read_only():

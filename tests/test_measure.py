@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from kamzero import measure
 from kamzero.driver import BaseParams, schedule
-from kamzero.homological import (FAMILIES, BudgetExhausted, Condition, NormalForm,
+from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm,
                                  condition_catalogue, k_lattice, k_powers)
 from kamzero.measure import (AffineFrequencyMap, ConditionRow, ParameterGrid,
-                             estimate_excluded, estimate_ladder, rows_to_csv,
-                             window_lower_bound)
+                             estimate_excluded, estimate_ladder, rows_to_csv)
 from kamzero.series import SeriesDims
 
 
@@ -218,24 +217,22 @@ def measure_problems(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(measure_problems(), st.sampled_from((1, 3, 16)), st.sampled_from((1, 5, 64)))
-def test_sorted_counts_equal_the_sample_by_sample_evaluation(problem, row_block, window):
+@given(measure_problems(), st.sampled_from((1, 3, 16)))
+def test_sorted_counts_equal_the_sample_by_sample_evaluation(problem, row_block):
     fmap, params, dims, grid, kw = problem
-    with mock.patch.object(measure, "_ROW_BLOCK", row_block), \
-            mock.patch.object(measure, "_WINDOW", window):
+    with mock.patch.object(measure, "_ROW_BLOCK", row_block):
         assert_same_as_reference(fmap, params, dims, grid, **kw)
 
 
 @settings(max_examples=60, deadline=None)
 @given(measure_problems(), st.lists(_dyadic(0, 32, 64), min_size=1, max_size=4),
-       st.sampled_from((1, 3, 16)), st.sampled_from((1, 5, 64)))
-def test_ladder_equals_its_rungs_one_at_a_time(problem, gammas, row_block, window):
+       st.sampled_from((1, 3, 16)))
+def test_ladder_equals_its_rungs_one_at_a_time(problem, gammas, row_block):
     # one sort per k-row block for the whole ladder gives every rung the
     # report of its own call, and of the sample-by-sample evaluation
     fmap, params, dims, grid, kw = problem
     rungs = [schedule(1, replace(params.base, gamma1=g), eps_m=1e-6) for g in gammas]
-    with mock.patch.object(measure, "_ROW_BLOCK", row_block), \
-            mock.patch.object(measure, "_WINDOW", window):
+    with mock.patch.object(measure, "_ROW_BLOCK", row_block):
         reps = estimate_ladder(fmap, rungs, dims, grid, **kw)
         assert len(reps) == len(rungs)
         for rung, rep in zip(rungs, reps):
@@ -279,44 +276,6 @@ def test_nls_grid_counts_equal_the_sample_by_sample_evaluation(nls_freq_map):
     grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 40)
     for gamma in (0.005, 0.05):
         assert_same_as_reference(fmap, _params_for(gamma), dims, grid, k_lo=2.0, kmax=10.0)
-
-
-# complex roots, and purely imaginary ones as the zero blocks of the
-# catalogue give them (there the bound of a one-sample window is exact)
-_roots = st.lists(st.one_of(
-    st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
-    st.floats(-50.0, 50.0).map(lambda y: complex(0.0, y))), min_size=1, max_size=4)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_roots, st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50))
-def test_window_lower_bound_never_exceeds_the_computed_value(roots, xs):
-    roots = np.array(roots, dtype=complex)
-    xs = np.sort(np.array(xs))
-    cond = Condition("R1", None, 1.0, 1.0, roots)
-    lower = window_lower_bound(roots, xs[:1], xs[-1:])
-    assert np.all(lower[0] <= cond.value(xs))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_roots, st.integers(1, 4), st.integers(1, 200), st.integers(1, 70),
-       st.floats(0.0, 1e4), st.integers(1, 3), st.randoms(use_true_random=False))
-def test_window_skipping_finds_every_violation(roots, nb, nsamp, window, scale, nrungs, rnd):
-    # one threshold column per rung; each rung's hits are exactly its own
-    cond = Condition("R1", None, 1.0, 1.0, np.array(roots, dtype=complex))
-    rng = np.random.default_rng(rnd.randrange(2 ** 32))
-    xs = np.sort(rng.uniform(-60.0, 60.0, (nb, nsamp)), axis=1)
-    thr = scale * rng.uniform(0.0, 1.0, (nb, nrungs))
-    # some thresholds one ulp above a sample's computed value
-    tight = rng.uniform(size=(nb, nrungs)) < 0.5
-    at = cond.value(xs[np.arange(nb)[:, None], rng.integers(0, nsamp, (nb, nrungs))])
-    thr = np.where(tight, np.nextafter(at, np.inf), thr)
-    with mock.patch.object(measure, "_WINDOW", window):
-        r, p, rung = measure._det_hits(cond, xs, thr)
-    for q in range(nrungs):
-        expect = np.nonzero(cond.value(xs) < thr[:, q, None])
-        got = sorted(zip(r[rung == q].tolist(), p[rung == q].tolist()))
-        assert got == sorted(zip(*(e.tolist() for e in expect)))
 
 
 # ---------------------------------------------------------------------------

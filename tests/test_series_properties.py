@@ -619,8 +619,21 @@ def _formed(op, F, G):
     return out, sum(rows)
 
 
+# one product of 13 in budget, formed alone: it rounds as in the full bracket
+_ONE_IN_BUDGET = (
+    {make_key(DIMS.n, (0, 0), (0, 0), {}, {0: 2, 3: 2}): 1j,
+     make_key(DIMS.n, (0, 0), (0, 0), {}, {0: 2, 4: 2}): 1j,
+     make_key(DIMS.n, (0, 0), (0, 0), {0: 1}, {0: 1, 5: 2}): 1.9363500231619173 + 1j,
+     make_key(DIMS.n, (0, 1), (0, 0), {}, {0: 2, 3: 2}): 1j},
+    {make_key(DIMS.n, (0, 0), (0, 0), {}, {0: 2, 3: 2}): 1.5 + 1j,
+     make_key(DIMS.n, (0, 0), (0, 0), {0: 1}, {0: 2, 5: 2}): 1j,
+     make_key(DIMS.n, (0, 0), (0, 0), {0: 1}, {3: 2, 5: 2}): 1j,
+     make_key(DIMS.n, (0, 0), (0, 0), {3: 1}, {0: 2, 4: 2}): 1j})
+
+
 @SETTINGS
 @given(HIGH, HIGH)
+@example(*_ONE_IN_BUDGET)
 def test_masked_products_form_only_the_rows_in_budget(f, g):
     # a bracket whose operands can exceed a budget gathers only the in-budget
     # (row of A, row of B) pairs: the same rows and coefficients, bit for bit,
