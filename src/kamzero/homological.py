@@ -443,12 +443,46 @@ def _ranges(xs, shifts, bound):
     return lo, np.maximum(hi, lo)
 
 
+def _may_meet(vmin, vmax, shifts, bound):
+    """Whether the ``_ranges`` range of each (row, shift) pair can be
+    non-empty for a row whose values lie in [vmin[row], vmax[row]].
+
+    fl(x + c) is nondecreasing in x, so a row holds an x with
+    fl(x + c) >= nextafter(-b, inf) only if its largest value does, and an
+    x with fl(x + c) < b only if its smallest value does: the same two
+    sums the bisection evaluates, at the row's extremes.  False means the
+    range is empty; True means it may not be.
+    """
+    return ((vmax[:, None] + shifts >= np.nextafter(-bound, np.inf))
+            & ~(vmin[:, None] + shifts >= bound))
+
+
 def _expand(lo, hi):
     """Every position of the ranges [lo, hi), each with the flat index of
     its range: (range index, position) arrays in range order."""
     lo, n = lo.ravel(), (hi - lo).ravel()
     return (np.repeat(np.arange(n.size), n),
             np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n))
+
+
+def _distinct(codes, first=False):
+    """The distinct values of the integer array ``codes``, ascending, by a
+    sort and a compare of neighbours; with ``first``, also the index of each
+    value's first occurrence (a stable argsort, as ``np.unique``'s
+    ``return_index``).
+
+    numpy 2.4's ``np.unique`` hashes: on 60k random int64 values it took
+    14 ms against 0.55 ms for a sort and compare, and 437 ms against 8 ms
+    on 600k.
+    """
+    if first:
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+    else:
+        codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return (codes[keep], order[keep]) if first else codes[keep]
 
 
 def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
@@ -558,7 +592,7 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
         shift = roots.real[np.cumsum(count) - count]     # a KL condition's one root
         meas[at_kl] = np.abs(kw[i] + shift[j])
         thr[at_kl] = scale[j] / _ball_kpow(dims.n, r, params.tau)[i]
-    for j in np.unique(cj[~at_kl]):
+    for j in _distinct(cj[~at_kl]):
         at = cj == j
         meas[at] = conds[j].value(kw[ci[at]])
         thr[at] = conds[j].scale / _ball_kpow(dims.n, r, conds[j].tau)[ci[at]]
@@ -566,7 +600,7 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
     hit = (_ball_kabs(dims.n, r)[ci] >= kmin[cj]) & (meas < thr)
     # the distinct failures (a determinant may list a point once per root),
     # in condition, then lattice order
-    _, first = np.unique(cj[hit] * len(lat) + ci[hit], return_index=True)
+    _, first = _distinct(cj[hit] * len(lat) + ci[hit], first=True)
     hit = np.flatnonzero(hit)[first]
     return [ResonanceCondition(conds[j].family, tuple(int(v) for v in lat[i]), conds[j].l,
                                float(thr[h]), float(meas[h]))

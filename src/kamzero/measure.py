@@ -20,14 +20,21 @@ monotone), and one bisection that evaluates the same fl(x + c) at each
 probe finds both ends for all shifts at once.
 
 * KL: the computed value is |fl(x + c)| for the shift c = <l, Omega>, so
-  with the threshold as the bound the range is the excluded set and the
-  count is its length.
+  with the threshold as the bound the range is the excluded set: the count
+  is its length, and its positions mark the excluded samples.
 * R1/R3/R4: the computed value is the rounded product of the factors
   |1j x + mu| over the roots mu, each at least |fl(x + Im mu)|.  Rounded
   products are monotone in their factors, so a value below the threshold
   has a factor below the threshold's ``_factor_floor``: with that as the
   bound of each root's shift Im mu, the ranges hold every excluded sample,
   and the condition is evaluated only on them.
+
+Most k-rows meet no band at all.  By the same monotonicity a range can be
+non-empty only if the row's largest value passes the range's lower test
+and its smallest value passes the upper one (``homological._may_meet``,
+the bisection's two sums at the row's exact extremes).  Only the rows that
+pass for some shift are sorted and searched; every other row counts zero
+without a sort (on the ``nls.cfg`` grid, 14 of 220 rows are searched).
 
 Only the thresholds depend on gamma, so a gamma ladder (``estimate_ladder``)
 sorts each block of k-rows once for all its rungs, and one bisection per
@@ -49,9 +56,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm, _expand,
-                          _factor_floor, _ranges, condition_catalogue, k_lattice, k_powers,
-                          lattice_size)
+from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm, _distinct,
+                          _expand, _factor_floor, _may_meet, _ranges, condition_catalogue,
+                          k_lattice, k_powers, lattice_size)
 
 _ROW_BLOCK = 16     # k-rows sorted together
 
@@ -196,17 +203,20 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     ``kmax`` defaults to the rungs' K_m, which must then agree: the rungs
     share one lattice.
 
-    Each k-row block is sorted once per ladder, and every rung's excluded
+    The values <k, omega(xi)> are formed once per ladder, in place (one
+    k-row x sample matrix).  Only the k-rows where a range may be non-empty
+    at the row's extremes are kept (the rest of the matrix is released) and
+    sorted, one block at a time, once per ladder; every rung's excluded
     samples are counted from that order (module docstring): one bisection
-    per block gives the KL ranges of all rungs and the candidates of every
-    determinant, which is evaluated only there.  The values
-    <k, omega(xi)>, the strip geometry of each k-row and the Lipschitz
-    quotients are formed once per ladder.  The counts equal those of
-    evaluating every condition at every sample, the fractions are
-    count / samples, and the analytic bounds are summed in the same
-    (k-row, condition) order, so each report is bit-identical to that
-    evaluation.  More than 20,000,000 k-rows x samples raise BudgetExhausted
-    before anything is allocated.
+    per block gives the KL ranges of all rungs, whose positions mark the
+    excluded samples, and the candidates of every determinant, which is
+    evaluated only there.  The strip geometry of each k-row and the
+    Lipschitz quotients are formed once per ladder as well.  The counts
+    equal those of evaluating every condition at every sample, the
+    fractions are count / samples, and the analytic bounds are summed in
+    the same (k-row, condition) order, so each report is bit-identical to
+    that evaluation.  More than 20,000,000 k-rows x samples raise
+    BudgetExhausted before anything is allocated.
     """
     kmaxes = {p.K_m if kmax is None else kmax for p in rungs}
     if len(kmaxes) != 1:
@@ -217,14 +227,12 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         raise BudgetExhausted("the measure grid has %d k-rows x %d samples = %d cells,"
                               " above the cap of %d"
                               % (nk, grid.size, nk * grid.size, _GRID_CELL_CAP))
-    xi = grid.samples()
-    nsamp = xi.shape[0]
+    nsamp = grid.size
     kvecs = k_lattice(grid.ndim, kmax)
     kvecs = kvecs[np.abs(kvecs).sum(axis=1) > 0]
     kabs = np.abs(kvecs).sum(axis=1)
     base = kvecs @ fmap.alpha
     proj = kvecs @ fmap.A                    # (nk, n): gradient of <k, omega(xi)>
-    vals = base[:, None] + proj @ xi.T       # (nk, nsamp)
 
     N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
     N0.Omega = dict(fmap.Omega)
@@ -241,48 +249,74 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         kpow = k_powers(cs, kabs)
         for j, c in enumerate(cs):
             thr[q, j] = c.scale / kpow[c.tau]
-    live = np.array([kabs > (k_lo if c.family == "KL" else 0) for c in conds],
+    annulus = kabs > k_lo
+    live = np.array([annulus if c.family == "KL" else kabs > 0 for c in conds],
                     dtype=bool).reshape(nc, nk)
-    counts = np.zeros((nr, nk, nc), dtype=np.int64)
-    excluded = [{f: np.zeros(nsamp, dtype=bool) for f in families} for _ in rungs]
     kl = [j for j, c in enumerate(conds) if c.family == "KL"]
     det = [j for j, c in enumerate(conds) if c.family != "KL"]
     # the shifts of one bisection per block: every rung's KL shifts,
-    # rung-major, bounded by their thresholds, then every determinant root
-    # Im mu, bounded by the factor floor of its condition's largest threshold
+    # rung-major, then every determinant root Im mu
     count = np.array([len(conds[j].roots) for j in det], dtype=int)
     owner = np.repeat(np.array(det, dtype=int), count)
     shifts = np.concatenate([np.tile([conds[j].roots[0] for j in kl], nr)]
                             + [conds[j].roots.imag for j in det])
-    floors = _factor_floor(thr[:, det].max(axis=0).T, count)
-    bounds = np.concatenate([thr[:, kl].transpose(2, 0, 1).reshape(nk, nr * len(kl)),
-                             np.repeat(floors, count, axis=1)], axis=1)
     m = nr * len(kl)
+    floors = _factor_floor(thr[:, det].max(axis=0).T, count)
+
+    def bounds(rows):
+        # the shifts' bounds on the k-rows ``rows`` (formed per block, not
+        # held for every row next to vals): a KL shift's threshold inside
+        # the annulus and -inf (below every value) outside it, a root's
+        # factor floor of its condition's largest threshold
+        t = thr[:, :, rows][:, kl].transpose(2, 0, 1)
+        return np.concatenate([np.where(annulus[rows, None], t.reshape(len(t), m), -np.inf),
+                               np.repeat(floors[rows], count, axis=1)], axis=1)
+
+    vals = proj @ grid.samples().T           # (nk, nsamp), base added in place
+    vals += base[:, None]
+    # only the k-rows where some range may be non-empty at the row's extremes
+    # are sorted and searched (the test runs by blocks of rows, so its arrays
+    # stay small); their values move to the front of vals, in place, and the
+    # rest is released, so that no second values matrix is ever held
+    near = np.zeros(nk, dtype=bool)
     for i0 in range(0, nk, _ROW_BLOCK):
         blk = slice(i0, i0 + _ROW_BLOCK)
-        order = np.argsort(vals[blk], axis=1)
-        xs = np.take_along_axis(vals[blk], order, axis=1)
+        near[blk] = _may_meet(vals[blk].min(axis=1), vals[blk].max(axis=1),
+                              shifts, bounds(blk)).any(axis=1)
+    reached = np.flatnonzero(near)
+    for i, row in enumerate(reached):
+        vals[i] = vals[row]
+    vals.resize((len(reached), nsamp), refcheck=False)
+
+    counts = np.zeros((nr, nk, nc), dtype=np.int64)
+    excluded = [{f: np.zeros(nsamp, dtype=bool) for f in families} for _ in rungs]
+    for i0 in range(0, len(reached), _ROW_BLOCK):
+        blk, v = reached[i0:i0 + _ROW_BLOCK], vals[i0:i0 + _ROW_BLOCK]
+        order = np.argsort(v, axis=1)
+        xs = np.take_along_axis(v, order, axis=1)
         nb = len(xs)
-        lo, hi = _ranges(xs, shifts, bounds[blk])
+        lo, hi = _ranges(xs, shifts, bounds(blk))
         if kl:
+            # a KL range is the condition's excluded set
             lk, hk = lo[:, :m].reshape(nb, nr, -1), hi[:, :m].reshape(nb, nr, -1)
-            # one annulus for every KL condition
-            n = np.where(live[kl[0], blk, None, None], hk - lk, 0)
+            which, pos = _expand(lk, hk)
+            r, rung, _ = np.unravel_index(which, lk.shape)
             for q in range(nr):
-                counts[q][blk, kl] = n[:, q]
-                excluded[q]["KL"][order[_cover(lk[:, q], hk[:, q], n[:, q] > 0, nsamp)]] = True
+                counts[q, blk[:, None], kl] = hk[:, q] - lk[:, q]
+                got = rung == q
+                excluded[q]["KL"][order[r[got], pos[got]]] = True
         # a determinant below a threshold has a factor below its floor: the
         # candidates, once per (condition, row, position), evaluated exactly
         which, p = _expand(lo[:, m:], hi[:, m:])
         r, root = np.divmod(which, len(owner))
         shape = (nc, nb, nsamp)
-        j, r, p = np.unravel_index(np.unique(np.ravel_multi_index((owner[root], r, p), shape)),
+        j, r, p = np.unravel_index(_distinct(np.ravel_multi_index((owner[root], r, p), shape)),
                                    shape)
-        for jj in np.unique(j):
+        for jj in _distinct(j):
             at = slice(*np.searchsorted(j, [jj, jj + 1]))
             rows, pos = r[at], p[at]
             hit, rung = np.nonzero(conds[jj].value(xs[rows, pos])[:, None]
-                                   < thr[:, jj, i0 + rows].T)
+                                   < thr[:, jj, blk[rows]].T)
             for q in range(nr):
                 got = hit[rung == q]
                 counts[q, blk, jj] = np.bincount(rows[got], minlength=nb)
@@ -334,16 +368,6 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         reports.append(MeasureReport(fractions, bounds, ratios, per_step, cumulative_ok,
                                      grid.resolution_error, nsamp, lip_lo, lip_hi, rows))
     return reports
-
-
-def _cover(lo, hi, keep, nsamp):
-    """Mask of the sorted positions inside any range [lo, hi) with ``keep``,
-    one row per row of ``lo``: a difference array summed along the row."""
-    r = np.nonzero(keep)[0]
-    diff = np.zeros((len(lo), nsamp + 1), dtype=np.int32)
-    np.add.at(diff, (r, lo[keep]), 1)
-    np.add.at(diff, (r, hi[keep]), -1)
-    return np.cumsum(diff[:, :-1], axis=1) > 0
 
 
 def rows_to_csv(rows):

@@ -105,25 +105,28 @@ def quartic_hamiltonian(model, budgets):
 
     G = (1/4) sum over ordered index tuples of G_{ijkl} q_i q_j qbar_k
     qbar_l, collected onto monomials q^beta qbar^gamma with the ordered
-    multiplicities (2 - delta)^2 folded into the coefficients.
+    multiplicities (2 - delta)^2 folded into the coefficients.  Every pair
+    of pairs i <= j, k <= l is evaluated at once, in the operation order of
+    ``g_tensor`` (so each coefficient has its bits).
     """
     dims = model.flat_dims()
     width = model.jmax + 1
     modes = np.arange(1, width)           # the zero mode has lambda = 0
     lam = np.zeros((len(modes), 2 * width), dtype=np.int16)
     lam[modes - 1, modes] = lam[modes - 1, width + modes] = 1
-    cols, coefs = [], []
-    pairs = [(i, j) for i in range(width) for j in range(i, width)]
-    for (i, j) in pairs:
-        mi = 1 if i == j else 2
-        for (k, l) in pairs:
-            g = g_tensor(i, j, k, l)
-            if g != 0.0:
-                mk = 1 if k == l else 2
-                cols.append((i, j, width + k, width + l))
-                coefs.append(0.25 * mi * mk * g)
-    G = np.zeros((len(cols), 2 * width), dtype=np.int16)
-    np.add.at(G, (np.arange(len(cols))[:, None], np.array(cols)), 1)
+    # (i, j) for every pair i <= j in order, paired with every (k, l)
+    first, second = np.triu_indices(width)
+    i, j = np.repeat(first, len(first)), np.repeat(second, len(first))
+    k, l = np.tile(first, len(first)), np.tile(second, len(first))
+    hits = sum((i + s2 * j + s3 * k + s4 * l == 0).astype(int) for s2, s3, s4 in _SIGNS)
+    keep = hits > 0
+    i, j, k, l, hits = i[keep], j[keep], k[keep], l[keep], hits[keep]
+    f = np.full(width, 1.0 / math.sqrt(math.pi))
+    f[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    g = (2.0 * math.pi / 8.0) * hits * (1.0 * f[i] * f[j] * f[k] * f[l])
+    coefs = 0.25 * np.where(i == j, 1, 2) * np.where(k == l, 1, 2) * g
+    G = np.zeros((len(g), 2 * width), dtype=np.int16)
+    np.add.at(G, (np.arange(len(g))[:, None], np.column_stack([i, j, width + k, width + l])), 1)
     return (TFSeries.from_rows(dims, budgets, lam, modes * modes, real=True),
             TFSeries.from_rows(dims, budgets, G, coefs, real=True))
 

@@ -192,6 +192,31 @@ gamma_ladder = 2
     assert head == "family,k,l,threshold,excluded_fraction,analytic_bound"
 
 
+def test_cli_measure_deterministic(tmp_path):
+    # two measure runs write the same bytes to every file, as two runs of
+    # ``run`` do to run.json
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(MINIMAL_NLS + """
+[budgets]
+degree_max = 4
+k_max = 64
+
+[grid]
+lo = 0.001 0.001
+hi = 0.01 0.01
+samples_per_axis = 40
+kmax = 8
+gamma_ladder = 3
+""")
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert main(["measure", "--config", str(cfg), "--out", str(out)]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert len(names) == 7 and sorted(os.listdir(outs[1])) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_cli_measure_ladder_writes_the_files_of_one_call_per_rung(tmp_path):
     # the CLI counts both rungs from one sort per k-row block; the files are
     # those of one estimate_excluded call per rung, emitted in turn

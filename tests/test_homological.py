@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from unittest import mock
 
@@ -12,8 +13,8 @@ from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm, Resonanc
                                  check_nonresonance, condition_catalogue, extract_hat,
                                  hom_residual, k_lattice, k_powers, solve_homological)
 from kamzero import homological
-from kamzero.homological import (FAMILY_TABLE, _expand, _factor_floor, _kl_options, _kpow,
-                                 _layout, _ranges, _scale_tau)
+from kamzero.homological import (FAMILY_TABLE, _distinct, _expand, _factor_floor, _kl_options,
+                                 _kpow, _layout, _may_meet, _ranges, _scale_tau)
 from kamzero.matrixkit import (SingularSystem, commutation_matrix, det_modulus, kron,
                                solve_dense, vec)
 from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
@@ -700,6 +701,41 @@ def test_ranges_are_the_positions_below_the_bound(rows):
     which, at = _expand(lo, hi)
     flat, expect = np.nonzero(below.reshape(lo.size, xs.shape[1]))
     assert np.array_equal(which, flat) and np.array_equal(at, expect)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sorted_rows())
+def test_a_nonempty_range_meets_at_the_row_extremes(rows):
+    # the pre-test at a row's smallest and largest value never rules out a
+    # range that holds a position
+    xs, shifts, bound = rows
+    xs = xs[:, np.isfinite(xs).all(axis=0)]
+    if xs.shape[1]:
+        lo, hi = _ranges(xs, shifts, bound)
+        assert np.all(_may_meet(xs[:, 0], xs[:, -1], shifts, bound)[hi > lo])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62) | st.integers(-3, 3), max_size=60))
+def test_distinct_is_np_unique(values):
+    codes = np.array(values, dtype=np.int64)
+    assert np.array_equal(_distinct(codes), np.unique(codes))
+    got, first = _distinct(codes, first=True)
+    expect, expect_first = np.unique(codes, return_index=True)
+    assert np.array_equal(got, expect) and np.array_equal(first, expect_first)
+
+
+def test_the_package_makes_no_np_unique_call():
+    # numpy 2.4's np.unique hashes: on random int64 codes it took 14 ms
+    # against 0.55 ms for a sort and a compare of neighbours at 60k values,
+    # and 437 ms against 8 ms at 600k (2-core x86_64); ``_distinct`` does
+    # the sort and compare
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "kamzero")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                assert "np.unique(" not in fh.read(), name
 
 
 def test_k_lattice_and_kl_options_are_cached_read_only():

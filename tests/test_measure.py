@@ -278,6 +278,63 @@ def test_nls_grid_counts_equal_the_sample_by_sample_evaluation(nls_freq_map):
         assert_same_as_reference(fmap, _params_for(gamma), dims, grid, k_lo=2.0, kmax=10.0)
 
 
+def test_nls_ladder_searches_only_the_rows_a_band_may_reach(nls_freq_map):
+    # the nls.cfg ladder (three rungs, 100 x 100 samples, kmax 10): at the
+    # row extremes only 14 of the 220 k-rows may meet a band, and only they
+    # are sorted and searched; the reports are still the evaluation's
+    fmap, dims = nls_freq_map
+    grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
+    rungs = [_params_for(g) for g in (0.005, 0.0025, 0.00125)]
+    with mock.patch.object(measure, "_ranges", wraps=measure._ranges) as search:
+        reps = estimate_ladder(fmap, rungs, dims, grid, kmax=10.0)
+    assert sum(call.args[0].shape[0] for call in search.call_args_list) == 14
+    for rung, rep in zip(rungs, reps):
+        assert_report_is_reference(rep, fmap, rung, dims, grid, kmax=10.0)
+
+
+def _quarter_band(lo, hi, gammas=(0.25,)):
+    """omega = xi on [lo, hi] with 9 samples, the k-rows k = +-1 and the one
+    KL shift c = 0, with thr = gamma at |k| = 1."""
+    grid = ParameterGrid(np.array([lo]), np.array([hi]), 9)
+    fmap = AffineFrequencyMap(np.array([0.0]), np.array([[1.0]]), {})
+    rungs = [schedule(1, BaseParams(n=1, b=0, tau=2.5, s1=0.6, r1=0.02, gamma1=g), eps_m=1e-6)
+             for g in gammas]
+    assert [p.gamma_m for p in rungs] == list(gammas)
+    return grid, fmap, SeriesDims(1, (), (), 0), rungs
+
+
+@pytest.mark.parametrize("edge", [np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0)])
+@pytest.mark.parametrize("side", ["vmax", "vmin"])
+def test_a_row_extreme_on_a_band_edge_is_counted_like_the_evaluation(side, edge):
+    # the grid ends at xi = -edge or starts at xi = edge, so the row k = 1
+    # has fl(vmax + c) on or next to nextafter(-thr, inf) = -edge, or
+    # fl(vmin + c) on or next to thr = 1/4 (and the row k = -1 the other
+    # way round); a sample with |x| just below thr is excluded, and the
+    # pre-test at the row's extremes must keep its row
+    lo, hi = (-1.0, -edge) if side == "vmax" else (edge, 1.0)
+    grid, fmap, dims, (params,) = _quarter_band(lo, hi)
+    assert grid.samples()[[0, -1], 0].tolist() == [lo, hi]
+    rep = assert_same_as_reference(fmap, params, dims, grid, families=("KL",), kmax=1.0)
+    assert rep.fractions["KL"] == (1 / 9 if edge < 0.25 else 0.0)
+
+
+def test_a_grid_no_band_reaches_sorts_nothing():
+    # on [1/4, 1] the row k = 1 starts on the upper edge |x| = thr of every
+    # rung's band and the row k = -1 ends on the lower one: no range can be
+    # non-empty, so no k-row is sorted or searched
+    grid, fmap, dims, rungs = _quarter_band(0.25, 1.0, gammas=(0.25, 0.125))
+    argsort = np.argsort
+
+    def no_row_sort(a, *args, **kwargs):
+        assert np.ndim(a) == 1, "a block of k-rows was sorted"
+        return argsort(a, *args, **kwargs)
+
+    with mock.patch.object(np, "argsort", no_row_sort), \
+            mock.patch.object(measure, "_ranges", side_effect=AssertionError("searched")):
+        reps = estimate_ladder(fmap, rungs, dims, grid, families=("KL",), kmax=1.0)
+    assert [(rep.fractions, rep.rows) for rep in reps] == [({"KL": 0.0}, [])] * 2
+
+
 # ---------------------------------------------------------------------------
 # grid plumbing, the cell cap and memory
 # ---------------------------------------------------------------------------
@@ -309,11 +366,11 @@ def test_grid_over_the_cell_cap_is_budget_exhausted_before_allocating(nls_freq_m
 
 
 def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
-    # forming vals = base + proj @ xi.T holds two (k-row x sample) float
-    # matrices, the whole peak of the sample-by-sample evaluation (35.4 MB
-    # on the nls.cfg grid); the sorted counting works in blocks of k-rows
-    # below it, where sorting all rows at once peaks at 98 MB, and a ladder
-    # of three rungs shares that one vals matrix
+    # vals = proj @ xi.T, then += base in place, is one (k-row x sample)
+    # float matrix (17.6 MB on the nls.cfg grid), the whole peak of the
+    # sample-by-sample evaluation but for its one temporary; only the rows a
+    # band may reach are kept and sorted, in blocks of k-rows below it, and
+    # a ladder of three rungs shares that one vals matrix
     fmap, dims = nls_freq_map
     grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
     calls = [lambda: estimate_excluded(fmap, _params_for(0.005), dims, grid, kmax=10.0),
@@ -326,4 +383,4 @@ def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 2 * 220 * grid.size * 8
+        assert peak <= 1.1 * 220 * grid.size * 8

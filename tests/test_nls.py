@@ -9,7 +9,7 @@ from kamzero.nls import (NlsModel, _gbinom, action_couplings, birkhoff_transform
                          grading_violations, index_solvability, momentum_signed,
                          parity_check, parity_v0, parity_weighted, quartic_hamiltonian,
                          to_kam_form)
-from kamzero.series import Budgets, DomainParams, _degrees, vector_field_norm
+from kamzero.series import Budgets, DomainParams, TFSeries, _degrees, vector_field_norm
 from series_ref import from_terms, key_degree, key_kabs, make_key, reality_defect
 
 
@@ -54,6 +54,33 @@ def test_g_tensor_against_quadrature():
     for i, j in [(1, 2), (2, 5), (3, 3)]:
         pattern = (2 + (1 if i == j else 0)) / (16.0 * math.pi)
         assert g_tensor(i, i, j, j) == pytest.approx(4.0 * pattern, rel=1e-12)
+
+
+def scalar_quartic(model, budgets):
+    """The quartic G built one ``g_tensor`` call per pair of index pairs
+    i <= j, k <= l: the reference for ``quartic_hamiltonian``."""
+    width = model.jmax + 1
+    pairs = [(i, j) for i in range(width) for j in range(i, width)]
+    cols, coefs = [], []
+    for (i, j) in pairs:
+        for (k, l) in pairs:
+            g = g_tensor(i, j, k, l)
+            if g != 0.0:
+                cols.append((i, j, width + k, width + l))
+                coefs.append(0.25 * (1 if i == j else 2) * (1 if k == l else 2) * g)
+    G = np.zeros((len(cols), 2 * width), dtype=np.int16)
+    np.add.at(G, (np.arange(len(cols))[:, None], np.array(cols)), 1)
+    return TFSeries.from_rows(model.flat_dims(), budgets, G, coefs, real=True)
+
+
+@pytest.mark.parametrize("jmax", range(1, 9))
+def test_quartic_is_the_scalar_build_bit_for_bit(jmax):
+    model = NlsModel((1,), jmax, xi=np.array([1e-3]))
+    budgets = Budgets(6, 512)
+    G = quartic_hamiltonian(model, budgets)[1]
+    ref = scalar_quartic(model, budgets)
+    assert np.array_equal(G.rows, ref.rows)
+    assert G.coefs.tobytes() == ref.coefs.tobytes()
 
 
 # ---------------------------------------------------------------------------
