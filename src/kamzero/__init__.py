@@ -5,8 +5,7 @@ from .series import (Budgets, DomainParams, MonomialKey, SeriesDims, TFSeries,
                      split_low_high, vector_field_norm, weighted_norm)
 from .matrixkit import SingularSystem, det_modulus, kron, op_norm, solve_dense, vec
 from .homological import (NormalForm, ResonanceCondition, ResonantParameter,
-                          assemble_block_operator, check_nonresonance,
-                          hom_residual, solve_homological)
+                          check_nonresonance, hom_residual, solve_homological)
 from .driver import (BaseParams, BudgetExhausted, IterationReport, KamParams,
                      PremiseFailed, delta0, dichotomy, iterate, kam_step,
                      make_synthetic_problem, no_torus_witness, run, schedule)

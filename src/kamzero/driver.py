@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -205,19 +205,13 @@ class StepRecord:
     r_m: float
     solve_counts: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        out = {k: getattr(self, k) for k in (
-            "m", "eps_scheduled", "eps_measured", "eps_next", "xF_norm",
-            "residual", "freq_drift", "delta0", "dropped_mass",
-            "prune_mass", "prune_vf_bound", "vf_trunc_bound", "vf_trunc_terms", "skip_bound",
-            "skip_rows", "lie_order",
-            "tail_ratio", "min_divisor_margin", "K_m", "gamma_m", "s_m", "r_m")}
-        out["solve_counts"] = dict(sorted(self.solve_counts.items()))
-        return out
 
-
-def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
+def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
     """One conjugation H_m -> H_{m+1}; returns (N_next, R_next, StepRecord).
+
+    ``eps_m`` is the measured eps that scheduled the step (``iterate``
+    passes the norm of R0 on the starting domain, then each step's
+    ``eps_next``).
 
     Raises ResonantParameter when the sample fails a small-divisor
     condition and BudgetExhausted when the scheduled Fourier cut-off
@@ -227,7 +221,6 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     if params.K_m > R.budgets.k_max:
         raise BudgetExhausted("K_m = %.1f exceeds the Fourier budget %d"
                               % (params.K_m, R.budgets.k_max))
-    eps_m = vector_field_norm(R, dp) if eps_measured is None else eps_measured
     # the step needs R only to the precision of eps_m: the terms of smallest
     # vector-field majorant go while their sum stays below _VF_TRUNC_REL *
     # eps_m, so the step is exact for an R within that distance on dp
@@ -259,13 +252,13 @@ def kam_step(N, R, params, dims, dp, max_lie_order=8, eps_measured=None):
     skip_bound, skip_rows = 0.0, 0
     if len(F):
         T2 = poisson_bracket(T1, F)
-        chainN, droppedN, _, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
+        chainN, droppedN, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
         # {R, F} only to the precision of eps_m on the outgoing domain: the
         # product rows of least majorant are never formed while their
         # summed bound stays below _VF_TRUNC_REL * eps_m
         S1 = poisson_bracket(R, F, dp_next, _VF_TRUNC_REL * eps_m)
         skip_bound, skip_rows = S1.meta["skip_bound"], S1.meta["skip_rows"]
-        chainR, droppedR, _, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
+        chainR, droppedR, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
         R_next = R_next + high + chainN + chainR
         dropped += droppedN + droppedR
         lie_used = max(usedN, usedR)
@@ -314,11 +307,15 @@ def delta0(N):
     return float(np.sqrt(np.sum(np.abs(N.Nz0) ** 2) + np.sum(np.abs(N.Nzb0) ** 2)))
 
 
-def dichotomy(records, base, consecutive=3):
+# steps in a row that delta_0 must stay below its threshold for a torus
+_CONSECUTIVE = 3
+
+
+def dichotomy(records, base):
     """Verdict from the step records so far, or None while undecided.
 
     TorusConverged requires delta_0 strictly below 20 eps_{m-1}^{7/6} for
-    ``consecutive`` steps with the measured eps under the convergence floor;
+    ``_CONSECUTIVE`` steps with the measured eps under the convergence floor;
     the no-torus branch fires at the first step with delta_0 strictly above
     the threshold (the caller then runs the escape witness).  Sitting
     exactly on the threshold decides nothing.
@@ -335,7 +332,7 @@ def dichotomy(records, base, consecutive=3):
     for rec in records:
         t = 20.0 * rec.eps_measured ** (7.0 / 6.0)
         streak = streak + 1 if rec.delta0 < t else 0
-    if streak >= consecutive and last.eps_next < base.eps_floor:
+    if streak >= _CONSECUTIVE and last.eps_next < base.eps_floor:
         return "TorusConverged"
     return None
 
@@ -344,14 +341,14 @@ def dichotomy(records, base, consecutive=3):
 # escape witness
 # ---------------------------------------------------------------------------
 
-def _zero_mode_tables(R, dims, x0):
-    """The zero-mode gradients of R at y = 0, tail = 0 and angles x0 as one
+def _zero_mode_tables(R, dims):
+    """The zero-mode gradients of R at y = 0, tail = 0 and angles 0 as one
     stacked table.
 
     Returns (E, c, spans): per stacked term its exponents of (z0, zbar0) as
-    a column of E and its coefficient, with the phase e^{i <k, x0>} folded
-    in.  The terms of dR/dzbar0_i, then dR/dz0_i (i < b) are stacked in that
-    order; gradient g owns the terms ``spans[g]``.
+    a column of E and its coefficient.  The terms of dR/dzbar0_i, then
+    dR/dz0_i (i < b) are stacked in that order; gradient g owns the terms
+    ``spans[g]``.
     """
     n, b, nmodes = dims.n, dims.b, len(dims.modes)
     rows, c = R.rows, R.coefs
@@ -361,17 +358,16 @@ def _zero_mode_tables(R, dims, x0):
     on_zero = ~rows[:, tail].any(axis=1)   # a tail factor vanishes at z = 0
     na = rows[:, n:2 * n].sum(axis=1)
     E = rows[:, zcols]
-    parts = []   # (row mask, exponents, coefficients) per gradient
+    exps, coefs = [], []   # per gradient
     for i in np.r_[b:2 * b, :b]:
         sel = on_zero & (na == 0) & (E[:, i] > 0)
         lowered = E[sel]
         lowered[:, i] -= 1
-        parts.append((sel, lowered, E[sel, i] * c[sel]))
-    sels, exps, coefs = zip(*parts)
-    k = np.concatenate([rows[sel, :n] for sel in sels]).astype(float)
-    c = np.concatenate(coefs) * np.exp(1j * (k @ x0))
+        exps.append(lowered)
+        coefs.append(E[sel, i] * c[sel])
     cuts = np.cumsum([0] + [len(e) for e in exps])
-    return np.concatenate([e.T for e in exps], axis=1), c, list(zip(cuts[:-1], cuts[1:]))
+    return (np.concatenate([e.T for e in exps], axis=1), np.concatenate(coefs),
+            list(zip(cuts[:-1], cuts[1:])))
 
 
 def _eval_gradients(tables, X):
@@ -403,6 +399,8 @@ def _exp_taylor(B, shift=0):
 # relative margin by which |lin| -+ the flow bound must clear the escape
 # threshold for the closed form to decide
 _WITNESS_MARGIN = 1e-9
+# RK4 steps over t in [0, 1] where the closed form cannot decide
+_WITNESS_STEPS = 400
 
 
 @dataclass
@@ -419,14 +417,14 @@ class WitnessRecord:
     path: str           # 'closed_form' or 'rk4': what decided the escape
 
 
-def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, x0=None):
+def no_torus_witness(N, R, dims, eps_prev):
     """Decide whether the zero-mode subsystem escapes over t in [0, 1].
 
     The subsystem is dX0/dt = alpha0 + A0 X0 + g0, X0(0) = 0, with the
     constant and linear parts read from the accumulated zero-mode sums and
-    g0 from R's zero-mode gradients with the angles frozen at x0 (default 0;
-    one stacked table, ``_zero_mode_tables``, carries their phases).
-    Escape means the final Euclidean norm exceeds 2 eps_{m-1}^{7/6}.
+    g0 from R's zero-mode gradients with the angles frozen at 0 (one
+    stacked table, ``_zero_mode_tables``).  Escape means the final
+    Euclidean norm exceeds 2 eps_{m-1}^{7/6}.
 
     With g0 = 0 the flow is lin = phi1(A0) alpha0 in closed form, and the
     rest is bounded first.  With a = ||A0||_F, which bounds the
@@ -435,12 +433,11 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, x0=None):
     gives B = G e^a <= rho / 2, the flow never leaves the ball and
     Groenwall gives |X0(1) - lin| <= B.  When |lin| -+ B clears the
     threshold by the relative margin ``_WITNESS_MARGIN`` the closed form
-    decides and ``final_norm`` is |lin|.  Otherwise ``steps`` RK4 steps
-    integrate the subsystem.  The record carries the bound, the path that
-    decided, the straightened coordinate e^{-A0} X0(1) and |lin|.
+    decides and ``final_norm`` is |lin|.  Otherwise ``_WITNESS_STEPS`` RK4
+    steps integrate the subsystem.  The record carries the bound, the path
+    that decided, the straightened coordinate e^{-A0} X0(1) and |lin|.
     """
     b = N.b
-    eps_prev = params.eps_m if eps_prev is None else eps_prev
     alpha0 = np.concatenate([1j * N.Nzb0, -1j * N.Nz0]).astype(complex)
     A0 = np.block([[1j * N.Nz0zb0, 2j * N.Nzb0zb0],
                    [-2j * N.Nz0z0, -1j * N.Nz0zb0.T]])
@@ -448,8 +445,7 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, x0=None):
     if A0_norm > 0.25:
         raise PremiseFailed("||A0|| = %.3e is not << 1" % A0_norm)
     threshold = 2.0 * eps_prev ** (7.0 / 6.0)
-    x0 = np.zeros(dims.n) if x0 is None else np.asarray(x0, dtype=float)
-    tables = _zero_mode_tables(R, dims, x0)
+    tables = _zero_mode_tables(R, dims)
     lin = _exp_taylor(A0, shift=1) @ alpha0
     lin_norm = float(np.linalg.norm(lin))
     growth = math.exp(float(np.linalg.norm(A0)))
@@ -472,11 +468,11 @@ def no_torus_witness(N, R, params, dims, eps_prev=None, steps=400, x0=None):
         def rhs(X):
             return alpha0 + A0 @ X + rot * _eval_gradients(tables, X)
 
-        h = 1.0 / steps
+        h = 1.0 / _WITNESS_STEPS
         X = np.zeros(2 * b, dtype=complex)
         ts = [0.0]
         norms = [0.0]
-        for i in range(steps):
+        for i in range(_WITNESS_STEPS):
             k1 = rhs(X)
             k2 = rhs(X + 0.5 * h * k1)
             k3 = rhs(X + 0.5 * h * k2)
@@ -514,12 +510,7 @@ class IterationReport:
     constants: dict
 
     def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "verdict_info": self.verdict_info,
-            "constants": self.constants,
-            "steps": [s.as_dict() for s in self.steps],
-        }
+        return asdict(self)
 
 
 def iterate(N0, R0, base, dims, dp0, max_lie_order):
@@ -561,8 +552,7 @@ def run(N0, R0, base, dims, dp0, max_steps=6, max_lie_order=8):
                 break
             if state == "NoTorusCandidate":
                 try:
-                    escaped, wrec = no_torus_witness(N, R, params, dims,
-                                                     eps_prev=rec.eps_measured)
+                    escaped, wrec = no_torus_witness(N, R, dims, rec.eps_measured)
                 except PremiseFailed as err:
                     verdict = "BudgetExhausted"
                     info = {"m": m, "reason": str(err)}
@@ -601,15 +591,15 @@ def run(N0, R0, base, dims, dp0, max_steps=6, max_lie_order=8):
 # synthetic problems
 # ---------------------------------------------------------------------------
 
-def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
-                           n_low=12, n_high=8, inject_z0=0.0, block_scale=0.0,
-                           dp=None):
+def make_synthetic_problem(dims, budgets, eps0, dp, seed=0, n_low=12, n_high=8,
+                           inject_z0=0.0, block_scale=0.0):
     """Random real perturbation of a nonresonant normal form.
 
     Draws random low-degree terms (over every solver class) and a few
-    degree-3/4 terms, symmetrizes to a real Hamiltonian, and scales the
-    whole perturbation so its vector-field norm on ``dp`` equals ``eps0``
-    (where that norm is positive and finite).  ``inject_z0`` adds a
+    degree-3/4 terms, each at a Fourier vector with entries in [-2, 2],
+    symmetrizes to a real Hamiltonian, and scales the whole perturbation
+    so its vector-field norm on ``dp`` equals ``eps0`` (where that norm is
+    positive and finite).  ``inject_z0`` adds a
     constant zero-mode term of that magnitude after scaling (the no-torus
     driver); ``block_scale`` puts random symmetric quadratic blocks of that
     size into N.
@@ -641,7 +631,7 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
         return complex(rng.standard_normal(), rng.standard_normal())
 
     for row in rows[:n_low]:
-        row[:n] = rng.integers(-kspread, kspread + 1, size=n)
+        row[:n] = rng.integers(-2, 3, size=n)
         kind = rng.integers(0, 6)
         if kind == 0 and n:
             row[n:beta] = [i == rng.integers(0, n) for i in range(n)]
@@ -654,14 +644,13 @@ def make_synthetic_problem(dims, budgets, eps0, seed=0, kspread=2,
             row[[beta + m1, gamma + m2]] = 1
         coefs.append(rand_coef())
     for row in rows[n_low:]:
-        row[:n] = rng.integers(-kspread, kspread + 1, size=n)
+        row[:n] = rng.integers(-2, 3, size=n)
         picks = rng.choice(nmodes, size=3)
         np.add.at(row, beta + picks[:2], 1)
         row[gamma + picks[2]] = 1
         coefs.append(rand_coef())
 
     R = realify(TFSeries.from_rows(dims, budgets, rows, coefs))
-    dp = dp or DomainParams(0.6, 0.25, 0.1, 1.0)
     # a norm that overflows on dp is left for ``iterate`` to report
     with np.errstate(over="ignore", invalid="ignore"):
         norm = vector_field_norm(R, dp)

@@ -217,28 +217,19 @@ def _l_tuple(tail, l):
 # block operators (families A / B / C)
 # ---------------------------------------------------------------------------
 
-def assemble_block_operator(family, N, kvec, j=None, Omega_j=None):
-    """Dense matrix of the within-class operator at Fourier mode k.
+def block_operators(family, N, kvecs, Omega=None):
+    """Dense matrices of the within-class operator at every Fourier mode
+    ``kvecs[g]`` (and, for family 'B', every frequency ``Omega[g]`` of its
+    tail mode) as one ``(G, d, d)`` stack.
 
     family 'A' couples the three zero-mode quadratic blocks through column
     straightening (3b^2 unknowns); 'B' couples the four mixed zero/tail
-    coefficient vectors at a tail mode j (4b unknowns, needs Omega_j); 'C'
-    couples the two zero-mode linear vectors (2b unknowns).  In each case
-    the matrix is i<k,omega> I plus Kronecker lifts of the zero-mode
-    quadratic blocks of N, and it equals the action of F -> -{N, F}
-    restricted to the class.  It is the one matrix of ``block_operators``.
-    """
-    if family == "B" and (j is None or Omega_j is None):
-        raise ValueError("family B needs the tail mode j and Omega_j")
-    Omega = None if Omega_j is None else np.array([float(Omega_j)])
-    return block_operators(family, N, np.asarray(kvec)[None], Omega)[0]
-
-
-def block_operators(family, N, kvecs, Omega=None):
-    """``assemble_block_operator`` at every Fourier mode ``kvecs[g]`` (and,
-    for family 'B', every frequency ``Omega[g]`` of its tail mode) as one
-    ``(G, d, d)`` stack.  The blocks that do not depend on k are formed once,
-    and every entry by the same operations in the same order at every g."""
+    coefficient vectors at a tail mode j (4b unknowns); 'C' couples the two
+    zero-mode linear vectors (2b unknowns).  In each case the matrix is
+    i<k,omega> I plus Kronecker lifts of the zero-mode quadratic blocks of
+    N, and it equals the action of F -> -{N, F} restricted to the class.
+    The blocks that do not depend on k are formed once, and every entry by
+    the same operations in the same order at every g."""
     b, G = N.b, len(kvecs)
     kw = np.vecdot(np.asarray(kvecs, dtype=float), N.omega)[:, None, None]
     S = N.Nz0z0
@@ -289,8 +280,9 @@ FAMILY_TABLE = {
 }
 FAMILIES = tuple(FAMILY_TABLE)
 _LATTICE_CAP = 6_000_000
-# k-rows x samples of one ``measure.estimate_ladder`` grid: 160 MB of
-# float64 values
+# cells of one ``measure.estimate_ladder`` array, k-rows x samples (the
+# values) or k-rows x rungs x conditions (thresholds, counts): 160 MB of
+# float64
 _GRID_CELL_CAP = 20_000_000
 # dispersion exponent d of the normal frequencies Omega_j = j^d (cubic NLS)
 DISPERSION = 2

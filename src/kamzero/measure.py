@@ -215,25 +215,13 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     equal those of evaluating every condition at every sample, the
     fractions are count / samples, and the analytic bounds are summed in
     the same (k-row, condition) order, so each report is bit-identical to
-    that evaluation.  More than 20,000,000 k-rows x samples raise
-    BudgetExhausted before anything is allocated.
+    that evaluation.  More than 20,000,000 k-rows x samples, or k-rows x
+    rungs x conditions, raise BudgetExhausted before the lattice is formed.
     """
     kmaxes = {p.K_m if kmax is None else kmax for p in rungs}
     if len(kmaxes) != 1:
         raise ValueError("the rungs of a ladder share one k lattice: pass kmax")
     kmax = kmaxes.pop()
-    nk = lattice_size(grid.ndim, kmax) - 1
-    if nk * grid.size > _GRID_CELL_CAP:
-        raise BudgetExhausted("the measure grid has %d k-rows x %d samples = %d cells,"
-                              " above the cap of %d"
-                              % (nk, grid.size, nk * grid.size, _GRID_CELL_CAP))
-    nsamp = grid.size
-    kvecs = k_lattice(grid.ndim, kmax)
-    kvecs = kvecs[np.abs(kvecs).sum(axis=1) > 0]
-    kabs = np.abs(kvecs).sum(axis=1)
-    base = kvecs @ fmap.alpha
-    proj = kvecs @ fmap.A                    # (nk, n): gradient of <k, omega(xi)>
-
     N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
     N0.Omega = dict(fmap.Omega)
     catalogues = [condition_catalogue(N0, p, dims, kmax, families) for p in rungs]
@@ -244,6 +232,22 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
                        and np.array_equal(c.roots, c0.roots) for c, c0 in zip(cs, conds))
                for cs in catalogues)
     nr, nc = len(rungs), len(conds)
+    nsamp = grid.size
+    # the largest arrays: the values (k-rows x samples) and the thresholds
+    # and counts (rungs x conditions x k-rows each)
+    nk = lattice_size(grid.ndim, kmax) - 1
+    ncells = nk * max(nsamp, nr * nc)
+    if ncells > _GRID_CELL_CAP:
+        width = ("%d samples" % nsamp if nsamp >= nr * nc
+                 else "%d rungs x %d conditions" % (nr, nc))
+        raise BudgetExhausted("the measure grid has %d k-rows x %s = %d cells,"
+                              " above the cap of %d" % (nk, width, ncells, _GRID_CELL_CAP))
+    kvecs = k_lattice(grid.ndim, kmax)
+    kvecs = kvecs[np.abs(kvecs).sum(axis=1) > 0]
+    kabs = np.abs(kvecs).sum(axis=1)
+    base = kvecs @ fmap.alpha
+    proj = kvecs @ fmap.A                    # (nk, n): gradient of <k, omega(xi)>
+
     thr = np.empty((nr, nc, nk))        # thr[q, j]: condition j's thresholds on rung q
     for q, cs in enumerate(catalogues):
         kpow = k_powers(cs, kabs)

@@ -368,10 +368,9 @@ def _violations(series, mask):
     return [(key, abs(c)) for key, c in series.select(mask).terms.items()]
 
 
-def grading_violations(series, sites, tol=0.0):
-    """Keys breaking either conserved mod-2 grading (beyond |c| <= tol)."""
-    bad = (parity_v0(series) != 0) | (parity_weighted(series, sites) != 0)
-    return _violations(series, bad & (np.abs(series.coefs) > tol))
+def grading_violations(series, sites):
+    """Keys breaking either conserved mod-2 grading."""
+    return _violations(series, (parity_v0(series) != 0) | (parity_weighted(series, sites) != 0))
 
 
 def parity_check(R, dims, which, tol=1e-12):
@@ -422,15 +421,14 @@ class IndexVectorClass:
                 for name in ("V1", "V2", "V3", "V4")}
 
 
-def classify_index_vectors(R, dims, tol=0.0):
+def classify_index_vectors(R, dims):
     n = dims.n
     degz = _z_degree(R)
     na = R.rows[:, n:2 * n].sum(axis=1)
     moving = _kabs(R.rows, n) > 0
-    live = np.abs(R.coefs) > tol
 
     def family(mask):
-        return set(map(tuple, R.rows[live & mask, :n].tolist()))
+        return set(map(tuple, R.rows[mask, :n].tolist()))
 
     return IndexVectorClass((1,) * n, family((degz == 1) & (na == 0)),
                             family((degz == 0) & (na == 1) & moving),

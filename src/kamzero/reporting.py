@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 EXIT_CODES = {
@@ -21,14 +22,17 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if hasattr(obj, "item"):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None     # JSON (RFC 8259) has no Infinity or NaN
     return obj
 
 
 def report_json(payload):
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """Stable JSON text: sorted keys, non-finite floats as null."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def trace_csv(report):
@@ -40,25 +44,22 @@ def trace_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report, outdir, basename="run"):
-    """Write <basename>.json (stable key order) and the eps-trace CSV.
+def emit_report(report, outdir):
+    """Write run.json (stable key order) and the eps-trace CSV run_trace.csv.
 
     Returns (exit_code, json_path).  Verdicts map to exit codes 0/2/3/4 so
     shell pipelines can branch on the dichotomy outcome.
     """
     os.makedirs(outdir, exist_ok=True)
-    payload = report.as_dict()
-    jpath = os.path.join(outdir, basename + ".json")
+    jpath = os.path.join(outdir, "run.json")
     with open(jpath, "w") as fh:
-        fh.write(report_json(payload))
-    if hasattr(report, "steps"):
-        with open(os.path.join(outdir, basename + "_trace.csv"), "w") as fh:
-            fh.write(trace_csv(report))
-    code = EXIT_CODES.get(getattr(report, "verdict", ""), 0)
-    return code, jpath
+        fh.write(report_json(report.as_dict()))
+    with open(os.path.join(outdir, "run_trace.csv"), "w") as fh:
+        fh.write(trace_csv(report))
+    return EXIT_CODES[report.verdict], jpath
 
 
-def emit_measure_report(report, outdir, basename="measure"):
+def emit_measure_report(report, outdir, basename):
     from .measure import rows_to_csv
 
     os.makedirs(outdir, exist_ok=True)

@@ -291,16 +291,15 @@ class TFSeries:
         if self.budgets != other.budgets:
             raise ValueError("series budgets mismatch: %r vs %r" % (self.budgets, other.budgets))
 
-    def prune_mask(self, rel=None):
-        """Mask of the coefficients below ``rel * max|c|`` (``prune_rel`` by
-        default): the terms ``prune`` drops."""
-        rel = self.budgets.prune_rel if rel is None else rel
+    def prune_mask(self):
+        """Mask of the coefficients below ``prune_rel * max|c|``: the terms
+        ``prune`` drops."""
         mags = np.abs(self.coefs)
-        return mags < rel * mags.max(initial=0.0)
+        return mags < self.budgets.prune_rel * mags.max(initial=0.0)
 
-    def prune(self, rel=None):
+    def prune(self):
         """Drop the terms of ``prune_mask``; returns their l^1 mass."""
-        drop = self.prune_mask(rel)
+        drop = self.prune_mask()
         if not drop.any():
             return 0.0
         mass = float(np.abs(self.coefs[drop]).sum())
@@ -1094,17 +1093,16 @@ def truncated_mass(S):
     return S.meta.get("dropped_mass", 0.0)
 
 
-def lie_series(term, F, j, order, dp=None, rem_tol=None):
+def lie_series(term, F, j, order, dp, rem_tol):
     """Sum_{i=j}^{order} ad_F^{i-j}(term) / i! for term = ad_F^j(H).
 
     The one Lie-series loop: ``lie_transform`` starts it at j = 0 with
     term = H, the KAM step at a bracket it has already formed.  Orders are
     added one at a time; the sum stops after an empty increment or, with
     ``dp`` and ``rem_tol`` given, after one whose vector-field norm is below
-    ``rem_tol``.  Returns (sum, mass, last_norm, order_used), where mass
-    sums ``truncated_mass`` over the brackets (``term`` itself for j > 0)
-    and last_norm is the norm of the last increment (inf when unmeasured, 0
-    once the series terminates).  No coefficient is cut by its magnitude.
+    ``rem_tol``.  Returns (sum, mass, order_used), where mass sums
+    ``truncated_mass`` over the brackets (``term`` itself for j > 0).  No
+    coefficient is cut by its magnitude.
     """
     fact = math.factorial(j)
     if j:
@@ -1121,24 +1119,21 @@ def lie_series(term, F, j, order, dp=None, rem_tol=None):
         acc = acc + incr
         if dp is not None:
             last = vector_field_norm(incr, dp)
-    return acc, mass, (last if len(term) else 0.0), j
+    return acc, mass, j
 
 
-def lie_transform(H, F, order, dp=None, rem_tol=None):
+def lie_transform(H, F, order):
     """Finite Lie series H o X_F^t at t = 1.
 
     Returns sum_{j=0}^{order} ad_F^j H / j! with ad_F H = {H, F}, exact up
     to rounding within the budgets: no coefficient is cut by its magnitude.
-    When ``dp`` and ``rem_tol`` are given the series stops early once the
-    vector-field norm of the next increment falls below ``rem_tol``.  The
-    result's meta reports the brackets' summed budget mass
-    (``dropped_mass``), the norm of the last increment (remainder proxy)
-    and the order actually used.
+    The result's meta reports the brackets' summed budget mass
+    (``dropped_mass``).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    acc, mass, last, used = lie_series(H, F, 0, order, dp, rem_tol)
-    acc.meta.update(dropped_mass=mass, remainder_norm=last, order_used=used)
+    acc, mass, _ = lie_series(H, F, 0, order, None, None)
+    acc.meta.update(dropped_mass=mass)
     return acc
 
 

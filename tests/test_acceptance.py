@@ -262,8 +262,6 @@ def test_criterion_08_delta0_dichotomy():
     dims = SeriesDims(2, (), (1,), 6)
     bud = Budgets(6, 4096)
     eps = 1e-6
-    base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.25, gamma1=0.05)
-    params = schedule(1, base, eps_m=eps)
     d0 = 1e4 * 20.0 * eps ** (7.0 / 6.0)
     c = d0 / math.sqrt(2.0)
     N = NormalForm.zero(2, 1)
@@ -272,7 +270,7 @@ def test_criterion_08_delta0_dichotomy():
     N.Nz0 = np.array([c + 0j])
     N.Nzb0 = np.array([c + 0j])
     R = TFSeries.zero(dims, bud)
-    escaped, rec = no_torus_witness(N, R, params, dims, eps_prev=eps)
+    escaped, rec = no_torus_witness(N, R, dims, eps)
     lower = d0 / 4.0 - 3.0 * eps ** (7.0 / 6.0)
     oracle_ok = abs(rec.tilde_final_norm - rec.linear_oracle_norm) \
         <= 0.05 * rec.linear_oracle_norm
@@ -281,7 +279,7 @@ def test_criterion_08_delta0_dichotomy():
     N0 = NormalForm.zero(2, 1)
     N0.omega = N.omega
     N0.Omega = dict(N.Omega)
-    stay, rec0 = no_torus_witness(N0, R, params, dims, eps_prev=eps)
+    stay, rec0 = no_torus_witness(N0, R, dims, eps)
     stays_ok = (not stay) and max(rec0.norms) <= 2.0 * eps ** (7.0 / 6.0)
     _report(8, escaped and oracle_ok and chain_ok and stays_ok,
             "delta0 dichotomy: escape=%s |X~(1)|=%.3e >= %.3e, oracle dev "

@@ -546,3 +546,27 @@ def test_python_dash_m_kamzero_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: kamzero")
+
+
+def test_every_json_output_is_strict_json(tmp_path):
+    # RFC 8259 has no Infinity or NaN: a step that solves no divisor has an
+    # infinite margin (step 3 of nls.cfg), written as null
+    def strict(text):
+        def refuse(name):
+            raise ValueError("non-JSON constant %s" % name)
+        return json.loads(text, parse_constant=refuse)
+
+    nls_cfg = os.path.join(SHIPPED, "nls.cfg")
+    for name in ("nls", "synthetic", "no_torus"):
+        assert main(["run", "--config", os.path.join(SHIPPED, name + ".cfg"),
+                     "--out", str(tmp_path / name)]) in EXIT_CODES.values()
+    assert main(["measure", "--config", nls_cfg, "--out", str(tmp_path / "measure")]) == 0
+    assert main(["check", "--config", nls_cfg, "--max-steps", "3",
+                 "--out", str(tmp_path / "check")]) == 0
+    assert main(["nls-build", "--config", nls_cfg, "--out", str(tmp_path / "build")]) == 0
+    paths = sorted(tmp_path.rglob("*.json"))
+    assert len(paths) == 3 + 4 + 1 + 1
+    for path in paths:
+        strict(path.read_text())
+    steps = strict((tmp_path / "nls" / "run.json").read_text())["steps"]
+    assert [s["min_divisor_margin"] is None for s in steps] == [False, False, True]

@@ -94,7 +94,7 @@ def test_step_with_zero_perturbation():
     R = TFSeries.zero(DIMS, BUD)
     params = schedule(1, BASE, eps_m=1e-6)
     dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp)
+    N1, R1, rec = kam_step(N, R, params, DIMS, dp, 8, vector_field_norm(R, dp))
     assert not R1.terms
     assert rec.eps_measured == 0.0 and rec.eps_next == 0.0
     assert np.array_equal(N1.omega, N.omega)
@@ -105,7 +105,7 @@ def test_step_contracts_and_drift_bounded():
     eps0 = vector_field_norm(R, DP0)
     params = schedule(1, BASE, eps_m=eps0)
     dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp, eps_measured=eps0)
+    N1, R1, rec = kam_step(N, R, params, DIMS, dp, 8, eps0)
     assert R.real and R1.real
     assert rec.eps_next <= eps0 ** 1.15
     assert rec.freq_drift <= 10.0 * eps0
@@ -117,7 +117,7 @@ def test_budget_exhausted_when_K_exceeds_budget():
     params = schedule(1, BASE, eps_m=1e-6)  # K ~ 184 > 16
     dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
     with pytest.raises(BudgetExhausted):
-        kam_step(N, R, params, DIMS, dp)
+        kam_step(N, R, params, DIMS, dp, 8, vector_field_norm(R, dp))
 
 
 def test_normal_form_accumulation_is_exact():
@@ -136,7 +136,7 @@ def test_normal_form_accumulation_is_exact():
         low, _ = split_low_high(R)
         low, _, _ = fourier_truncate(low, params.K_m, dp, sigma=params.s_gap)
         hats.append(extract_hat(low, DIMS))
-        Ncur, R, rec = kam_step(Ncur, R, params, DIMS, dp, eps_measured=eps)
+        Ncur, R, rec = kam_step(Ncur, R, params, DIMS, dp, 8, eps)
         eps = rec.eps_next
         r_prev = params.r_m
         assert Ncur.Nz0[0] == N.Nz0[0] + sum(h.Nz0[0] for h in hats)
@@ -206,8 +206,7 @@ def _witness_nf(c, b=1):
 def test_witness_trivial_flow_stays_put():
     N = _witness_nf(0.0)
     R = TFSeries.zero(DIMS, BUD)
-    params = schedule(1, BASE, eps_m=1e-6)
-    escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=1e-6)
+    escaped, rec = no_torus_witness(N, R, DIMS, 1e-6)
     assert not escaped
     assert rec.final_norm == 0.0
     assert max(rec.norms) <= 2.0 * (1e-6) ** (7.0 / 6.0)
@@ -220,8 +219,7 @@ def test_witness_matches_linear_oracle():
     c = 1e4 * 20.0 * eps ** (7.0 / 6.0) / math.sqrt(2.0)
     N = _witness_nf(c)
     R = TFSeries.zero(DIMS, BUD)
-    params = schedule(1, BASE, eps_m=eps)
-    escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=eps)
+    escaped, rec = no_torus_witness(N, R, DIMS, eps)
     assert escaped
     d0 = delta0(N)
     assert rec.final_norm == pytest.approx(d0, rel=1e-12)
@@ -237,8 +235,7 @@ def test_witness_coupled_mode_agrees_when_drive_dominates():
     N = _witness_nf(c)
     R = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): 1e-9 + 0j,
                                make_key(2, k=(-1, 0), gamma={1: 1}): 1e-9 + 0j})
-    params = schedule(1, BASE, eps_m=eps)
-    esc_f, rec_f = no_torus_witness(N, R, params, DIMS, eps_prev=eps)
+    esc_f, rec_f = no_torus_witness(N, R, DIMS, eps)
     coupled = _coupled_witness_norm(N, R, DIMS)
     assert esc_f and coupled > rec_f.threshold
     assert rec_f.path == "closed_form"
@@ -310,13 +307,12 @@ def test_witness_tables_match_per_term_loop(b):
     rng = np.random.default_rng(b)
     # the small problem has gradients of one term and of none
     for n_low, n_high in ((30, 20), (6, 3)):
-        _, R = make_synthetic_problem(dims, BUD, 1e-3, seed=4, n_low=n_low, n_high=n_high)
+        _, R = make_synthetic_problem(dims, BUD, 1e-3, DP0, seed=4, n_low=n_low, n_high=n_high)
         for _ in range(5):
-            x = rng.uniform(0, 2 * np.pi, size=2)
             z = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
             zb = 0.1 * (rng.standard_normal(b) + 1j * rng.standard_normal(b))
-            gz, gzb, _ = _zero_mode_gradients(R, dims, x, z, zb)
-            tables = _zero_mode_tables(R, dims, x)
+            gz, gzb, _ = _zero_mode_gradients(R, dims, np.zeros(2), z, zb)
+            tables = _zero_mode_tables(R, dims)
             assert len(tables[2]) == 2 * b
             # the stacked order: dR/dzbar0, then dR/dz0
             got = _eval_gradients(tables, np.concatenate([z, zb]))
@@ -335,10 +331,9 @@ def test_witness_norms_are_pinned(b, seed):
     with open(os.path.join(CONFIGS, "no_torus.cfg")) as fh:
         cfg = parse_config(fh.read() + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n"
                            "n_high = 8\neps0 = 0.01\n" % (seed, b))
-    N0, R0, dims, base = _build_problem(cfg, None)
-    assert all(hi > lo for lo, hi in _zero_mode_tables(R0, dims, np.zeros(2))[2])
-    escaped, rec = no_torus_witness(N0, R0, schedule(1, base, eps_m=1e-6), dims,
-                                    eps_prev=1e-6)
+    N0, R0, dims, _ = _build_problem(cfg, None)
+    assert all(hi > lo for lo, hi in _zero_mode_tables(R0, dims)[2])
+    escaped, rec = no_torus_witness(N0, R0, dims, 1e-6)
     assert escaped
     digest = hashlib.sha256(np.asarray(rec.norms).tobytes()).hexdigest()[:16]
     assert digest == PINNED_NORMS[b]
@@ -448,6 +443,46 @@ def test_runs_do_not_depend_on_the_summation_order(tmp_path, monkeypatch):
                 assert abs(s[key] - t[key]) <= 1e-12 * s["eps_measured"]
 
 
+def test_verdicts_do_not_depend_on_the_product_order(tmp_path, monkeypatch):
+    # every bracket of these runs reaches the accumulator as one block, so
+    # reversing each block's rows reverses the order in which each key's
+    # products are summed.  The verdict, m and every step's Lie order hold on
+    # the shipped configs and the 120 sweep problems.  Solve counts (41 runs
+    # differ) and eps_next (70 runs move beyond 1e-12 of it) are not compared:
+    # they wait for a rounding floor under the solver's key selection and the
+    # eps measurement
+    from conftest import SWEEP_SEEDS, SWEEP_SHAPES
+    from kamzero import cli
+
+    texts = {}
+    for name in ("nls", "synthetic", "no_torus"):
+        with open(os.path.join(CONFIGS, name + ".cfg")) as fh:
+            texts[name] = fh.read()
+    jobs = list(texts.values()) + [
+        texts[shape] + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n" % (seed, b)
+        for shape, b in SWEEP_SHAPES for seed in SWEEP_SEEDS]
+
+    def outcomes():
+        out = []
+        for text in jobs:
+            cli.cmd_run(parse_config(text), str(tmp_path), None, None)
+            rep = json.loads((tmp_path / "run.json").read_text())
+            out.append((rep["verdict"], rep["verdict_info"].get("m"),
+                        [s["lie_order"] for s in rep["steps"]]))
+        return out
+
+    shipped = outcomes()
+    add, blocks = series._Accumulator.add, []
+
+    def reversed_add(self, words, coefs):
+        blocks.append(len(coefs))
+        return add(self, [w[::-1] for w in words], coefs[::-1])
+
+    monkeypatch.setattr(series._Accumulator, "add", reversed_add)
+    assert outcomes() == shipped
+    assert len(shipped) == 123 and sum(n > 1 for n in blocks) > 900
+
+
 @pytest.mark.parametrize("drive", [0.1, 0.9, 1.1, 10.0])
 def test_closed_form_witness_decides_both_ways_like_rk4(drive):
     # a drive |alpha0| of the given multiple of the threshold, a nonzero A0
@@ -460,9 +495,8 @@ def test_closed_form_witness_decides_both_ways_like_rk4(drive):
     N.Nzb0zb0 = N.Nz0z0.conj()
     R = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 2}, gamma={1: 1}): 1e-3 + 0j,
                                make_key(2, k=(-1, 0), beta={1: 1}, gamma={1: 2}): 1e-3 + 0j})
-    params = schedule(1, BASE, eps_m=eps)
-    escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=eps, x0=np.array([0.3, 0.0]))
-    esc_rk4, rk4 = _rk4_witness(N, R, params, DIMS, eps_prev=eps, x0=np.array([0.3, 0.0]))
+    escaped, rec = no_torus_witness(N, R, DIMS, eps)
+    esc_rk4, rk4 = _rk4_witness(N, R, DIMS, eps)
     assert rec.path == "closed_form" and 0.0 < rec.bound < 1e-6 * thr
     assert escaped == esc_rk4 == (drive > 1.0)
     assert rec.final_norm == pytest.approx(rk4.final_norm, rel=1e-12)
@@ -478,13 +512,12 @@ def test_witness_falls_back_to_rk4_where_r_steers():
     R = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={1: 1}): -c + 0j,
                                make_key(2, k=(-1, 0), gamma={1: 1}): -c + 0j,
                                make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
-    params = schedule(1, BASE, eps_m=eps)
-    escaped, rec = no_torus_witness(N, R, params, DIMS, eps_prev=eps)
+    escaped, rec = no_torus_witness(N, R, DIMS, eps)
     assert rec.path == "rk4" and rec.bound > 0.5 * 2.0 * delta0(N)
     assert not escaped and rec.final_norm < 1e-6 * rec.threshold
     # without R's zero-mode gradient terms the drive escapes, decided in closed form
     free = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), beta={2: 1}): 0.5 + 0j})
-    escaped0, rec0 = no_torus_witness(N, free, params, DIMS, eps_prev=eps)
+    escaped0, rec0 = no_torus_witness(N, free, DIMS, eps)
     assert escaped0 and rec0.path == "closed_form" and rec0.bound == 0.0
     assert rec0.final_norm == pytest.approx(delta0(N), rel=1e-12)
 
@@ -493,9 +526,8 @@ def test_witness_premise_guard():
     N = _witness_nf(0.1)
     N.Nz0z0 = np.array([[5.0 + 0j]])  # ||A0|| far from small
     R = TFSeries.zero(DIMS, BUD)
-    params = schedule(1, BASE, eps_m=1e-6)
     with pytest.raises(PremiseFailed):
-        no_torus_witness(N, R, params, DIMS, eps_prev=1e-6)
+        no_torus_witness(N, R, DIMS, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +561,7 @@ def test_synthetic_problems_are_pinned(b, seed):
             cfg = parse_config(fh.read() + "\n[run]\nseed = %d\n[synthetic]\nb = %d\n" % (seed, b))
         assert digest(_build_problem(cfg, None)[1]) == PINNED_R[shape, seed]
     dims = SeriesDims(2, (), tuple(range(1, 1 + b)), 6)
-    _, R = make_synthetic_problem(dims, BUD, 1e-6, seed=seed, block_scale=1e-3)
+    _, R = make_synthetic_problem(dims, BUD, 1e-6, DP0, seed=seed, block_scale=1e-3)
     assert digest(R) == PINNED_R["defaults", b, seed]
 
 
@@ -554,8 +586,8 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     steps, pruned, step_prunes = [], [], []
     prune = series.TFSeries.prune
 
-    def counted_prune(self, rel=None):
-        pruned.append(prune(self, rel))
+    def counted_prune(self):
+        pruned.append(prune(self))
         return pruned[-1]
     monkeypatch.setattr(series.TFSeries, "prune", counted_prune)
 
@@ -617,7 +649,7 @@ def test_prune_vf_bound_bounds_the_move_of_eps_next(tmp_path, monkeypatch):
     reports = []
     for patched in (False, True):
         if patched:
-            monkeypatch.setattr(series.TFSeries, "prune", lambda self, rel=None: 0.0)
+            monkeypatch.setattr(series.TFSeries, "prune", lambda self: 0.0)
         out = tmp_path / str(patched)
         cli.main(["run", "--config", os.path.join(CONFIGS, "nls.cfg"), "--max-steps", "1",
                   "--out", str(out)])

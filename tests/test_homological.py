@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kamzero.driver import BaseParams, realify, schedule
 from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm, ResonanceCondition,
-                                 ResonantParameter, assemble_block_operator,
+                                 ResonantParameter, block_operators,
                                  check_nonresonance, condition_catalogue, extract_hat,
                                  hom_residual, k_lattice, k_powers, solve_homological)
 from kamzero import homological
@@ -101,7 +101,7 @@ def test_family_c_matches_displayed_two_by_two():
     N.Nzb0zb0 = np.array([[0.2 - 0.1j]])
     k = np.array([1, -2])
     kw = k @ N.omega
-    C = assemble_block_operator("C", N, k)
+    C = block_operators("C", N, [k])[0]
     expect = np.array([[1j * kw + 1j * 0.05, -2j * (0.2 + 0.1j)],
                        [2j * (0.2 - 0.1j), 1j * kw - 1j * 0.05]])
     assert np.abs(C - expect).max() <= 1e-15
@@ -119,7 +119,7 @@ def test_family_a_scalar_pattern():
     N.Nzb0zb0 = np.array([[T]])
     k = np.array([2, 1])
     kw = k @ N.omega
-    A = assemble_block_operator("A", N, k)
+    A = block_operators("A", N, [k])[0]
     expect = 1j * np.array([[kw + 2 * M, -2 * S, 0.0],
                             [4 * T, kw, -4 * S],
                             [0.0, 2 * T, kw - 2 * M]])
@@ -150,7 +150,7 @@ def test_block_operators_match_bracket_action(b):
     rows[:, :n] = k
     x = np.concatenate([vec(U), vec(V), vec(W)])
     img = poisson_bracket(Nser, TFSeries.from_rows(dims, bud, rows, x))
-    A = assemble_block_operator("A", N, np.asarray(k))
+    A = block_operators("A", N, [k])[0]
     pred = A @ x
     got = -weights * img.coefficients_at(rows)
     assert np.abs(pred - got).max() <= 1e-12
@@ -170,12 +170,12 @@ def test_block_operators_match_bracket_action(b):
                + [make_key(n, k=k, beta={m: 1}, gamma={j: 1}) for m in zm]
                + [make_key(n, k=k, gamma={m: 1}, beta={j: 1}) for m in zm]
                + [make_key(n, k=k, gamma={m: 1, j: 1}) for m in zm])
-    B = assemble_block_operator("B", N, np.asarray(k), j=j, Omega_j=N.Omega[j])
+    B = block_operators("B", N, [k], [N.Omega[j]])[0]
     assert np.abs(B - probe(basis_b)).max() <= 1e-12
 
     basis_c = ([make_key(n, k=k, beta={m: 1}) for m in zm]
                + [make_key(n, k=k, gamma={m: 1}) for m in zm])
-    C = assemble_block_operator("C", N, np.asarray(k))
+    C = block_operators("C", N, [k])[0]
     assert np.abs(C - probe(basis_c)).max() <= 1e-12
 
 
@@ -210,7 +210,7 @@ def test_block_operator_is_bitwise_the_np_block_matrix(family, b):
     j = dims.tail_modes[0]
     for k in [(0, 0), (1, -2), (3, 1)]:
         kw = float(np.dot(k, N.omega))
-        got = assemble_block_operator(family, N, np.asarray(k), j=j, Omega_j=N.Omega[j])
+        got = block_operators(family, N, [k], [N.Omega[j]])[0]
         want = _np_block_operator(family, N, kw, float(N.Omega[j]))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -219,7 +219,7 @@ def test_block_operator_is_bitwise_the_np_block_matrix(family, b):
 def test_family_b_requires_mode():
     N = NormalForm.zero(2, 1)
     with pytest.raises(ValueError):
-        assemble_block_operator("B", N, np.zeros(2))
+        block_operators("B", N, np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_condition2_determinant_is_scalar_cube_for_zero_blocks():
     N.Omega = {j: float(j * j) for j in dims.tail_modes}
     for k in [(1, 0), (2, -1), (-3, 2)]:
         kw = np.dot(k, N.omega)
-        A = assemble_block_operator("A", N, np.asarray(k))
+        A = block_operators("A", N, [k])[0]
         assert det_modulus(A) == pytest.approx(abs(kw) ** 3, rel=1e-12)
 
 
@@ -293,8 +293,8 @@ def per_k_block_solutions(family, N, params, ks, js, rhs):
     thr = scale / _kpow(np.abs(ks).sum(axis=1), tau)
     sol, margin = np.empty_like(rhs), np.inf
     for g, (k, j) in enumerate(zip(ks, js)):
-        A = assemble_block_operator(FAMILY_TABLE[family][0], N, k, j=j,
-                                    Omega_j=None if j is None else N.Omega[j])
+        A = block_operators(FAMILY_TABLE[family][0], N, [k],
+                            None if j is None else [N.Omega[j]])[0]
         dm, t = det_modulus(A), float(thr[g])
         failed = ResonantParameter(ResonanceCondition(
             family, tuple(int(v) for v in k), None if j is None else ((int(j), 1),), t, dm))

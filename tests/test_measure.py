@@ -365,6 +365,26 @@ def test_grid_over_the_cell_cap_is_budget_exhausted_before_allocating(nls_freq_m
             estimate_excluded(fmap, _params_for(0.005), dims, grid, kmax=10.0)
 
 
+def test_condition_cells_over_the_cap_are_budget_exhausted_before_the_lattice(
+        nls_freq_map, monkeypatch):
+    # thresholds and counts hold rungs x conditions x k-rows cells each; on a
+    # 4 x 4 grid they, not the 220 x 16 values, pass a cap lowered to 220 x 16
+    fmap, dims = nls_freq_map
+    grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 4)
+    rungs = [_params_for(g) for g in (0.005, 0.0025, 0.00125)]
+    N0 = NormalForm.zero(2, 1)
+    N0.Omega = dict(fmap.Omega)
+    nc = len(condition_catalogue(N0, rungs[0], dims, 10.0))
+    monkeypatch.setattr(measure, "_GRID_CELL_CAP", 220 * 16)
+    with mock.patch.object(measure, "k_lattice", side_effect=AssertionError("formed")):
+        with pytest.raises(BudgetExhausted,
+                           match="220 k-rows x 3 rungs x %d conditions = %d cells"
+                           % (nc, 220 * 3 * nc)):
+            estimate_ladder(fmap, rungs, dims, grid, kmax=10.0)
+    monkeypatch.setattr(measure, "_GRID_CELL_CAP", 220 * 3 * nc)
+    assert len(estimate_ladder(fmap, rungs, dims, grid, kmax=10.0)) == 3
+
+
 def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
     # vals = proj @ xi.T, then += base in place, is one (k-row x sample)
     # float matrix (17.6 MB on the nls.cfg grid), the whole peak of the
