@@ -132,6 +132,10 @@ def cmd_measure(cfg, outdir):
     except BudgetExhausted as err:
         print("BudgetExhausted: %s" % err, file=sys.stderr)
         return EXIT_CODES["BudgetExhausted"]
+    except ValueError as err:
+        # a box the frequency map overflows on
+        print("argument error: [grid] %s" % err, file=sys.stderr)
+        return 5
     for gamma, rep in zip(gammas, reps):
         emit_measure_report(rep, outdir, basename="measure_gamma_%g" % gamma)
     path = os.path.join(outdir, "measure_ladder.json")

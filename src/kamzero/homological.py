@@ -281,8 +281,9 @@ FAMILY_TABLE = {
 FAMILIES = tuple(FAMILY_TABLE)
 _LATTICE_CAP = 6_000_000
 # cells of one ``measure.estimate_ladder`` array, k-rows x samples (the
-# values) or k-rows x rungs x conditions (thresholds, counts): 160 MB of
-# float64
+# values; every k-row counts, though only the rows a band may reach are
+# formed, so this bounds them from above) or k-rows x rungs x conditions
+# (thresholds, counts): 160 MB of float64
 _GRID_CELL_CAP = 20_000_000
 # dispersion exponent d of the normal frequencies Omega_j = j^d (cubic NLS)
 DISPERSION = 2
@@ -292,6 +293,13 @@ def _scale_tau(params, family):
     """Threshold scale and exponent of ``family``, read from ``params``."""
     _, scale, tau = FAMILY_TABLE[family]
     return getattr(params, scale), getattr(params, tau)
+
+
+def condition_scale(params, family, weight):
+    """The threshold scale of a ``family`` condition of weight ``weight``
+    under ``params``: the family's scale times the weight (exact for weight
+    1.0)."""
+    return float(_scale_tau(params, family)[0] * weight)
 
 
 def l_weight(L, tail):
@@ -379,7 +387,10 @@ class Condition:
     For family KL the value is |kw + <l, Omega>| (``roots`` holds the one
     shift); for R1/R3/R4 it is the determinant modulus |det(i kw I + B)| =
     prod |i kw + mu| over the eigenvalues ``roots`` of the k = 0 block B.
-    The solver tests it for kmin <= |k|.
+    The solver tests it for kmin <= |k|.  ``weight`` is the factor of the
+    family's scale in ``scale`` (``condition_scale``): <l>_d for KL, 1.0
+    otherwise, so that the scale under other KamParams (a gamma ladder's
+    rungs) needs no new catalogue.
     """
 
     family: str
@@ -388,6 +399,7 @@ class Condition:
     tau: float
     roots: np.ndarray
     kmin: int = 1
+    weight: float = 1.0
 
     def value(self, kw):
         """Measured value at every entry of the array kw = <k, omega>."""
@@ -492,8 +504,9 @@ def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
     if "KL" in families:
         labels, weights = _kl_labels(tail)
         shifts = _kl_options(len(tail)) @ np.array([Om[j] for j in tail], dtype=float)
-        scale, tau = _scale_tau(params, "KL")
-        conds += [Condition("KL", l, float(scale * w), tau, np.array([c]))
+        tau = _scale_tau(params, "KL")[1]
+        conds += [Condition("KL", l, condition_scale(params, "KL", w), tau, np.array([c]),
+                            weight=float(w))
                   for l, c, w in zip(labels, shifts, weights)]
     if N.b == 0:
         return conds
@@ -501,7 +514,7 @@ def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
     def block_conditions(family, js=(None,), ls=(None,), kmin=1):
         # the roots of the k = 0 block of every tail mode of js, one eigvals
         # call per family
-        scale, tau = _scale_tau(params, family)
+        scale, tau = condition_scale(params, family, 1.0), _scale_tau(params, family)[1]
         Omega = None if js[0] is None else np.array([Om[j] for j in js])
         roots = np.linalg.eigvals(block_operators(FAMILY_TABLE[family][0], N,
                                                   np.zeros((len(js), dims.n)), Omega))

@@ -29,20 +29,31 @@ probe finds both ends for all shifts at once.
   bound of each root's shift Im mu, the ranges hold every excluded sample,
   and the condition is evaluated only on them.
 
+The values are ``row_values``: the rounded products of the gradient
+k A and the sample added in coordinate order, then <k, alpha>.  Each step
+is a correctly rounded, monotone operation, so a row's value is monotone
+in every coordinate of xi, and its exact largest and smallest values over
+the grid are its values at the two box corners the signs of its gradient
+pick (``np.linspace`` ends exactly on the box).
+
 Most k-rows meet no band at all.  By the same monotonicity a range can be
 non-empty only if the row's largest value passes the range's lower test
 and its smallest value passes the upper one (``homological._may_meet``,
-the bisection's two sums at the row's exact extremes).  Only the rows that
-pass for some shift are sorted and searched; every other row counts zero
-without a sort (on the ``nls.cfg`` grid, 14 of 220 rows are searched).
+the bisection's two sums at the row's corner extremes).  Only the rows
+that pass for some shift have their values formed, sorted and searched;
+every other row counts zero without a value (on the ``nls.cfg`` grid, 14
+of 220 rows are formed).
 
 Only the thresholds depend on gamma, so a gamma ladder (``estimate_ladder``)
-sorts each block of k-rows once for all its rungs, and one bisection per
-block runs over every rung's KL thresholds side by side and over every
-determinant root (the roots do not depend on gamma), bounded by the floor
-of its condition's largest threshold; each candidate's value is compared
-with every rung's threshold.  The values, the strip geometry of each k-row
-and the Lipschitz quotients are shared by the rungs as well.
+reads one condition catalogue (each condition's ``weight`` gives its scale
+on every rung), pre-tests each row once (each KL shift under its largest
+rung threshold; ``_may_meet`` is monotone in the bound) and sorts each
+block of k-rows once for all its rungs.  One bisection per block runs over
+every rung's KL thresholds side by side and over every determinant root
+(the roots do not depend on gamma), bounded by the floor of its
+condition's largest threshold; each candidate's value is compared with
+every rung's threshold.  The values, the strip geometry of each k-row and
+the Lipschitz quotients are shared by the rungs as well.
 
 The fractions are count / samples and the analytic bounds are added one
 (k-row, condition) pair at a time in lattice order (a sequential
@@ -58,7 +69,7 @@ import numpy as np
 
 from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm, _distinct,
                           _expand, _factor_floor, _may_meet, _ranges, condition_catalogue,
-                          k_lattice, k_powers, lattice_size)
+                          condition_scale, k_lattice, k_powers, lattice_size)
 
 _ROW_BLOCK = 16     # k-rows sorted together
 
@@ -183,6 +194,25 @@ def lipschitz_quotients(fmap, grid):
     return lo, hi
 
 
+def row_values(base, proj, xi):
+    """The values base + <proj, xi> of k-rows at parameter samples: the
+    rounded products proj[..., c] xi[..., c] added in coordinate order, then
+    base, elementwise over the broadcast of ``base`` and the leading axes of
+    ``proj`` and ``xi`` (the last axis is the coordinate); ``proj[:, None]``
+    against a sample stack ``xi`` gives the k-row x sample matrix.
+
+    Each step is one correctly rounded ufunc operation, so a value does not
+    depend on how many rows or samples are formed with it (a matmul's kernel
+    may vary its summation and FMA use), and it is monotone in every
+    coordinate: fl(p x) is monotone in x, and fl(s + t) is nondecreasing in
+    both arguments.
+    """
+    v = proj[..., 0] * xi[..., 0]
+    for c in range(1, proj.shape[-1]):
+        v += proj[..., c] * xi[..., c]
+    return v + base
+
+
 def estimate_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
     """Excluded-fraction estimate for every condition family at step m: the
     one-rung ladder ``estimate_ladder(fmap, [params], ...)[0]``."""
@@ -203,20 +233,22 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     ``kmax`` defaults to the rungs' K_m, which must then agree: the rungs
     share one lattice.
 
-    The values <k, omega(xi)> are formed once per ladder, in place (one
-    k-row x sample matrix).  Only the k-rows where a range may be non-empty
-    at the row's extremes are kept (the rest of the matrix is released) and
+    The values <k, omega(xi)> (``row_values``) are formed once per ladder,
+    and only for the k-rows where a range may be non-empty at the row's
+    extremes, which are its values at two box corners.  Those rows are
     sorted, one block at a time, once per ladder; every rung's excluded
     samples are counted from that order (module docstring): one bisection
     per block gives the KL ranges of all rungs, whose positions mark the
     excluded samples, and the candidates of every determinant, which is
-    evaluated only there.  The strip geometry of each k-row and the
-    Lipschitz quotients are formed once per ladder as well.  The counts
-    equal those of evaluating every condition at every sample, the
-    fractions are count / samples, and the analytic bounds are summed in
-    the same (k-row, condition) order, so each report is bit-identical to
-    that evaluation.  More than 20,000,000 k-rows x samples, or k-rows x
-    rungs x conditions, raise BudgetExhausted before the lattice is formed.
+    evaluated only there.  The condition catalogue, the strip geometry of
+    each k-row and the Lipschitz quotients are formed once per ladder as
+    well.  The counts equal those of evaluating every condition at every
+    sample, the fractions are count / samples, and the analytic bounds are
+    summed in the same (k-row, condition) order, so each report is
+    bit-identical to that evaluation.  More than 20,000,000 k-rows x
+    samples, or k-rows x rungs x conditions, raise BudgetExhausted before
+    the lattice is formed; a box on which <k, omega> at the corners or the
+    Lipschitz quotients are not finite raises ValueError.
     """
     kmaxes = {p.K_m if kmax is None else kmax for p in rungs}
     if len(kmaxes) != 1:
@@ -224,17 +256,13 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     kmax = kmaxes.pop()
     N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
     N0.Omega = dict(fmap.Omega)
-    catalogues = [condition_catalogue(N0, p, dims, kmax, families) for p in rungs]
-    conds = catalogues[0]
-    # gamma sets the scales only: every rung has the same conditions and roots
-    assert all(len(cs) == len(conds)
-               and all(c.family == c0.family and c.l == c0.l
-                       and np.array_equal(c.roots, c0.roots) for c, c0 in zip(cs, conds))
-               for cs in catalogues)
+    # gamma sets the scales only: one catalogue serves every rung
+    conds = condition_catalogue(N0, rungs[0], dims, kmax, families)
     nr, nc = len(rungs), len(conds)
     nsamp = grid.size
-    # the largest arrays: the values (k-rows x samples) and the thresholds
-    # and counts (rungs x conditions x k-rows each)
+    # the largest arrays: the values (k-rows x samples, an upper bound: only
+    # the rows a band may reach are formed) and the thresholds and counts
+    # (rungs x conditions x k-rows each)
     nk = lattice_size(grid.ndim, kmax) - 1
     ncells = nk * max(nsamp, nr * nc)
     if ncells > _GRID_CELL_CAP:
@@ -247,12 +275,22 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     kabs = np.abs(kvecs).sum(axis=1)
     base = kvecs @ fmap.alpha
     proj = kvecs @ fmap.A                    # (nk, n): gradient of <k, omega(xi)>
+    # each row's exact extremes over the grid, at the box corners its
+    # gradient's signs pick (``row_values`` is monotone in every coordinate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vmax = row_values(base, proj, np.where(proj > 0, grid.hi, grid.lo))
+        vmin = row_values(base, proj, np.where(proj > 0, grid.lo, grid.hi))
+        lip_lo, lip_hi = lipschitz_quotients(fmap, grid)
+    if not np.isfinite(np.concatenate([vmin, vmax, [lip_lo, lip_hi]])).all():
+        raise ValueError("the frequency map overflows on the box: <k, omega> at its corners"
+                         " or its Lipschitz quotients are not finite")
 
-    thr = np.empty((nr, nc, nk))        # thr[q, j]: condition j's thresholds on rung q
-    for q, cs in enumerate(catalogues):
-        kpow = k_powers(cs, kabs)
-        for j, c in enumerate(cs):
-            thr[q, j] = c.scale / kpow[c.tau]
+    # thr[q, j]: condition j's thresholds on rung q, one division over a
+    # max(|k|, 1)^tau table row per distinct tau
+    kpow = k_powers(conds, kabs)
+    taus = list(kpow)
+    scales = np.array([[condition_scale(p, c.family, c.weight) for c in conds] for p in rungs])
+    thr = scales[:, :, None] / np.array(list(kpow.values()))[[taus.index(c.tau) for c in conds]]
     annulus = kabs > k_lo
     live = np.array([annulus if c.family == "KL" else kabs > 0 for c in conds],
                     dtype=bool).reshape(nc, nk)
@@ -262,35 +300,32 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     # rung-major, then every determinant root Im mu
     count = np.array([len(conds[j].roots) for j in det], dtype=int)
     owner = np.repeat(np.array(det, dtype=int), count)
-    shifts = np.concatenate([np.tile([conds[j].roots[0] for j in kl], nr)]
-                            + [conds[j].roots.imag for j in det])
+    kl_shifts = np.array([conds[j].roots[0] for j in kl], dtype=float)
+    shifts = np.concatenate([np.tile(kl_shifts, nr)] + [conds[j].roots.imag for j in det])
     m = nr * len(kl)
-    floors = _factor_floor(thr[:, det].max(axis=0).T, count)
+    floors = np.repeat(_factor_floor(thr[:, det].max(axis=0).T, count), count, axis=1)
+
+    def kl_bounds(t, rows):
+        # a KL shift's threshold inside the annulus, -inf (below every value)
+        # outside it
+        return np.where(annulus[rows, None], t, -np.inf)
 
     def bounds(rows):
-        # the shifts' bounds on the k-rows ``rows`` (formed per block, not
-        # held for every row next to vals): a KL shift's threshold inside
-        # the annulus and -inf (below every value) outside it, a root's
-        # factor floor of its condition's largest threshold
-        t = thr[:, :, rows][:, kl].transpose(2, 0, 1)
-        return np.concatenate([np.where(annulus[rows, None], t.reshape(len(t), m), -np.inf),
-                               np.repeat(floors[rows], count, axis=1)], axis=1)
+        # the shifts' bounds on the k-rows ``rows``: every rung's KL
+        # thresholds, then each root's factor floor of its condition's
+        # largest threshold
+        t = thr[:, kl][:, :, rows].transpose(2, 0, 1).reshape(len(rows), m)
+        return np.concatenate([kl_bounds(t, rows), floors[rows]], axis=1)
 
-    vals = proj @ grid.samples().T           # (nk, nsamp), base added in place
-    vals += base[:, None]
     # only the k-rows where some range may be non-empty at the row's extremes
-    # are sorted and searched (the test runs by blocks of rows, so its arrays
-    # stay small); their values move to the front of vals, in place, and the
-    # rest is released, so that no second values matrix is ever held
-    near = np.zeros(nk, dtype=bool)
-    for i0 in range(0, nk, _ROW_BLOCK):
-        blk = slice(i0, i0 + _ROW_BLOCK)
-        near[blk] = _may_meet(vals[blk].min(axis=1), vals[blk].max(axis=1),
-                              shifts, bounds(blk)).any(axis=1)
+    # are formed, sorted and searched: one pre-test of every row, each KL
+    # shift once under its largest rung threshold (``_may_meet`` is monotone
+    # in the bound, so this keeps the rows some rung's shift keeps)
+    near = _may_meet(vmin, vmax, np.concatenate([kl_shifts, shifts[m:]]),
+                     np.concatenate([kl_bounds(thr[:, kl].max(axis=0).T, slice(None)), floors],
+                                    axis=1)).any(axis=1)
     reached = np.flatnonzero(near)
-    for i, row in enumerate(reached):
-        vals[i] = vals[row]
-    vals.resize((len(reached), nsamp), refcheck=False)
+    vals = row_values(base[reached, None], proj[reached, None], grid.samples())
 
     counts = np.zeros((nr, nk, nc), dtype=np.int64)
     excluded = [{f: np.zeros(nsamp, dtype=bool) for f in families} for _ in rungs]
@@ -337,15 +372,15 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     cells = live.T                      # (k-row, condition) pairs counted
     in_family = {f: cells & (fam == FAMILIES.index(f)) for f in families}
     ktuples = [tuple(int(v) for v in k) for k in kvecs]
-    lip_lo, lip_hi = lipschitz_quotients(fmap, grid)
     b = max(dims.b, 1)
     K_prev = max(k_lo, 1.0)
     reports = []
     for q, params in enumerate(rungs):
         # thr^{1/order}, since {|det| < thr} scales like that per root
         eff = np.empty((nc, nk))
-        for j, c in enumerate(conds):
-            eff[j] = thr[q, j] ** (1.0 / len(c.roots))
+        for deg in {len(c.roots) for c in conds}:
+            at = nroots == deg
+            eff[at] = thr[q, at] ** (1.0 / deg)
         cb = nroots * np.where(wide[:, None], np.minimum(1.0, 2.0 * eff.T / span), 1.0)
         # each family's bound is summed one pair at a time in (k-row,
         # condition) order: a sequential accumulate, not a pairwise sum

@@ -270,6 +270,10 @@ class TFSeries:
 
     def __add__(self, other):
         self._check_compatible(other)
+        if not len(self) or not len(other):
+            # a canonical series is its own _canonical: no sort for an empty side
+            like = other if not len(self) else self
+            return TFSeries._of(self, like.rows, like.coefs, self.real and other.real)
         rows, coefs = _canonical(np.concatenate([self.rows, other.rows]),
                                  np.concatenate([self.coefs, other.coefs]))
         return TFSeries._of(self, rows, coefs, self.real and other.real)

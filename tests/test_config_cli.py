@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -384,7 +386,31 @@ kmax = 10
     assert not out.exists()
 
 
-SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+@pytest.mark.parametrize("hi,code", [("1e155", 0), ("1e200", 5)])
+def test_a_box_the_frequency_map_overflows_on_is_an_argument_error(tmp_path, capsys, hi, code):
+    # at [grid] hi = 1e200 the neighbour differences of omega square to inf
+    # in the Lipschitz norm: the run once exited 0 with RuntimeWarnings and
+    # "lipschitz_min": null in every report; at 1e155 everything is finite
+    with open(os.path.join(SHIPPED, "nls.cfg")) as fh:
+        text = fh.read() + "\n[grid]\nhi = %s %s\nsamples_per_axis = 20\n" % (hi, hi)
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["measure", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("argument error: [grid] the frequency map overflows on the box")
+        assert not out.exists()
+    else:
+        assert err == "" and len(list(out.iterdir())) == 7
+        for path in out.glob("measure_gamma_*.json"):
+            rep = json.loads(path.read_text())
+            assert 0 < rep["lipschitz_min"] <= rep["lipschitz_max"] < math.inf
+
+
+SHIPPED =os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 @pytest.mark.parametrize("section,key,value", [

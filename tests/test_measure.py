@@ -138,7 +138,11 @@ def reference_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, km
     kabs = np.abs(kvecs).sum(axis=1)
     base = kvecs @ fmap.alpha
     proj = kvecs @ fmap.A
-    vals = base[:, None] + proj @ xi.T
+    # the rounded products added in coordinate order, then base
+    vals = proj[:, 0, None] * xi[:, 0]
+    for c in range(1, grid.ndim):
+        vals = vals + proj[:, c, None] * xi[:, c]
+    vals = vals + base[:, None]
 
     N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
     N0.Omega = dict(fmap.Omega)
@@ -292,6 +296,56 @@ def test_nls_ladder_searches_only_the_rows_a_band_may_reach(nls_freq_map):
         assert_report_is_reference(rep, fmap, rung, dims, grid, kmax=10.0)
 
 
+def _row_terms(fmap, grid, kmax):
+    """The nonzero k-rows |k| <= kmax, with their base <k, alpha> and gradient k A."""
+    kvecs = k_lattice(grid.ndim, kmax)
+    kvecs = kvecs[np.abs(kvecs).sum(axis=1) > 0]
+    return kvecs, kvecs @ fmap.alpha, kvecs @ fmap.A
+
+
+def assert_row_values_are_k_dot_omega(fmap, grid, kmax):
+    # the coordinate-ordered sum against <k, omega(xi)> from the batched
+    # mat-vec, to a few ulps of the largest summand
+    kvecs, base, proj = _row_terms(fmap, grid, kmax)
+    xi = grid.samples()
+    vals = measure.row_values(base[:, None], proj[:, None], xi)
+    kw = kvecs @ fmap.omegas(xi).T
+    size = (np.abs(kvecs) @ np.abs(fmap.omegas(xi)).T + np.abs(base)[:, None]
+            + np.abs(proj) @ np.abs(xi).T)
+    assert np.all(np.abs(vals - kw) <= 4 * np.finfo(float).eps * size)
+
+
+def test_row_values_are_k_dot_omega_on_the_nls_grid(nls_freq_map):
+    fmap, _ = nls_freq_map
+    assert_row_values_are_k_dot_omega(
+        fmap, ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100), 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(measure_problems(), st.floats(0.3, 3.0))
+def test_row_values_are_k_dot_omega(problem, scale):
+    # ``scale`` takes alpha and A off the dyadic grid, so the sums round
+    fmap, _, _, grid, kw = problem
+    fmap = AffineFrequencyMap(scale * fmap.alpha, scale * fmap.A, fmap.Omega)
+    assert_row_values_are_k_dot_omega(fmap, grid, kw["kmax"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(measure_problems(), st.floats(0.3, 3.0))
+def test_row_values_at_the_corners_are_each_rows_extremes(problem, scale):
+    # row_values is monotone in every coordinate and np.linspace ends on the
+    # box, so the corners the gradient's signs pick hold each row's exact
+    # largest and smallest value over the grid
+    fmap, _, _, grid, kw = problem
+    fmap = AffineFrequencyMap(scale * fmap.alpha, scale * fmap.A, fmap.Omega)
+    _, base, proj = _row_terms(fmap, grid, kw["kmax"])
+    vals = measure.row_values(base[:, None], proj[:, None], grid.samples())
+    up = np.where(proj > 0, grid.hi, grid.lo)
+    down = np.where(proj > 0, grid.lo, grid.hi)
+    assert np.array_equal(measure.row_values(base, proj, up), vals.max(axis=1))
+    assert np.array_equal(measure.row_values(base, proj, down), vals.min(axis=1))
+
+
 def _quarter_band(lo, hi, gammas=(0.25,)):
     """omega = xi on [lo, hi] with 9 samples, the k-rows k = +-1 and the one
     KL shift c = 0, with thr = gamma at |k| = 1."""
@@ -386,13 +440,17 @@ def test_condition_cells_over_the_cap_are_budget_exhausted_before_the_lattice(
 
 
 def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
-    # vals = proj @ xi.T, then += base in place, is one (k-row x sample)
-    # float matrix (17.6 MB on the nls.cfg grid), the whole peak of the
-    # sample-by-sample evaluation but for its one temporary; only the rows a
-    # band may reach are kept and sorted, in blocks of k-rows below it, and
-    # a ladder of three rungs shares that one vals matrix
+    # values are formed for the 14 k-rows a band may reach only (the row
+    # extremes come from the box corners); with one block's sort order and
+    # sorted copy, and the bisection's rows padded from 10,000 to 16,384
+    # samples, that is four 14 x 16,384 float arrays (7.3 MB; the traced peak
+    # with the determinant candidates is 7.1 MB for one rung and 8.0 MB for
+    # three).  The 220 x 10,000 matrix of every k-row (17.6 MB) is far above
+    # the bound, and a ladder of three rungs shares the formed values
     fmap, dims = nls_freq_map
     grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
+    formed = 4 * 14 * 16384 * 8
+    assert 1.25 * formed < 220 * grid.size * 8
     calls = [lambda: estimate_excluded(fmap, _params_for(0.005), dims, grid, kmax=10.0),
              lambda: estimate_ladder(fmap, [_params_for(g) for g in (0.005, 0.0025, 0.00125)],
                                      dims, grid, kmax=10.0)]
@@ -403,4 +461,4 @@ def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 220 * grid.size * 8
+        assert peak <= 1.25 * formed

@@ -225,6 +225,24 @@ def test_add_matches_reference_bit_for_bit(F, G):
 
 
 @SETTINGS
+@given(series(FLOATS, max_size=12), st.booleans(), st.booleans())
+def test_adding_an_empty_series_is_the_sorted_sum_bit_for_bit(F, real_f, real_z):
+    # an empty side skips the sort: the result is the concatenate and
+    # ``_canonical`` of both sides, with its own meta
+    F.real, F.meta = real_f, {"dropped_mass": 0.5}
+    zero = TFSeries.zero(DIMS, BUD, real=real_z)
+    for a, b in ((F, zero), (zero, F), (zero, zero)):
+        rows, coefs = kseries._canonical(np.concatenate([a.rows, b.rows]),
+                                         np.concatenate([a.coefs, b.coefs]))
+        out = a + b
+        assert out.rows.dtype == rows.dtype and np.array_equal(out.rows, rows)
+        assert out.coefs.dtype == coefs.dtype
+        assert out.coefs.view(np.uint64).tolist() == coefs.view(np.uint64).tolist()
+        assert out.real == (a.real and b.real)
+        assert out.meta == {} and out.meta is not a.meta and out.meta is not b.meta
+
+
+@SETTINGS
 @given(series(FLOATS, max_size=12), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_prune_matches_reference(F, rel):
     kept, removed = ref_prune(_dict(F), rel)
