@@ -31,12 +31,15 @@ The module also holds the one catalogue of small-divisor conditions
 R1, R3 and R4, each with its block operator, scale and exponent named once
 in ``FAMILY_TABLE``.  ``check_nonresonance`` evaluates it at one parameter
 sample (the solver gate), ``measure.estimate_ladder`` over a parameter
-grid, and the solver's divisor guards read the same thresholds.  The gate
-and the grid find their violations by one search over sorted values x of
-<k, omega> (``_ranges``): the x with |fl(x + c)| below a bound, with the
-threshold as the bound of a KL shift c and its ``_factor_floor`` as the
-bound of a determinant root's shift Im mu.  A determinant is evaluated
-only at the candidates that search leaves.
+grid, and the solver's divisor guards read the same thresholds.  Both
+find their violations through the shifts of a condition: a value falls
+below a bound only where |fl(x + c)| does for x = <k, omega> and one of
+its shifts c, with the threshold as the bound of a KL shift and its
+``_factor_floor`` as the bound of a determinant root's shift Im mu.  The
+gate searches its sorted lattice values x for them (``_ranges``) and
+evaluates a determinant only at the candidates that search leaves; the
+grid tests each k-row's extremes and evaluates only the (k-row, condition)
+cells that pass.
 """
 
 from __future__ import annotations
@@ -280,11 +283,6 @@ FAMILY_TABLE = {
 }
 FAMILIES = tuple(FAMILY_TABLE)
 _LATTICE_CAP = 6_000_000
-# cells of one ``measure.estimate_ladder`` array, k-rows x samples (the
-# values; every k-row counts, though only the rows a band may reach are
-# formed, so this bounds them from above) or k-rows x rungs x conditions
-# (thresholds, counts): 160 MB of float64
-_GRID_CELL_CAP = 20_000_000
 # dispersion exponent d of the normal frequencies Omega_j = j^d (cubic NLS)
 DISPERSION = 2
 
@@ -447,20 +445,6 @@ def _ranges(xs, shifts, bound):
     return lo, np.maximum(hi, lo)
 
 
-def _may_meet(vmin, vmax, shifts, bound):
-    """Whether the ``_ranges`` range of each (row, shift) pair can be
-    non-empty for a row whose values lie in [vmin[row], vmax[row]].
-
-    fl(x + c) is nondecreasing in x, so a row holds an x with
-    fl(x + c) >= nextafter(-b, inf) only if its largest value does, and an
-    x with fl(x + c) < b only if its smallest value does: the same two
-    sums the bisection evaluates, at the row's extremes.  False means the
-    range is empty; True means it may not be.
-    """
-    return ((vmax[:, None] + shifts >= np.nextafter(-bound, np.inf))
-            & ~(vmin[:, None] + shifts >= bound))
-
-
 def _expand(lo, hi):
     """Every position of the ranges [lo, hi), each with the flat index of
     its range: (range index, position) arrays in range order."""
@@ -570,9 +554,9 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
     ``_factor_floor`` t of its scale (a KL value has one factor, and t is
     its scale).  Either way the candidates are the x with |fl(x + c)|
     below a bound, for c a KL shift or an Im mu: one range of the sorted
-    values per shift, found for all shifts by one bisection (``_ranges``,
-    which ``measure`` counts with).  Each candidate is then tested exactly
-    as evaluating the condition at every lattice point tests it.
+    values per shift, found for all shifts by one bisection (``_ranges``).
+    Each candidate is then tested exactly as evaluating the condition at
+    every lattice point tests it.
     """
     lat = k_lattice(dims.n, params.K_m)
     r = max(int(np.floor(params.K_m)), 0)

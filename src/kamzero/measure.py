@@ -9,56 +9,45 @@ gamma/(1 + K_{m-1}) + gamma^{1/(4 b^2)}/m^2.  Estimation is grid-based
 (no covering arguments); the grid resolution error 1/samples-per-axis is
 part of the report.
 
-Counting works on sorted samples.  For one k-row every condition is a
-function of the single value x = <k, omega(xi)>, so each row's sample
-values are sorted once and every count is read off that order, exactly as
-evaluating the condition at every sample would give it.  Both families
-come from one search, the solver gate's (``homological._ranges``): the
-samples with |fl(x + c)| below a bound are one contiguous range of the
-sorted values (fl(x + c) is nondecreasing in x, since rounding is
-monotone), and one bisection that evaluates the same fl(x + c) at each
-probe finds both ends for all shifts at once.
+Counting evaluates the definition on the only cells that can hold a
+violation.  For one k-row every condition is a function of the single
+value x = <k, omega(xi)>, and a condition's value falls below a bound only
+where |fl(x + c)| does for one of its shifts c:
 
-* KL: the computed value is |fl(x + c)| for the shift c = <l, Omega>, so
-  with the threshold as the bound the range is the excluded set: the count
-  is its length, and its positions mark the excluded samples.
+* KL: the computed value is |fl(x + c)| for the shift c = <l, Omega>, with
+  the threshold as the bound.
 * R1/R3/R4: the computed value is the rounded product of the factors
   |1j x + mu| over the roots mu, each at least |fl(x + Im mu)|.  Rounded
   products are monotone in their factors, so a value below the threshold
-  has a factor below the threshold's ``_factor_floor``: with that as the
-  bound of each root's shift Im mu, the ranges hold every excluded sample,
-  and the condition is evaluated only on them.
+  has a factor below the threshold's ``_factor_floor``: that is the bound
+  of each root's shift Im mu.
 
 The values are ``row_values``: the rounded products of the gradient
 k A and the sample added in coordinate order, then <k, alpha>.  Each step
 is a correctly rounded, monotone operation, so a row's value is monotone
 in every coordinate of xi, and its exact largest and smallest values over
 the grid are its values at the two box corners the signs of its gradient
-pick (``np.linspace`` ends exactly on the box).
-
-Most k-rows meet no band at all.  By the same monotonicity a range can be
-non-empty only if the row's largest value passes the range's lower test
-and its smallest value passes the upper one (``homological._may_meet``,
-the bisection's two sums at the row's corner extremes).  Only the rows
-that pass for some shift have their values formed, sorted and searched;
-every other row counts zero without a value (on the ``nls.cfg`` grid, 14
-of 220 rows are formed).
+pick (``np.linspace`` ends exactly on the box).  fl(x + c) is
+nondecreasing in x, so a row holds an x with |fl(x + c)| below a bound
+only if its largest value passes the lower test and its smallest value
+the upper one (``_may_meet``).  A (k-row, condition) cell is *met* when
+one of its shifts passes; every other cell counts zero.  Values are formed
+only for the rows with a met cell, and each condition is evaluated at
+every sample of its met rows (on the ``nls.cfg`` grid, 26 cells on 14 of
+220 rows).
 
 Only the thresholds depend on gamma, so a gamma ladder (``estimate_ladder``)
 reads one condition catalogue (each condition's ``weight`` gives its scale
-on every rung), pre-tests each row once (each KL shift under its largest
-rung threshold; ``_may_meet`` is monotone in the bound) and sorts each
-block of k-rows once for all its rungs.  One bisection per block runs over
-every rung's KL thresholds side by side and over every determinant root
-(the roots do not depend on gamma), bounded by the floor of its
-condition's largest threshold; each candidate's value is compared with
-every rung's threshold.  The values, the strip geometry of each k-row and
-the Lipschitz quotients are shared by the rungs as well.
+on every rung), pre-tests each cell once, under its condition's largest
+rung threshold (``_may_meet`` is monotone in the bound), and evaluates each
+met cell once: its values are compared with every rung's threshold.  The
+values, the strip geometry of each k-row and the Lipschitz quotients are
+shared by the rungs as well.
 
-The fractions are count / samples and the analytic bounds are added one
-(k-row, condition) pair at a time in lattice order (a sequential
-accumulate), so every reported figure is bit-identical to evaluating every
-condition at every sample.
+The counts are those of the definition, the fractions are count / samples
+and the analytic bounds are added one (k-row, condition) pair at a time in
+lattice order (a sequential accumulate), so every reported figure is
+bit-identical to evaluating every condition at every sample.
 """
 
 from __future__ import annotations
@@ -67,11 +56,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homological import (_GRID_CELL_CAP, FAMILIES, BudgetExhausted, NormalForm, _distinct,
-                          _expand, _factor_floor, _may_meet, _ranges, condition_catalogue,
-                          condition_scale, k_lattice, k_powers, lattice_size)
+from .homological import (FAMILIES, BudgetExhausted, NormalForm, _factor_floor,
+                          condition_catalogue, condition_scale, k_lattice, k_powers,
+                          lattice_size)
 
-_ROW_BLOCK = 16     # k-rows sorted together
+# cells of one ``estimate_ladder`` array, k-rows x samples (the values; every
+# k-row counts, though only the rows with a met cell are formed, so this
+# bounds them from above) or k-rows x rungs x conditions (thresholds,
+# counts): 160 MB of float64
+_GRID_CELL_CAP = 20_000_000
 
 
 @dataclass
@@ -213,6 +206,32 @@ def row_values(base, proj, xi):
     return v + base
 
 
+def _may_meet(vmin, vmax, shifts, bound):
+    """Whether |fl(x + shift)| < bound[row, shift] can hold for an x of a
+    row whose values lie in [vmin[row], vmax[row]], for every (row, shift)
+    pair.
+
+    |fl(x + c)| < b is fl(x + c) >= nextafter(-b, inf) and not >= b, and
+    fl(x + c) is nondecreasing in x, so a row holds an x with the first
+    only if its largest value does, and an x with the second only if its
+    smallest value does.  False means no x of the row passes; True means
+    one may.
+    """
+    return ((vmax[:, None] + shifts >= np.nextafter(-bound, np.inf))
+            & ~(vmin[:, None] + shifts >= bound))
+
+
+def _strip_geometry(proj, widths):
+    """For each k-row's gradient g (a row of ``proj``): |g|_2, and the box
+    extent along g, <|g|, widths> / |g|_2 (0.0 where g = 0).  ``vecdot``
+    gives the bits of ``np.linalg.norm`` and of a 1-D dot per row
+    (``test_strip_geometry_is_the_per_row_norm_and_dot``); a row sum, an
+    ``einsum`` or a matvec may not."""
+    g = np.sqrt(np.vecdot(proj, proj))
+    extent = np.divide(np.vecdot(np.abs(proj), widths), g, out=np.zeros_like(g), where=g > 0)
+    return g, extent
+
+
 def estimate_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
     """Excluded-fraction estimate for every condition family at step m: the
     one-rung ladder ``estimate_ladder(fmap, [params], ...)[0]``."""
@@ -225,30 +244,27 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
 
     ``fmap`` is the affine frequency map.  The conditions come from the
     solver's catalogue (``homological.condition_catalogue``) with the
-    zero-mode blocks set to zero, as at the first step, and are counted
-    over the grid one block of k-rows at a time.  Family KL is restricted
-    to the annulus k_lo < |k| <= kmax (the per-step bookkeeping); the
-    determinant families use 0 < |k| <= kmax.  The k = 0 row does not
-    depend on xi, so unlike the solver's R3 gate the grid never includes it.
-    ``kmax`` defaults to the rungs' K_m, which must then agree: the rungs
-    share one lattice.
+    zero-mode blocks set to zero, as at the first step.  Family KL is
+    restricted to the annulus k_lo < |k| <= kmax (the per-step
+    bookkeeping); the determinant families use 0 < |k| <= kmax.  The k = 0
+    row does not depend on xi, so unlike the solver's R3 gate the grid
+    never includes it.  ``kmax`` defaults to the rungs' K_m, which must
+    then agree: the rungs share one lattice.
 
     The values <k, omega(xi)> (``row_values``) are formed once per ladder,
-    and only for the k-rows where a range may be non-empty at the row's
-    extremes, which are its values at two box corners.  Those rows are
-    sorted, one block at a time, once per ladder; every rung's excluded
-    samples are counted from that order (module docstring): one bisection
-    per block gives the KL ranges of all rungs, whose positions mark the
-    excluded samples, and the candidates of every determinant, which is
-    evaluated only there.  The condition catalogue, the strip geometry of
-    each k-row and the Lipschitz quotients are formed once per ladder as
-    well.  The counts equal those of evaluating every condition at every
-    sample, the fractions are count / samples, and the analytic bounds are
-    summed in the same (k-row, condition) order, so each report is
-    bit-identical to that evaluation.  More than 20,000,000 k-rows x
-    samples, or k-rows x rungs x conditions, raise BudgetExhausted before
-    the lattice is formed; a box on which <k, omega> at the corners or the
-    Lipschitz quotients are not finite raises ValueError.
+    and only for the k-rows with a met cell: a (k-row, condition) pair
+    where some rung's violation may lie between the row's extremes, which
+    are its values at two box corners (module docstring).  Each condition
+    is evaluated once at every sample of its met rows, and its values are
+    compared with every rung's thresholds.  The condition catalogue, the
+    strip geometry of each k-row and the Lipschitz quotients are formed
+    once per ladder as well.  The counts are those of evaluating every
+    condition at every sample, the fractions are count / samples, and the
+    analytic bounds are summed in the same (k-row, condition) order, so
+    each report is bit-identical to that evaluation.  More than 20,000,000
+    k-rows x samples, or k-rows x rungs x conditions, raise BudgetExhausted
+    before the lattice is formed; a box on which <k, omega> at the corners
+    or the Lipschitz quotients are not finite raises ValueError.
     """
     kmaxes = {p.K_m if kmax is None else kmax for p in rungs}
     if len(kmaxes) != 1:
@@ -294,77 +310,36 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     annulus = kabs > k_lo
     live = np.array([annulus if c.family == "KL" else kabs > 0 for c in conds],
                     dtype=bool).reshape(nc, nk)
-    kl = [j for j, c in enumerate(conds) if c.family == "KL"]
-    det = [j for j, c in enumerate(conds) if c.family != "KL"]
-    # the shifts of one bisection per block: every rung's KL shifts,
-    # rung-major, then every determinant root Im mu
-    count = np.array([len(conds[j].roots) for j in det], dtype=int)
-    owner = np.repeat(np.array(det, dtype=int), count)
-    kl_shifts = np.array([conds[j].roots[0] for j in kl], dtype=float)
-    shifts = np.concatenate([np.tile(kl_shifts, nr)] + [conds[j].roots.imag for j in det])
-    m = nr * len(kl)
-    floors = np.repeat(_factor_floor(thr[:, det].max(axis=0).T, count), count, axis=1)
+    # met[i, j]: whether (k-row i, condition j) may hold a violation on some
+    # rung at the row's extremes.  Each shift is tested once, under the factor
+    # floor of its condition's largest rung threshold (a KL threshold is its
+    # own floor), and -inf (below every value) outside the condition's rows;
+    # ``_may_meet`` is monotone in the bound
+    count = np.array([len(c.roots) for c in conds], dtype=int)
+    owner = np.repeat(np.arange(nc), count)
+    roots = np.concatenate([c.roots for c in conds])
+    shifts = np.where([conds[j].family == "KL" for j in owner], roots.real, roots.imag)
+    bound = np.where(live, _factor_floor(thr.max(axis=0), count[:, None]), -np.inf)
+    met = np.zeros((nk, nc), dtype=bool)
+    np.logical_or.at(met, (slice(None), owner), _may_meet(vmin, vmax, shifts, bound[owner].T))
 
-    def kl_bounds(t, rows):
-        # a KL shift's threshold inside the annulus, -inf (below every value)
-        # outside it
-        return np.where(annulus[rows, None], t, -np.inf)
-
-    def bounds(rows):
-        # the shifts' bounds on the k-rows ``rows``: every rung's KL
-        # thresholds, then each root's factor floor of its condition's
-        # largest threshold
-        t = thr[:, kl][:, :, rows].transpose(2, 0, 1).reshape(len(rows), m)
-        return np.concatenate([kl_bounds(t, rows), floors[rows]], axis=1)
-
-    # only the k-rows where some range may be non-empty at the row's extremes
-    # are formed, sorted and searched: one pre-test of every row, each KL
-    # shift once under its largest rung threshold (``_may_meet`` is monotone
-    # in the bound, so this keeps the rows some rung's shift keeps)
-    near = _may_meet(vmin, vmax, np.concatenate([kl_shifts, shifts[m:]]),
-                     np.concatenate([kl_bounds(thr[:, kl].max(axis=0).T, slice(None)), floors],
-                                    axis=1)).any(axis=1)
-    reached = np.flatnonzero(near)
+    # each condition at every sample of its met rows, once for all rungs
+    reached = np.flatnonzero(met.any(axis=1))
     vals = row_values(base[reached, None], proj[reached, None], grid.samples())
-
     counts = np.zeros((nr, nk, nc), dtype=np.int64)
     excluded = [{f: np.zeros(nsamp, dtype=bool) for f in families} for _ in rungs]
-    for i0 in range(0, len(reached), _ROW_BLOCK):
-        blk, v = reached[i0:i0 + _ROW_BLOCK], vals[i0:i0 + _ROW_BLOCK]
-        order = np.argsort(v, axis=1)
-        xs = np.take_along_axis(v, order, axis=1)
-        nb = len(xs)
-        lo, hi = _ranges(xs, shifts, bounds(blk))
-        if kl:
-            # a KL range is the condition's excluded set
-            lk, hk = lo[:, :m].reshape(nb, nr, -1), hi[:, :m].reshape(nb, nr, -1)
-            which, pos = _expand(lk, hk)
-            r, rung, _ = np.unravel_index(which, lk.shape)
-            for q in range(nr):
-                counts[q, blk[:, None], kl] = hk[:, q] - lk[:, q]
-                got = rung == q
-                excluded[q]["KL"][order[r[got], pos[got]]] = True
-        # a determinant below a threshold has a factor below its floor: the
-        # candidates, once per (condition, row, position), evaluated exactly
-        which, p = _expand(lo[:, m:], hi[:, m:])
-        r, root = np.divmod(which, len(owner))
-        shape = (nc, nb, nsamp)
-        j, r, p = np.unravel_index(_distinct(np.ravel_multi_index((owner[root], r, p), shape)),
-                                   shape)
-        for jj in _distinct(j):
-            at = slice(*np.searchsorted(j, [jj, jj + 1]))
-            rows, pos = r[at], p[at]
-            hit, rung = np.nonzero(conds[jj].value(xs[rows, pos])[:, None]
-                                   < thr[:, jj, blk[rows]].T)
-            for q in range(nr):
-                got = hit[rung == q]
-                counts[q, blk, jj] = np.bincount(rows[got], minlength=nb)
-                excluded[q][conds[jj].family][order[rows[got], pos[got]]] = True
+    for j in np.flatnonzero(met.any(axis=0)):
+        at = met[reached, j]
+        rows = reached[at]
+        # a determinant that overflows is inf, below no threshold
+        with np.errstate(over="ignore"):
+            below = conds[j].value(vals[at]) < thr[:, j, rows, None]
+        counts[:, rows, j] = below.sum(axis=2)
+        for q in range(nr):
+            excluded[q][conds[j].family] |= below[q].any(axis=0)
 
     # strip width 2 thr / |g| against the box extent along the gradient g
-    widths = grid.hi - grid.lo
-    g = np.array([float(np.linalg.norm(v, 2)) for v in proj])
-    extent = np.array([float(np.abs(v) @ widths) / gi if gi else 0.0 for v, gi in zip(proj, g)])
+    g, extent = _strip_geometry(proj, grid.hi - grid.lo)
     wide = extent > 0
     span = np.where(wide, g * extent, 1.0)[:, None]
     nroots = np.array([float(len(c.roots)) for c in conds])
@@ -386,11 +361,13 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         # condition) order: a sequential accumulate, not a pairwise sum
         bound = {f: float(np.add.accumulate(np.append(0.0, cb[sel]))[-1])
                  for f, sel in in_family.items()}
-        ii, jj = np.nonzero(cells & (counts[q] > 0))
-        by_family = np.argsort(fam[jj], kind="stable")
+        # the pairs that exclude a sample: by family, then in (k-row,
+        # condition) order
+        ii, jj = np.concatenate([np.nonzero(in_family[f] & (counts[q] > 0))
+                                 for f in FAMILIES if f in in_family], axis=1)
         rows = [ConditionRow(conds[j].family, ktuples[i], conds[j].l, float(thr[q, j, i]),
                              int(counts[q, i, j]) / nsamp, float(cb[i, j]))
-                for i, j in zip(ii[by_family].tolist(), jj[by_family].tolist())]
+                for i, j in zip(ii.tolist(), jj.tolist())]
         fractions = {f: float(e.mean()) for f, e in excluded[q].items()}
         bounds = {f: min(1.0, b) for f, b in bound.items()}
         ratios = {f: (fractions[f] / bounds[f] if bounds[f] > 0 else 0.0)

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from kamzero import measure
 from kamzero.driver import BaseParams, schedule
-from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm,
+from kamzero.homological import (FAMILIES, BudgetExhausted, Condition, NormalForm, _ranges,
                                  condition_catalogue, k_lattice, k_powers)
 from kamzero.measure import (AffineFrequencyMap, ConditionRow, ParameterGrid,
                              estimate_excluded, estimate_ladder, rows_to_csv)
 from kamzero.series import SeriesDims
+from test_homological import sorted_rows
 
 
 def one_dim_setup(gamma, samples=2001, kmax=1.0):
@@ -125,7 +126,7 @@ def nls_freq_map(nls_build):
 
 
 # ---------------------------------------------------------------------------
-# sorted-sample counting against the sample-by-sample evaluation
+# counting on the met cells against the sample-by-sample evaluation
 # ---------------------------------------------------------------------------
 
 def reference_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
@@ -161,7 +162,8 @@ def reference_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, km
         for c, thr, sel, eff in zip(conds, thrs, live, effs):
             if not sel[i]:
                 continue
-            viol = c.value(vals[i]) < thr[i]
+            with np.errstate(over="ignore"):
+                viol = c.value(vals[i]) < thr[i]
             excluded[c.family] |= viol
             cb = len(c.roots) * (min(1.0, 2.0 * eff[i] / (g * extent)) if extent > 0 else 1.0)
             bound[c.family] += cb
@@ -221,29 +223,27 @@ def measure_problems(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(measure_problems(), st.sampled_from((1, 3, 16)))
-def test_sorted_counts_equal_the_sample_by_sample_evaluation(problem, row_block):
+@given(measure_problems())
+def test_counts_equal_the_sample_by_sample_evaluation(problem):
     fmap, params, dims, grid, kw = problem
-    with mock.patch.object(measure, "_ROW_BLOCK", row_block):
-        assert_same_as_reference(fmap, params, dims, grid, **kw)
+    assert_same_as_reference(fmap, params, dims, grid, **kw)
 
 
 @settings(max_examples=60, deadline=None)
-@given(measure_problems(), st.lists(_dyadic(0, 32, 64), min_size=1, max_size=4),
-       st.sampled_from((1, 3, 16)))
-def test_ladder_equals_its_rungs_one_at_a_time(problem, gammas, row_block):
-    # one sort per k-row block for the whole ladder gives every rung the
-    # report of its own call, and of the sample-by-sample evaluation
+@given(measure_problems(), st.lists(_dyadic(0, 32, 64), min_size=1, max_size=4))
+def test_ladder_equals_its_rungs_one_at_a_time(problem, gammas):
+    # one pre-test and one evaluation of each met cell for the whole ladder
+    # give every rung the report of its own call, and of the
+    # sample-by-sample evaluation
     fmap, params, dims, grid, kw = problem
     rungs = [schedule(1, replace(params.base, gamma1=g), eps_m=1e-6) for g in gammas]
-    with mock.patch.object(measure, "_ROW_BLOCK", row_block):
-        reps = estimate_ladder(fmap, rungs, dims, grid, **kw)
-        assert len(reps) == len(rungs)
-        for rung, rep in zip(rungs, reps):
-            one = estimate_excluded(fmap, rung, dims, grid, **kw)
-            assert rep.as_dict() == one.as_dict()
-            assert rows_to_csv(rep.rows) == rows_to_csv(one.rows)
-            assert_report_is_reference(rep, fmap, rung, dims, grid, **kw)
+    reps = estimate_ladder(fmap, rungs, dims, grid, **kw)
+    assert len(reps) == len(rungs)
+    for rung, rep in zip(rungs, reps):
+        one = estimate_excluded(fmap, rung, dims, grid, **kw)
+        assert rep.as_dict() == one.as_dict()
+        assert rows_to_csv(rep.rows) == rows_to_csv(one.rows)
+        assert_report_is_reference(rep, fmap, rung, dims, grid, **kw)
 
 
 def test_ladder_rungs_share_one_lattice():
@@ -282,16 +282,41 @@ def test_nls_grid_counts_equal_the_sample_by_sample_evaluation(nls_freq_map):
         assert_same_as_reference(fmap, _params_for(gamma), dims, grid, k_lo=2.0, kmax=10.0)
 
 
+@pytest.mark.parametrize("lo,hi,gamma,k_lo", [
+    (1e-3, 1.0, 0.5, 0.0),          # a wide box and band: most k-rows are met
+    (1e-4, 1e-2, 0.005, 5.0),       # the annulus 5 < |k| <= 10
+    (1e-3, 1e155, 0.005, 0.0),      # determinants overflow to inf
+])
+def test_nls_ladders_equal_the_sample_by_sample_evaluation(nls_freq_map, lo, hi, gamma, k_lo):
+    fmap, dims = nls_freq_map
+    grid = ParameterGrid(np.array([lo, lo]), np.array([hi, hi]), 20)
+    rungs = [_params_for(g) for g in (gamma, gamma / 2, gamma / 4)]
+    for rung, rep in zip(rungs, estimate_ladder(fmap, rungs, dims, grid, k_lo=k_lo, kmax=10.0)):
+        assert_report_is_reference(rep, fmap, rung, dims, grid, k_lo=k_lo, kmax=10.0)
+
+
+def _evaluations():
+    """Patches that record every ``row_values`` and ``Condition.value`` call."""
+    return (mock.patch.object(measure, "row_values", wraps=measure.row_values),
+            mock.patch.object(Condition, "value", autospec=True, side_effect=Condition.value))
+
+
 def test_nls_ladder_searches_only_the_rows_a_band_may_reach(nls_freq_map):
     # the nls.cfg ladder (three rungs, 100 x 100 samples, kmax 10): at the
-    # row extremes only 14 of the 220 k-rows may meet a band, and only they
-    # are sorted and searched; the reports are still the evaluation's
+    # row extremes only 26 (k-row, condition) cells on 14 of the 220 k-rows
+    # may meet a band; values are formed for those rows only, and each
+    # condition is evaluated once on its met rows for all rungs.  The
+    # reports are still the evaluation's
     fmap, dims = nls_freq_map
     grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
     rungs = [_params_for(g) for g in (0.005, 0.0025, 0.00125)]
-    with mock.patch.object(measure, "_ranges", wraps=measure._ranges) as search:
+    formed, evaluated = _evaluations()
+    with formed as formed, evaluated as evaluated:
         reps = estimate_ladder(fmap, rungs, dims, grid, kmax=10.0)
-    assert sum(call.args[0].shape[0] for call in search.call_args_list) == 14
+    # the two box corners of every k-row, then the values of the met rows
+    assert [call.args[0].shape for call in formed.call_args_list] == [(220,), (220,), (14, 1)]
+    assert sum(call.args[1].shape[0] for call in evaluated.call_args_list) == 26
+    assert all(call.args[1].shape[1:] == (grid.size,) for call in evaluated.call_args_list)
     for rung, rep in zip(rungs, reps):
         assert_report_is_reference(rep, fmap, rung, dims, grid, kmax=10.0)
 
@@ -374,19 +399,52 @@ def test_a_row_extreme_on_a_band_edge_is_counted_like_the_evaluation(side, edge)
 
 def test_a_grid_no_band_reaches_sorts_nothing():
     # on [1/4, 1] the row k = 1 starts on the upper edge |x| = thr of every
-    # rung's band and the row k = -1 ends on the lower one: no range can be
-    # non-empty, so no k-row is sorted or searched
+    # rung's band and the row k = -1 ends on the lower one: no cell is met,
+    # so no k-row's values are formed and no condition is evaluated
     grid, fmap, dims, rungs = _quarter_band(0.25, 1.0, gammas=(0.25, 0.125))
-    argsort = np.argsort
-
-    def no_row_sort(a, *args, **kwargs):
-        assert np.ndim(a) == 1, "a block of k-rows was sorted"
-        return argsort(a, *args, **kwargs)
-
-    with mock.patch.object(np, "argsort", no_row_sort), \
-            mock.patch.object(measure, "_ranges", side_effect=AssertionError("searched")):
+    formed, evaluated = _evaluations()
+    with formed as formed, evaluated as evaluated:
         reps = estimate_ladder(fmap, rungs, dims, grid, families=("KL",), kmax=1.0)
+    assert [call.args[0].shape for call in formed.call_args_list] == [(2,), (2,), (0, 1)]
+    assert not evaluated.called
     assert [(rep.fractions, rep.rows) for rep in reps] == [({"KL": 0.0}, [])] * 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sorted_rows())
+def test_a_nonempty_range_meets_at_the_row_extremes(rows):
+    # the pre-test at a row's smallest and largest value never rules out a
+    # (row, shift) pair that holds a position with |fl(x + shift)| < bound
+    xs, shifts, bound = rows
+    xs = xs[:, np.isfinite(xs).all(axis=0)]
+    if xs.shape[1]:
+        lo, hi = _ranges(xs, shifts, bound)
+        assert np.all(measure._may_meet(xs[:, 0], xs[:, -1], shifts, bound)[hi > lo])
+
+
+def _strip_geometry_per_row(proj, widths):
+    g = np.array([float(np.linalg.norm(v, 2)) for v in proj])
+    extent = np.array([float(np.abs(v) @ widths) / gi if gi else 0.0 for v, gi in zip(proj, g)])
+    return g, extent
+
+
+@pytest.mark.parametrize("n,kmax,seed", [(2, 10.0, None), (2, 40.0, None),
+                                         (2, 30.0, 1), (3, 12.0, 2), (5, 5.0, 3)])
+def test_strip_geometry_is_the_per_row_norm_and_dot(nls_freq_map, n, kmax, seed):
+    # the nls.cfg map (seed None) and random maps of mixed magnitudes; the
+    # gradients k A include zero rows (k = 0, and on the random maps, whose
+    # first and last rows are equal, k = e_1 - e_n)
+    if seed is None:
+        A, widths = nls_freq_map[0].A, np.array([9e-3, 9e-3])
+    else:
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-4, 3, size=(n, n))
+        A[-1] = A[0]
+        widths = rng.uniform(1e-4, 1.0, size=n)
+    proj = k_lattice(n, kmax) @ A
+    g, extent = measure._strip_geometry(proj, widths)
+    g_row, extent_row = _strip_geometry_per_row(proj, widths)
+    assert np.array_equal(g, g_row) and np.array_equal(extent, extent_row)
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +498,17 @@ def test_condition_cells_over_the_cap_are_budget_exhausted_before_the_lattice(
 
 
 def test_traced_peak_stays_at_forming_the_values(nls_freq_map):
-    # values are formed for the 14 k-rows a band may reach only (the row
-    # extremes come from the box corners); with one block's sort order and
-    # sorted copy, and the bisection's rows padded from 10,000 to 16,384
-    # samples, that is four 14 x 16,384 float arrays (7.3 MB; the traced peak
-    # with the determinant candidates is 7.1 MB for one rung and 8.0 MB for
-    # three).  The 220 x 10,000 matrix of every k-row (17.6 MB) is far above
-    # the bound, and a ladder of three rungs shares the formed values
+    # values are formed for the 14 k-rows with a met cell only (the row
+    # extremes come from the box corners): 14 x 10,000 floats, 1.1 MB.
+    # Forming them holds three such arrays (the running sum, a product and
+    # the sum with <k, alpha>), and a determinant's complex factors on its
+    # met rows come on top (the traced peak is 3.4 MB for one rung and
+    # 4.2 MB for three).  The 220 x 10,000 matrix of every k-row (17.6 MB)
+    # is far above the bound, and a ladder of three rungs shares the formed
+    # values
     fmap, dims = nls_freq_map
     grid = ParameterGrid(np.array([1e-3, 1e-3]), np.array([1e-2, 1e-2]), 100)
-    formed = 4 * 14 * 16384 * 8
+    formed = 4 * 14 * grid.size * 8
     assert 1.25 * formed < 220 * grid.size * 8
     calls = [lambda: estimate_excluded(fmap, _params_for(0.005), dims, grid, kmax=10.0),
              lambda: estimate_ladder(fmap, [_params_for(g) for g in (0.005, 0.0025, 0.00125)],
