@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrixkit import SingularSystem, commutation_matrix, det_modulus, kron, solve_dense, unvec, vec
-from .series import TFSeries, poisson_bracket, vector_field_norm
+from .series import TFSeries, poisson_bracket, stable_order, vector_field_norm
 
 
 class BudgetExhausted(Exception):
@@ -454,18 +454,17 @@ def _expand(lo, hi):
 
 
 def _distinct(codes, first=False):
-    """The distinct values of the integer array ``codes``, ascending, by a
+    """The distinct values of the int64 array ``codes``, ascending, by a
     sort and a compare of neighbours; with ``first``, also the index of each
-    value's first occurrence (a stable argsort, as ``np.unique``'s
-    ``return_index``).
+    value's first occurrence (by the series merge's stable order,
+    ``series.stable_order``, as ``np.unique``'s ``return_index``).
 
     numpy 2.4's ``np.unique`` hashes: on 60k random int64 values it took
     14 ms against 0.55 ms for a sort and compare, and 437 ms against 8 ms
     on 600k.
     """
     if first:
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
+        order, (codes,) = stable_order([codes])
     else:
         codes = np.sort(codes)
     keep = np.ones(len(codes), dtype=bool)
@@ -562,6 +561,8 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
     r = max(int(np.floor(params.K_m)), 0)
     kw = lat @ N.omega
     conds = condition_catalogue(N, params, dims, params.K_m, families)
+    if not conds:
+        return []
     # one shift and bound per KL condition and per determinant root
     kl = np.array([c.family == "KL" for c in conds], dtype=bool)
     scale = np.array([c.scale for c in conds])

@@ -306,7 +306,8 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     kpow = k_powers(conds, kabs)
     taus = list(kpow)
     scales = np.array([[condition_scale(p, c.family, c.weight) for c in conds] for p in rungs])
-    thr = scales[:, :, None] / np.array(list(kpow.values()))[[taus.index(c.tau) for c in conds]]
+    table = np.array(list(kpow.values())).reshape(len(taus), nk)
+    thr = scales[:, :, None] / table[[taus.index(c.tau) for c in conds]]
     annulus = kabs > k_lo
     live = np.array([annulus if c.family == "KL" else kabs > 0 for c in conds],
                     dtype=bool).reshape(nc, nk)
@@ -317,7 +318,7 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     # ``_may_meet`` is monotone in the bound
     count = np.array([len(c.roots) for c in conds], dtype=int)
     owner = np.repeat(np.arange(nc), count)
-    roots = np.concatenate([c.roots for c in conds])
+    roots = np.concatenate([np.empty(0, complex)] + [c.roots for c in conds])
     shifts = np.where([conds[j].family == "KL" for j in owner], roots.real, roots.imag)
     bound = np.where(live, _factor_floor(thr.max(axis=0), count[:, None]), -np.inf)
     met = np.zeros((nk, nc), dtype=bool)

@@ -141,7 +141,8 @@ def row_kabs(rows, n):
 
 def row_bounds(rows):
     """Per-column value range, widened to include 0."""
-    return np.minimum(rows.min(axis=0), 0).astype(np.int64), rows.max(axis=0).astype(np.int64)
+    return (np.minimum(rows.min(axis=0), 0).astype(np.int64),
+            np.maximum(rows.max(axis=0), 0).astype(np.int64))
 
 
 def row_term_weights(F, dp):

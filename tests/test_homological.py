@@ -237,6 +237,16 @@ def test_nonresonance_diophantine_passes():
     assert check_nonresonance(N, params, dims) == []
 
 
+def test_an_empty_condition_catalogue_passes_the_gate():
+    # no tail modes and no zero modes: family R3 has no condition
+    dims = SeriesDims(1, (), (), 0)
+    N = NormalForm.zero(1, 1)
+    N.omega = np.array([1.0])
+    params = schedule(1, BaseParams(n=1, b=0, tau=2.5, s1=0.6, r1=0.1, gamma1=0.05), eps_m=1e-6)
+    assert condition_catalogue(N, params, dims, params.K_m, ("R3",)) == []
+    assert check_nonresonance(N, params, dims, families=("R3",)) == []
+
+
 def test_nonresonance_rational_fails_at_kl():
     dims = make_dims(1)
     N = NormalForm.zero(2, 1)

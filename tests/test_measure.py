@@ -32,6 +32,16 @@ def test_gamma_zero_excludes_nothing():
     assert rep.fractions["KL"] == 0.0
 
 
+def test_an_empty_condition_catalogue_excludes_nothing():
+    # no tail modes and no zero modes: family R3 has no condition
+    grid, fmap, dims, params = one_dim_setup(gamma=0.05, samples=11)
+    reps = estimate_ladder(fmap, [params, replace(params, gamma_m=0.5 * params.gamma_m)],
+                           dims, grid, families=("R3",), kmax=3.0)
+    for rep in reps:
+        assert rep.fractions == {"R3": 0.0} and rep.bounds == {"R3": 0.0}
+        assert rep.ratios == {"R3": 0.0} and rep.rows == [] and rep.cumulative_ok
+
+
 def test_one_dim_interval_oracle():
     # omega(xi) = xi, single k = (1): the excluded set is the interval
     # |xi| < gamma of length 2 gamma inside a box of length 2

@@ -141,6 +141,13 @@ def test_codes_split_into_words_beyond_63_bits():
     assert np.array_equal(order, np.lexsort(rows.T[::-1]))
 
 
+def test_codec_ranges_must_contain_zero():
+    # the float64 encode is exact only for entries within a radix of 0
+    for lo, hi in (([-3, 1], [2, 4]), ([-3, -5], [2, -1])):
+        with pytest.raises(ValueError, match="contain 0"):
+            _Codec(np.array(lo), np.array(hi))
+
+
 def test_reality_preserved_by_bracket():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -17,6 +17,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kamzero import series as kseries
@@ -390,16 +391,18 @@ def test_wide_keys_at_the_fourier_budget_never_wrap():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
 def test_codec_decode_inverts_encode_on_wide_codes(width, seed, per_slice):
-    # int16 columns with ranges of 12 to 15 bits each, so that from six
-    # columns on every code spills into further 63-bit words; rows drawn
-    # inside the ranges come back from their codes, decoded all at once and
-    # a few rows at a time, and so do rows lowered by one in a column
+    # int16 columns with ranges of 12 to 15 bits each that contain 0, so
+    # that from five columns on every code spills into further 53-bit
+    # words; rows drawn inside the ranges come back from their codes,
+    # decoded all at once and a few rows at a time, and so do rows lowered
+    # by one in a column
     rng = np.random.default_rng(seed)
-    lo = rng.integers(-16384, 1, width)
-    hi = lo + rng.integers(4095, 32768, width)
+    radix = rng.integers(4096, 32769, width)
+    lo = -rng.integers(0, radix)
+    hi = lo + radix - 1
     rows = rng.integers(lo, hi + 1, (rng.integers(1, 60), width)).astype(np.int16)
     codec = kseries._Codec(lo, hi)
-    assert len(codec.words) > 1 or width < 6
+    assert len(codec.words) > 1 or width < 5
     words = codec.encode(rows, lo)
     assert np.array_equal(codec.decode(words), rows)
     with mock.patch.object(kseries, "_CHUNK_ROWS", per_slice * width):
@@ -410,6 +413,87 @@ def test_codec_decode_inverts_encode_on_wide_codes(width, seed, per_slice):
     at = np.flatnonzero(cols >= 0)
     lowered[at, cols[at]] -= 1
     assert np.array_equal(codec.decode(codec.lowered(words, cols)), lowered)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3000), st.integers(1, 40), st.integers(0, 62), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0, 0)                    # n = 1
+@example(2000, 1, 30, 1)                # all-equal codes
+def test_stable_order_is_the_stable_argsort_on_tied_codes(n, distinct, bits, seed):
+    # n codes drawn from at most ``distinct`` values below 2^bits, above a
+    # random base: heavy ties, n = 1 and all-equal codes (distinct = 1)
+    # among them, on both sides of the packed key's fit
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2 ** bits, distinct, endpoint=True)
+    base = int(rng.integers(0, 2 ** 63 - 1 - int(values.max()), endpoint=True))
+    code = base + rng.choice(values, n)
+    order, (got,) = kseries.stable_order([code])
+    expect = np.argsort(code, kind="stable")
+    assert np.array_equal(order, expect) and np.array_equal(got, code[expect])
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 2 ** 16, 2 ** 16 + 1])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_stable_order_at_the_packed_key_fit(n, extra):
+    # codes whose span (max - min) takes exactly 63 - s bits (packed: the
+    # key fills 63 bits) or 64 - s (one too many: np.lexsort), with
+    # s = (n - 1).bit_length() bits of arrival index; ties at both ends
+    s = (n - 1).bit_length()
+    span = 2 ** (63 - s + extra) - 1
+    rng = np.random.default_rng(n)
+    base = 2 ** 63 - 1 - span
+    code = base + np.where(rng.random(n) < 0.5, span, 0)
+    code[:2] = base + span, base
+    expect = np.argsort(code, kind="stable")
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        order, (got,) = kseries.stable_order([code])
+    assert lexsort.call_count == extra
+    assert np.array_equal(order, expect) and np.array_equal(got, code[expect])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([
+    ((6361, 69431, 20394401), [(0, 3)]),                    # product 2^53 - 1
+    ((65536, 65536, 65536, 32), [(0, 4)]),                  # 2^53
+    ((3, 107, 28059810762433), [(0, 2), (2, 3)])]),         # 2^53 + 1
+    st.integers(1, 50), st.integers(0, 2 ** 32 - 1))
+def test_float_encode_is_the_int64_code_at_the_word_size(case, count, seed):
+    # a word holds columns while their radix product is at most 2^53; the
+    # float64 encode and the lowered codes equal the int64 codes of the
+    # rows, and the words compose the full mixed-radix code, at the row
+    # extremes too
+    radix, spans = case
+    radix = np.array(radix, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    lo = -rng.integers(0, radix)
+    hi = lo + radix - 1
+    codec = kseries._Codec(lo, hi)
+    assert [(a, b) for a, b, _ in codec.words] == spans
+    rows = rng.integers(lo, hi + 1, (count, len(radix)))
+    rows[0], rows[-1] = lo, hi
+
+    def int64_codes(rows):
+        return [(rows[:, a:b] - lo[a:b]) @ strides for a, b, strides in codec.words]
+
+    words = codec.encode(rows, lo)
+    assert all(np.array_equal(w, ref) for w, ref in zip(words, int64_codes(rows)))
+    sizes = [math.prod(radix[a:b].tolist()) for a, b, _ in codec.words]
+    for r, codes in zip(rows.tolist(), zip(*(w.tolist() for w in words))):
+        full = 0
+        for v, low, rad in zip(r, lo.tolist(), radix.tolist()):
+            full = full * rad + (v - low)
+        composed = 0
+        for code, size in zip(codes, sizes):
+            assert 0 <= code < size
+            composed = composed * size + code
+        assert composed == full
+    cols = rng.integers(-1, len(radix), count)
+    cols[rows[np.arange(count), cols] == lo[cols]] = -1     # stays within the range
+    lowered = rows.copy()
+    at = np.flatnonzero(cols >= 0)
+    lowered[at, cols[at]] -= 1
+    assert all(np.array_equal(w, ref)
+               for w, ref in zip(codec.lowered(words, cols), int64_codes(lowered)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -493,9 +577,10 @@ def test_column_kernels_match_the_row_wise_reference(n, nmodes, count, zero, see
     at = count + np.argsort(perm)
     for part in kseries._vf_parts(both, dp):
         assert np.array_equal(_bits(part[:count]), _bits(part[at]))
-    # decode, on column ranges spanning -16383..16383 (several code words)
+    # decode, on column ranges within -16383..16383 that contain 0 (several
+    # code words)
     lo = rng.integers(-16383, 1, width)
-    hi = rng.integers(lo, 16384)
+    hi = rng.integers(0, 16384, width)
     codec = kseries._Codec(lo, hi)
     wide = rng.integers(lo, hi + 1, (count, width)).astype(np.int16)
     words = codec.encode(wide, lo)
