@@ -29,9 +29,15 @@ k = 0 blocks from one stacked eigenvalue call.
 The module also holds the one catalogue of small-divisor conditions
 (``condition_catalogue`` over the l1 lattice ``k_lattice``): families KL,
 R1, R3 and R4, each with its block operator, scale and exponent named once
-in ``FAMILY_TABLE``.  ``check_nonresonance`` evaluates it at one parameter
-sample (the solver gate), ``measure.estimate_ladder`` over a parameter
-grid, and the solver's divisor guards read the same thresholds.  Both
+in ``FAMILY_TABLE``.  The catalogue is one ``Catalogue`` of arrays: per
+condition its family index, l label, weight, tau and kmin, and every root
+with the index of its condition (``owner``); ``scales(params)`` gives the
+threshold scales under any KamParams, ``shifts`` the shift of each root,
+and ``value(j, kw)`` evaluates condition j.  ``check_nonresonance``
+evaluates it at one parameter sample (the solver gate),
+``measure.estimate_ladder`` over a parameter grid, both reading these
+arrays as they are, and the solver's divisor guards read the same
+thresholds.  Both
 find their violations through the shifts of a condition: a value falls
 below a bound only where |fl(x + c)| does for x = <k, omega> and one of
 its shifts c, with the threshold as the bound of a KL shift and its
@@ -47,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,6 +289,7 @@ FAMILY_TABLE = {
     "R4": ("C", "gamma_4m", "tau_4"),
 }
 FAMILIES = tuple(FAMILY_TABLE)
+_KL = FAMILIES.index("KL")
 _LATTICE_CAP = 6_000_000
 # dispersion exponent d of the normal frequencies Omega_j = j^d (cubic NLS)
 DISPERSION = 2
@@ -291,13 +299,6 @@ def _scale_tau(params, family):
     """Threshold scale and exponent of ``family``, read from ``params``."""
     _, scale, tau = FAMILY_TABLE[family]
     return getattr(params, scale), getattr(params, tau)
-
-
-def condition_scale(params, family, weight):
-    """The threshold scale of a ``family`` condition of weight ``weight``
-    under ``params``: the family's scale times the weight (exact for weight
-    1.0)."""
-    return float(_scale_tau(params, family)[0] * weight)
 
 
 def l_weight(L, tail):
@@ -378,33 +379,51 @@ def _l1_ball(n, r):
     return _read_only(lat)[0]
 
 
-@dataclass(frozen=True)
-class Condition:
-    """One small-divisor condition: |value(<k, omega>)| >= scale / |k|^tau.
+class Catalogue(NamedTuple):
+    """The small-divisor conditions |value(<k, omega>)| >= scale / |k|^tau,
+    one entry per condition (``family`` to ``kmin``) or per root (``roots``,
+    ``owner``), in gate order.
 
-    For family KL the value is |kw + <l, Omega>| (``roots`` holds the one
-    shift); for R1/R3/R4 it is the determinant modulus |det(i kw I + B)| =
-    prod |i kw + mu| over the eigenvalues ``roots`` of the k = 0 block B.
-    The solver tests it for kmin <= |k|.  ``weight`` is the factor of the
-    family's scale in ``scale`` (``condition_scale``): <l>_d for KL, 1.0
-    otherwise, so that the scale under other KamParams (a gamma ladder's
-    rungs) needs no new catalogue.
+    For family KL the value is |kw + <l, Omega>|, and the condition's one
+    root is the shift <l, Omega>; for R1/R3/R4 it is the determinant modulus
+    |det(i kw I + B)| = prod |i kw + mu| over the eigenvalues mu of the
+    k = 0 block B, its roots.  A condition is tested for kmin <= |k|.  Its
+    scale is its family's KamParams scale times ``weight`` (<l>_d for KL,
+    1.0 otherwise), so that other KamParams (a gamma ladder's rungs) need no
+    new catalogue.
     """
 
-    family: str
-    l: tuple | None
-    scale: float
-    tau: float
-    roots: np.ndarray
-    kmin: int = 1
-    weight: float = 1.0
+    family: np.ndarray      # index into FAMILIES
+    l: tuple                # the sparse tail vector l (KL, R3) or None
+    weight: np.ndarray
+    tau: np.ndarray
+    kmin: np.ndarray
+    roots: np.ndarray       # complex, grouped by condition in gate order
+    owner: np.ndarray       # the condition of each root
 
-    def value(self, kw):
-        """Measured value at every entry of the array kw = <k, omega>."""
-        if self.family == "KL":
-            return np.abs(kw + self.roots[0])
-        det = np.abs(1j * kw + self.roots[0])
-        for mu in self.roots[1:]:
+    @property
+    def count(self):
+        """The number of roots of each condition."""
+        return np.bincount(self.owner, minlength=len(self.l))
+
+    @property
+    def shifts(self):
+        """The shift c of each root (the KL shift, or Im mu): its factor is
+        at least |fl(x + c)| at x = <k, omega>."""
+        return np.where(self.family[self.owner] == _KL, self.roots.real, self.roots.imag)
+
+    def scales(self, params):
+        """The threshold scale of every condition under ``params``."""
+        family_scales = np.array([_scale_tau(params, f)[0] for f in FAMILIES], dtype=float)
+        return family_scales[self.family] * self.weight
+
+    def value(self, j, kw):
+        """Condition j's value at every entry of the array kw = <k, omega>."""
+        mus = self.roots[self.owner == j]
+        if self.family[j] == _KL:
+            return np.abs(kw + mus[0].real)
+        det = np.abs(1j * kw + mus[0])
+        for mu in mus[1:]:
             det *= np.abs(1j * kw + mu)
         return det
 
@@ -473,49 +492,47 @@ def _distinct(codes, first=False):
 
 
 def condition_catalogue(N, params, dims, kmax, families=FAMILIES):
-    """The small-divisor conditions at normal form N, in gate order.
+    """The small-divisor conditions at normal form N, in gate order, as one
+    ``Catalogue``.
 
     Family KL pairs <k, omega> with every <l, Omega>, 0 <= |l| <= 2 on the
     normal tail, against gamma_m <l>_d / |k|^tau; families R1/R3/R4 are the
     determinants of the A, B(j) and C block operators against
     gamma_im / |k|^{tau_i}, with R3 over the tail modes j <= 2 kmax and
-    including k = 0.
+    including k = 0.  Each block family's roots come from one eigvals call.
     """
-    conds = []
-    tail = dims.tail_modes
-    Om = N.Omega
+    tail, Om = dims.tail_modes, N.Omega
+    family, labels, weight, tau, kmin, roots = [], [], [], [], [], []
+
+    def add(name, ls, weights, least, mus):
+        # the conditions of one family: labels ``ls``, roots ``mus[c]``
+        family.append(np.full(len(ls), FAMILIES.index(name)))
+        labels.extend(ls)
+        weight.append(weights)
+        tau.append(np.full(len(ls), _scale_tau(params, name)[1]))
+        kmin.append(np.full(len(ls), least))
+        roots.append(mus)
+
     if "KL" in families:
-        labels, weights = _kl_labels(tail)
-        shifts = _kl_options(len(tail)) @ np.array([Om[j] for j in tail], dtype=float)
-        tau = _scale_tau(params, "KL")[1]
-        conds += [Condition("KL", l, condition_scale(params, "KL", w), tau, np.array([c]),
-                            weight=float(w))
-                  for l, c, w in zip(labels, shifts, weights)]
-    if N.b == 0:
-        return conds
-
-    def block_conditions(family, js=(None,), ls=(None,), kmin=1):
-        # the roots of the k = 0 block of every tail mode of js, one eigvals
-        # call per family
-        scale, tau = condition_scale(params, family, 1.0), _scale_tau(params, family)[1]
-        Omega = None if js[0] is None else np.array([Om[j] for j in js])
-        roots = np.linalg.eigvals(block_operators(FAMILY_TABLE[family][0], N,
-                                                  np.zeros((len(js), dims.n)), Omega))
-        return [Condition(family, l, scale, tau, mu, kmin) for l, mu in zip(ls, roots)]
-
-    if "R1" in families:
-        conds += block_conditions("R1")
+        ls, weights = _kl_labels(tail)
+        add("KL", ls, weights, 1,
+            (_kl_options(len(tail)) @ np.array([Om[j] for j in tail], dtype=float))[:, None])
     js = [j for j in tail if j <= 2 * kmax]
-    if "R3" in families and js:
-        conds += block_conditions("R3", js, [((j, 1),) for j in js], kmin=0)
-    if "R4" in families:
-        conds += block_conditions("R4")
-    return conds
+    for name, fjs, ls, least in (("R1", [None], [None], 1), ("R3", js, [((j, 1),) for j in js], 0),
+                                 ("R4", [None], [None], 1)):
+        if N.b and name in families and fjs:
+            Omega = None if fjs[0] is None else np.array([Om[j] for j in fjs])
+            add(name, ls, np.ones(len(ls)), least,
+                np.linalg.eigvals(block_operators(FAMILY_TABLE[name][0], N,
+                                                  np.zeros((len(fjs), dims.n)), Omega)))
 
+    def join(arrays, dtype):
+        return np.concatenate([np.empty(0, dtype), *arrays], dtype=dtype)
 
-def k_powers(conds, kabs):
-    """max(|k|, 1)^tau for every exponent tau the conditions use."""
-    return {tau: _kpow(kabs, tau) for tau in {c.tau for c in conds}}
+    count = join([np.full(len(mus), mus.shape[1]) for mus in roots], int)
+    return Catalogue(join(family, int), tuple(labels), join(weight, float), join(tau, float),
+                     join(kmin, int), join([mus.ravel() for mus in roots], complex),
+                     np.repeat(np.arange(len(labels)), count))
 
 
 def _factor_floor(scale, count):
@@ -560,39 +577,32 @@ def check_nonresonance(N, params, dims, families=FAMILIES):
     lat = k_lattice(dims.n, params.K_m)
     r = max(int(np.floor(params.K_m)), 0)
     kw = lat @ N.omega
-    conds = condition_catalogue(N, params, dims, params.K_m, families)
-    if not conds:
+    cat = condition_catalogue(N, params, dims, params.K_m, families)
+    if not cat.l:
         return []
-    # one shift and bound per KL condition and per determinant root
-    kl = np.array([c.family == "KL" for c in conds], dtype=bool)
-    scale = np.array([c.scale for c in conds])
-    count = np.array([len(c.roots) for c in conds])
-    roots = np.concatenate([c.roots for c in conds])
-    owner = np.repeat(np.arange(len(conds)), count)
-    shifts = np.where(kl[owner], roots.real, roots.imag)
+    # one shift and bound per determinant root and per KL condition (its root)
+    scale, count, owner = cat.scales(params), cat.count, cat.owner
     order = np.argsort(kw)
-    lo, hi = _ranges(kw[order][None], shifts, _factor_floor(scale, count)[owner][None])
+    lo, hi = _ranges(kw[order][None], cat.shifts, _factor_floor(scale, count)[owner][None])
     which, pos = _expand(lo, hi)
     cj, ci = owner[which], order[pos]
     # each candidate's value and threshold; the KL conditions all at once
     meas, thr = np.empty(len(ci)), np.empty(len(ci))
-    at_kl = kl[cj]
+    at_kl = cat.family[cj] == _KL
     if at_kl.any():
         j, i = cj[at_kl], ci[at_kl]
-        shift = roots.real[np.cumsum(count) - count]     # a KL condition's one root
-        meas[at_kl] = np.abs(kw[i] + shift[j])
+        meas[at_kl] = np.abs(kw[i] + cat.roots.real[np.searchsorted(owner, j)])
         thr[at_kl] = scale[j] / _ball_kpow(dims.n, r, params.tau)[i]
     for j in _distinct(cj[~at_kl]):
         at = cj == j
-        meas[at] = conds[j].value(kw[ci[at]])
-        thr[at] = conds[j].scale / _ball_kpow(dims.n, r, conds[j].tau)[ci[at]]
-    kmin = np.array([c.kmin for c in conds], dtype=int)
-    hit = (_ball_kabs(dims.n, r)[ci] >= kmin[cj]) & (meas < thr)
+        meas[at] = cat.value(j, kw[ci[at]])
+        thr[at] = scale[j] / _ball_kpow(dims.n, r, float(cat.tau[j]))[ci[at]]
+    hit = (_ball_kabs(dims.n, r)[ci] >= cat.kmin[cj]) & (meas < thr)
     # the distinct failures (a determinant may list a point once per root),
     # in condition, then lattice order
     _, first = _distinct(cj[hit] * len(lat) + ci[hit], first=True)
     hit = np.flatnonzero(hit)[first]
-    return [ResonanceCondition(conds[j].family, tuple(int(v) for v in lat[i]), conds[j].l,
+    return [ResonanceCondition(FAMILIES[cat.family[j]], tuple(int(v) for v in lat[i]), cat.l[j],
                                float(thr[h]), float(meas[h]))
             for h, j, i in zip(hit, cj[hit], ci[hit])]
 

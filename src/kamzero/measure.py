@@ -37,12 +37,14 @@ every sample of its met rows (on the ``nls.cfg`` grid, 26 cells on 14 of
 220 rows).
 
 Only the thresholds depend on gamma, so a gamma ladder (``estimate_ladder``)
-reads one condition catalogue (each condition's ``weight`` gives its scale
-on every rung), pre-tests each cell once, under its condition's largest
-rung threshold (``_may_meet`` is monotone in the bound), and evaluates each
-met cell once: its values are compared with every rung's threshold.  The
-values, the strip geometry of each k-row and the Lipschitz quotients are
-shared by the rungs as well.
+reads one condition catalogue, a ``homological.Catalogue`` of arrays: its
+``scales`` under each rung give the (rung, condition, k-row) thresholds,
+its roots, their ``owner`` conditions and ``shifts`` give the pre-test's
+bounds, and ``value`` evaluates one condition.  Each cell is pre-tested
+once, under its condition's largest rung threshold (``_may_meet`` is
+monotone in the bound), and each met cell is evaluated once: its values
+are compared with every rung's threshold.  The values, the strip geometry
+of each k-row and the Lipschitz quotients are shared by the rungs as well.
 
 The counts are those of the definition, the fractions are count / samples
 and the analytic bounds are added one (k-row, condition) pair at a time in
@@ -56,9 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homological import (FAMILIES, BudgetExhausted, NormalForm, _factor_floor,
-                          condition_catalogue, condition_scale, k_lattice, k_powers,
-                          lattice_size)
+from .homological import (_KL, FAMILIES, BudgetExhausted, NormalForm, _factor_floor, _kpow,
+                          condition_catalogue, k_lattice, lattice_size)
 
 # cells of one ``estimate_ladder`` array, k-rows x samples (the values; every
 # k-row counts, though only the rows with a met cell are formed, so this
@@ -273,8 +274,8 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
     N0.Omega = dict(fmap.Omega)
     # gamma sets the scales only: one catalogue serves every rung
-    conds = condition_catalogue(N0, rungs[0], dims, kmax, families)
-    nr, nc = len(rungs), len(conds)
+    cat = condition_catalogue(N0, rungs[0], dims, kmax, families)
+    nr, nc = len(rungs), len(cat.l)
     nsamp = grid.size
     # the largest arrays: the values (k-rows x samples, an upper bound: only
     # the rows a band may reach are formed) and the thresholds and counts
@@ -303,26 +304,20 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
 
     # thr[q, j]: condition j's thresholds on rung q, one division over a
     # max(|k|, 1)^tau table row per distinct tau
-    kpow = k_powers(conds, kabs)
-    taus = list(kpow)
-    scales = np.array([[condition_scale(p, c.family, c.weight) for c in conds] for p in rungs])
-    table = np.array(list(kpow.values())).reshape(len(taus), nk)
-    thr = scales[:, :, None] / table[[taus.index(c.tau) for c in conds]]
-    annulus = kabs > k_lo
-    live = np.array([annulus if c.family == "KL" else kabs > 0 for c in conds],
-                    dtype=bool).reshape(nc, nk)
+    taus = sorted(set(cat.tau.tolist()))
+    table = np.array([_kpow(kabs, tau) for tau in taus]).reshape(len(taus), nk)
+    scales = np.array([cat.scales(p) for p in rungs]).reshape(nr, nc)
+    thr = scales[:, :, None] / table[np.searchsorted(taus, cat.tau)]
+    live = np.where((cat.family == _KL)[:, None], kabs > k_lo, kabs > 0)
     # met[i, j]: whether (k-row i, condition j) may hold a violation on some
     # rung at the row's extremes.  Each shift is tested once, under the factor
     # floor of its condition's largest rung threshold (a KL threshold is its
     # own floor), and -inf (below every value) outside the condition's rows;
     # ``_may_meet`` is monotone in the bound
-    count = np.array([len(c.roots) for c in conds], dtype=int)
-    owner = np.repeat(np.arange(nc), count)
-    roots = np.concatenate([np.empty(0, complex)] + [c.roots for c in conds])
-    shifts = np.where([conds[j].family == "KL" for j in owner], roots.real, roots.imag)
+    count, owner = cat.count, cat.owner
     bound = np.where(live, _factor_floor(thr.max(axis=0), count[:, None]), -np.inf)
     met = np.zeros((nk, nc), dtype=bool)
-    np.logical_or.at(met, (slice(None), owner), _may_meet(vmin, vmax, shifts, bound[owner].T))
+    np.logical_or.at(met, (slice(None), owner), _may_meet(vmin, vmax, cat.shifts, bound[owner].T))
 
     # each condition at every sample of its met rows, once for all rungs
     reached = np.flatnonzero(met.any(axis=1))
@@ -334,19 +329,17 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         rows = reached[at]
         # a determinant that overflows is inf, below no threshold
         with np.errstate(over="ignore"):
-            below = conds[j].value(vals[at]) < thr[:, j, rows, None]
+            below = cat.value(j, vals[at]) < thr[:, j, rows, None]
         counts[:, rows, j] = below.sum(axis=2)
         for q in range(nr):
-            excluded[q][conds[j].family] |= below[q].any(axis=0)
+            excluded[q][FAMILIES[cat.family[j]]] |= below[q].any(axis=0)
 
     # strip width 2 thr / |g| against the box extent along the gradient g
     g, extent = _strip_geometry(proj, grid.hi - grid.lo)
     wide = extent > 0
     span = np.where(wide, g * extent, 1.0)[:, None]
-    nroots = np.array([float(len(c.roots)) for c in conds])
-    fam = np.array([FAMILIES.index(c.family) for c in conds], dtype=int)
     cells = live.T                      # (k-row, condition) pairs counted
-    in_family = {f: cells & (fam == FAMILIES.index(f)) for f in families}
+    in_family = {f: cells & (cat.family == FAMILIES.index(f)) for f in families}
     ktuples = [tuple(int(v) for v in k) for k in kvecs]
     b = max(dims.b, 1)
     K_prev = max(k_lo, 1.0)
@@ -354,10 +347,10 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
     for q, params in enumerate(rungs):
         # thr^{1/order}, since {|det| < thr} scales like that per root
         eff = np.empty((nc, nk))
-        for deg in {len(c.roots) for c in conds}:
-            at = nroots == deg
+        for deg in set(count.tolist()):
+            at = count == deg
             eff[at] = thr[q, at] ** (1.0 / deg)
-        cb = nroots * np.where(wide[:, None], np.minimum(1.0, 2.0 * eff.T / span), 1.0)
+        cb = count * np.where(wide[:, None], np.minimum(1.0, 2.0 * eff.T / span), 1.0)
         # each family's bound is summed one pair at a time in (k-row,
         # condition) order: a sequential accumulate, not a pairwise sum
         bound = {f: float(np.add.accumulate(np.append(0.0, cb[sel]))[-1])
@@ -366,7 +359,7 @@ def estimate_ladder(fmap, rungs, dims, grid, families=FAMILIES, k_lo=0.0, kmax=N
         # condition) order
         ii, jj = np.concatenate([np.nonzero(in_family[f] & (counts[q] > 0))
                                  for f in FAMILIES if f in in_family], axis=1)
-        rows = [ConditionRow(conds[j].family, ktuples[i], conds[j].l, float(thr[q, j, i]),
+        rows = [ConditionRow(FAMILIES[cat.family[j]], ktuples[i], cat.l[j], float(thr[q, j, i]),
                              int(counts[q, i, j]) / nsamp, float(cb[i, j]))
                 for i, j in zip(ii.tolist(), jj.tolist())]
         fractions = {f: float(e.mean()) for f, e in excluded[q].items()}

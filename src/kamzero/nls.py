@@ -23,8 +23,8 @@ Selection gradings: for the cosine basis the conserved integer gradings
 are mod-2 classes, (k . v0 + z-degree) mod 2 and the site-weighted version
 (sum_b k_b j_b + sum_m m (beta_m + gamma_m)) mod 2, both zero on every
 monomial the pipeline produces and both preserved by the Poisson bracket.
-The signed integer momentum is also exposed as a diagnostic; it is not a
-conserved quantity of the folded (cosine) coordinates.
+The signed integer momentum is not conserved in the folded (cosine)
+coordinates, so it is no grading here.
 """
 
 from __future__ import annotations
@@ -352,17 +352,6 @@ def parity_weighted(series, sites):
             + series.rows[:, 2 * n:] @ _mode_columns(series)) % 2
 
 
-def momentum_signed(series, sites):
-    """Signed integer momentum -sum_b k_b j_b + sum_m m (beta_m - gamma_m) per row.
-
-    Conserved for exponential mode bases; for the folded cosine basis only
-    its mod-2 class survives, so this is a diagnostic, not an invariant.
-    """
-    n, modes = series.dims.n, np.array(series.dims.modes)
-    return (-(series.rows[:, :n] @ np.asarray(sites, dtype=int))
-            + series.rows[:, 2 * n:] @ np.concatenate([modes, -modes]))
-
-
 def _violations(series, mask):
     """[(key, |c|)] of the rows where ``mask`` holds, in row order."""
     return [(key, abs(c)) for key, c in series.select(mask).terms.items()]
@@ -434,21 +423,3 @@ def classify_index_vectors(R, dims):
                             family((degz == 0) & (na == 1) & moving),
                             family((degz == 1) & (na == 1)),
                             family((degz == 0) & (na == 0) & moving))
-
-
-def index_solvability(*families):
-    """Whether k + l + ... = 0 can be solved picking one vector per family.
-
-    Decided by the v0-pairing parity test: the sum of the k . v0 values must
-    be able to reach zero; families whose members all have odd pairing can
-    never cancel against families of even pairing in odd number.  Empty
-    input counts as solvable (the empty sum).
-    """
-    parities = {0}
-    for fam in families:
-        fam = list(fam)
-        if not fam:
-            return False
-        vals = {sum(vec) % 2 for vec in fam}
-        parities = {(p + v) % 2 for p in parities for v in vals}
-    return 0 in parities

@@ -262,7 +262,7 @@ class TFSeries:
             store, keys = (np.ascontiguousarray((r - lo).astype(">u2")).view(
                 np.dtype((np.void, 2 * r.shape[1]))).ravel() for r in (self.rows, rows))
             pos = np.minimum(np.searchsorted(store, keys), len(self) - 1)
-            hit = np.all(self.rows[pos] == rows, axis=1)
+            hit = np.all(_take_rows(self.rows, pos) == rows, axis=1)
             out[hit] = self.coefs[pos[hit]]
         return out
 
@@ -288,7 +288,7 @@ class TFSeries:
         real = self.real and not np.imag(scalar)
         coefs = scalar * self.coefs
         live = coefs != 0
-        return TFSeries._of(self, self.rows[live], coefs[live], real)
+        return TFSeries._of(self, _take_rows(self.rows, live), coefs[live], real)
 
     __rmul__ = __mul__
 
@@ -310,7 +310,7 @@ class TFSeries:
         if not drop.any():
             return 0.0
         mass = float(np.abs(self.coefs[drop]).sum())
-        self.rows, self.coefs, self._terms = self.rows[~drop], self.coefs[~drop], None
+        self.rows, self.coefs, self._terms = _take_rows(self.rows, ~drop), self.coefs[~drop], None
         return mass
 
     # -- serialization --------------------------------------------------
@@ -796,10 +796,11 @@ def _within_degree(acc, A, B, cols_a, cols_b):
     live_b = dgb + dga.min(initial=top + 1) <= top
     if live_a.all() and live_b.all():
         return A, B, dga, dgb, 0
-    (la, da), (lb, db) = ([np.abs(S.coefs[m]) @ np.abs(S.rows[m][:, cols]) for m in (live, ~live)]
-                          for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b)))
-    (na, nda), (nb, ndb) = ([np.count_nonzero(S.rows[m][:, cols], axis=0) for m in (live, ~live)]
-                            for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b)))
+    # (|c|, exponent columns) of the live and the dead rows of each operand
+    sides = [[(np.abs(S.coefs[m]), _take_rows(S.rows, m)[:, cols]) for m in (live, ~live)]
+             for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b))]
+    (la, da), (lb, db) = ([c @ np.abs(e) for c, e in side] for side in sides)
+    (na, nda), (nb, ndb) = ([np.count_nonzero(e, axis=0) for _, e in side] for side in sides)
     acc.dropped += float(da @ (lb + db) + la @ db)
     return (A.select(live_a), B.select(live_b), dga[live_a], dgb[live_b],
             int(nda @ (nb + ndb) + na @ ndb))

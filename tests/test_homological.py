@@ -11,7 +11,7 @@ from kamzero.driver import BaseParams, realify, schedule
 from kamzero.homological import (FAMILIES, BudgetExhausted, NormalForm, ResonanceCondition,
                                  ResonantParameter, block_operators,
                                  check_nonresonance, condition_catalogue, extract_hat,
-                                 hom_residual, k_lattice, k_powers, solve_homological)
+                                 hom_residual, k_lattice, solve_homological)
 from kamzero import homological
 from kamzero.homological import (FAMILY_TABLE, _distinct, _expand, _factor_floor, _kl_options,
                                  _kpow, _layout, _ranges, _scale_tau)
@@ -243,7 +243,8 @@ def test_an_empty_condition_catalogue_passes_the_gate():
     N = NormalForm.zero(1, 1)
     N.omega = np.array([1.0])
     params = schedule(1, BaseParams(n=1, b=0, tau=2.5, s1=0.6, r1=0.1, gamma1=0.05), eps_m=1e-6)
-    assert condition_catalogue(N, params, dims, params.K_m, ("R3",)) == []
+    cat = condition_catalogue(N, params, dims, params.K_m, ("R3",))
+    assert cat.l == () and all(len(field) == 0 for field in cat)
     assert check_nonresonance(N, params, dims, families=("R3",)) == []
 
 
@@ -269,21 +270,35 @@ def test_condition2_determinant_is_scalar_cube_for_zero_blocks():
         assert det_modulus(A) == pytest.approx(abs(kw) ** 3, rel=1e-12)
 
 
+def condition_values(cat, j, kw):
+    """Condition j of the catalogue ``cat`` at every entry of kw = <k, omega>,
+    from its roots: |kw + c| for a KL shift c, else the product of the
+    factors |1j kw + mu| in root order."""
+    mus = cat.roots[cat.owner == j]
+    if FAMILIES[cat.family[j]] == "KL":
+        return np.abs(kw + mus[0].real)
+    factors = np.abs(1j * np.asarray(kw)[..., None] + mus)
+    det = factors[..., 0].copy()
+    for c in range(1, len(mus)):
+        det *= factors[..., c]
+    return det
+
+
 def dense_check(N, params, dims, families=FAMILIES):
     """Every condition of the catalogue at every lattice point: the reference
     for ``check_nonresonance``."""
     lat = k_lattice(dims.n, params.K_m)
     kabs = np.abs(lat).sum(axis=1)
     kw = lat @ N.omega
-    conds = condition_catalogue(N, params, dims, params.K_m, families)
-    kpow = k_powers(conds, kabs)
+    cat = condition_catalogue(N, params, dims, params.K_m, families)
     failures = []
-    for cond in conds:
-        thr = cond.scale / kpow[cond.tau]
-        meas = cond.value(kw)
-        for i in np.flatnonzero((kabs >= cond.kmin) & (meas < thr)):
-            failures.append(ResonanceCondition(cond.family, tuple(int(v) for v in lat[i]),
-                                               cond.l, float(thr[i]), float(meas[i])))
+    for j, l in enumerate(cat.l):
+        family = FAMILIES[cat.family[j]]
+        thr = _scale_tau(params, family)[0] * cat.weight[j] / _kpow(kabs, float(cat.tau[j]))
+        meas = condition_values(cat, j, kw)
+        for i in np.flatnonzero((kabs >= cat.kmin[j]) & (meas < thr)):
+            failures.append(ResonanceCondition(family, tuple(int(v) for v in lat[i]),
+                                               l, float(thr[i]), float(meas[i])))
     return failures
 
 
@@ -538,11 +553,13 @@ def test_guard_thresholds_are_the_catalogue_thresholds(term, shift, family, l):
         solve_homological(N, R, params, dims, DP)
     got = err.value.condition
     assert (got.family, got.k, got.l, got.measured) == (family, k, l, 0.0)
-    cond = [c for c in condition_catalogue(N, params, dims, params.K_m)
-            if c.family == family and c.l == l]
+    cat = condition_catalogue(N, params, dims, params.K_m)
+    cond = [j for j, (f, cl) in enumerate(zip(cat.family, cat.l))
+            if FAMILIES[f] == family and cl == l]
     assert len(cond) == 1
     cond = cond[0]
-    assert got.threshold == cond.scale / k_powers([cond], np.array([3]))[cond.tau][0]
+    assert got.threshold == (cat.scales(params)[cond]
+                             / _kpow(np.array([3]), float(cat.tau[cond]))[0])
 
 
 def test_normal_form_round_trips_through_its_series():

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from kamzero import measure
 from kamzero.driver import BaseParams, schedule
-from kamzero.homological import (FAMILIES, BudgetExhausted, Condition, NormalForm, _ranges,
-                                 condition_catalogue, k_lattice, k_powers)
+from kamzero.homological import (FAMILIES, BudgetExhausted, Catalogue, NormalForm, _kpow, _ranges,
+                                 _scale_tau, condition_catalogue, k_lattice)
 from kamzero.measure import (AffineFrequencyMap, ConditionRow, ParameterGrid,
                              estimate_excluded, estimate_ladder, rows_to_csv)
 from kamzero.series import SeriesDims
-from test_homological import sorted_rows
+from test_homological import condition_values, sorted_rows
 
 
 def one_dim_setup(gamma, samples=2001, kmax=1.0):
@@ -157,11 +157,13 @@ def reference_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, km
 
     N0 = NormalForm.zero(grid.ndim, max(dims.b, 1))
     N0.Omega = dict(fmap.Omega)
-    conds = condition_catalogue(N0, params, dims, kmax, families)
-    kpow = k_powers(conds, kabs)
-    thrs = [c.scale / kpow[c.tau] for c in conds]
-    live = [kabs > (k_lo if c.family == "KL" else 0) for c in conds]
-    effs = [t ** (1.0 / len(c.roots)) for c, t in zip(conds, thrs)]
+    cat = condition_catalogue(N0, params, dims, kmax, families)
+    names = [FAMILIES[f] for f in cat.family]
+    thrs = [_scale_tau(params, f)[0] * w / _kpow(kabs, float(tau))
+            for f, w, tau in zip(names, cat.weight, cat.tau)]
+    live = [kabs > (k_lo if f == "KL" else 0) for f in names]
+    nroots = [int(np.count_nonzero(cat.owner == j)) for j in range(len(names))]
+    effs = [t ** (1.0 / d) for d, t in zip(nroots, thrs)]
     excluded = {f: np.zeros(nsamp, dtype=bool) for f in families}
     bound = dict.fromkeys(families, 0.0)
     rows = []
@@ -169,18 +171,18 @@ def reference_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, km
     for i in range(len(kvecs)):
         g = float(np.linalg.norm(proj[i], 2))
         extent = float(np.abs(proj[i]) @ widths) / g if g else 0.0
-        for c, thr, sel, eff in zip(conds, thrs, live, effs):
+        for j, (f, thr, sel, eff) in enumerate(zip(names, thrs, live, effs)):
             if not sel[i]:
                 continue
             with np.errstate(over="ignore"):
-                viol = c.value(vals[i]) < thr[i]
-            excluded[c.family] |= viol
-            cb = len(c.roots) * (min(1.0, 2.0 * eff[i] / (g * extent)) if extent > 0 else 1.0)
-            bound[c.family] += cb
+                viol = condition_values(cat, j, vals[i]) < thr[i]
+            excluded[f] |= viol
+            cb = nroots[j] * (min(1.0, 2.0 * eff[i] / (g * extent)) if extent > 0 else 1.0)
+            bound[f] += cb
             frac = float(viol.mean())
             if frac > 0:
-                rows.append(ConditionRow(c.family, tuple(int(v) for v in kvecs[i]),
-                                         c.l, float(thr[i]), frac, cb))
+                rows.append(ConditionRow(f, tuple(int(v) for v in kvecs[i]),
+                                         cat.l[j], float(thr[i]), frac, cb))
     rows.sort(key=lambda r: FAMILIES.index(r.family))
     fractions = {f: float(e.mean()) for f, e in excluded.items()}
     bounds = {f: min(1.0, b) for f, b in bound.items()}
@@ -306,9 +308,9 @@ def test_nls_ladders_equal_the_sample_by_sample_evaluation(nls_freq_map, lo, hi,
 
 
 def _evaluations():
-    """Patches that record every ``row_values`` and ``Condition.value`` call."""
+    """Patches that record every ``row_values`` and ``Catalogue.value`` call."""
     return (mock.patch.object(measure, "row_values", wraps=measure.row_values),
-            mock.patch.object(Condition, "value", autospec=True, side_effect=Condition.value))
+            mock.patch.object(Catalogue, "value", autospec=True, side_effect=Catalogue.value))
 
 
 def test_nls_ladder_searches_only_the_rows_a_band_may_reach(nls_freq_map):
@@ -325,8 +327,8 @@ def test_nls_ladder_searches_only_the_rows_a_band_may_reach(nls_freq_map):
         reps = estimate_ladder(fmap, rungs, dims, grid, kmax=10.0)
     # the two box corners of every k-row, then the values of the met rows
     assert [call.args[0].shape for call in formed.call_args_list] == [(220,), (220,), (14, 1)]
-    assert sum(call.args[1].shape[0] for call in evaluated.call_args_list) == 26
-    assert all(call.args[1].shape[1:] == (grid.size,) for call in evaluated.call_args_list)
+    assert sum(call.args[2].shape[0] for call in evaluated.call_args_list) == 26
+    assert all(call.args[2].shape[1:] == (grid.size,) for call in evaluated.call_args_list)
     for rung, rep in zip(rungs, reps):
         assert_report_is_reference(rep, fmap, rung, dims, grid, kmax=10.0)
 
@@ -496,7 +498,7 @@ def test_condition_cells_over_the_cap_are_budget_exhausted_before_the_lattice(
     rungs = [_params_for(g) for g in (0.005, 0.0025, 0.00125)]
     N0 = NormalForm.zero(2, 1)
     N0.Omega = dict(fmap.Omega)
-    nc = len(condition_catalogue(N0, rungs[0], dims, 10.0))
+    nc = len(condition_catalogue(N0, rungs[0], dims, 10.0).l)
     monkeypatch.setattr(measure, "_GRID_CELL_CAP", 220 * 16)
     with mock.patch.object(measure, "k_lattice", side_effect=AssertionError("formed")):
         with pytest.raises(BudgetExhausted,

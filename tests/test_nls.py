@@ -6,9 +6,8 @@ import pytest
 
 from kamzero.nls import (NlsModel, _gbinom, action_couplings, birkhoff_transform,
                          build_nls, classify_index_vectors, frequency_map, g_tensor,
-                         grading_violations, index_solvability, momentum_signed,
-                         parity_check, parity_v0, parity_weighted, quartic_hamiltonian,
-                         to_kam_form)
+                         grading_violations, parity_check, parity_v0, parity_weighted,
+                         quartic_hamiltonian, to_kam_form)
 from kamzero.series import Budgets, DomainParams, TFSeries, _degrees, vector_field_norm
 from series_ref import from_terms, key_degree, key_kabs, make_key, reality_defect
 
@@ -124,6 +123,17 @@ def test_gbar_pattern_and_mass_identity(nls_build):
     rhs = (1.0 / (16.0 * math.pi)) * np.sum(x[1:] ** 2) \
         + (1.0 / (8.0 * math.pi)) * np.sum(x) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def momentum_signed(series, sites):
+    """Signed integer momentum -sum_b k_b j_b + sum_m m (beta_m - gamma_m) per row.
+
+    Conserved for exponential mode bases; for the folded cosine basis only
+    its mod-2 class survives, so it is a diagnostic, not an invariant.
+    """
+    n, modes = series.dims.n, np.array(series.dims.modes)
+    return (-(series.rows[:, :n] @ np.asarray(sites, dtype=int))
+            + series.rows[:, 2 * n:] @ np.concatenate([modes, -modes]))
 
 
 def test_k_part_momentum_gradings(nls_build):
@@ -448,6 +458,24 @@ def test_classified_families(nls_build):
     assert set(vs["V2"]) <= {-2, 0, 2}
     assert set(vs["V3"]) <= {-3, -1, 1, 3}
     assert set(vs["V4"]) <= {-2, 0, 2}
+
+
+def index_solvability(*families):
+    """Whether k + l + ... = 0 can be solved picking one vector per family.
+
+    Decided by the v0-pairing parity test: the sum of the k . v0 values must
+    be able to reach zero; families whose members all have odd pairing can
+    never cancel against families of even pairing in odd number.  Empty
+    input counts as solvable (the empty sum).
+    """
+    parities = {0}
+    for fam in families:
+        fam = list(fam)
+        if not fam:
+            return False
+        vals = {sum(vec) % 2 for vec in fam}
+        parities = {(p + v) % 2 for p in parities for v in vals}
+    return 0 in parities
 
 
 def test_index_solvability_parity_test(nls_build):
