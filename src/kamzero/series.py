@@ -13,9 +13,9 @@ indices never appear in ``beta``/``gamma``.
 The module provides the Poisson calculus (bracket, Lie transform), the
 weighted coefficient-majorant norm and the Hamiltonian vector-field norm
 with its per-term majorants, the truncation they certify and the bracket
-that leaves out single products of derivative rows within a majorant
-budget (``_skip_plan``), degree splitting, Fourier truncation with a tail
-certificate, and a text form.
+that leaves out, within a majorant budget, whole rows of one operand and
+then single products of derivative rows (``_skip_plan``), degree
+splitting, Fourier truncation with a tail certificate, and a text form.
 All combining operations respect a total-degree budget and a
 Fourier budget; mass removed by truncation is accumulated into the result's
 ``meta`` rather than silently discarded.
@@ -31,19 +31,19 @@ The radix comes from the column ranges of the operands at hand; a code word
 holds at most 53 bits, so that it is formed exactly by a float64 matrix
 product, and wider ranges spill into further code words sorted with
 ``np.lexsort``.  A one-word code whose span leaves room for the arrival
-index is sorted as one packed int64 key of (code, arrival), which is the
+index is sorted as one packed uint64 key of (code, arrival), which is the
 stable order.
 
 A bracket is formed in one pass over its derivative pairs
 (``_products``): the rows with no product within the degree budget leave
-first, each operand's rows are encoded once and its derivatives for every
-pair formed together, and one stream forms the product rows in blocks of
-at most ``_CHUNK_ROWS``.  Brackets stream these rows through a bounded
-accumulator
-(``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS`` unsorted rows
-is sorted and summed on its own into a sorted block of distinct keys, and
-sorted blocks are merged with each other only when their rows pass
-``_CHUNK_ROWS`` and once at the end.  Rows that fit in one buffer are
+first, then, with a skip budget, the rows and products ``_skip_plan``
+leaves out; each operand's remaining rows are encoded once and its
+derivatives for every pair formed together, and one stream forms the
+product rows in blocks of at most ``_CHUNK_ROWS``.  Brackets stream these
+rows through a bounded accumulator (``_Accumulator``): a raw buffer of at
+most ``_CHUNK_ROWS`` unsorted rows is sorted and summed on its own into a
+sorted block of distinct keys, and sorted blocks are merged with each
+other only when their rows pass ``_CHUNK_ROWS`` and once at the end.  Rows that fit in one buffer are
 summed by one sort; beyond that, each buffer is summed as above and the
 buffers' partial sums are added in buffer order.
 
@@ -482,26 +482,28 @@ def stable_order(words):
     ``words`` (most significant word first), ties in arrival order, and the
     words in that order.
 
-    A one-word code whose span (max - min) fits in 63 - s bits, with
-    s = (n - 1).bit_length() for n rows, is sorted as one packed key
+    A one-word code whose span (max - min) fits in 64 - s bits, with
+    s = (n - 1).bit_length() for n rows, is sorted as one packed uint64 key
     ``(code - min) << s | arrival`` by numpy's default (unstable) sort: the
     keys are distinct, so their order is the (code, arrival) order, which
     is the stable order; the low s bits give back the arrival index and the
-    high bits the code.  Other codes go through ``np.lexsort``, which is
-    stable.
+    high bits the code.  ``code - min`` and ``+ min`` wrap in int64 where
+    the span passes 2^63, and are exact read as uint64.  Other codes go
+    through ``np.lexsort``, which is stable.
     """
     code = words[0]
     n = len(code)
     if len(words) == 1 and n:
         s = (n - 1).bit_length()
         base = code.min()
-        if (int(code.max()) - int(base)).bit_length() <= 63 - s:
-            keys = code - base
-            keys <<= s
-            keys |= np.arange(n)
+        if (int(code.max()) - int(base)).bit_length() <= 64 - s:
+            keys = (code - base).view(np.uint64)
+            keys <<= np.uint64(s)
+            keys |= np.arange(n, dtype=np.uint64)
             keys.sort()
-            order = keys & ((1 << s) - 1)
-            keys >>= s
+            order = (keys & np.uint64((1 << s) - 1)).view(np.int64)
+            keys >>= np.uint64(s)
+            keys = keys.view(np.int64)
             keys += base
             return order, [keys]
     order = np.lexsort(words[::-1])
@@ -639,11 +641,20 @@ def _derivative_rows(S, cols):
     return np.nonzero((S.rows[:, cols] != 0).T)
 
 
+# share of a bracket's skip budget that goes to whole rows of B
+# (``_skip_plan``).  On nls.cfg's two S1 brackets a half formed 1.10x the
+# product rows of the product plan alone and took the least time; a quarter
+# planned over more rows, three quarters formed 1.26-1.31x the rows.
+_ROW_SHARE = 0.5
+
+
 class _Plan(NamedTuple):
-    """The products ``_skip_plan`` keeps.  B's derivative rows come in the
-    plan's order (``rows_b``: pair, row), each pair's in buckets; query q,
-    A derivative row ``qa[q]`` against one bucket of its pair, leaves out
-    its rows ``first[q]:start[q]`` and keeps ``start[q]:end[q]``."""
+    """What ``_skip_plan`` leaves out.  B's derivative rows (``rows_b``:
+    pair, row of B less its cut rows) come in the plan's order, each pair's
+    in buckets; query q, A derivative row ``qa[q]`` against one bucket of
+    its pair, leaves out its rows ``first[q]:start[q]`` and keeps
+    ``start[q]:end[q]``.  ``bound`` and ``left_out`` count the cut rows'
+    products too."""
 
     rows_b: tuple
     qa: np.ndarray
@@ -658,10 +669,11 @@ class _Plan(NamedTuple):
     left_out: int
 
 
-def _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget):
-    """The products of A's derivative rows ``rows_a`` with B's ``rows_b``
+def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget, whole_rows):
+    """The products of A's derivative rows ``rows_a`` with B's
     (``_derivative_rows``) to form, less those whose summed majorants on
-    ``dp`` fit ``budget``; a ``_Plan``, or None when it leaves none out.
+    ``dp`` fit ``budget``: (B less the rows whose products all go, ``_Plan``
+    of the rest), with plan None when it leaves nothing out.
 
     With u = |c| |e| weight gain for a row whose column entry e (exponent or
     k component) the derivative brings down, where gain is the factor the
@@ -671,31 +683,53 @@ def _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget):
     u_a u_b (h_a + h_b) / r^2: the weight is submultiplicative (|k + k'| <=
     |k| + |k'|), h subadditive, and lowering an exponent never raises h.
 
-    Every product below one threshold t of u_a u_b (h_a + H) / r^2 goes,
-    with H >= h_b the largest h of the dyadic bucket of h_b in b's pair:
-    with the pair's B-rows in these buckets, each sorted by u, the products
-    of one A-row that go are a prefix of each bucket, and their summed
-    bound is u_a (h_a sum u_b + sum u_b h_b) / r^2 over the prefix, read
-    from per-bucket prefix sums.  A bisection on log t takes the largest
-    probed t whose left-out bound fits the budget.  Since h_b <= H < 2 h_b,
-    a product's bound is within a factor 2 of its key, so t lies between
-    budget / (2 candidates) and 4 budget.  An A-row's products with B-rows
-    of one bucket and equal u go together.
+    With ``whole_rows`` (every product within the degree and Fourier
+    budgets), whole rows of B go first, within ``_ROW_SHARE`` of the budget.
+    The mass of B row b, the summed bound of its products, is base_b (E_b W
+    + h_b E_b U) / r^2 with E_b,p = |e_b,p| gain_p for pair p and W_p, U_p
+    the sums of u_a h_a and u_a over A's derivative rows of pair p; the rows
+    of least mass go (``_below_cut``), and their products number sum_p
+    n_a,p n_b,p, with n the derivative rows of each side in pair p.
+
+    Of the rest, every product below one threshold t of u_a u_b (h_a + H) /
+    r^2 goes, with H >= h_b the largest h of the dyadic bucket of h_b in b's
+    pair: with the pair's B-rows in these buckets, each sorted by u, the
+    products of one A-row that go are a prefix of each bucket, and their
+    summed bound is u_a (h_a sum u_b + sum u_b h_b) / r^2 over the prefix,
+    read from per-bucket prefix sums.  A bisection on log t takes the
+    largest probed t whose left-out bound fits what the cut left of the
+    budget.  Since h_b <= H < 2 h_b, a product's bound is within a factor 2
+    of its key, so t lies between budget / (2 candidates) and 4 budget.  An
+    A-row's products with B-rows of one bucket and equal u go together.
     """
-    (pa, sa), (pb, sb) = rows_a, rows_b
-    if not len(pa) or not len(pb):
-        return None
+    pa, sa = rows_a
     n = A.dims.n
     w = np.array([mode_weight(j, dp) for j in A.dims.modes])
     gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
-    u, h = [], []
-    for S, cols, (pair, src) in ((A, cols_a, rows_a), (B, cols_b, rows_b)):
-        base, hs = _vf_parts(S, dp)
-        col = cols[pair]
-        u.append(base[src] * np.abs(S.rows[src, col]) * gain[col])
-        h.append(hs[src])
-    (ua, ub), (ha, hb) = u, h
+    (base_a, h_a), (base_b, h_b) = _vf_parts(A, dp), _vf_parts(B, dp)
+    col = cols_a[pa]
+    ua, ha = base_a[sa] * np.abs(A.rows[sa, col]) * gain[col], h_a[sa]
     ua = ua / dp.r ** 2
+    cut_rows, cut_bound = 0, 0.0
+    if whole_rows:
+        e = np.abs(B.rows[:, cols_b]) * gain[cols_b]
+        wsum, usum, count_a = (np.bincount(pa, x, minlength=len(cols_b))
+                               for x in (ua * ha, ua, None))
+        mass = base_b * (e @ wsum + h_b * (e @ usum))
+        cut = _below_cut(mass, _ROW_SHARE * budget)
+        if cut.any():
+            cut_rows = int(count_a @ np.count_nonzero(_take_rows(B.rows, cut)[:, cols_b], axis=0))
+            cut_bound = float(mass[cut].sum())
+            B, base_b, h_b = B.select(~cut), base_b[~cut], h_b[~cut]
+    pb, sb = _derivative_rows(B, cols_b)
+    col = cols_b[pb]
+    ub, hb = base_b[sb] * np.abs(B.rows[sb, col]) * gain[col], h_b[sb]
+    if not len(pa) or not len(pb):
+        if not cut_rows:
+            return B, None
+        none = np.zeros(0, dtype=np.intp)
+        return B, _Plan((pb, sb), none, none, none, none, ua, ha, ub, hb, cut_bound, cut_rows)
+    budget -= cut_bound
     tiny = np.finfo(float).tiny
     # B's derivative rows in the buckets of each pair, each sorted by u: one
     # sort of log2 u banded by (pair, bucket), whose keys then serve one
@@ -749,10 +783,10 @@ def _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget):
                 hi = mid
     start = np.empty_like(pos)
     start[qs] = pos
-    left_out = int((start - first).sum())
+    left_out = int((start - first).sum()) + cut_rows
     if not left_out:
-        return None
-    return _Plan((pb, sb), qa, first, start, end, ua, ha, ub, hb, bound, left_out)
+        return B, None
+    return B, _Plan((pb, sb), qa, first, start, end, ua, ha, ub, hb, bound + cut_bound, left_out)
 
 
 class _Derivatives(NamedTuple):
@@ -806,14 +840,18 @@ def _within_degree(acc, A, B, cols_a, cols_b):
             int(nda @ (nb + ndb) + na @ ndb))
 
 
-def _budget_test(A, B, dga, dgb, da, db):
-    """None when the extremes of A's and B's rows (degrees ``dga``, ``dgb``)
-    keep every product within the budgets; else the in-budget mask of the
-    products of A derivative rows i with B's j."""
+def _fits(A, B, dga, dgb):
+    """Whether the extremes of A's and B's rows (degrees ``dga``, ``dgb``)
+    keep every product within the degree and Fourier budgets."""
     n, bud = A.dims.n, A.budgets
-    if (dga.max() + dgb.max() - 2 <= bud.degree_max
-            and _kabs(A.rows, n).max() + _kabs(B.rows, n).max() <= bud.k_max):
-        return None
+    return bool(dga.max() + dgb.max() - 2 <= bud.degree_max
+                and _kabs(A.rows, n).max() + _kabs(B.rows, n).max() <= bud.k_max)
+
+
+def _budget_test(A, B, dga, dgb, da, db):
+    """The in-budget mask of the products of A derivative rows i with B's j
+    (degrees ``dga``, ``dgb`` of A's and B's rows)."""
+    n, bud = A.dims.n, A.budgets
     dga, dgb = dga[da.src], dgb[db.src]
     ka, kb = (_columns(S.rows, 0, n)[:, d.src].astype(np.int32) for S, d in ((A, da), (B, db)))
 
@@ -887,15 +925,19 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     derivative row with a run of its pair's B derivative rows (all, or with
     a plan each kept bucket suffix), and blocks of whole segments reach the
     accumulator in row-major order, through the per-product budget test
-    only when the kept rows' extremes can still pass a budget.
+    only when the rows' extremes can still pass a budget (``_fits``).
 
     A positive ``budget`` leaves out, before any row is formed, the products
-    that ``_skip_plan`` picks on the domain ``dp``.  With halving, each
-    left-out product counts for P and M(P), so the plan gets half the
-    budget and ``meta['skip_bound']`` is twice the left-out products'
-    summed bound; ``meta['skip_rows']`` counts them.  Both count only
-    products within the degree and Fourier budgets (the left-out segments
-    pass the same test).  A plan that leaves none out changes nothing.
+    that ``_skip_plan`` picks on the domain ``dp``: when every product is
+    within the degree and Fourier budgets, first whole rows of B (the
+    longer operand: ``poisson_bracket`` puts the shorter first), then
+    single products of the rows left, and only those rows' derivatives are
+    formed.  With halving, each left-out product counts for P and M(P), so
+    the plan gets half the budget and ``meta['skip_bound']`` is twice the
+    left-out products' summed bound; ``meta['skip_rows']`` counts them.
+    Both count only products within the degree and Fourier budgets (the
+    left-out segments pass the same test; no row is cut when some product
+    needs it).  A plan that leaves none out changes nothing.
     """
     acc = _Accumulator()
     mirrored = A.real and B.real
@@ -904,33 +946,36 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
         A = _half(A)
     cols_a, cols_b, factors = (np.array(c) for c in zip(*pairs))
     A, B, dga, dgb, cut = _within_degree(acc, A, B, cols_a, cols_b)
+    plan = None
+    if len(A) and len(B):
+        fits = _fits(A, B, dga, dgb)
+        rows_a = _derivative_rows(A, cols_a)
+        if budget > 0.0:
+            B, plan = _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget / twice, fits)
+    if plan is not None:
+        out.meta.update(skip_bound=twice * plan.bound, skip_rows=plan.left_out)
     if not len(A) or not len(B):
         acc.finalize(out, None, mirrored)
         return
-    rows_a, rows_b = _derivative_rows(A, cols_a), _derivative_rows(B, cols_b)
-    plan = None
-    if budget > 0.0:
-        plan = _skip_plan(A, B, rows_a, rows_b, cols_a, cols_b, dp, budget / twice)
     lo_a, hi_a = _bounds(A.rows)
     lo_b, hi_b = _bounds(B.rows)
     codec = _Codec(lo_a + lo_b, hi_a + hi_b)
     da = _derivatives(A, lo_a, codec, cols_a, *rows_a)
-    db = _derivatives(B, lo_b, codec, cols_b, *(rows_b if plan is None else plan.rows_b))
+    db = _derivatives(B, lo_b, codec, cols_b, *(_derivative_rows(B, cols_b) if plan is None
+                                                else plan.rows_b))
     db = db._replace(coefs=db.coefs * np.repeat(factors.astype(complex), db.counts))
-    within = _budget_test(A, B, dga, dgb, da, db)
+    within = None if fits else _budget_test(A, B, dga, dgb, da, db)
     if plan is None:
         pa = rows_a[0]
         ia, jb, lens = np.arange(len(pa)), db.offsets[pa], db.counts[pa]
     else:
         ia, jb, lens = plan.qa, plan.start, plan.end - plan.start
     _form(acc, da, db, _stream(acc, da, db, ia, jb, lens, within), cut + lens.sum() == 1)
-    if plan is not None:
-        left_out, bound = plan.left_out, plan.bound
-        if within is not None:
-            left_out, bound = 0, 0.0
-            for i, j in _stream(acc, da, db, plan.qa, plan.first, plan.start - plan.first, within):
-                left_out += len(i)
-                bound += float(plan.ua[i] @ (plan.ub[j] * (plan.ha[i] + plan.hb[j])))
+    if plan is not None and within is not None:
+        left_out, bound = 0, 0.0
+        for i, j in _stream(acc, da, db, plan.qa, plan.first, plan.start - plan.first, within):
+            left_out += len(i)
+            bound += float(plan.ua[i] @ (plan.ub[j] * (plan.ha[i] + plan.hb[j])))
         out.meta.update(skip_bound=twice * bound, skip_rows=left_out)
     acc.finalize(out, codec, mirrored)
 
@@ -963,13 +1008,15 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
 
     With a positive ``budget``, the bracket leaves out, without forming
     them, the products of derivative rows whose summed majorant bounds on
-    the domain ``dp`` stay within it: every product whose bound key falls
-    below one threshold (``_skip_plan``).  ``vector_field_norm`` on ``dp``
-    of the result is then within ``meta['skip_bound']`` (<= budget) of the
-    whole bracket's, and ``meta['skip_rows']`` counts the product rows left
-    out.  A budget of 0 (the default) forms the whole bracket, and both are
-    0.  A negative or NaN budget, or a positive one without ``dp``, raises
-    ValueError.
+    the domain ``dp`` stay within it (``_skip_plan``): when no product needs
+    the per-product degree and Fourier test, first the rows of the longer
+    operand whose products sum the least bound, within half the budget,
+    then, of the rest, every product whose bound key falls below one
+    threshold.  ``vector_field_norm`` on ``dp`` of the result is then
+    within ``meta['skip_bound']`` (<= budget) of the whole bracket's, and
+    ``meta['skip_rows']`` counts the product rows left out.  A budget of 0
+    (the default) forms the whole bracket, and both are 0.  A negative or
+    NaN budget, or a positive one without ``dp``, raises ValueError.
     """
     if not budget >= 0.0:
         raise ValueError("budget must be a nonnegative number, got %r" % (budget,))

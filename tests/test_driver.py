@@ -719,9 +719,55 @@ def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, monkeypat
         skipped = [s["skip_rows"] for s in trunc["steps"][:2]]
         assert len(formed) == 2 and min(skipped) > 0
         assert skipped[1] > 9 * formed[1]
-        # products are left out one by one: 81,952 of 1,899,498 and 21,917
-        # of 3,988,138 rows formed
+        # whole rows of R, then single products, are left out: 90,277 of
+        # 1,899,498 and 24,088 of 4,045,252 rows formed
         assert formed[0] <= 100_000 and formed[1] <= 30_000
+
+
+def test_the_row_cut_forms_few_more_rows_than_the_product_plan(nls_build, monkeypatch):
+    # step 1's S1 = {R, F} on the nls problem: cutting whole rows of R ahead
+    # of the product plan forms at most 1.15x the rows of the plan alone
+    # (the cut patched away), leaves out products within the budget only,
+    # and differentiates under half of R's rows; the formed rows and
+    # skip_rows add up to the whole bracket's products either way
+    _, _, kf = nls_build
+    base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.02, gamma1=0.005, eps_floor=1e-5)
+    calls, bracket = [], driver.poisson_bracket
+
+    def recorded(F, G, dp=None, budget=0.0):
+        if budget > 0.0:
+            calls.append((F, G, dp, budget))
+        return bracket(F, G, dp, budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "poisson_bracket", recorded)
+        run(kf.N0, kf.R0, base, kf.dims, DomainParams(0.6, 0.02, 0.1, 1.0), max_steps=1)
+    (R, F, dp, budget), = calls
+    add, derivatives = series._Accumulator.add, series._derivatives
+
+    def formed(share, budget):
+        rows, differentiated = [], []
+
+        def differentiate(S, lo, codec, cols, pair, src):
+            differentiated.append(len(np.unique(src)))
+            return derivatives(S, lo, codec, cols, pair, src)
+
+        def added(acc, words, coefs):
+            rows.append(len(coefs))
+            return add(acc, words, coefs)
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_ROW_SHARE", share)
+            patch.setattr(series, "_derivatives", differentiate)
+            patch.setattr(series._Accumulator, "add", added)
+            out = series.poisson_bracket(R, F, dp, budget)
+        return out, sum(rows), max(differentiated)
+    two, rows_two, diff_two = formed(series._ROW_SHARE, budget)
+    alone, rows_alone, diff_alone = formed(0.0, budget)
+    _, whole, diff_whole = formed(series._ROW_SHARE, 0.0)
+    assert 0 < rows_two <= 1.15 * rows_alone
+    assert diff_alone == diff_whole == len(R) and 2 * diff_two < diff_whole
+    for out, rows in ((two, rows_two), (alone, rows_alone)):
+        assert 0.0 < out.meta["skip_bound"] <= budget
+        assert rows + out.meta["skip_rows"] == whole
 
 
 def test_halved_brackets_of_the_nls_run_have_real_operands(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ rounding, bounded by 1e-14 of the l1 mass of its summands.
 """
 
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -435,20 +436,47 @@ def test_stable_order_is_the_stable_argsort_on_tied_codes(n, distinct, bits, see
 @pytest.mark.parametrize("n", [2, 3, 1000, 2 ** 16, 2 ** 16 + 1])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_stable_order_at_the_packed_key_fit(n, extra):
-    # codes whose span (max - min) takes exactly 63 - s bits (packed: the
-    # key fills 63 bits) or 64 - s (one too many: np.lexsort), with
+    # codes whose span (max - min) takes exactly 64 - s bits (packed: the
+    # uint64 key fills 64 bits) or 65 - s (one too many: np.lexsort), with
     # s = (n - 1).bit_length() bits of arrival index; ties at both ends
     s = (n - 1).bit_length()
-    span = 2 ** (63 - s + extra) - 1
+    span = 2 ** (64 - s + extra) - 1
     rng = np.random.default_rng(n)
     base = 2 ** 63 - 1 - span
-    code = base + np.where(rng.random(n) < 0.5, span, 0)
+    code = np.array([base + span if top else base for top in rng.random(n) < 0.5], dtype=np.int64)
     code[:2] = base + span, base
     expect = np.argsort(code, kind="stable")
     with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
         order, (got,) = kseries.stable_order([code])
     assert lexsort.call_count == extra
     assert np.array_equal(order, expect) and np.array_equal(got, code[expect])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3000), st.integers(1, 40), st.integers(62, 65), st.integers(0, 2 ** 32 - 1))
+@example(2, 1, 65, 0)                   # span 2^64 - 1: the whole int64 range
+def test_stable_order_around_the_uint64_fit(n, distinct, bits, seed):
+    # one-word codes whose span takes 62 - s to 65 - s bits, packed up to
+    # 64 - s: heavy ties, both span ends present, negative codes at any
+    # base; and the same codes as the leading word of a two-word code
+    s = (n - 1).bit_length()
+    span = 2 ** (bits - s) - 1
+    rng = np.random.default_rng(seed)
+    draw = random.Random(seed)
+    values = [0, span] + [draw.randint(0, span) for _ in range(distinct)]
+    base = draw.randint(-2 ** 63, 2 ** 63 - 1 - span)
+    code = np.array([base + values[i] for i in rng.integers(0, len(values), n)], dtype=np.int64)
+    code[:2] = base + span, base
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        order, (got,) = kseries.stable_order([code])
+    assert lexsort.call_count == (bits > 64)
+    expect = np.argsort(code, kind="stable")
+    assert np.array_equal(order, expect) and np.array_equal(got, code[expect])
+    low = rng.integers(-3, 3, n)
+    order, got = kseries.stable_order([code, low])
+    expect = np.lexsort([low, code])
+    assert np.array_equal(order, expect)
+    assert np.array_equal(got[0], code[expect]) and np.array_equal(got[1], low[expect])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1077,6 +1105,33 @@ def _random_coefficients(S, seed, real):
 # keys under the budgets (no product needs the budget test) and keys of
 # degree 4 to 6 (rows leave by degree, and products may be tested)
 PLAN_KEYS = st.one_of(series(DYADIC, max_size=6), HIGH.map(lambda t: from_terms(DIMS, BUD, t)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PLAN_KEYS, PLAN_KEYS, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_a_rows_mass_is_the_summed_bound_of_its_products(F, G, real, seed):
+    # the row cut's mass of each row of B (the operand it cuts, after the
+    # rows with no product within the degree budget left) is the summed
+    # bound of that row's products with A (halved for a real bracket)
+    F, G = _random_coefficients(F, seed, real), _random_coefficients(G, seed + 1, real)
+    assume(_dict(F) != _dict(G))
+    with mock.patch.object(kseries, "_products", wraps=kseries._products) as products, \
+            mock.patch.object(kseries, "_skip_plan", wraps=kseries._skip_plan) as plan, \
+            mock.patch.object(kseries, "_below_cut", wraps=kseries._below_cut) as cut:
+        poisson_bracket(F, G, VF_DP, math.inf)
+    if not cut.called:
+        # a row is cut only when no product needs the budget test
+        assert not plan.called or not plan.call_args.args[7]
+        return
+    A, B = plan.call_args.args[:2]
+    assert A.real == real
+    pairs = products.call_args.args[3]
+    mass = cut.call_args.args[0]
+    assert len(mass) == len(B)
+    for i, m in enumerate(mass):
+        bounds = [bound for _, _, bound in _plan_candidates(A, B.select(np.arange(len(B)) == i),
+                                                            pairs, VF_DP)]
+        assert math.isclose(m, math.fsum(bounds), rel_tol=1e-12, abs_tol=0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
