@@ -182,7 +182,6 @@ def _next_radius(eta, r, base):
 @dataclass
 class StepRecord:
     m: int
-    eps_scheduled: float
     eps_measured: float
     eps_next: float
     xF_norm: float
@@ -272,7 +271,6 @@ def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
 
     rec = StepRecord(
         m=params.m,
-        eps_scheduled=params.eps_m,
         eps_measured=eps_m,
         eps_next=eps_next,
         xF_norm=srep.xF_norm,

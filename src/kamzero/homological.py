@@ -83,9 +83,6 @@ class ResonanceCondition:
     threshold: float
     measured: float
 
-    def margin(self):
-        return self.measured / self.threshold if self.threshold > 0 else np.inf
-
 
 @dataclass
 class NormalForm:

@@ -13,7 +13,7 @@ EXIT_CODES = {
     "BudgetExhausted": 4,
 }
 
-TRACE_COLUMNS = ("m", "eps_scheduled", "eps_measured", "xF_norm", "residual", "delta0")
+TRACE_COLUMNS = ("m", "eps_measured", "xF_norm", "residual", "delta0")
 
 
 def _jsonable(obj):
@@ -38,9 +38,8 @@ def report_json(payload):
 def trace_csv(report):
     lines = [",".join(TRACE_COLUMNS)]
     for rec in report.steps:
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-                     % (rec.m, rec.eps_scheduled, rec.eps_measured,
-                        rec.xF_norm, rec.residual, rec.delta0))
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g"
+                     % (rec.m, rec.eps_measured, rec.xF_norm, rec.residual, rec.delta0))
     return "\n".join(lines) + "\n"
 
 

@@ -36,14 +36,16 @@ stable order.
 
 A bracket is formed in one pass over its derivative pairs
 (``_products``): the rows with no product within the degree budget leave
-first, then, with a skip budget, the rows and products ``_skip_plan``
-leaves out; each operand's remaining rows are encoded once and its
-derivatives for every pair formed together, and one stream forms the
-product rows in blocks of at most ``_CHUNK_ROWS``.  Brackets stream these
-rows through a bounded accumulator (``_Accumulator``): a raw buffer of at
-most ``_CHUNK_ROWS`` unsorted rows is sorted and summed on its own into a
-sorted block of distinct keys, and sorted blocks are merged with each
-other only when their rows pass ``_CHUNK_ROWS`` and once at the end.  Rows that fit in one buffer are
+first, then, with a skip budget and only when the operands' extremes keep
+every product within the degree and Fourier budgets, the rows and
+products ``_skip_plan`` leaves out; each operand's remaining rows are
+encoded once and its derivatives for every pair formed together, and one
+stream forms the product rows in blocks of at most ``_CHUNK_ROWS``.
+Brackets stream these rows through a bounded accumulator
+(``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS`` unsorted rows
+is sorted and summed on its own into a sorted block of distinct keys, and
+sorted blocks are merged with each other only when their rows pass
+``_CHUNK_ROWS`` and once at the end.  Rows that fit in one buffer are
 summed by one sort; beyond that, each buffer is summed as above and the
 buffers' partial sums are added in buffer order.
 
@@ -652,28 +654,25 @@ class _Plan(NamedTuple):
     """What ``_skip_plan`` leaves out.  B's derivative rows (``rows_b``:
     pair, row of B less its cut rows) come in the plan's order, each pair's
     in buckets; query q, A derivative row ``qa[q]`` against one bucket of
-    its pair, leaves out its rows ``first[q]:start[q]`` and keeps
-    ``start[q]:end[q]``.  ``bound`` and ``left_out`` count the cut rows'
-    products too."""
+    its pair, keeps its rows ``start[q]:end[q]`` and leaves out the
+    bucket's rows before ``start[q]``.  ``bound`` and ``left_out`` count
+    the cut rows' products too."""
 
     rows_b: tuple
     qa: np.ndarray
-    first: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    ua: np.ndarray
-    ha: np.ndarray
-    ub: np.ndarray
-    hb: np.ndarray
     bound: float
     left_out: int
 
 
-def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget, whole_rows):
+def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget):
     """The products of A's derivative rows ``rows_a`` with B's
     (``_derivative_rows``) to form, less those whose summed majorants on
     ``dp`` fit ``budget``: (B less the rows whose products all go, ``_Plan``
-    of the rest), with plan None when it leaves nothing out.
+    of the rest), with plan None when it leaves nothing out.  Every product
+    must lie within the degree and Fourier budgets (``_fits``), so that
+    each one left out is one the whole bracket forms.
 
     With u = |c| |e| weight gain for a row whose column entry e (exponent or
     k component) the derivative brings down, where gain is the factor the
@@ -683,10 +682,9 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget, whole_rows):
     u_a u_b (h_a + h_b) / r^2: the weight is submultiplicative (|k + k'| <=
     |k| + |k'|), h subadditive, and lowering an exponent never raises h.
 
-    With ``whole_rows`` (every product within the degree and Fourier
-    budgets), whole rows of B go first, within ``_ROW_SHARE`` of the budget.
-    The mass of B row b, the summed bound of its products, is base_b (E_b W
-    + h_b E_b U) / r^2 with E_b,p = |e_b,p| gain_p for pair p and W_p, U_p
+    Whole rows of B go first, within ``_ROW_SHARE`` of the budget.  The
+    mass of B row b, the summed bound of its products, is base_b (E_b W +
+    h_b E_b U) / r^2 with E_b,p = |e_b,p| gain_p for pair p and W_p, U_p
     the sums of u_a h_a and u_a over A's derivative rows of pair p; the rows
     of least mass go (``_below_cut``), and their products number sum_p
     n_a,p n_b,p, with n the derivative rows of each side in pair p.
@@ -711,16 +709,15 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget, whole_rows):
     ua, ha = base_a[sa] * np.abs(A.rows[sa, col]) * gain[col], h_a[sa]
     ua = ua / dp.r ** 2
     cut_rows, cut_bound = 0, 0.0
-    if whole_rows:
-        e = np.abs(B.rows[:, cols_b]) * gain[cols_b]
-        wsum, usum, count_a = (np.bincount(pa, x, minlength=len(cols_b))
-                               for x in (ua * ha, ua, None))
-        mass = base_b * (e @ wsum + h_b * (e @ usum))
-        cut = _below_cut(mass, _ROW_SHARE * budget)
-        if cut.any():
-            cut_rows = int(count_a @ np.count_nonzero(_take_rows(B.rows, cut)[:, cols_b], axis=0))
-            cut_bound = float(mass[cut].sum())
-            B, base_b, h_b = B.select(~cut), base_b[~cut], h_b[~cut]
+    e = np.abs(B.rows[:, cols_b]) * gain[cols_b]
+    wsum, usum, count_a = (np.bincount(pa, x, minlength=len(cols_b))
+                           for x in (ua * ha, ua, None))
+    mass = base_b * (e @ wsum + h_b * (e @ usum))
+    cut = _below_cut(mass, _ROW_SHARE * budget)
+    if cut.any():
+        cut_rows = int(count_a @ np.count_nonzero(_take_rows(B.rows, cut)[:, cols_b], axis=0))
+        cut_bound = float(mass[cut].sum())
+        B, base_b, h_b = B.select(~cut), base_b[~cut], h_b[~cut]
     pb, sb = _derivative_rows(B, cols_b)
     col = cols_b[pb]
     ub, hb = base_b[sb] * np.abs(B.rows[sb, col]) * gain[col], h_b[sb]
@@ -728,7 +725,7 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget, whole_rows):
         if not cut_rows:
             return B, None
         none = np.zeros(0, dtype=np.intp)
-        return B, _Plan((pb, sb), none, none, none, none, ua, ha, ub, hb, cut_bound, cut_rows)
+        return B, _Plan((pb, sb), none, none, none, cut_bound, cut_rows)
     budget -= cut_bound
     tiny = np.finfo(float).tiny
     # B's derivative rows in the buckets of each pair, each sorted by u: one
@@ -786,7 +783,7 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget, whole_rows):
     left_out = int((start - first).sum()) + cut_rows
     if not left_out:
         return B, None
-    return B, _Plan((pb, sb), qa, first, start, end, ua, ha, ub, hb, bound + cut_bound, left_out)
+    return B, _Plan((pb, sb), qa, start, end, bound + cut_bound, left_out)
 
 
 class _Derivatives(NamedTuple):
@@ -872,11 +869,18 @@ def _blocks(lens):
         s = t
 
 
-def _stream(acc, da, db, ia, jb, lens, within):
-    """Per block (``_blocks``), the index pairs (i, j) of the products of
-    segments s, A derivative row ``ia[s]`` with the ``lens[s]`` B derivative
-    rows from ``jb[s]`` on, row-major; with a ``within`` test only those in
-    the budgets, the others' mass going to ``acc.dropped``."""
+def _form(acc, da, db, ia, jb, lens, within, lone):
+    """Adds to ``acc`` the products (i, j) of segments s, A derivative row
+    ``ia[s]`` with the ``lens[s]`` B derivative rows from ``jb[s]`` on,
+    row-major, one block (``_blocks``) at a time, freeing the block after;
+    with a ``within`` test only those in the budgets, the others' mass
+    going to ``acc.dropped``.
+
+    numpy's complex multiply fuses a multiply-add, except on one element in
+    place.  Blocks are formed in place, and a one-product block out of place
+    unless it holds the bracket's ``lone`` product (its only one, counting
+    those the budgets drop): so a product rounds alike however many of its
+    neighbours the degree and Fourier budgets drop."""
     for s, t in _blocks(lens):
         ends = np.cumsum(lens[s:t])
         i = np.repeat(ia[s:t], lens[s:t])
@@ -885,18 +889,6 @@ def _stream(acc, da, db, ia, jb, lens, within):
             keep = within(i, j)
             acc.dropped += float(np.abs(da.coefs[i[~keep]]) @ np.abs(db.coefs[j[~keep]]))
             i, j = i[keep], j[keep]
-        yield i, j
-
-
-def _form(acc, da, db, blocks, lone):
-    """Adds each block's products (i, j) to ``acc``, freeing the block after.
-
-    numpy's complex multiply fuses a multiply-add, except on one element in
-    place.  Blocks are formed in place, and a one-product block out of place
-    unless it holds the bracket's ``lone`` product (its only one, counting
-    those the budgets drop): so a product rounds alike however many of its
-    neighbours the degree and Fourier budgets drop."""
-    for i, j in blocks:
         coefs = da.coefs[i]
         coefs = np.multiply(coefs, db.coefs[j], out=coefs if lone or len(coefs) > 1 else None)
         acc.add([x[i] + y[j] for x, y in zip(da.words, db.words)], coefs)
@@ -921,23 +913,23 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     (folding it into ca does not: the fused product then rounds a different
     partial product).
 
-    One stream (``_stream``) forms every product row: a segment is an A
+    One pass forms every product row (``_form``): a segment is an A
     derivative row with a run of its pair's B derivative rows (all, or with
     a plan each kept bucket suffix), and blocks of whole segments reach the
     accumulator in row-major order, through the per-product budget test
     only when the rows' extremes can still pass a budget (``_fits``).
 
     A positive ``budget`` leaves out, before any row is formed, the products
-    that ``_skip_plan`` picks on the domain ``dp``: when every product is
-    within the degree and Fourier budgets, first whole rows of B (the
-    longer operand: ``poisson_bracket`` puts the shorter first), then
-    single products of the rows left, and only those rows' derivatives are
-    formed.  With halving, each left-out product counts for P and M(P), so
-    the plan gets half the budget and ``meta['skip_bound']`` is twice the
-    left-out products' summed bound; ``meta['skip_rows']`` counts them.
-    Both count only products within the degree and Fourier budgets (the
-    left-out segments pass the same test; no row is cut when some product
-    needs it).  A plan that leaves none out changes nothing.
+    that ``_skip_plan`` picks on the domain ``dp``, but only when the
+    extremes keep every product within the degree and Fourier budgets
+    (``_fits``): first whole rows of B (the longer operand:
+    ``poisson_bracket`` puts the shorter first), then single products of
+    the rows left, and only those rows' derivatives are formed.  With
+    halving, each left-out product counts for P and M(P), so the plan gets
+    half the budget and ``meta['skip_bound']`` is twice the left-out
+    products' summed bound; ``meta['skip_rows']`` counts them.  A bracket
+    that needs the per-product test forms every product, as does a plan
+    that leaves none out.
     """
     acc = _Accumulator()
     mirrored = A.real and B.real
@@ -950,8 +942,8 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     if len(A) and len(B):
         fits = _fits(A, B, dga, dgb)
         rows_a = _derivative_rows(A, cols_a)
-        if budget > 0.0:
-            B, plan = _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget / twice, fits)
+        if budget > 0.0 and fits:
+            B, plan = _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget / twice)
     if plan is not None:
         out.meta.update(skip_bound=twice * plan.bound, skip_rows=plan.left_out)
     if not len(A) or not len(B):
@@ -970,13 +962,7 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
         ia, jb, lens = np.arange(len(pa)), db.offsets[pa], db.counts[pa]
     else:
         ia, jb, lens = plan.qa, plan.start, plan.end - plan.start
-    _form(acc, da, db, _stream(acc, da, db, ia, jb, lens, within), cut + lens.sum() == 1)
-    if plan is not None and within is not None:
-        left_out, bound = 0, 0.0
-        for i, j in _stream(acc, da, db, plan.qa, plan.first, plan.start - plan.first, within):
-            left_out += len(i)
-            bound += float(plan.ua[i] @ (plan.ub[j] * (plan.ha[i] + plan.hb[j])))
-        out.meta.update(skip_bound=twice * bound, skip_rows=left_out)
+    _form(acc, da, db, ia, jb, lens, within, cut + lens.sum() == 1)
     acc.finalize(out, codec, mirrored)
 
 
@@ -1006,17 +992,20 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     the output is exactly real, and ``dropped_mass`` is twice P's (the
     budgets are mirror-invariant).  Otherwise both operands are used whole.
 
-    With a positive ``budget``, the bracket leaves out, without forming
-    them, the products of derivative rows whose summed majorant bounds on
-    the domain ``dp`` stay within it (``_skip_plan``): when no product needs
-    the per-product degree and Fourier test, first the rows of the longer
-    operand whose products sum the least bound, within half the budget,
-    then, of the rest, every product whose bound key falls below one
-    threshold.  ``vector_field_norm`` on ``dp`` of the result is then
-    within ``meta['skip_bound']`` (<= budget) of the whole bracket's, and
-    ``meta['skip_rows']`` counts the product rows left out.  A budget of 0
-    (the default) forms the whole bracket, and both are 0.  A negative or
-    NaN budget, or a positive one without ``dp``, raises ValueError.
+    With a positive ``budget``, when the operands' largest degrees and
+    Fourier radii keep every product within the degree and Fourier budgets
+    (after the rows with no product within the degree budget leave), the
+    bracket leaves out, without forming them, the products of derivative
+    rows whose summed majorant bounds on the domain ``dp`` stay within it
+    (``_skip_plan``): first the rows of the longer operand whose products
+    sum the least bound, within half the budget, then, of the rest, every
+    product whose bound key falls below one threshold.
+    ``vector_field_norm`` on ``dp`` of the result is then within
+    ``meta['skip_bound']`` (<= budget) of the whole bracket's, and
+    ``meta['skip_rows']`` counts the product rows left out.  Other
+    operands, or a budget of 0 (the default), give the whole bracket, and
+    both are 0.  A negative or NaN budget, or a positive one without
+    ``dp``, raises ValueError.
     """
     if not budget >= 0.0:
         raise ValueError("budget must be a nonnegative number, got %r" % (budget,))

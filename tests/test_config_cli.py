@@ -105,7 +105,7 @@ def test_report_round_trip(tmp_path):
     parsed = json.loads(open(jpath).read())
     assert parsed == json.loads(report_json(rep.as_dict()))
     trace = open(os.path.join(tmp_path, "run_trace.csv")).read().splitlines()
-    assert trace[0] == "m,eps_scheduled,eps_measured,xF_norm,residual,delta0"
+    assert trace[0] == "m,eps_measured,xF_norm,residual,delta0"
     assert len(trace) == len(rep.steps) + 1
 
 
@@ -167,7 +167,7 @@ def test_empty_trace_is_valid_json(tmp_path):
     parsed = json.loads(open(jpath).read())
     assert parsed["steps"] == []
     trace = open(os.path.join(tmp_path, "run_trace.csv")).read().splitlines()
-    assert trace == ["m,eps_scheduled,eps_measured,xF_norm,residual,delta0"]
+    assert trace == ["m,eps_measured,xF_norm,residual,delta0"]
 
 
 def test_cli_measure(tmp_path):

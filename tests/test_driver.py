@@ -163,7 +163,7 @@ def test_delta0_values():
 
 
 def _rec(m, eps_measured, eps_next, d0):
-    return StepRecord(m=m, eps_scheduled=eps_measured, eps_measured=eps_measured,
+    return StepRecord(m=m, eps_measured=eps_measured,
                       eps_next=eps_next, xF_norm=0.0, residual=0.0,
                       freq_drift=0.0, delta0=d0, dropped_mass=0.0, prune_mass=0.0,
                       prune_vf_bound=0.0, vf_trunc_bound=0.0,
@@ -698,6 +698,11 @@ def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, monkeypat
     assert all(s["vf_trunc_bound"] == 0.0 and s["vf_trunc_terms"] == 0 for s in exact["steps"])
     assert all(s["skip_bound"] == 0.0 and s["skip_rows"] == 0 for s in exact["steps"])
     assert any(s["vf_trunc_terms"] for s in trunc["steps"])
+    # every product of each step's S1 fits the degree and Fourier budgets
+    # (F solves R's degree <= 2 part), so every S1 plans its skip and leaves
+    # rows out: nls steps 1-2, synthetic 1-3, no_torus 1-2
+    assert len(formed) == {"nls": 2, "synthetic": 3, "no_torus": 2}[shape]
+    assert [s["m"] for s in trunc["steps"] if s["skip_rows"] > 0] == list(range(1, len(formed) + 1))
     # vf_trunc_bound certifies the distance of R on the step's own domain,
     # skip_bound that of {R, F} on the outgoing one, where eps_next is
     # measured; neither covers the higher Lie orders formed from them, and

@@ -996,16 +996,42 @@ OPERANDS = st.one_of(st.tuples(series(FLOATS), series(FLOATS)),
                      st.tuples(real_series(FLOATS), real_series(FLOATS)))
 
 
+def _extremes_fit(F, G):
+    """Whether the largest degrees and |k| of F's and G's rows, once the rows
+    with no product within the degree budget leave, keep every product of
+    their bracket within the degree and Fourier budgets (a real operand's
+    half has the extremes of the whole)."""
+    n, top = DIMS.n, BUD.degree_max + 2
+    (df, kf), (dg, kg) = ((row_degrees(S.rows, n), row_kabs(S.rows, n)) for S in (F, G))
+    live_f, live_g = df + dg.min() <= top, dg + df.min() <= top
+    return bool(df[live_f].max(initial=0) + dg[live_g].max(initial=0) - 2 <= BUD.degree_max
+                and kf[live_f].max(initial=0) + kg[live_g].max(initial=0) <= BUD.k_max)
+
+
+def _assert_same_bracket(out, full):
+    """``out`` is the budget-free bracket ``full`` bit for bit, with skip 0."""
+    assert out.rows.tobytes() == full.rows.tobytes()
+    assert out.coefs.tobytes() == full.coefs.tobytes()
+    assert out.real == full.real
+    assert out.meta == full.meta
+    assert out.meta["skip_bound"] == 0.0 and out.meta["skip_rows"] == 0
+
+
 @SETTINGS
 @given(OPERANDS, st.floats(0.0, 1.2))
 def test_skipped_bracket_norm_is_within_the_skip_bound(pair, share):
     F, G = pair
     full = poisson_bracket(F, G)
-    # an unbounded budget leaves every product row out: its bound sums the
-    # majorants of all of them, and so bounds the l1 mass of each key too
     everything = poisson_bracket(F, G, VF_DP, math.inf)
     total = everything.meta["skip_bound"]
-    assert not len(everything) and total >= 0.0
+    if _extremes_fit(F, G):
+        # an unbounded budget leaves every product row out: its bound sums
+        # the majorants of all of them, and so bounds the l1 mass of each
+        # key too
+        assert not len(everything) and total >= 0.0
+    else:
+        # a bracket that needs the per-product budget test leaves nothing out
+        _assert_same_bracket(everything, full)
     budget = share * total
     out = poisson_bracket(F, G, VF_DP, budget)
     bound = out.meta["skip_bound"]
@@ -1032,6 +1058,21 @@ def test_a_budget_below_every_row_forms_the_whole_bracket(pair, budget):
     assert out.real == full.real
     assert out.meta == full.meta
     assert out.meta["skip_bound"] == 0.0 and out.meta["skip_rows"] == 0
+
+
+def test_a_bracket_that_needs_the_budget_test_leaves_nothing_out():
+    # degrees 2 and 4 against 1 and 5: the extremes make a product of
+    # degree 7 > 6, so the per-product test runs (and drops the products of
+    # the two top rows), and any positive budget forms every product
+    F = from_terms(DIMS, BUD, {make_key(2, alpha=(1, 0)): 0.75,
+                               make_key(2, (1, 0), (1, 0), {3: 1}, {4: 1}): 0.5 + 0.25j})
+    G = from_terms(DIMS, BUD, {make_key(2, k=(-1, 0), beta={0: 1}): 1.5j,
+                               make_key(2, (2, 0), (0, 0), {3: 2}, {3: 2, 4: 1}): -0.5})
+    assert not _extremes_fit(F, G)
+    full = poisson_bracket(F, G)
+    assert len(full) and full.meta["dropped_mass"] > 0
+    for budget in (1e-300, 1.0, math.inf):
+        _assert_same_bracket(poisson_bracket(F, G, VF_DP, budget), full)
 
 
 def test_skipped_rows_of_one_cost_go_together():
@@ -1120,8 +1161,9 @@ def test_a_rows_mass_is_the_summed_bound_of_its_products(F, G, real, seed):
             mock.patch.object(kseries, "_below_cut", wraps=kseries._below_cut) as cut:
         poisson_bracket(F, G, VF_DP, math.inf)
     if not cut.called:
-        # a row is cut only when no product needs the budget test
-        assert not plan.called or not plan.call_args.args[7]
+        # the plan, which always cuts rows, runs only when no product needs
+        # the budget test
+        assert not plan.called
         return
     A, B = plan.call_args.args[:2]
     assert A.real == real
