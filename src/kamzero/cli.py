@@ -15,8 +15,7 @@ from .series import Budgets, DomainParams, SeriesDims
 
 
 def _budgets(cfg):
-    b = cfg["budgets"]
-    return Budgets(b["degree_max"], b["k_max"], b["prune_rel"])
+    return Budgets(**cfg["budgets"])
 
 
 def _domain(cfg, s, r):
@@ -53,11 +52,7 @@ def _argument_problem(cfg, command, xi_index, max_steps):
 
 
 def _base_params(cfg, n, b):
-    s = cfg["schedule"]
-    return driver.BaseParams(n=n, b=b, tau=s["tau"], s1=s["s1"], r1=s["r1"],
-                             gamma1=s["gamma1"], eps_floor=s["eps_floor"],
-                             r_floor_rel=s["r_floor_rel"],
-                             check_k_cap=s["check_k_cap"])
+    return driver.BaseParams(n=n, b=b, **cfg["schedule"])
 
 
 def _build_problem(cfg, xi_index):
@@ -81,8 +76,7 @@ def _build_problem(cfg, xi_index):
 def cmd_run(cfg, outdir, xi_index, max_steps):
     N0, R0, dims, base = _build_problem(cfg, xi_index)
     dp0 = _domain(cfg, base.s1, base.r1)
-    report = driver.run(N0, R0, base, dims, dp0, max_steps=max_steps or cfg["run"]["max_steps"],
-                        max_lie_order=cfg["run"]["max_lie_order"])
+    report = driver.run(N0, R0, base, dims, dp0, max_steps=max_steps or cfg["run"]["max_steps"])
     code, jpath = emit_report(report, outdir)
     print("%s -> %s (exit %d)" % (report.verdict, jpath, code))
     return code
@@ -159,8 +153,7 @@ def cmd_check(cfg, outdir, max_steps):
     }
     if max_steps:
         base = _base_params(cfg, model.n, 1)
-        steps = driver.iterate(kf.N0, kf.R0, base, dims, _domain(cfg, base.s1, base.r1),
-                               cfg["run"]["max_lie_order"])
+        steps = driver.iterate(kf.N0, kf.R0, base, dims, _domain(cfg, base.s1, base.r1))
         per_step = []
         try:
             for _, (m, _, _, R, rec) in zip(range(max_steps), steps):

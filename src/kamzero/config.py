@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .driver import _R_FLOOR_REL
 from .series import Budgets
 
 
@@ -28,10 +29,8 @@ _SCHEMA = {
         "mode": ("str", None),
         "seed": ("int", 0),
         "max_steps": ("int", 6),
-        "max_lie_order": ("int", 8),
     },
     "model": {
-        "n": ("int", 0),
         "sites": ("intlist", ()),
         "jmax": ("int", 8),
         "xi": ("floatlist", ()),
@@ -54,13 +53,10 @@ _SCHEMA = {
         "gamma1": ("float", 0.05),
         "tau": ("float", 3.5),
         "eps_floor": ("float", 1e-14),
-        "r_floor_rel": ("float", 1e-2),
-        "check_k_cap": ("float", 64.0),
     },
     "budgets": {
         "degree_max": ("int", 6),
         "k_max": ("int", 512),
-        "prune_rel": ("float", 1e-16),
     },
     "domain": {
         "a": ("float", 0.1),
@@ -158,11 +154,11 @@ def parse_config(text):
 def _range_problems(v, mode):
     """Finite values that the norms cannot take: the vector-field norm divides
     by r^2 on every radius of the schedule, from r1 down to the floor
-    r_floor_rel r1, and weighs mode j by w_j = j^p e^{a j}."""
+    ``driver._R_FLOOR_REL`` r1, and weighs mode j by w_j = j^p e^{a j}."""
     problems = []
     sched, dom = v["schedule"], v["domain"]
-    floor = sched["r_floor_rel"] * sched["r1"]
-    for what, radius in (("r1", sched["r1"]), ("r_floor_rel * r1", floor)):
+    floor = _R_FLOOR_REL * sched["r1"]
+    for what, radius in (("r1", sched["r1"]), ("the radius floor %g * r1" % _R_FLOOR_REL, floor)):
         square = radius * radius
         if radius > 0 and not sys.float_info.min <= square < math.inf:
             problems.append("[schedule] %s = %g squares to %g; its square must be a positive "
@@ -191,11 +187,8 @@ def _validate(cfg):
         problems.append("[run] mode must be one of %s, got %r" % (_MODES, mode))
         return problems
     g = v["grid"]
-    positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"),
-                ("schedule", "r_floor_rel"), ("domain", "a")]
-    # check_k_cap < 1 would silently drop every |k| >= 1 non-resonance check
-    least = [("run", "seed", 0), ("run", "max_steps", 1), ("run", "max_lie_order", 2),
-             ("schedule", "check_k_cap", 1)]
+    positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"), ("domain", "a")]
+    least = [("run", "seed", 0), ("run", "max_steps", 1)]
     if mode == "synthetic":
         positive.append(("synthetic", "eps0"))
         least += [("synthetic", key, low) for key, low in
@@ -224,9 +217,6 @@ def _validate(cfg):
         xi = v["model"]["xi"]
         if not sites:
             problems.append("[model] sites is required for mode %s" % mode)
-        if v["model"]["n"] and sites and v["model"]["n"] != len(sites):
-            problems.append("[model] n = %d contradicts %d listed sites"
-                            % (v["model"]["n"], len(sites)))
         if not xi:
             problems.append("[model] xi is required for mode %s" % mode)
         elif sites and len(xi) != len(sites):

@@ -24,8 +24,11 @@ cancellation; every piece is of size O(eps) or smaller.  The bracket
 {N, F} is the one the solver formed to certify its residual, and both Lie
 sums run through ``series.lie_series``.  Brackets and Lie sums cut no
 coefficient by its magnitude; the step does so once, at its end
-(``TFSeries.prune`` of R_{m+1}: ``prune_mass`` and ``prune_vf_bound`` in
-the record).
+(``TFSeries.prune`` of R_{m+1} at ``_PRUNE_REL``: ``prune_mass`` and
+``prune_vf_bound`` in the record).  An R_{m+1} without a finite norm ends
+the run as BudgetExhausted.  The step's numerical devices, ``_VF_TRUNC_REL``,
+``_MAX_LIE_ORDER``, ``_CHECK_K_CAP``, ``_R_FLOOR_REL`` and ``_PRUNE_REL``,
+are module constants, not settings.
 
 The dichotomy monitors delta_0 = sqrt(|J^{z0}|_2^2 + |J^{zbar0}|_2^2)
 against 20 eps_{m-1}^{7/6}: persistently below (with eps under the
@@ -55,6 +58,10 @@ from .series import (DomainParams, TFSeries, fourier_truncate, lie_series,
 # share of eps_m that a step may drop from R by vector-field majorant
 # (``vf_truncate``); 0 keeps every term
 _VF_TRUNC_REL = 1e-12
+_MAX_LIE_ORDER = 8      # highest order of the step's two Lie sums
+_CHECK_K_CAP = 64.0     # |k| cap of the step's gate, and K_m at eps = 0
+_R_FLOOR_REL = 1e-2     # floor of the radius recursion, relative to r1
+_PRUNE_REL = 1e-16      # the end-of-step prune's cut, relative to max|c|
 
 
 class PremiseFailed(Exception):
@@ -72,9 +79,7 @@ class BaseParams:
     r1: float
     gamma1: float
     eps1: float = 1e-6
-    r_floor_rel: float = 1e-2
     eps_floor: float = 1e-14
-    check_k_cap: float = 64.0
 
     def __post_init__(self):
         if not self.tau > self.n + 1:
@@ -154,8 +159,8 @@ def schedule(m, base, eps_m=None, r_prev=None):
 
     ``eps_m`` defaults to the analytic recursion; the driver passes the
     measured value.  ``r_prev`` feeds the radius recursion r_m = eta_m
-    r_{m-1} / 8 (clamped at the configured floor); at m = 1 the base radius
-    is used.
+    r_{m-1} / 8 (clamped at the floor ``_R_FLOOR_REL`` r1); at m = 1 the
+    base radius is used.
     """
     if m < 1:
         raise ValueError("step index starts at 1")
@@ -164,15 +169,15 @@ def schedule(m, base, eps_m=None, r_prev=None):
     gamma_m = 0.5 * base.gamma1 * (1.0 + 2.0 ** (-m + 1))
     eps = scheduled_eps(m, base) if eps_m is None else eps_m
     eta = eps ** (1.0 / 3.0) if eps > 0 else 0.0
-    K = abs(math.log(eps)) / (s_m - s_next) if eps > 0 else base.check_k_cap
+    K = abs(math.log(eps)) / (s_m - s_next) if eps > 0 else _CHECK_K_CAP
     K = max(K, 1.0)
     r_m = base.r1 if m == 1 or r_prev is None else _next_radius(eta, r_prev, base)
     return KamParams(m, s_m, s_next, r_m, gamma_m, eps, eta, K, base)
 
 
 def _next_radius(eta, r, base):
-    """The radius recursion eta r / 8, clamped at the configured floor."""
-    return max(eta * r / 8.0, base.r_floor_rel * base.r1)
+    """The radius recursion eta r / 8, clamped at the floor ``_R_FLOOR_REL`` r1."""
+    return max(eta * r / 8.0, _R_FLOOR_REL * base.r1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ class StepRecord:
     solve_counts: dict = field(default_factory=dict)
 
 
-def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
+def kam_step(N, R, params, dims, dp, eps_m):
     """One conjugation H_m -> H_{m+1}; returns (N_next, R_next, StepRecord).
 
     ``eps_m`` is the measured eps that scheduled the step (``iterate``
@@ -214,7 +219,8 @@ def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
 
     Raises ResonantParameter when the sample fails a small-divisor
     condition and BudgetExhausted when the scheduled Fourier cut-off
-    exceeds the series budget or the condition lattice exceeds its cap.
+    exceeds the series budget, the condition lattice exceeds its cap, or
+    R_{m+1} has no finite norm on the outgoing domain (an overflow).
     """
     base = params.base
     if params.K_m > R.budgets.k_max:
@@ -230,7 +236,7 @@ def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
         low, min(params.K_m, R.budgets.k_max), dp, sigma=params.s_gap)
 
     failures = check_nonresonance(
-        N, replace(params, K_m=min(params.K_m, base.check_k_cap)), dims)
+        N, replace(params, K_m=min(params.K_m, _CHECK_K_CAP)), dims)
     if failures:
         raise ResonantParameter(failures[0])
 
@@ -251,13 +257,13 @@ def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
     skip_bound, skip_rows = 0.0, 0
     if len(F):
         T2 = poisson_bracket(T1, F)
-        chainN, droppedN, usedN = lie_series(T2, F, 2, max_lie_order, dp, rem_tol)
+        chainN, droppedN, usedN = lie_series(T2, F, 2, _MAX_LIE_ORDER, dp, rem_tol)
         # {R, F} only to the precision of eps_m on the outgoing domain: the
         # product rows of least majorant are never formed while their
         # summed bound stays below _VF_TRUNC_REL * eps_m
         S1 = poisson_bracket(R, F, dp_next, _VF_TRUNC_REL * eps_m)
         skip_bound, skip_rows = S1.meta["skip_bound"], S1.meta["skip_rows"]
-        chainR, droppedR, usedR = lie_series(S1, F, 1, max_lie_order, dp, rem_tol)
+        chainR, droppedR, usedR = lie_series(S1, F, 1, _MAX_LIE_ORDER, dp, rem_tol)
         R_next = R_next + high + chainN + chainR
         dropped += droppedN + droppedR
         lie_used = max(usedN, usedR)
@@ -265,9 +271,14 @@ def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
         R_next = R_next + high
     # the step's one magnitude cut; the majorants of the terms it drops bound
     # how far it moves eps_next
-    prune_vf_bound = float(vf_majorants(R_next.select(R_next.prune_mask()), dp_next).sum())
-    prune_mass = R_next.prune()
+    prune_vf_bound = float(vf_majorants(R_next.select(R_next.prune_mask(_PRUNE_REL)),
+                                        dp_next).sum())
+    prune_mass = R_next.prune(_PRUNE_REL)
     eps_next = vector_field_norm(R_next, dp_next)
+    if not math.isfinite(eps_next):
+        raise BudgetExhausted("step %d: the vector-field norm of R_%d on the outgoing domain "
+                              "D(s = %g, r = %g) is %r"
+                              % (params.m, params.m + 1, params.s_next, r_next, eps_next))
 
     rec = StepRecord(
         m=params.m,
@@ -285,7 +296,7 @@ def kam_step(N, R, params, dims, dp, max_lie_order, eps_m):
         skip_bound=skip_bound,
         skip_rows=skip_rows,
         lie_order=lie_used,
-        tail_ratio=tailrep.ratio if tailrep else 0.0,
+        tail_ratio=tailrep.ratio,
         min_divisor_margin=float(srep.min_divisor_margin),
         K_m=params.K_m,
         gamma_m=params.gamma_m,
@@ -511,7 +522,7 @@ class IterationReport:
         return asdict(self)
 
 
-def iterate(N0, R0, base, dims, dp0, max_lie_order):
+def iterate(N0, R0, base, dims, dp0):
     """Run the steps m = 1, 2, ... and yield (m, params, N, R, record) after each.
 
     Every step schedules from the measured eps and the previous radius, sets
@@ -530,15 +541,15 @@ def iterate(N0, R0, base, dims, dp0, max_lie_order):
     for m in itertools.count(1):
         params = schedule(m, base, eps_m=eps, r_prev=r_prev)
         dp = DomainParams(params.s_m, params.r_m, dp0.a, dp0.p)
-        N, R, rec = kam_step(N, R, params, dims, dp, max_lie_order, eps)
+        N, R, rec = kam_step(N, R, params, dims, dp, eps)
         eps, r_prev = rec.eps_next, params.r_m
         yield m, params, N, R, rec
 
 
-def run(N0, R0, base, dims, dp0, max_steps=6, max_lie_order=8):
+def run(N0, R0, base, dims, dp0, max_steps=6):
     """Iterate until a verdict; returns an IterationReport."""
     records = []
-    steps = iterate(N0, R0, base, dims, dp0, max_lie_order)
+    steps = iterate(N0, R0, base, dims, dp0)
     try:
         # zip takes from range first, so no step runs past max_steps
         for _, (m, params, N, R, rec) in zip(range(max_steps), steps):

@@ -119,6 +119,7 @@ class AffineFrequencyMap:
     Omega: dict
 
     def omega(self, xi):
+        """omega at one sample: the reference ``omegas`` rounds like."""
         return self.alpha + self.A @ np.asarray(xi)
 
     def omegas(self, xi):
@@ -235,7 +236,8 @@ def _strip_geometry(proj, widths):
 
 def estimate_excluded(fmap, params, dims, grid, families=FAMILIES, k_lo=0.0, kmax=None):
     """Excluded-fraction estimate for every condition family at step m: the
-    one-rung ladder ``estimate_ladder(fmap, [params], ...)[0]``."""
+    one-rung ladder ``estimate_ladder(fmap, [params], ...)[0]``.  No command
+    calls it; the benchmark tracer (``perfbench/tracer.py``) times it."""
     return estimate_ladder(fmap, [params], dims, grid, families, k_lo, kmax)[0]
 
 

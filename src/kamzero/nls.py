@@ -89,7 +89,8 @@ def g_tensor(i, j, k, l):
     Product-to-sum closed form: (2pi/8) times the number of sign patterns
     with i +- j +- k +- l = 0, times the mode normalizations (1/sqrt(2pi)
     for the constant mode, 1/sqrt(pi) otherwise).  Nonzero exactly when
-    some signed combination vanishes.
+    some signed combination vanishes.  No command calls it: it is the
+    reference that ``tests/test_nls.py`` pins ``quartic_hamiltonian`` against.
     """
     hits = sum(1 for s2, s3, s4 in _SIGNS if i + s2 * j + s3 * k + s4 * l == 0)
     if hits == 0:
@@ -134,7 +135,6 @@ def quartic_hamiltonian(model, budgets):
 @dataclass
 class BirkhoffResult:
     H: TFSeries               # Lambda + collected quartic + K
-    F: TFSeries               # generating function
     Gbar: np.ndarray          # collected action couplings, multiplicity-normalized
     quartic: TFSeries         # surviving degree-4 part
     K: TFSeries               # degree >= 6 remainder
@@ -202,7 +202,7 @@ def birkhoff_transform(model, budgets):
 
     deg = _degrees(H.rows, 0)
     leftover = float(np.abs(H.coefs[(deg == 4) & ~_is_action(H.rows)]).max(initial=0.0))
-    return BirkhoffResult(H, F, action_couplings(G), H.select(deg == 4), H.select(deg >= 6),
+    return BirkhoffResult(H, action_couplings(G), H.select(deg == 4), H.select(deg >= 6),
                           leftover)
 
 

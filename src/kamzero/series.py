@@ -128,15 +128,13 @@ class SeriesDims:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Truncation budgets: total degree, Fourier radius, and the end-of-step
-    prune's tolerance (``TFSeries.prune``, relative to max|c|)."""
+    """Truncation budgets: total degree and Fourier radius."""
 
     degree_max: int = 6
     k_max: int = 32
-    prune_rel: float = 1e-16
 
     def __post_init__(self):
-        if self.degree_max < 0 or self.k_max < 0 or self.prune_rel < 0:
+        if self.degree_max < 0 or self.k_max < 0:
             raise ValueError("budgets must be nonnegative")
         # key columns are int16 and a product adds two in-budget columns
         # before the budgets filter it, so each must stay below 2^14
@@ -300,15 +298,16 @@ class TFSeries:
         if self.budgets != other.budgets:
             raise ValueError("series budgets mismatch: %r vs %r" % (self.budgets, other.budgets))
 
-    def prune_mask(self):
-        """Mask of the coefficients below ``prune_rel * max|c|``: the terms
-        ``prune`` drops."""
+    def prune_mask(self, rel):
+        """Mask of the coefficients below ``rel * max|c|``: the terms
+        ``prune(rel)`` drops."""
         mags = np.abs(self.coefs)
-        return mags < self.budgets.prune_rel * mags.max(initial=0.0)
+        return mags < rel * mags.max(initial=0.0)
 
-    def prune(self):
-        """Drop the terms of ``prune_mask``; returns their l^1 mass."""
-        drop = self.prune_mask()
+    def prune(self, rel):
+        """Drop the terms of ``prune_mask(rel)`` in place; returns their l^1
+        mass.  Only the end of a KAM step prunes, at ``driver._PRUNE_REL``."""
+        drop = self.prune_mask(rel)
         if not drop.any():
             return 0.0
         mass = float(np.abs(self.coefs[drop]).sum())
@@ -321,16 +320,16 @@ class TFSeries:
         """Deterministic text form, one term per line.
 
         Header: ``# tfseries n=.. sites=.. zero=.. jmax=.. dmax=.. kmax=..
-        prune=.. real=..``; term lines read ``k=(k1,..,kn) a=(a1,..,an)
+        real=..``; term lines read ``k=(k1,..,kn) a=(a1,..,an)
         b={j:e,..} g={j:e,..} c=RE,IM`` ordered lexicographically on (k,
         alpha, beta, gamma).
         """
         d = self.dims
         bud = self.budgets
-        head = ("# tfseries n=%d sites=%s zero=%s jmax=%d dmax=%d kmax=%d prune=%.17g real=%d"
+        head = ("# tfseries n=%d sites=%s zero=%s jmax=%d dmax=%d kmax=%d real=%d"
                 % (d.n, ",".join(map(str, d.sites)) or "-",
                    ",".join(map(str, d.zero_modes)) or "-", d.jmax,
-                   bud.degree_max, bud.k_max, bud.prune_rel, int(self.real)))
+                   bud.degree_max, bud.k_max, int(self.real)))
         lines = [head]
         for key in sorted(self.terms):
             c = self.terms[key]

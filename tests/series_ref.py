@@ -96,7 +96,7 @@ def from_text(text):
 
     dims = SeriesDims(int(fields["n"]), ints(fields["sites"]), ints(fields["zero"]),
                       int(fields["jmax"]))
-    budgets = Budgets(int(fields["dmax"]), int(fields["kmax"]), float(fields["prune"]))
+    budgets = Budgets(int(fields["dmax"]), int(fields["kmax"]))
     terms = {}
     for ln in lines[1:]:
         toks = dict(tok.split("=", 1) for tok in ln.split())

@@ -204,7 +204,7 @@ def test_criterion_05_kam_contraction():
     contraction_ok = True
     epslist = [vector_field_norm(R, dp0)]
     drift = 0.0
-    for _, (m, params, N, R, rec) in zip(range(3), iterate(N, R, base, dims, dp0, 8)):
+    for _, (m, params, N, R, rec) in zip(range(3), iterate(N, R, base, dims, dp0)):
         contraction_ok &= rec.eps_next <= rec.eps_measured ** 1.1
         drift += rec.freq_drift
         epslist.append(rec.eps_next)
@@ -246,7 +246,7 @@ def test_criterion_07_nls_parity(nls_build):
         return max((v for _, v in viol), default=0.0)
 
     worst[0] = z0_mean_defect(R)
-    for _, (m, _, _, R, _) in zip(range(2), iterate(kf.N0, R, base, dims, dp0, 8)):
+    for _, (m, _, _, R, _) in zip(range(2), iterate(kf.N0, R, base, dims, dp0)):
         worst[m] = z0_mean_defect(R)
     # negative control: an even-|k| zero-mode term must be flagged
     bad = make_key(2, k=(1, 1), beta={0: 1})

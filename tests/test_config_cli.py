@@ -418,18 +418,13 @@ SHIPPED =os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
     ("budgets", "prune_rel", "nan"),
     ("synthetic", "n_low", "-1"), ("synthetic", "n", "-1"), ("synthetic", "n", "0"),
     ("synthetic", "zero_mode", "-2"), ("run", "seed", "-1"), ("synthetic", "n_high", "-3"),
-    ("schedule", "check_k_cap", "0"), ("schedule", "check_k_cap", "-2"),
-    ("schedule", "check_k_cap", "0.5"), ("run", "max_lie_order", "0"),
-    ("run", "max_lie_order", "-1"), ("run", "max_lie_order", "1"), ("synthetic", "eps0", "0"),
-    ("synthetic", "eps0", "-1e-6")])
+    ("synthetic", "eps0", "0"), ("synthetic", "eps0", "-1e-6")])
 def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     # each of these once ended in a traceback (LinAlgError, ZeroDivisionError,
     # ValueError) or, for the NaN prune cut, in a TorusConverged verdict; the
     # out-of-range rows either raised (a negative n, n_low, zero_mode or
-    # seed; n = 0) or ran as given (n_high < 0 dropped low terms, a
-    # check_k_cap below 1 skipped every |k| >= 1 check, eps0 <= 0 and
-    # max_lie_order <= 0 were used as they came, and max_lie_order = 1 still
-    # added the order-2 term)
+    # seed; n = 0) or ran as given (n_high < 0 dropped low terms, eps0 <= 0
+    # was used as it came)
     with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
         text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
     lineno = len(text.splitlines())
@@ -440,6 +435,51 @@ def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "max_lie_order", "8"), ("run", "max_lie_order", "0"),
+    ("run", "max_lie_order", "-1"), ("run", "max_lie_order", "1"),
+    ("schedule", "check_k_cap", "64"), ("schedule", "check_k_cap", "0"),
+    ("schedule", "check_k_cap", "-2"), ("schedule", "check_k_cap", "0.5"),
+    ("schedule", "r_floor_rel", "0.01"), ("budgets", "prune_rel", "1e-16"), ("model", "n", "2")])
+def test_removed_keys_are_unknown(tmp_path, section, key, value):
+    # the Lie-order cap, the gate's |k| cap, the radius floor and the prune
+    # tolerance are constants of the driver, and [model] n restated the
+    # number of sites: none is a key, at its old default or at a value that
+    # was once out of range (a check_k_cap below 1 skipped every |k| >= 1
+    # check, max_lie_order <= 0 was used as it came, and max_lie_order = 1
+    # still added the order-2 term)
+    with open(os.path.join(SHIPPED, "nls.cfg")) as fh:
+        text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "line %d: unknown key '%s' in [%s]" % (len(text.splitlines()), key, section) \
+        in err.value.problems
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+
+
+# the overflow is this test's input: the warnings it raises on the way to
+# the verdict are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("eps0", ["1e30", "1e100"])
+def test_an_overflowing_step_is_budget_exhausted(tmp_path, eps0):
+    # R_2 overflowed on step 1's outgoing domain: eps_next was inf at eps0 =
+    # 1e30 (caught only at m = 2, as a Fourier budget overrun) and NaN at
+    # 1e100 (a ValueError traceback in step 2's truncation)
+    with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
+        text = fh.read() + "\n[synthetic]\neps0 = %s\n" % eps0
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CODES["BudgetExhausted"]
+    rep = json.loads((out / "run.json").read_text())
+    assert rep["verdict"] == "BudgetExhausted" and rep["verdict_info"]["m"] == 1
+    assert rep["verdict_info"]["reason"].startswith(
+        "step 1: the vector-field norm of R_2 on the outgoing domain D(s = ")
+    assert not rep["steps"]
 
 
 @pytest.mark.parametrize("section,key,value,code", [

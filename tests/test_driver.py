@@ -94,7 +94,7 @@ def test_step_with_zero_perturbation():
     R = TFSeries.zero(DIMS, BUD)
     params = schedule(1, BASE, eps_m=1e-6)
     dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp, 8, vector_field_norm(R, dp))
+    N1, R1, rec = kam_step(N, R, params, DIMS, dp, vector_field_norm(R, dp))
     assert not R1.terms
     assert rec.eps_measured == 0.0 and rec.eps_next == 0.0
     assert np.array_equal(N1.omega, N.omega)
@@ -105,7 +105,7 @@ def test_step_contracts_and_drift_bounded():
     eps0 = vector_field_norm(R, DP0)
     params = schedule(1, BASE, eps_m=eps0)
     dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp, 8, eps0)
+    N1, R1, rec = kam_step(N, R, params, DIMS, dp, eps0)
     assert R.real and R1.real
     assert rec.eps_next <= eps0 ** 1.15
     assert rec.freq_drift <= 10.0 * eps0
@@ -117,7 +117,7 @@ def test_budget_exhausted_when_K_exceeds_budget():
     params = schedule(1, BASE, eps_m=1e-6)  # K ~ 184 > 16
     dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
     with pytest.raises(BudgetExhausted):
-        kam_step(N, R, params, DIMS, dp, 8, vector_field_norm(R, dp))
+        kam_step(N, R, params, DIMS, dp, vector_field_norm(R, dp))
 
 
 def test_normal_form_accumulation_is_exact():
@@ -136,7 +136,7 @@ def test_normal_form_accumulation_is_exact():
         low, _ = split_low_high(R)
         low, _, _ = fourier_truncate(low, params.K_m, dp, sigma=params.s_gap)
         hats.append(extract_hat(low, DIMS))
-        Ncur, R, rec = kam_step(Ncur, R, params, DIMS, dp, 8, eps)
+        Ncur, R, rec = kam_step(Ncur, R, params, DIMS, dp, eps)
         eps = rec.eps_next
         r_prev = params.r_m
         assert Ncur.Nz0[0] == N.Nz0[0] + sum(h.Nz0[0] for h in hats)
@@ -574,11 +574,12 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     from kamzero import cli, driver, nls, series
 
     # {y_1, G} with dyadic G = e^{i x_1} + 2^-20 e^{2 i x_1} is
-    # -i e^{i x_1} - 2^-19 i e^{2 i x_1}: the second term, below
-    # prune_rel max|c| = 1e-5, stays in the bracket, and no mass is recorded
-    cut_bud = Budgets(6, 4096, prune_rel=1e-5)
-    y1 = from_terms(DIMS, cut_bud, {make_key(2, alpha=(1, 0)): 1.0})
-    G = from_terms(DIMS, cut_bud, {make_key(2, k=(1, 0)): 1.0, make_key(2, k=(2, 0)): 2.0 ** -20})
+    # -i e^{i x_1} - 2^-19 i e^{2 i x_1}: the second term, below the
+    # step's prune tolerance 1e-5 max|c|, stays in the bracket, and no mass
+    # is recorded
+    monkeypatch.setattr(driver, "_PRUNE_REL", 1e-5)
+    y1 = from_terms(DIMS, BUD, {make_key(2, alpha=(1, 0)): 1.0})
+    G = from_terms(DIMS, BUD, {make_key(2, k=(1, 0)): 1.0, make_key(2, k=(2, 0)): 2.0 ** -20})
     cut = series.poisson_bracket(y1, G)
     assert dict(cut.terms) == {make_key(2, k=(1, 0)): -1j, make_key(2, k=(2, 0)): -2.0 ** -19 * 1j}
     assert series.truncated_mass(cut) == 0.0
@@ -586,8 +587,8 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     steps, pruned, step_prunes = [], [], []
     prune = series.TFSeries.prune
 
-    def counted_prune(self):
-        pruned.append(prune(self))
+    def counted_prune(self, rel):
+        pruned.append(prune(self, rel))
         return pruned[-1]
     monkeypatch.setattr(series.TFSeries, "prune", counted_prune)
 
@@ -612,10 +613,7 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     record(driver, "solve_homological", lambda res: res[2].bracket)
     record(driver, "poisson_bracket", lambda res: res)
     record(series, "poisson_bracket", lambda res: res)
-    with open(os.path.join(CONFIGS, "synthetic.cfg")) as fh:
-        text = fh.read() + "\n[budgets]\nprune_rel = 1e-5\n"
-    cfg = tmp_path / "cut.cfg"
-    cfg.write_text(text)
+    cfg = os.path.join(CONFIGS, "synthetic.cfg")
     outs = [tmp_path / "o1", tmp_path / "o2"]
     for out in outs:
         steps.clear()
@@ -632,10 +630,10 @@ def test_step_ledger_sums_the_bracket_masses(tmp_path, monkeypatch):
     assert (outs[0] / "run.json").read_bytes() == (outs[1] / "run.json").read_bytes()
 
     # the NLS front end: neither the Birkhoff Lie transform nor the KAM form
-    # prunes, even under a coarse prune_rel
+    # prunes, even under a coarse prune tolerance
     pruned.clear()
     model = nls.NlsModel((1, 2), 6, np.array([4e-3, 3e-3]))
-    bk, kf = nls.build_nls(model, Budgets(6, 2048, prune_rel=1e-6))
+    bk, kf = nls.build_nls(model, Budgets(6, 2048))
     assert pruned == []
     assert "prune_mass" not in bk.H.meta and not hasattr(kf, "prune_mass")
 
@@ -649,7 +647,7 @@ def test_prune_vf_bound_bounds_the_move_of_eps_next(tmp_path, monkeypatch):
     reports = []
     for patched in (False, True):
         if patched:
-            monkeypatch.setattr(series.TFSeries, "prune", lambda self: 0.0)
+            monkeypatch.setattr(series.TFSeries, "prune", lambda self, rel: 0.0)
         out = tmp_path / str(patched)
         cli.main(["run", "--config", os.path.join(CONFIGS, "nls.cfg"), "--max-steps", "1",
                   "--out", str(out)])

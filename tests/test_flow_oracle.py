@@ -131,7 +131,7 @@ def test_step_matches_pointwise_flow(seed):
     low, _ = split_low_high(R)
     low_trunc, _, _ = fourier_truncate(low, params.K_m, dp, sigma=params.s_gap)
     F, _, _ = solve_homological(N, low_trunc, params, DIMS, dp=dp)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp, 8, eps)
+    N1, R1, rec = kam_step(N, R, params, DIMS, dp, eps)
 
     H0 = N.to_series(DIMS, BUD) + R
     H1 = N1.to_series(DIMS, BUD) + R1

@@ -151,13 +151,24 @@ def test_k_part_momentum_gradings(nls_build):
     assert momentum_signed(bk.K, ()).any()
 
 
-def test_birkhoff_zero_divisor_unreachable():
+def test_birkhoff_zero_divisor_unreachable(monkeypatch):
     # momentum plus equal power sums force equal multisets; scan every
     # eliminated quartic of a small model for a vanishing divisor, and check
-    # the generator against Python's complex division c / (i div)
+    # the generator, read from the Lie transform's arguments, against
+    # Python's complex division c / (i div)
+    from kamzero import nls
+
     model = NlsModel(sites=(1,), jmax=6, xi=np.array([1e-3]))
     lam, G = quartic_hamiltonian(model, Budgets(4, 8))
-    F = birkhoff_transform(model, Budgets(4, 8)).F
+    generators = []
+    transform = nls.lie_transform
+
+    def recorded(H, F, order):
+        generators.append(F)
+        return transform(H, F, order)
+    monkeypatch.setattr(nls, "lie_transform", recorded)
+    birkhoff_transform(model, Budgets(4, 8))
+    (F,) = generators
     for key, c in G.terms.items():
         bm = [m for m, e in key.beta for _ in range(e)]
         gm = [m for m, e in key.gamma for _ in range(e)]

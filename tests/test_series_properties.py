@@ -14,7 +14,6 @@ rounding, bounded by 1e-14 of the l1 mass of its summands.
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -31,7 +30,7 @@ from series_ref import (from_terms, from_text, key_degree, key_kabs, make_key, p
                         row_term_weights, row_vf_parts)
 
 DIMS = SeriesDims(2, (1, 2), (0,), 5)         # modes (0, 3, 4, 5)
-BUD = Budgets(degree_max=6, k_max=6, prune_rel=0.0)
+BUD = Budgets(degree_max=6, k_max=6)
 RTOL = 1e-14
 
 # derandomized and without an example database: the same examples on every run
@@ -248,8 +247,8 @@ def test_adding_an_empty_series_is_the_sorted_sum_bit_for_bit(F, real_f, real_z)
 @given(series(FLOATS, max_size=12), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_prune_matches_reference(F, rel):
     kept, removed = ref_prune(_dict(F), rel)
-    G = TFSeries(F.dims, replace(F.budgets, prune_rel=rel), F.rows, F.coefs, F.real)
-    mass = G.prune()
+    G = TFSeries(F.dims, F.budgets, F.rows, F.coefs, F.real)
+    mass = G.prune(rel)
     assert _dict(G) == kept
     assert math.isclose(mass, removed, rel_tol=1e-12, abs_tol=1e-300)
 
@@ -285,7 +284,7 @@ def test_antisymmetry_is_exact(F, G):
 # budgets cut keys, a linear map, so the identities hold for whatever the
 # outer operations keep, however much mass they drop; with dyadic
 # coefficients they hold exactly.
-LIN = Budgets(degree_max=8, k_max=8, prune_rel=0.0)
+LIN = Budgets(degree_max=8, k_max=8)
 SMALL = series(DYADIC, budgets=LIN, max_size=5, degree_max=4)
 
 
@@ -325,7 +324,7 @@ def test_bracket_of_real_series_is_real(F, G):
 
 @SETTINGS
 @given(st.one_of(series(FLOATS, max_size=12),
-                 series(FLOATS, budgets=Budgets(6, 6, prune_rel=1e-8), max_size=12)))
+                 series(FLOATS, budgets=Budgets(6, 7), max_size=12)))
 def test_text_round_trip(F):
     G = from_text(F.to_text())
     assert _dict(G) == _dict(F)
@@ -338,7 +337,7 @@ def test_text_round_trip(F):
 # ---------------------------------------------------------------------------
 
 WIDE = SeriesDims(4, (), (0,), 24)             # 25 modes, 58 key columns
-WIDE_BUD = Budgets(degree_max=6, k_max=16383, prune_rel=0.0)
+WIDE_BUD = Budgets(degree_max=6, k_max=16383)
 
 
 def _range_bits(F, G):
@@ -690,7 +689,7 @@ def _box(kmax, alpha, rng):
                                 indexing="ij"), axis=-1).reshape(-1, 4)
     rows = np.zeros((len(grid), 2 * DIMS.n + 2 * len(DIMS.modes)), dtype=np.int16)
     rows[:, :4] = grid
-    return TFSeries.from_rows(DIMS, Budgets(40, 64, 0.0), rows,
+    return TFSeries.from_rows(DIMS, Budgets(40, 64), rows,
                               rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows)))
 
 
@@ -736,7 +735,7 @@ HIGH = st.dictionaries(
     st.builds(lambda k, exps: make_key(DIMS.n, k, *exps),
               st.tuples(*[st.integers(-2, 2)] * DIMS.n), st.sampled_from(_HIGH_EXPONENTS)),
     FLOATS, min_size=4, max_size=12)
-UNBOUNDED = Budgets(degree_max=40, k_max=40, prune_rel=0.0)
+UNBOUNDED = Budgets(degree_max=40, k_max=40)
 
 
 def _formed(op, F, G):
