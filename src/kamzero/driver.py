@@ -176,8 +176,9 @@ def schedule(m, base, eps_m=None, r_prev=None):
 
 
 def _next_radius(eta, r, base):
-    """The radius recursion eta r / 8, clamped at the floor ``_R_FLOOR_REL`` r1."""
-    return max(eta * r / 8.0, _R_FLOOR_REL * base.r1)
+    """The radius recursion eta r / 8, clamped at the floor ``_R_FLOOR_REL`` r1
+    and never above r: for eps > 512 (eta > 8) the recursion would grow it."""
+    return min(max(eta * r / 8.0, _R_FLOOR_REL * base.r1), r)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 
 from .homological import NormalForm
 from .measure import AffineFrequencyMap
-from .series import SeriesDims, TFSeries, _columns, _degrees, _kabs, lie_transform
+from .series import SeriesDims, TFSeries, _degrees, _kabs, lie_transform
 
 
 @dataclass
@@ -200,7 +200,7 @@ def birkhoff_transform(model, budgets):
     F = TFSeries.from_rows(dims, budgets, G.rows[elim], coefs, real=True)
     H = lie_transform(lam + G, F, max(2, (budgets.degree_max - 2) // 2))
 
-    deg = _degrees(H.rows, 0)
+    deg = _degrees(H.cols, 0)
     leftover = float(np.abs(H.coefs[(deg == 4) & ~_is_action(H.rows)]).max(initial=0.0))
     return BirkhoffResult(H, action_couplings(G), H.select(deg == 4), H.select(deg >= 6),
                           leftover)
@@ -271,11 +271,12 @@ def to_kam_form(model, birkhoff, budgets):
     sites = np.array(model.sites)
     normal = np.array(dims.modes)     # flat columns are indexed by mode
     H = birkhoff.H
-    osc = _degrees(H.rows, 0) == 2      # exactly Lambda; in closed form below
-    rows, c = H.rows[~osc], H.coefs[~osc]
-    a, ap = rows[:, sites], rows[:, width + sites]
+    osc = _degrees(H.cols, 0) == 2      # exactly Lambda; in closed form below
+    cols, c = H.cols[:, ~osc], H.coefs[~osc]
+    # key columns of the terms: (site, term) and (normal column, term)
+    a, ap = cols[sites], cols[width + sites]
     k, m = ap - a, a + ap
-    z = np.concatenate([rows[:, normal], rows[:, width + normal]], axis=1)
+    z = np.concatenate([cols[normal], cols[width + normal]])
 
     # term-major, then t-vector order: the order a per-term loop adds them in
     tvecs = np.array(list(itertools.product(range(depth + 1), repeat=n))).reshape(-1, n)
@@ -283,14 +284,13 @@ def to_kam_form(model, birkhoff, budgets):
     w = np.ones((len(c), len(tvecs)))
     ev = np.ones_like(w)
     for b in range(n):
-        w = w * weight[b, m[:, b, None], tvecs[:, b]]
-        ev = ev * size[b, m[:, b, None], tvecs[:, b]]
+        w = w * weight[b, m[b, :, None], tvecs[:, b]]
+        ev = ev * size[b, m[b, :, None], tvecs[:, b]]
     coef = 0j + c[:, None] * w      # 0j + clears negative zeros (text form: -0)
-    zcols, tcols = _columns(z), _columns(tvecs)
-    inside = ((2 * tcols.sum(axis=0) + zcols.sum(axis=0)[:, None] <= budgets.degree_max)
+    inside = ((2 * tvecs.sum(axis=1) + z.sum(axis=0)[:, None] <= budgets.degree_max)
               & (_kabs(k, n) <= budgets.k_max)[:, None])
     mags = np.abs(c)
-    drops = np.concatenate([mags[:, None] * nxt[m] * root[np.arange(n), m] / 4.0 ** (depth + 1),
+    drops = np.concatenate([mags[:, None] * nxt[m.T] * root[np.arange(n), m.T] / 4.0 ** (depth + 1),
                             np.where(inside, 0.0, mags[:, None] * ev)], axis=1)
     # each total is summed left to right in arrival order, like a per-term
     # loop: np.add.accumulate runs strictly in order, where np.sum adds
@@ -299,16 +299,19 @@ def to_kam_form(model, birkhoff, budgets):
 
     # constants are dropped; the y means plus the oscillator part lambda_b
     # (xi_b + y_b) of each site are the frequencies
-    flat = (~_columns(k).any(axis=0) & ~zcols.any(axis=0))[:, None]     # k = 0, no z factor
-    const = flat & ~tcols.any(axis=0)
+    flat = (~k.any(axis=0) & ~z.any(axis=0))[:, None]     # k = 0, no z factor
+    const = flat & ~tvecs.any(axis=1)
     constant_dropped = reduce(add, coef[const].tolist()
                               + [model.lam(j) * xi[b] for b, j in enumerate(model.sites)], 0j)
     means = [flat & np.all(tvecs == e, axis=1) for e in np.eye(n, dtype=int)]
     omega = np.array([reduce(add, coef[inside & mean].tolist() + [model.lam(j)], 0j).real
                       for mean, j in zip(means, model.sites)])
     term, t = np.nonzero(inside & ~const & ~np.any(means, axis=0))
-    R0 = TFSeries.from_rows(dims, budgets, np.concatenate([k[term], tvecs[t], z[term]], axis=1),
-                            coef[term, t], real=True)
+    # C-ordered key columns (``np.take``: fancy indexing along axis 1 gives
+    # F-ordered blocks), whose rows ``from_rows`` stores without a copy
+    R0 = TFSeries.from_rows(dims, budgets, np.concatenate(
+        [np.take(x, i, axis=1) for x, i in ((k, term), (tvecs.T, t), (z, term))]).T,
+        coef[term, t], real=True)
 
     fmap = _site_map(model, birkhoff.Gbar)
     N0 = NormalForm.zero(n, 1)
@@ -373,7 +376,7 @@ def parity_check(R, dims, which, tol=1e-12):
     """
     n = R.dims.n
     degz = _z_degree(R)
-    kabs = _kabs(R.rows, n)
+    kabs = _kabs(R.cols, n)
     if which == "even_k_blocks":
         bad = (degz % 2 == 1) & (kabs % 2 == 0)
     elif which == "odd_k_blocks":
@@ -414,7 +417,7 @@ def classify_index_vectors(R, dims):
     n = dims.n
     degz = _z_degree(R)
     na = R.rows[:, n:2 * n].sum(axis=1)
-    moving = _kabs(R.rows, n) > 0
+    moving = _kabs(R.cols, n) > 0
 
     def family(mask):
         return set(map(tuple, R.rows[mask, :n].tolist()))

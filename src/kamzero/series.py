@@ -20,13 +20,17 @@ All combining operations respect a total-degree budget and a
 Fourier budget; mass removed by truncation is accumulated into the result's
 ``meta`` rather than silently discarded.
 
-A series is stored as two arrays only, its key rows and coefficients, and
-is built from them alone (see ``TFSeries``).  Like terms are merged through
-exact mixed-radix integer codes of the rows (Kronecker substitution, as in
-Biscani's Piranha): the code of a product row is the sum of its factors'
-codes, and a merge is a stable sort of the codes (``stable_order``) plus
-``np.add.reduceat``, which adds each key's first summand to numpy's
-pairwise sum of the others, taken in arrival order.
+A series is stored as two arrays only, its key columns and coefficients
+(see ``TFSeries``): one C-ordered (column, row) int16 array, so that a
+per-row reduction adds whole contiguous columns one after another, in
+column order, and a per-column one runs along a contiguous column.  A
+float row sum thus adds the row's entries left to right, whatever its
+position, as numpy's row-wise sum does below 8 entries (pairwise above).
+Like terms are merged through exact mixed-radix integer codes of the rows
+(Kronecker substitution, as in Biscani's Piranha): the code of a product
+row is the sum of its factors' codes, and a merge is a stable sort of the
+codes (``stable_order``) plus ``np.add.reduceat``, which adds each key's
+first summand to numpy's pairwise sum of the others, in arrival order.
 The radix comes from the column ranges of the operands at hand; a code word
 holds at most 53 bits, so that it is formed exactly by a float64 matrix
 product, and wider ranges spill into further code words sorted with
@@ -173,11 +177,13 @@ def mode_weight(j, dp):
 class TFSeries:
     """Sparse truncated Taylor-Fourier series.
 
-    ``rows`` (int16, one row ``[k | alpha | beta | gamma]`` per monomial, with
-    a beta and a gamma column per mode of ``dims.modes``) and ``coefs`` are
-    the only store: rows unique and in lexicographic order, no coefficient
-    zero.  A series is built from key rows only: ``TFSeries.from_rows``
-    takes them in any order, ``zero`` is the empty series.
+    ``cols`` and ``coefs`` are the only store.  ``cols`` is one C-ordered
+    int16 array of key columns ``[k | alpha | beta | gamma]`` (a beta and a
+    gamma column per mode of ``dims.modes``), entry (c, i) the column-c
+    entry of monomial i; read as rows (``rows``, the view ``cols.T``) the
+    keys are unique and in lexicographic order, and no coefficient is zero.
+    A series is built from key rows only: ``TFSeries.from_rows`` takes them
+    in any order, ``zero`` is the empty series.
     ``coefficients_at`` reads the coefficients at given key rows, and
     ``terms`` is the read-only ``MonomialKey -> complex`` view, built on
     first use, for ``to_text``, the ``check`` command's violation lists
@@ -191,30 +197,36 @@ class TFSeries:
     to the l^1 coefficient mass removed by the degree/Fourier budgets.
     """
 
-    __slots__ = ("dims", "budgets", "rows", "coefs", "real", "meta", "_terms")
+    __slots__ = ("dims", "budgets", "cols", "coefs", "real", "meta", "_terms")
 
-    def __init__(self, dims, budgets, rows, coefs, real=False):
+    def __init__(self, dims, budgets, cols, coefs, real=False):
         """Series over canonical arrays (see ``from_rows`` for any others)."""
-        self.dims, self.budgets, self.rows, self.coefs = dims, budgets, rows, coefs
+        self.dims, self.budgets, self.cols, self.coefs = dims, budgets, cols, coefs
         self.real, self.meta, self._terms = real, {}, None
 
     @classmethod
     def from_rows(cls, dims, budgets, rows, coefs, real=False):
         """Series from key rows ``[k | alpha | beta | gamma]`` in any order and
         their coefficients; repeated rows are summed as ``_sort_and_sum``
-        does and zero sums dropped."""
+        does and zero sums dropped.  The one place rows become columns; the
+        ``.T`` view of C-ordered columns needs no copy."""
         coefs = np.asarray(coefs, dtype=complex)
         rows = np.asarray(rows, dtype=np.int16).reshape(len(coefs), 2 * dims.n + 2 * len(dims.modes))
-        return cls(dims, budgets, *_canonical(rows, coefs), real)
+        return cls(dims, budgets, *_canonical(np.ascontiguousarray(rows.T), coefs), real)
 
     @classmethod
-    def _of(cls, like, rows, coefs, real):
+    def _of(cls, like, cols, coefs, real):
         """Series on the dims/budgets of ``like`` from canonical arrays."""
-        return cls(like.dims, like.budgets, rows, coefs, real)
+        return cls(like.dims, like.budgets, cols, coefs, real)
+
+    @property
+    def rows(self):
+        """The key rows, one per monomial: the view ``cols.T``, no copy."""
+        return self.cols.T
 
     def select(self, mask):
         """The terms of the rows where the boolean ``mask`` holds."""
-        return TFSeries._of(self, _take_rows(self.rows, mask), self.coefs[mask], self.real)
+        return TFSeries._of(self, _take(self.cols, mask), self.coefs[mask], self.real)
 
     @property
     def terms(self):
@@ -237,7 +249,7 @@ class TFSeries:
         return cls.from_rows(dims, budgets, (), (), real)
 
     def copy(self):
-        new = TFSeries._of(self, self.rows, self.coefs, self.real)
+        new = TFSeries._of(self, self.cols, self.coefs, self.real)
         new.meta = dict(self.meta)
         return new
 
@@ -250,19 +262,18 @@ class TFSeries:
         """Coefficients at the key ``rows`` (0 where a key is absent).
 
         One binary search on the sorted rows as byte strings: both sides are
-        shifted by their joint column minima to 0..65535 and written as
-        big-endian uint16, so that byte order is the rows' lexicographic
+        shifted by their joint column minima to 0..65535 and written as rows
+        of big-endian uint16, so that byte order is the rows' lexicographic
         order, exact at any int16 column range.
         """
         out = np.zeros(len(rows), dtype=complex)
         if len(self) and len(rows):
             rows = np.asarray(rows, dtype=np.int16)
-            lo = np.minimum(_columns(self.rows).min(axis=1), _columns(rows).min(axis=1))
-            lo = lo.astype(np.int32)
-            store, keys = (np.ascontiguousarray((r - lo).astype(">u2")).view(
+            lo = np.minimum(self.cols.min(axis=1), rows.min(axis=0)).astype(np.int32)
+            store, keys = ((r - lo).astype(">u2", order="C").view(
                 np.dtype((np.void, 2 * r.shape[1]))).ravel() for r in (self.rows, rows))
             pos = np.minimum(np.searchsorted(store, keys), len(self) - 1)
-            hit = np.all(_take_rows(self.rows, pos) == rows, axis=1)
+            hit = np.all(_take(self.cols, pos) == rows.T, axis=0)
             out[hit] = self.coefs[pos[hit]]
         return out
 
@@ -276,10 +287,10 @@ class TFSeries:
         if not len(self) or not len(other):
             # a canonical series is its own _canonical: no sort for an empty side
             like = other if not len(self) else self
-            return TFSeries._of(self, like.rows, like.coefs, self.real and other.real)
-        rows, coefs = _canonical(np.concatenate([self.rows, other.rows]),
+            return TFSeries._of(self, like.cols, like.coefs, self.real and other.real)
+        cols, coefs = _canonical(np.concatenate([self.cols, other.cols], axis=1),
                                  np.concatenate([self.coefs, other.coefs]))
-        return TFSeries._of(self, rows, coefs, self.real and other.real)
+        return TFSeries._of(self, cols, coefs, self.real and other.real)
 
     def __sub__(self, other):
         return self + (other * -1.0)
@@ -288,7 +299,7 @@ class TFSeries:
         real = self.real and not np.imag(scalar)
         coefs = scalar * self.coefs
         live = coefs != 0
-        return TFSeries._of(self, _take_rows(self.rows, live), coefs[live], real)
+        return TFSeries._of(self, _take(self.cols, live), coefs[live], real)
 
     __rmul__ = __mul__
 
@@ -311,7 +322,7 @@ class TFSeries:
         if not drop.any():
             return 0.0
         mass = float(np.abs(self.coefs[drop]).sum())
-        self.rows, self.coefs, self._terms = _take_rows(self.rows, ~drop), self.coefs[~drop], None
+        self.cols, self.coefs, self._terms = _take(self.cols, ~drop), self.coefs[~drop], None
         return mass
 
     # -- serialization --------------------------------------------------
@@ -345,46 +356,29 @@ class TFSeries:
 # key columns and exact codes
 # ---------------------------------------------------------------------------
 
-def _columns(rows, start=0, stop=None):
-    """Columns ``start:stop`` of ``rows`` as one C-ordered (column, row) array.
-
-    numpy reduces a C-ordered (rows, a few columns) block along its short
-    axis with an inner loop of a few entries per row.  On the transpose a
-    per-row reduction (``axis=0``) adds whole contiguous columns one after
-    another, in column order, and a per-column one (``axis=1``) runs along
-    one contiguous column.  Integer results are exact either way.  A float
-    sum along axis 0 adds each row's entries left to right, which is also
-    what numpy's row-wise sum does with fewer than 8 of them (its pairwise
-    sum starts at 8), so a row's sum does not depend on its position.
-    """
-    return np.ascontiguousarray(rows[:, start:stop].T)
-
-
-def _take_rows(rows, at):
-    """The rows of ``rows`` at the indices ``at``, or where the boolean mask
-    ``at`` holds, by ``np.take`` / ``np.compress`` along axis 0: on 38k x 18
-    int16 rows numpy's fancy indexing took 3x (indices) and 4.5x (masks) as
-    long."""
+def _take(cols, at):
+    """The key columns ``cols`` of the rows at the indices ``at``, or where
+    the boolean mask ``at`` holds, by ``np.take`` / ``np.compress`` along
+    axis 1, C-ordered as ``cols`` is: on 38k x 18 int16 keys numpy's fancy
+    indexing took 3x (indices) and 4.5x (masks) as long."""
     if at.dtype == bool:
-        return np.compress(at, rows, axis=0)
-    return np.take(rows, at, axis=0)
+        return np.compress(at, cols, axis=1)
+    return np.take(cols, at, axis=1)
 
 
-def _degrees(rows, n):
-    """Total degree 2|alpha| + |beta| + |gamma| of each row."""
-    cols = _columns(rows, n)
-    return 2 * cols[:n].sum(axis=0) + cols[n:].sum(axis=0)
+def _degrees(cols, n):
+    """Total degree 2|alpha| + |beta| + |gamma| of each row of ``cols``."""
+    return 2 * cols[n:2 * n].sum(axis=0) + cols[2 * n:].sum(axis=0)
 
 
-def _kabs(rows, n):
-    """Fourier radius |k| of each row."""
-    return np.abs(_columns(rows, 0, n)).sum(axis=0)
+def _kabs(cols, n):
+    """Fourier radius |k| of each row of ``cols``."""
+    return np.abs(cols[:n]).sum(axis=0)
 
 
-def _bounds(rows):
+def _bounds(cols):
     """Per-column value range, widened to include 0 (a derivative lowers an
     exponent column to 0, and ``_Codec`` needs 0 in every range)."""
-    cols = _columns(rows)
     return (np.minimum(cols.min(axis=1), 0).astype(np.int64),
             np.maximum(cols.max(axis=1), 0).astype(np.int64))
 
@@ -427,25 +421,26 @@ class _Codec:
             start = end
 
     def _slices(self, count):
-        """Row slices of at most about ``_CHUNK_ROWS`` int64 entries each."""
+        """Slices of ``count`` rows of at most about ``_CHUNK_ROWS`` int64
+        entries each."""
         step = max(1, _CHUNK_ROWS // max(1, len(self.radix)))
         if count <= step:
             return [slice(None)]
         return [slice(s, s + step) for s in range(0, count, step)]
 
-    def encode(self, rows, lo):
-        """Code words of ``rows`` against their share ``lo`` of the lower
-        bounds: per word, ``rows @ strides`` in float64, less ``lo @
-        strides``.  A share's range contains 0 and spans at most its
-        column's radix, so every entry is below the radix in magnitude, and
-        every product and partial sum of the float matrix product is an
-        integer of magnitude below the word's radix product, at most 2^53:
-        BLAS forms it exactly, in any order.  Formed a slice of rows at a
-        time so that no temporary exceeds about ``_CHUNK_ROWS`` entries
-        (codes are exact, so the slicing changes no code)."""
-        parts = [[(rows[s, a:b] @ strides.astype(np.float64)).astype(np.int64) - lo[a:b] @ strides
+    def encode(self, cols, lo):
+        """Code words of the rows of the key columns ``cols`` against their
+        share ``lo`` of the lower bounds: per word, ``strides @ cols`` in
+        float64, less ``lo @ strides``.  A share's range contains 0 and
+        spans at most its column's radix, so every entry is below the radix
+        in magnitude, and every product and partial sum of the float matrix
+        product is an integer of magnitude below the word's radix product,
+        at most 2^53: BLAS forms it exactly, in any order.  Formed a slice
+        of rows at a time so that no temporary exceeds about ``_CHUNK_ROWS``
+        entries (codes are exact, so the slicing changes no code)."""
+        parts = [[(strides.astype(np.float64) @ cols[a:b, s]).astype(np.int64) - lo[a:b] @ strides
                   for a, b, strides in self.words]
-                 for s in self._slices(len(rows))]
+                 for s in self._slices(cols.shape[1])]
         return parts[0] if len(parts) == 1 else [np.concatenate(w) for w in zip(*parts)]
 
     def lowered(self, words, cols):
@@ -461,21 +456,21 @@ class _Codec:
         return out
 
     def decode(self, words):
-        """Rows of the code ``words``, a slice of rows at a time (as
+        """Key columns of the code ``words``, a slice of rows at a time (as
         ``encode``): per word, the quotients q_c = code // stride_c in one
         contiguous row per column; each but the leading one is reduced
         modulo its radix as q_c - radix_c q_{c-1}, since q_{c-1} = q_c //
         radix_c (a code lies below its leading radix times stride, so q_0
         is the leading digit).  Two int64 temporaries of the slice's size
         are alive."""
-        rows = np.empty((len(words[0]), len(self.radix)), dtype=np.int16)
-        for s in self._slices(len(rows)):
+        cols = np.empty((len(self.radix), len(words[0])), dtype=np.int16)
+        for s in self._slices(cols.shape[1]):
             for (a, b, strides), code in zip(self.words, words):
                 q = code[s] // strides[:, None]
                 q[1:] -= q[:-1] * self.radix[a + 1:b, None]
                 q += self.lo[a:b, None]
-                rows[s, a:b] = q.T
-        return rows
+                cols[a:b, s] = q
+        return cols
 
 
 def stable_order(words):
@@ -529,14 +524,15 @@ def _sort_and_sum(words, coefs):
     return order[starts], np.add.reduceat(coefs[order], starts)
 
 
-def _canonical(rows, coefs):
-    """Sort rows lexicographically, sum repeated keys, drop zero coefficients."""
+def _canonical(cols, coefs):
+    """Sort the rows of ``cols`` lexicographically, sum repeated keys, drop
+    zero coefficients."""
     if not len(coefs):
-        return rows, coefs
-    lo, hi = _bounds(rows)
-    first, sums = _sort_and_sum(_Codec(lo, hi).encode(rows, lo), coefs)
+        return cols, coefs
+    lo, hi = _bounds(cols)
+    first, sums = _sort_and_sum(_Codec(lo, hi).encode(cols, lo), coefs)
     live = np.flatnonzero(sums)
-    return _take_rows(rows, first[live]), sums[live]
+    return _take(cols, first[live]), sums[live]
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +597,12 @@ class _Accumulator:
         if len(self.blocks) > 1:
             self._merge_blocks()
         words, sums = self.blocks.pop()
-        rows = codec.decode(words)
+        cols = codec.decode(words)
         del words       # freed before the mirror merge
         if mirrored:
-            rows, sums = _plus_mirror(out.dims, rows, sums)
+            cols, sums = _plus_mirror(out.dims, cols, sums)
         live = sums != 0
-        out.rows, out.coefs = _take_rows(rows, live), sums[live]
+        out.cols, out.coefs = _take(cols, live), sums[live]
 
 
 def _summed(blocks):
@@ -627,19 +623,19 @@ def _half(A):
     """The rows of A that sort below their mirror, and its self-mirror rows
     (k = 0, beta = gamma) at weight 1/2.  For a real A and B, {A, B} is
     P + M(P) with P = {half, B}, where M is the mirror (``_mirror``)."""
-    mirror, _ = _mirror(A.dims, A.rows, A.coefs)
-    diff = mirror - A.rows
-    first = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]   # 0: self-mirror
+    mirror, _ = _mirror(A.dims, A.cols, A.coefs)
+    diff = mirror - A.cols
+    first = diff[(diff != 0).argmax(axis=0), np.arange(len(A))]   # 0: self-mirror
     keep = first >= 0
     coefs = A.coefs[keep]
-    return TFSeries._of(A, _take_rows(A.rows, keep), np.where(first[keep] == 0, 0.5 * coefs, coefs),
+    return TFSeries._of(A, _take(A.cols, keep), np.where(first[keep] == 0, 0.5 * coefs, coefs),
                         True)
 
 
 def _derivative_rows(S, cols):
     """(pair, row) of every pair's derivative rows of S, pair-major with rows
     in order: the rows whose entry in column ``cols[p]`` is nonzero."""
-    return np.nonzero((S.rows[:, cols] != 0).T)
+    return np.nonzero(S.cols[cols] != 0)
 
 
 # share of a bracket's skip budget that goes to whole rows of B
@@ -705,21 +701,21 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget):
     gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
     (base_a, h_a), (base_b, h_b) = _vf_parts(A, dp), _vf_parts(B, dp)
     col = cols_a[pa]
-    ua, ha = base_a[sa] * np.abs(A.rows[sa, col]) * gain[col], h_a[sa]
+    ua, ha = base_a[sa] * np.abs(A.cols[col, sa]) * gain[col], h_a[sa]
     ua = ua / dp.r ** 2
     cut_rows, cut_bound = 0, 0.0
-    e = np.abs(B.rows[:, cols_b]) * gain[cols_b]
+    e = np.abs(B.cols[cols_b]) * gain[cols_b, None]
     wsum, usum, count_a = (np.bincount(pa, x, minlength=len(cols_b))
                            for x in (ua * ha, ua, None))
-    mass = base_b * (e @ wsum + h_b * (e @ usum))
+    mass = base_b * (wsum @ e + h_b * (usum @ e))
     cut = _below_cut(mass, _ROW_SHARE * budget)
     if cut.any():
-        cut_rows = int(count_a @ np.count_nonzero(_take_rows(B.rows, cut)[:, cols_b], axis=0))
+        cut_rows = int(count_a @ np.count_nonzero(_take(B.cols, cut)[cols_b], axis=1))
         cut_bound = float(mass[cut].sum())
         B, base_b, h_b = B.select(~cut), base_b[~cut], h_b[~cut]
     pb, sb = _derivative_rows(B, cols_b)
     col = cols_b[pb]
-    ub, hb = base_b[sb] * np.abs(B.rows[sb, col]) * gain[col], h_b[sb]
+    ub, hb = base_b[sb] * np.abs(B.cols[col, sb]) * gain[col], h_b[sb]
     if not len(pa) or not len(pb):
         if not cut_rows:
             return B, None
@@ -805,9 +801,9 @@ def _derivatives(S, lo, codec, cols, pair, src):
     the exponent, or by 1j k for an angle, and lowers the exponent by one,
     which lowers the code by one stride (``_Codec.lowered``)."""
     col = cols[pair]
-    e = S.rows[src, col]
+    e = S.cols[col, src]
     angle = col < S.dims.n
-    words = codec.lowered([w[src] for w in codec.encode(S.rows, lo)], np.where(angle, -1, col))
+    words = codec.lowered([w[src] for w in codec.encode(S.cols, lo)], np.where(angle, -1, col))
     counts = np.bincount(pair, minlength=len(cols))
     return _Derivatives(counts, np.concatenate([[0], np.cumsum(counts)]), src, words,
                         S.coefs[src] * np.where(angle, 1j * e, e))
@@ -821,16 +817,18 @@ def _within_degree(acc, A, B, cols_a, cols_b):
     for B.  The mass, with S(p) = sum |c e_p| over rows, is sum_p S_deadA
     S_B + S_liveA S_deadB; the number is that sum over S(p) = #{e_p != 0}."""
     n, top = A.dims.n, A.budgets.degree_max + 2
-    dga, dgb = _degrees(A.rows, n), _degrees(B.rows, n)
+    dga, dgb = _degrees(A.cols, n), _degrees(B.cols, n)
     live_a = dga + dgb.min(initial=top + 1) <= top
     live_b = dgb + dga.min(initial=top + 1) <= top
     if live_a.all() and live_b.all():
         return A, B, dga, dgb, 0
     # (|c|, exponent columns) of the live and the dead rows of each operand
-    sides = [[(np.abs(S.coefs[m]), _take_rows(S.rows, m)[:, cols]) for m in (live, ~live)]
+    sides = [[(np.abs(S.coefs[m]), _take(S.cols, m)[cols]) for m in (live, ~live)]
              for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b))]
-    (la, da), (lb, db) = ([c @ np.abs(e) for c, e in side] for side in sides)
-    (na, nda), (nb, ndb) = ([np.count_nonzero(e, axis=0) for _, e in side] for side in sides)
+    # c @ |e|.T, not |e| @ c: numpy picks its BLAS kernel, and so the sums'
+    # rounding, by the operands' layout
+    (la, da), (lb, db) = ([c @ np.abs(e).T for c, e in side] for side in sides)
+    (na, nda), (nb, ndb) = ([np.count_nonzero(e, axis=1) for _, e in side] for side in sides)
     acc.dropped += float(da @ (lb + db) + la @ db)
     return (A.select(live_a), B.select(live_b), dga[live_a], dgb[live_b],
             int(nda @ (nb + ndb) + na @ ndb))
@@ -841,7 +839,7 @@ def _fits(A, B, dga, dgb):
     keep every product within the degree and Fourier budgets."""
     n, bud = A.dims.n, A.budgets
     return bool(dga.max() + dgb.max() - 2 <= bud.degree_max
-                and _kabs(A.rows, n).max() + _kabs(B.rows, n).max() <= bud.k_max)
+                and _kabs(A.cols, n).max() + _kabs(B.cols, n).max() <= bud.k_max)
 
 
 def _budget_test(A, B, dga, dgb, da, db):
@@ -849,7 +847,7 @@ def _budget_test(A, B, dga, dgb, da, db):
     (degrees ``dga``, ``dgb`` of A's and B's rows)."""
     n, bud = A.dims.n, A.budgets
     dga, dgb = dga[da.src], dgb[db.src]
-    ka, kb = (_columns(S.rows, 0, n)[:, d.src].astype(np.int32) for S, d in ((A, da), (B, db)))
+    ka, kb = (S.cols[:n, d.src].astype(np.int32) for S, d in ((A, da), (B, db)))
 
     def within(i, j):
         kabs = sum(np.abs(x[i] + y[j]) for x, y in zip(ka, kb))
@@ -948,8 +946,8 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     if not len(A) or not len(B):
         acc.finalize(out, None, mirrored)
         return
-    lo_a, hi_a = _bounds(A.rows)
-    lo_b, hi_b = _bounds(B.rows)
+    lo_a, hi_a = _bounds(A.cols)
+    lo_b, hi_b = _bounds(B.cols)
     codec = _Codec(lo_a + lo_b, hi_a + hi_b)
     da = _derivatives(A, lo_a, codec, cols_a, *rows_a)
     db = _derivatives(B, lo_b, codec, cols_b, *(_derivative_rows(B, cols_b) if plan is None
@@ -1011,7 +1009,7 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     if budget > 0.0 and dp is None:
         raise ValueError("a positive budget needs the domain dp")
     F._check_compatible(G)
-    out = TFSeries._of(F, F.rows[:0], F.coefs[:0], F.real and G.real)
+    out = TFSeries._of(F, F.cols[:, :0], F.coefs[:0], F.real and G.real)
     out.meta.update(dropped_mass=0.0, skip_bound=0.0, skip_rows=0)
     if not len(F) or not len(G):
         return out
@@ -1043,18 +1041,17 @@ def weighted_norm(F, dp):
     return float(np.abs(F.coefs) @ _term_weights(F, dp))
 
 
-def _term_weights(F, dp, cols=None):
+def _term_weights(F, dp):
     """Per term, e^{|k| s} r^{2|alpha|} prod_j (r / w_j)^{beta_j + gamma_j}.
 
     The mode factors of a row are added left to right, in column order, on
-    the contiguous columns ``cols`` of ``_columns(F.rows)`` (a
-    matrix-vector product may round equal rows differently by their
-    position), so equal rows, and a row and its mirror, get bit-equal
-    weights.
+    the contiguous columns of ``F.cols`` (a matrix-vector product may round
+    equal rows differently by their position), so equal rows, and a row and
+    its mirror, get bit-equal weights.
     """
     n = F.dims.n
     nmodes = len(F.dims.modes)
-    cols = _columns(F.rows) if cols is None else cols
+    cols = F.cols
     logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j
                      for j in F.dims.modes])
     kabs = np.abs(cols[:n]).sum(axis=0)
@@ -1075,15 +1072,15 @@ def vector_field_norm(F, dp):
     """
     n = F.dims.n
     nmodes = len(F.dims.modes)
-    rows = F.rows
+    cols = F.cols
     base = np.abs(F.coefs) * _term_weights(F, dp)
-    xnorm = max(float(np.abs(rows[:, b]) @ base) for b in range(n)) if n else 0.0
+    xnorm = max(float(np.abs(cols[b]) @ base) for b in range(n)) if n else 0.0
     # removing one y_b factor divides the weight by r^2, one z_j or zbar_j
     # factor by r / w_j
-    ynorm = max(float(rows[:, n + b] @ base) for b in range(n)) / dp.r ** 2 if n else 0.0
+    ynorm = max(float(cols[n + b] @ base) for b in range(n)) / dp.r ** 2 if n else 0.0
     w = np.array([mode_weight(j, dp) for j in F.dims.modes])
-    zsq = np.sum((w * w * (rows[:, 2 * n:2 * n + nmodes].T @ base) / dp.r) ** 2)
-    zbsq = np.sum((w * w * (rows[:, 2 * n + nmodes:].T @ base) / dp.r) ** 2)
+    zsq = np.sum((w * w * (cols[2 * n:2 * n + nmodes] @ base) / dp.r) ** 2)
+    zbsq = np.sum((w * w * (cols[2 * n + nmodes:] @ base) / dp.r) ** 2)
     return (ynorm + xnorm / dp.r ** 2
             + math.sqrt(zbsq) / dp.r + math.sqrt(zsq) / dp.r)
 
@@ -1093,19 +1090,19 @@ def _vf_parts(F, dp):
     and h = max_b |k_b| + max_b alpha_b + (|beta w^2|_2 + |gamma w^2|_2), so
     that base h / r^2 is the ``vector_field_norm`` of the term alone.  Every
     factor of a row is reduced left to right, in column order, on
-    ``_columns(F.rows)``, and the two mode norms are added to each other
+    ``F.cols``, and the two mode norms are added to each other
     before they are added to the rest, so a term and its mirror (-k, alpha,
     gamma, beta, conjugate coefficient) get bit-equal values.  Lowering an
     exponent never raises h.
     """
     n, nmodes = F.dims.n, len(F.dims.modes)
-    cols = _columns(F.rows)
+    cols = F.cols
     head = (np.abs(cols[:n]).max(axis=0, initial=0)
             + cols[n:2 * n].max(axis=0, initial=0))
     w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])[:, None]
     zb = np.sqrt(((cols[2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=0))
     zg = np.sqrt(((cols[2 * n + nmodes:] * w2) ** 2).sum(axis=0))
-    return np.abs(F.coefs) * _term_weights(F, dp, cols), head + (zb + zg)
+    return np.abs(F.coefs) * _term_weights(F, dp), head + (zb + zg)
 
 
 def vf_majorants(F, dp):
@@ -1151,7 +1148,7 @@ def vf_truncate(F, dp, budget):
 
 def split_low_high(R):
     """Exact partition into degree <= 2 and degree >= 3 parts."""
-    low = _degrees(R.rows, R.dims.n) <= 2
+    low = _degrees(R.cols, R.dims.n) <= 2
     return R.select(low), R.select(~low)
 
 
@@ -1173,7 +1170,7 @@ def fourier_truncate(R, K, dp=None, sigma=None):
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    inside = _kabs(R.rows, R.dims.n) <= K
+    inside = _kabs(R.cols, R.dims.n) <= K
     trunc, tail = R.select(inside), R.select(~inside)
     report = None
     if dp is not None:
@@ -1237,22 +1234,23 @@ def lie_transform(H, F, order):
     return acc
 
 
-def _mirror(dims, rows, coefs):
-    """Rows (-k, alpha, gamma, beta) with conjugate coefficients, unsorted."""
+def _mirror(dims, cols, coefs):
+    """Key columns (-k, alpha, gamma, beta) with conjugate coefficients,
+    unsorted."""
     n, nmodes = dims.n, len(dims.modes)
-    return (np.concatenate([-rows[:, :n], rows[:, n:2 * n], rows[:, 2 * n + nmodes:],
-                            rows[:, 2 * n:2 * n + nmodes]], axis=1), coefs.conj())
+    return (np.concatenate([-cols[:n], cols[n:2 * n], cols[2 * n + nmodes:],
+                            cols[2 * n:2 * n + nmodes]]), coefs.conj())
 
 
-def _plus_mirror(dims, rows, coefs):
-    """S + M(S) in canonical form, for S given by its rows and coefficients.
-    A key and its mirror each sum the same two values, in either order, so
-    the sum is exactly real."""
-    mirror, conj = _mirror(dims, rows, coefs)
-    return _canonical(np.concatenate([rows, mirror]), np.concatenate([coefs, conj]))
+def _plus_mirror(dims, cols, coefs):
+    """S + M(S) in canonical form, for S given by its key columns and
+    coefficients.  A key and its mirror each sum the same two values, in
+    either order, so the sum is exactly real."""
+    mirror, conj = _mirror(dims, cols, coefs)
+    return _canonical(np.concatenate([cols, mirror], axis=1), np.concatenate([coefs, conj]))
 
 
 def realify(F):
     """Project onto the real-valued subspace (average with the mirror)."""
-    rows, coefs = _plus_mirror(F.dims, F.rows, F.coefs)
-    return TFSeries._of(F, rows, coefs * 0.5, True)
+    cols, coefs = _plus_mirror(F.dims, F.cols, F.coefs)
+    return TFSeries._of(F, cols, coefs * 0.5, True)

@@ -8,9 +8,9 @@ probe and a budget check.
 
 It also keeps the row-wise forms of the series core's per-row kernels
 (``row_degrees`` to ``row_decode``): each reduces a C-ordered (rows,
-columns) block along its short axis, where the library reduces contiguous
-columns (``kamzero.series._columns``).  They are the reference of the
-library's kernels in ``test_series_properties.py``.
+columns) block along its short axis, where the library reduces the
+contiguous key columns it stores (``TFSeries.cols``).  They are the
+reference of the library's kernels in ``test_series_properties.py``.
 """
 
 import math

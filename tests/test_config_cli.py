@@ -479,6 +479,9 @@ def test_an_overflowing_step_is_budget_exhausted(tmp_path, eps0):
     assert rep["verdict"] == "BudgetExhausted" and rep["verdict_info"]["m"] == 1
     assert rep["verdict_info"]["reason"].startswith(
         "step 1: the vector-field norm of R_2 on the outgoing domain D(s = ")
+    # the radius never grows: the outgoing domain keeps r1 = 0.25, where eta
+    # r1 / 8 would be 3.125e8 at eps0 = 1e30
+    assert "r = 0.25)" in rep["verdict_info"]["reason"]
     assert not rep["steps"]
 
 

@@ -39,6 +39,17 @@ def test_gamma_schedule():
         assert BASE.gamma1 / 2 < g <= BASE.gamma1
 
 
+def test_radius_never_grows():
+    # eta = eps^(1/3) passes 8 above eps = 512, where eta r / 8 would pass r;
+    # below, the floor 0.01 r1 holds the radius up
+    r1 = schedule(1, BASE).r_m
+    for eps in (1e-300, 1e-9, 1.0, 512.0, 1e3, 1e6, 1e30):
+        r_m = schedule(2, BASE, eps_m=eps, r_prev=r1).r_m
+        assert driver._R_FLOOR_REL * r1 <= r_m <= r1
+    assert schedule(2, BASE, eps_m=1e6, r_prev=r1).r_m == r1
+    assert schedule(3, BASE, eps_m=1e6, r_prev=0.5 * r1).r_m == 0.5 * r1
+
+
 def test_eta_and_K():
     p = schedule(3, BASE, eps_m=1e-9)
     assert p.eta_m == pytest.approx((1e-9) ** (1.0 / 3.0))

@@ -184,10 +184,10 @@ def test_birkhoff_zero_divisor_unreachable(monkeypatch):
 def _couplings_of_transformed(H):
     """Gbar read from the degree-4 action rows of the transformed H: the
     extraction the Birkhoff step used before it read the quartic instead."""
-    width = H.rows.shape[1] // 2
-    pairs = (_degrees(H.rows, 0) == 4) & np.all(H.rows[:, :width] == H.rows[:, width:], axis=1)
-    count = np.cumsum(H.rows[pairs, :width], axis=1)
-    i, j = np.argmax(count >= 1, axis=1), np.argmax(count >= 2, axis=1)
+    width = H.cols.shape[0] // 2
+    pairs = (_degrees(H.cols, 0) == 4) & np.all(H.cols[:width] == H.cols[width:], axis=0)
+    count = np.cumsum(H.cols[:width, pairs], axis=0)
+    i, j = np.argmax(count >= 1, axis=0), np.argmax(count >= 2, axis=0)
     Gbar = np.zeros((width, width))
     Gbar[i, j] = Gbar[j, i] = H.coefs[pairs].real / np.where(i == j, 1, 4)
     return Gbar

@@ -138,12 +138,12 @@ def test_codes_split_into_words_beyond_63_bits():
     codec = _Codec(lo, hi)
     assert len(codec.words) == 2
     rng = np.random.default_rng(13)
-    rows = rng.integers(lo, hi + 1, size=(500, 7)).astype(np.int16)
-    words = codec.encode(rows, lo)
+    cols = rng.integers(lo[:, None], hi[:, None] + 1, size=(7, 500)).astype(np.int16)
+    words = codec.encode(cols, lo)
     assert all(w.min() >= 0 for w in words)
-    assert np.array_equal(codec.decode(words), rows)
+    assert np.array_equal(codec.decode(words), cols)
     order = np.lexsort(words[::-1])
-    assert np.array_equal(order, np.lexsort(rows.T[::-1]))
+    assert np.array_equal(order, np.lexsort(cols[::-1]))
 
 
 def test_codec_ranges_must_contain_zero():
@@ -194,7 +194,7 @@ def test_complex_numpy_scalars_clear_the_real_flag(scalar):
     F, G = (realify(random_series(rng, nterms=12)) for _ in range(2))
     S = F * scalar
     assert not S.real and not (scalar * F).real
-    plain = TFSeries(S.dims, S.budgets, S.rows, S.coefs)
+    plain = TFSeries(S.dims, S.budgets, S.cols, S.coefs)
     for br, ref in ((poisson_bracket(S, G), poisson_bracket(plain, G)),
                     (poisson_bracket(G, S), poisson_bracket(G, plain))):
         assert br.rows.tobytes() == ref.rows.tobytes()

@@ -23,8 +23,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from kamzero import series as kseries
 from kamzero.driver import realify
 from kamzero.series import (Budgets, DomainParams, MonomialKey, SeriesDims, TFSeries,
-                            fourier_truncate, mode_weight, poisson_bracket, split_low_high,
-                            vector_field_norm, vf_majorants, vf_truncate, weighted_norm)
+                            fourier_truncate, lie_transform, mode_weight, poisson_bracket,
+                            split_low_high, vector_field_norm, vf_majorants, vf_truncate,
+                            weighted_norm)
 from series_ref import (from_terms, from_text, key_degree, key_kabs, make_key, product,
                         reality_defect, row_bounds, row_decode, row_degrees, row_kabs,
                         row_term_weights, row_vf_parts)
@@ -233,10 +234,10 @@ def test_adding_an_empty_series_is_the_sorted_sum_bit_for_bit(F, real_f, real_z)
     F.real, F.meta = real_f, {"dropped_mass": 0.5}
     zero = TFSeries.zero(DIMS, BUD, real=real_z)
     for a, b in ((F, zero), (zero, F), (zero, zero)):
-        rows, coefs = kseries._canonical(np.concatenate([a.rows, b.rows]),
+        cols, coefs = kseries._canonical(np.concatenate([a.cols, b.cols], axis=1),
                                          np.concatenate([a.coefs, b.coefs]))
         out = a + b
-        assert out.rows.dtype == rows.dtype and np.array_equal(out.rows, rows)
+        assert out.cols.dtype == cols.dtype and np.array_equal(out.cols, cols)
         assert out.coefs.dtype == coefs.dtype
         assert out.coefs.view(np.uint64).tolist() == coefs.view(np.uint64).tolist()
         assert out.real == (a.real and b.real)
@@ -247,10 +248,48 @@ def test_adding_an_empty_series_is_the_sorted_sum_bit_for_bit(F, real_f, real_z)
 @given(series(FLOATS, max_size=12), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_prune_matches_reference(F, rel):
     kept, removed = ref_prune(_dict(F), rel)
-    G = TFSeries(F.dims, F.budgets, F.rows, F.coefs, F.real)
+    G = TFSeries(F.dims, F.budgets, F.cols, F.coefs, F.real)
     mass = G.prune(rel)
     assert _dict(G) == kept
     assert math.isclose(mass, removed, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def _assert_stored(S):
+    """The storage contract: one C-ordered int16 array of key columns whose
+    rows ascend strictly, no zero coefficient, and ``rows`` the transposed
+    view of the columns (an empty array shares no memory, so there the
+    shape and strides tell)."""
+    width = 2 * S.dims.n + 2 * len(S.dims.modes)
+    assert S.cols.dtype == np.int16 and S.cols.flags.c_contiguous
+    assert S.cols.shape == (width, len(S)) and S.coefs.shape == (len(S),)
+    rows = S.rows.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert np.all(S.coefs != 0)
+    assert S.rows.shape == S.cols.shape[::-1] and S.rows.strides == S.cols.strides[::-1]
+    assert not len(S) or np.shares_memory(S.rows, S.cols)
+
+
+@SETTINGS
+@given(series(FLOATS, max_size=12), series(FLOATS, max_size=12), st.sampled_from([0.1, 0.5, 1.0]))
+def test_every_operation_keeps_the_storage_contract(F, G, share):
+    dp = DomainParams(0.5, 0.3, 0.1, 1.0)
+    real_f, real_g = realify(F), realify(G)
+    assert real_f.real and real_g.real
+    pruned = F.copy()
+    pruned.prune(share)
+    results = [F, TFSeries.zero(DIMS, BUD), realify(F),
+               TFSeries.from_rows(DIMS, BUD, np.tile(F.rows[::-1], (2, 1)),
+                                  np.tile(F.coefs[::-1], 2)),
+               TFSeries.from_rows(DIMS, BUD, G.rows, G.coefs),
+               F + G, F - G, F - F, F * (share - 0.5j), F * 0.0,
+               F.select(np.abs(F.coefs) >= share), pruned,
+               poisson_bracket(real_f, real_g), poisson_bracket(F, G), poisson_bracket(F, F),
+               lie_transform(F, G * 0.01, 3), *fourier_truncate(F, 1)[:2], *split_low_high(F),
+               vf_truncate(F, dp, share * vf_majorants(F, dp).sum())[0]]
+    for S in results:
+        _assert_stored(S)
+    with pytest.raises(AttributeError):
+        F.rows = F.rows
 
 
 @SETTINGS
@@ -400,18 +439,19 @@ def test_codec_decode_inverts_encode_on_wide_codes(width, seed, per_slice):
     radix = rng.integers(4096, 32769, width)
     lo = -rng.integers(0, radix)
     hi = lo + radix - 1
-    rows = rng.integers(lo, hi + 1, (rng.integers(1, 60), width)).astype(np.int16)
+    keys = rng.integers(lo[:, None], hi[:, None] + 1, (width, rng.integers(1, 60))).astype(np.int16)
+    count = keys.shape[1]
     codec = kseries._Codec(lo, hi)
     assert len(codec.words) > 1 or width < 5
-    words = codec.encode(rows, lo)
-    assert np.array_equal(codec.decode(words), rows)
+    words = codec.encode(keys, lo)
+    assert np.array_equal(codec.decode(words), keys)
     with mock.patch.object(kseries, "_CHUNK_ROWS", per_slice * width):
-        assert np.array_equal(codec.decode(words), rows)
-    cols = rng.integers(-1, width, len(rows))
-    cols[rows[np.arange(len(rows)), cols] == lo[cols]] = -1     # stays within the range
-    lowered = rows.copy()
+        assert np.array_equal(codec.decode(words), keys)
+    cols = rng.integers(-1, width, count)
+    cols[keys[cols, np.arange(count)] == lo[cols]] = -1     # stays within the range
+    lowered = keys.copy()
     at = np.flatnonzero(cols >= 0)
-    lowered[at, cols[at]] -= 1
+    lowered[cols[at], at] -= 1
     assert np.array_equal(codec.decode(codec.lowered(words, cols)), lowered)
 
 
@@ -502,7 +542,7 @@ def test_float_encode_is_the_int64_code_at_the_word_size(case, count, seed):
     def int64_codes(rows):
         return [(rows[:, a:b] - lo[a:b]) @ strides for a, b, strides in codec.words]
 
-    words = codec.encode(rows, lo)
+    words = codec.encode(np.ascontiguousarray(rows.T), lo)
     assert all(np.array_equal(w, ref) for w, ref in zip(words, int64_codes(rows)))
     sizes = [math.prod(radix[a:b].tolist()) for a, b, _ in codec.words]
     for r, codes in zip(rows.tolist(), zip(*(w.tolist() for w in words))):
@@ -576,13 +616,14 @@ def test_column_kernels_match_the_row_wise_reference(n, nmodes, count, zero, see
     coefs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     dp = DomainParams(rng.uniform(0.01, 2.0), math.exp(rng.uniform(-4.0, 1.0)),
                       rng.uniform(0.01, 1.0), rng.uniform(0.51, 3.0))
-    for got, want in ((kseries._degrees(rows, n), row_degrees(rows, n)),
-                      (kseries._kabs(rows, n), row_kabs(rows, n))):
+    cols = np.ascontiguousarray(rows.T)
+    for got, want in ((kseries._degrees(cols, n), row_degrees(rows, n)),
+                      (kseries._kabs(cols, n), row_kabs(rows, n))):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     if count:
-        for got, want in zip(kseries._bounds(rows), row_bounds(rows)):
+        for got, want in zip(kseries._bounds(cols), row_bounds(rows)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-    F = TFSeries(dims, BUD, rows, coefs)
+    F = TFSeries(dims, BUD, cols, coefs)
     weights, (base, h) = kseries._term_weights(F, dp), kseries._vf_parts(F, dp)
     ref_weights, (ref_base, ref_h) = row_term_weights(F, dp), row_vf_parts(F, dp)
     if nmodes < 8:
@@ -598,8 +639,8 @@ def test_column_kernels_match_the_row_wise_reference(n, nmodes, count, zero, see
         np.testing.assert_array_max_ulp(h, ref_h, maxulp=4)
     # each row and its mirror, at shuffled positions of one series
     perm = rng.permutation(count)
-    mirror, conj = kseries._mirror(dims, rows, coefs)
-    both = TFSeries(dims, BUD, np.concatenate([rows, mirror[perm]]),
+    mirror, conj = kseries._mirror(dims, cols, coefs)
+    both = TFSeries(dims, BUD, np.concatenate([cols, mirror[:, perm]], axis=1),
                     np.concatenate([coefs, conj[perm]]))
     at = count + np.argsort(perm)
     for part in kseries._vf_parts(both, dp):
@@ -610,9 +651,9 @@ def test_column_kernels_match_the_row_wise_reference(n, nmodes, count, zero, see
     hi = rng.integers(0, 16384, width)
     codec = kseries._Codec(lo, hi)
     wide = rng.integers(lo, hi + 1, (count, width)).astype(np.int16)
-    words = codec.encode(wide, lo)
+    words = codec.encode(np.ascontiguousarray(wide.T), lo)
     got = codec.decode(words)
-    assert np.array_equal(got, row_decode(codec, words)) and np.array_equal(got, wide)
+    assert np.array_equal(got.T, row_decode(codec, words)) and np.array_equal(got.T, wide)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -799,8 +840,8 @@ def test_masked_bracket_sums_its_rows_in_the_full_products_order():
     full, total = _formed(poisson_bracket, from_terms(DIMS, UNBOUNDED, f),
                           from_terms(DIMS, UNBOUNDED, g))
     assert 0 < formed <= 0.1 * total and formed > 50 * len(out)
-    inside = ((kseries._degrees(full.rows, DIMS.n) <= BUD.degree_max)
-              & (kseries._kabs(full.rows, DIMS.n) <= BUD.k_max))
+    inside = ((kseries._degrees(full.cols, DIMS.n) <= BUD.degree_max)
+              & (kseries._kabs(full.cols, DIMS.n) <= BUD.k_max))
     assert np.array_equal(out.rows, full.rows[inside])
     assert np.array_equal(out.coefs, full.coefs[inside])
 
@@ -814,11 +855,11 @@ def test_sliced_encode_matches_one_shot_encode(F, P, per_slice):
     # examples need two 63-bit words), do not depend on how many rows are
     # encoded at a time
     for S in (F, P):
-        lo, hi = kseries._bounds(S.rows)
+        lo, hi = kseries._bounds(S.cols)
         codec = kseries._Codec(lo + lo, hi + hi)
-        whole = codec.encode(S.rows, lo)
-        with mock.patch.object(kseries, "_CHUNK_ROWS", per_slice * S.rows.shape[1]):
-            sliced = codec.encode(S.rows, lo)
+        whole = codec.encode(S.cols, lo)
+        with mock.patch.object(kseries, "_CHUNK_ROWS", per_slice * S.cols.shape[0]):
+            sliced = codec.encode(S.cols, lo)
         assert len(codec.words) == len(whole) == len(sliced)
         assert all(w.dtype == v.dtype == np.int64 and np.array_equal(w, v)
                    for w, v in zip(whole, sliced))
@@ -880,7 +921,7 @@ def test_halved_bracket_matches_reference_within_rounding(F, G, chunk):
 def test_brackets_of_operands_not_flagged_real_are_never_halved(F, G, chunk):
     # the same values with either flag or both removed take the full path,
     # bit for bit alike
-    plain = [TFSeries._of(S, S.rows, S.coefs, False) for S in (F, G)]
+    plain = [TFSeries._of(S, S.cols, S.coefs, False) for S in (F, G)]
     fg, _, halved = _halved(*plain, chunk)
     assert not halved
     for mixed in ((F, plain[1]), (plain[0], G)):
@@ -913,7 +954,7 @@ def test_halving_runs_for_every_product_of_two_distinct_real_operands():
     fg, _, halved = _halved(lone, G, 1)
     assert halved and not fg.terms
     # without the flag the same row gives a nonzero bracket
-    plain = TFSeries._of(lone, lone.rows, lone.coefs, False)
+    plain = TFSeries._of(lone, lone.cols, lone.coefs, False)
     assert poisson_bracket(plain, G).terms
 
 
@@ -1137,7 +1178,7 @@ def _random_coefficients(S, seed, real):
     """S on its keys with standard normal coefficients (no two products of
     different factors coincide), made real by ``realify`` when asked."""
     rng = np.random.default_rng(seed)
-    S = TFSeries._of(S, S.rows, rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S)),
+    S = TFSeries._of(S, S.cols, rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S)),
                      False)
     return realify(S) if real else S
 
@@ -1212,7 +1253,7 @@ def test_skipped_bracket_leaves_out_exactly_the_products_it_counts(F, G, real, s
     if rows:
         words = [np.concatenate(ws) for ws in zip(*(w for w, _ in formed))]
         coefs = np.concatenate([c for _, c in formed])
-        for row, c in zip(codecs[0].decode(words).astype(np.int64), coefs):
+        for row, c in zip(codecs[0].decode(words).T.astype(np.int64), coefs):
             same = left[row.tobytes()]
             at = min(range(len(same)), key=lambda i: abs(same[i][0] - c))
             assert abs(same[at][0] - c) <= 1e-12 * abs(c)
