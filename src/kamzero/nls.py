@@ -2,7 +2,8 @@
 
 Pipeline: the quartic mode-coupling tensor of the even periodic problem on
 [0, 2pi] (cosine modes, one zero-frequency mode at j = 0), the partial
-Birkhoff transform removing the non-action quartic monomials, and the
+Birkhoff transform removing the non-action quartic monomials (a Lie series
+summed from its known first bracket {Lambda, F}), and the
 action-angle substitution q_{j_b} = sqrt(xi_b + y_b) e^{-i x_b} at the
 tangential sites.  The result is a structured normal form with frequency
 map omega(xi) = alpha + A xi (normal frequencies left unshifted) and a
@@ -39,7 +40,8 @@ import numpy as np
 
 from .homological import NormalForm
 from .measure import AffineFrequencyMap
-from .series import SeriesDims, TFSeries, _degrees, _kabs, lie_transform
+from .series import (SeriesDims, TFSeries, _degrees, _kabs, poisson_bracket,
+                     truncated_mass)
 
 
 @dataclass
@@ -180,9 +182,20 @@ def birkhoff_transform(model, budgets):
     Every quartic monomial with an index relation i +- j +- k +- l = 0 and
     {i, j} != {k, l} (as multisets) is eliminated; the surviving quartic
     part is diagonal in the actions |q_i|^2 |q_j|^2, with the couplings
-    Gbar of ``action_couplings``, which the transform leaves unchanged.  The
-    Lie series runs to order max(2, (degree_max - 2) // 2), and the degree
-    >= 6 remainder K is exact up to the series degree budget.
+    Gbar of ``action_couplings``, which the transform leaves unchanged.
+
+    The Lie series of Lambda + G is summed from its known first bracket
+    T = {Lambda, F}, about -G on the eliminated monomials: ad_F^i Lambda =
+    ad_F^{i-1} T, so sum_i ad_F^i (Lambda + G) / i! = Lambda + (G + T) +
+    sum_{j>=1} ad_F^j Y_j with Y_j = G / j! + T / (j+1)!.  Each bracket
+    raises the degree by 2, so the orders j <= J = (degree_max - 4) // 2
+    are all that fit the degree budget; they are nested as ad_F(Y_1 +
+    ad_F(Y_2 + ... + ad_F(Y_J))), J brackets in all (one at degree_max 6,
+    none at 4), and the degree >= 6 remainder K is exact up to rounding
+    within the degree budget.
+    T is a real bracket, so ``max_resonant_leftover`` still measures how
+    well F solves the homological equation.  ``series.lie_transform`` is the
+    reference this sum is pinned against in the tests.
     """
     lam, G = quartic_hamiltonian(model, budgets)
     dims = model.flat_dims()
@@ -198,7 +211,15 @@ def birkhoff_transform(model, budgets):
     coefs = np.empty(len(c), dtype=complex)
     coefs.real, coefs.imag = c.imag / div, -c.real / div
     F = TFSeries.from_rows(dims, budgets, G.rows[elim], coefs, real=True)
-    H = lie_transform(lam + G, F, max(2, (budgets.degree_max - 2) // 2))
+    T = poisson_bracket(lam, F)
+    nested = TFSeries.zero(dims, budgets, real=True)
+    mass = truncated_mass(T)
+    for j in range((budgets.degree_max - 4) // 2, 0, -1):
+        Y = G * (1.0 / math.factorial(j)) + T * (1.0 / math.factorial(j + 1))
+        nested = poisson_bracket(Y + nested, F)
+        mass += truncated_mass(nested)
+    H = lam + (G + T) + nested
+    H.meta.update(dropped_mass=mass)
 
     deg = _degrees(H.cols, 0)
     leftover = float(np.abs(H.coefs[(deg == 4) & ~_is_action(H.rows)]).max(initial=0.0))

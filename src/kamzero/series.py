@@ -1225,7 +1225,9 @@ def lie_transform(H, F, order):
     Returns sum_{j=0}^{order} ad_F^j H / j! with ad_F H = {H, F}, exact up
     to rounding within the budgets: no coefficient is cut by its magnitude.
     The result's meta reports the brackets' summed budget mass
-    (``dropped_mass``).
+    (``dropped_mass``).  No command calls it: it is the reference that
+    ``nls.birkhoff_transform``, which sums the same series from its known
+    first bracket, is pinned against in ``tests/test_nls.py``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -343,13 +343,15 @@ def _row_terms(fmap, grid, kmax):
 
 def assert_row_values_are_k_dot_omega(fmap, grid, kmax):
     # the coordinate-ordered sum against <k, omega(xi)> from the batched
-    # mat-vec, to a few ulps of the largest summand
+    # mat-vec, to a few ulps of the largest summand; the reference's omega =
+    # alpha + A xi rounds against |alpha| + |A| |xi|, not |omega|, which is
+    # far smaller where omega cancels
     kvecs, base, proj = _row_terms(fmap, grid, kmax)
     xi = grid.samples()
     vals = measure.row_values(base[:, None], proj[:, None], xi)
     kw = kvecs @ fmap.omegas(xi).T
-    size = (np.abs(kvecs) @ np.abs(fmap.omegas(xi)).T + np.abs(base)[:, None]
-            + np.abs(proj) @ np.abs(xi).T)
+    size = (np.abs(kvecs) @ (np.abs(fmap.alpha)[:, None] + np.abs(fmap.A) @ np.abs(xi).T)
+            + np.abs(base)[:, None] + np.abs(proj) @ np.abs(xi).T)
     assert np.all(np.abs(vals - kw) <= 4 * np.finfo(float).eps * size)
 
 
@@ -367,6 +369,14 @@ _CANCELLING = (AffineFrequencyMap(np.array([0.25, 0.25]), np.array([[0.5, 0.0], 
                                   {1: 0.0}),
                None, None, ParameterGrid(np.array([-0.5, 0.0]), np.array([-0.25, 0.25]), 10),
                {"kmax": 2.0})
+
+
+@pytest.mark.parametrize("scale", [0.3, 0.75, 1.5, 2.9])
+def test_row_values_are_k_dot_omega_where_omega_cancels(scale):
+    # the pinned inputs of the exact oracle below, through the helper
+    fmap, _, _, grid, kw = _CANCELLING
+    assert_row_values_are_k_dot_omega(
+        AffineFrequencyMap(scale * fmap.alpha, scale * fmap.A, fmap.Omega), grid, kw["kmax"])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -8,7 +8,8 @@ from kamzero.nls import (NlsModel, _gbinom, action_couplings, birkhoff_transform
                          build_nls, classify_index_vectors, frequency_map, g_tensor,
                          grading_violations, parity_check, parity_v0, parity_weighted,
                          quartic_hamiltonian, to_kam_form)
-from kamzero.series import Budgets, DomainParams, TFSeries, _degrees, vector_field_norm
+from kamzero.series import (Budgets, DomainParams, TFSeries, _degrees, lie_transform,
+                            vector_field_norm)
 from series_ref import from_terms, key_degree, key_kabs, make_key, reality_defect
 
 
@@ -151,24 +152,32 @@ def test_k_part_momentum_gradings(nls_build):
     assert momentum_signed(bk.K, ()).any()
 
 
+def _recorded_brackets(monkeypatch):
+    """The (A, B) operands of every ``poisson_bracket`` call ``nls`` makes
+    from now on, in call order."""
+    from kamzero import nls
+
+    calls = []
+    bracket = nls.poisson_bracket
+
+    def recorded(A, B, *args, **kwargs):
+        calls.append((A, B))
+        return bracket(A, B, *args, **kwargs)
+    monkeypatch.setattr(nls, "poisson_bracket", recorded)
+    return calls
+
+
 def test_birkhoff_zero_divisor_unreachable(monkeypatch):
     # momentum plus equal power sums force equal multisets; scan every
     # eliminated quartic of a small model for a vanishing divisor, and check
-    # the generator, read from the Lie transform's arguments, against
-    # Python's complex division c / (i div)
-    from kamzero import nls
-
+    # the generator, read from the arguments of the first bracket {Lambda,
+    # F}, against Python's complex division c / (i div)
     model = NlsModel(sites=(1,), jmax=6, xi=np.array([1e-3]))
     lam, G = quartic_hamiltonian(model, Budgets(4, 8))
-    generators = []
-    transform = nls.lie_transform
-
-    def recorded(H, F, order):
-        generators.append(F)
-        return transform(H, F, order)
-    monkeypatch.setattr(nls, "lie_transform", recorded)
+    brackets = _recorded_brackets(monkeypatch)
     birkhoff_transform(model, Budgets(4, 8))
-    (F,) = generators
+    ((L, F),) = brackets        # degree_max 4: {Lambda, F} is the only bracket
+    assert np.array_equal(L.rows, lam.rows) and L.coefs.tobytes() == lam.coefs.tobytes()
     for key, c in G.terms.items():
         bm = [m for m, e in key.beta for _ in range(e)]
         gm = [m for m, e in key.gamma for _ in range(e)]
@@ -193,9 +202,11 @@ def _couplings_of_transformed(H):
     return Gbar
 
 
-@pytest.mark.parametrize("sites,jmax,depth,degree_max", [
-    ((1, 2), 6, 2, 6), ((1, 3), 5, 1, 8), ((2,), 7, 3, 6), ((1, 2, 4), 6, 2, 6),
-    ((1, 2, 4), 5, 1, 8), ((3, 5), 10, 2, 6)])
+BIRKHOFF_MODELS = [((1, 2), 6, 2, 6), ((1, 3), 5, 1, 8), ((2,), 7, 3, 6), ((1, 2, 4), 6, 2, 6),
+                   ((1, 2, 4), 5, 1, 8), ((3, 5), 10, 2, 6)]
+
+
+@pytest.mark.parametrize("sites,jmax,depth,degree_max", BIRKHOFF_MODELS)
 def test_lie_transform_leaves_the_action_couplings_exact(sites, jmax, depth, degree_max):
     # {Lambda, F} holds only non-action monomials and every other increment
     # has degree >= 6, so the quartic's action couplings are those of H bit
@@ -210,6 +221,31 @@ def test_lie_transform_leaves_the_action_couplings_exact(sites, jmax, depth, deg
     assert np.array_equal(fmap.alpha, kf_map.alpha) and np.array_equal(fmap.A, kf_map.A)
     assert fmap.Omega == kf_map.Omega == {j: float(j * j) for j in model.kam_dims().tail_modes}
     assert np.all(fmap.A > 0)
+
+
+@pytest.mark.parametrize("sites,jmax,depth,degree_max",
+                         BIRKHOFF_MODELS + [((1, 2), 6, 2, 4), ((1, 2), 5, 2, 10)])
+def test_birkhoff_is_the_lie_transform_of_lambda_plus_g(monkeypatch, sites, jmax, depth,
+                                                        degree_max):
+    # the sum from the known first bracket T = {Lambda, F} against the plain
+    # Lie transform of Lambda + G to the order the degree budget reaches:
+    # equal up to rounding, key by key
+    model = NlsModel(sites, jmax, xi=np.full(len(sites), 1e-3), taylor_depth=depth)
+    budgets = Budgets(degree_max, 512)
+    brackets = _recorded_brackets(monkeypatch)
+    bk = birkhoff_transform(model, budgets)
+    F = brackets[0][1]
+    lam, G = quartic_hamiltonian(model, budgets)
+    ref = lie_transform(lam + G, F, max(2, (degree_max - 2) // 2))
+    tol = 1e-15 * ref.max_abs()
+    at_ref, at_H = bk.H.coefficients_at(ref.rows), ref.coefficients_at(bk.H.rows)
+    assert np.abs(bk.H.coefs - at_H).max() <= tol
+    assert np.abs(ref.coefs - at_ref).max() <= tol
+    # a key on one side only is a sum that rounded to zero on the other
+    assert np.abs(bk.H.coefs[at_H == 0]).max(initial=0.0) <= tol
+    assert np.abs(ref.coefs[at_ref == 0]).max(initial=0.0) <= tol
+    assert bk.max_resonant_leftover <= 1e-12
+    assert len(brackets) == 1 + (degree_max - 4) // 2
 
 
 # ---------------------------------------------------------------------------
