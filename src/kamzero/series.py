@@ -14,11 +14,11 @@ The module provides the Poisson calculus (bracket, Lie transform), the
 weighted coefficient-majorant norm and the Hamiltonian vector-field norm
 with its per-term majorants, the truncation they certify and the bracket
 that leaves out, within a majorant budget, whole rows of one operand and
-then single products of derivative rows (``_skip_plan``), degree
-splitting, Fourier truncation with a tail certificate, and a text form.
-All combining operations respect a total-degree budget and a
-Fourier budget; mass removed by truncation is accumulated into the result's
-``meta`` rather than silently discarded.
+then the products of derivative rows whose majorant levels sum below one
+threshold (``_skip_plan``), degree splitting, Fourier truncation with a
+tail certificate, and a text form.  All combining operations respect a
+total-degree budget and a Fourier budget; mass removed by truncation is
+accumulated into the result's ``meta`` rather than silently discarded.
 
 A series is stored as two arrays only, its key columns and coefficients
 (see ``TFSeries``): one C-ordered (column, row) int16 array, so that a
@@ -645,18 +645,31 @@ def _derivative_rows(S, cols):
 _ROW_SHARE = 0.5
 
 
+# the product plan's levels (``_skip_plan``): a derivative row's level is
+# floor(4 log2 u), a quarter octave of u; on nls.cfg's S1 brackets half
+# octaves were as fast and eighth octaves slower
+_LEVELS_PER_OCTAVE = 4
+# levels of one operand, counted from its lowest; higher rows share the top
+# level, so that the table of level pairs never exceeds 1,024^2 cells
+_LEVEL_CAP = 1024
+
+
+def _levels(u):
+    """Level floor(``_LEVELS_PER_OCTAVE`` log2 u) of each u (0 counts as the
+    least normal float), less the lowest, capped at ``_LEVEL_CAP`` - 1."""
+    level = np.floor(_LEVELS_PER_OCTAVE * np.log2(np.maximum(u, np.finfo(float).tiny)))
+    return np.minimum(level - level.min(initial=np.inf), _LEVEL_CAP - 1).astype(np.intp)
+
+
 class _Plan(NamedTuple):
     """What ``_skip_plan`` leaves out.  B's derivative rows (``rows_b``:
-    pair, row of B less its cut rows) come in the plan's order, each pair's
-    in buckets; query q, A derivative row ``qa[q]`` against one bucket of
-    its pair, keeps its rows ``start[q]:end[q]`` and leaves out the
-    bucket's rows before ``start[q]``.  ``bound`` and ``left_out`` count
-    the cut rows' products too."""
+    pair, row of B less its cut rows) come sorted by pair, then level; A
+    derivative row i keeps the rows of its pair from ``start[i]`` on and
+    leaves out those before.  ``bound`` and ``left_out`` count the cut
+    rows' products too."""
 
     rows_b: tuple
-    qa: np.ndarray
     start: np.ndarray
-    end: np.ndarray
     bound: float
     left_out: int
 
@@ -684,16 +697,14 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget):
     of least mass go (``_below_cut``), and their products number sum_p
     n_a,p n_b,p, with n the derivative rows of each side in pair p.
 
-    Of the rest, every product below one threshold t of u_a u_b (h_a + H) /
-    r^2 goes, with H >= h_b the largest h of the dyadic bucket of h_b in b's
-    pair: with the pair's B-rows in these buckets, each sorted by u, the
-    products of one A-row that go are a prefix of each bucket, and their
-    summed bound is u_a (h_a sum u_b + sum u_b h_b) / r^2 over the prefix,
-    read from per-bucket prefix sums.  A bisection on log t takes the
-    largest probed t whose left-out bound fits what the cut left of the
-    budget.  Since h_b <= H < 2 h_b, a product's bound is within a factor 2
-    of its key, so t lies between budget / (2 candidates) and 4 budget.  An
-    A-row's products with B-rows of one bucket and equal u go together.
+    Of the rest, every product whose levels (``_levels`` of u_a / r^2 and
+    u_b, each side against its own lowest) sum below one T goes.  Per pair,
+    the sums of u and u h over each level's derivative rows give each cell
+    (l_a, l_b) the exact summed bound of its products, W_a^T U_b + U_a^T
+    W_b, and T is the largest level sum whose diagonals l_a + l_b < T
+    together fit what the row cut left of the budget.  With B's derivative
+    rows sorted by pair, then level, the products an A derivative row keeps
+    are the suffix of its pair's rows of level at least T - l_a.
     """
     pa, sa = rows_a
     n = A.dims.n
@@ -716,69 +727,25 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget):
     pb, sb = _derivative_rows(B, cols_b)
     col = cols_b[pb]
     ub, hb = base_b[sb] * np.abs(B.cols[col, sb]) * gain[col], h_b[sb]
-    if not len(pa) or not len(pb):
-        if not cut_rows:
-            return B, None
-        none = np.zeros(0, dtype=np.intp)
-        return B, _Plan((pb, sb), none, none, none, cut_bound, cut_rows)
+    la, lb = _levels(ua), _levels(ub)
+    na, nb = la.max(initial=-1) + 1, lb.max(initial=-1) + 1
+    (Ua, Wa), (Ub, Wb) = ([np.bincount(p * size + level, x, minlength=len(cols_b) * size)
+                           .reshape(len(cols_b), size) for x in (u, u * h)]
+                          for p, level, size, u, h in ((pa, la, na, ua, ha), (pb, lb, nb, ub, hb)))
+    cells = Wa.T @ Ub + Ua.T @ Wb
+    spent = np.cumsum(np.bincount(np.add.outer(np.arange(na), np.arange(nb)).ravel(),
+                                  cells.ravel()))
     budget -= cut_bound
-    tiny = np.finfo(float).tiny
-    # B's derivative rows in the buckets of each pair, each sorted by u: one
-    # sort of log2 u banded by (pair, bucket), whose keys then serve one
-    # search for the prefixes of every bucket
-    level = np.frexp(hb)[1]
-    band = pb * (level.max() - level.min() + 1) + (level - level.min())
-    keys = band * 4096.0 + np.log2(np.maximum(ub, tiny))
-    order = np.argsort(keys)
-    pb, sb, ub, hb, band, keys = (x[order] for x in (pb, sb, ub, hb, band, keys))
-    starts = np.flatnonzero(np.concatenate([[True], band[1:] != band[:-1]]))
-    sizes = np.diff(np.concatenate([starts, [len(pb)]]))
-    bucket = np.repeat(np.arange(len(starts)), sizes)
-    nbk = np.bincount(pb[starts], minlength=len(cols_b))
-    # bucket g's slots starts[g] + g to starts[g + 1] + g hold the sums of
-    # u and of u h over its first 0, 1, ... rows, each summed in its bucket
-    # along a contiguous column, then stacked for the probes
-    su, suh = np.zeros((2, len(pb) + len(starts)))
-    at = np.arange(len(pb)) + bucket + 1
-    su[at], suh[at] = ub, ub * hb
-    for a, b in zip((at[starts] - 1)[sizes > 1].tolist(), (at[starts] + sizes)[sizes > 1].tolist()):
-        np.add.accumulate(su[a:b], out=su[a:b])
-        np.add.accumulate(suh[a:b], out=suh[a:b])
-    slots = np.stack([su, suh], axis=1)
-    # the queries: each A derivative row against each bucket of its pair; a
-    # product of query q goes when u_b scale[q] < t
-    per = nbk[pa]
-    qa = np.repeat(np.arange(len(pa)), per)
-    qg = np.arange(len(qa)) + np.repeat((np.cumsum(nbk) - nbk)[pa] - (np.cumsum(per) - per), per)
-    first, end = starts[qg], (starts + sizes)[qg]
-    scale = ua[qa] * (ha[qa] + np.maximum.reduceat(hb, starts)[qg])
-    # query q searches for its band's keys below base[q] + log2 t; the
-    # queries go in the order of base, which any t keeps.  log2 t - log2
-    # scale stays within [-2,200, 2,048], inside the gap to the other
-    # bands' keys (log2 u lies in [-1,022, 1,024])
-    base = band[first] * 4096.0 - np.log2(np.maximum(scale, tiny))
-    qs = np.argsort(base)
-    weights = np.stack([ua[qa] * ha[qa], ua[qa]], axis=1)[qs]
-    base, qg = base[qs], qg[qs]
-    pos = end[qs]
-    bound = float((weights * slots[pos + qg]).sum())
-    if bound > budget:
-        pos, bound = first[qs], 0.0
-        lo, hi = math.log2(budget) - math.log2(2.0 * sizes[qg].sum()), math.log2(budget) + 2.0
-        for _ in range(12):
-            mid = 0.5 * (lo + hi)
-            probe = np.searchsorted(keys, base + mid)
-            total = float((weights * slots[probe + qg]).sum())
-            if total <= budget:
-                lo, pos, bound = mid, probe, total
-            else:
-                hi = mid
-    start = np.empty_like(pos)
-    start[qs] = pos
-    left_out = int((start - first).sum()) + cut_rows
+    T = int(np.searchsorted(spent, budget, "right"))
+    keys = pb * nb + lb
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.searchsorted(keys, pa * nb + np.clip(T - la, 0, nb))
+    left_out = int((start - np.searchsorted(keys, pa * nb)).sum()) + cut_rows
     if not left_out:
         return B, None
-    return B, _Plan((pb, sb), qa, start, end, bound + cut_bound, left_out)
+    return B, _Plan((pb[order], sb[order]), start, float(spent[T - 1] if T else 0.0) + cut_bound,
+                    left_out)
 
 
 class _Derivatives(NamedTuple):
@@ -866,12 +833,12 @@ def _blocks(lens):
         s = t
 
 
-def _form(acc, da, db, ia, jb, lens, within, lone):
-    """Adds to ``acc`` the products (i, j) of segments s, A derivative row
-    ``ia[s]`` with the ``lens[s]`` B derivative rows from ``jb[s]`` on,
-    row-major, one block (``_blocks``) at a time, freeing the block after;
-    with a ``within`` test only those in the budgets, the others' mass
-    going to ``acc.dropped``.
+def _form(acc, da, db, jb, lens, within, lone):
+    """Adds to ``acc`` the products (i, j) of segments i, A derivative row i
+    with the ``lens[i]`` B derivative rows from ``jb[i]`` on, row-major, one
+    block (``_blocks``) at a time, freeing the block after; with a
+    ``within`` test only those in the budgets, the others' mass going to
+    ``acc.dropped``.
 
     numpy's complex multiply fuses a multiply-add, except on one element in
     place.  Blocks are formed in place, and a one-product block out of place
@@ -880,7 +847,7 @@ def _form(acc, da, db, ia, jb, lens, within, lone):
     neighbours the degree and Fourier budgets drop."""
     for s, t in _blocks(lens):
         ends = np.cumsum(lens[s:t])
-        i = np.repeat(ia[s:t], lens[s:t])
+        i = np.repeat(np.arange(s, t), lens[s:t])
         j = np.arange(ends[-1]) + np.repeat(jb[s:t] - (ends - lens[s:t]), lens[s:t])
         if within is not None:
             keep = within(i, j)
@@ -912,7 +879,7 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
 
     One pass forms every product row (``_form``): a segment is an A
     derivative row with a run of its pair's B derivative rows (all, or with
-    a plan each kept bucket suffix), and blocks of whole segments reach the
+    a plan the suffix it keeps), and blocks of whole segments reach the
     accumulator in row-major order, through the per-product budget test
     only when the rows' extremes can still pass a budget (``_fits``).
 
@@ -920,13 +887,13 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     that ``_skip_plan`` picks on the domain ``dp``, but only when the
     extremes keep every product within the degree and Fourier budgets
     (``_fits``): first whole rows of B (the longer operand:
-    ``poisson_bracket`` puts the shorter first), then single products of
-    the rows left, and only those rows' derivatives are formed.  With
-    halving, each left-out product counts for P and M(P), so the plan gets
-    half the budget and ``meta['skip_bound']`` is twice the left-out
-    products' summed bound; ``meta['skip_rows']`` counts them.  A bracket
-    that needs the per-product test forms every product, as does a plan
-    that leaves none out.
+    ``poisson_bracket`` puts the shorter first), then the products of the
+    rows left whose levels sum below one threshold, and only those rows'
+    derivatives are formed.  With halving, each left-out product counts for
+    P and M(P), so the plan gets half the budget and ``meta['skip_bound']``
+    is twice the left-out products' summed bound; ``meta['skip_rows']``
+    counts them.  A bracket that needs the per-product test forms every
+    product, as does a plan that leaves none out.
     """
     acc = _Accumulator()
     mirrored = A.real and B.real
@@ -954,12 +921,10 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
                                                 else plan.rows_b))
     db = db._replace(coefs=db.coefs * np.repeat(factors.astype(complex), db.counts))
     within = None if fits else _budget_test(A, B, dga, dgb, da, db)
-    if plan is None:
-        pa = rows_a[0]
-        ia, jb, lens = np.arange(len(pa)), db.offsets[pa], db.counts[pa]
-    else:
-        ia, jb, lens = plan.qa, plan.start, plan.end - plan.start
-    _form(acc, da, db, ia, jb, lens, within, cut + lens.sum() == 1)
+    pa = rows_a[0]
+    jb = db.offsets[pa] if plan is None else plan.start
+    lens = db.offsets[pa + 1] - jb
+    _form(acc, da, db, jb, lens, within, cut + lens.sum() == 1)
     acc.finalize(out, codec, mirrored)
 
 
@@ -978,9 +943,9 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     only keys whose sum is exactly zero are dropped.
 
     Antisymmetry is exact coefficientwise: the two arguments are put into a
-    canonical order by comparing their arrays (flipping the sign when they
-    swap), and bracketing a series with itself returns the zero series
-    outright.
+    canonical order by comparing their lengths, then, for equal lengths,
+    their arrays (flipping the sign when they swap), and bracketing a series
+    with itself returns the zero series outright.
 
     When both operands are flagged ``real``, only half of the canonical
     first operand A is bracketed (``_products``): the rows of A that sort
@@ -996,7 +961,8 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     rows whose summed majorant bounds on the domain ``dp`` stay within it
     (``_skip_plan``): first the rows of the longer operand whose products
     sum the least bound, within half the budget, then, of the rest, every
-    product whose bound key falls below one threshold.
+    product whose factors' majorant levels sum below the largest threshold
+    that fits.
     ``vector_field_norm`` on ``dp`` of the result is then within
     ``meta['skip_bound']`` (<= budget) of the whole bracket's, and
     ``meta['skip_rows']`` counts the product rows left out.  Other
@@ -1013,11 +979,13 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     out.meta.update(dropped_mass=0.0, skip_bound=0.0, skip_rows=0)
     if not len(F) or not len(G):
         return out
-    content_f = (len(F), F.rows.tobytes(), F.coefs.tobytes())
-    content_g = (len(G), G.rows.tobytes(), G.coefs.tobytes())
-    if content_f == content_g:
-        return out
-    sign = 1.0 if content_f < content_g else -1.0
+    # bytes (an element-by-element copy of the strided rows) only for a tie
+    key_f, key_g = len(F), len(G)
+    if key_f == key_g:
+        key_f, key_g = ((S.rows.tobytes(), S.coefs.tobytes()) for S in (F, G))
+        if key_f == key_g:
+            return out
+    sign = 1.0 if key_f < key_g else -1.0
     A, B = (F, G) if sign > 0 else (G, F)
     n, nmodes = F.dims.n, len(F.dims.modes)
     pairs = []

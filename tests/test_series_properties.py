@@ -11,6 +11,7 @@ sum the same products in different orders, so a coefficient may differ by
 rounding, bounded by 1e-14 of the l1 mass of its summands.
 """
 
+import contextlib
 import math
 import random
 import tracemalloc
@@ -1135,42 +1136,60 @@ def test_skipped_rows_of_one_cost_go_together():
             assert out.coefs.tobytes() == full.coefs.tobytes()
 
 
-def _plan_candidates(A, B, pairs, dp):
-    """The (product row, coefficient, majorant bound) of every product of a
-    derivative row of A with one of B, pair by pair, that lies within the
-    budgets, from the definitions: a derivative brings down the exponent (1j
-    k for an angle), u = |c| weight |e| gain and h = max |k_b| + max alpha_b
-    + |beta w^2|_2 + |gamma w^2|_2 per row, and a product's bound is u_a u_b
-    (h_a + h_b) / r^2."""
-    n, nmodes, bud = A.dims.n, len(A.dims.modes), A.budgets
-    w = np.array([mode_weight(j, dp) for j in A.dims.modes])
+def _plan_levels(u):
+    """The skip plan's level of each u: floor(4 log2 u), a quarter octave,
+    less the lowest, capped at 1,023 (0 counts as the least normal float)."""
+    levels = [math.floor(4 * math.log2(max(x, np.finfo(float).tiny))) for x in u]
+    return [min(level - min(levels), 1023) for level in levels]
+
+
+def _derivative_terms(S, col, factor, dp):
+    """(lowered row, coefficient, u, h) of each derivative row of S in the
+    variable of column ``col``, from the definitions: a derivative brings
+    down the exponent e (1j k for an angle, times ``factor``), u = |c|
+    weight |e| gain with gain the factor the weight gains by the derivative,
+    and h = max |k_b| + max alpha_b + |beta w^2|_2 + |gamma w^2|_2 of the
+    row."""
+    n, nmodes = S.dims.n, len(S.dims.modes)
+    w = np.array([mode_weight(j, dp) for j in S.dims.modes])
     gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
+    out = []
+    for i, (row, c) in enumerate(zip(S.rows.astype(np.int64), S.coefs)):
+        e = int(row[col])
+        if not e:
+            continue
+        h = (max(abs(row[:n]), default=0) + max(row[n:2 * n], default=0)
+             + math.hypot(*(row[2 * n:2 * n + nmodes] * w ** 2))
+             + math.hypot(*(row[2 * n + nmodes:] * w ** 2)))
+        base = weighted_norm(S.select(np.arange(len(S)) == i), dp)
+        lowered = row.copy()
+        if col >= n:
+            lowered[col] -= 1
+        out.append((lowered, c * (1j * e if col < n else e) * factor, base * abs(e) * gain[col], h))
+    return out
 
-    def rows_of(S, col, factor):
-        out = []
-        for i, (row, c) in enumerate(zip(S.rows.astype(np.int64), S.coefs)):
-            e = int(row[col])
-            if not e:
-                continue
-            h = (max(abs(row[:n]), default=0) + max(row[n:2 * n], default=0)
-                 + math.hypot(*(row[2 * n:2 * n + nmodes] * w ** 2))
-                 + math.hypot(*(row[2 * n + nmodes:] * w ** 2)))
-            base = weighted_norm(S.select(np.arange(len(S)) == i), dp)
-            lowered = row.copy()
-            if col >= n:
-                lowered[col] -= 1
-            out.append((lowered, c * (1j * e if col < n else e) * factor,
-                        base * abs(e) * gain[col], h))
-        return out
 
+def _plan_candidates(A, B, pairs, dp):
+    """The (product row, coefficient, majorant bound, level sum) of every
+    product of a derivative row of A with one of B (``_derivative_terms``),
+    pair by pair, that lies within the budgets.  A product's bound is u_a
+    u_b (h_a + h_b) / r^2, and its level sum adds the levels
+    (``_plan_levels``) of u_a / r^2 among all of A's derivative rows and of
+    u_b among all of B's."""
+    n, bud = A.dims.n, A.budgets
+    sides = [[_derivative_terms(A, col_a, 1.0, dp) for col_a, _, _ in pairs],
+             [_derivative_terms(B, col_b, factor, dp) for _, col_b, factor in pairs]]
+    for side, scale in zip(sides, (dp.r ** -2, 1.0)):
+        levels = iter(_plan_levels([u * scale for rows in side for _, _, u, _ in rows]))
+        side[:] = [[row + (next(levels),) for row in rows] for rows in side]
     cands = []
-    for col_a, col_b, factor in pairs:
-        for ra, ca, ua, ha in rows_of(A, col_a, 1.0):
-            for rb, cb, ub, hb in rows_of(B, col_b, factor):
+    for rows_a, rows_b in zip(*sides):
+        for ra, ca, ua, ha, la in rows_a:
+            for rb, cb, ub, hb, lb in rows_b:
                 row = ra + rb
                 if (2 * row[n:2 * n].sum() + row[2 * n:].sum() <= bud.degree_max
                         and np.abs(row[:n]).sum() <= bud.k_max):
-                    cands.append((row, ca * cb, ua * ub * (ha + hb) / dp.r ** 2))
+                    cands.append((row, ca * cb, ua * ub * (ha + hb) / dp.r ** 2, la + lb))
     return cands
 
 
@@ -1211,9 +1230,66 @@ def test_a_rows_mass_is_the_summed_bound_of_its_products(F, G, real, seed):
     mass = cut.call_args.args[0]
     assert len(mass) == len(B)
     for i, m in enumerate(mass):
-        bounds = [bound for _, _, bound in _plan_candidates(A, B.select(np.arange(len(B)) == i),
-                                                            pairs, VF_DP)]
+        bounds = [bound for _, _, bound, _ in _plan_candidates(
+            A, B.select(np.arange(len(B)) == i), pairs, VF_DP)]
         assert math.isclose(m, math.fsum(bounds), rel_tol=1e-12, abs_tol=0.0)
+
+
+def _recorded(name, calls):
+    """``kseries.<name>`` patched to append (args, result) of each call to
+    ``calls``."""
+    real = getattr(kseries, name)
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+    return mock.patch.object(kseries, name, recorded)
+
+
+def _bracket_formed(F, G, budget, *recorded):
+    """poisson_bracket(F, G, VF_DP, budget), the args of its ``_products``
+    call and the (row, coefficient) of each product row it formed, with the
+    (args, result) calls of the functions named in ``recorded`` appended to
+    the list that follows each name."""
+    formed, codecs, add, finalize = [], [], kseries._Accumulator.add, kseries._Accumulator.finalize
+
+    def added(acc, words, coefs):
+        formed.append((words, coefs))
+        return add(acc, words, coefs)
+
+    def finalized(acc, out, codec, mirrored):
+        codecs.append(codec)
+        return finalize(acc, out, codec, mirrored)
+    with contextlib.ExitStack() as stack:
+        products = stack.enter_context(
+            mock.patch.object(kseries, "_products", wraps=kseries._products))
+        stack.enter_context(mock.patch.object(kseries._Accumulator, "add", added))
+        stack.enter_context(mock.patch.object(kseries._Accumulator, "finalize", finalized))
+        for name, calls in zip(recorded[::2], recorded[1::2]):
+            stack.enter_context(_recorded(name, calls))
+        out = poisson_bracket(F, G, VF_DP, budget)
+    rows = []
+    if sum(len(coefs) for _, coefs in formed):
+        words = [np.concatenate(ws) for ws in zip(*(w for w, _ in formed))]
+        coefs = np.concatenate([c for _, c in formed])
+        rows = list(zip(codecs[0].decode(words).T.astype(np.int64), coefs))
+    return out, products.call_args.args[:4], rows
+
+
+def _match(cands, rows):
+    """(formed, left out): ``cands`` split by matching each formed product
+    ``rows`` to a candidate of its row and coefficient; candidates that tie
+    on both tie on their bound and level sum too."""
+    left, formed = {}, []
+    for cand in cands:
+        left.setdefault(cand[0].tobytes(), []).append(cand)
+    for row, c in rows:
+        same = left[row.tobytes()]
+        at = min(range(len(same)), key=lambda i: abs(same[i][1] - c))
+        assert abs(same[at][1] - c) <= 1e-12 * abs(c)
+        formed.append(same.pop(at))
+    return formed, [cand for same in left.values() for cand in same]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -1225,42 +1301,90 @@ def test_skipped_bracket_leaves_out_exactly_the_products_it_counts(F, G, real, s
     F, G = _random_coefficients(F, seed, real), _random_coefficients(G, seed + 1, real)
     assume(_dict(F) != _dict(G))
     total = poisson_bracket(F, G, VF_DP, math.inf).meta["skip_bound"]
-    formed, codecs, add, finalize = [], [], kseries._Accumulator.add, kseries._Accumulator.finalize
-
-    def added(acc, words, coefs):
-        formed.append((words, coefs))
-        return add(acc, words, coefs)
-
-    def finalized(acc, out, codec, mirrored):
-        codecs.append(codec)
-        return finalize(acc, out, codec, mirrored)
-    with mock.patch.object(kseries, "_products", wraps=kseries._products) as products, \
-            mock.patch.object(kseries._Accumulator, "add", added), \
-            mock.patch.object(kseries._Accumulator, "finalize", finalized):
-        out = poisson_bracket(F, G, VF_DP, share * total)
-    _, A, B, pairs = products.call_args.args[:4]
+    out, (_, A, B, pairs), rows = _bracket_formed(F, G, share * total)
     halved = A.real and B.real
     assert halved == real
     cands = _plan_candidates(kseries._half(A) if halved else A, B, pairs, VF_DP)
     assert len(cands) == _formed(poisson_bracket, F, G)[1]
-    rows = sum(len(coefs) for _, coefs in formed)
-    assert rows == len(cands) - out.meta["skip_rows"]
-    # match each formed product to a candidate of its row and coefficient;
-    # candidates that tie on both tie on their bound too
-    left = {}
-    for row, c, bound in cands:
-        left.setdefault(row.tobytes(), []).append((c, bound))
-    if rows:
-        words = [np.concatenate(ws) for ws in zip(*(w for w, _ in formed))]
-        coefs = np.concatenate([c for _, c in formed])
-        for row, c in zip(codecs[0].decode(words).T.astype(np.int64), coefs):
-            same = left[row.tobytes()]
-            at = min(range(len(same)), key=lambda i: abs(same[i][0] - c))
-            assert abs(same[at][0] - c) <= 1e-12 * abs(c)
-            same.pop(at)
-    skipped = sum(bound for same in left.values() for _, bound in same)
+    assert len(rows) == len(cands) - out.meta["skip_rows"]
+    _, left = _match(cands, rows)
+    skipped = sum(bound for _, _, bound, _ in left)
     assert math.isclose(out.meta["skip_bound"], (2.0 if halved else 1.0) * skipped,
                         rel_tol=1e-12, abs_tol=0.0)
     # the degree and Fourier budgets drop the whole bracket's mass
     assert math.isclose(out.meta["dropped_mass"], poisson_bracket(F, G).meta["dropped_mass"],
                         rel_tol=1e-12, abs_tol=0.0)
+
+
+def _check_level_cut(F, G, share):
+    """Checks the skip plan of the bracket of F and G on ``share`` of the
+    summed bound of all its products, brute-forced.
+
+    The plan runs exactly when that budget is positive and every product
+    fits the degree and Fourier budgets.  Of the rows of B that the row
+    cut keeps, the bracket leaves out exactly the products whose level sum
+    lies below one T, and T is the largest that fits what the cut left of
+    the plan's budget: adding diagonal T passes it.  ``skip_bound`` is the
+    summed bound of these products and of the cut rows' (twice for a
+    halved bracket), ``skip_rows`` their number."""
+    _, (_, A, B, pairs), _ = _bracket_formed(F, G, 0.0)
+    halved = A.real and B.real
+    total = (2.0 if halved else 1.0) * math.fsum(
+        bound for _, _, bound, _ in _plan_candidates(kseries._half(A) if halved else A, B, pairs,
+                                                     VF_DP))
+    plans, cuts = [], []
+    out, _, rows = _bracket_formed(F, G, share * total, "_skip_plan", plans, "_below_cut", cuts)
+    assert bool(plans) == (share * total > 0 and _extremes_fit(F, G))
+    if not plans:
+        return
+    [((A, B, _, _, _, _, budget), (kept_b, _))] = plans
+    [((mass, _), cut)] = cuts
+    twice = 2.0 if A.real and B.real else 1.0
+    remaining = budget - float(mass[cut].sum())
+    formed, left = _match(_plan_candidates(A, kept_b, pairs, VF_DP), rows)
+    T = min((level for _, _, _, level in formed), default=math.inf)
+    assert max((level for _, _, _, level in left), default=-1) < T
+    skipped = math.fsum(bound for _, _, bound, _ in left)
+    assert skipped <= remaining * (1 + 1e-12)
+    if formed:
+        assert skipped + math.fsum(bound for _, _, bound, level in formed
+                                   if level == T) > remaining * (1 - 1e-12)
+    cut_products = _plan_candidates(A, B.select(cut), pairs, VF_DP)
+    assert out.meta["skip_rows"] == len(left) + len(cut_products)
+    assert math.isclose(out.meta["skip_bound"],
+                        twice * (skipped + math.fsum(bound for _, _, bound, _ in cut_products)),
+                        rel_tol=1e-12, abs_tol=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PLAN_KEYS, PLAN_KEYS, st.booleans(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.2))
+def test_skip_plan_leaves_out_the_products_below_the_largest_level_sum_that_fits(
+        F, G, real, seed, share):
+    F, G = _random_coefficients(F, seed, real), _random_coefficients(G, seed + 1, real)
+    assume(_dict(F) != _dict(G))
+    _check_level_cut(F, G, share)
+
+
+def test_skip_plan_caps_the_levels_of_coefficients_spanning_1e_250_to_1():
+    # the shorter operand, A, spans 1e-250 to 1: its derivative rows span
+    # more than 1,024 quarter octaves, and those above the cap share one
+    # level; budgets from below the least product to most of the total
+    keys = [make_key(2, k, alpha, beta, gamma) for k, alpha, beta, gamma in (
+        ((1, 0), (1, 0), {3: 1}, {}), ((0, -1), (0, 1), {}, {0: 1}), ((1, 1), (0, 0), {0: 1}, {4: 1}),
+        ((-1, 0), (1, 0), {}, {}), ((0, 2), (0, 0), {3: 1}, {3: 1}), ((0, 1), (1, 0), {}, {4: 1}),
+        ((2, 0), (0, 0), {0: 1}, {}), ((1, -1), (0, 1), {4: 1}, {}), ((0, 0), (1, 1), {}, {}))]
+    rng = np.random.default_rng(7)
+    spans = 10.0 ** -np.linspace(0.0, 250.0, 4)
+    for real in (False, True):
+        F = from_terms(DIMS, BUD, {key: c * rng.standard_normal() for key, c in zip(keys, spans)})
+        G = from_terms(DIMS, BUD, {key: rng.standard_normal() + 1j * rng.standard_normal()
+                                   for key in keys[3:]})
+        if real:
+            F, G = realify(F), realify(G)
+        assert len(F) < len(G) and _extremes_fit(F, G)
+        A = kseries._half(F) if real else F
+        u = [u for col in range(2 * DIMS.n + 2 * len(DIMS.modes))
+             for _, _, u, _ in _derivative_terms(A, col, 1.0, VF_DP)]
+        assert 4 * math.log2(max(u) / min(u)) > 1024 and max(_plan_levels(u)) == 1023
+        for share in (1e-262, 1e-170, 1e-90, 1e-10, 0.3, 0.9):
+            _check_level_cut(F, G, share)
