@@ -39,19 +39,19 @@ index is sorted as one packed uint64 key of (code, arrival), which is the
 stable order.
 
 A bracket is formed in one pass over its derivative pairs
-(``_products``): the rows with no product within the degree budget leave
-first, then, with a skip budget and only when the operands' extremes keep
-every product within the degree and Fourier budgets, the rows and
-products ``_skip_plan`` leaves out; each operand's remaining rows are
-encoded once and its derivatives for every pair formed together, and one
-stream forms the product rows in blocks of at most ``_CHUNK_ROWS``.
-Brackets stream these rows through a bounded accumulator
-(``_Accumulator``): a raw buffer of at most ``_CHUNK_ROWS`` unsorted rows
-is sorted and summed on its own into a sorted block of distinct keys, and
-sorted blocks are merged with each other only when their rows pass
-``_CHUNK_ROWS`` and once at the end.  Rows that fit in one buffer are
-summed by one sort; beyond that, each buffer is summed as above and the
-buffers' partial sums are added in buffer order.
+(``_products``): with a skip budget, the rows and products ``_skip_plan``
+leaves out go first; each operand's remaining rows are encoded once and
+its derivatives for every pair formed together, and one stream forms the
+product rows in blocks of at most ``_CHUNK_ROWS``.  No product is tested
+against the budgets: brackets stream every row through a bounded
+accumulator (``_Accumulator``), and its merged keys are truncated to the
+degree and Fourier budgets once, at the end.  A raw buffer of at most
+``_CHUNK_ROWS`` unsorted rows is sorted and summed on its own into a
+sorted block of distinct keys, and sorted blocks are merged with each
+other only when their rows pass ``_CHUNK_ROWS`` and once at the end.
+Rows that fit in one buffer are summed by one sort; beyond that, each
+buffer is summed as above and the buffers' partial sums are added in
+buffer order.
 
 Brackets are real operations: with M the mirror (k -> -k, beta <-> gamma,
 conjugate coefficient), M({A, B}) = {M(A), M(B)}, so two real operands give
@@ -140,8 +140,9 @@ class Budgets:
     def __post_init__(self):
         if self.degree_max < 0 or self.k_max < 0:
             raise ValueError("budgets must be nonnegative")
-        # key columns are int16 and a product adds two in-budget columns
-        # before the budgets filter it, so each must stay below 2^14
+        # key columns are int16 and a bracket forms every product, adding
+        # two in-budget columns, before the budgets filter its merged keys,
+        # so each must stay below 2^14
         if max(self.degree_max, self.k_max) > 16383:
             raise ValueError("degree_max and k_max must not exceed 16383 (int16 keys)")
 
@@ -193,8 +194,9 @@ class TFSeries:
     (only ``prune`` drops terms in place), so series are safe to share
     between threads.  Series combine (``+``, ``-``, brackets) only with
     equal ``dims`` and ``budgets``; otherwise ValueError.  ``meta`` carries
-    operation bookkeeping: combining operations set ``meta['dropped_mass']``
-    to the l^1 coefficient mass removed by the degree/Fourier budgets.
+    operation bookkeeping: a bracket sets ``meta['dropped_mass']`` to the
+    l^1 mass of its summed coefficients at the keys outside the
+    degree/Fourier budgets, the keys it removes.
     """
 
     __slots__ = ("dims", "budgets", "cols", "coefs", "real", "meta", "_terms")
@@ -547,10 +549,9 @@ _CHUNK_ROWS = 1_000_000
 class _Accumulator:
     """Bounded-memory collector of product rows as (code words, coefficient).
 
-    ``add`` takes rows within the budgets (``_products`` forms only those
-    and counts the mass of the others into ``dropped``) and appends them to
-    a raw buffer of unsorted rows; no row is cut by its magnitude, so the
-    sum is exact up to rounding.  Before a block would push that buffer past
+    ``add`` appends rows to a raw buffer of unsorted rows; no row is cut by
+    its magnitude or by the budgets before ``finalize``, so the sum is
+    exact up to rounding.  Before a block would push that buffer past
     ``_CHUNK_ROWS`` rows (one larger block aside), the buffer alone is summed
     into one sorted block of distinct keys.  Sorted blocks are merged with
     each other only once they hold more than ``_CHUNK_ROWS`` rows, and once
@@ -563,7 +564,6 @@ class _Accumulator:
     def __init__(self):
         self.raw, self.raw_rows = [], 0           # unsorted (words, coefs) blocks
         self.blocks, self.block_rows = [], 0      # sorted blocks of distinct keys
-        self.dropped = 0.0
 
     def add(self, words, coefs):
         if self.raw_rows and self.raw_rows + len(coefs) > _CHUNK_ROWS:
@@ -583,13 +583,15 @@ class _Accumulator:
         self.block_rows = len(self.blocks[0][1])
 
     def finalize(self, out, codec, mirrored):
-        """Merge everything into ``out``, dropping only the keys whose sum is
-        exactly zero; the budget mass lands in ``meta['dropped_mass']``.
+        """Merge everything into ``out`` and truncate it, the one place a
+        bracket meets its budgets: ``out`` keeps the keys within the degree
+        and Fourier budgets whose sum is not exactly zero, and
+        ``meta['dropped_mass']`` is the l^1 mass of the sums at the keys
+        outside them.
 
         With ``mirrored`` the rows collected are P, formed from half of an
-        operand (see ``_products``): the sum P is added to its mirror M(P),
-        and the budget mass, mirror-invariant, counts twice."""
-        out.meta["dropped_mass"] = (2.0 if mirrored else 1.0) * self.dropped
+        operand (see ``_products``): the sum P is added to its mirror M(P)
+        before the budgets, mirror-invariant, cut it."""
         if self.raw_rows:
             self._reduce_raw()
         if not self.block_rows:
@@ -601,8 +603,11 @@ class _Accumulator:
         del words       # freed before the mirror merge
         if mirrored:
             cols, sums = _plus_mirror(out.dims, cols, sums)
-        live = sums != 0
-        out.cols, out.coefs = _take(cols, live), sums[live]
+        n, bud = out.dims.n, out.budgets
+        keep = (_degrees(cols, n) <= bud.degree_max) & (_kabs(cols, n) <= bud.k_max)
+        out.meta["dropped_mass"] = float(np.abs(sums[~keep]).sum())
+        keep &= sums != 0
+        out.cols, out.coefs = _take(cols, keep), sums[keep]
 
 
 def _summed(blocks):
@@ -624,12 +629,13 @@ def _half(A):
     (k = 0, beta = gamma) at weight 1/2.  For a real A and B, {A, B} is
     P + M(P) with P = {half, B}, where M is the mirror (``_mirror``)."""
     mirror, _ = _mirror(A.dims, A.cols, A.coefs)
-    diff = mirror - A.cols
-    first = diff[(diff != 0).argmax(axis=0), np.arange(len(A))]   # 0: self-mirror
-    keep = first >= 0
+    at = (mirror != A.cols).argmax(axis=0), np.arange(len(A))    # first differing column
+    # compared, not subtracted: a difference of two int16 entries can wrap
+    theirs, ours = mirror[at], A.cols[at]                       # equal: self-mirror
+    keep = theirs >= ours
     coefs = A.coefs[keep]
-    return TFSeries._of(A, _take(A.cols, keep), np.where(first[keep] == 0, 0.5 * coefs, coefs),
-                        True)
+    return TFSeries._of(A, _take(A.cols, keep),
+                        np.where((theirs == ours)[keep], 0.5 * coefs, coefs), True)
 
 
 def _derivative_rows(S, cols):
@@ -678,9 +684,9 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget):
     """The products of A's derivative rows ``rows_a`` with B's
     (``_derivative_rows``) to form, less those whose summed majorants on
     ``dp`` fit ``budget``: (B less the rows whose products all go, ``_Plan``
-    of the rest), with plan None when it leaves nothing out.  Every product
-    must lie within the degree and Fourier budgets (``_fits``), so that
-    each one left out is one the whole bracket forms.
+    of the rest), with plan None when it leaves nothing out.  The bracket
+    forms every product before its budgets cut the merged keys, so each one
+    left out is one the whole bracket forms.
 
     With u = |c| |e| weight gain for a row whose column entry e (exponent or
     k component) the derivative brings down, where gain is the factor the
@@ -776,52 +782,6 @@ def _derivatives(S, lo, codec, cols, pair, src):
                         S.coefs[src] * np.where(angle, 1j * e, e))
 
 
-def _within_degree(acc, A, B, cols_a, cols_b):
-    """A and B less their rows with no product within the degree budget,
-    the kept rows' degrees and the number of products dropped, whose mass
-    goes to ``acc.dropped``.  Each pair lowers the degree by 2, so a row of
-    A whose degree plus B's least passes ``degree_max + 2`` has none, and so
-    for B.  The mass, with S(p) = sum |c e_p| over rows, is sum_p S_deadA
-    S_B + S_liveA S_deadB; the number is that sum over S(p) = #{e_p != 0}."""
-    n, top = A.dims.n, A.budgets.degree_max + 2
-    dga, dgb = _degrees(A.cols, n), _degrees(B.cols, n)
-    live_a = dga + dgb.min(initial=top + 1) <= top
-    live_b = dgb + dga.min(initial=top + 1) <= top
-    if live_a.all() and live_b.all():
-        return A, B, dga, dgb, 0
-    # (|c|, exponent columns) of the live and the dead rows of each operand
-    sides = [[(np.abs(S.coefs[m]), _take(S.cols, m)[cols]) for m in (live, ~live)]
-             for S, cols, live in ((A, cols_a, live_a), (B, cols_b, live_b))]
-    # c @ |e|.T, not |e| @ c: numpy picks its BLAS kernel, and so the sums'
-    # rounding, by the operands' layout
-    (la, da), (lb, db) = ([c @ np.abs(e).T for c, e in side] for side in sides)
-    (na, nda), (nb, ndb) = ([np.count_nonzero(e, axis=1) for _, e in side] for side in sides)
-    acc.dropped += float(da @ (lb + db) + la @ db)
-    return (A.select(live_a), B.select(live_b), dga[live_a], dgb[live_b],
-            int(nda @ (nb + ndb) + na @ ndb))
-
-
-def _fits(A, B, dga, dgb):
-    """Whether the extremes of A's and B's rows (degrees ``dga``, ``dgb``)
-    keep every product within the degree and Fourier budgets."""
-    n, bud = A.dims.n, A.budgets
-    return bool(dga.max() + dgb.max() - 2 <= bud.degree_max
-                and _kabs(A.cols, n).max() + _kabs(B.cols, n).max() <= bud.k_max)
-
-
-def _budget_test(A, B, dga, dgb, da, db):
-    """The in-budget mask of the products of A derivative rows i with B's j
-    (degrees ``dga``, ``dgb`` of A's and B's rows)."""
-    n, bud = A.dims.n, A.budgets
-    dga, dgb = dga[da.src], dgb[db.src]
-    ka, kb = (S.cols[:n, d.src].astype(np.int32) for S, d in ((A, da), (B, db)))
-
-    def within(i, j):
-        kabs = sum(np.abs(x[i] + y[j]) for x, y in zip(ka, kb))
-        return (dga[i] + dgb[j] <= bud.degree_max + 2) & (kabs <= bud.k_max)
-    return within
-
-
 def _blocks(lens):
     """(s, t) for runs of whole segments s to t - 1 with at most ``_CHUNK_ROWS``
     products together (``lens`` per segment), or for one longer segment."""
@@ -833,26 +793,18 @@ def _blocks(lens):
         s = t
 
 
-def _form(acc, da, db, jb, lens, within, lone):
+def _form(acc, da, db, jb, lens, lone):
     """Adds to ``acc`` the products (i, j) of segments i, A derivative row i
     with the ``lens[i]`` B derivative rows from ``jb[i]`` on, row-major, one
-    block (``_blocks``) at a time, freeing the block after; with a
-    ``within`` test only those in the budgets, the others' mass going to
-    ``acc.dropped``.
+    block (``_blocks``) at a time, freeing the block after.
 
     numpy's complex multiply fuses a multiply-add, except on one element in
     place.  Blocks are formed in place, and a one-product block out of place
-    unless it holds the bracket's ``lone`` product (its only one, counting
-    those the budgets drop): so a product rounds alike however many of its
-    neighbours the degree and Fourier budgets drop."""
+    unless it holds the bracket's ``lone`` product (its only one)."""
     for s, t in _blocks(lens):
         ends = np.cumsum(lens[s:t])
         i = np.repeat(np.arange(s, t), lens[s:t])
         j = np.arange(ends[-1]) + np.repeat(jb[s:t] - (ends - lens[s:t]), lens[s:t])
-        if within is not None:
-            keep = within(i, j)
-            acc.dropped += float(np.abs(da.coefs[i[~keep]]) @ np.abs(db.coefs[j[~keep]]))
-            i, j = i[keep], j[keep]
         coefs = da.coefs[i]
         coefs = np.multiply(coefs, db.coefs[j], out=coefs if lone or len(coefs) > 1 else None)
         acc.add([x[i] + y[j] for x, y in zip(da.words, db.words)], coefs)
@@ -867,64 +819,60 @@ def _products(out, A, B, pairs, dp=None, budget=0.0):
     operand that is not real to roundoff, it forms the product of A's lower
     half and its mirror instead of A's.
 
-    First the rows that have no product within the degree budget leave
-    both operands, their products' mass counted in closed form
-    (``_within_degree``).  Then one pass over all pairs: each operand's
-    rows are encoded once and its derivatives for every pair formed
-    together (``_derivatives``).  Each factor is +-1 or +-i and is folded
-    into dB's coefficients: ca * (cb * factor) equals (ca * cb) * factor
-    exactly, also where numpy's complex multiply fuses a multiply-add
-    (folding it into ca does not: the fused product then rounds a different
-    partial product).
+    A positive ``budget`` first leaves out, before any row is formed, the
+    products that ``_skip_plan`` picks on the domain ``dp``: whole rows of
+    B (the longer operand: ``poisson_bracket`` puts the shorter first),
+    then the products of the rows left whose levels sum below one
+    threshold.  With halving, each left-out product counts for P and M(P),
+    so the plan gets half the budget and ``meta['skip_bound']`` is twice
+    the left-out products' summed bound; ``meta['skip_rows']`` counts them.
 
-    One pass forms every product row (``_form``): a segment is an A
+    Then one pass over all pairs: each operand's remaining rows are encoded
+    once and its derivatives for every pair formed together
+    (``_derivatives``).  Each factor is +-1 or +-i and is folded into dB's
+    coefficients: ca * (cb * factor) equals (ca * cb) * factor exactly, also
+    where numpy's complex multiply fuses a multiply-add (folding it into ca
+    does not: the fused product then rounds a different partial product).
+    One stream forms every product row (``_form``): a segment is an A
     derivative row with a run of its pair's B derivative rows (all, or with
     a plan the suffix it keeps), and blocks of whole segments reach the
-    accumulator in row-major order, through the per-product budget test
-    only when the rows' extremes can still pass a budget (``_fits``).
-
-    A positive ``budget`` leaves out, before any row is formed, the products
-    that ``_skip_plan`` picks on the domain ``dp``, but only when the
-    extremes keep every product within the degree and Fourier budgets
-    (``_fits``): first whole rows of B (the longer operand:
-    ``poisson_bracket`` puts the shorter first), then the products of the
-    rows left whose levels sum below one threshold, and only those rows'
-    derivatives are formed.  With halving, each left-out product counts for
-    P and M(P), so the plan gets half the budget and ``meta['skip_bound']``
-    is twice the left-out products' summed bound; ``meta['skip_rows']``
-    counts them.  A bracket that needs the per-product test forms every
-    product, as does a plan that leaves none out.
+    accumulator in row-major order.  No product is tested against the
+    budgets; ``_Accumulator.finalize`` truncates the merged keys, so the
+    kept coefficients do not depend on the budgets.  Operands whose product
+    keys could leave +-(2^15 - 1) (only rows built by hand beyond the
+    budgets) raise ValueError rather than wrap in the int16 decode, or in
+    the negation of -2^15 (the mirror's k and |k|).
     """
-    acc = _Accumulator()
     mirrored = A.real and B.real
     twice = 2.0 if mirrored else 1.0
     if mirrored:
         A = _half(A)
+        if not len(A):      # flagged real, but no row sorts below its mirror
+            return
     cols_a, cols_b, factors = (np.array(c) for c in zip(*pairs))
-    A, B, dga, dgb, cut = _within_degree(acc, A, B, cols_a, cols_b)
+    rows_a = _derivative_rows(A, cols_a)
     plan = None
-    if len(A) and len(B):
-        fits = _fits(A, B, dga, dgb)
-        rows_a = _derivative_rows(A, cols_a)
-        if budget > 0.0 and fits:
-            B, plan = _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget / twice)
+    if budget > 0.0:
+        B, plan = _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget / twice)
     if plan is not None:
         out.meta.update(skip_bound=twice * plan.bound, skip_rows=plan.left_out)
-    if not len(A) or not len(B):
-        acc.finalize(out, None, mirrored)
+    if not len(B):
         return
     lo_a, hi_a = _bounds(A.cols)
     lo_b, hi_b = _bounds(B.cols)
-    codec = _Codec(lo_a + lo_b, hi_a + hi_b)
+    lo, hi = lo_a + lo_b, hi_a + hi_b
+    if max(-lo.min(), hi.max()) > np.iinfo(np.int16).max:
+        raise ValueError("product keys span %d..%d, beyond the int16 keys" % (lo.min(), hi.max()))
+    codec = _Codec(lo, hi)
     da = _derivatives(A, lo_a, codec, cols_a, *rows_a)
     db = _derivatives(B, lo_b, codec, cols_b, *(_derivative_rows(B, cols_b) if plan is None
                                                 else plan.rows_b))
     db = db._replace(coefs=db.coefs * np.repeat(factors.astype(complex), db.counts))
-    within = None if fits else _budget_test(A, B, dga, dgb, da, db)
     pa = rows_a[0]
     jb = db.offsets[pa] if plan is None else plan.start
     lens = db.offsets[pa + 1] - jb
-    _form(acc, da, db, jb, lens, within, cut + lens.sum() == 1)
+    acc = _Accumulator()
+    _form(acc, da, db, jb, lens, lens.sum() == 1)
     acc.finalize(out, codec, mirrored)
 
 
@@ -936,11 +884,15 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
         {F, G} = <F_x, G_y> - <F_y, G_x> + i (<F_z*, G_zbar*> - <F_zbar*, G_z*>)
 
     so that d/dt (G o X_F^t) = {G, F} o X_F^t, i.e. ad_F G = {G, F} generates
-    the time evolution along the Hamiltonian flow of F.  The result is
-    truncated to the shared degree and Fourier budgets, and the l1 mass lost
-    to them lands in ``meta['dropped_mass']``.  No coefficient is cut by its
-    magnitude: within the budgets the bracket is exact up to rounding, and
-    only keys whose sum is exactly zero are dropped.
+    the time evolution along the Hamiltonian flow of F.  Every product is
+    formed and summed, and the sum is truncated to the shared degree and
+    Fourier budgets once, on its keys: ``meta['dropped_mass']`` is the l1
+    mass of the sums at the keys removed, and the kept coefficients are bit
+    for bit those of the same bracket under any wider budgets.  No
+    coefficient is cut by its magnitude: within the budgets the bracket is
+    exact up to rounding, and only keys whose sum is exactly zero are
+    dropped.  Operands whose product keys would leave the int16 key range
+    (rows built by hand far beyond the budgets) raise ValueError.
 
     Antisymmetry is exact coefficientwise: the two arguments are put into a
     canonical order by comparing their lengths, then, for equal lengths,
@@ -951,23 +903,19 @@ def poisson_bracket(F, G, dp=None, budget=0.0):
     first operand A is bracketed (``_products``): the rows of A that sort
     below their mirror, and its self-mirror rows (k = 0, beta = gamma) at
     weight 1/2.  The accumulator adds the mirror of that sum, P + M(P), so
-    the output is exactly real, and ``dropped_mass`` is twice P's (the
-    budgets are mirror-invariant).  Otherwise both operands are used whole.
+    the output is exactly real, and then truncates it (the budgets are
+    mirror-invariant).  Otherwise both operands are used whole.
 
-    With a positive ``budget``, when the operands' largest degrees and
-    Fourier radii keep every product within the degree and Fourier budgets
-    (after the rows with no product within the degree budget leave), the
-    bracket leaves out, without forming them, the products of derivative
-    rows whose summed majorant bounds on the domain ``dp`` stay within it
-    (``_skip_plan``): first the rows of the longer operand whose products
-    sum the least bound, within half the budget, then, of the rest, every
-    product whose factors' majorant levels sum below the largest threshold
-    that fits.
-    ``vector_field_norm`` on ``dp`` of the result is then within
-    ``meta['skip_bound']`` (<= budget) of the whole bracket's, and
-    ``meta['skip_rows']`` counts the product rows left out.  Other
-    operands, or a budget of 0 (the default), give the whole bracket, and
-    both are 0.  A negative or NaN budget, or a positive one without
+    With a positive ``budget`` the bracket leaves out, without forming
+    them, the products of derivative rows whose summed majorant bounds on
+    the domain ``dp`` stay within it (``_skip_plan``): first the rows of
+    the longer operand whose products sum the least bound, within half the
+    budget, then, of the rest, every product whose factors' majorant levels
+    sum below the largest threshold that fits.  ``vector_field_norm`` on
+    ``dp`` of the result is then within ``meta['skip_bound']`` (<= budget)
+    of the whole bracket's, and ``meta['skip_rows']`` counts the product
+    rows left out.  A budget of 0 (the default) gives the whole bracket,
+    and both are 0.  A negative or NaN budget, or a positive one without
     ``dp``, raises ValueError.
     """
     if not budget >= 0.0:

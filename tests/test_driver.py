@@ -707,9 +707,13 @@ def test_vf_truncation_keeps_the_runs_of_the_shipped_configs(tmp_path, monkeypat
     assert all(s["vf_trunc_bound"] == 0.0 and s["vf_trunc_terms"] == 0 for s in exact["steps"])
     assert all(s["skip_bound"] == 0.0 and s["skip_rows"] == 0 for s in exact["steps"])
     assert any(s["vf_trunc_terms"] for s in trunc["steps"])
-    # every product of each step's S1 fits the degree and Fourier budgets
-    # (F solves R's degree <= 2 part), so every S1 plans its skip and leaves
-    # rows out: nls steps 1-2, synthetic 1-3, no_torus 1-2
+    # no bracket of these runs forms a product outside the degree and
+    # Fourier budgets (F solves R's degree <= 2 part, and K_m > k_max ends a
+    # run first), so no step truncates any mass; a change that makes the
+    # budgets bind shows here
+    assert all(s["dropped_mass"] == 0.0 for report in reports for s in report["steps"])
+    # every S1 plans its skip and leaves rows out: nls steps 1-2, synthetic
+    # 1-3, no_torus 1-2
     assert len(formed) == {"nls": 2, "synthetic": 3, "no_torus": 2}[shape]
     assert [s["m"] for s in trunc["steps"] if s["skip_rows"] > 0] == list(range(1, len(formed) + 1))
     # vf_trunc_bound certifies the distance of R on the step's own domain,

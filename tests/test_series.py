@@ -436,3 +436,22 @@ def test_budgets_reject_key_overflow():
     F = monomial(dims, bud, 1.0, k=(8000,))
     H = monomial(dims, bud, 1.0, k=(8383,), alpha=(1,))
     assert list(poisson_bracket(F, H).terms) == [make_key(1, k=(16383,))]
+
+
+def test_brackets_whose_products_leave_the_int16_keys_raise():
+    # rows built by hand beyond the budgets: k = 30000 in both operands
+    # makes k = 60000, which the int16 decode would wrap to -5536; -16384
+    # in both makes -32768, an int16 whose negation (the mirror's k) and
+    # |k| wrap.  Plain or halved, the bracket raises
+    dims = SeriesDims(1, (), (1,), 2)
+    for k in (30000, -16384):
+        F = monomial(dims, BUD, 1.0, k=(k,))
+        H = monomial(dims, BUD, 1.0, k=(k,), alpha=(1,))
+        for A, B in ((F, H), (realify(F), realify(H))):
+            with pytest.raises(ValueError, match="int16"):
+                poisson_bracket(A, B)
+    # at +-32767 the product is formed, and the Fourier budget cuts it
+    F = monomial(dims, BUD, 1.0, k=(16383,))
+    H = monomial(dims, BUD, 1.0, k=(16384,), alpha=(1,))
+    out = poisson_bracket(F, H)
+    assert not out.terms and out.meta["dropped_mass"] == 16383.0

@@ -83,19 +83,20 @@ def _key_product(a, b):
 def _ref_products(pairs, budgets):
     """Sum of ca * cb * factor over ``(terms_a, terms_b, factor)``, each terms a
     list of (key, coefficient), as (sums, l1 mass of each sum's summands,
-    dropped l1 mass)."""
-    sums, mass, dropped = {}, {}, 0.0
+    dropped l1 mass): the sums at the keys within the budgets, and the l1
+    mass of the sums at the keys outside them."""
+    sums, mass = {}, {}
     for terms_a, terms_b, factor in pairs:
         for ka, ca in terms_a:
             for kb, cb in terms_b:
                 key = _key_product(ka, kb)
                 c = ca * cb * factor
-                if key_degree(key) > budgets.degree_max or key_kabs(key) > budgets.k_max:
-                    dropped += abs(c)
-                    continue
                 sums[key] = sums.get(key, 0j) + c
                 mass[key] = mass.get(key, 0.0) + abs(c)
-    return {k: c for k, c in sums.items() if c != 0}, mass, dropped
+    inside = {k for k in sums if key_degree(k) <= budgets.degree_max
+              and key_kabs(k) <= budgets.k_max}
+    dropped = math.fsum(abs(c) for k, c in sums.items() if k not in inside)
+    return {k: c for k, c in sums.items() if c != 0 and k in inside}, mass, dropped
 
 
 def _bracket_pairs(F, G, dims):
@@ -181,9 +182,8 @@ def _boundary(deg_a, deg_b, k_a, k_b):
     return from_terms(DIMS, BUD, F), from_terms(DIMS, BUD, G)
 
 
-# operands at the budgets (no product needs the budget test) and one over
-# (rows leave by degree, or products are tested): bracket degree 6 and 7,
-# product degree 6 and 7, |k| 6 and 7
+# operands at the budgets and one over (products the budgets cut): bracket
+# degree 6 and 7, product degree 6 and 7, |k| 6 and 7
 BOUNDARY = [_boundary(4, 4, 1, 1), _boundary(5, 4, 1, 1), _boundary(4, 2, 1, 1),
             _boundary(4, 3, 1, 1), _boundary(2, 2, 3, 3), _boundary(2, 2, 4, 3)]
 
@@ -714,14 +714,27 @@ def test_products_beyond_one_buffer_match_reference_exactly_on_dyadic_coefficien
     assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
 
 
+# the x2-y2 products of the two degree-4/5 terms cancel in exact arithmetic,
+# at a key of degree 7, and leave a rounding residue in the kernel's sum
+_CANCELLING = tuple(
+    from_terms(DIMS, BUD, {make_key(2): 1j, make_key(2, (0, 1), (0, 1), {0: 1, 3: e}): c})
+    for e, c in ((1, 1 + 1.0135778634108359j), (2, 1 + 1.0625j)))
+
+
 @SETTINGS
 @given(series(FLOATS), series(FLOATS), CHUNKS)
+@example(*_CANCELLING, kseries._CHUNK_ROWS)
 def test_products_beyond_one_buffer_match_reference_within_rounding(F, G, chunk):
     out, (ref, mass, dropped) = _chunked_bracket(F, G, chunk)
     got = _dict(out)
     for key in set(got) | set(ref):
         assert abs(got.get(key, 0j) - ref.get(key, 0j)) <= RTOL * mass.get(key, 0.0)
-    assert math.isclose(out.meta["dropped_mass"], dropped, rel_tol=1e-12, abs_tol=1e-300)
+    # dropped_mass sums |c| over the keys outside the budgets, each c within
+    # RTOL of its summands' mass as above: a key whose products cancel
+    # leaves a rounding residue of either size on either side
+    outside = math.fsum(m for key, m in mass.items()
+                        if key_degree(key) > BUD.degree_max or key_kabs(key) > BUD.k_max)
+    assert abs(out.meta["dropped_mass"] - dropped) <= RTOL * outside + 1e-12 * dropped
 
 
 def _box(kmax, alpha, rng):
@@ -792,7 +805,8 @@ def _formed(op, F, G):
     return out, sum(rows)
 
 
-# one product of 13 in budget, formed alone: it rounds as in the full bracket
+# 13 products, one in budget: a bracket that formed only that one would
+# multiply it alone, in place, and round it unlike the unbounded bracket
 _ONE_IN_BUDGET = (
     {make_key(DIMS.n, (0, 0), (0, 0), {}, {0: 2, 3: 2}): 1j,
      make_key(DIMS.n, (0, 0), (0, 0), {}, {0: 2, 4: 2}): 1j,
@@ -804,47 +818,59 @@ _ONE_IN_BUDGET = (
      make_key(DIMS.n, (0, 0), (0, 0), {3: 1}, {0: 2, 4: 2}): 1j})
 
 
-@SETTINGS
-@given(HIGH, HIGH)
-@example(*_ONE_IN_BUDGET)
-def test_masked_products_form_only_the_rows_in_budget(f, g):
-    # a bracket whose operands can exceed a budget gathers only the in-budget
-    # (row of A, row of B) pairs: the same rows and coefficients, bit for bit,
-    # as forming every row with no budget to drop and keeping those in budget
-    assume(f != g)      # the self-bracket is zero by definition
-    pairs = _bracket_pairs(f, g, DIMS)
-    keys = [_key_product(ka, kb) for ta, tb, _ in pairs for ka, _ in ta for kb, _ in tb]
-    in_budget = sum(key_degree(k) <= BUD.degree_max and key_kabs(k) <= BUD.k_max for k in keys)
-    assume(0 < in_budget <= 0.1 * len(keys))
-    out, formed = _formed(poisson_bracket, from_terms(DIMS, BUD, f), from_terms(DIMS, BUD, g))
-    full, _ = _formed(poisson_bracket, from_terms(DIMS, UNBOUNDED, f),
-                      from_terms(DIMS, UNBOUNDED, g))
-    assert formed == in_budget
-    assert _dict(out) == {key: c for key, c in _dict(full).items()
-                          if key_degree(key) <= BUD.degree_max and key_kabs(key) <= BUD.k_max}
-    assert math.isclose(out.meta["dropped_mass"], ref_bracket(f, g, DIMS, BUD)[2], rel_tol=1e-12)
-    assert out.meta["dropped_mass"] > 0
+def _unbounded_bracket(F, G, budget):
+    """The bracket of F and G on their keys under ``UNBOUNDED``, which no
+    product of these tests passes."""
+    return poisson_bracket(*(TFSeries(DIMS, UNBOUNDED, S.cols, S.coefs, S.real) for S in (F, G)),
+                           VF_DP, budget)
 
 
-def test_masked_bracket_sums_its_rows_in_the_full_products_order():
-    # about 75 in-budget rows per key, with float coefficients: each key's
-    # sum depends on the order of its summands, which the gathered rows keep
+def _in_budget(S):
+    """Mask of the keys of S within the degree and Fourier budgets ``BUD``."""
+    return ((kseries._degrees(S.cols, DIMS.n) <= BUD.degree_max)
+            & (kseries._kabs(S.cols, DIMS.n) <= BUD.k_max))
+
+
+def _many_per_key():
+    """Float operands whose bracket sums about 75 in-budget products per
+    key, out of ten times as many products: each key's sum depends on the
+    order of its summands."""
     rng = np.random.default_rng(7)
     grid = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     low = [make_key(DIMS.n, k, alpha) for k in grid for alpha in ((1, 1), (2, 0))]
     high = [make_key(DIMS.n, k, *exps) for k in grid[16:33] for exps in _HIGH_EXPONENTS
             if 2 * sum(exps[0]) + sum(exps[1].values()) + sum(exps[2].values()) > 4]
-    f, g = ({key: complex(*rng.uniform(-4, 4, 2))
-             for key in low + [high[i] for i in rng.choice(len(high), 400, False)]}
-            for _ in range(2))
-    out, formed = _formed(poisson_bracket, from_terms(DIMS, BUD, f), from_terms(DIMS, BUD, g))
-    full, total = _formed(poisson_bracket, from_terms(DIMS, UNBOUNDED, f),
-                          from_terms(DIMS, UNBOUNDED, g))
-    assert 0 < formed <= 0.1 * total and formed > 50 * len(out)
-    inside = ((kseries._degrees(full.cols, DIMS.n) <= BUD.degree_max)
-              & (kseries._kabs(full.cols, DIMS.n) <= BUD.k_max))
-    assert np.array_equal(out.rows, full.rows[inside])
-    assert np.array_equal(out.coefs, full.coefs[inside])
+    return tuple({key: complex(*rng.uniform(-4, 4, 2))
+                  for key in low + [high[i] for i in rng.choice(len(high), 400, False)]}
+                 for _ in range(2))
+
+
+@SETTINGS
+@given(HIGH, HIGH, st.booleans(), st.sampled_from([0.0, 1e-6, 1.0]))
+@example(*_ONE_IN_BUDGET, False, 0.0)
+@example(*_many_per_key(), False, 0.0)
+@example(*_many_per_key(), True, 0.0)
+def test_the_budgets_cut_the_unbounded_bracket_to_its_keys_in_budget(f, g, real, budget):
+    # a bracket forms every product whatever its budgets and truncates the
+    # merged keys once: on operands whose products pass the budgets, plain
+    # or halved, with or without a skip budget, it is the UNBOUNDED bracket
+    # at the keys within BUD, bit for bit, and its dropped_mass is the l1
+    # mass of the UNBOUNDED bracket at the keys outside
+    assume(f != g)      # the self-bracket is zero by definition
+    F, G = (from_terms(DIMS, BUD, t) for t in (f, g))
+    if real:
+        F, G = realify(F), realify(G)
+    out = poisson_bracket(F, G, VF_DP, budget)
+    full = _unbounded_bracket(F, G, budget)
+    inside = _in_budget(full)
+    assert out.rows.tobytes() == full.rows[inside].tobytes()
+    assert out.coefs.tobytes() == full.coefs[inside].tobytes()
+    assert out.real == full.real == real
+    assert (out.meta["skip_bound"], out.meta["skip_rows"]) == (full.meta["skip_bound"],
+                                                               full.meta["skip_rows"])
+    assert full.meta["dropped_mass"] == 0.0
+    assert math.isclose(out.meta["dropped_mass"], math.fsum(np.abs(full.coefs[~inside])),
+                        rel_tol=1e-12, abs_tol=1e-300)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -1037,27 +1063,6 @@ OPERANDS = st.one_of(st.tuples(series(FLOATS), series(FLOATS)),
                      st.tuples(real_series(FLOATS), real_series(FLOATS)))
 
 
-def _extremes_fit(F, G):
-    """Whether the largest degrees and |k| of F's and G's rows, once the rows
-    with no product within the degree budget leave, keep every product of
-    their bracket within the degree and Fourier budgets (a real operand's
-    half has the extremes of the whole)."""
-    n, top = DIMS.n, BUD.degree_max + 2
-    (df, kf), (dg, kg) = ((row_degrees(S.rows, n), row_kabs(S.rows, n)) for S in (F, G))
-    live_f, live_g = df + dg.min() <= top, dg + df.min() <= top
-    return bool(df[live_f].max(initial=0) + dg[live_g].max(initial=0) - 2 <= BUD.degree_max
-                and kf[live_f].max(initial=0) + kg[live_g].max(initial=0) <= BUD.k_max)
-
-
-def _assert_same_bracket(out, full):
-    """``out`` is the budget-free bracket ``full`` bit for bit, with skip 0."""
-    assert out.rows.tobytes() == full.rows.tobytes()
-    assert out.coefs.tobytes() == full.coefs.tobytes()
-    assert out.real == full.real
-    assert out.meta == full.meta
-    assert out.meta["skip_bound"] == 0.0 and out.meta["skip_rows"] == 0
-
-
 @SETTINGS
 @given(OPERANDS, st.floats(0.0, 1.2))
 def test_skipped_bracket_norm_is_within_the_skip_bound(pair, share):
@@ -1065,14 +1070,9 @@ def test_skipped_bracket_norm_is_within_the_skip_bound(pair, share):
     full = poisson_bracket(F, G)
     everything = poisson_bracket(F, G, VF_DP, math.inf)
     total = everything.meta["skip_bound"]
-    if _extremes_fit(F, G):
-        # an unbounded budget leaves every product row out: its bound sums
-        # the majorants of all of them, and so bounds the l1 mass of each
-        # key too
-        assert not len(everything) and total >= 0.0
-    else:
-        # a bracket that needs the per-product budget test leaves nothing out
-        _assert_same_bracket(everything, full)
+    # an unbounded budget leaves every product row out: its bound sums the
+    # majorants of all of them, and so bounds the l1 mass of each key too
+    assert not len(everything) and total >= 0.0
     budget = share * total
     out = poisson_bracket(F, G, VF_DP, budget)
     bound = out.meta["skip_bound"]
@@ -1101,19 +1101,39 @@ def test_a_budget_below_every_row_forms_the_whole_bracket(pair, budget):
     assert out.meta["skip_bound"] == 0.0 and out.meta["skip_rows"] == 0
 
 
-def test_a_bracket_that_needs_the_budget_test_leaves_nothing_out():
-    # degrees 2 and 4 against 1 and 5: the extremes make a product of
-    # degree 7 > 6, so the per-product test runs (and drops the products of
-    # the two top rows), and any positive budget forms every product
-    F = from_terms(DIMS, BUD, {make_key(2, alpha=(1, 0)): 0.75,
-                               make_key(2, (1, 0), (1, 0), {3: 1}, {4: 1}): 0.5 + 0.25j})
-    G = from_terms(DIMS, BUD, {make_key(2, k=(-1, 0), beta={0: 1}): 1.5j,
-                               make_key(2, (2, 0), (0, 0), {3: 2}, {3: 2, 4: 1}): -0.5})
-    assert not _extremes_fit(F, G)
-    full = poisson_bracket(F, G)
-    assert len(full) and full.meta["dropped_mass"] > 0
-    for budget in (1e-300, 1.0, math.inf):
-        _assert_same_bracket(poisson_bracket(F, G, VF_DP, budget), full)
+def test_the_skip_plan_runs_whenever_the_budget_is_positive():
+    # the BOUNDARY operands, some with products beyond the degree or
+    # Fourier budget: the plan runs exactly when the budget is positive and
+    # both operands (the half of a real first one) hold rows, its bound
+    # stays within the budget and certifies the norm, and every product is
+    # formed or counted in skip_rows
+    over = 0
+    for pair in BOUNDARY:
+        for F, G in (pair, tuple(map(realify, pair))):
+            full, products = _formed(poisson_bracket, F, G)
+            over += full.meta["dropped_mass"] > 0
+            total = poisson_bracket(F, G, VF_DP, math.inf).meta["skip_bound"]
+            for budget in (0.0, 1e-300, 0.3 * total, total, math.inf):
+                plans = []
+                with _recorded("_skip_plan", plans):
+                    out, formed = _formed(lambda a, b: poisson_bracket(a, b, VF_DP, budget), F, G)
+                assert len(plans) == (budget > 0)
+                assert formed + out.meta["skip_rows"] == products
+                bound = out.meta["skip_bound"]
+                assert bound <= budget * (1 + 1e-12)
+                slack = 2 * RTOL * total
+                assert (abs(vector_field_norm(full, VF_DP) - vector_field_norm(out, VF_DP))
+                        <= bound * (1 + 1e-12) + slack)
+    assert over >= 3
+    # flagged real, one row that sorts above its mirror: the half is empty;
+    # an empty operand returns before the kernel
+    lone = from_terms(DIMS, BUD, {make_key(2, k=(1, 0), alpha=(1, 0), beta={4: 1}): 0.5}, real=True)
+    G = realify(BOUNDARY[0][1])
+    for F in (lone, TFSeries.zero(DIMS, BUD, real=True)):
+        plans = []
+        with _recorded("_skip_plan", plans):
+            out = poisson_bracket(F, G, VF_DP, 1.0)
+        assert not plans and not len(out) and out.meta["skip_rows"] == 0
 
 
 def test_skipped_rows_of_one_cost_go_together():
@@ -1172,11 +1192,10 @@ def _derivative_terms(S, col, factor, dp):
 def _plan_candidates(A, B, pairs, dp):
     """The (product row, coefficient, majorant bound, level sum) of every
     product of a derivative row of A with one of B (``_derivative_terms``),
-    pair by pair, that lies within the budgets.  A product's bound is u_a
+    pair by pair, within the budgets or not.  A product's bound is u_a
     u_b (h_a + h_b) / r^2, and its level sum adds the levels
     (``_plan_levels``) of u_a / r^2 among all of A's derivative rows and of
     u_b among all of B's."""
-    n, bud = A.dims.n, A.budgets
     sides = [[_derivative_terms(A, col_a, 1.0, dp) for col_a, _, _ in pairs],
              [_derivative_terms(B, col_b, factor, dp) for _, col_b, factor in pairs]]
     for side, scale in zip(sides, (dp.r ** -2, 1.0)):
@@ -1186,10 +1205,7 @@ def _plan_candidates(A, B, pairs, dp):
     for rows_a, rows_b in zip(*sides):
         for ra, ca, ua, ha, la in rows_a:
             for rb, cb, ub, hb, lb in rows_b:
-                row = ra + rb
-                if (2 * row[n:2 * n].sum() + row[2 * n:].sum() <= bud.degree_max
-                        and np.abs(row[:n]).sum() <= bud.k_max):
-                    cands.append((row, ca * cb, ua * ub * (ha + hb) / dp.r ** 2, la + lb))
+                cands.append((ra + rb, ca * cb, ua * ub * (ha + hb) / dp.r ** 2, la + lb))
     return cands
 
 
@@ -1202,28 +1218,25 @@ def _random_coefficients(S, seed, real):
     return realify(S) if real else S
 
 
-# keys under the budgets (no product needs the budget test) and keys of
-# degree 4 to 6 (rows leave by degree, and products may be tested)
+# keys under the budgets and keys of degree 4 to 6 (products beyond the
+# degree budget, which the bracket forms and its budgets cut)
 PLAN_KEYS = st.one_of(series(DYADIC, max_size=6), HIGH.map(lambda t: from_terms(DIMS, BUD, t)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(PLAN_KEYS, PLAN_KEYS, st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_a_rows_mass_is_the_summed_bound_of_its_products(F, G, real, seed):
-    # the row cut's mass of each row of B (the operand it cuts, after the
-    # rows with no product within the degree budget left) is the summed
-    # bound of that row's products with A (halved for a real bracket)
+    # the row cut's mass of each row of B (the operand it cuts) is the
+    # summed bound of that row's products with A (halved for a real
+    # bracket), within the degree and Fourier budgets or not
     F, G = _random_coefficients(F, seed, real), _random_coefficients(G, seed + 1, real)
     assume(_dict(F) != _dict(G))
     with mock.patch.object(kseries, "_products", wraps=kseries._products) as products, \
             mock.patch.object(kseries, "_skip_plan", wraps=kseries._skip_plan) as plan, \
             mock.patch.object(kseries, "_below_cut", wraps=kseries._below_cut) as cut:
         poisson_bracket(F, G, VF_DP, math.inf)
-    if not cut.called:
-        # the plan, which always cuts rows, runs only when no product needs
-        # the budget test
-        assert not plan.called
-        return
+    # an unbounded budget plans, and the plan always cuts rows
+    assert plan.called and cut.called
     A, B = plan.call_args.args[:2]
     assert A.real == real
     pairs = products.call_args.args[3]
@@ -1279,16 +1292,19 @@ def _bracket_formed(F, G, budget, *recorded):
 
 def _match(cands, rows):
     """(formed, left out): ``cands`` split by matching each formed product
-    ``rows`` to a candidate of its row and coefficient; candidates that tie
-    on both tie on their bound and level sum too."""
+    ``rows`` to a candidate of its row and coefficient.  Candidates that tie
+    on both (products of different pairs) tie on their bound, but their
+    level sums, each a sum of two floors, may lie one apart, and a level cut
+    keeps the higher: a formed product takes the tied candidate of highest
+    level sum."""
     left, formed = {}, []
     for cand in cands:
         left.setdefault(cand[0].tobytes(), []).append(cand)
     for row, c in rows:
         same = left[row.tobytes()]
-        at = min(range(len(same)), key=lambda i: abs(same[i][1] - c))
-        assert abs(same[at][1] - c) <= 1e-12 * abs(c)
-        formed.append(same.pop(at))
+        close = [i for i, cand in enumerate(same) if abs(cand[1] - c) <= 1e-12 * abs(c)]
+        assert close
+        formed.append(same.pop(max(close, key=lambda i: same[i][3])))
     return formed, [cand for same in left.values() for cand in same]
 
 
@@ -1311,17 +1327,17 @@ def test_skipped_bracket_leaves_out_exactly_the_products_it_counts(F, G, real, s
     skipped = sum(bound for _, _, bound, _ in left)
     assert math.isclose(out.meta["skip_bound"], (2.0 if halved else 1.0) * skipped,
                         rel_tol=1e-12, abs_tol=0.0)
-    # the degree and Fourier budgets drop the whole bracket's mass
-    assert math.isclose(out.meta["dropped_mass"], poisson_bracket(F, G).meta["dropped_mass"],
-                        rel_tol=1e-12, abs_tol=0.0)
+    # the degree and Fourier budgets cut the keys of the products formed
+    wide = _unbounded_bracket(F, G, share * total)
+    assert math.isclose(out.meta["dropped_mass"], math.fsum(np.abs(wide.coefs[~_in_budget(wide)])),
+                        rel_tol=1e-12, abs_tol=1e-300)
 
 
 def _check_level_cut(F, G, share):
     """Checks the skip plan of the bracket of F and G on ``share`` of the
     summed bound of all its products, brute-forced.
 
-    The plan runs exactly when that budget is positive and every product
-    fits the degree and Fourier budgets.  Of the rows of B that the row
+    The plan runs exactly when that budget is positive.  Of the rows of B that the row
     cut keeps, the bracket leaves out exactly the products whose level sum
     lies below one T, and T is the largest that fits what the cut left of
     the plan's budget: adding diagonal T passes it.  ``skip_bound`` is the
@@ -1334,7 +1350,7 @@ def _check_level_cut(F, G, share):
                                                      VF_DP))
     plans, cuts = [], []
     out, _, rows = _bracket_formed(F, G, share * total, "_skip_plan", plans, "_below_cut", cuts)
-    assert bool(plans) == (share * total > 0 and _extremes_fit(F, G))
+    assert bool(plans) == (share * total > 0)
     if not plans:
         return
     [((A, B, _, _, _, _, budget), (kept_b, _))] = plans
@@ -1381,7 +1397,7 @@ def test_skip_plan_caps_the_levels_of_coefficients_spanning_1e_250_to_1():
                                    for key in keys[3:]})
         if real:
             F, G = realify(F), realify(G)
-        assert len(F) < len(G) and _extremes_fit(F, G)
+        assert len(F) < len(G)
         A = kseries._half(F) if real else F
         u = [u for col in range(2 * DIMS.n + 2 * len(DIMS.modes))
              for _, _, u, _ in _derivative_terms(A, col, 1.0, VF_DP)]
