@@ -845,32 +845,65 @@ def _many_per_key():
                  for _ in range(2))
 
 
-@SETTINGS
-@given(HIGH, HIGH, st.booleans(), st.sampled_from([0.0, 1e-6, 1.0]))
-@example(*_ONE_IN_BUDGET, False, 0.0)
-@example(*_many_per_key(), False, 0.0)
-@example(*_many_per_key(), True, 0.0)
-def test_the_budgets_cut_the_unbounded_bracket_to_its_keys_in_budget(f, g, real, budget):
-    # a bracket forms every product whatever its budgets and truncates the
-    # merged keys once: on operands whose products pass the budgets, plain
-    # or halved, with or without a skip budget, it is the UNBOUNDED bracket
-    # at the keys within BUD, bit for bit, and its dropped_mass is the l1
-    # mass of the UNBOUNDED bracket at the keys outside
-    assume(f != g)      # the self-bracket is zero by definition
-    F, G = (from_terms(DIMS, BUD, t) for t in (f, g))
-    if real:
-        F, G = realify(F), realify(G)
+def _assert_cut(F, G, budget):
+    """A bracket forms every product whatever its budgets and truncates the
+    merged keys once: with or without a skip budget, it is the UNBOUNDED
+    bracket at the keys within BUD, bit for bit, and its dropped_mass is the
+    l1 mass of the UNBOUNDED bracket at the keys outside."""
     out = poisson_bracket(F, G, VF_DP, budget)
     full = _unbounded_bracket(F, G, budget)
     inside = _in_budget(full)
     assert out.rows.tobytes() == full.rows[inside].tobytes()
     assert out.coefs.tobytes() == full.coefs[inside].tobytes()
-    assert out.real == full.real == real
+    assert out.real == full.real == F.real
     assert (out.meta["skip_bound"], out.meta["skip_rows"]) == (full.meta["skip_bound"],
                                                                full.meta["skip_rows"])
     assert full.meta["dropped_mass"] == 0.0
     assert math.isclose(out.meta["dropped_mass"], math.fsum(np.abs(full.coefs[~inside])),
                         rel_tol=1e-12, abs_tol=1e-300)
+    return out
+
+
+@SETTINGS
+@given(HIGH, HIGH, st.booleans(), st.sampled_from([0.0, 1e-6, 1.0]))
+def test_the_budgets_cut_the_unbounded_bracket_to_its_keys_in_budget(f, g, real, budget):
+    # on operands whose products pass the budgets, plain or halved
+    assume(f != g)      # the self-bracket is zero by definition
+    F, G = (from_terms(DIMS, BUD, t) for t in (f, g))
+    if real:
+        F, G = realify(F), realify(G)
+    _assert_cut(F, G, budget)
+
+
+def test_masked_products_form_only_the_rows_in_budget():
+    # one product of 13 in budget: the bracket keeps that row alone, rounded
+    # as in the unbounded bracket, and drops the mass of the other twelve
+    f, g = _ONE_IN_BUDGET
+    keys = [_key_product(ka, kb) for ta, tb, _ in _bracket_pairs(f, g, DIMS)
+            for ka, _ in ta for kb, _ in tb]
+    assert len(keys) == 13
+    assert sum(key_degree(k) <= BUD.degree_max and key_kabs(k) <= BUD.k_max for k in keys) == 1
+    out = _assert_cut(from_terms(DIMS, BUD, f), from_terms(DIMS, BUD, g), 0.0)
+    assert len(out) == 1
+    assert math.isclose(out.meta["dropped_mass"], ref_bracket(f, g, DIMS, BUD)[2], rel_tol=1e-12)
+    assert out.meta["dropped_mass"] > 0
+
+
+def test_masked_bracket_sums_its_rows_in_the_full_products_order():
+    # about 75 in-budget products per key, out of ten times as many, with
+    # float coefficients: each key's sum depends on the order of its
+    # summands, which the truncated bracket keeps, plain and halved
+    f, g = _many_per_key()
+    keys = [_key_product(ka, kb) for ta, tb, _ in _bracket_pairs(f, g, DIMS)
+            for ka, _ in ta for kb, _ in tb]
+    in_budget = sum(key_degree(k) <= BUD.degree_max and key_kabs(k) <= BUD.k_max for k in keys)
+    F, G = from_terms(DIMS, BUD, f), from_terms(DIMS, BUD, g)
+    for real in (False, True):
+        if real:
+            F, G = realify(F), realify(G)
+        out = _assert_cut(F, G, 0.0)
+        if not real:
+            assert 0 < in_budget <= 0.1 * len(keys) and in_budget > 50 * len(out)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
