@@ -11,16 +11,15 @@ from . import driver, measure, nls
 from .config import ConfigError, parse_config
 from .homological import BudgetExhausted, ResonantParameter
 from .reporting import EXIT_CODES, emit_measure_report, emit_report, report_json
-from .series import Budgets, DomainParams, SeriesDims
+from .series import _WEIGHT_A, _WEIGHT_P, Budgets, DomainParams, SeriesDims
 
 
 def _budgets(cfg):
     return Budgets(**cfg["budgets"])
 
 
-def _domain(cfg, s, r):
-    d = cfg["domain"]
-    return DomainParams(s, r, d["a"], d["p"])
+def _domain(base):
+    return DomainParams(base.s1, base.r1, _WEIGHT_A, _WEIGHT_P)
 
 
 def _grid(cfg):
@@ -30,16 +29,17 @@ def _grid(cfg):
 def _model(cfg, xi_index=None):
     m = cfg["model"]
     xi = m["xi"] if xi_index is None else _grid(cfg).sample(xi_index)
-    return nls.NlsModel(m["sites"], m["jmax"], xi, m["taylor_depth"])
+    return nls.NlsModel(m["sites"], m["jmax"], xi)
 
 
 def _argument_problem(cfg, command, xi_index, max_steps):
     """Why the command, --xi-index or --max-steps does not fit the config, or None."""
-    if command != "run" and cfg.mode == "synthetic":
-        return "%s needs an NLS model ([run] mode = nls or measure)" % command
+    mode = cfg["run"]["mode"]
+    if command != "run" and mode == "synthetic":
+        return "%s needs an NLS model ([run] mode = nls)" % command
     if max_steps is not None and (command not in ("run", "check") or max_steps < 1):
         return "--max-steps takes a step count >= 1, for run and check only (got %d)" % max_steps
-    if xi_index is not None and (command not in ("run", "nls-build") or cfg.mode == "synthetic"):
+    if xi_index is not None and (command not in ("run", "nls-build") or mode == "synthetic"):
         return "--xi-index picks a [grid] sample of the NLS model for run and nls-build"
     if command == "measure" or xi_index is not None:
         try:
@@ -56,27 +56,25 @@ def _base_params(cfg, n, b):
 
 
 def _build_problem(cfg, xi_index):
-    if cfg.mode in ("nls", "measure"):
+    if cfg["run"]["mode"] == "nls":
         model = _model(cfg, xi_index)
         _, kf = nls.build_nls(model, _budgets(cfg))
         base = _base_params(cfg, model.n, 1)
         return kf.N0, kf.R0, kf.dims, base
     sec = cfg["synthetic"]
-    zero = sec["zero_mode"]
-    dims = SeriesDims(sec["n"], (), tuple(range(zero, zero + sec["b"])), sec["jmax"])
+    # zero modes 1..b: ``config._range_problems`` bounds the weight of mode max(jmax, b)
+    dims = SeriesDims(sec["n"], (), tuple(range(1, 1 + sec["b"])), sec["jmax"])
     base = _base_params(cfg, sec["n"], sec["b"])
-    dp = _domain(cfg, base.s1, base.r1)
     N0, R0 = driver.make_synthetic_problem(
         dims, _budgets(cfg), sec["eps0"], seed=cfg["run"]["seed"],
-        inject_z0=sec["inject_z0"], block_scale=sec["block_scale"],
-        n_low=sec["n_low"], n_high=sec["n_high"], dp=dp)
+        inject_z0=sec["inject_z0"], n_high=sec["n_high"], dp=_domain(base))
     return N0, R0, dims, base
 
 
 def cmd_run(cfg, outdir, xi_index, max_steps):
     N0, R0, dims, base = _build_problem(cfg, xi_index)
-    dp0 = _domain(cfg, base.s1, base.r1)
-    report = driver.run(N0, R0, base, dims, dp0, max_steps=max_steps or cfg["run"]["max_steps"])
+    report = driver.run(N0, R0, base, dims, _domain(base),
+                        max_steps=max_steps or cfg["run"]["max_steps"])
     code, jpath = emit_report(report, outdir)
     print("%s -> %s (exit %d)" % (report.verdict, jpath, code))
     return code
@@ -121,8 +119,7 @@ def cmd_measure(cfg, outdir):
         gammas.append(gammas[-1] * 0.5)
     rungs = [driver.schedule(1, replace(base, gamma1=gamma)) for gamma in gammas]
     try:
-        reps = measure.estimate_ladder(fmap, rungs, model.kam_dims(), grid,
-                                       k_lo=g["k_lo"], kmax=g["kmax"])
+        reps = measure.estimate_ladder(fmap, rungs, model.kam_dims(), grid, kmax=g["kmax"])
     except BudgetExhausted as err:
         print("BudgetExhausted: %s" % err, file=sys.stderr)
         return EXIT_CODES["BudgetExhausted"]
@@ -153,7 +150,7 @@ def cmd_check(cfg, outdir, max_steps):
     }
     if max_steps:
         base = _base_params(cfg, model.n, 1)
-        steps = driver.iterate(kf.N0, kf.R0, base, dims, _domain(cfg, base.s1, base.r1))
+        steps = driver.iterate(kf.N0, kf.R0, base, dims, _domain(base))
         per_step = []
         try:
             for _, (m, _, _, R, rec) in zip(range(max_steps), steps):

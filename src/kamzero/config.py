@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .driver import _R_FLOOR_REL
-from .series import Budgets
+from .series import _WEIGHT_A, _WEIGHT_P, Budgets
 
 
 class ConfigError(Exception):
@@ -21,12 +20,13 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.problems))
 
 
-_MODES = ("nls", "synthetic", "measure")
+_MODES = ("nls", "synthetic")
 
 
+# a key's kind is a type name or, for ``mode``, the tuple of its choices
 _SCHEMA = {
     "run": {
-        "mode": ("str", None),
+        "mode": (_MODES, None),
         "seed": ("int", 0),
         "max_steps": ("int", 6),
     },
@@ -34,17 +34,13 @@ _SCHEMA = {
         "sites": ("intlist", ()),
         "jmax": ("int", 8),
         "xi": ("floatlist", ()),
-        "taylor_depth": ("int", 2),
     },
     "synthetic": {
         "n": ("int", 2),
         "b": ("int", 1),
         "jmax": ("int", 6),
-        "zero_mode": ("int", 1),
         "eps0": ("float", 1e-6),
         "inject_z0": ("float", 0.0),
-        "block_scale": ("float", 0.0),
-        "n_low": ("int", 12),
         "n_high": ("int", 8),
     },
     "schedule": {
@@ -58,16 +54,11 @@ _SCHEMA = {
         "degree_max": ("int", 6),
         "k_max": ("int", 512),
     },
-    "domain": {
-        "a": ("float", 0.1),
-        "p": ("float", 1.0),
-    },
     "grid": {
         "lo": ("floatlist", ()),
         "hi": ("floatlist", ()),
         "samples_per_axis": ("int", 32),
         "kmax": ("float", 10.0),
-        "k_lo": ("float", 0.0),
         "gamma_ladder": ("int", 1),
     },
     "output": {
@@ -84,6 +75,10 @@ def _finite(raw):
 
 
 def _parse_value(kind, raw):
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError(raw)
+        return raw
     if kind == "str":
         return raw
     if kind == "int":
@@ -97,20 +92,9 @@ def _parse_value(kind, raw):
     raise AssertionError(kind)
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getitem__(self, section):
-        return self.values[section]
-
-    @property
-    def mode(self):
-        return self.values["run"]["mode"]
-
-
 def parse_config(text):
-    """Parse and validate config text; raises ConfigError with line numbers."""
+    """Parse and validate config text into ``{section: {key: value}}``, every
+    key of ``_SCHEMA`` present; raises ConfigError with line numbers."""
     problems = []
     values = {sec: {k: default for k, (_, default) in keys.items()}
               for sec, keys in _SCHEMA.items()}
@@ -141,22 +125,24 @@ def parse_config(text):
         try:
             values[section][key] = _parse_value(kind, raw_val)
         except ValueError:
+            expects = ("one of %s" % ", ".join(kind) if isinstance(kind, tuple)
+                       else kind.replace("float", "finite float"))
             problems.append("line %d: key '%s' expects %s, got %r"
-                            % (lineno, key, kind.replace("float", "finite float"), raw_val))
+                            % (lineno, key, expects, raw_val))
 
-    cfg = RunConfig(values)
-    problems.extend(_validate(cfg))
+    problems.extend(_validate(values))
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return values
 
 
 def _range_problems(v, mode):
     """Finite values that the norms cannot take: the vector-field norm divides
     by r^2 on every radius of the schedule, from r1 down to the floor
-    ``driver._R_FLOOR_REL`` r1, and weighs mode j by w_j = j^p e^{a j}."""
+    ``driver._R_FLOOR_REL`` r1, and weighs mode j by w_j = j^p e^{a j}
+    (``series.mode_weight`` at a = ``_WEIGHT_A``, p = ``_WEIGHT_P``)."""
     problems = []
-    sched, dom = v["schedule"], v["domain"]
+    sched = v["schedule"]
     floor = _R_FLOOR_REL * sched["r1"]
     for what, radius in (("r1", sched["r1"]), ("the radius floor %g * r1" % _R_FLOOR_REL, floor)):
         square = radius * radius
@@ -164,37 +150,35 @@ def _range_problems(v, mode):
             problems.append("[schedule] %s = %g squares to %g; its square must be a positive "
                             "normal float" % (what, radius, square))
     if mode == "synthetic":
+        # the synthetic zero modes are 1..b (``cli._build_problem``)
         syn = v["synthetic"]
-        top = max(syn["jmax"], syn["zero_mode"] + syn["b"] - 1)
+        top = max(syn["jmax"], syn["b"])
+        what = "[synthetic] jmax = %d and b = %d give" % (syn["jmax"], syn["b"])
     else:
         top = v["model"]["jmax"]
-    if top >= 1 and dom["a"] > 0:
-        try:
-            weight = top ** dom["p"] * math.exp(dom["a"] * top)
-        except OverflowError:
-            weight = math.inf
-        if not weight < math.inf:
-            problems.append("[domain] a = %g and p = %g give mode %d the weight j^p e^(a j) = inf; "
-                            "it must be finite" % (dom["a"], dom["p"], top))
+        what = "[model] jmax = %d gives" % top
+    try:
+        weight = top ** _WEIGHT_P * math.exp(_WEIGHT_A * top)
+    except OverflowError:
+        weight = math.inf
+    if not weight < math.inf:
+        problems.append("%s mode %d the weight j^%g e^(%g j) = inf; it must be finite"
+                        % (what, top, _WEIGHT_P, _WEIGHT_A))
     return problems
 
 
-def _validate(cfg):
+def _validate(v):
     problems = []
-    v = cfg.values
     mode = v["run"]["mode"]
-    if mode not in _MODES:
-        problems.append("[run] mode must be one of %s, got %r" % (_MODES, mode))
+    if mode is None:
+        problems.append("[run] mode must be set to one of %s" % ", ".join(_MODES))
         return problems
     g = v["grid"]
-    positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1"), ("domain", "a")]
+    positive = [("schedule", "s1"), ("schedule", "r1"), ("schedule", "gamma1")]
     least = [("run", "seed", 0), ("run", "max_steps", 1)]
     if mode == "synthetic":
         positive.append(("synthetic", "eps0"))
-        least += [("synthetic", key, low) for key, low in
-                  (("n", 1), ("b", 1), ("zero_mode", 0), ("n_low", 0), ("n_high", 0))]
-    else:
-        least.append(("model", "taylor_depth", 0))
+        least += [("synthetic", key, low) for key, low in (("n", 1), ("b", 1), ("n_high", 0))]
     if g["lo"] or g["hi"]:
         # an empty condition set or ladder would report every fraction as 0
         least += [("grid", "kmax", 1), ("grid", "gamma_ladder", 1)]
@@ -204,15 +188,12 @@ def _validate(cfg):
     for sec, key, low in least:
         if not v[sec][key] >= low:
             problems.append("[%s] %s must be >= %d" % (sec, key, low))
-    if not v["domain"]["p"] > 0.5:
-        problems.append("[domain] p must exceed 1/2")
-    else:
-        problems.extend(_range_problems(v, mode))
+    problems.extend(_range_problems(v, mode))
     try:
         Budgets(**v["budgets"])
     except ValueError as err:
         problems.append("[budgets] %s" % err)
-    if mode in ("nls", "measure"):
+    if mode == "nls":
         sites = v["model"]["sites"]
         xi = v["model"]["xi"]
         if not sites:
@@ -232,8 +213,4 @@ def _validate(cfg):
         n = v["synthetic"]["n"]
     if n and not v["schedule"]["tau"] > n + 1:
         problems.append("[schedule] tau must exceed n + 1 = %d" % (n + 1))
-    if mode == "measure" and (not g["lo"] or not g["hi"] or len(g["lo"]) != len(g["hi"])):
-        problems.append("[grid] lo and hi must be equal-length lists")
-    if (g["lo"] or g["hi"]) and not 0 <= g["k_lo"] < g["kmax"]:
-        problems.append("[grid] k_lo must satisfy 0 <= k_lo < kmax")
     return problems

@@ -108,32 +108,6 @@ class KamParams:
     def tau(self):
         return self.base.tau
 
-    # per-family thresholds; m = 1 reduces every gamma_im to gamma_1, and a
-    # float power underflows where m ** (e b^4) would overflow a float
-    @property
-    def gamma_1m(self):
-        return self.gamma_m * float(self.m) ** -(18 * self.base.b ** 4)
-
-    @property
-    def gamma_3m(self):
-        return self.gamma_m * float(self.m) ** -(32 * self.base.b ** 4)
-
-    @property
-    def gamma_4m(self):
-        return self.gamma_m * float(self.m) ** -(8 * self.base.b ** 4)
-
-    @property
-    def tau_1(self):
-        return 3 * self.base.b ** 2 * self.tau
-
-    @property
-    def tau_3(self):
-        return 4 * self.base.b ** 2 * self.tau
-
-    @property
-    def tau_4(self):
-        return 2 * self.base.b ** 2 * self.tau
-
 
 def _s_of(m, s1):
     # strict-gap variant with floor s1/2: keeps the composition domain

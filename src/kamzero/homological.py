@@ -277,13 +277,14 @@ def block_operators(family, N, kvecs, Omega=None):
 # the small-divisor condition catalogue
 # ---------------------------------------------------------------------------
 
-# family: (block operator, KamParams scale, KamParams exponent); the KL
-# scale is further weighted by <l>_d (``l_weight``)
+# family: (block operator, scale exponent e, tau factor c), giving the
+# threshold scale gamma_m m^(-e b^4) and exponent c b^2 tau (``_scale_tau``);
+# KL has gamma_m and tau, its scale further weighted by <l>_d (``l_weight``)
 FAMILY_TABLE = {
-    "KL": (None, "gamma_m", "tau"),
-    "R1": ("A", "gamma_1m", "tau_1"),
-    "R3": ("B", "gamma_3m", "tau_3"),
-    "R4": ("C", "gamma_4m", "tau_4"),
+    "KL": (None, None, None),
+    "R1": ("A", 18, 3),
+    "R3": ("B", 32, 4),
+    "R4": ("C", 8, 2),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 _KL = FAMILIES.index("KL")
@@ -293,9 +294,14 @@ DISPERSION = 2
 
 
 def _scale_tau(params, family):
-    """Threshold scale and exponent of ``family``, read from ``params``."""
-    _, scale, tau = FAMILY_TABLE[family]
-    return getattr(params, scale), getattr(params, tau)
+    """Threshold scale and exponent of ``family`` at the KamParams ``params``.
+    At m = 1 every family's scale is gamma_m, and the float power underflows
+    where m ** (e b^4) would overflow a float."""
+    _, e, c = FAMILY_TABLE[family]
+    if e is None:
+        return params.gamma_m, params.tau
+    b = params.base.b
+    return params.gamma_m * float(params.m) ** -(e * b ** 4), c * b ** 2 * params.tau
 
 
 def l_weight(L, tail):

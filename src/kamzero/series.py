@@ -168,6 +168,11 @@ class DomainParams:
         return DomainParams(self.s - sigma, self.r, self.a, self.p)
 
 
+# the weight parameters a and p of every domain the commands build
+_WEIGHT_A = 0.1
+_WEIGHT_P = 1.0
+
+
 def mode_weight(j, dp):
     """Sequence-space weight w_j = j^p e^{aj} (the j = 0 mode has weight 1)."""
     if j == 0:

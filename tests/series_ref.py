@@ -72,15 +72,17 @@ def monomial(dims, budgets, coeff, k=(), alpha=(), beta=(), gamma=(), real=False
 
 
 def product(A, B):
-    """A * B from every pair of rows, truncated to the budgets of A; the l1
-    mass of the pairs outside them lands in ``meta['dropped_mass']``."""
+    """A * B from every pair of rows, truncated to the budgets of A; as for a
+    bracket, ``meta['dropped_mass']`` is the l1 mass of the sums at the keys
+    outside them."""
     n, bud = A.dims.n, A.budgets
     rows = (A.rows[:, None].astype(np.int32) + B.rows).reshape(-1, A.rows.shape[1])
     coefs = np.outer(A.coefs, B.coefs).ravel()
     keep = ((2 * rows[:, n:2 * n].sum(axis=1) + rows[:, 2 * n:].sum(axis=1) <= bud.degree_max)
             & (np.abs(rows[:, :n]).sum(axis=1) <= bud.k_max))
     out = TFSeries.from_rows(A.dims, bud, rows[keep], coefs[keep])
-    out.meta["dropped_mass"] = float(np.abs(coefs[~keep]).sum())
+    dropped = TFSeries.from_rows(A.dims, bud, rows[~keep], coefs[~keep])
+    out.meta["dropped_mass"] = float(np.abs(dropped.coefs).sum())
     return out
 
 

@@ -50,7 +50,7 @@ k_max = 4096
 
 def test_parse_minimal_nls_config():
     cfg = parse_config(MINIMAL_NLS)
-    assert cfg.mode == "nls"
+    assert cfg["run"]["mode"] == "nls"
     assert cfg["model"]["sites"] == (1, 2)
     assert cfg["model"]["xi"] == (0.004, 0.003)
     assert cfg["schedule"]["tau"] == 3.5  # default
@@ -233,7 +233,6 @@ lo = 0.001 0.001
 hi = 0.01 0.01
 samples_per_axis = 30
 kmax = 8
-k_lo = 2
 gamma_ladder = 2
 """
     (tmp_path / "m.cfg").write_text(text)
@@ -247,7 +246,7 @@ gamma_ladder = 2
     ladder = {}
     for gamma in (base.gamma1, base.gamma1 / 2):
         rep = measure.estimate_excluded(fmap, driver.schedule(1, replace(base, gamma1=gamma)),
-                                        kf.dims, cli._grid(cfg), k_lo=2.0, kmax=8.0)
+                                        kf.dims, cli._grid(cfg), kmax=8.0)
         emit_measure_report(rep, str(ref), basename="measure_gamma_%g" % gamma)
         ladder["%g" % gamma] = rep.fractions
     (ref / "measure_ladder.json").write_text(report_json(ladder))
@@ -300,25 +299,24 @@ gamma_ladder = 2
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-def test_measure_mode_builds_the_nls_problem(tmp_path):
-    # a mode = measure config describes the NLS model in [model]; run used to
-    # build the default synthetic problem from it and report TorusConverged
-    from kamzero import cli, nls
+def test_the_readme_lists_every_config_key_with_its_type_and_default():
+    from kamzero.config import _SCHEMA, _parse_value
 
-    cfg = parse_config(MINIMAL_NLS.replace("mode = nls", "mode = measure") + """
-[budgets]
-degree_max = 4
-k_max = 64
-
-[grid]
-lo = 0.001 0.001
-hi = 0.01 0.01
-""")
-    N0, R0, dims, base = cli._build_problem(cfg, None)
-    _, kf = nls.build_nls(cli._model(cfg), cli._budgets(cfg))
-    assert dims == kf.dims and dims.sites == (1, 2)
-    assert R0.terms == kf.R0.terms
-    assert np.array_equal(N0.omega, kf.N0.omega)
+    with open(os.path.join(os.path.dirname(SHIPPED), "README.md")) as fh:
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (.+?) \| (.+?) \|$", fh.read(),
+                          flags=re.M)
+    listed = {(section, key): (kind.replace("`", ""), default)
+              for section, key, kind, default in rows}
+    assert len(listed) == len(rows)
+    assert set(listed) == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+    for section, keys in _SCHEMA.items():
+        for key, (kind, default) in keys.items():
+            text_kind, text_default = listed[section, key]
+            assert text_kind == (" or ".join(kind) if isinstance(kind, tuple) else kind), key
+            if default in (None, ()):
+                assert text_default == "—", key
+            else:
+                assert _parse_value(kind, text_default) == default, key
 
 
 @pytest.mark.parametrize("key", ["k_max", "degree_max"])
@@ -416,14 +414,13 @@ SHIPPED =os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 @pytest.mark.parametrize("section,key,value", [
     ("synthetic", "eps0", "nan"), ("schedule", "tau", "inf"), ("schedule", "s1", "inf"),
     ("budgets", "prune_rel", "nan"),
-    ("synthetic", "n_low", "-1"), ("synthetic", "n", "-1"), ("synthetic", "n", "0"),
-    ("synthetic", "zero_mode", "-2"), ("run", "seed", "-1"), ("synthetic", "n_high", "-3"),
-    ("synthetic", "eps0", "0"), ("synthetic", "eps0", "-1e-6")])
+    ("synthetic", "n", "-1"), ("synthetic", "n", "0"), ("run", "seed", "-1"),
+    ("synthetic", "n_high", "-3"), ("synthetic", "eps0", "0"), ("synthetic", "eps0", "-1e-6")])
 def test_non_finite_float_is_config_error(tmp_path, section, key, value):
     # each of these once ended in a traceback (LinAlgError, ZeroDivisionError,
     # ValueError) or, for the NaN prune cut, in a TorusConverged verdict; the
-    # out-of-range rows either raised (a negative n, n_low, zero_mode or
-    # seed; n = 0) or ran as given (n_high < 0 dropped low terms, eps0 <= 0
+    # out-of-range rows either raised (a negative n or seed; n = 0) or ran
+    # as given (n_high < 0 dropped low terms, eps0 <= 0
     # was used as it came)
     with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
         text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
@@ -461,6 +458,34 @@ def test_removed_keys_are_unknown(tmp_path, section, key, value):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("domain", "a", "0.1"), ("domain", "p", "1.0"), ("synthetic", "zero_mode", "1"),
+    ("synthetic", "zero_mode", "-2"), ("synthetic", "block_scale", "0"),
+    ("synthetic", "n_low", "12"), ("synthetic", "n_low", "-1"), ("model", "taylor_depth", "2"),
+    ("model", "taylor_depth", "-1"), ("grid", "k_lo", "0"), ("grid", "k_lo", "10"),
+    ("grid", "k_lo", "12"), ("grid", "k_lo", "-1"), ("run", "mode", "measure")])
+def test_settings_that_became_constants_are_config_errors(tmp_path, section, key, value):
+    # no config set the domain weights a = 0.1 and p = 1.0, the synthetic
+    # zero mode 1, block_scale 0 or n_low 12, the Taylor depth 2 or k_lo 0:
+    # they are constants now, and mode = measure (an alias of nls) is gone.
+    # Each is an error at its line, at its old default or at a value that
+    # was once out of range
+    with open(os.path.join(SHIPPED, "%s.cfg" % ("synthetic" if section == "synthetic"
+                                                else "nls"))) as fh:
+        text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
+    lineno = len(text.splitlines())
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    if section == "domain":
+        assert "line %d: unknown section [domain]" % (lineno - 1) in err.value.problems
+    else:
+        assert any(p.startswith("line %d: " % lineno) and "'%s'" % key in p
+                   for p in err.value.problems)
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+
+
 # the overflow is this test's input: the warnings it raises on the way to
 # the verdict are expected
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -487,15 +512,16 @@ def test_an_overflowing_step_is_budget_exhausted(tmp_path, eps0):
 
 @pytest.mark.parametrize("section,key,value,code", [
     ("schedule", "s1", "1e3", 4), ("schedule", "r1", "1e160", 5), ("schedule", "r1", "1e-200", 5),
-    ("domain", "a", "1e300", 5), ("domain", "p", "1e300", 5), ("schedule", "r1", "1e-153", 5)])
+    ("synthetic", "jmax", "8000", 5), ("synthetic", "b", "8000", 5), ("schedule", "r1", "1e-153", 5)])
 def test_extreme_domain_values_end_in_an_exit_code(tmp_path, section, key, value, code):
-    # finite values that parse, and each once ended in a traceback: s1 = 1e3
-    # in a ValueError for a NaN truncation budget, r1 = 1e160 and a or p =
-    # 1e300 in an OverflowError, r1 = 1e-200 in a ZeroDivisionError, and r1
-    # = 1e-153 (whose floor radius 1e-155 squares to a subnormal) in an
-    # OverflowError at step 2.  A radius whose square is not a positive
-    # normal float, or an infinite top mode weight, is a config error; a
-    # norm of R0 that overflows on the starting domain is BudgetExhausted
+    # finite values that parse: s1 = 1e3 once ended in a ValueError for a
+    # NaN truncation budget, r1 = 1e160 in an OverflowError, r1 = 1e-200 in a
+    # ZeroDivisionError, and r1 = 1e-153 (whose floor radius 1e-155 squares
+    # to a subnormal) in an OverflowError at step 2.  At jmax or b = 8000 the
+    # top mode's weight j e^(0.1 j) is inf.  A radius whose square is not a
+    # positive normal float, or an infinite top mode weight, is a config
+    # error; a norm of R0 that overflows on the starting domain is
+    # BudgetExhausted
     with open(os.path.join(SHIPPED, "synthetic.cfg")) as fh:
         text = fh.read() + "\n[%s]\n%s = %s\n" % (section, key, value)
     if code == 5:
@@ -512,8 +538,7 @@ def test_extreme_domain_values_end_in_an_exit_code(tmp_path, section, key, value
         assert "starting domain" in rep["verdict_info"]["reason"] and not rep["steps"]
 
 
-@pytest.mark.parametrize("key,value", [("kmax", "-3"), ("kmax", "0"), ("k_lo", "10"),
-                                       ("k_lo", "12"), ("k_lo", "-1"), ("gamma_ladder", "0")])
+@pytest.mark.parametrize("key,value", [("kmax", "-3"), ("kmax", "0"), ("gamma_ladder", "0")])
 def test_empty_condition_set_is_config_error(tmp_path, capsys, key, value):
     # on nls.cfg ([grid] kmax = 10) an empty condition set once gave a measure
     # report with every fraction and bound 0.0, and gamma_ladder = 0 silently
@@ -528,12 +553,10 @@ def test_empty_condition_set_is_config_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("sites", "1 9"), ("sites", "1 1"),
-                                       ("taylor_depth", "-1")])
+@pytest.mark.parametrize("key,value", [("sites", "1 9"), ("sites", "1 1")])
 def test_bad_model_is_config_error(tmp_path, key, value):
     # a site beyond jmax = 8 once ended in a ValueError traceback; a repeated
-    # site (site 0 never got a factor) and a negative Taylor depth (every
-    # site term dropped) built a wrong model and exited 0
+    # site (site 0 never got a factor) built a wrong model and exited 0
     with open(os.path.join(SHIPPED, "nls.cfg")) as fh:
         text = fh.read() + "\n[model]\n%s = %s\n" % (key, value)
     with pytest.raises(ConfigError) as err:

@@ -17,7 +17,7 @@ from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
                             StepRecord, _eval_gradients, _zero_mode_tables,
                             delta0, dichotomy, kam_step, make_synthetic_problem,
                             no_torus_witness, run, schedule, scheduled_eps)
-from kamzero.homological import NormalForm, ResonantParameter
+from kamzero.homological import FAMILIES, NormalForm, ResonantParameter, _scale_tau
 from kamzero.series import Budgets, DomainParams, SeriesDims, TFSeries, vector_field_norm
 from series_ref import from_terms, make_key, reality_defect
 
@@ -79,21 +79,22 @@ def test_eps_recursion_formula_oracle():
 def test_gamma_family_schedules():
     p = schedule(2, BASE)
     b4 = BASE.b ** 4
-    assert p.gamma_1m == pytest.approx(p.gamma_m / 2 ** (18 * b4))
-    assert p.gamma_3m == pytest.approx(p.gamma_m / 2 ** (32 * b4))
-    assert p.gamma_4m == pytest.approx(p.gamma_m / 2 ** (8 * b4))
+    assert _scale_tau(p, "R1") == pytest.approx((p.gamma_m / 2 ** (18 * b4), 3 * BASE.tau))
+    assert _scale_tau(p, "R3") == pytest.approx((p.gamma_m / 2 ** (32 * b4), 4 * BASE.tau))
+    assert _scale_tau(p, "R4") == pytest.approx((p.gamma_m / 2 ** (8 * b4), 2 * BASE.tau))
+    assert _scale_tau(p, "KL") == (p.gamma_m, BASE.tau)
     p1 = schedule(1, BASE)
-    assert p1.gamma_1m == p1.gamma_3m == p1.gamma_4m == p1.gamma_m
+    assert {_scale_tau(p1, f)[0] for f in FAMILIES} == {p1.gamma_m}
     # at b = 2, m = 4, m ** (32 b^4) = 2^1024 overflows a float: the thresholds
     # must underflow to the correctly rounded value instead (a subnormal at
     # m = 4, zero at m = 5)
     for m in (4, 5):
         p = schedule(m, replace(BASE, b=2))
-        for name, e in (("gamma_1m", 18), ("gamma_3m", 32), ("gamma_4m", 8)):
+        for family, e in (("R1", 18), ("R3", 32), ("R4", 8)):
             exact = float(Fraction(p.gamma_m) / m ** (e * 2 ** 4))
-            assert getattr(p, name) == pytest.approx(exact, rel=1e-15, abs=0)
-    assert 0 < schedule(4, replace(BASE, b=2)).gamma_3m < 2.0 ** -1022
-    assert schedule(5, replace(BASE, b=2)).gamma_3m == 0.0
+            assert _scale_tau(p, family)[0] == pytest.approx(exact, rel=1e-15, abs=0)
+    assert 0 < _scale_tau(schedule(4, replace(BASE, b=2)), "R3")[0] < 2.0 ** -1022
+    assert _scale_tau(schedule(5, replace(BASE, b=2)), "R3")[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,18 @@ def test_leibniz_rule_within_dropped_mass():
         assert vector_field_norm(lhs - t1 - t2, DP) <= 1e-12 * scale
 
 
+def test_the_reference_product_drops_the_sums_at_the_keys_outside_the_budgets():
+    # as in a bracket, the dropped mass is the l1 of the summed coefficients
+    # at the removed keys: z^2 * z and z * (-z^2) cancel on z^3, so only the
+    # -1 of z^4 counts, where the summed |ca cb| would read 3
+    dims, bud = SeriesDims(1, (), (1,), 1), Budgets(2, 4)
+    z, zz = make_key(1, beta={1: 1}), make_key(1, beta={1: 2})
+    out = product(from_terms(dims, bud, {zz: 1.0, z: 1.0}),
+                  from_terms(dims, bud, {z: 1.0, zz: -1.0}))
+    assert out.terms == {zz: 1.0}
+    assert out.meta["dropped_mass"] == 1.0
+
+
 def test_bracket_cuts_no_coefficient_by_magnitude(monkeypatch):
     # coefficients over eight decades: a bracket is exact up to rounding
     # whatever the step's prune tolerance says (only the end of a KAM step
