@@ -11,15 +11,11 @@ from . import driver, measure, nls
 from .config import ConfigError, parse_config
 from .homological import BudgetExhausted, ResonantParameter
 from .reporting import EXIT_CODES, emit_measure_report, emit_report, report_json
-from .series import _WEIGHT_A, _WEIGHT_P, Budgets, DomainParams, SeriesDims
+from .series import Budgets, SeriesDims
 
 
 def _budgets(cfg):
     return Budgets(**cfg["budgets"])
-
-
-def _domain(base):
-    return DomainParams(base.s1, base.r1, _WEIGHT_A, _WEIGHT_P)
 
 
 def _grid(cfg):
@@ -67,14 +63,13 @@ def _build_problem(cfg, xi_index):
     base = _base_params(cfg, sec["n"], sec["b"])
     N0, R0 = driver.make_synthetic_problem(
         dims, _budgets(cfg), sec["eps0"], seed=cfg["run"]["seed"],
-        inject_z0=sec["inject_z0"], n_high=sec["n_high"], dp=_domain(base))
+        inject_z0=sec["inject_z0"], n_high=sec["n_high"], dp=base.domain)
     return N0, R0, dims, base
 
 
 def cmd_run(cfg, outdir, xi_index, max_steps):
     N0, R0, dims, base = _build_problem(cfg, xi_index)
-    report = driver.run(N0, R0, base, dims, _domain(base),
-                        max_steps=max_steps or cfg["run"]["max_steps"])
+    report = driver.run(N0, R0, base, dims, max_steps=max_steps or cfg["run"]["max_steps"])
     code, jpath = emit_report(report, outdir)
     print("%s -> %s (exit %d)" % (report.verdict, jpath, code))
     return code
@@ -150,7 +145,7 @@ def cmd_check(cfg, outdir, max_steps):
     }
     if max_steps:
         base = _base_params(cfg, model.n, 1)
-        steps = driver.iterate(kf.N0, kf.R0, base, dims, _domain(base))
+        steps = driver.iterate(kf.N0, kf.R0, base, dims)
         per_step = []
         try:
             for _, (m, _, _, R, rec) in zip(range(max_steps), steps):

@@ -11,7 +11,7 @@ import math
 import sys
 
 from .driver import _R_FLOOR_REL
-from .series import _WEIGHT_A, _WEIGHT_P, Budgets
+from .series import _WEIGHT_A, _WEIGHT_P, Budgets, mode_weight
 
 
 class ConfigError(Exception):
@@ -139,8 +139,8 @@ def parse_config(text):
 def _range_problems(v, mode):
     """Finite values that the norms cannot take: the vector-field norm divides
     by r^2 on every radius of the schedule, from r1 down to the floor
-    ``driver._R_FLOOR_REL`` r1, and weighs mode j by w_j = j^p e^{a j}
-    (``series.mode_weight`` at a = ``_WEIGHT_A``, p = ``_WEIGHT_P``)."""
+    ``driver._R_FLOOR_REL`` r1, and weighs mode j by ``series.mode_weight``,
+    w_j = j^p e^{a j}."""
     problems = []
     sched = v["schedule"]
     floor = _R_FLOOR_REL * sched["r1"]
@@ -158,7 +158,7 @@ def _range_problems(v, mode):
         top = v["model"]["jmax"]
         what = "[model] jmax = %d gives" % top
     try:
-        weight = top ** _WEIGHT_P * math.exp(_WEIGHT_A * top)
+        weight = mode_weight(top)
     except OverflowError:
         weight = math.inf
     if not weight < math.inf:

@@ -1,8 +1,13 @@
 """Iteration driver: schedules, the KAM step, and the delta_0 dichotomy.
 
-``iterate`` is the one iteration loop (schedule, domain, ``kam_step``, eps
-and radius update).  ``run``, the ``check`` command and the tests that step
-by hand consume it; ``run`` adds the verdict logic.
+``iterate`` is the one iteration loop (schedule, ``kam_step``, eps and
+radius update).  ``run``, the ``check`` command and the tests that step by
+hand consume it; ``run`` adds the verdict logic.
+
+The schedule owns the domain: R0 is measured on ``BaseParams.domain``,
+D(s1, r1), and step m works on ``KamParams.domain``, D(s_m, r_m), at the
+eps_m its schedule was made from; ``kam_step`` measures R_{m+1} on the
+outgoing domain D(s_{m+1}, r_{m+1}).
 
 One step first drops from R_m the terms of smallest vector-field majorant
 while their sum stays below ``_VF_TRUNC_REL * eps_m`` (``vf_truncate``; the
@@ -85,6 +90,11 @@ class BaseParams:
         if not self.tau > self.n + 1:
             raise ValueError("tau must exceed n + 1")
 
+    @property
+    def domain(self):
+        """D(s1, r1), on which R0 is measured."""
+        return DomainParams(self.s1, self.r1)
+
 
 @dataclass
 class KamParams:
@@ -107,6 +117,11 @@ class KamParams:
     @property
     def tau(self):
         return self.base.tau
+
+    @property
+    def domain(self):
+        """D(s_m, r_m), on which step m works."""
+        return DomainParams(self.s_m, self.r_m)
 
 
 def _s_of(m, s1):
@@ -185,11 +200,12 @@ class StepRecord:
     solve_counts: dict = field(default_factory=dict)
 
 
-def kam_step(N, R, params, dims, dp, eps_m):
-    """One conjugation H_m -> H_{m+1}; returns (N_next, R_next, StepRecord).
+def kam_step(N, R, params, dims):
+    """One conjugation H_m -> H_{m+1} on ``params.domain``; returns (N_next,
+    R_next, StepRecord).
 
-    ``eps_m`` is the measured eps that scheduled the step (``iterate``
-    passes the norm of R0 on the starting domain, then each step's
+    ``params.eps_m`` is the measured eps that scheduled the step (``iterate``
+    schedules from the norm of R0 on ``base.domain``, then from each step's
     ``eps_next``).
 
     Raises ResonantParameter when the sample fails a small-divisor
@@ -198,6 +214,7 @@ def kam_step(N, R, params, dims, dp, eps_m):
     R_{m+1} has no finite norm on the outgoing domain (an overflow).
     """
     base = params.base
+    dp, eps_m = params.domain, params.eps_m
     if params.K_m > R.budgets.k_max:
         raise BudgetExhausted("K_m = %.1f exceeds the Fourier budget %d"
                               % (params.K_m, R.budgets.k_max))
@@ -207,8 +224,7 @@ def kam_step(N, R, params, dims, dp, eps_m):
     R, vf_bound, vf_terms = vf_truncate(R, dp, _VF_TRUNC_REL * eps_m)
 
     low, high = split_low_high(R)
-    low_trunc, tail, tailrep = fourier_truncate(
-        low, min(params.K_m, R.budgets.k_max), dp, sigma=params.s_gap)
+    low_trunc, tail, tailrep = fourier_truncate(low, params.K_m, dp, sigma=params.s_gap)
 
     failures = check_nonresonance(
         N, replace(params, K_m=min(params.K_m, _CHECK_K_CAP)), dims)
@@ -221,7 +237,7 @@ def kam_step(N, R, params, dims, dp, eps_m):
     # the outgoing domain: eps_next is measured on it (the next schedule
     # recomputes the radius from its own measured eps)
     r_next = _next_radius(params.eta_m, params.r_m, base)
-    dp_next = DomainParams(params.s_next, r_next, dp.a, dp.p)
+    dp_next = DomainParams(params.s_next, r_next)
 
     # exact decomposition of the transformed perturbation
     rem_tol = 0.01 * max(eps_m ** (4.0 / 3.0), 1e-30)
@@ -497,34 +513,33 @@ class IterationReport:
         return asdict(self)
 
 
-def iterate(N0, R0, base, dims, dp0):
+def iterate(N0, R0, base, dims):
     """Run the steps m = 1, 2, ... and yield (m, params, N, R, record) after each.
 
-    Every step schedules from the measured eps and the previous radius, sets
-    the domain D(s_m, r_m) and conjugates with ``kam_step``.  A norm of R0
-    on ``dp0`` that is not finite raises BudgetExhausted before the first
-    step.  ResonantParameter and BudgetExhausted propagate to the consumer,
-    which also decides when to stop.
+    Every step schedules from the measured eps and the previous radius and
+    conjugates with ``kam_step`` on the scheduled domain D(s_m, r_m).  A norm
+    of R0 on ``base.domain`` that is not finite raises BudgetExhausted before
+    the first step.  ResonantParameter and BudgetExhausted propagate to the
+    consumer, which also decides when to stop.
     """
     N, R = N0, R0
     with np.errstate(over="ignore", invalid="ignore"):     # reported as BudgetExhausted
-        eps = vector_field_norm(R, dp0)
+        eps = vector_field_norm(R, base.domain)
     if not math.isfinite(eps):
         raise BudgetExhausted("the vector-field norm of R0 on the starting domain "
-                              "D(s1 = %g, r1 = %g) is %r" % (dp0.s, dp0.r, eps))
+                              "D(s1 = %g, r1 = %g) is %r" % (base.s1, base.r1, eps))
     r_prev = None
     for m in itertools.count(1):
         params = schedule(m, base, eps_m=eps, r_prev=r_prev)
-        dp = DomainParams(params.s_m, params.r_m, dp0.a, dp0.p)
-        N, R, rec = kam_step(N, R, params, dims, dp, eps)
+        N, R, rec = kam_step(N, R, params, dims)
         eps, r_prev = rec.eps_next, params.r_m
         yield m, params, N, R, rec
 
 
-def run(N0, R0, base, dims, dp0, max_steps=6):
+def run(N0, R0, base, dims, max_steps=6):
     """Iterate until a verdict; returns an IterationReport."""
     records = []
-    steps = iterate(N0, R0, base, dims, dp0)
+    steps = iterate(N0, R0, base, dims)
     try:
         # zip takes from range first, so no step runs past max_steps
         for _, (m, params, N, R, rec) in zip(range(max_steps), steps):

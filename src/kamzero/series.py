@@ -20,6 +20,10 @@ tail certificate, and a text form.  All combining operations respect a
 total-degree budget and a Fourier budget; mass removed by truncation is
 accumulated into the result's ``meta`` rather than silently discarded.
 
+Norms and majorants are taken on a domain D(s, r, r) (``DomainParams``); the
+weights a, p of its sequence space l^{a,p} are the constants ``_WEIGHT_A``,
+``_WEIGHT_P``, and ``driver``'s schedule forms the s and r of each step.
+
 A series is stored as two arrays only, its key columns and coefficients
 (see ``TFSeries``): one C-ordered (column, row) int16 array, so that a
 per-row reduction adds whole contiguous columns one after another, in
@@ -149,35 +153,33 @@ class Budgets:
 
 @dataclass(frozen=True)
 class DomainParams:
-    """Analyticity/weight parameters of the domain D(s, r, r) and l^{a,p}."""
+    """The domain D(s, r, r): |Im x| < s, |y| < r^2 and z, zbar in the ball of
+    radius r of l^{a,p}, whose weights (``mode_weight``) are module constants."""
 
     s: float
     r: float
-    a: float
-    p: float
 
     def __post_init__(self):
-        if not (self.s > 0 and self.r > 0 and self.a > 0):
-            raise ValueError("s, r, a must be positive")
-        if not self.p > 0.5:
-            raise ValueError("p must exceed 1/2")
+        if not (self.s > 0 and self.r > 0):
+            raise ValueError("s and r must be positive")
 
     def shrink_s(self, sigma):
         if sigma >= self.s:
             raise ValueError("sigma=%g must be smaller than s=%g" % (sigma, self.s))
-        return DomainParams(self.s - sigma, self.r, self.a, self.p)
+        return DomainParams(self.s - sigma, self.r)
 
 
-# the weight parameters a and p of every domain the commands build
+# the weight parameters a and p of the sequence space l^{a,p} of every domain
 _WEIGHT_A = 0.1
 _WEIGHT_P = 1.0
 
 
-def mode_weight(j, dp):
-    """Sequence-space weight w_j = j^p e^{aj} (the j = 0 mode has weight 1)."""
+def mode_weight(j):
+    """Sequence-space weight w_j = j^p e^{aj} at a = ``_WEIGHT_A``, p =
+    ``_WEIGHT_P`` (the j = 0 mode has weight 1)."""
     if j == 0:
         return 1.0
-    return j ** dp.p * math.exp(dp.a * j)
+    return j ** _WEIGHT_P * math.exp(_WEIGHT_A * j)
 
 
 class TFSeries:
@@ -719,7 +721,7 @@ def _skip_plan(A, B, rows_a, cols_a, cols_b, dp, budget):
     """
     pa, sa = rows_a
     n = A.dims.n
-    w = np.array([mode_weight(j, dp) for j in A.dims.modes])
+    w = np.array([mode_weight(j) for j in A.dims.modes])
     gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
     (base_a, h_a), (base_b, h_b) = _vf_parts(A, dp), _vf_parts(B, dp)
     col = cols_a[pa]
@@ -973,7 +975,7 @@ def _term_weights(F, dp):
     n = F.dims.n
     nmodes = len(F.dims.modes)
     cols = F.cols
-    logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j
+    logw = np.array([0.0 if j == 0 else _WEIGHT_P * math.log(j) + _WEIGHT_A * j
                      for j in F.dims.modes])
     kabs = np.abs(cols[:n]).sum(axis=0)
     na = cols[n:2 * n].sum(axis=0)
@@ -999,7 +1001,7 @@ def vector_field_norm(F, dp):
     # removing one y_b factor divides the weight by r^2, one z_j or zbar_j
     # factor by r / w_j
     ynorm = max(float(cols[n + b] @ base) for b in range(n)) / dp.r ** 2 if n else 0.0
-    w = np.array([mode_weight(j, dp) for j in F.dims.modes])
+    w = np.array([mode_weight(j) for j in F.dims.modes])
     zsq = np.sum((w * w * (cols[2 * n:2 * n + nmodes] @ base) / dp.r) ** 2)
     zbsq = np.sum((w * w * (cols[2 * n + nmodes:] @ base) / dp.r) ** 2)
     return (ynorm + xnorm / dp.r ** 2
@@ -1020,7 +1022,7 @@ def _vf_parts(F, dp):
     cols = F.cols
     head = (np.abs(cols[:n]).max(axis=0, initial=0)
             + cols[n:2 * n].max(axis=0, initial=0))
-    w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])[:, None]
+    w2 = np.array([mode_weight(j) ** 2 for j in F.dims.modes])[:, None]
     zb = np.sqrt(((cols[2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=0))
     zg = np.sqrt(((cols[2 * n + nmodes:] * w2) ** 2).sum(axis=0))
     return np.abs(F.coefs) * _term_weights(F, dp), head + (zb + zg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kamzero.nls import NlsModel, build_nls
-from kamzero.series import Budgets, DomainParams
+from kamzero.series import Budgets
 
 
 # canonical desk-scale instance: two tangential sites, eight modes, the
@@ -16,11 +16,6 @@ def nls_build():
     budgets = Budgets(degree_max=6, k_max=512)
     bk, kf = build_nls(model, budgets)
     return model, bk, kf
-
-
-@pytest.fixture(scope="session")
-def nls_domain():
-    return DomainParams(0.6, 0.02, 0.1, 1.0)
 
 
 # the benchmark's synthetic sweep: both shipped synthetic shapes at b = 1, 2

@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from kamzero.series import Budgets, MonomialKey, SeriesDims, TFSeries, mode_weight
+from kamzero.series import (_WEIGHT_A, _WEIGHT_P, Budgets, MonomialKey, SeriesDims, TFSeries,
+                            mode_weight)
 
 
 def _norm_expmap(entries):
@@ -153,7 +154,7 @@ def row_term_weights(F, dp):
     n = F.dims.n
     nmodes = len(F.dims.modes)
     rows = F.rows
-    logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j
+    logw = np.array([0.0 if j == 0 else _WEIGHT_P * math.log(j) + _WEIGHT_A * j
                      for j in F.dims.modes])
     na = rows[:, n:2 * n].sum(axis=1)
     zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
@@ -169,7 +170,7 @@ def row_vf_parts(F, dp):
     rows = F.rows
     head = (np.abs(rows[:, :n]).max(axis=1, initial=0)
             + rows[:, n:2 * n].max(axis=1, initial=0))
-    w2 = np.array([mode_weight(j, dp) ** 2 for j in F.dims.modes])
+    w2 = np.array([mode_weight(j) ** 2 for j in F.dims.modes])
     zb = np.sqrt(((rows[:, 2 * n:2 * n + nmodes] * w2) ** 2).sum(axis=1))
     zg = np.sqrt(((rows[:, 2 * n + nmodes:] * w2) ** 2).sum(axis=1))
     return np.abs(F.coefs) * row_term_weights(F, dp), head + (zb + zg)

@@ -79,7 +79,7 @@ def test_criterion_01_kronecker_vec_identities():
 def test_criterion_02_poisson_algebra():
     dims = SeriesDims(2, (), (1,), 6)
     bud = Budgets(8, 16)
-    dp = DomainParams(0.5, 0.3, 0.1, 1.0)
+    dp = DomainParams(0.5, 0.3)
     rng = np.random.default_rng(102)
     t0 = time.perf_counter()
     antisym_exact = True
@@ -146,7 +146,7 @@ def test_criterion_03_homological_residual():
             R_low, _, _ = fourier_truncate(R_low, 6.0)
             if check_nonresonance(N, params, dims):
                 continue
-            dp = DomainParams(params.s_m, 0.3, 0.1, 1.0)
+            dp = DomainParams(params.s_m, 0.3)
             F, hat, rep = solve_homological(N, R_low, params, dims, dp=dp)
             worst_rel = max(worst_rel, rep.residual / vector_field_norm(R_low, dp))
             count += 1
@@ -161,7 +161,7 @@ def test_criterion_03_homological_residual():
     params = schedule(1, base, eps_m=1e-4)
     R = realify(_random_series(rng, dims, bud, nterms=40, degmax=2, kspread=3)) * 1e-4
     R_low, _ = split_low_high(R)
-    F, hat, _ = solve_homological(N, R_low, params, dims, DomainParams(params.s_m, 0.3, 0.1, 1.0))
+    F, hat, _ = solve_homological(N, R_low, params, dims, DomainParams(params.s_m, 0.3))
     equiv = 0.0
     for key, c in R_low.terms.items():
         kw = np.dot(key.k, N.omega)
@@ -179,7 +179,7 @@ def test_criterion_03_homological_residual():
 def test_criterion_04_fourier_tail_bound():
     dims = SeriesDims(2, (), (1,), 6)
     bud = Budgets(6, 64)
-    dp = DomainParams(0.5, 0.3, 0.1, 1.0)
+    dp = DomainParams(0.5, 0.3)
     rng = np.random.default_rng(104)
     ok = True
     detail = []
@@ -198,13 +198,12 @@ def test_criterion_04_fourier_tail_bound():
 def test_criterion_05_kam_contraction():
     dims = SeriesDims(2, (), (1,), 6)
     bud = Budgets(6, 4096)
-    dp0 = DomainParams(0.6, 0.25, 0.1, 1.0)
     base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.25, gamma1=0.05)
-    N, R = make_synthetic_problem(dims, bud, 1e-6, seed=2, n_high=0, dp=dp0)
+    N, R = make_synthetic_problem(dims, bud, 1e-6, seed=2, n_high=0, dp=base.domain)
     contraction_ok = True
-    epslist = [vector_field_norm(R, dp0)]
+    epslist = [vector_field_norm(R, base.domain)]
     drift = 0.0
-    for _, (m, params, N, R, rec) in zip(range(3), iterate(N, R, base, dims, dp0)):
+    for _, (m, params, N, R, rec) in zip(range(3), iterate(N, R, base, dims)):
         contraction_ok &= rec.eps_next <= rec.eps_measured ** 1.1
         drift += rec.freq_drift
         epslist.append(rec.eps_next)
@@ -237,7 +236,6 @@ def test_criterion_07_nls_parity(nls_build):
     model, bk, kf = nls_build
     dims = kf.dims
     base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.02, gamma1=0.005)
-    dp0 = DomainParams(base.s1, base.r1, 0.1, 1.0)
     R = kf.R0
     worst = [0.0, 0.0, 0.0]
 
@@ -246,7 +244,7 @@ def test_criterion_07_nls_parity(nls_build):
         return max((v for _, v in viol), default=0.0)
 
     worst[0] = z0_mean_defect(R)
-    for _, (m, _, _, R, _) in zip(range(2), iterate(kf.N0, R, base, dims, dp0)):
+    for _, (m, _, _, R, _) in zip(range(2), iterate(kf.N0, R, base, dims)):
         worst[m] = z0_mean_defect(R)
     # negative control: an even-|k| zero-mode term must be flagged
     bad = make_key(2, k=(1, 1), beta={0: 1})
@@ -310,12 +308,11 @@ def test_criterion_09_measure_scaling(nls_build):
 def test_criterion_10_determinism(tmp_path):
     dims = SeriesDims(2, (), (1,), 6)
     bud = Budgets(6, 4096)
-    dp0 = DomainParams(0.6, 0.25, 0.1, 1.0)
     base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.25, gamma1=0.05)
     blobs = []
     for tag in ("a", "b"):
-        N, R = make_synthetic_problem(dims, bud, 1e-6, seed=7, dp=dp0)
-        rep = run(N, R, base, dims, dp0, max_steps=3)
+        N, R = make_synthetic_problem(dims, bud, 1e-6, seed=7, dp=base.domain)
+        rep = run(N, R, base, dims, max_steps=3)
         _, jpath = emit_report(rep, str(tmp_path / tag))
         blobs.append(open(jpath, "rb").read())
     ok = blobs[0] == blobs[1] and len(blobs[0]) > 100

@@ -92,14 +92,13 @@ def test_exit_code_table():
 def test_report_round_trip(tmp_path):
     from kamzero.driver import (BaseParams, make_synthetic_problem, run)
     from kamzero.reporting import emit_report
-    from kamzero.series import Budgets, DomainParams, SeriesDims
+    from kamzero.series import Budgets, SeriesDims
 
     dims = SeriesDims(2, (), (1,), 6)
-    dp = DomainParams(0.6, 0.25, 0.1, 1.0)
     base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.25, gamma1=0.05)
     N, R = make_synthetic_problem(dims, Budgets(6, 4096), 1e-6, seed=2,
-                                  n_high=0, dp=dp)
-    rep = run(N, R, base, dims, dp, max_steps=4)
+                                  n_high=0, dp=base.domain)
+    rep = run(N, R, base, dims, max_steps=4)
     code, jpath = emit_report(rep, str(tmp_path))
     assert code == EXIT_CODES[rep.verdict]
     parsed = json.loads(open(jpath).read())
@@ -317,6 +316,15 @@ def test_the_readme_lists_every_config_key_with_its_type_and_default():
                 assert text_default == "—", key
             else:
                 assert _parse_value(kind, text_default) == default, key
+
+
+def test_the_readme_library_sketch_runs_to_a_torus(capsys):
+    with open(os.path.join(os.path.dirname(SHIPPED), "README.md")) as fh:
+        text = fh.read()
+    sketch, = re.findall(r"^## Library sketch\n\n```python\n(.*?)^```$", text,
+                         flags=re.M | re.S)
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "TorusConverged\n"
 
 
 @pytest.mark.parametrize("key", ["k_max", "degree_max"])

@@ -18,13 +18,13 @@ from kamzero.driver import (BaseParams, BudgetExhausted, PremiseFailed,
                             delta0, dichotomy, kam_step, make_synthetic_problem,
                             no_torus_witness, run, schedule, scheduled_eps)
 from kamzero.homological import FAMILIES, NormalForm, ResonantParameter, _scale_tau
-from kamzero.series import Budgets, DomainParams, SeriesDims, TFSeries, vector_field_norm
+from kamzero.series import Budgets, SeriesDims, TFSeries, vector_field_norm
 from series_ref import from_terms, make_key, reality_defect
 
 DIMS = SeriesDims(2, (), (1,), 6)
 BUD = Budgets(6, 4096)
-DP0 = DomainParams(0.6, 0.25, 0.1, 1.0)
 BASE = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.25, gamma1=0.05, eps1=1e-6)
+DP0 = BASE.domain
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +104,8 @@ def test_gamma_family_schedules():
 def test_step_with_zero_perturbation():
     N, _ = make_synthetic_problem(DIMS, BUD, 1e-6, seed=0, dp=DP0)
     R = TFSeries.zero(DIMS, BUD)
-    params = schedule(1, BASE, eps_m=1e-6)
-    dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp, vector_field_norm(R, dp))
+    params = schedule(1, BASE, eps_m=0.0)
+    N1, R1, rec = kam_step(N, R, params, DIMS)
     assert not R1.terms
     assert rec.eps_measured == 0.0 and rec.eps_next == 0.0
     assert np.array_equal(N1.omega, N.omega)
@@ -116,8 +115,7 @@ def test_step_contracts_and_drift_bounded():
     N, R = make_synthetic_problem(DIMS, BUD, 1e-6, seed=2, n_high=0, dp=DP0)
     eps0 = vector_field_norm(R, DP0)
     params = schedule(1, BASE, eps_m=eps0)
-    dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp, eps0)
+    N1, R1, rec = kam_step(N, R, params, DIMS)
     assert R.real and R1.real
     assert rec.eps_next <= eps0 ** 1.15
     assert rec.freq_drift <= 10.0 * eps0
@@ -127,9 +125,8 @@ def test_step_contracts_and_drift_bounded():
 def test_budget_exhausted_when_K_exceeds_budget():
     N, R = make_synthetic_problem(DIMS, Budgets(6, 16), 1e-6, seed=2, dp=DP0)
     params = schedule(1, BASE, eps_m=1e-6)  # K ~ 184 > 16
-    dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
     with pytest.raises(BudgetExhausted):
-        kam_step(N, R, params, DIMS, dp, vector_field_norm(R, dp))
+        kam_step(N, R, params, DIMS)
 
 
 def test_normal_form_accumulation_is_exact():
@@ -144,11 +141,10 @@ def test_normal_form_accumulation_is_exact():
     r_prev = None
     for m in (1, 2):
         params = schedule(m, BASE, eps_m=eps, r_prev=r_prev)
-        dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
         low, _ = split_low_high(R)
-        low, _, _ = fourier_truncate(low, params.K_m, dp, sigma=params.s_gap)
+        low, _, _ = fourier_truncate(low, params.K_m, params.domain, sigma=params.s_gap)
         hats.append(extract_hat(low, DIMS))
-        Ncur, R, rec = kam_step(Ncur, R, params, DIMS, dp, eps)
+        Ncur, R, rec = kam_step(Ncur, R, params, DIMS)
         eps = rec.eps_next
         r_prev = params.r_m
         assert Ncur.Nz0[0] == N.Nz0[0] + sum(h.Nz0[0] for h in hats)
@@ -759,7 +755,7 @@ def test_the_row_cut_forms_few_more_rows_than_the_product_plan(nls_build, monkey
         return bracket(F, G, dp, budget)
     with monkeypatch.context() as patch:
         patch.setattr(driver, "poisson_bracket", recorded)
-        run(kf.N0, kf.R0, base, kf.dims, DomainParams(0.6, 0.02, 0.1, 1.0), max_steps=1)
+        run(kf.N0, kf.R0, base, kf.dims, max_steps=1)
     (R, F, dp, budget), = calls
     add, derivatives = series._Accumulator.add, series._derivatives
 
@@ -818,7 +814,7 @@ def test_halved_brackets_of_the_nls_run_have_real_operands(tmp_path, monkeypatch
 def test_run_zero_perturbation_converges_immediately():
     N, _ = make_synthetic_problem(DIMS, BUD, 1e-6, seed=0, dp=DP0)
     R = TFSeries.zero(DIMS, BUD)
-    rep = run(N, R, BASE, DIMS, DP0, max_steps=3)
+    rep = run(N, R, BASE, DIMS, max_steps=3)
     assert rep.verdict == "TorusConverged"
     assert rep.verdict_info["m"] == 1
 
@@ -826,14 +822,14 @@ def test_run_zero_perturbation_converges_immediately():
 def test_run_resonant_sample():
     N, R = make_synthetic_problem(DIMS, BUD, 1e-6, seed=3, n_high=0, dp=DP0)
     N.omega = np.array([1.0, 1.0])  # rational: <k, omega> = 0 at (1, -1)
-    rep = run(N, R, BASE, DIMS, DP0, max_steps=3)
+    rep = run(N, R, BASE, DIMS, max_steps=3)
     assert rep.verdict == "ResonantSample"
     assert rep.verdict_info["family"] == "KL"
 
 
 def test_run_synthetic_torus_converged():
     N, R = make_synthetic_problem(DIMS, BUD, 1e-6, seed=2, n_high=0, dp=DP0)
-    rep = run(N, R, BASE, DIMS, DP0, max_steps=5)
+    rep = run(N, R, BASE, DIMS, max_steps=5)
     assert rep.verdict == "TorusConverged"
     assert all(r.delta0 == 0.0 for r in rep.steps)
     # cumulative drift constant matches items summed from the trace
@@ -848,8 +844,7 @@ def test_run_nls_full_pipeline_converges():
     bk, kf = build_nls(model, Budgets(6, 2048))
     base = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.02, gamma1=0.005,
                       eps_floor=1e-5)
-    rep = run(kf.N0, kf.R0, base, kf.dims,
-              DomainParams(0.6, 0.02, 0.1, 1.0), max_steps=3)
+    rep = run(kf.N0, kf.R0, base, kf.dims, max_steps=3)
     assert rep.verdict == "TorusConverged"
     assert all(r.delta0 <= 1e-12 for r in rep.steps)
 
@@ -860,7 +855,7 @@ def test_run_no_torus_witnessed():
     c = 1e4 * thr / math.sqrt(2.0)
     N, R = make_synthetic_problem(DIMS, BUD, eps0, seed=2, n_high=0,
                                   inject_z0=c, dp=DP0)
-    rep = run(N, R, BASE, DIMS, DP0, max_steps=5)
+    rep = run(N, R, BASE, DIMS, max_steps=5)
     assert rep.verdict == "NoTorusWitnessed"
     assert rep.verdict_info["delta0"] > 0
     assert rep.verdict_info["final_norm"] > rep.verdict_info["threshold"]

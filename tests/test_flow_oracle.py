@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from kamzero.driver import BaseParams, kam_step, make_synthetic_problem, schedule
-from kamzero.series import (Budgets, DomainParams, SeriesDims,
-                            vector_field_norm)
+from kamzero.series import Budgets, SeriesDims, vector_field_norm
 from series_ref import from_terms
 
 DIMS = SeriesDims(2, (), (1,), 5)
 BUD = Budgets(6, 4096)
-DP0 = DomainParams(0.6, 0.25, 0.1, 1.0)
 BASE = BaseParams(n=2, b=1, tau=3.5, s1=0.6, r1=0.25, gamma1=0.05)
+DP0 = BASE.domain
 
 
 def eval_series(S, x, y, z, zb):
@@ -126,12 +125,12 @@ def test_step_matches_pointwise_flow(seed):
     N, R = make_synthetic_problem(DIMS, BUD, 1e-6, seed=seed, n_high=0, dp=DP0)
     eps = vector_field_norm(R, DP0)
     params = schedule(1, BASE, eps_m=eps)
-    dp = DomainParams(params.s_m, params.r_m, DP0.a, DP0.p)
+    dp = params.domain
 
     low, _ = split_low_high(R)
     low_trunc, _, _ = fourier_truncate(low, params.K_m, dp, sigma=params.s_gap)
     F, _, _ = solve_homological(N, low_trunc, params, DIMS, dp=dp)
-    N1, R1, rec = kam_step(N, R, params, DIMS, dp, eps)
+    N1, R1, rec = kam_step(N, R, params, DIMS)
 
     H0 = N.to_series(DIMS, BUD) + R
     H1 = N1.to_series(DIMS, BUD) + R1

@@ -23,7 +23,7 @@ from kamzero.series import (Budgets, DomainParams, SeriesDims, TFSeries,
 from series_ref import from_terms, key_kabs, make_key, reality_defect
 
 # the domain of the residual the solver certifies where a test sets none
-DP = DomainParams(0.5, 0.3, 0.1, 1.0)
+DP = DomainParams(0.5, 0.3)
 
 
 def make_dims(b, jmax=8):
@@ -469,7 +469,7 @@ def test_residual_oracle(b, seed):
     R = random_low_perturbation(dims, bud, rng)
     R_low, _ = split_low_high(R)
     R_low, _, _ = fourier_truncate(R_low, 6.0)
-    dp = DomainParams(params.s_m, 0.3, 0.1, 1.0)
+    dp = DomainParams(params.s_m, 0.3)
     assert check_nonresonance(N, params, dims) == []
     F, hat, rep = solve_homological(N, R_low, params, dims, dp=dp)
     assert rep.residual <= 1e-9 * vector_field_norm(R_low, dp)
@@ -488,7 +488,7 @@ def test_solver_without_tail_modes():
     params = step_params(1, gamma1=1e-3)
     R_low, _ = split_low_high(random_low_perturbation(dims, bud, rng, nterms=20))
     R_low, _, _ = fourier_truncate(R_low, 6.0)
-    dp = DomainParams(params.s_m, 0.3, 0.1, 1.0)
+    dp = DomainParams(params.s_m, 0.3)
     assert check_nonresonance(N, params, dims) == []
     F, hat, rep = solve_homological(N, R_low, params, dims, dp=dp)
     assert rep.solve_counts["part1"] > 0 and rep.solve_counts["part4"] > 0
@@ -643,7 +643,7 @@ def test_hom_residual_with_zero_generator():
     bud = Budgets(6, 16)
     rng = np.random.default_rng(10)
     N = make_nf(dims, rng, block_scale=0.0, linear_scale=0.0)
-    dp = DomainParams(0.5, 0.3, 0.1, 1.0)
+    dp = DomainParams(0.5, 0.3)
     # means-only perturbation plus one oscillating term: with F = 0 and Nhat
     # the k = 0 means, the residual is the norm of the oscillating part
     key = make_key(2, k=(1, 0), alpha=(1, 0))

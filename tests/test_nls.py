@@ -267,7 +267,7 @@ def test_perturbation_shrinks_with_xi():
     from kamzero.series import split_low_high
 
     bud = Budgets(6, 512)
-    dp = DomainParams(0.6, 0.01, 0.1, 1.0)
+    dp = DomainParams(0.6, 0.01)
     big = NlsModel(sites=(1, 2), jmax=6, xi=np.array([4e-3, 3e-3]))
     small = NlsModel(sites=(1, 2), jmax=6, xi=np.array([2e-3, 1.5e-3]))
     _, kf_big = build_nls(big, bud)

@@ -13,7 +13,7 @@ from series_ref import (from_terms, from_text, key_kabs, make_key, monomial, pro
 
 DIMS = SeriesDims(2, (1, 2), (0,), 6)
 BUD = Budgets(6, 16)
-DP = DomainParams(0.5, 0.3, 0.1, 1.0)
+DP = DomainParams(0.5, 0.3)
 
 
 def mono(c, k=(), alpha=(), beta=(), gamma=(), dims=DIMS, bud=BUD):
@@ -251,11 +251,11 @@ def test_weighted_norm_single_normal_variable():
     j = 4
     F = mono(1.0, beta={j: 1})
     val = weighted_norm(F, DP)
-    w = mode_weight(j, DP)
+    w = mode_weight(j)
     assert val == pytest.approx(DP.r / w)
     rng = np.random.default_rng(4)
     modes = DIMS.modes
-    ws = np.array([mode_weight(m, DP) for m in modes])
+    ws = np.array([mode_weight(m) for m in modes])
     best = 0.0
     for _ in range(200):
         z = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
@@ -284,7 +284,7 @@ def _vector_field_norm_reference(F, dp):
         for key, c in terms.items():
             val = abs(c) * math.exp(key_kabs(key) * dp.s) * dp.r ** (2 * sum(key.alpha))
             for m, e in key.beta + key.gamma:
-                val *= (dp.r / mode_weight(m, dp)) ** e
+                val *= (dp.r / mode_weight(m)) ** e
             tot += val
         return tot
 
@@ -315,8 +315,8 @@ def _vector_field_norm_reference(F, dp):
 
     ynorm = max((wnorm(d_alpha(F.terms, b)) for b in range(n)), default=0.0)
     xnorm = max((wnorm(d_x(F.terms, b)) for b in range(n)), default=0.0)
-    zsq = sum(mode_weight(j, dp) ** 2 * wnorm(d_mode(F.terms, j, False)) ** 2 for j in modes)
-    zbsq = sum(mode_weight(j, dp) ** 2 * wnorm(d_mode(F.terms, j, True)) ** 2 for j in modes)
+    zsq = sum(mode_weight(j) ** 2 * wnorm(d_mode(F.terms, j, False)) ** 2 for j in modes)
+    zbsq = sum(mode_weight(j) ** 2 * wnorm(d_mode(F.terms, j, True)) ** 2 for j in modes)
     return ynorm + xnorm / dp.r ** 2 + math.sqrt(zbsq) / dp.r + math.sqrt(zsq) / dp.r
 
 

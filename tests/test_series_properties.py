@@ -23,10 +23,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from kamzero import series as kseries
 from kamzero.driver import realify
-from kamzero.series import (Budgets, DomainParams, MonomialKey, SeriesDims, TFSeries,
-                            fourier_truncate, lie_transform, mode_weight, poisson_bracket,
-                            split_low_high, vector_field_norm, vf_majorants, vf_truncate,
-                            weighted_norm)
+from kamzero.series import (_WEIGHT_A, _WEIGHT_P, Budgets, DomainParams, MonomialKey,
+                            SeriesDims, TFSeries, fourier_truncate, lie_transform, mode_weight,
+                            poisson_bracket, split_low_high, vector_field_norm, vf_majorants,
+                            vf_truncate, weighted_norm)
 from series_ref import (from_terms, from_text, key_degree, key_kabs, make_key, product,
                         reality_defect, row_bounds, row_decode, row_degrees, row_kabs,
                         row_term_weights, row_vf_parts)
@@ -273,7 +273,7 @@ def _assert_stored(S):
 @SETTINGS
 @given(series(FLOATS, max_size=12), series(FLOATS, max_size=12), st.sampled_from([0.1, 0.5, 1.0]))
 def test_every_operation_keeps_the_storage_contract(F, G, share):
-    dp = DomainParams(0.5, 0.3, 0.1, 1.0)
+    dp = DomainParams(0.5, 0.3)
     real_f, real_g = realify(F), realify(G)
     assert real_f.real and real_g.real
     pruned = F.copy()
@@ -615,8 +615,7 @@ def test_column_kernels_match_the_row_wise_reference(n, nmodes, count, zero, see
                            rng.integers(0, 4, (count, 2 * nmodes))
                            * (rng.random((count, 2 * nmodes)) < 0.4)], axis=1).astype(np.int16)
     coefs = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    dp = DomainParams(rng.uniform(0.01, 2.0), math.exp(rng.uniform(-4.0, 1.0)),
-                      rng.uniform(0.01, 1.0), rng.uniform(0.51, 3.0))
+    dp = DomainParams(rng.uniform(0.01, 2.0), math.exp(rng.uniform(-4.0, 1.0)))
     cols = np.ascontiguousarray(rows.T)
     for got, want in ((kseries._degrees(cols, n), row_degrees(rows, n)),
                       (kseries._kabs(cols, n), row_kabs(rows, n))):
@@ -631,7 +630,7 @@ def test_column_kernels_match_the_row_wise_reference(n, nmodes, count, zero, see
         for got, want in ((weights, ref_weights), (base, ref_base), (h, ref_h)):
             assert np.array_equal(_bits(got), _bits(want))
     else:
-        logw = np.array([0.0 if j == 0 else dp.p * math.log(j) + dp.a * j for j in dims.modes])
+        logw = np.array([0.0 if j == 0 else _WEIGHT_P * math.log(j) + _WEIGHT_A * j for j in dims.modes])
         zexp = rows[:, 2 * n:2 * n + nmodes] + rows[:, 2 * n + nmodes:]
         summands = (zexp * np.abs(math.log(dp.r) - logw)).sum(axis=1)
         tol = 4 * np.finfo(float).eps * (summands + 1.0)
@@ -1022,7 +1021,7 @@ def test_halving_runs_for_every_product_of_two_distinct_real_operands():
 # vector-field majorants and the truncation they certify
 # ---------------------------------------------------------------------------
 
-VF_DP = DomainParams(0.5, 0.3, 0.1, 1.0)
+VF_DP = DomainParams(0.5, 0.3)
 
 
 @SETTINGS
@@ -1204,7 +1203,7 @@ def _derivative_terms(S, col, factor, dp):
     and h = max |k_b| + max alpha_b + |beta w^2|_2 + |gamma w^2|_2 of the
     row."""
     n, nmodes = S.dims.n, len(S.dims.modes)
-    w = np.array([mode_weight(j, dp) for j in S.dims.modes])
+    w = np.array([mode_weight(j) for j in S.dims.modes])
     gain = np.concatenate([np.ones(n), np.full(n, dp.r ** -2), w / dp.r, w / dp.r])
     out = []
     for i, (row, c) in enumerate(zip(S.rows.astype(np.int64), S.coefs)):
